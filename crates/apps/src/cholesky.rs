@@ -142,9 +142,8 @@ fn trsm_kernel(label: String, b: usize) -> KernelDesc {
         // Copy L out so the X slice can be chunked freely.
         let l: Vec<f32> = k.reads[0].to_vec();
         let x = &mut k.writes[0];
-        hstreams::parallel::par_chunks_mut(x, threads.min(b), |_, _, chunk| {
-            debug_assert_eq!(chunk.len() % b, 0);
-            for row in chunk.chunks_mut(b) {
+        hstreams::parallel::par_rows_mut(x, b, threads, |_, rows| {
+            for row in rows.chunks_mut(b) {
                 for c in 0..b {
                     let mut v = row[c];
                     for m in 0..c {
@@ -164,9 +163,9 @@ fn syrk_kernel(label: String, b: usize) -> KernelDesc {
         let threads = k.threads;
         let lik: Vec<f32> = k.reads[0].to_vec();
         let a = &mut k.writes[0];
-        hstreams::parallel::par_chunks_mut(a, threads.min(b), |_, offset, chunk| {
-            for (ri, row) in chunk.chunks_mut(b).enumerate() {
-                let r = offset / b + ri;
+        hstreams::parallel::par_rows_mut(a, b, threads, |first_row, rows| {
+            for (ri, row) in rows.chunks_mut(b).enumerate() {
+                let r = first_row + ri;
                 for c in 0..=r {
                     let mut acc = 0.0f32;
                     for m in 0..b {
@@ -187,9 +186,9 @@ fn gemm_update_kernel(label: String, b: usize) -> KernelDesc {
         let lik: Vec<f32> = k.reads[0].to_vec();
         let ljk: Vec<f32> = k.reads[1].to_vec();
         let a = &mut k.writes[0];
-        hstreams::parallel::par_chunks_mut(a, threads.min(b), |_, offset, chunk| {
-            for (ri, row) in chunk.chunks_mut(b).enumerate() {
-                let r = offset / b + ri;
+        hstreams::parallel::par_rows_mut(a, b, threads, |first_row, rows| {
+            for (ri, row) in rows.chunks_mut(b).enumerate() {
+                let r = first_row + ri;
                 for c in 0..b {
                     let mut acc = 0.0f32;
                     for m in 0..b {

@@ -96,10 +96,9 @@ fn stencil_kernel(label: String, shape: StencilShape) -> KernelDesc {
         let (rows, cols) = (shape.rows, shape.cols);
         let threads = kc.threads;
         let out = &mut kc.writes[0];
-        hstreams::parallel::par_chunks_mut(out, threads.min(rows), |_, offset, chunk| {
-            debug_assert_eq!(offset % cols, 0);
-            for (ri, row_out) in chunk.chunks_mut(cols).enumerate() {
-                let r = offset / cols + ri;
+        hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
+            for (ri, row_out) in block.chunks_mut(cols).enumerate() {
+                let r = first_row + ri;
                 for c in 0..cols {
                     let center = own[r * cols + c];
                     let north = if r > 0 {

@@ -140,9 +140,9 @@ fn coeff_kernel(label: String, shape: TileShape) -> KernelDesc {
         let (rows, cols) = (shape.rows, shape.cols);
         let threads = kc.threads;
         let out = &mut kc.writes[0];
-        hstreams::parallel::par_chunks_mut(out, threads.min(rows), |_, offset, chunk| {
-            for (ri, row_out) in chunk.chunks_mut(cols).enumerate() {
-                let r = offset / cols + ri;
+        hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
+            for (ri, row_out) in block.chunks_mut(cols).enumerate() {
+                let r = first_row + ri;
                 for c in 0..cols {
                     let center = own[r * cols + c];
                     let north = if r > 0 {
@@ -208,9 +208,9 @@ fn update_kernel(label: String, shape: TileShape, lambda: f32) -> KernelDesc {
         let (rows, cols) = (shape.rows, shape.cols);
         let threads = kc.threads;
         let out = &mut kc.writes[0];
-        hstreams::parallel::par_chunks_mut(out, threads.min(rows), |_, offset, chunk| {
-            for (ri, row_out) in chunk.chunks_mut(cols).enumerate() {
-                let r = offset / cols + ri;
+        hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
+            for (ri, row_out) in block.chunks_mut(cols).enumerate() {
+                let r = first_row + ri;
                 for c in 0..cols {
                     let center = own[r * cols + c];
                     // Divergence uses c at the pixel (N and W fluxes) and at

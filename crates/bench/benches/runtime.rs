@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hstreams::kernel::KernelDesc;
-use hstreams::{Context, NativeConfig};
+use hstreams::Context;
 use micsim::compute::KernelProfile;
 use micsim::PlatformConfig;
 
@@ -71,8 +71,7 @@ fn bench_native_executor(c: &mut Criterion) {
     });
 
     // Pure launch overhead at the paper's 4-partition geometry: 64 no-op
-    // kernels over 4 streams, persistent worker-pool path vs the
-    // spawn-per-run scoped baseline.
+    // kernels over 4 streams.
     let mut launch = Context::builder(PlatformConfig::phi_31sp())
         .partitions(4)
         .build()
@@ -95,13 +94,6 @@ fn bench_native_executor(c: &mut Criterion) {
     }
     group.bench_function("launch_overhead_64noop_4p_pooled", |b| {
         b.iter(|| launch.run_native().unwrap());
-    });
-    let scoped = NativeConfig {
-        persistent: false,
-        ..NativeConfig::default()
-    };
-    group.bench_function("launch_overhead_64noop_4p_scoped", |b| {
-        b.iter(|| launch.run_native_with(&scoped).unwrap());
     });
 
     // Transfer round trip of 1 MiB.

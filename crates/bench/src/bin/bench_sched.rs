@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use hstreams::kernel::KernelDesc;
-use hstreams::{Context, NativeConfig, SchedulerKind};
+use hstreams::{Context, SchedulerKind};
 use mic_apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn, TunablePartitionMicro,
 };
@@ -64,16 +64,13 @@ fn sim_ms(ctx: &mut Context, kind: SchedulerKind) -> f64 {
 
 /// Min-of-reps native wall time: noise is one-sided, the minimum is the
 /// robust estimate (same rationale as the tuner's `TrialRecord::seconds`).
-fn native_ms(ctx: &Context, kind: SchedulerKind, reps: usize) -> f64 {
-    let cfg = NativeConfig {
-        scheduler: Some(kind),
-        ..NativeConfig::default()
-    };
-    ctx.run_native_with(&cfg).unwrap(); // warmup: pool spawn + page faults
+fn native_ms(ctx: &mut Context, kind: SchedulerKind, reps: usize) -> f64 {
+    ctx.set_scheduler(kind);
+    ctx.run_native().unwrap(); // warmup: pool spawn + page faults
     (0..reps)
         .map(|_| {
             let started = Instant::now();
-            ctx.run_native_with(&cfg).unwrap();
+            ctx.run_native().unwrap();
             started.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
@@ -157,7 +154,7 @@ fn price_condition(name: &'static str, mut ctx: Context, reps: usize) -> Conditi
     let mut native = [0.0f64; 3];
     for (i, &kind) in kinds.iter().enumerate() {
         sim[i] = sim_ms(&mut ctx, kind);
-        native[i] = native_ms(&ctx, kind, reps);
+        native[i] = native_ms(&mut ctx, kind, reps);
     }
     println!(
         "  {name:<11}: sim fifo {:>8.3} ms, heft {:>8.3} ms, steal {:>8.3} ms",

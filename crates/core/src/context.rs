@@ -51,7 +51,6 @@ pub struct ContextBuilder {
     streams_per_partition: usize,
     replan_capacity: Option<usize>,
     check_mode: crate::check::CheckMode,
-    scheduler: crate::sched::SchedulerKind,
     metrics: bool,
     optimize: bool,
 }
@@ -75,15 +74,6 @@ impl ContextBuilder {
     /// findings refuse the run.
     pub fn check_mode(mut self, mode: crate::check::CheckMode) -> ContextBuilder {
         self.check_mode = mode;
-        self
-    }
-
-    /// Which scheduler both executors use (see [`crate::sched`]). Defaults
-    /// to [`SchedulerKind::Fifo`](crate::sched::SchedulerKind): replay the
-    /// recorded stream order on the recorded placements, exactly as the
-    /// pre-scheduler runtime did.
-    pub fn scheduler(mut self, kind: crate::sched::SchedulerKind) -> ContextBuilder {
-        self.scheduler = kind;
         self
     }
 
@@ -155,7 +145,7 @@ impl ContextBuilder {
             recovery: parking_lot::Mutex::new(None),
             check_mode: self.check_mode,
             last_check: parking_lot::Mutex::new(None),
-            scheduler: self.scheduler,
+            scheduler: crate::sched::SchedulerKind::default(),
             metrics: self.metrics,
             optimize: self.optimize,
             last_opt: parking_lot::Mutex::new(None),
@@ -194,8 +184,8 @@ pub struct Context {
     pub(crate) buffers: Vec<Buffer>,
     pub(crate) program: Program,
     /// Persistent native execution state (drivers, worker pools, copy
-    /// engines), built lazily on the first persistent native run and torn
-    /// down when the context drops.
+    /// engines), built lazily on the first native run and torn down when
+    /// the context drops.
     native_rt: std::sync::OnceLock<crate::executor::native::NativeRuntime>,
     /// Registry + instrument bundles reused across metered native runs,
     /// keyed by `(devices, partitions)`: registration costs microseconds,
@@ -251,7 +241,6 @@ impl Context {
             streams_per_partition: 1,
             replan_capacity: None,
             check_mode: crate::check::CheckMode::default(),
-            scheduler: crate::sched::SchedulerKind::default(),
             metrics: false,
             optimize: false,
         }
@@ -288,7 +277,7 @@ impl Context {
     /// and re-record per trial.
     ///
     /// Once the persistent native runtime exists (after the first
-    /// persistent `run_native`), `partitions` must not exceed
+    /// `run_native`), `partitions` must not exceed
     /// [`replan_capacity`](Context::replan_capacity) — the runtime's driver
     /// group and partition pools were sized for that capacity. Before the
     /// runtime is built, replanning past the capacity simply raises it.
@@ -618,18 +607,6 @@ impl Context {
 
     // ----- optimizer -------------------------------------------------------
 
-    /// Whether [`Context::install_program`] runs the sync-elision
-    /// optimizer (the builder's [`ContextBuilder::optimize`], post-build).
-    pub fn optimize_enabled(&self) -> bool {
-        self.optimize
-    }
-
-    /// Turn install-time sync elision on or off for subsequent
-    /// [`Context::install_program`] calls.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
     /// Run the sync-elision optimizer ([`crate::opt::optimize`]) over the
     /// **recorded** program in place and return how many actions it
     /// removed. The report — including the equivalence
@@ -701,16 +678,16 @@ impl Context {
         self.metrics
     }
 
-    /// Turn run-metrics collection on or off for subsequent runs on either
-    /// executor (the builder's [`ContextBuilder::metrics`], post-build).
-    pub fn set_metrics(&mut self, on: bool) {
-        self.metrics = on;
-    }
-
-    /// Select the scheduler for subsequent runs — e.g.
+    /// Select the scheduler for subsequent runs on either executor — e.g.
     /// [`SchedulerKind::ListHeft`](crate::sched::SchedulerKind) to re-place
     /// the recorded tiles by critical-path rank instead of replaying the
-    /// recorded stream order.
+    /// recorded stream order (the default,
+    /// [`SchedulerKind::Fifo`](crate::sched::SchedulerKind)). Natively, a
+    /// non-FIFO kind replaces the per-stream drivers with a graph
+    /// dispatcher — one driver per `(device, partition)`, and under
+    /// `WorkSteal` idle drivers steal ready tasks at runtime; native runs
+    /// with fault injection or partition isolation configured stay FIFO,
+    /// because both are keyed by the recorded program's structure.
     pub fn set_scheduler(&mut self, kind: crate::sched::SchedulerKind) {
         self.scheduler = kind;
     }
@@ -832,7 +809,7 @@ impl Context {
 
     /// Number of persistent threads owned by this context's native runtime
     /// (stream drivers, partition pool workers, copy engines), or `None`
-    /// before the first persistent native run builds it. Repeated
+    /// before the first native run builds it. Repeated
     /// `run_native` calls reuse these threads; this count must not grow.
     pub fn native_thread_count(&self) -> Option<usize> {
         self.native_rt
@@ -892,8 +869,7 @@ impl Context {
     /// the program's happens-before edges — on a surviving partition's
     /// stream. Replay passes run with fault injection disabled (the plan's
     /// sites are keyed by `(stream, action-index)` against the *original*
-    /// program) and are bounded by
-    /// [`NativeConfig::max_degraded_runs`](crate::executor::native::NativeConfig).
+    /// program) and are bounded at two.
     ///
     /// On success the returned [`ResilientReport`](crate::fault::ResilientReport)
     /// carries the final pass's report plus fault counters accumulated
@@ -907,7 +883,7 @@ impl Context {
     ) -> Result<crate::fault::ResilientReport> {
         let mut cfg = cfg.clone();
         cfg.isolate_partitions = true;
-        let max_degraded = cfg.max_degraded_runs;
+        const MAX_DEGRADED_RUNS: usize = 2;
         let mut total = crate::fault::FaultCounters::default();
         let mut lost_all: Vec<(usize, usize, String)> = Vec::new();
         let original = self.program.clone();
@@ -924,7 +900,7 @@ impl Context {
                     };
                     total.absorb(&state.faults);
                     lost_all.extend(state.lost.iter().cloned());
-                    if state.skipped.is_empty() || passes >= max_degraded {
+                    if state.skipped.is_empty() || passes >= MAX_DEGRADED_RUNS {
                         break Err(err);
                     }
                     let Some(replay) = self.build_replay_program(&state, &lost_all) else {

@@ -16,9 +16,8 @@
 //!
 //! # Persistent runtime
 //!
-//! By default ([`NativeConfig::persistent`]) the context lazily builds a
-//! `NativeRuntime` on its first native run and reuses it for every run
-//! after that: the stream drivers are a parked
+//! The context lazily builds a `NativeRuntime` on its first native run and
+//! reuses it for every run after that: the stream drivers are a parked
 //! [`WorkerGroup`], the copy engines are
 //! long-lived threads fed over persistent channels, and each `(device,
 //! partition)` pair owns a partition-pinned worker group that
@@ -27,8 +26,7 @@
 //! bodies. Repeated runs of the same context — the paper's measurement
 //! loop — therefore spawn no OS threads at all, and each driver completes
 //! transfers through one reusable completion slot instead of allocating a
-//! channel per copy. Setting `persistent: false` selects the original
-//! spawn-per-run scoped executor, kept as the launch-overhead baseline.
+//! channel per copy.
 //!
 //! A panicking kernel does not poison the run: the stream switches to a
 //! skipping mode that still fires its events and joins its barriers so the
@@ -58,7 +56,7 @@ use crate::trace::{CopyStamp, NativeTrace, Recorder};
 use crate::types::{BufId, Error, Result};
 
 /// Settings for native execution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NativeConfig {
     /// Upper bound on the `threads` hint given to kernels. `None` sizes it
     /// as `available_parallelism / partitions` (at least 1), so partitions
@@ -67,11 +65,6 @@ pub struct NativeConfig {
     /// Emulate PCIe bandwidth: each copy holds the engine for at least
     /// `bytes / bandwidth` seconds. `None` copies at memory speed.
     pub link_bandwidth: Option<f64>,
-    /// Reuse the context's persistent `NativeRuntime` — stream drivers,
-    /// partition worker pools, copy engines — across runs (the default).
-    /// `false` selects the original spawn-per-run scoped executor, kept as
-    /// a baseline for launch-overhead comparisons.
-    pub persistent: bool,
     /// Record the run into a [`NativeTrace`] — the same `Timeline`
     /// representation the simulator produces, so overlap stats, Gantt and
     /// Chrome-trace export work on real runs unchanged. Off by default:
@@ -93,20 +86,6 @@ pub struct NativeConfig {
     /// drain, and [`Context::run_native_resilient`] replays the skipped
     /// actions on the survivors. Host-kernel panics still abort the run.
     pub isolate_partitions: bool,
-    /// Replay passes [`Context::run_native_resilient`] may take before it
-    /// gives up and surfaces the error.
-    pub max_degraded_runs: usize,
-    /// Scheduler override for this run (see [`crate::sched`]). `None` (the
-    /// default) uses the context's configured scheduler. Non-FIFO
-    /// schedulers replace the per-stream drivers with a graph dispatcher:
-    /// one driver per `(device, partition)` executes tasks in scheduled
-    /// order, and under
-    /// [`SchedulerKind::WorkSteal`](crate::sched::SchedulerKind) idle
-    /// drivers steal ready tasks cross-partition at runtime. Fault
-    /// injection and partition isolation are keyed by the recorded
-    /// program's structure, so scheduling is skipped (FIFO behaviour) when
-    /// either is configured.
-    pub scheduler: Option<crate::sched::SchedulerKind>,
     /// Collect run metrics (see [`crate::metrics`]): register the full
     /// [`RunInstruments`] catalog, record real launch overhead, queue
     /// wait, wire time and fault activity into it, and attach the
@@ -115,23 +94,6 @@ pub struct NativeConfig {
     /// Off by default: the hot path then pays one branch per site
     /// (gated by `bench_native_runtime`).
     pub metrics: bool,
-}
-
-impl Default for NativeConfig {
-    fn default() -> NativeConfig {
-        NativeConfig {
-            max_threads_per_partition: None,
-            link_bandwidth: None,
-            persistent: true,
-            trace: false,
-            fault: None,
-            retry: RetryPolicy::default(),
-            isolate_partitions: false,
-            max_degraded_runs: 2,
-            scheduler: None,
-            metrics: false,
-        }
-    }
 }
 
 /// Result of a native run.
@@ -336,7 +298,7 @@ fn default_threads_per_partition(ctx: &Context) -> usize {
 /// Long-lived execution state a [`Context`] reuses across native runs: the
 /// stream-driver group, partition-pinned kernel worker pools, copy-engine
 /// threads, and the locks that model partition/host exclusivity. Built
-/// lazily on the first persistent run; torn down when the context drops.
+/// lazily on the first native run; torn down when the context drops.
 pub(crate) struct NativeRuntime {
     /// Serializes whole runs: drivers and engines are shared state.
     run_lock: Mutex<()>,
@@ -417,9 +379,7 @@ impl Drop for NativeRuntime {
 
 // ----- per-run state --------------------------------------------------------
 
-/// Everything a stream driver needs for one run, shared by reference. Both
-/// executors (persistent and scoped) build one of these, so the drivers'
-/// interpretation of the program is identical on either path.
+/// Everything a stream driver needs for one run, shared by reference.
 struct RunShared<'a> {
     ctx: &'a Context,
     threads_hint: usize,
@@ -429,9 +389,8 @@ struct RunShared<'a> {
     partition_locks: &'a [Vec<Mutex<()>>],
     host_lock: &'a Mutex<()>,
     engine_tx: &'a [Vec<Sender<CopyJob>>],
-    /// Partition-pinned worker groups for kernel bodies; `None` on the
-    /// scoped baseline path (parallel helpers then spawn scoped threads).
-    pool: Option<&'a WorkerPool>,
+    /// Partition-pinned worker groups for kernel bodies.
+    pool: &'a WorkerPool,
     /// Span recorder; `None` when the run is untraced (the zero-cost
     /// default — every instrumentation site is a branch on this option).
     recorder: Option<&'a Recorder>,
@@ -620,14 +579,12 @@ fn exec_kernel(
     let body = desc.native.as_ref().expect("checked above").clone();
     // Route the body's parallel helpers onto the kernel's partition-pinned
     // group while it runs.
-    let _pool_install = shared.pool.map(|p| {
-        let group = if desc.host {
-            p.host()
-        } else {
-            p.partition(dev, part)
-        };
-        pool::install(group.clone())
-    });
+    let group = if desc.host {
+        shared.pool.host()
+    } else {
+        shared.pool.partition(dev, part)
+    };
+    let _pool_install = pool::install(group.clone());
     let t_start = observing.then(|| {
         let now = Instant::now();
         // Launch overhead: dispatch to body start (partition lock, buffer
@@ -680,8 +637,8 @@ fn exec_kernel(
     outcome
 }
 
-/// Interpret one stream's FIFO. Runs on a driver thread (persistent group
-/// worker or scoped spawn).
+/// Interpret one stream's FIFO. Runs on a driver thread of the runtime's
+/// persistent group.
 fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
     let si = stream.id.0;
     let dev = stream.placement.device.0;
@@ -1158,9 +1115,8 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     // dispatcher. Fault plans and partition isolation key off the recorded
     // program's (stream, action) sites, so either disables scheduling —
     // the run then behaves exactly as FIFO.
-    let sched_kind = cfg.scheduler.unwrap_or_else(|| ctx.scheduler());
     let planned = if cfg.fault.is_none() && !cfg.isolate_partitions {
-        ctx.plan_schedule_graph(sched_kind)
+        ctx.plan_schedule_graph(ctx.scheduler())
     } else {
         None
     };
@@ -1182,27 +1138,15 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     if let Some(rec) = guard.recorder.as_mut() {
         rec.set_fault_tallies(Arc::clone(&fc.tallies));
     }
-    let result = if cfg.persistent {
-        run_persistent(
-            ctx,
-            cfg,
-            threads_hint,
-            guard.recorder.as_ref(),
-            instruments,
-            &fc,
-            planned.as_ref(),
-        )
-    } else {
-        run_scoped(
-            ctx,
-            cfg,
-            threads_hint,
-            guard.recorder.as_ref(),
-            instruments,
-            &fc,
-            planned.as_ref(),
-        )
-    };
+    let result = run_persistent(
+        ctx,
+        cfg,
+        threads_hint,
+        guard.recorder.as_ref(),
+        instruments,
+        &fc,
+        planned.as_ref(),
+    );
     // Publish on the success path too, then attach the trace to the report;
     // on Err (kernel panic) the trace stays retrievable from the context.
     let trace = guard.publish();
@@ -1271,7 +1215,7 @@ fn run_persistent(
         partition_locks: &rt.partition_locks,
         host_lock: &rt.host_lock,
         engine_tx: &rt.engine_tx,
-        pool: Some(&rt.pool),
+        pool: &rt.pool,
         recorder,
         metrics,
         fault,
@@ -1299,98 +1243,6 @@ fn run_persistent(
     finish(shared, wall, 0)
 }
 
-/// The original spawn-per-run executor: scoped driver threads, per-run copy
-/// engines and locks. Kept as the launch-overhead baseline.
-#[allow(clippy::too_many_arguments)]
-fn run_scoped(
-    ctx: &Context,
-    cfg: &NativeConfig,
-    threads_hint: usize,
-    recorder: Option<&Recorder>,
-    metrics: Option<&RunInstruments>,
-    fault: &FaultControl,
-    planned: Option<&(crate::sched::Schedule, crate::sched::TaskGraph)>,
-) -> Result<NativeReport> {
-    let streams = &ctx.program().streams;
-    let n_streams = streams.len();
-    let n_devices = ctx.device_count();
-    let parts_per_dev = ctx.partitions().max(1);
-    let channels_per_dev = channels_for(ctx.config().link.duplex);
-
-    let mut engine_tx: Vec<Vec<Sender<CopyJob>>> = Vec::with_capacity(n_devices);
-    let mut engine_handles = Vec::new();
-    for _ in 0..n_devices {
-        let mut chans = Vec::with_capacity(channels_per_dev);
-        for _ in 0..channels_per_dev {
-            let (tx, rx) = unbounded::<CopyJob>();
-            engine_handles.push(std::thread::spawn(move || copy_engine(&rx)));
-            chans.push(tx);
-        }
-        engine_tx.push(chans);
-    }
-
-    let partition_locks: Vec<Vec<Mutex<()>>> = (0..n_devices)
-        .map(|_| (0..parts_per_dev).map(|_| Mutex::new(())).collect())
-        .collect();
-    let host_lock = Mutex::new(());
-
-    let shared = RunShared {
-        ctx,
-        threads_hint,
-        link_bandwidth: cfg.link_bandwidth,
-        events: (0..ctx.program().events.len())
-            .map(|_| EventFlag::new())
-            .collect(),
-        barriers: (0..ctx.program().barriers)
-            .map(|_| Barrier::new(n_streams))
-            .collect(),
-        partition_locks: &partition_locks,
-        host_lock: &host_lock,
-        engine_tx: &engine_tx,
-        pool: None,
-        recorder,
-        metrics,
-        fault,
-        first_error: Mutex::new(None),
-        executed: AtomicUsize::new(0),
-        bytes_moved: AtomicU64::new(0),
-    };
-
-    let started = Instant::now();
-    let mut steals = 0;
-    if let Some((schedule, graph)) = planned {
-        let dispatch = GraphDispatch::new(ctx, schedule, graph);
-        let n_drivers = ctx.device_count() * parts_per_dev;
-        std::thread::scope(|scope| {
-            for idx in 0..n_drivers {
-                let (shared, dispatch) = (&shared, &dispatch);
-                scope.spawn(move || dispatch_driver(shared, dispatch, idx));
-            }
-        });
-        steals = dispatch.steals.load(Ordering::Relaxed);
-        if let Some(rec) = recorder {
-            rec.set_steals(steals as u64);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for stream in streams {
-                let shared = &shared;
-                scope.spawn(move || drive_stream(shared, stream));
-            }
-        });
-    }
-    let wall = started.elapsed();
-
-    let report = finish(shared, wall, steals);
-
-    // Shut the per-run copy engines down.
-    drop(engine_tx);
-    for h in engine_handles {
-        let _ = h.join();
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1409,13 +1261,6 @@ mod tests {
 
     fn native_kernel(label: &str) -> KernelDesc {
         KernelDesc::simulated(label, KernelProfile::streaming("k", 1e9), 1.0)
-    }
-
-    fn scoped_cfg() -> NativeConfig {
-        NativeConfig {
-            persistent: false,
-            ..NativeConfig::default()
-        }
     }
 
     #[test]
@@ -1479,9 +1324,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_baseline_matches_persistent() {
-        // The same program, run on both executors, must produce identical
-        // numerics and identical reports (modulo wall time).
+    fn pooled_kernel_chunks_produce_expected_output() {
+        // A kernel body splitting its output with `par_chunks_mut` on the
+        // partition's pool: closed-form numerics and report counts.
         let mut ctx = small_ctx(2);
         let a = ctx.alloc("a", 64);
         let b = ctx.alloc("b", 64);
@@ -1508,15 +1353,11 @@ mod tests {
         .unwrap();
         ctx.d2h(s1, b).unwrap();
 
-        let persistent = ctx.run_native().unwrap();
-        let out_persistent = ctx.read_host(b).unwrap();
-        let scoped = ctx.run_native_with(&scoped_cfg()).unwrap();
-        let out_scoped = ctx.read_host(b).unwrap();
-
-        assert_eq!(out_persistent, vec![4.5; 64]);
-        assert_eq!(out_persistent, out_scoped);
-        assert_eq!(persistent.actions_executed, scoped.actions_executed);
-        assert_eq!(persistent.bytes_transferred, scoped.bytes_transferred);
+        let report = ctx.run_native().unwrap();
+        assert_eq!(ctx.read_host(b).unwrap(), vec![4.5; 64]);
+        // h2d + kernel + d2h; two 64-element f32 transfers.
+        assert_eq!(report.actions_executed, 3);
+        assert_eq!(report.bytes_transferred, 2 * 64 * 4);
     }
 
     #[test]
@@ -1869,9 +1710,9 @@ mod tests {
 
     #[test]
     fn scheduled_runs_match_fifo_numerics() {
-        // Same program through FIFO, HEFT and WorkSteal (persistent and
-        // scoped): placements move, results must not.
-        let ctx = tiled_ctx(4, 2, 8);
+        // Same program through FIFO, HEFT and WorkSteal: placements move,
+        // results must not.
+        let mut ctx = tiled_ctx(4, 2, 8);
         ctx.run_native().unwrap();
         let expected: Vec<Vec<f32>> = (0..8)
             .map(|t| ctx.read_host(BufId(2 * t + 1)).unwrap())
@@ -1880,21 +1721,15 @@ mod tests {
             crate::sched::SchedulerKind::ListHeft,
             crate::sched::SchedulerKind::WorkSteal,
         ] {
-            for persistent in [true, false] {
-                let cfg = NativeConfig {
-                    scheduler: Some(kind),
-                    persistent,
-                    ..NativeConfig::default()
-                };
-                let report = ctx.run_native_with(&cfg).unwrap();
-                assert_eq!(report.actions_executed, 24, "{kind}/{persistent}");
-                for (t, want) in expected.iter().enumerate() {
-                    assert_eq!(
-                        &ctx.read_host(BufId(2 * t + 1)).unwrap(),
-                        want,
-                        "{kind} persistent={persistent} tile {t}"
-                    );
-                }
+            ctx.set_scheduler(kind);
+            let report = ctx.run_native().unwrap();
+            assert_eq!(report.actions_executed, 24, "{kind}");
+            for (t, want) in expected.iter().enumerate() {
+                assert_eq!(
+                    &ctx.read_host(BufId(2 * t + 1)).unwrap(),
+                    want,
+                    "{kind} tile {t}"
+                );
             }
         }
     }
@@ -1903,25 +1738,22 @@ mod tests {
     fn heft_spreads_starved_streams_and_reports_steals() {
         // 8 tiles on 2 streams, 4 partitions: HEFT's planned placement must
         // move kernels onto the idle partitions, surfaced as steals.
-        let ctx = tiled_ctx(4, 2, 8);
-        let report = ctx
-            .run_native_with(&NativeConfig {
-                scheduler: Some(crate::sched::SchedulerKind::ListHeft),
-                ..NativeConfig::default()
-            })
-            .unwrap();
+        let mut ctx = tiled_ctx(4, 2, 8);
+        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+        let report = ctx.run_native().unwrap();
         assert!(report.steals > 0, "steals = {}", report.steals);
         // FIFO never steals.
+        ctx.set_scheduler(crate::sched::SchedulerKind::Fifo);
         let fifo = ctx.run_native().unwrap();
         assert_eq!(fifo.steals, 0);
     }
 
     #[test]
     fn scheduled_trace_carries_steal_counter() {
-        let ctx = tiled_ctx(4, 2, 8);
+        let mut ctx = tiled_ctx(4, 2, 8);
+        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
         let report = ctx
             .run_native_with(&NativeConfig {
-                scheduler: Some(crate::sched::SchedulerKind::ListHeft),
                 trace: true,
                 ..NativeConfig::default()
             })
@@ -1936,11 +1768,11 @@ mod tests {
     fn fault_plan_disables_scheduling() {
         // Fault plans key off recorded (stream, action) sites, so a planned
         // run must fall back to FIFO order — observable as zero steals.
-        let ctx = tiled_ctx(4, 2, 8);
+        let mut ctx = tiled_ctx(4, 2, 8);
+        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
         let plan = crate::fault::FaultPlan::seeded(7);
         let report = ctx
             .run_native_with(&NativeConfig {
-                scheduler: Some(crate::sched::SchedulerKind::ListHeft),
                 fault: Some(Arc::new(plan)),
                 ..NativeConfig::default()
             })
@@ -1980,8 +1812,5 @@ mod tests {
             after_first,
             "repeated runs must not grow the runtime"
         );
-        // Scoped runs don't touch the persistent runtime either.
-        ctx.run_native_with(&scoped_cfg()).unwrap();
-        assert_eq!(ctx.native_thread_count().unwrap(), after_first);
     }
 }

@@ -59,7 +59,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod action;
-pub mod api;
 pub mod buffer;
 pub mod check;
 pub mod context;
@@ -70,7 +69,6 @@ pub mod lease;
 pub mod metrics;
 pub mod opt;
 pub mod parallel;
-pub mod place;
 pub mod plan;
 pub mod pool;
 pub mod program;
@@ -93,7 +91,6 @@ pub use kernel::{KernelCtx, KernelDesc, KernelFn};
 pub use lease::{Lease, LeaseTable, TenantId};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, RunInstruments};
 pub use opt::{Certificate, OptReport, Optimized, StaticCost};
-pub use place::ResourceView;
 pub use plan::{enqueue_tiles, FlowMode, TileTask};
 pub use residency::ResidencyTracker;
 pub use sched::{Schedule, SchedulerKind};

@@ -6,12 +6,12 @@
 //!
 //! When the native executor runs a kernel it installs the kernel's
 //! partition-pinned [`WorkerGroup`](crate::pool::WorkerGroup) as the
-//! thread's current group, and both helpers route their chunks onto those
+//! thread's current group, and the helpers route their chunks onto those
 //! persistent, parked threads — no OS thread is spawned per launch. Called
-//! from anywhere else (unit tests, the scoped baseline executor, a nested
-//! call inside a chunk) they fall back to `std::thread::scope`, preserving
-//! the original spawn-per-call semantics. Chunk boundaries and reduce fold
-//! order are identical on both paths, so results are bit-for-bit the same.
+//! from outside a pool (unit tests, serial references) or nested inside a
+//! chunk, they fall back to `std::thread::scope`. Chunk boundaries and
+//! reduce fold order are identical on both paths, so results are
+//! bit-for-bit the same.
 
 use crate::pool::CurrentGroup;
 
@@ -19,26 +19,65 @@ use crate::pool::CurrentGroup;
 /// element_offset, chunk)` on each, in parallel.
 ///
 /// `parts` is clamped to `1..=data.len()` (empty data runs nothing). Chunks
-/// differ in length by at most one element.
+/// differ in length by at most one element — a row-major tile whose kernel
+/// walks whole rows must use [`par_rows_mut`] instead.
 pub fn par_chunks_mut<T, F>(data: &mut [T], parts: usize, f: F)
 where
     T: Send,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    if len == 0 {
+    par_units_mut(data, 1, parts, f);
+}
+
+/// Split a row-major `data` of `row_len`-element rows into `parts`
+/// contiguous blocks of **whole rows** and run `f(first_row, rows)` on
+/// each, in parallel.
+///
+/// `parts` is clamped to `1..=rows`; blocks differ in height by at most one
+/// row, so a row count that is not a multiple of `parts` never hands a
+/// worker a partial row.
+///
+/// # Panics
+/// Panics if `row_len` is zero or does not divide `data.len()`.
+pub fn par_rows_mut<T, F>(data: &mut [T], row_len: usize, parts: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(
+        row_len > 0 && data.len().is_multiple_of(row_len),
+        "{} elements are not whole rows of {row_len}",
+        data.len()
+    );
+    par_units_mut(data, row_len, parts, |_, offset, rows| {
+        f(offset / row_len, rows);
+    });
+}
+
+/// Shared body of the `_mut` splitters: `data` is `data.len() / unit`
+/// indivisible units of `unit` elements (both callers guarantee `unit`
+/// divides the length), split into `parts` chunks of whole units;
+/// `f(chunk_index, element_offset, chunk)`.
+fn par_units_mut<T, F>(data: &mut [T], unit: usize, parts: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, usize, &mut [T]) + Sync,
+{
+    let units = data.len() / unit;
+    if units == 0 {
         return;
     }
-    let parts = parts.clamp(1, len);
+    let parts = parts.clamp(1, units);
     if parts == 1 {
         f(0, 0, data);
         return;
     }
-    let split = Splits::new(len, parts);
+    let split = Splits::new(units, parts);
     if let Some(group) = CurrentGroup::take() {
         let chunks = PtrChunks {
             ptr: data.as_mut_ptr(),
             split,
+            unit,
         };
         group.run_chunked(parts, &|idx| {
             let (offset, ptr, len) = chunks.raw_chunk(idx);
@@ -54,7 +93,7 @@ where
         let mut rest = data;
         let mut offset = 0usize;
         for idx in 0..parts {
-            let take = split.take(idx);
+            let take = split.take(idx) * unit;
             let (chunk, tail) = rest.split_at_mut(take);
             rest = tail;
             let f = &f;
@@ -139,14 +178,16 @@ impl Splits {
     }
 }
 
-/// Raw-pointer view of a `&mut [T]` handed across pool workers.
+/// Raw-pointer view of a `&mut [T]` handed across pool workers; `split`
+/// counts units of `unit` elements.
 struct PtrChunks<T> {
     ptr: *mut T,
     split: Splits,
+    unit: usize,
 }
 
 // SAFETY: workers access disjoint chunks (the pool hands out each index at
-// most once), and `T: Send` in `par_chunks_mut` makes moving element access
+// most once), and `T: Send` in `par_units_mut` makes moving element access
 // across threads sound.
 unsafe impl<T: Send> Sync for PtrChunks<T> {}
 
@@ -156,11 +197,15 @@ impl<T> PtrChunks<T> {
     /// `idx` across all threads while the underlying exclusive borrow is
     /// alive, so no two slices alias.
     fn raw_chunk(&self, idx: usize) -> (usize, *mut T, usize) {
-        let start = self.split.start(idx);
+        let start = self.split.start(idx) * self.unit;
         // SAFETY: `start` is a split boundary of the slice whose exclusive
-        // borrow `par_chunks_mut` holds, so the offset pointer stays within
+        // borrow `par_units_mut` holds, so the offset pointer stays within
         // that same allocation.
-        (start, unsafe { self.ptr.add(start) }, self.split.take(idx))
+        (
+            start,
+            unsafe { self.ptr.add(start) },
+            self.split.take(idx) * self.unit,
+        )
     }
 }
 
@@ -256,6 +301,36 @@ mod tests {
         let mut pooled = vec![0u32; 103];
         fill(&mut pooled, 7);
         assert_eq!(pooled, scoped);
+    }
+
+    #[test]
+    fn row_blocks_are_whole_rows_when_parts_do_not_divide_rows() {
+        // Row counts coprime to the part count: an element-granular split
+        // would cut a row in two.
+        let check = |rows: usize, row_len: usize, parts: usize| {
+            let mut data = vec![0u32; rows * row_len];
+            let blocks = AtomicUsize::new(0);
+            par_rows_mut(&mut data, row_len, parts, |first_row, block| {
+                blocks.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(block.len() % row_len, 0, "partial row");
+                for (ri, row) in block.chunks_mut(row_len).enumerate() {
+                    row.fill((first_row + ri) as u32 + 1);
+                }
+            });
+            assert_eq!(blocks.load(Ordering::Relaxed), parts.min(rows));
+            for (r, row) in data.chunks(row_len).enumerate() {
+                assert!(row.iter().all(|&x| x == r as u32 + 1), "row {r}");
+            }
+        };
+        let cases = [(7, 5, 3), (5, 4, 2), (2, 3, 8)];
+        for (rows, row_len, parts) in cases {
+            check(rows, row_len, parts);
+        }
+        let group = Arc::new(WorkerGroup::new("pt3", 2));
+        let _g = pool::install(group);
+        for (rows, row_len, parts) in cases {
+            check(rows, row_len, parts);
+        }
     }
 
     #[test]

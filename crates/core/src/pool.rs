@@ -15,11 +15,13 @@
 //!   group for host-side kernels, sized from `available_parallelism` and
 //!   the partition geometry exactly like the per-kernel `threads` hint;
 //! * a thread-local **current group** lets
-//!   [`par_chunks_mut`](crate::parallel::par_chunks_mut) and
+//!   [`par_chunks_mut`](crate::parallel::par_chunks_mut),
+//!   [`par_rows_mut`](crate::parallel::par_rows_mut) and
 //!   [`par_reduce`](crate::parallel::par_reduce) route work onto the pool
-//!   with unchanged signatures: the native executor installs the kernel's
-//!   partition group around the kernel body, and the helpers fall back to
-//!   scoped spawning when no group is installed.
+//!   without a pool argument: the native executor installs the kernel's
+//!   partition group around every kernel body, and the helpers fall back
+//!   to `std::thread::scope` only when called outside a kernel (no group
+//!   installed) or nested inside a chunk.
 //!
 //! # Panic behaviour
 //!

@@ -337,22 +337,14 @@ fn pool_jobs_are_counted_when_kernels_chunk_work() {
 }
 
 #[test]
-fn scoped_executor_traces_identically() {
-    // The baseline spawn-per-run path uses the same RunShared driver loop,
-    // so tracing must work there too.
+fn traced_run_labels_kernel_and_transfer_spans() {
     let mut ctx = small_ctx(1);
     let a = ctx.alloc("a", 1 << 10);
     let s = ctx.stream(0).unwrap();
     ctx.h2d(s, a).unwrap();
     ctx.kernel(s, native_kernel("k").reading([a]).with_native(|_| {}))
         .unwrap();
-    let report = ctx
-        .run_native_with(&NativeConfig {
-            trace: true,
-            persistent: false,
-            ..NativeConfig::default()
-        })
-        .unwrap();
+    let report = ctx.run_native_with(&traced_cfg()).unwrap();
     let trace = report.trace.unwrap();
     assert!(trace.timeline.records.iter().any(|r| r.label == "k"));
     assert!(trace.timeline.records.iter().any(|r| r.label == "h2d b0"));

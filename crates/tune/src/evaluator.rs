@@ -44,7 +44,7 @@ pub trait Evaluator {
     /// Select the DAG scheduler subsequent trials run under. Defaults to a
     /// no-op so backends without a scheduling notion (scripted test
     /// evaluators) need not care; the real backends forward the kind to
-    /// their context / native config.
+    /// their context.
     fn set_scheduler(&mut self, kind: SchedulerKind) {
         let _ = kind;
     }
@@ -179,7 +179,6 @@ impl NativeEvaluator {
             ctx,
             cfg: NativeConfig {
                 trace: true,
-                persistent: true,
                 ..NativeConfig::default()
             },
             faulted: Vec::new(),
@@ -253,7 +252,7 @@ impl Evaluator for NativeEvaluator {
     }
 
     fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.cfg.scheduler = Some(kind);
+        self.ctx.set_scheduler(kind);
     }
 }
 

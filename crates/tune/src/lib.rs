@@ -14,20 +14,22 @@
 //!    amortize per-task launch overhead; the paper's measured optima sit at
 //!    small multiples, so the default bound is `m ≤ max_multiple`.
 //!
-//! [`search`] runs any evaluation function over the full or pruned space
-//! and reports both the winner and the evaluation count, so the reduction
-//! factor is measurable. [`model`] goes one step further — the analytical
-//! pipeline model the paper names as future work — predicting makespans in
-//! closed form and the optimal tile count by a square-root law.
+//! [`candidates`] builds the full and the pruned space. [`model`] goes one
+//! step further — the analytical pipeline model the paper names as future
+//! work — predicting makespans in closed form and the optimal tile count by
+//! a square-root law.
 //!
 //! The loop is closed by the measurement-driven autotuner: a
-//! [`tuner::Tuner`] walks a [`tuner::Strategy`]'s candidate order and
+//! [`tuner::Tuner`] walks a [`tuner::Strategy`]'s candidate order
+//! (exhaustive, pruned, or pruned in the model's predicted order) and
 //! prices each `(P, T)` through an [`evaluator::Evaluator`] — the
 //! deterministic simulator or the pooled native executor — with a
 //! [`cache::MeasurementCache`] and early stopping keeping repeat visits
-//! and hopeless candidates cheap. [`tuner::Tuner::tune_schedulers`] widens
-//! the space to `(P, T, scheduler)`, pricing each candidate under FIFO,
-//! HEFT list scheduling, and work stealing.
+//! and hopeless candidates cheap. Every [`tuner::TuneOutcome`] reports the
+//! winner next to its evaluation count and the exhaustive grid size, so
+//! the reduction factor is measurable. [`tuner::Tuner::tune_schedulers`]
+//! widens the space to `(P, T, scheduler)`, pricing each candidate under
+//! FIFO, HEFT list scheduling, and work stealing.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,12 +38,10 @@ pub mod cache;
 pub mod candidates;
 pub mod evaluator;
 pub mod model;
-pub mod search;
 pub mod tuner;
 
 pub use cache::{CacheKey, MeasurementCache, Trial};
 pub use candidates::{partition_class, pruned_space, CandidateSpace, PartitionClass, TuneBounds};
 pub use evaluator::{Evaluator, Measurement, NativeEvaluator, SimEvaluator};
 pub use model::PipelineModel;
-pub use search::SearchOutcome;
 pub use tuner::{RepeatPolicy, SchedSweepOutcome, Strategy, TuneOutcome, Tuner};

@@ -1,81 +1,55 @@
 //! Pick `(P, T)` for Cholesky with the paper's Sec. V-C heuristics and
-//! compare against a wider sweep: the pruned candidate set must land near
-//! the sweep's optimum at a fraction of the evaluations.
+//! compare against the exhaustive sweep: the pruned candidate set must land
+//! near the sweep's optimum at a fraction of the evaluations.
 //!
 //! Run with: `cargo run --release --example autotune_cholesky`
 
-use mic_apps::cholesky::{simulate, CfConfig};
-use micsim::device::DeviceSpec;
+use std::time::{Duration, Instant};
+
+use mic_apps::tunable::TunableCf;
 use micsim::PlatformConfig;
-use stream_tune::candidates::{pruned_space, CandidateSpace, TuneBounds};
-use stream_tune::search::search;
+use stream_tune::{RepeatPolicy, SimEvaluator, Strategy, TuneBounds, TuneOutcome, Tuner};
+
+const N: usize = 9600;
+
+/// One strategy on a fresh tuner, evaluator and app, so the pruned pass is
+/// not served from the sweep's measurement cache.
+fn tune(bounds: &TuneBounds, strategy: Strategy) -> (TuneOutcome, Duration) {
+    let platform = PlatformConfig::phi_31sp();
+    let mut app = TunableCf::new(N, None);
+    let mut eval = SimEvaluator::new(platform.clone()).expect("sim evaluator");
+    let t0 = Instant::now();
+    let out =
+        Tuner::new(RepeatPolicy::sim()).tune(&mut app, &mut eval, &platform, bounds, strategy);
+    (out, t0.elapsed())
+}
 
 fn main() {
-    let n = 9600usize;
-    // T here is tiles-per-dimension squared; only divisors of n make sense.
-    let tpds: Vec<usize> = (1..=24).filter(|t| n.is_multiple_of(*t)).collect();
-
-    // Objective: simulated seconds for (P, tiles_per_dim encoded in T).
-    let objective = |p: usize, tpd: usize| -> Option<f64> {
-        if !n.is_multiple_of(tpd) {
-            return None;
-        }
-        simulate(
-            &CfConfig {
-                n,
-                tiles_per_dim: tpd,
-            },
-            PlatformConfig::phi_31sp(),
-            p,
-        )
-        .ok()
-        .map(|(secs, _)| secs)
-    };
-
-    // Wide sweep: P in 1..=56 x all valid tpd.
-    let wide = CandidateSpace {
-        pairs: (1..=56)
-            .flat_map(|p| tpds.iter().map(move |&t| (p, t)))
-            .collect(),
-    };
-    let t0 = std::time::Instant::now();
-    let full = search(&wide, objective);
-    let wide_wall = t0.elapsed();
-
-    // Pruned: P from the core-divisor set; tpd such that tpd^2 is a
-    // multiple-ish of P is not meaningful for CF's 2-D tiling, so the
-    // heuristic keeps every valid tpd but only the aligned P values.
+    // CF's T is tiles-per-dimension squared and only divisors of n tile it,
+    // so most of the grid is infeasible and skipped for free. Its lookahead
+    // wants many more tiles than streams, so the pruned space keeps the
+    // core-aligned P but lets the multiple run up to the tile cap.
     let bounds = TuneBounds {
         max_partitions: 56,
-        max_tiles: *tpds.last().unwrap(),
-        max_multiple: 1,
+        max_tiles: 24 * 24,
+        max_multiple: 24 * 24 / 2,
     };
-    let _ = bounds;
-    let aligned_p = stream_tune::candidates::partition_candidates(&DeviceSpec::phi_31sp(), 56);
-    let pruned = CandidateSpace {
-        pairs: aligned_p
-            .iter()
-            .flat_map(|&p| tpds.iter().map(move |&t| (p, t)))
-            .collect(),
-    };
-    let t0 = std::time::Instant::now();
-    let fast = search(&pruned, objective);
-    let fast_wall = t0.elapsed();
+    let (full, wide_wall) = tune(&bounds, Strategy::Exhaustive);
+    let (fast, fast_wall) = tune(&bounds, Strategy::Pruned);
 
-    println!("| search | best (P, tiles/dim) | time (s) | evals | wall |");
+    println!("| search | best (P, T) | time (s) | evals | wall |");
     println!("|---|---|---|---|---|");
     println!(
         "| wide sweep | {:?} | {:.3} | {} | {wide_wall:.1?} |",
-        full.best, full.best_value, full.evaluations
+        full.winner, full.winner_seconds, full.evaluator_calls
     );
     println!(
         "| Sec. V-C pruned | {:?} | {:.3} | {} | {fast_wall:.1?} |",
-        fast.best, fast.best_value, fast.evaluations
+        fast.winner, fast.winner_seconds, fast.evaluator_calls
     );
     println!(
         "\npruned search: {:.1}x fewer evaluations, optimum within {:.2}%",
-        full.evaluations as f64 / fast.evaluations as f64,
-        (fast.best_value / full.best_value - 1.0) * 100.0
+        full.evaluator_calls as f64 / fast.evaluator_calls as f64,
+        (fast.winner_seconds / full.winner_seconds - 1.0) * 100.0
     );
-    let _ = pruned_space(&DeviceSpec::phi_31sp(), &TuneBounds::default());
 }

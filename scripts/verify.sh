@@ -37,12 +37,11 @@ cargo build --release --examples
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> fault-injection suite"
-cargo test -q -p hstreams --test fault_injection
+echo "==> runtime and app crate tests, debug and release (unit tests + fault_injection, check_suite, proptest_*, pool_runtime, native_*; the kernel row-split bug fails differently per profile)"
+cargo test -q -p hstreams -p mic-apps
+cargo test -q -p hstreams -p mic-apps --release
 
-echo "==> static-analyzer suites (check_suite, proptest, app sweep)"
-cargo test -q -p hstreams --test check_suite
-cargo test -q -p hstreams --test proptest_check
+echo "==> static-analyzer app sweep"
 cargo test -q --test static_check_apps
 
 echo "==> differential fuzz smoke (quick: corpus replay + 2 fixed-seed sessions agree)"
@@ -67,7 +66,7 @@ cargo run --release -p mic-bench --bin autotune -- --quick
 echo "==> scheduler bench (quick: HEFT/WorkSteal within 5% of FIFO on every app)"
 cargo run --release -p mic-bench --bin bench_sched -- --quick
 
-echo "==> metrics-overhead gate (quick: pool speedup >= 2x, metrics <= 1.5 us/launch)"
+echo "==> metrics-overhead gate (quick: metrics <= 1.5 us/launch)"
 cargo run --release -p mic-bench --bin bench_native_runtime -- --quick
 
 echo "==> serving gate (quick: 8 tenants, Jain >= 0.9, chaos isolation bit-exact)"

@@ -243,27 +243,25 @@ fn overlappable_flow_beats_staged_flow_in_sim() {
 
 #[test]
 fn tuner_integrates_with_apps() {
-    use mic_streams::tune::candidates::{pruned_space, TuneBounds};
-    use mic_streams::tune::search::search;
+    use mic_streams::apps::tunable::TunableKmeans;
+    use mic_streams::tune::{RepeatPolicy, SimEvaluator, Strategy, TuneBounds, Tuner};
 
     let bounds = TuneBounds {
         max_partitions: 8,
         max_tiles: 32,
         max_multiple: 4,
     };
-    let space = pruned_space(&mic_streams::micsim::DeviceSpec::phi_31sp(), &bounds);
-    let out = search(&space, |p, t| {
-        let cfg = kmeans::KmeansConfig {
-            points: 16_000,
-            dims: 8,
-            k: 4,
-            iterations: 3,
-            tiles: t,
-            alloc_micros: 5,
-        };
-        kmeans::simulate(&cfg, PlatformConfig::phi_31sp(), p).ok()
-    });
-    assert!(out.evaluations > 0);
-    assert!(out.best_value > 0.0);
-    assert!(out.best.0 >= 2 && 56 % out.best.0 == 0);
+    let platform = PlatformConfig::phi_31sp();
+    let mut app = TunableKmeans::new(16_000, 8, 3, None);
+    let mut eval = SimEvaluator::new(platform.clone()).unwrap();
+    let out = Tuner::new(RepeatPolicy::sim()).tune(
+        &mut app,
+        &mut eval,
+        &platform,
+        &bounds,
+        Strategy::Pruned,
+    );
+    assert!(out.evaluator_calls > 0);
+    assert!(out.winner_seconds > 0.0);
+    assert!(out.winner.0 >= 2 && 56 % out.winner.0 == 0);
 }

@@ -15,7 +15,6 @@ use mic_streams::apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn, TunablePartitionMicro,
 };
 use mic_streams::hstreams::context::Context;
-use mic_streams::hstreams::executor::native::NativeConfig;
 use mic_streams::hstreams::SchedulerKind;
 use mic_streams::micsim::engine::TaskRecord;
 use mic_streams::micsim::PlatformConfig;
@@ -107,14 +106,10 @@ fn scheduled_sim_runs_complete_on_all_six_apps() {
 #[test]
 fn fifo_native_runs_match_the_default_path_on_all_six_apps() {
     for (name, mut app, tiles) in apps() {
-        let ctx = recorded_ctx(app.as_mut(), tiles);
+        let mut ctx = recorded_ctx(app.as_mut(), tiles);
         let default_report = ctx.run_native().unwrap();
-        let fifo_report = ctx
-            .run_native_with(&NativeConfig {
-                scheduler: Some(SchedulerKind::Fifo),
-                ..NativeConfig::default()
-            })
-            .unwrap();
+        ctx.set_scheduler(SchedulerKind::Fifo);
+        let fifo_report = ctx.run_native().unwrap();
         assert_eq!(
             default_report.actions_executed, fifo_report.actions_executed,
             "{name}: explicit Fifo executed different work than the default"
@@ -142,11 +137,8 @@ fn mm_native_outputs_are_bit_identical_across_all_schedulers() {
     ctx.run_native().unwrap();
     let expected = mm::collect_result(&ctx, &cfg, &bufs).unwrap().data;
     for kind in SchedulerKind::all() {
-        ctx.run_native_with(&NativeConfig {
-            scheduler: Some(kind),
-            ..NativeConfig::default()
-        })
-        .unwrap();
+        ctx.set_scheduler(kind);
+        ctx.run_native().unwrap();
         let got = mm::collect_result(&ctx, &cfg, &bufs).unwrap().data;
         assert_eq!(got, expected, "{kind}: scheduled MM output diverged");
     }

@@ -1,8 +1,8 @@
 //! Property-based validation of the applications: for arbitrary problem
-//! shapes and tilings, the streamed native execution must match the serial
-//! reference.
+//! shapes, tilings and kernel thread counts, the streamed native execution
+//! must match the serial reference.
 
-use hstreams::Context;
+use hstreams::{Context, NativeConfig};
 use mic_apps::{cholesky, hotspot, kmeans, mm, nn, srad, util};
 use micsim::PlatformConfig;
 use proptest::prelude::*;
@@ -14,6 +14,17 @@ fn ctx(partitions: usize) -> Context {
         .unwrap()
 }
 
+/// Run with the kernels' `threads` hint pinned, so the row splits are
+/// exercised for geometries `available_parallelism / partitions` never
+/// picks on the host running the tests.
+fn run_with_threads(c: &mut Context, threads: usize) {
+    c.run_native_with(&NativeConfig {
+        max_threads_per_partition: Some(threads),
+        ..NativeConfig::default()
+    })
+    .unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -23,13 +34,14 @@ proptest! {
         tile in 4usize..12,
         p in 1usize..5,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let n = tpd * tile;
         let cfg = mm::MmConfig { n, tiles_per_dim: tpd };
         let mut c = ctx(p);
         let bufs = mm::build(&mut c, &cfg).unwrap();
         let (a, b) = mm::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = mm::collect_result(&c, &cfg, &bufs).unwrap();
         let want = mm::reference(&a, &b);
         prop_assert!(util::max_rel_diff(&got.data, &want.data, 1.0) < 5e-3);
@@ -41,13 +53,14 @@ proptest! {
         tile in 4usize..10,
         p in 1usize..5,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let n = tpd * tile;
         let cfg = cholesky::CfConfig { n, tiles_per_dim: tpd };
         let mut c = ctx(p);
         let bufs = cholesky::build(&mut c, &cfg).unwrap();
         let a = cholesky::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = cholesky::collect_result(&c, &cfg, &bufs).unwrap();
         let want = cholesky::reference(&a, n);
         prop_assert!(util::max_rel_diff(&got, &want, 1.0) < 5e-3);
@@ -60,13 +73,14 @@ proptest! {
         tiles in 1usize..5,
         iters in 1usize..5,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let tiles = tiles.min(rows);
         let cfg = hotspot::HotspotConfig { rows, cols, iterations: iters, tiles };
         let mut c = ctx(2);
         let bufs = hotspot::build(&mut c, &cfg).unwrap();
         let (t0, p0) = hotspot::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = hotspot::collect_result(&c, &cfg, &bufs).unwrap();
         let want = hotspot::reference(&cfg, &t0, &p0);
         prop_assert!(util::max_rel_diff(&got, &want, 1.0) < 1e-3);
@@ -79,6 +93,7 @@ proptest! {
         tiles in 1usize..4,
         iters in 1usize..4,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let tiles = tiles.min(rows);
         let cfg = srad::SradConfig {
@@ -91,7 +106,7 @@ proptest! {
         let mut c = ctx(2);
         let bufs = srad::build(&mut c, &cfg).unwrap();
         let img = srad::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = srad::collect_result(&c, &cfg, &bufs).unwrap();
         let want = srad::reference(&cfg, &img);
         prop_assert!(util::max_rel_diff(&got, &want, 1.0) < 1e-2);
@@ -103,6 +118,7 @@ proptest! {
         tiles in 1usize..9,
         k in 1usize..12,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let tiles = tiles.min(records);
         let k = k.min(records);
@@ -110,7 +126,7 @@ proptest! {
         let mut c = ctx(2);
         let bufs = nn::build(&mut c, &cfg).unwrap();
         let data = nn::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = nn::select_neighbors(&c, &cfg, &bufs).unwrap();
         let want = nn::reference(&cfg, &data);
         prop_assert_eq!(got.len(), want.len());
@@ -126,6 +142,7 @@ proptest! {
         k in 2usize..6,
         iters in 1usize..4,
         seed in 0u64..1000,
+        threads in 1usize..8,
     ) {
         let cfg = kmeans::KmeansConfig {
             points,
@@ -138,7 +155,7 @@ proptest! {
         let mut c = ctx(2);
         let bufs = kmeans::build(&mut c, &cfg).unwrap();
         let data = kmeans::fill_inputs(&c, &cfg, &bufs, seed).unwrap();
-        c.run_native().unwrap();
+        run_with_threads(&mut c, threads);
         let got = c.read_host(bufs.centroids).unwrap();
         let want = kmeans::reference(&cfg, &data);
         prop_assert!(util::max_rel_diff(&got, &want, 1.0) < 1e-2);

@@ -4,9 +4,8 @@
 //! Full mode tunes all five tunable apps on the simulator under paper-scale
 //! bounds, then hBench on the native executor under small bounds; `--quick`
 //! runs only the small hBench comparison on both backends (wired into
-//! `scripts/verify.sh`). Both modes write
-//! `results/BENCH_autotune.json`, per-app `(P, T)` landscape CSVs from the
-//! exhaustive sweep, and enforce the acceptance gates:
+//! `scripts/verify.sh`). Both modes write per-app `(P, T)` landscape CSVs
+//! from the exhaustive sweep and enforce the acceptance gates:
 //!
 //! * pruned and model-seeded evaluate ≤ 1/8 of the exhaustive grid while
 //!   landing within 5 % of the exhaustive optimum (every overlappable app);
@@ -33,7 +32,6 @@ const STRATEGIES: [Strategy; 3] = [
 struct AppResult {
     app: &'static str,
     problem: String,
-    overlappable: bool,
     backend: &'static str,
     /// Whether the 5 % optimum-delta gate applies (paper-scale apps yes,
     /// the overhead-dominated quick workload no — see [`AppResult::gates_pass`]).
@@ -80,7 +78,6 @@ fn tune_all(
     AppResult {
         app: app.name(),
         problem: app.problem(),
-        overlappable: app.overlappable(),
         backend: eval.backend(),
         delta_gated,
         outcomes,
@@ -143,40 +140,9 @@ fn write_landscape(r: &AppResult) {
     }
 }
 
-fn json_outcome(o: &TuneOutcome) -> String {
-    format!(
-        "{{\"strategy\": \"{}\", \"winner_p\": {}, \"winner_t\": {}, \"seconds\": {:.9}, \"evaluations\": {}, \"visited\": {}, \"grid_size\": {}}}",
-        o.strategy.label(),
-        o.winner.0,
-        o.winner.1,
-        o.winner_seconds,
-        o.evaluator_calls,
-        o.candidates_visited,
-        o.grid_size
-    )
-}
-
-fn json_app(r: &AppResult) -> String {
-    let outcomes: Vec<String> = r.outcomes.iter().map(json_outcome).collect();
-    let full = r.exhaustive();
-    let delta = |o: &TuneOutcome| o.winner_seconds / full.winner_seconds - 1.0;
-    format!(
-        "    {{\n      \"app\": \"{}\",\n      \"problem\": \"{}\",\n      \"overlappable\": {},\n      \"evaluator\": \"{}\",\n      \"pruned_delta\": {:.6},\n      \"model_seeded_delta\": {:.6},\n      \"gates_pass\": {},\n      \"strategies\": [\n        {}\n      ]\n    }}",
-        r.app,
-        r.problem,
-        r.overlappable,
-        r.backend,
-        delta(&r.outcomes[1]),
-        delta(&r.outcomes[2]),
-        r.gates_pass(),
-        outcomes.join(",\n        ")
-    )
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let platform = PlatformConfig::phi_31sp();
-    let mut results: Vec<AppResult> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
     if !quick {
@@ -219,7 +185,6 @@ fn main() {
             if !r.gates_pass() {
                 failures.push(format!("{} ({}) gates failed", r.app, r.backend));
             }
-            results.push(r);
         }
     }
 
@@ -338,23 +303,6 @@ fn main() {
     if !threads_stable {
         failures.push("native runtime thread count changed between trials".into());
     }
-    results.push(sim_r);
-    results.push(native_r);
-
-    let apps_json: Vec<String> = results.iter().map(json_app).collect();
-    let mut json =
-        mic_bench::schema::BenchJson::new("autotune", if quick { "quick" } else { "full" });
-    json.bool("parity_same_class", parity)
-        .u64("cache_repeat_calls", second.evaluator_calls as u64)
-        .u64("native_threads", threads.unwrap_or(0) as u64)
-        .bool("pass", failures.is_empty())
-        .raw("apps", &format!("[\n{}\n  ]", apps_json.join(",\n")))
-        // Trial/cache-hit telemetry from the cache-replay tuner: the
-        // repeat pass makes every lookup a hit, which is the shape the
-        // cache gate asserts on.
-        .metrics(&tuner.metrics_snapshot());
-    json.write("BENCH_autotune.json");
-
     if !failures.is_empty() {
         eprintln!("autotune gates FAILED:");
         for f in &failures {

@@ -22,7 +22,7 @@
 //!    bound-pruning on returns the same winner at the same cost as one
 //!    with it off, while actually pruning candidates.
 //!
-//! Emits `results/BENCH_opt.json` and exits non-zero if any gate fails.
+//! Exits non-zero if any gate fails.
 
 use hstreams::action::Action;
 use hstreams::context::Context;
@@ -33,7 +33,6 @@ use mic_apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn, TunablePartitionMicro,
 };
 use mic_apps::workload::catalog;
-use mic_bench::schema::BenchJson;
 use micsim::PlatformConfig;
 use stream_serve::TenantProgram;
 use stream_tune::evaluator::{Evaluator, SimEvaluator};
@@ -194,7 +193,6 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     // ---- gates 1 & 2: elision exactness on the six catalog apps --------
-    let mut audits: Vec<AppAudit> = Vec::new();
     for mut w in catalog(SEED) {
         let name = w.name.clone();
         let prog = TenantProgram::capture(&mut w, &platform)
@@ -220,7 +218,6 @@ fn main() {
         if !a.native_identical {
             failures.push(format!("{}: elision changed native outputs", a.name));
         }
-        audits.push(a);
     }
 
     // ---- gate 3a: the static bound is sound on every candidate ---------
@@ -304,29 +301,6 @@ fn main() {
     if pruned.pruned_by_bound == 0 {
         failures.push("bound pruning never fired on the exhaustive grid".to_string());
     }
-
-    // ---- results ---------------------------------------------------------
-    let app_rows: Vec<String> = audits
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"app\": \"{}\", \"actions\": {}, \"opt_us\": {}, \"intrinsic_elided\": {}, \"fixpoint\": {}, \"injected\": {}, \"recovered\": {}, \"native_identical\": {}}}",
-                a.name, a.actions, a.opt_us, a.pristine_elided, a.fixpoint,
-                a.injected, a.recovered, a.native_identical
-            )
-        })
-        .collect();
-    let mut out = BenchJson::new("opt", if quick { "quick" } else { "full" });
-    out.raw("apps", &format!("[\n    {}\n  ]", app_rows.join(",\n    ")))
-        .u64("bound_candidates", candidates as u64)
-        .u64("bound_violations", violations as u64)
-        .f64("bound_gap_min", min_gap, 6)
-        .f64("bound_gap_max", max_gap, 6)
-        .bool("tuner_winner_preserved", winner_preserved)
-        .u64("tuner_pruned_by_bound", pruned.pruned_by_bound as u64)
-        .u64("tuner_grid_size", pruned.grid_size as u64)
-        .bool("gates_pass", failures.is_empty());
-    out.write("BENCH_opt.json");
 
     if failures.is_empty() {
         println!("bench_opt: all gates pass");

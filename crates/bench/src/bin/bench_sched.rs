@@ -11,11 +11,10 @@
 //! workloads the schedulers exist for — an imbalanced-tile pipeline where
 //! FIFO serializes all the heavy tiles onto one partition, the `T < P`
 //! starvation cliff of Fig. 10 where FIFO leaves most partitions idle, and
-//! a balanced control where scheduling must not help or hurt. It writes
-//! `results/BENCH_sched.json` and fails (exit 1) unless HEFT or work
-//! stealing improves makespan by >= 10% on the imbalanced and starved
-//! configurations on *both* executors while staying within noise on the
-//! balanced control.
+//! a balanced control where scheduling must not help or hurt. It fails
+//! (exit 1) unless HEFT or work stealing improves makespan by >= 10% on
+//! the imbalanced and starved configurations on *both* executors while
+//! staying within noise on the balanced control.
 
 use std::time::{Duration, Instant};
 
@@ -41,7 +40,6 @@ const NATIVE_NOISE_MARGIN: f64 = 1.15;
 /// Sim makespans + FIFO-identity for one app at one `(P, T)`.
 struct AppRow {
     name: &'static str,
-    partitions: usize,
     tiles: usize,
     fifo_ms: f64,
     heft_ms: f64,
@@ -101,7 +99,6 @@ fn sweep_app(app: &mut dyn Tunable, name: &'static str) -> AppRow {
     let steal_ms = sim_ms(&mut ctx, SchedulerKind::WorkSteal);
     AppRow {
         name,
-        partitions,
         tiles,
         fifo_ms,
         heft_ms,
@@ -279,46 +276,6 @@ fn main() {
             }
         }
     }
-
-    // --- JSON ------------------------------------------------------------
-    let app_rows_json: Vec<String> = app_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"app\": \"{}\", \"partitions\": {}, \"tiles\": {}, \"sim_fifo_ms\": {:.4}, \"sim_heft_ms\": {:.4}, \"sim_steal_ms\": {:.4}, \"fifo_identical\": {}}}",
-                r.name, r.partitions, r.tiles, r.fifo_ms, r.heft_ms, r.steal_ms, r.fifo_identical
-            )
-        })
-        .collect();
-    let conditions_json: Vec<String> = conditions
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"name\": \"{}\", \"sim_fifo_ms\": {:.4}, \"sim_heft_ms\": {:.4}, \"sim_steal_ms\": {:.4}, \"native_fifo_ms\": {:.4}, \"native_heft_ms\": {:.4}, \"native_steal_ms\": {:.4}}}",
-                c.name,
-                c.sim_ms[0],
-                c.sim_ms[1],
-                c.sim_ms[2],
-                c.native_ms[0],
-                c.native_ms[1],
-                c.native_ms[2]
-            )
-        })
-        .collect();
-    let as_array = |rows: &[String]| {
-        if rows.is_empty() {
-            "[\n  ]".to_string()
-        } else {
-            format!("[\n{}\n  ]", rows.join(",\n"))
-        }
-    };
-    let mut json = mic_bench::schema::BenchJson::new("sched", mode);
-    json.raw("schedulers", "[\"fifo\", \"heft\", \"steal\"]")
-        .raw("apps", &as_array(&app_rows_json))
-        .raw("conditions", &as_array(&conditions_json))
-        .f64("win_factor", WIN_FACTOR, 1)
-        .bool("pass", failures.is_empty());
-    json.write("BENCH_sched.json");
 
     if failures.is_empty() {
         println!("scheduler bench: PASS");

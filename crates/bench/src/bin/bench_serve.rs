@@ -16,8 +16,7 @@
 //! per-tenant completions (gated ≥ 0.9 for equal weights). A final chaos
 //! condition injects a kernel panic into one tenant mid-load and gates
 //! on every *other* tenant's outputs staying bit-identical to its solo
-//! run. Emits `results/BENCH_serve.json`; `--quick` shrinks the load for
-//! CI.
+//! run. `--quick` shrinks the load for CI.
 
 use hstreams::lease::TenantId;
 use mic_apps::workload::{catalog, synthetic};
@@ -226,34 +225,6 @@ fn main() {
         && victims_ok
         && chaos_completed
         && chaos_degraded == 1;
-
-    let mut json = mic_bench::schema::BenchJson::new("serve", if quick { "quick" } else { "full" });
-    json.u64("tenants", TENANTS as u64)
-        .u64("jobs_per_tenant", jobs_per_tenant as u64)
-        .f64("open_loop_spacing_ms", spacing_s * 1e3, 3)
-        .u64("sim_completed", sim.completed)
-        .f64(
-            "sim_programs_per_s",
-            sim.completed as f64 / sim.elapsed_s.max(1e-9),
-            2,
-        )
-        .u64("sim_p50_us", sim.p50_us)
-        .u64("sim_p99_us", sim.p99_us)
-        .f64("sim_jain_fairness", sim.fairness, 4)
-        .u64("native_completed", native.completed)
-        .f64(
-            "native_programs_per_s",
-            native.completed as f64 / native.elapsed_s.max(1e-9),
-            2,
-        )
-        .u64("native_p50_us", native.p50_us)
-        .u64("native_p99_us", native.p99_us)
-        .f64("native_jain_fairness", native.fairness, 4)
-        .u64("chaos_degraded_rounds", chaos_degraded)
-        .bool("chaos_victims_bit_identical", victims_ok)
-        .bool("chaos_tenant_completed", chaos_completed)
-        .bool("pass", pass);
-    json.write("BENCH_serve.json");
 
     if !pass {
         eprintln!("FAIL: serving gate violated (completion, fairness >= 0.9, or isolation)");

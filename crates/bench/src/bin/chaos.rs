@@ -12,9 +12,8 @@
 //! Both faulted conditions must reproduce the clean run's output exactly
 //! (exit 1 otherwise). A final chaos sweep drives the autotuner's
 //! [`NativeEvaluator`] under an unrecoverable fault plan and shows killed
-//! trials are logged and skipped, not fatal. Emits
-//! `results/BENCH_chaos.json`; `--quick` shrinks the problem and the
-//! repetition protocol for CI.
+//! trials are logged and skipped, not fatal. `--quick` shrinks the problem
+//! and the repetition protocol for CI.
 
 use std::sync::Arc;
 
@@ -171,26 +170,6 @@ fn main() {
         degraded_faults.replayed_actions,
     );
     println!("  sweep    : {evaluated} trials measured, {faulted} killed by faults and logged");
-
-    let mut json = mic_bench::schema::BenchJson::new("chaos", if quick { "quick" } else { "full" });
-    json.u64("n", n as u64)
-        .u64("partitions", PARTITIONS as u64)
-        .u64("runs", runs.total as u64)
-        .u64("warmup", runs.warmup as u64)
-        .f64("clean_ms", clean_s.mean * 1e3, 4)
-        .f64("retry_ms", retry_s.mean * 1e3, 4)
-        .f64("retry_overhead_frac", retry_overhead, 4)
-        .u64("retries_per_run", retry_faults.transfer_retries)
-        .f64("degraded_ms", degraded_s.mean * 1e3, 4)
-        .f64("degraded_overhead_frac", degraded_overhead, 4)
-        .u64("lost_partitions", degraded_faults.lost_partitions)
-        .u64("replayed_actions", degraded_faults.replayed_actions)
-        .u64("degraded_runs", degraded_faults.degraded_runs)
-        .u64("sweep_trials_measured", evaluated as u64)
-        .u64("sweep_trials_faulted", faulted as u64)
-        .bool("retry_output_identical", retry_ok)
-        .bool("degraded_output_identical", degraded_ok);
-    json.write("BENCH_chaos.json");
 
     if !pass {
         eprintln!("FAIL: a faulted condition changed the output");

@@ -17,7 +17,7 @@
 //!    fault counters, scheduler outcomes, witness verdicts, ...).
 //!
 //! `--quick` shrinks the mutation budget for CI (the budget, not a wall
-//! clock, is the determinism boundary). Emits `results/BENCH_fuzz.json`.
+//! clock, is the determinism boundary).
 
 use std::time::Instant;
 
@@ -213,25 +213,6 @@ fn main() {
     if findings > 0 {
         eprintln!("FAIL: {findings} four-oracle disagreement(s)");
     }
-
-    let family_json: Vec<String> = families.keys().map(|k| format!("\"{k}\"")).collect();
-    let mut json = mic_bench::schema::BenchJson::new("fuzz", if quick { "quick" } else { "full" });
-    json.u64("budget", budget as u64)
-        .u64(
-            "seeds",
-            a.corpus().iter().filter(|e| e.parent.is_none()).count() as u64,
-        )
-        .u64("corpus_retained", a.corpus().len() as u64)
-        .u64("corpus_replayed", replayed as u64)
-        .u64("execs", execs)
-        .f64("execs_per_sec", execs_per_sec, 1)
-        .u64("signals", a.seen_signals().len() as u64)
-        .u64("signal_families", families.len() as u64)
-        .raw("family_names", &format!("[{}]", family_json.join(", ")))
-        .str("evolution_hash", &format!("{:016x}", a.evolution_hash()))
-        .bool("deterministic", deterministic)
-        .u64("disagreements", findings as u64);
-    json.write("BENCH_fuzz.json");
 
     if !deterministic || findings > 0 || !breadth_ok {
         std::process::exit(1);

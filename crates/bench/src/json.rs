@@ -1,11 +1,10 @@
-//! Minimal recursive-descent JSON parser for reading `BENCH_*.json`
-//! files back.
+//! Minimal recursive-descent JSON parser, kept so `tests/sarif_roundtrip.rs`
+//! can read the checker's SARIF export back; nothing else uses it.
 //!
-//! The offline workspace has no serde, and the bench results are small
-//! hand-written documents, so a few hundred lines of parser is the whole
-//! dependency. Covers the full JSON grammar except `\u` escapes beyond
-//! the BMP surrogate-free range; numbers are held as `f64` (every value
-//! the benches emit fits exactly).
+//! The offline workspace has no serde, and the documents are small and
+//! hand-written, so a few hundred lines of parser is the whole dependency.
+//! Covers the full JSON grammar except `\u` escapes beyond the BMP
+//! surrogate-free range; numbers are held as `f64`.
 
 use std::fmt;
 

@@ -22,14 +22,11 @@
 //! | `ext_multi_mic_scaling` | (ext) Sec. VI on 1–4 cards |
 //! | `autotune` | (ext) closed-loop `(T, P)` tuning: exhaustive vs pruned vs model-seeded, sim + native |
 //! | `bench_opt` | (ext) sync-elision exactness + static-cost-bound soundness gates over the six apps |
-//! | `bench_compare` | (ext) `BENCH_*.json` envelope validation + noise-banded perf diff of two result sets |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod compare;
 pub mod json;
-pub mod schema;
 
 use std::fs;
 use std::io::Write as _;

@@ -1,7 +1,7 @@
-//! Error-path coverage for the bench-result JSON parser: every rejection
+//! Error-path coverage for the in-repo JSON parser: every rejection
 //! carries the documented message and the byte offset of the *first*
-//! problem, so `bench_compare` failures on malformed `BENCH_*.json`
-//! envelopes point at the offending byte, not just "parse error".
+//! problem, so a failure on a malformed document points at the offending
+//! byte, not just "parse error".
 
 use mic_bench::json::{parse, Json, ParseError};
 
@@ -69,7 +69,7 @@ fn number_errors_report_after_the_consumed_prefix() {
 
 #[test]
 fn truncated_bench_envelope_fails_at_the_cut() {
-    // A BENCH_*.json document cut mid-write: the open string runs to EOF.
+    // A document cut mid-write: the open string runs to EOF.
     let cut = "{\n  \"schema_version\": 1,\n  \"bench\": \"fuzz\",\n  \"mo";
     assert_eq!(diag(cut), ("unterminated string".into(), cut.len()));
     // Cut between fields instead: the object never closes.

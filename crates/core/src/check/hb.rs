@@ -15,17 +15,17 @@
 //! O(1) — `a → b` iff `clock[b][a.stream] > a.action_index` — at
 //! O(nodes × streams) build cost, microseconds for paper-scale programs.
 
-use std::collections::VecDeque;
-
 use crate::action::Action;
 use crate::program::Program;
 use crate::types::StreamId;
 
 use super::diagnostics::Site;
 
-/// Node layout + predecessor lists of the happens-before graph — the
-/// part of the construction shared between [`HbGraph::build`] (which adds
-/// cycle detection and vector clocks on top) and the witness scheduler
+/// Node layout + edge lists of the happens-before graph, and the one Kahn
+/// sort over them — the part of the construction shared between
+/// [`HbGraph::build`] (cycle witness and vector clocks on top), the static
+/// cost analysis ([`crate::opt::static_cost`], which prices the longest
+/// path along the same order) and the witness scheduler
 /// ([`super::witness`], which runs constrained topological sorts over the
 /// same edges to produce executable schedules).
 pub(crate) struct HbEdges {
@@ -38,6 +38,8 @@ pub(crate) struct HbEdges {
     pub(crate) nodes: usize,
     /// Predecessor lists, indexed by node.
     pub(crate) preds: Vec<Vec<u32>>,
+    /// Successor lists, indexed by node (the same edges, reversed).
+    pub(crate) succs: Vec<Vec<u32>>,
 }
 
 impl HbEdges {
@@ -65,11 +67,16 @@ impl HbEdges {
         let nodes = total + n_barriers;
 
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+        let mut edge = |from: usize, to: usize| {
+            preds[to].push(from as u32);
+            succs[from].push(to as u32);
+        };
         for (si, s) in program.streams.iter().enumerate() {
             for (ai, a) in s.actions.iter().enumerate() {
                 let v = offsets[si] + ai;
                 if ai > 0 {
-                    preds[v].push((v - 1) as u32);
+                    edge(v - 1, v);
                 }
                 match a {
                     Action::WaitEvent(e) => {
@@ -78,14 +85,14 @@ impl HbEdges {
                             if rs < n_streams
                                 && site.action_index < program.streams[rs].actions.len()
                             {
-                                preds[v].push((offsets[rs] + site.action_index) as u32);
+                                edge(offsets[rs] + site.action_index, v);
                             }
                         }
                     }
                     Action::Barrier(n) => {
-                        preds[total + n].push(v as u32);
+                        edge(v, total + n);
                         if ai + 1 < s.actions.len() {
-                            preds[v + 1].push((total + n) as u32);
+                            edge(total + n, v + 1);
                         }
                     }
                     _ => {}
@@ -98,6 +105,31 @@ impl HbEdges {
             total_actions: total,
             nodes,
             preds,
+            succs,
+        }
+    }
+
+    /// Kahn's topological order over the edges. On a cyclic graph the
+    /// sort stalls and `Err` carries the in-degree still left on every
+    /// node (positive exactly on the unsorted ones).
+    pub(crate) fn topo_order(&self) -> Result<Vec<u32>, Vec<u32>> {
+        let mut indeg: Vec<u32> = self.preds.iter().map(|ps| ps.len() as u32).collect();
+        let mut order: Vec<u32> = Vec::with_capacity(self.nodes);
+        order.extend((0..self.nodes as u32).filter(|&v| indeg[v as usize] == 0));
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            for &w in &self.succs[v as usize] {
+                indeg[w as usize] -= 1;
+                if indeg[w as usize] == 0 {
+                    order.push(w);
+                }
+            }
+        }
+        if order.len() == self.nodes {
+            Ok(order)
+        } else {
+            Err(indeg)
         }
     }
 
@@ -142,73 +174,45 @@ pub struct HbGraph {
 impl HbGraph {
     /// Build the graph and run cycle detection + clock propagation.
     pub fn build(program: &Program) -> HbGraph {
-        let n_streams = program.streams.len();
-        let HbEdges {
-            offsets,
-            total_actions: total,
-            nodes,
-            preds,
-        } = HbEdges::build(program);
-
-        let edges = preds.iter().map(Vec::len).sum();
-
-        // Successor lists + in-degrees for Kahn.
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        let mut indeg: Vec<u32> = vec![0; nodes];
-        for (v, ps) in preds.iter().enumerate() {
-            indeg[v] = ps.len() as u32;
-            for &p in ps {
-                succs[p as usize].push(v as u32);
-            }
+        let edges = HbEdges::build(program);
+        match edges.topo_order() {
+            Ok(order) => HbGraph::from_order(&edges, &order),
+            Err(indeg) => HbGraph::new(&edges, Vec::new(), Some(extract_cycle(&edges, &indeg))),
         }
+    }
 
-        // Stream of each action node, for the clock bump.
-        let stream_of = |v: usize| -> Option<usize> {
-            if v >= total {
-                return None;
-            }
-            // offsets is sorted; partition_point finds the owning stream.
-            Some(offsets.partition_point(|&o| o <= v) - 1)
-        };
-
-        let mut clocks: Vec<u32> = vec![0; nodes * n_streams];
-        let mut queue: VecDeque<usize> = (0..nodes).filter(|&v| indeg[v] == 0).collect();
-        let mut popped = 0usize;
+    /// The graph of acyclic `edges`, with clocks propagated along `order`
+    /// (a full [`HbEdges::topo_order`] of the same edges).
+    pub(crate) fn from_order(edges: &HbEdges, order: &[u32]) -> HbGraph {
+        let n_streams = edges.offsets.len() - 1;
+        let mut clocks: Vec<u32> = vec![0; edges.nodes * n_streams];
         let mut bumped = vec![0u32; n_streams];
-        while let Some(v) = queue.pop_front() {
-            popped += 1;
+        for &v in order {
+            let v = v as usize;
             // out-clock of v = in-clock of v, plus v itself if it is an
             // action node.
             bumped.copy_from_slice(&clocks[v * n_streams..(v + 1) * n_streams]);
-            if let Some(sv) = stream_of(v) {
-                let idx = (v - offsets[sv] + 1) as u32;
+            if let Some(sv) = edges.stream_of(v) {
+                let idx = (v - edges.offsets[sv] + 1) as u32;
                 bumped[sv] = bumped[sv].max(idx);
             }
-            for &w in &succs[v] {
+            for &w in &edges.succs[v] {
                 let w = w as usize;
                 let wc = &mut clocks[w * n_streams..(w + 1) * n_streams];
                 for (c, b) in wc.iter_mut().zip(&bumped) {
                     *c = (*c).max(*b);
                 }
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push_back(w);
-                }
             }
         }
+        HbGraph::new(edges, clocks, None)
+    }
 
-        let cycle = if popped < nodes {
-            clocks.clear();
-            Some(extract_cycle(&preds, &indeg, total, &offsets, stream_of))
-        } else {
-            None
-        };
-
+    fn new(edges: &HbEdges, clocks: Vec<u32>, cycle: Option<Vec<Site>>) -> HbGraph {
         HbGraph {
-            n_streams,
-            offsets,
-            nodes,
-            edges,
+            n_streams: edges.offsets.len() - 1,
+            offsets: edges.offsets.clone(),
+            nodes: edges.nodes,
+            edges: edges.preds.iter().map(Vec::len).sum(),
             clocks,
             cycle,
         }
@@ -252,32 +256,19 @@ impl HbGraph {
 /// until a node repeats, then report the loop as action sites in causal
 /// order. Barrier join nodes on the loop are skipped in the report (their
 /// incoming barrier actions are on it too).
-fn extract_cycle(
-    preds: &[Vec<u32>],
-    indeg: &[u32],
-    total_actions: usize,
-    offsets: &[usize],
-    stream_of: impl Fn(usize) -> Option<usize>,
-) -> Vec<Site> {
+fn extract_cycle(edges: &HbEdges, indeg: &[u32]) -> Vec<Site> {
     let start = indeg
         .iter()
         .position(|&d| d > 0)
         .expect("cyclic graph has a node with remaining in-degree");
-    let mut pos = vec![usize::MAX; preds.len()];
+    let mut pos = vec![usize::MAX; edges.nodes];
     let mut path: Vec<usize> = Vec::new();
     let mut v = start;
     loop {
         if pos[v] != usize::MAX {
             let mut cycle: Vec<Site> = path[pos[v]..]
                 .iter()
-                .filter(|&&n| n < total_actions)
-                .map(|&n| {
-                    let s = stream_of(n).expect("action node");
-                    Site {
-                        stream: StreamId(s),
-                        action_index: n - offsets[s],
-                    }
-                })
+                .filter_map(|&n| edges.site_of(n))
                 .collect();
             cycle.reverse(); // pred-walk order is anti-causal
             return cycle;
@@ -286,7 +277,7 @@ fn extract_cycle(
         path.push(v);
         // Every unsorted node keeps at least one unsorted predecessor, so
         // the walk stays inside the cyclic region and must repeat.
-        v = preds[v]
+        v = edges.preds[v]
             .iter()
             .map(|&p| p as usize)
             .find(|&p| indeg[p] > 0)

@@ -137,14 +137,7 @@ fn linear_extension(program: &Program, delayed: Site) -> Vec<Site> {
     let edges = HbEdges::build(program);
     let delayed_node = edges.node_of(delayed);
 
-    let mut indeg: Vec<u32> = vec![0; edges.nodes];
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); edges.nodes];
-    for (v, ps) in edges.preds.iter().enumerate() {
-        indeg[v] = ps.len() as u32;
-        for &p in ps {
-            succs[p as usize].push(v as u32);
-        }
-    }
+    let mut indeg: Vec<u32> = edges.preds.iter().map(|ps| ps.len() as u32).collect();
 
     let mut ready: std::collections::BTreeSet<usize> =
         (0..edges.nodes).filter(|&v| indeg[v] == 0).collect();
@@ -161,7 +154,7 @@ fn linear_extension(program: &Program, delayed: Site) -> Vec<Site> {
         if let Some(site) = edges.site_of(v) {
             order.push(site);
         }
-        for &w in &succs[v] {
+        for &w in &edges.succs[v] {
             let w = w as usize;
             indeg[w] -= 1;
             if indeg[w] == 0 {

@@ -82,7 +82,7 @@ impl ContextBuilder {
     /// [`RunInstruments`](crate::metrics::RunInstruments) catalog and
     /// attaches a [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) to
     /// its report. Off by default — the executors then pay one branch per
-    /// instrumentation site (gated by `bench_native_runtime`).
+    /// instrumentation site.
     pub fn metrics(mut self, on: bool) -> ContextBuilder {
         self.metrics = on;
         self
@@ -636,7 +636,7 @@ impl Context {
     /// this means a malformed program).
     pub fn static_cost(&self) -> Option<crate::opt::StaticCost> {
         let model = self.cost_model().ok()?;
-        crate::opt::static_cost(&self.program, &model, &self.check_env())
+        crate::opt::static_cost(&self.program, &model)
     }
 
     /// Advisory performance lints for the recorded program (see

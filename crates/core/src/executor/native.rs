@@ -91,8 +91,7 @@ pub struct NativeConfig {
     /// wait, wire time and fault activity into it, and attach the
     /// snapshot to [`NativeReport::metrics`]. Also enabled by
     /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics).
-    /// Off by default: the hot path then pays one branch per site
-    /// (gated by `bench_native_runtime`).
+    /// Off by default: the hot path then pays one branch per site.
     pub metrics: bool,
 }
 

@@ -1,11 +1,9 @@
-//! Snapshot exporters: JSONL event log, OpenMetrics-style text, and a
-//! JSON value for embedding in bench result files.
+//! Snapshot exporters: JSONL event log and OpenMetrics-style text.
 //!
-//! All three are pure functions of a [`MetricsSnapshot`] — no clocks, no
+//! Both are pure functions of a [`MetricsSnapshot`] — no clocks, no
 //! environment — so a deterministic run exports byte-identical text
 //! (pinned by the sim determinism test). JSON is emitted by hand because
-//! the offline workspace has no serde; the shapes are kept simple enough
-//! for `mic-bench`'s small parser to read back.
+//! the offline workspace has no serde.
 
 use super::hist::bucket_bounds;
 use super::{Labels, MetricEntry, MetricValue, MetricsSnapshot};
@@ -155,25 +153,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// JSON value for embedding under a `"metrics"` key in bench result
-    /// files: `{"series":[ ... ]}` with one [`entry_json`] object per
-    /// series, indented for readability inside the bench files.
-    #[must_use]
-    pub fn to_json_value(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        if self.entries.is_empty() {
-            return "{\"series\":[]}".to_string();
-        }
-        let rows = self
-            .entries
-            .iter()
-            .map(|e| format!("{inner}{}", entry_json(e)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!("{{\"series\":[\n{rows}\n{pad}]}}")
-    }
 }
 
 fn with_extra(l: Labels, extra: &str) -> String {
@@ -228,7 +207,6 @@ mod tests {
         let b = sample().snapshot();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.to_openmetrics(), b.to_openmetrics());
-        assert_eq!(a.to_json_value(2), b.to_json_value(2));
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl RunInstruments {
 /// stores. The native executor therefore caches one `RunMetrics` per
 /// [`Context`](crate::context::Context) and resets it between runs, so
 /// the per-run metrics cost is dominated by the samples actually
-/// recorded, not by setup (gated in `bench_native_runtime`).
+/// recorded, not by setup.
 pub struct RunMetrics {
     /// Backing registry — the snapshot source.
     pub registry: MetricsRegistry,

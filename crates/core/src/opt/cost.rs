@@ -15,8 +15,7 @@
 use std::collections::BTreeMap;
 
 use crate::action::Action;
-use crate::check::HbEdges;
-use crate::check::{analyze, CheckEnv, Site};
+use crate::check::{HbEdges, HbGraph, Site};
 use crate::program::Program;
 use crate::sched::CostModel;
 
@@ -57,11 +56,11 @@ pub struct StaticCost {
     pub hidden_fraction_estimate: f64,
 }
 
-/// Price `program` statically under `model` and `env`. `None` when the HB
-/// graph is cyclic (the analyzer would reject the program) or a kernel
-/// cannot be priced on its recorded placement.
+/// Price `program` statically under `model`. `None` when the HB graph is
+/// cyclic (the analyzer would reject the program) or a kernel cannot be
+/// priced on its recorded placement.
 #[must_use]
-pub fn static_cost(program: &Program, model: &CostModel, env: &CheckEnv) -> Option<StaticCost> {
+pub fn static_cost(program: &Program, model: &CostModel) -> Option<StaticCost> {
     let edges = HbEdges::build(program);
     let n_streams = program.streams.len();
 
@@ -82,35 +81,15 @@ pub fn static_cost(program: &Program, model: &CostModel, env: &CheckEnv) -> Opti
     }
 
     // Forward pass in topological order: earliest finish per node.
-    let mut indeg = vec![0u32; edges.nodes];
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); edges.nodes];
-    for (v, ps) in edges.preds.iter().enumerate() {
-        indeg[v] = u32::try_from(ps.len()).ok()?;
-        for &p in ps {
-            succs[p as usize].push(u32::try_from(v).ok()?);
-        }
-    }
-    let mut queue: Vec<usize> = (0..edges.nodes).filter(|&v| indeg[v] == 0).collect();
+    let order = edges.topo_order().ok()?; // `Err` = cyclic
     let mut finish = vec![0.0f64; edges.nodes];
-    let mut done = 0usize;
-    while let Some(v) = queue.pop() {
-        done += 1;
-        let f = edges.preds[v]
+    for &v in &order {
+        let v = v as usize;
+        finish[v] = edges.preds[v]
             .iter()
             .map(|&p| finish[p as usize])
             .fold(0.0f64, f64::max)
             + weight[v];
-        finish[v] = f;
-        for &s in &succs[v] {
-            let s = s as usize;
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    if done != edges.nodes {
-        return None; // cyclic
     }
     let critical_path_seconds = finish.iter().copied().fold(0.0f64, f64::max);
 
@@ -157,9 +136,9 @@ pub fn static_cost(program: &Program, model: &CostModel, env: &CheckEnv) -> Opti
     }
     let lane_bound_seconds = lanes.values().copied().fold(0.0f64, f64::max);
 
-    // Hidden-fraction estimate needs pairwise concurrency — reuse the
-    // analyzer's clock matrix.
-    let analysis = analyze(program, env);
+    // Hidden-fraction estimate needs pairwise concurrency: the analyzer's
+    // clock matrix, propagated along the order already in hand.
+    let hb = HbGraph::from_order(&edges, &order);
     let mut hidden = 0.0f64;
     for (si, s) in program.streams.iter().enumerate() {
         for (ai, a) in s.actions.iter().enumerate() {
@@ -172,7 +151,7 @@ pub fn static_cost(program: &Program, model: &CostModel, env: &CheckEnv) -> Opti
                     && sk.actions.iter().enumerate().any(|(aj, b)| {
                         matches!(b, Action::Kernel(_))
                             && is_payload(b)
-                            && analysis.concurrent(t, Site::new(sj, aj))
+                            && hb.concurrent(t, Site::new(sj, aj))
                     })
             });
             if overlappable {
@@ -195,4 +174,183 @@ pub fn static_cost(program: &Program, model: &CostModel, env: &CheckEnv) -> Opti
         kernel_seconds,
         hidden_fraction_estimate,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::KernelDesc;
+    use crate::program::EventSite;
+    use crate::testutil::stream_skeleton;
+    use crate::types::{BufId, EventId, StreamId};
+    use micsim::compute::KernelProfile;
+    use micsim::{
+        DeviceId, Direction, Duplex, LinkModel, PlatformConfig, SimDuration, SimPlatform,
+    };
+
+    /// Round prices so every expectation below is mental arithmetic:
+    /// a transfer is 10 µs latency + 1 µs per 1000 B + 1 µs enqueue, so
+    /// buffer 0 (1000 B) moves in 12 µs and buffer 1 (3000 B) in 14 µs;
+    /// a host kernel of 2e6 work at 1e9 × 20 host equivalents takes
+    /// 100 µs + 1 µs enqueue.
+    const T0: f64 = 12e-6;
+    const T1: f64 = 14e-6;
+    const K: f64 = 101e-6;
+
+    fn model() -> CostModel {
+        let mut cfg = PlatformConfig::phi_31sp();
+        cfg.link = LinkModel::new(SimDuration::from_micros(10), 1.0e9, Duplex::Serial);
+        cfg.enqueue_overhead = SimDuration::from_micros(1);
+        cfg.host_equivalents = 20.0;
+        let mut platform = SimPlatform::new(cfg.clone()).unwrap();
+        platform.init_partitions(DeviceId(0), 2).unwrap();
+        let plan = platform.plan(DeviceId(0)).unwrap().partitions.clone();
+        CostModel::new(&cfg, &[plan], &[1000, 3000])
+    }
+
+    /// Stream `i` on partition `i` of the two-partition plan.
+    fn program(streams: Vec<Vec<Action>>) -> Program {
+        let mut p = stream_skeleton(streams.len(), 2);
+        for (s, actions) in p.streams.iter_mut().zip(streams) {
+            s.actions = actions;
+        }
+        p
+    }
+
+    fn xfer(dir: Direction, buf: usize) -> Action {
+        Action::Transfer {
+            dir,
+            buf: BufId(buf),
+        }
+    }
+
+    fn h2d(buf: usize) -> Action {
+        xfer(Direction::HostToDevice, buf)
+    }
+
+    fn d2h(buf: usize) -> Action {
+        xfer(Direction::DeviceToHost, buf)
+    }
+
+    fn host_kernel() -> Action {
+        Action::Kernel(
+            KernelDesc::simulated("k", KernelProfile::streaming("k", 1e9), 2e6).on_host(),
+        )
+    }
+
+    fn device_kernel() -> KernelDesc {
+        KernelDesc::simulated("k", KernelProfile::streaming("k", 1e9), 2e6)
+    }
+
+    fn close(got: f64, want: f64) {
+        assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
+    }
+
+    #[test]
+    fn single_stream_chain_is_its_own_critical_path_and_lane() {
+        let p = program(vec![vec![h2d(0), host_kernel(), d2h(1)]]);
+        let c = static_cost(&p, &model()).unwrap();
+        close(c.critical_path_seconds, T0 + K + T1);
+        close(c.lane_bound_seconds, T0 + K + T1);
+        close(c.makespan_lower_bound, T0 + K + T1);
+        close(c.transfer_seconds, T0 + T1);
+        close(c.kernel_seconds, K);
+        assert_eq!(c.per_stream.len(), 1);
+        close(c.per_stream[0].busy_seconds, T0 + K + T1);
+        close(c.per_stream[0].finish_seconds, T0 + K + T1);
+        // Nothing to hide behind: there is no second stream.
+        assert_eq!(c.hidden_fraction_estimate, 0.0);
+    }
+
+    #[test]
+    fn an_event_carries_the_critical_path_across_streams() {
+        let mut p = program(vec![
+            vec![h2d(0), host_kernel(), Action::RecordEvent(EventId(0))],
+            vec![Action::WaitEvent(EventId(0)), d2h(1)],
+        ]);
+        p.events.push(EventSite {
+            stream: StreamId(0),
+            action_index: 2,
+        });
+        let c = static_cost(&p, &model()).unwrap();
+        // Stream 1's download starts only after stream 0's kernel.
+        close(c.critical_path_seconds, T0 + K + T1);
+        close(c.per_stream[0].finish_seconds, T0 + K);
+        close(c.per_stream[1].finish_seconds, T0 + K + T1);
+        close(c.per_stream[1].busy_seconds, T1);
+        // Busiest lane is stream 0's FIFO (113 µs > host 101 > link 26).
+        close(c.lane_bound_seconds, T0 + K);
+        close(c.makespan_lower_bound, T0 + K + T1);
+        // The only kernel is ordered against both transfers.
+        assert_eq!(c.hidden_fraction_estimate, 0.0);
+    }
+
+    #[test]
+    fn a_barrier_releases_both_streams_at_the_slower_arrival() {
+        let p = Program {
+            barriers: 1,
+            ..program(vec![
+                vec![h2d(1), Action::Barrier(0), d2h(0)],
+                vec![h2d(0), Action::Barrier(0), host_kernel()],
+            ])
+        };
+        let c = static_cost(&p, &model()).unwrap();
+        // Both post-barrier actions start at max(14, 12) = 14 µs.
+        close(c.per_stream[0].finish_seconds, T1 + T0);
+        close(c.per_stream[1].finish_seconds, T1 + K);
+        close(c.critical_path_seconds, T1 + K);
+        close(c.per_stream[1].busy_seconds, T0 + K);
+        // Lanes: stream 1 = 113 µs, host = 101, link = 38, stream 0 = 26.
+        close(c.lane_bound_seconds, T0 + K);
+        close(c.makespan_lower_bound, T1 + K);
+        // Only stream 0's post-barrier download is unordered against the
+        // kernel; both uploads precede it through the barrier.
+        close(c.hidden_fraction_estimate, T0 / (T1 + T0 + T0));
+    }
+
+    #[test]
+    fn a_cyclic_program_has_no_cost() {
+        let mut p = program(vec![
+            vec![
+                Action::WaitEvent(EventId(1)),
+                Action::RecordEvent(EventId(0)),
+            ],
+            vec![
+                Action::WaitEvent(EventId(0)),
+                Action::RecordEvent(EventId(1)),
+            ],
+        ]);
+        for stream in 0..2 {
+            p.events.push(EventSite {
+                stream: StreamId(stream),
+                action_index: 1,
+            });
+        }
+        assert!(static_cost(&p, &model()).is_none());
+    }
+
+    #[test]
+    fn an_unordered_transfer_kernel_pair_counts_as_hidden() {
+        let m = model();
+        let k = m.device_kernel_seconds(&device_kernel(), 0, 1).unwrap();
+        let p = program(vec![
+            vec![h2d(0)],
+            vec![h2d(1), Action::Kernel(device_kernel())],
+        ]);
+        let c = static_cost(&p, &m).unwrap();
+        // Stream 0's upload can run under stream 1's kernel; stream 1's own
+        // upload has no kernel in another stream to hide behind.
+        close(c.hidden_fraction_estimate, T0 / (T0 + T1));
+        close(c.kernel_seconds, k);
+        close(c.critical_path_seconds, T1 + k);
+        // Serial link: both uploads share channel 0.
+        close(c.lane_bound_seconds, (T0 + T1).max(T1 + k));
+    }
+
+    #[test]
+    fn a_kernel_on_an_unplanned_partition_cannot_be_priced() {
+        let mut p = program(vec![vec![Action::Kernel(device_kernel())]]);
+        p.streams[0].placement.partition = 99;
+        assert!(static_cost(&p, &model()).is_none());
+    }
 }

@@ -29,7 +29,8 @@
 //!
 //! Everything here is behind `NativeConfig { trace: true }`; with tracing
 //! off the executor carries a `None` recorder and pays one branch per
-//! action (verified by `bench_native_runtime`).
+//! action (`trace_overhead_frac` on `mic-e2e`'s `dispatch_tiny` prices the
+//! traced side).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

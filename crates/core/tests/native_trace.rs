@@ -144,7 +144,7 @@ fn traced_run_yields_analyzable_timeline() {
 
 #[test]
 fn copy_engine_lane_never_overlaps_itself() {
-    // Acceptance criterion (a): on a serial-duplex link the H2D and D2H
+    // Acceptance check (a): on a serial-duplex link the H2D and D2H
     // intervals share one engine, so the merged lane intervals of the raw
     // records must already be disjoint — merging must not shrink the count,
     // and consecutive intervals must not intersect. A throttled link makes
@@ -201,7 +201,7 @@ fn copy_engine_lane_never_overlaps_itself() {
 
 #[test]
 fn two_streams_hide_transfers_single_stream_does_not() {
-    // Acceptance criterion (b): an overlappable 2-stream program measures a
+    // Acceptance check (b): an overlappable 2-stream program measures a
     // strictly positive hidden fraction; the single-stream version of the
     // same work measures ~zero. Deterministic by construction: stream 0
     // launches a long kernel strictly after its transfer (event-ordered),

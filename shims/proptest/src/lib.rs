@@ -6,8 +6,10 @@
 //! [`collection::vec`], [`any`] over [`sample::Index`], and the
 //! `prop_assert*` family. Each property runs `cases` random inputs drawn
 //! from a generator seeded deterministically from the test's name, so
-//! failures reproduce on re-run. There is no shrinking: a failure reports
-//! the case number and the assertion message.
+//! failures reproduce on re-run. A failure reports the case number, the
+//! assertion message and the drawn arguments, then the minimal failing
+//! case found by bisecting every integer-range argument towards its range
+//! start (other strategies do not shrink).
 
 use std::fmt;
 
@@ -78,9 +80,37 @@ impl TestRng {
 /// A source of random values of one type.
 pub trait Strategy {
     /// The generated type.
-    type Value;
+    type Value: Clone + fmt::Debug;
     /// Draw one value.
     fn generate(&self, rng: &mut TestRng) -> Self::Value;
+    /// The simplest value for which `fails` still holds, given that it
+    /// holds for `failing`. The default does not shrink.
+    fn shrink(
+        &self,
+        failing: Self::Value,
+        _fails: &mut dyn FnMut(&Self::Value) -> bool,
+    ) -> Self::Value {
+        failing
+    }
+}
+
+/// The smallest `v` in `lo..=failing` with `fails(v)`, found by bisection:
+/// exact when every value above a failing one also fails, and a failing
+/// value no larger than `failing` otherwise.
+fn bisect(lo: i128, failing: i128, fails: &mut dyn FnMut(i128) -> bool) -> i128 {
+    if failing == lo || fails(lo) {
+        return lo;
+    }
+    let (mut pass, mut fail) = (lo, failing);
+    while fail - pass > 1 {
+        let mid = pass + (fail - pass) / 2;
+        if fails(mid) {
+            fail = mid;
+        } else {
+            pass = mid;
+        }
+    }
+    fail
 }
 
 macro_rules! int_range_strategy {
@@ -91,6 +121,9 @@ macro_rules! int_range_strategy {
                 assert!(self.start < self.end, "empty range strategy");
                 self.start + rng.below((self.end - self.start) as u64) as $t
             }
+            fn shrink(&self, failing: $t, fails: &mut dyn FnMut(&$t) -> bool) -> $t {
+                bisect(self.start as i128, failing as i128, &mut |v| fails(&(v as $t))) as $t
+            }
         }
         impl Strategy for std::ops::RangeInclusive<$t> {
             type Value = $t;
@@ -98,6 +131,9 @@ macro_rules! int_range_strategy {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range strategy");
                 lo + rng.below((hi - lo) as u64 + 1) as $t
+            }
+            fn shrink(&self, failing: $t, fails: &mut dyn FnMut(&$t) -> bool) -> $t {
+                bisect(*self.start() as i128, failing as i128, &mut |v| fails(&(v as $t))) as $t
             }
         }
     )*};
@@ -112,18 +148,39 @@ macro_rules! tuple_strategy {
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 ($(self.$idx.generate(rng),)+)
             }
+            /// Shrink each component in turn, holding the others fixed.
+            fn shrink(
+                &self,
+                failing: Self::Value,
+                fails: &mut dyn FnMut(&Self::Value) -> bool,
+            ) -> Self::Value {
+                let mut cur = failing;
+                $(
+                    let part = self.$idx.shrink(cur.$idx.clone(), &mut |cand| {
+                        let mut probe = cur.clone();
+                        probe.$idx = cand.clone();
+                        fails(&probe)
+                    });
+                    cur.$idx = part;
+                )+
+                cur
+            }
         }
     )+};
 }
 
+// Arity 1 upwards: `proptest!` draws a property's arguments as one tuple.
 tuple_strategy!(
+    (A / 0),
     (A / 0, B / 1),
     (A / 0, B / 1, C / 2),
-    (A / 0, B / 1, C / 2, D / 3)
+    (A / 0, B / 1, C / 2, D / 3),
+    (A / 0, B / 1, C / 2, D / 3, E / 4),
+    (A / 0, B / 1, C / 2, D / 3, E / 4, F / 5)
 );
 
 /// Types with a canonical strategy, usable via [`any`].
-pub trait Arbitrary {
+pub trait Arbitrary: Clone + fmt::Debug {
     /// Draw one arbitrary value.
     fn arbitrary(rng: &mut TestRng) -> Self;
 }
@@ -231,24 +288,56 @@ macro_rules! proptest {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
-    (($cfg:expr); $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),* $(,)?) $body:block)*) => {$(
+    (($cfg:expr); $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {$(
         $(#[$meta])*
         fn $name() {
-            let __cfg: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
-            for __case in 0..__cfg.cases {
-                $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
-                let __outcome: ::std::result::Result<(), $crate::TestCaseError> =
-                    (|| { $body ::std::result::Result::Ok(()) })();
-                if let ::std::result::Result::Err(e) = __outcome {
-                    panic!(
-                        "property {} failed at case {}/{}: {}",
-                        stringify!($name), __case + 1, __cfg.cases, e
-                    );
-                }
-            }
+            $crate::run_property(
+                stringify!($name),
+                concat!(module_path!(), "::", stringify!($name)),
+                &$cfg,
+                &($($strat,)+),
+                |__args| {
+                    let ($($arg,)+) = __args;
+                    [$(format!("{} = {:?}", stringify!($arg), $arg)),+].join(", ")
+                },
+                |($($arg,)+)| {
+                    $body
+                    ::std::result::Result::Ok(())
+                },
+            );
         }
     )*};
+}
+
+/// Driver behind [`proptest!`]: run `body` on `cfg.cases` values of
+/// `strategy` (the tuple of the property's arguments, which `describe`
+/// renders as `name = value, ..`), and on the first failure shrink the
+/// case and panic with both.
+#[doc(hidden)]
+pub fn run_property<S: Strategy>(
+    name: &str,
+    seed_name: &str,
+    cfg: &ProptestConfig,
+    strategy: &S,
+    describe: impl Fn(&S::Value) -> String,
+    body: impl Fn(S::Value) -> Result<(), TestCaseError>,
+) {
+    let mut rng = TestRng::from_name(seed_name);
+    for case in 0..cfg.cases {
+        let value = strategy.generate(&mut rng);
+        let Err(e) = body(value.clone()) else {
+            continue;
+        };
+        let minimal = strategy.shrink(value.clone(), &mut |v| body(v.clone()).is_err());
+        let minimal_e = body(minimal.clone()).expect_err("shrinking keeps the case failing");
+        panic!(
+            "property {name} failed at case {}/{}: {e}\n  failing case: {}\n  minimal failing case: {}: {minimal_e}",
+            case + 1,
+            cfg.cases,
+            describe(&value),
+            describe(&minimal),
+        );
+    }
 }
 
 /// Assert a condition inside a property body (reports the failing case).
@@ -340,6 +429,25 @@ mod tests {
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("case 1/5"), "{msg}");
         assert!(msg.contains("boom"), "{msg}");
+    }
+
+    #[test]
+    fn failures_shrink_integer_arguments_to_the_minimal_case() {
+        let result = std::panic::catch_unwind(|| {
+            proptest! {
+                #[allow(unused)]
+                fn fails_from_five(x in 0usize..1000, y in 10u64..=20) {
+                    prop_assert!(x < 5, "too big: {}", x);
+                }
+            }
+            fails_from_five();
+        });
+        let msg = *result.unwrap_err().downcast::<String>().unwrap();
+        let (original, minimal) = msg.split_once("minimal failing case: ").expect(&msg);
+        assert!(original.contains("failing case: x = "), "{msg}");
+        // `x` lands on the boundary; `y` never mattered and goes to its
+        // range start.
+        assert_eq!(minimal, "x = 5, y = 10: too big: 5", "{msg}");
     }
 
     #[test]

@@ -22,6 +22,18 @@
 //! matrix in a single monolithic kernel, whose lower effective rate on the
 //! very wide device (no tile-level cache blocking) is what the streamed
 //! version's gain is measured against.
+//!
+//! Natively, all four tile kernels stand on one 4 × 4 dot-form micro-kernel
+//! (`dots`) over the row-major tiles, borrowed from the runtime and never
+//! copied: SYRK and GEMM are `C -= A·Bᵀ` in 4 × 4 blocks, TRSM and POTRF
+//! take everything left of a 4-column block from it and finish the few
+//! terms inside the block in order. It is safe Rust that vectorises at the
+//! default target. An element's summation order depends only on the tile
+//! edge and the element's column, so every kernel's output is bit-identical
+//! for every `threads` split. [`reference()`] is a separate scalar loop that
+//! shares no code with them.
+
+use std::array::from_fn;
 
 use hstreams::context::Context;
 use hstreams::kernel::KernelDesc;
@@ -103,6 +115,7 @@ fn full_profile() -> KernelProfile {
     }
 }
 
+/// The scalar oracle behind [`reference()`]; no kernel calls it.
 fn serial_potrf(a: &mut [f32], b: usize) {
     for j in 0..b {
         let mut d = a[j * b + j];
@@ -128,29 +141,161 @@ fn serial_potrf(a: &mut [f32], b: usize) {
     }
 }
 
+/// `f32` lanes of one 128-bit register, the widest the default x86-64
+/// target has: sixteen such accumulators are the 4 × 4 block of [`dots`].
+const W: usize = 4;
+
+/// The micro-kernel: `out[i][j] = a[i] · b[j]` for 4 × 4 pairs of equally
+/// long rows — sixteen accumulators of `W` independent lanes each over the
+/// whole `W`-chunks of `k`, the lanes summed once per pair, then a scalar
+/// tail. Four loads feed four multiply-adds where a single dot needs eight.
+///
+/// The order of every `out[i][j]`'s additions depends on the row length
+/// alone, which is what makes the kernels built on this bit-identical for
+/// every row split.
+fn dots(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    let k = a[0].len();
+    let a = a.map(|row| &row[..k]);
+    let b = b.map(|row| &row[..k]);
+    let full = k - k % W;
+    let mut acc = [[[0.0f32; W]; 4]; 4];
+    let mut m = 0;
+    while m < full {
+        let av: [&[f32; W]; 4] = a.map(|row| row[m..m + W].try_into().expect("W elements"));
+        let bv: [&[f32; W]; 4] = b.map(|row| row[m..m + W].try_into().expect("W elements"));
+        for i in 0..4 {
+            for j in 0..4 {
+                for l in 0..W {
+                    acc[i][j][l] += av[i][l] * bv[j][l];
+                }
+            }
+        }
+        m += W;
+    }
+    let mut out = [[0.0f32; 4]; 4];
+    for i in 0..4 {
+        for j in 0..4 {
+            let [w0, w1, w2, w3] = acc[i][j];
+            let mut sum = (w0 + w2) + (w1 + w3);
+            for t in full..k {
+                sum += a[i][t] * b[j][t];
+            }
+            out[i][j] = sum;
+        }
+    }
+    out
+}
+
+/// Row `r` of a row-major tile of edge `b`.
+fn row(tile: &[f32], b: usize, r: usize) -> &[f32] {
+    &tile[r * b..(r + 1) * b]
+}
+
+/// A block's worth of a tile's rows for [`dots`]: the `count ≤ 4` rows from
+/// `first`, each cut to `len`. A ragged edge repeats its last row as
+/// padding; callers drop the padded products.
+fn rows4(tile: &[f32], b: usize, first: usize, count: usize, len: usize) -> [&[f32]; 4] {
+    from_fn(|i| &row(tile, b, first + i.min(count - 1))[..len])
+}
+
+/// `rows -= A·Bᵀ` for the whole rows `first_row..` of a tile of edge `b`,
+/// `a` and `bt` both row-major; with `lower`, only the elements on and
+/// below the diagonal are touched, and blocks wholly above it are skipped.
+/// One 4 × 4 [`dots`] block at a time.
+fn sub_abt(rows: &mut [f32], first_row: usize, b: usize, a: &[f32], bt: &[f32], lower: bool) {
+    for (n, block) in rows.chunks_mut(4 * b).enumerate() {
+        let r0 = first_row + 4 * n;
+        let height = block.len() / b;
+        let a_rows = rows4(a, b, r0, height, b);
+        let cols = if lower { r0 + height } else { b };
+        for c0 in (0..cols).step_by(4) {
+            let width = (cols - c0).min(4);
+            let s = dots(a_rows, rows4(bt, b, c0, width, b));
+            for i in 0..height {
+                for j in 0..width {
+                    if !lower || c0 + j <= r0 + i {
+                        block[i * b + c0 + j] -= s[i][j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Triangular solve of up to four whole rows `x` of a tile of edge `b`
+/// against the first `cols` rows of the lower-triangular `l`: `x[c] =
+/// (x[c] − x[..c]·l[c][..c]) / l[c][c]` for `c < cols`. The rows are
+/// independent, the columns are not: four columns at a time take
+/// everything left of them from one [`dots`] block, then the few terms
+/// between them in order.
+fn solve_rows(block: &mut [f32], b: usize, cols: usize, l: &[f32]) {
+    let height = block.len() / b;
+    for c0 in (0..cols).step_by(4) {
+        let width = (cols - c0).min(4);
+        let s = dots(rows4(block, b, 0, height, c0), rows4(l, b, c0, width, c0));
+        for i in 0..height {
+            let x = &mut block[i * b..(i + 1) * b];
+            for (j, left) in s[i][..width].iter().enumerate() {
+                let c = c0 + j;
+                let l_row = row(l, b, c);
+                let mut v = x[c] - left;
+                for m in c0..c {
+                    v -= x[m] * l_row[m];
+                }
+                x[c] = v / l_row[c];
+            }
+        }
+    }
+}
+
+/// In-place Cholesky factor of one tile, four rows at a time: everything
+/// left of the 4 × 4 diagonal block is a [`solve_rows`] against the rows
+/// above; the diagonal block takes those columns' share of its sums from
+/// one [`dots`] block of its rows with themselves and is then factored
+/// element by element. The strictly-upper part is zeroed.
+fn potrf(a: &mut [f32], b: usize) {
+    for i0 in (0..b).step_by(4) {
+        let (above, rest) = a.split_at_mut(i0 * b);
+        let block = &mut rest[..(b - i0).min(4) * b];
+        let height = block.len() / b;
+        solve_rows(block, b, i0, above);
+        let left = rows4(block, b, 0, height, i0);
+        let s = dots(left, left);
+        for j in 0..height {
+            let c = i0 + j;
+            let mut d = block[j * b + c] - s[j][j];
+            for m in i0..c {
+                d -= block[j * b + m] * block[j * b + m];
+            }
+            assert!(d > 0.0, "matrix not positive definite at column {c}");
+            let d = d.sqrt();
+            block[j * b + c] = d;
+            block[j * b + c + 1..(j + 1) * b].fill(0.0);
+            for i in j + 1..height {
+                let mut v = block[i * b + c] - s[i][j];
+                for m in i0..c {
+                    v -= block[i * b + m] * block[j * b + m];
+                }
+                block[i * b + c] = v / d;
+            }
+        }
+    }
+}
+
 fn potrf_kernel(label: String, b: usize) -> KernelDesc {
     let work = (b as f64).powi(3) / 3.0;
     KernelDesc::simulated(label, profiles::cf_potrf(), work)
-        .with_native(move |k| serial_potrf(k.writes[0], b))
+        .with_native(move |k| potrf(k.writes[0], b))
 }
 
 /// `X := X · L^{-T}` where `X` is tile `(i,k)` and `L` the factored `(k,k)`.
 fn trsm_kernel(label: String, b: usize) -> KernelDesc {
     let work = (b as f64).powi(3);
     KernelDesc::simulated(label, profiles::cf_trsm(), work).with_native(move |k| {
-        let threads = k.threads;
-        // Copy L out so the X slice can be chunked freely.
-        let l: Vec<f32> = k.reads[0].to_vec();
-        let x = &mut k.writes[0];
-        hstreams::parallel::par_rows_mut(x, b, threads, |_, rows| {
-            for row in rows.chunks_mut(b) {
-                for c in 0..b {
-                    let mut v = row[c];
-                    for m in 0..c {
-                        v -= row[m] * l[c * b + m];
-                    }
-                    row[c] = v / l[c * b + c];
-                }
+        let l = k.reads[0];
+        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |_, rows| {
+            for block in rows.chunks_mut(4 * b) {
+                solve_rows(block, b, b, l);
             }
         });
     })
@@ -160,20 +305,9 @@ fn trsm_kernel(label: String, b: usize) -> KernelDesc {
 fn syrk_kernel(label: String, b: usize) -> KernelDesc {
     let work = (b as f64).powi(3);
     KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let threads = k.threads;
-        let lik: Vec<f32> = k.reads[0].to_vec();
-        let a = &mut k.writes[0];
-        hstreams::parallel::par_rows_mut(a, b, threads, |first_row, rows| {
-            for (ri, row) in rows.chunks_mut(b).enumerate() {
-                let r = first_row + ri;
-                for c in 0..=r {
-                    let mut acc = 0.0f32;
-                    for m in 0..b {
-                        acc += lik[r * b + m] * lik[c * b + m];
-                    }
-                    row[c] -= acc;
-                }
-            }
+        let lik = k.reads[0];
+        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
+            sub_abt(rows, first_row, b, lik, lik, true);
         });
     })
 }
@@ -182,21 +316,9 @@ fn syrk_kernel(label: String, b: usize) -> KernelDesc {
 fn gemm_update_kernel(label: String, b: usize) -> KernelDesc {
     let work = 2.0 * (b as f64).powi(3);
     KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let threads = k.threads;
-        let lik: Vec<f32> = k.reads[0].to_vec();
-        let ljk: Vec<f32> = k.reads[1].to_vec();
-        let a = &mut k.writes[0];
-        hstreams::parallel::par_rows_mut(a, b, threads, |first_row, rows| {
-            for (ri, row) in rows.chunks_mut(b).enumerate() {
-                let r = first_row + ri;
-                for c in 0..b {
-                    let mut acc = 0.0f32;
-                    for m in 0..b {
-                        acc += lik[r * b + m] * ljk[c * b + m];
-                    }
-                    row[c] -= acc;
-                }
-            }
+        let (lik, ljk) = (k.reads[0], k.reads[1]);
+        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
+            sub_abt(rows, first_row, b, lik, ljk, false);
         });
     })
 }
@@ -208,7 +330,7 @@ fn gemm_update_kernel(label: String, b: usize) -> KernelDesc {
 /// say), putting every diagonal tile — the tiles with the most updates —
 /// on one stream and serializing the trailing submatrix. The hash spreads
 /// tile ownership statistically for any stream count.
-fn stream_of(ctx: &Context, i: usize, j: usize, _tpd: usize) -> Result<StreamId> {
+fn stream_of(ctx: &Context, i: usize, j: usize) -> Result<StreamId> {
     let h = i
         .wrapping_mul(0x9E37_79B1)
         .wrapping_add(j.wrapping_mul(0x85EB_CA77))
@@ -269,7 +391,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
             s,
             KernelDesc::simulated("potrf_full", full_profile(), cfg.flops())
                 .writing([buf])
-                .with_native(move |k| serial_potrf(k.writes[0], n)),
+                .with_native(move |k| potrf(k.writes[0], n)),
         )?;
         ctx.d2h(s, buf)?;
         return Ok(());
@@ -286,7 +408,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
     // Upload the lower triangle on each tile's owner stream.
     for i in 0..tpd {
         for j in 0..=i {
-            let s = stream_of(ctx, i, j, tpd)?;
+            let s = stream_of(ctx, i, j)?;
             ctx.h2d(s, bufs.at(i, j))?;
             tracker.produced(ctx, bufs.at(i, j), s)?;
         }
@@ -296,7 +418,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
         // POTRF runs on the HOST, as in the hStreams SDK sample: the
         // panel factorization is latency-bound and the Xeon beats any small
         // partition at it. Bring the tile up, factor, push it back.
-        let s_kk = stream_of(ctx, k, k, tpd)?;
+        let s_kk = stream_of(ctx, k, k)?;
         tracker.ensure_readable(ctx, bufs.at(k, k), s_kk)?;
         ctx.d2h(s_kk, bufs.at(k, k))?;
         ctx.kernel(
@@ -310,7 +432,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
 
         // Panel TRSMs, each followed by the D2H of the now-final tile.
         for i in (k + 1)..tpd {
-            let s = stream_of(ctx, i, k, tpd)?;
+            let s = stream_of(ctx, i, k)?;
             tracker.ensure_readable(ctx, bufs.at(k, k), s)?;
             tracker.ensure_readable(ctx, bufs.at(i, k), s)?;
             ctx.kernel(
@@ -326,7 +448,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
         // Trailing updates: each waits only on the panels it consumes.
         for i in (k + 1)..tpd {
             for j in (k + 1)..=i {
-                let s = stream_of(ctx, i, j, tpd)?;
+                let s = stream_of(ctx, i, j)?;
                 tracker.ensure_readable(ctx, bufs.at(i, k), s)?;
                 if i != j {
                     tracker.ensure_readable(ctx, bufs.at(j, k), s)?;
@@ -373,9 +495,9 @@ pub fn fill_inputs(ctx: &Context, cfg: &CfConfig, bufs: &CfBuffers, seed: u64) -
         return Ok(a);
     }
     let b = cfg.tile();
+    let mut t = vec![0.0f32; b * b];
     for i in 0..cfg.tiles_per_dim {
         for j in 0..=i {
-            let mut t = vec![0.0f32; b * b];
             for r in 0..b {
                 let src = (i * b + r) * n + j * b;
                 t[r * b..(r + 1) * b].copy_from_slice(&a[src..src + b]);
@@ -404,11 +526,12 @@ pub fn collect_result(ctx: &Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result
     let mut l = vec![0.0f32; n * n];
     for i in 0..cfg.tiles_per_dim {
         for j in 0..=i {
-            let t = ctx.read_host(bufs.at(i, j))?;
-            for r in 0..b {
-                let dst = (i * b + r) * n + j * b;
-                l[dst..dst + b].copy_from_slice(&t[r * b..(r + 1) * b]);
-            }
+            ctx.buffer(bufs.at(i, j))?.with_host(|t| {
+                for r in 0..b {
+                    let dst = (i * b + r) * n + j * b;
+                    l[dst..dst + b].copy_from_slice(&t[r * b..(r + 1) * b]);
+                }
+            });
         }
     }
     // Off-diagonal upper tiles were never stored, so the assembled upper
@@ -592,5 +715,178 @@ mod tests {
             (120.0..500.0).contains(&gf),
             "CF ≈ paper's 128-512 GFLOPS band, got {gf}"
         );
+    }
+
+    /// Tile edges below, at and past the lane width and the 4 × 4 block,
+    /// multiples of neither, and the benchmark's 64.
+    const EDGES: [usize; 11] = [1, 3, 4, 5, 7, 8, 9, 13, 17, 33, 64];
+
+    /// `a · b` the plain way, one scalar chain.
+    fn naive_dot(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+    }
+
+    /// A well-conditioned lower-triangular tile: small off-diagonals, a
+    /// diagonal in `[2, 3)`, zeros above.
+    fn lower_tile(seed: u64, b: usize) -> Vec<f32> {
+        let mut l = util::random_vec(seed, b * b, -0.1, 0.1);
+        for r in 0..b {
+            l[r * b + r] += 2.5;
+            l[r * b + r + 1..(r + 1) * b].fill(0.0);
+        }
+        l
+    }
+
+    /// `X := X · L^{-T}` by forward substitution, one scalar chain per element.
+    fn naive_trsm(x: &mut [f32], b: usize, l: &[f32]) {
+        for x in x.chunks_exact_mut(b) {
+            for c in 0..b {
+                x[c] = (x[c] - naive_dot(&x[..c], &row(l, b, c)[..c])) / l[c * b + c];
+            }
+        }
+    }
+
+    fn run_kernel(desc: &KernelDesc, reads: &[&[f32]], out: &mut [f32], threads: usize) {
+        let body = desc
+            .native
+            .as_ref()
+            .expect("CF kernels carry native bodies");
+        body(&mut hstreams::kernel::KernelCtx {
+            reads: reads.into(),
+            writes: vec![out],
+            threads,
+        });
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn micro_kernel_matches_naive_dots_wherever_a_pair_sits() {
+        for k in [0, 2].into_iter().chain(EDGES) {
+            let a = util::random_vec(k as u64, 4 * k, -1.0, 1.0);
+            let b = util::random_vec(100 + k as u64, 4 * k, -1.0, 1.0);
+            let a_rows: [_; 4] = from_fn(|i| &a[i * k..(i + 1) * k]);
+            let b_rows: [_; 4] = from_fn(|j| &b[j * k..(j + 1) * k]);
+            let got = dots(a_rows, b_rows);
+            for i in 0..4 {
+                for j in 0..4 {
+                    let want = naive_dot(a_rows[i], b_rows[j]);
+                    assert_close(&[got[i][j]], &[want], 1e-4, "dots vs naive");
+                    // The same pair padded out to a whole block: same bits.
+                    let alone = dots([a_rows[i]; 4], [b_rows[j]; 4]);
+                    assert_eq!(bits(alone.as_flattened()), [got[i][j].to_bits(); 16]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_blocks_match_the_naive_triple_loop_for_every_edge_and_row_block() {
+        for b in EDGES {
+            let c = util::random_vec(b as u64, b * b, -1.0, 1.0);
+            let a = util::random_vec(200 + b as u64, b * b, -1.0, 1.0);
+            let other = util::random_vec(300 + b as u64, b * b, -1.0, 1.0);
+            for height in 1..=b.min(7) {
+                for first_row in [0, (b - height).min(3), b - height] {
+                    for lower in [false, true] {
+                        // SYRK multiplies a tile by its own transpose.
+                        let bt = if lower { &a } else { &other };
+                        let before = &c[first_row * b..(first_row + height) * b];
+                        let mut got = before.to_owned();
+                        sub_abt(&mut got, first_row, b, &a, bt, lower);
+                        let mut want = before.to_owned();
+                        for i in 0..height {
+                            let r = first_row + i;
+                            for col in 0..if lower { r + 1 } else { b } {
+                                want[i * b + col] -= naive_dot(row(&a, b, r), row(bt, b, col));
+                            }
+                        }
+                        let what = format!("b={b} rows {first_row}+{height} lower={lower}");
+                        assert_close(&got, &want, 1e-4, &what);
+                        if lower {
+                            for i in 0..height {
+                                let upper = i * b + first_row + i + 1..(i + 1) * b;
+                                assert_eq!(
+                                    bits(&got[upper.clone()]),
+                                    bits(&before[upper]),
+                                    "{what}: SYRK wrote above the diagonal"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solve_rows_matches_naive_forward_substitution() {
+        for b in EDGES {
+            let l = lower_tile(b as u64, b);
+            for height in 1..=b.min(4) {
+                let mut got = util::random_vec(400 + b as u64, height * b, -1.0, 1.0);
+                let mut want = got.clone();
+                solve_rows(&mut got, b, b, &l);
+                naive_trsm(&mut want, b, &l);
+                assert_close(&got, &want, 1e-4, &format!("b={b} height={height}"));
+            }
+        }
+    }
+
+    #[test]
+    fn potrf_matches_the_scalar_oracle_for_every_edge() {
+        for b in EDGES {
+            let mut a = util::random_vec(b as u64, b * b, 0.0, 1.0);
+            for r in 0..b {
+                for c in 0..r {
+                    a[c * b + r] = a[r * b + c];
+                }
+                a[r * b + r] = b as f32 + 1.0;
+            }
+            let mut got = a.clone();
+            potrf(&mut got, b);
+            serial_potrf(&mut a, b);
+            assert_close(&got, &a, 1e-4, &format!("potrf b={b}"));
+            for r in 0..b {
+                assert!(got[r * b + r + 1..(r + 1) * b].iter().all(|&x| x == 0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_are_bit_identical_for_every_thread_count() {
+        for b in EDGES {
+            let l = lower_tile(b as u64, b);
+            let p = util::random_vec(500 + b as u64, b * b, -1.0, 1.0);
+            let q = util::random_vec(600 + b as u64, b * b, -1.0, 1.0);
+            let start = util::random_vec(700 + b as u64, b * b, -1.0, 1.0);
+            let cases: [(KernelDesc, Vec<&[f32]>); 3] = [
+                (trsm_kernel("trsm".into(), b), vec![&l]),
+                (syrk_kernel("syrk".into(), b), vec![&p]),
+                (gemm_update_kernel("gemm".into(), b), vec![&p, &q]),
+            ];
+            for (desc, reads) in &cases {
+                let mut serial = start.clone();
+                run_kernel(desc, reads, &mut serial, 1);
+                for threads in 2..=8 {
+                    let mut split = start.clone();
+                    run_kernel(desc, reads, &mut split, threads);
+                    assert_eq!(
+                        bits(&split),
+                        bits(&serial),
+                        "{} b={b} threads={threads}",
+                        desc.label
+                    );
+                }
+            }
+            // And the split TRSM is the right answer, not just a stable one.
+            let mut got = start.clone();
+            run_kernel(&cases[0].0, &cases[0].1, &mut got, 3);
+            let mut want = start.clone();
+            naive_trsm(&mut want, b, &l);
+            assert_close(&got, &want, 1e-4, &format!("trsm b={b}"));
+        }
     }
 }

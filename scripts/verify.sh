@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, build, every test target of
-# the workspace in both profiles, the ledger's own tests, and the boolean
+# the workspace in both profiles, the ledger's own tests, the simulator's
+# exact numbers against the committed baseline, and the boolean
 # gate binaries. Run from the repo root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,6 +46,10 @@ cargo test --workspace --release
 echo "==> performance ledger: mic-e2e unit tests + self-test"
 cargo test --offline --manifest-path bench/e2e/Cargo.toml
 bash bench/e2e/run.sh --self-test
+
+echo "==> simulator ledger (sim_sweep's makespans and exact counts equal the committed baseline, bit for bit)"
+bash bench/e2e/run.sh --workload sim_sweep --seed 1 --seconds 3 --trace 1 2>/dev/null \
+  | python3 scripts/sim_exact.py bench/e2e/baseline/baseline.json
 
 echo "==> differential fuzz smoke (quick: corpus replay + 2 fixed-seed sessions agree)"
 cargo run --release -p mic-bench --bin fuzz_smoke -- --quick

@@ -8,15 +8,21 @@
 //! Also asserts **telemetry parity**: with metrics enabled, the sim and
 //! native executors must export the identical instrument catalog and
 //! labelled series set for the same program (the values differ — one is
-//! modelled, one measured — but the shape may not).
+//! modelled, one measured — but the shape may not), and on each executor
+//! every end-of-run gauge must equal the quantity its own timeline gives
+//! (`overlap()`, `partition_stats()`, the link lanes' span sum). Any
+//! disagreement exits non-zero.
 //!
 //! Pass `--quick` for a small single-configuration run (used by
 //! `scripts/verify.sh`).
 
-use hstreams::{Context, NativeConfig};
+use hstreams::metrics::Labels;
+use hstreams::{Context, MetricsSnapshot, NativeConfig};
 use mic_apps::mm::{self, MmConfig};
 use mic_bench::{results_dir, Figure, Series};
-use micsim::PlatformConfig;
+use micsim::time::SimDuration;
+use micsim::trace::{overlap_stats, partition_stats, ResourceKinds};
+use micsim::{PlatformConfig, Timeline};
 
 struct Row {
     partitions: usize,
@@ -24,6 +30,43 @@ struct Row {
     native_hidden: f64,
     sim_link_busy_ms: f64,
     native_link_busy_ms: f64,
+}
+
+/// Every gauge of `snap` that is not the quantity `timeline` gives for it
+/// (single-device contexts: `kinds.partitions` is the host, then `p0..`).
+fn gauge_disagreements(
+    who: &str,
+    snap: &MetricsSnapshot,
+    timeline: &Timeline,
+    kinds: &ResourceKinds,
+) -> Vec<String> {
+    let mut expected = vec![(
+        "hidden_transfer_fraction",
+        Labels::GLOBAL,
+        overlap_stats(timeline, kinds).hidden_fraction(),
+    )];
+    for (p, stats) in partition_stats(timeline, kinds).iter().skip(1).enumerate() {
+        let labels = Labels::partition(0, p as u16);
+        expected.push(("partition_busy_us", labels, stats.busy.as_micros_f64()));
+        expected.push(("partition_idle_us", labels, stats.idle.as_micros_f64()));
+    }
+    let link_busy: SimDuration = timeline
+        .records
+        .iter()
+        .filter(|r| r.resource.is_some_and(|res| kinds.links.contains(&res)))
+        .map(|r| r.finish - r.start)
+        .sum();
+    expected.push(("link_busy_us", Labels::device(0), link_busy.as_micros_f64()));
+    expected
+        .into_iter()
+        .filter(|&(name, labels, want)| snap.gauge(name, labels) != want)
+        .map(|(name, labels, want)| {
+            format!(
+                "{who}: {name}{labels} = {} but its timeline says {want}",
+                snap.gauge(name, labels)
+            )
+        })
+        .collect()
 }
 
 fn compare(n: usize, tiles_per_dim: usize, partitions: usize) -> Row {
@@ -85,8 +128,23 @@ fn compare(n: usize, tiles_per_dim: usize, partitions: usize) -> Row {
         native_metrics.series_names(),
         "sim and native executors disagree on the labelled series set"
     );
+    let mut disagreements = gauge_disagreements("sim", sim_metrics, &sim.timeline, &sim.kinds);
+    disagreements.extend(gauge_disagreements(
+        "native",
+        native_metrics,
+        &trace.timeline,
+        &trace.kinds,
+    ));
+    if !disagreements.is_empty() {
+        for line in &disagreements {
+            eprintln!("p={partitions}: {line}");
+        }
+        eprintln!("FAIL: a metrics gauge disagrees with its own run's timeline");
+        std::process::exit(1);
+    }
     println!(
-        "p={partitions}: metric parity OK ({} instruments, {} series on both executors)",
+        "p={partitions}: metric parity OK ({} instruments, {} series on both executors; \
+         every gauge equals its timeline quantity)",
         sim_metrics.instrument_names().len(),
         sim_metrics.series_names().len()
     );

@@ -77,12 +77,16 @@ impl ContextBuilder {
         self
     }
 
-    /// Collect run metrics (see [`crate::metrics`]) on both executors:
-    /// every run registers the full
-    /// [`RunInstruments`](crate::metrics::RunInstruments) catalog and
-    /// attaches a [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) to
-    /// its report. Off by default — the executors then pay one branch per
-    /// instrumentation site.
+    /// Attach run metrics (see [`crate::metrics`]) to every report of both
+    /// executors: a [`MetricsSnapshot`](crate::metrics::MetricsSnapshot)
+    /// of the full [`RunInstruments`](crate::metrics::RunInstruments)
+    /// catalog, priced from the run's finished timeline — the simulated
+    /// one, or the one the native recorder measured (setting this turns the
+    /// recorder on, exactly as
+    /// [`NativeConfig::metrics`](crate::executor::native::NativeConfig) and
+    /// [`NativeConfig::trace`](crate::executor::native::NativeConfig) do;
+    /// the three switches differ only in what they attach). Off by default —
+    /// the native executor then pays one branch per recording site.
     pub fn metrics(mut self, on: bool) -> ContextBuilder {
         self.metrics = on;
         self
@@ -140,7 +144,6 @@ impl ContextBuilder {
             buffers: Vec::new(),
             program,
             native_rt: std::sync::OnceLock::new(),
-            run_metrics_cache: parking_lot::Mutex::new(std::collections::HashMap::new()),
             last_native_trace: parking_lot::Mutex::new(None),
             recovery: parking_lot::Mutex::new(None),
             check_mode: self.check_mode,
@@ -187,16 +190,6 @@ pub struct Context {
     /// engines), built lazily on the first native run and torn down when
     /// the context drops.
     native_rt: std::sync::OnceLock<crate::executor::native::NativeRuntime>,
-    /// Registry + instrument bundles reused across metered native runs,
-    /// keyed by `(devices, partitions)`: registration costs microseconds,
-    /// resetting costs relaxed stores, and launch-overhead runs are
-    /// themselves only microseconds long. One bundle **per geometry** —
-    /// a single shared registry would keep a larger geometry's stale
-    /// `(device, partition, stream)` series alive in a smaller one's
-    /// catalog (`register` reuses existing cells), so interleaved reuse
-    /// across replans could alias instruments between shapes.
-    run_metrics_cache:
-        parking_lot::Mutex<std::collections::HashMap<(usize, usize), crate::metrics::RunMetrics>>,
     /// The most recent traced native run's timeline, published even when the
     /// run failed partway (see [`Context::take_native_trace`]).
     last_native_trace: parking_lot::Mutex<Option<crate::trace::NativeTrace>>,
@@ -210,7 +203,7 @@ pub struct Context {
     last_check: parking_lot::Mutex<Option<crate::check::CheckReport>>,
     /// Which scheduler both executors use (see [`crate::sched`]).
     scheduler: crate::sched::SchedulerKind,
-    /// Collect run metrics on both executors (see [`crate::metrics`]).
+    /// Attach run metrics on both executors (see [`crate::metrics`]).
     metrics: bool,
     /// Elide redundant sync on program install (see
     /// [`ContextBuilder::optimize`]).
@@ -673,7 +666,7 @@ impl Context {
         self.scheduler
     }
 
-    /// Whether both executors collect run metrics (see [`crate::metrics`]).
+    /// Whether both executors attach run metrics (see [`crate::metrics`]).
     pub fn metrics_enabled(&self) -> bool {
         self.metrics
     }
@@ -776,35 +769,6 @@ impl Context {
     pub(crate) fn native_runtime(&self) -> &crate::executor::native::NativeRuntime {
         self.native_rt
             .get_or_init(|| crate::executor::native::NativeRuntime::new(self))
-    }
-
-    /// A cleared [`RunMetrics`](crate::metrics::RunMetrics) bundle for a
-    /// metered native run: the cached one for this exact geometry (reset),
-    /// a fresh registration otherwise. Bundles are cached **per geometry**
-    /// so interleaved runs at different partition counts (replan sweeps,
-    /// multi-tenant lease changes) neither thrash re-registration nor
-    /// share a registry whose catalog would alias the shapes. Taken, not
-    /// borrowed — a concurrent second run at the same geometry simply
-    /// builds its own and the last
-    /// [`stash_run_metrics`](Context::stash_run_metrics) wins.
-    pub(crate) fn take_run_metrics(
-        &self,
-        devices: usize,
-        partitions: usize,
-    ) -> crate::metrics::RunMetrics {
-        if let Some(rm) = self.run_metrics_cache.lock().remove(&(devices, partitions)) {
-            rm.reset();
-            return rm;
-        }
-        crate::metrics::RunMetrics::new(devices, partitions)
-    }
-
-    /// Return a [`RunMetrics`](crate::metrics::RunMetrics) bundle to the
-    /// cache after its snapshot has been taken.
-    pub(crate) fn stash_run_metrics(&self, rm: crate::metrics::RunMetrics) {
-        self.run_metrics_cache
-            .lock()
-            .insert((rm.devices, rm.partitions), rm);
     }
 
     /// Number of persistent threads owned by this context's native runtime
@@ -1157,26 +1121,6 @@ mod tests {
         assert!(matches!(c.install_program(too_wide), Err(Error::Config(_))));
         // The rejected installs left the good program in place.
         assert_eq!(c.program().action_count(), 1);
-    }
-
-    #[test]
-    fn run_metrics_cache_keeps_one_bundle_per_geometry() {
-        let c = ctx(2, 1);
-        let rm2 = c.take_run_metrics(1, 2);
-        let rm4 = c.take_run_metrics(1, 4);
-        let probe = rm2.instruments.actions_executed.clone();
-        c.stash_run_metrics(rm2);
-        c.stash_run_metrics(rm4);
-        // Taking the (1, 2) bundle back hands out the same cells — the
-        // stale handle observes the increment — so alternating geometries
-        // no longer discard each other's registrations.
-        let rm2b = c.take_run_metrics(1, 2);
-        probe.inc();
-        assert_eq!(rm2b.instruments.actions_executed.get(), 1);
-        // The (1, 4) bundle survived alongside it.
-        let rm4b = c.take_run_metrics(1, 4);
-        assert_eq!((rm4b.devices, rm4b.partitions), (1, 4));
-        assert_eq!(rm4b.instruments.actions_executed.get(), 0);
     }
 
     #[test]

@@ -31,6 +31,18 @@
 //! A panicking kernel does not poison the run: the stream switches to a
 //! skipping mode that still fires its events and joins its barriers so the
 //! other drivers can drain, and the error is reported at the end.
+//!
+//! # Telemetry
+//!
+//! While a run is live the executor writes to one thing, the span
+//! `Recorder` of [`crate::trace`] — one `Option` branch per action, kernel and transfer.
+//! Everything else is derived once the drivers have joined: the
+//! [`NativeTrace`] and its counters from the spans, and
+//! [`NativeReport::metrics`] from that trace's timeline by the function
+//! that prices the simulator's (`metrics::instruments::price_run`).
+//! [`NativeConfig::trace`], [`NativeConfig::metrics`] and
+//! [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics)
+//! each turn the recorder on; they differ only in which output they attach.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,17 +54,19 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use micsim::pcie::{Direction, Duplex};
+use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::Elem;
+use crate::check::Site;
 use crate::context::Context;
 use crate::fault::{FaultCounters, FaultPlan, FaultTallies, RecoveryState, RetryPolicy};
 use crate::kernel::KernelCtx;
-use crate::metrics::{MetricsSnapshot, RunInstruments};
+use crate::metrics::instruments::{price_run, RunCounts};
+use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
 use crate::program::StreamRecord;
-use crate::trace::{CopyStamp, NativeTrace, Recorder};
+use crate::trace::{CopyStamp, NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result};
 
 /// Settings for native execution.
@@ -65,12 +79,17 @@ pub struct NativeConfig {
     /// Emulate PCIe bandwidth: each copy holds the engine for at least
     /// `bytes / bandwidth` seconds. `None` copies at memory speed.
     pub link_bandwidth: Option<f64>,
-    /// Record the run into a [`NativeTrace`] — the same `Timeline`
-    /// representation the simulator produces, so overlap stats, Gantt and
-    /// Chrome-trace export work on real runs unchanged. Off by default:
-    /// the untraced path pays one branch per action. On error the partial
-    /// trace is still retrievable via
+    /// Attach the run's [`NativeTrace`] to [`NativeReport::trace`] — the
+    /// same `Timeline` representation the simulator produces, so overlap
+    /// stats, Gantt and Chrome-trace export work on real runs unchanged —
+    /// and publish it on the context, where on error the partial trace is
+    /// still retrievable via
     /// [`Context::take_native_trace`](crate::context::Context::take_native_trace).
+    /// This, [`metrics`](NativeConfig::metrics) and
+    /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics)
+    /// each turn the one span recorder on and differ only in the output
+    /// they attach. With all three off (the default) a run pays one branch
+    /// per action.
     pub trace: bool,
     /// Deterministic fault injection: transfer failures/slowdowns, kernel
     /// panics, slow partitions, allocation failures (see
@@ -86,12 +105,12 @@ pub struct NativeConfig {
     /// drain, and [`Context::run_native_resilient`] replays the skipped
     /// actions on the survivors. Host-kernel panics still abort the run.
     pub isolate_partitions: bool,
-    /// Collect run metrics (see [`crate::metrics`]): register the full
-    /// [`RunInstruments`] catalog, record real launch overhead, queue
-    /// wait, wire time and fault activity into it, and attach the
-    /// snapshot to [`NativeReport::metrics`]. Also enabled by
+    /// Attach run metrics (see [`crate::metrics`]) to
+    /// [`NativeReport::metrics`]: the full instrument catalog, priced from
+    /// the recorded timeline once the drivers have joined — the same
+    /// function prices the simulator's. Also enabled by
     /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics).
-    /// Off by default: the hot path then pays one branch per site.
+    /// Metrics alone attach no trace and publish none on the context.
     pub metrics: bool,
 }
 
@@ -117,7 +136,8 @@ pub struct NativeReport {
     pub steals: usize,
     /// The run's metric snapshot, when [`NativeConfig::metrics`] (or the
     /// context's metrics flag) was set — the same instrument catalog the
-    /// simulator exports, filled from real clocks (`None` otherwise).
+    /// simulator exports, priced from the measured timeline (`None`
+    /// otherwise).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -170,8 +190,8 @@ struct CopyJob {
     /// Completion slot the submitting driver waits on — reset and reused
     /// across the driver's transfers rather than allocated per copy.
     done: Arc<EventFlag>,
-    /// Tracing stamps (engine start/end, queue-depth gauge); `None` when
-    /// the run is untraced. Reused across the driver's transfers like
+    /// Recorder stamps (engine start/end, queue-depth gauge); `None` when
+    /// the run is unrecorded. Reused across the driver's transfers like
     /// `done`.
     trace: Option<Arc<CopyStamp>>,
     /// Injected link-congestion factor (1.0 = healthy): the engine holds
@@ -276,13 +296,6 @@ impl FaultControl {
     }
 }
 
-fn channels_for(duplex: Duplex) -> usize {
-    match duplex {
-        Duplex::Serial => 1,
-        Duplex::Full => 2,
-    }
-}
-
 /// Default kernel `threads` hint: share the host across partitions the way
 /// partitions share the card.
 fn default_threads_per_partition(ctx: &Context) -> usize {
@@ -330,7 +343,7 @@ impl NativeRuntime {
             .map(std::num::NonZero::get)
             .unwrap_or(1);
         let width = (host_par / parts_per_dev).max(1);
-        let channels_per_dev = channels_for(ctx.config().link.duplex);
+        let channels_per_dev = ctx.config().link.channels();
         let mut engine_tx: Vec<Vec<Sender<CopyJob>>> = Vec::with_capacity(n_devices);
         let mut engine_handles = Vec::new();
         for d in 0..n_devices {
@@ -390,20 +403,19 @@ struct RunShared<'a> {
     engine_tx: &'a [Vec<Sender<CopyJob>>],
     /// Partition-pinned worker groups for kernel bodies.
     pool: &'a WorkerPool,
-    /// Span recorder; `None` when the run is untraced (the zero-cost
-    /// default — every instrumentation site is a branch on this option).
+    /// Span recorder; `None` with every telemetry switch off (the
+    /// zero-cost default — each recording site is one branch on this
+    /// option).
     recorder: Option<&'a Recorder>,
-    /// Run instruments; `None` when metrics are off (same zero-cost
-    /// pattern as the recorder).
-    metrics: Option<&'a RunInstruments>,
     /// Fault injection and isolation state for this run.
     fault: &'a FaultControl,
     first_error: Mutex<Option<Error>>,
     executed: AtomicUsize,
-    bytes_moved: AtomicU64,
+    /// Payload bytes moved, per device.
+    bytes_moved: &'a [AtomicU64],
 }
 
-/// Submit one transfer to its device's copy engine and wait for
+/// Submit the transfer at `site` to its device's copy engine and wait for
 /// completion, recording against recorder stream `rsi`. Shared by the FIFO
 /// stream drivers and the graph dispatcher so both execute transfers
 /// identically.
@@ -417,7 +429,7 @@ fn exec_transfer(
     slowdown: f64,
     done: &Arc<EventFlag>,
     stamp: Option<&Arc<CopyStamp>>,
-    label: String,
+    site: Site,
 ) {
     let buffer = shared
         .ctx
@@ -427,21 +439,12 @@ fn exec_transfer(
         Direction::HostToDevice => (buffer.host.clone(), buffer.device.clone()),
         Direction::DeviceToHost => (buffer.device.clone(), buffer.host.clone()),
     };
-    let chan = match shared.ctx.config().link.duplex {
-        Duplex::Serial => 0,
-        Duplex::Full => match dir {
-            Direction::HostToDevice => 0,
-            Direction::DeviceToHost => 1,
-        },
-    };
+    let chan = shared.ctx.config().link.channel_for(dir);
     let bytes = buffer.bytes();
     done.reset();
-    let observing = shared.recorder.is_some() || shared.metrics.is_some();
-    let submitted = observing.then(|| {
-        if let Some(rec) = shared.recorder {
-            rec.copy_submitted();
-        }
-        Instant::now()
+    let submitted = shared.recorder.map(|rec| {
+        rec.copy_submitted();
+        (rec, Instant::now())
     });
     shared.engine_tx[dev][chan]
         .send(CopyJob {
@@ -455,40 +458,29 @@ fn exec_transfer(
         })
         .expect("copy engine alive for run duration");
     done.wait();
-    if observing {
-        // Take the engine's start/end pair once; recorder and metrics
-        // both price the transfer from the same stamps.
-        let pair = stamp.expect("stamp allocated when observing").take();
-        if let Some(rec) = shared.recorder {
-            rec.record_transfer(
-                rsi,
-                rec.link_lane(dev, chan),
-                label,
-                submitted.unwrap(),
-                pair,
-            );
-        }
-        if let Some(m) = shared.metrics {
-            m.bytes_transferred[dev].add(bytes);
-            if let Some((start, end)) = pair {
-                m.queue_wait[dev]
-                    .record_micros(start.saturating_duration_since(submitted.unwrap()));
-                m.transfer_time[dev].record_micros(end.saturating_duration_since(start));
-            }
+    if let Some((rec, submitted)) = submitted {
+        // The engine's stamped start/end pair is the link-lane span; the
+        // gap back to `submitted` is the transfer's queue wait.
+        if let Some((start, end)) = stamp.and_then(|s| s.take()) {
+            let lane = rec.lanes.link(dev, chan);
+            rec.record_span(rsi, Some(lane), site, submitted, start, end);
         }
     }
-    shared.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
+    shared.bytes_moved[dev].fetch_add(bytes, Ordering::Relaxed);
     shared.executed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Acquire the partition (or host) and the kernel's declared buffers, run
-/// its native body, and record the span against recorder stream `rsi`.
+/// Acquire the partition (or host) and the declared buffers of the kernel
+/// at `site`, run its native body, and record the span against recorder
+/// stream `rsi`.
 /// Returns the body's outcome so the caller decides how a panic is handled
 /// (abort vs poison-and-skip). Shared by the FIFO stream drivers and the
 /// graph dispatcher so both execute kernels identically.
+#[allow(clippy::too_many_arguments)]
 fn exec_kernel(
     shared: &RunShared<'_>,
     rsi: usize,
+    site: Site,
     desc: &crate::kernel::KernelDesc,
     dev: usize,
     part: usize,
@@ -497,8 +489,7 @@ fn exec_kernel(
 ) -> std::thread::Result<()> {
     let ctx = shared.ctx;
     let fc = shared.fault;
-    let observing = shared.recorder.is_some() || shared.metrics.is_some();
-    let t_dispatch = observing.then(Instant::now);
+    let dispatched = shared.recorder.map(|rec| (rec, Instant::now()));
     // Host kernels take the host lock instead of a partition lock (they
     // occupy the host, not the card) and act on the buffers' host copies.
     let (_partition_guard, _host_guard) = if desc.host {
@@ -584,21 +575,9 @@ fn exec_kernel(
         shared.pool.partition(dev, part)
     };
     let _pool_install = pool::install(group.clone());
-    let t_start = observing.then(|| {
-        let now = Instant::now();
-        // Launch overhead: dispatch to body start (partition lock, buffer
-        // locks, view setup).
-        let overhead = now.saturating_duration_since(t_dispatch.unwrap());
-        if let Some(rec) = shared.recorder {
-            rec.record_launch_overhead(rsi, overhead);
-        }
-        if let Some(m) = shared.metrics {
-            if !desc.host {
-                m.launch_overhead[dev][part].record_micros(overhead);
-            }
-        }
-        now
-    });
+    // Dispatch to body start (partition lock, buffer locks, view setup) is
+    // the span's `start − ready`: the launch overhead.
+    let started = dispatched.map(|(rec, ready)| (rec, ready, Instant::now()));
     let body_started = (slow_factor > 1.0).then(Instant::now);
     let outcome = if injected_panic {
         FaultTallies::bump(&fc.tallies.injected_kernel_panics);
@@ -606,24 +585,11 @@ fn exec_kernel(
     } else {
         catch_unwind(AssertUnwindSafe(|| body(&mut kctx)))
     };
-    if let Some(rec) = shared.recorder {
+    if let Some((rec, ready, start)) = started {
         // Recorded even when the body panicked: the partial timeline then
         // names the kernel that failed.
-        rec.record_span(
-            rsi,
-            Some(rec.kernel_lane(desc.host, dev, part)),
-            desc.label.clone(),
-            t_start.unwrap(),
-            Instant::now(),
-        );
-    }
-    if let Some(m) = shared.metrics {
-        let dur = t_start.unwrap().elapsed();
-        if desc.host {
-            m.host_kernel_time.record_micros(dur);
-        } else {
-            m.kernel_time[dev][part].record_micros(dur);
-        }
+        let lane = rec.lanes.kernel(desc.host, dev, part);
+        rec.record_span(rsi, Some(lane), site, ready, start, Instant::now());
     }
     if outcome.is_ok() {
         if let Some(t0) = body_started {
@@ -645,40 +611,30 @@ fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
     // One reusable completion slot for this driver's transfers: reset, hand
     // to the engine, wait — no per-transfer channel allocation.
     let done = Arc::new(EventFlag::new());
-    // Tracing state, allocated once per driver: the engine-stamp slot
-    // (also needed by metrics-only runs, to price queue wait and wire
-    // time) and the sink that routes pool-job spans from kernel bodies
-    // into this driver's buffer.
-    let stamp = match shared.recorder {
-        Some(rec) => Some(rec.copy_stamp()),
-        None => shared.metrics.map(|_| CopyStamp::detached()),
-    };
+    // Recording state, allocated once per driver: the engine-stamp slot
+    // and the sink that routes pool-job spans from kernel bodies into this
+    // driver's buffer.
+    let stamp = shared.recorder.map(Recorder::copy_stamp);
     let _pool_sink = shared
         .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(si)));
     let fc = shared.fault;
     let mut skipping = false;
     for (ai, action) in stream.actions.iter().enumerate() {
+        let site = Site::new(si, ai);
         match action {
-            Action::Barrier(n) => {
-                let t0 = shared.recorder.map(|_| Instant::now());
-                shared.barriers[*n].wait();
-                if let Some(rec) = shared.recorder {
-                    rec.record_span(si, None, action.label(), t0.unwrap(), Instant::now());
+            Action::Barrier(_) | Action::RecordEvent(_) | Action::WaitEvent(_) => {
+                let t0 = shared.recorder.map(|rec| (rec, Instant::now()));
+                match action {
+                    Action::Barrier(n) => {
+                        shared.barriers[*n].wait();
+                    }
+                    Action::RecordEvent(e) => shared.events[e.0].fire(),
+                    Action::WaitEvent(e) => shared.events[e.0].wait(),
+                    _ => unreachable!("control actions only"),
                 }
-            }
-            Action::RecordEvent(e) => {
-                shared.events[e.0].fire();
-                if let Some(rec) = shared.recorder {
-                    let now = Instant::now();
-                    rec.record_span(si, None, action.label(), now, now);
-                }
-            }
-            Action::WaitEvent(e) => {
-                let t0 = shared.recorder.map(|_| Instant::now());
-                shared.events[e.0].wait();
-                if let Some(rec) = shared.recorder {
-                    rec.record_span(si, None, action.label(), t0.unwrap(), Instant::now());
+                if let Some((rec, t0)) = t0 {
+                    rec.record_span(si, None, site, t0, t0, Instant::now());
                 }
             }
             Action::Transfer { dir, buf } => {
@@ -743,7 +699,7 @@ fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
                     slowdown,
                     &done,
                     stamp.as_ref(),
-                    action.label(),
+                    site,
                 );
             }
             Action::Kernel(desc) => {
@@ -772,7 +728,7 @@ fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
                         .map_or(1.0, |p| p.partition_slowdown(dev, part))
                 };
                 let injected = fc.plan.as_ref().is_some_and(|p| p.kernel_panics_at(si, ai));
-                let outcome = exec_kernel(shared, si, desc, dev, part, slow_factor, injected);
+                let outcome = exec_kernel(shared, si, site, desc, dev, part, slow_factor, injected);
                 if outcome.is_err() {
                     FaultTallies::bump(&fc.tallies.kernel_panics);
                     if fc.isolate && !desc.host {
@@ -944,14 +900,11 @@ impl<'a> GraphDispatch<'a> {
 /// `idx / parts_per_dev` and executes tasks handed out by `dispatch`.
 fn dispatch_driver(shared: &RunShared<'_>, dispatch: &GraphDispatch<'_>, idx: usize) {
     let part_i = idx % dispatch.parts_per_dev;
-    // Reusable completion slot + tracing state, as in `drive_stream`. The
+    // Reusable completion slot + recording state, as in `drive_stream`. The
     // recorder stream index is the driver index: scheduled traces are
     // per-(device, partition) lanes, matching how the work actually ran.
     let done = Arc::new(EventFlag::new());
-    let stamp = match shared.recorder {
-        Some(rec) => Some(rec.copy_stamp()),
-        None => shared.metrics.map(|_| CopyStamp::detached()),
-    };
+    let stamp = shared.recorder.map(Recorder::copy_stamp);
     let _pool_sink = shared
         .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(idx)));
@@ -970,14 +923,14 @@ fn dispatch_driver(shared: &RunShared<'_>, dispatch: &GraphDispatch<'_>, idx: us
                     1.0,
                     &done,
                     stamp.as_ref(),
-                    action.label(),
+                    site,
                 );
             }
             Action::Kernel(desc) => {
                 if !desc.host && (stolen || part_i != task.partition) {
                     dispatch.steals.fetch_add(1, Ordering::Relaxed);
                 }
-                let outcome = exec_kernel(shared, idx, desc, task.device, part_i, 1.0, false);
+                let outcome = exec_kernel(shared, idx, site, desc, task.device, part_i, 1.0, false);
                 if outcome.is_err() {
                     FaultTallies::bump(&shared.fault.tallies.kernel_panics);
                     let mut slot = shared.first_error.lock();
@@ -1004,41 +957,47 @@ fn finish(shared: RunShared<'_>, wall: Duration, steals: usize) -> Result<Native
     Ok(NativeReport {
         wall,
         actions_executed: shared.executed.into_inner(),
-        bytes_transferred: shared.bytes_moved.into_inner(),
-        trace: None,                      // attached by `run` from the trace guard
+        bytes_transferred: shared
+            .bytes_moved
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum(),
+        trace: None,                      // attached by `run` from the recording
         faults: FaultCounters::default(), // filled by `run` from the tallies
         steals,
-        metrics: None, // attached by `run` from the registry
+        metrics: None, // priced by `run` from the recording
     })
 }
 
-/// Drains the recorder's span buffers into the context **on every exit
-/// path**: normal completion, a reported kernel panic, and unwinding out of
-/// the driver group (a driver panicking outside the kernel `catch_unwind`
-/// re-raises on the submitting thread). Spans are pushed per-action, so
-/// whatever completed before a failure survives as a partial timeline,
-/// retrievable via [`Context::take_native_trace`].
+/// Owns the run's recorder so a traced run's spans reach the context **on
+/// every exit path**: `run` takes the recorder back and joins it once the
+/// drivers have returned (normal completion or a reported kernel panic); if
+/// instead the driver group unwinds (a driver panicking outside the kernel
+/// `catch_unwind` re-raises on the submitting thread) the drop handler
+/// does. Spans are pushed per-action, so whatever completed before a
+/// failure survives as a partial timeline, retrievable via
+/// [`Context::take_native_trace`].
 struct TraceGuard<'a> {
     ctx: &'a Context,
     recorder: Option<Recorder>,
+    /// [`NativeConfig::trace`]: whether the trace is an output of this run.
+    publish: bool,
 }
 
 impl TraceGuard<'_> {
-    /// Merge the buffers into a trace, publish it to the context, and hand
-    /// it back for the report. Idempotent: the drop handler after this is a
-    /// no-op.
-    fn publish(&mut self) -> Option<NativeTrace> {
-        let trace = self.recorder.take().map(Recorder::into_trace);
-        if let Some(t) = &trace {
-            self.ctx.store_native_trace(t.clone());
-        }
-        trace
+    /// Join the recorder's buffers (`None` once taken, or when nothing was
+    /// recorded).
+    fn join(&mut self) -> Option<Recording> {
+        let recorder = self.recorder.take()?;
+        Some(recorder.join(self.ctx.program()))
     }
 }
 
 impl Drop for TraceGuard<'_> {
     fn drop(&mut self) {
-        let _ = self.publish();
+        if let Some(recording) = self.join().filter(|_| self.publish) {
+            self.ctx.store_native_trace(recording.into_trace());
+        }
     }
 }
 
@@ -1120,53 +1079,51 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         None
     };
 
-    // Metrics: the full instrument catalog is registered up front — the
-    // exported shape is a function of the geometry, not of what ran —
-    // and the executors get lock-free handles into it. The bundle is
-    // cached on the context between runs (reset beats re-registration by
-    // an order of magnitude, which matters for launch-overhead runs that
-    // are themselves only microseconds long).
-    let run_metrics = (cfg.metrics || ctx.metrics_enabled())
-        .then(|| ctx.take_run_metrics(ctx.device_count(), ctx.partitions().max(1)));
-    let instruments = run_metrics.as_ref().map(|rm| &rm.instruments);
-
+    // One recorder behind all three telemetry switches; they only select
+    // which outputs are attached below.
+    let metered = cfg.metrics || ctx.metrics_enabled();
     let mut guard = TraceGuard {
         ctx,
-        recorder: cfg.trace.then(|| Recorder::new(ctx)),
+        recorder: (cfg.trace || metered).then(|| Recorder::new(ctx, fc.tallies.clone())),
+        publish: cfg.trace,
     };
-    if let Some(rec) = guard.recorder.as_mut() {
-        rec.set_fault_tallies(Arc::clone(&fc.tallies));
-    }
+    let bytes_moved: Vec<AtomicU64> = (0..ctx.device_count()).map(|_| AtomicU64::new(0)).collect();
     let result = run_persistent(
         ctx,
         cfg,
         threads_hint,
         guard.recorder.as_ref(),
-        instruments,
+        &bytes_moved,
         &fc,
         planned.as_ref(),
     );
-    // Publish on the success path too, then attach the trace to the report;
-    // on Err (kernel panic) the trace stays retrievable from the context.
-    let trace = guard.publish();
+    let recording = guard.join();
     let faults = fc.tallies.snapshot();
-    let outcome = match result {
+    let metrics = match (&result, &recording) {
+        (Ok(report), Some(rec)) if metered => {
+            let counts = RunCounts {
+                bytes_per_device: bytes_moved.into_iter().map(AtomicU64::into_inner).collect(),
+                actions_executed: report.actions_executed as u64,
+                steals: report.steals as u64,
+                faults,
+            };
+            // A measured span holds no modelled enqueue overhead to split out.
+            let overhead = micsim::time::SimDuration::ZERO;
+            Some(price_run(&rec.timeline, &rec.lanes, overhead, &counts))
+        }
+        _ => None,
+    };
+    // Published on the error path too: the partial trace stays retrievable
+    // from the context.
+    let trace = recording.filter(|_| cfg.trace).map(Recording::into_trace);
+    if let Some(trace) = &trace {
+        ctx.store_native_trace(trace.clone());
+    }
+    match result {
         Ok(mut report) => {
-            report.trace = trace;
             report.faults = faults;
-            if let Some(rm) = &run_metrics {
-                let ri = &rm.instruments;
-                ri.actions_executed.add(report.actions_executed as u64);
-                ri.steals.add(report.steals as u64);
-                ri.transfer_retries.add(faults.transfer_retries);
-                ri.transfers_failed.add(faults.transfers_failed);
-                ri.kernel_panics.add(faults.kernel_panics);
-                ri.partition_losses.add(faults.lost_partitions);
-                ri.skipped_actions.add(faults.skipped_actions);
-                ri.replayed_actions.add(faults.replayed_actions);
-                ri.finish(report.wall.as_secs_f64() * 1e6);
-                report.metrics = Some(rm.registry.snapshot());
-            }
+            report.metrics = metrics;
+            report.trace = trace;
             Ok(report)
         }
         Err(err) => {
@@ -1179,11 +1136,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
             });
             Err(err)
         }
-    };
-    if let Some(rm) = run_metrics {
-        ctx.stash_run_metrics(rm);
     }
-    outcome
 }
 
 /// Execute on the context's persistent runtime: parked drivers, pinned
@@ -1194,7 +1147,7 @@ fn run_persistent(
     cfg: &NativeConfig,
     threads_hint: usize,
     recorder: Option<&Recorder>,
-    metrics: Option<&RunInstruments>,
+    bytes_moved: &[AtomicU64],
     fault: &FaultControl,
     planned: Option<&(crate::sched::Schedule, crate::sched::TaskGraph)>,
 ) -> Result<NativeReport> {
@@ -1216,11 +1169,10 @@ fn run_persistent(
         engine_tx: &rt.engine_tx,
         pool: &rt.pool,
         recorder,
-        metrics,
         fault,
         first_error: Mutex::new(None),
         executed: AtomicUsize::new(0),
-        bytes_moved: AtomicU64::new(0),
+        bytes_moved,
     };
     if let Some((schedule, graph)) = planned {
         let dispatch = GraphDispatch::new(ctx, schedule, graph);
@@ -1761,6 +1713,26 @@ mod tests {
         assert_eq!(trace.counters.steals, report.steals as u64);
         // The scheduled timeline still classifies: some compute happened.
         assert!(trace.overlap().compute_busy > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn scheduled_run_of_a_program_narrower_than_the_partitions_records() {
+        // A scheduled run has one driver per (device, partition) even when
+        // the installed program has fewer streams: every driver needs a
+        // span buffer, not only the first `stream_count()`.
+        let mut ctx = tiled_ctx(4, 2, 8);
+        let mut narrow = ctx.program().clone();
+        narrow.streams.truncate(2);
+        ctx.install_program(narrow).unwrap();
+        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+        let report = ctx
+            .run_native_with(&NativeConfig {
+                trace: true,
+                ..NativeConfig::default()
+            })
+            .unwrap();
+        let trace = report.trace.expect("traced run");
+        assert_eq!(trace.counters.launch_overhead.count, 8);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! Lowering walks the streams with a work-list so cross-stream event edges
 //! can point forward in program order; a cycle of event waits (a genuine
 //! user deadlock) is detected and reported instead of hanging.
+//!
+//! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
+//! ids and names the native recorder stamps its spans with — and with the
+//! context's metrics flag set the finished timeline is priced by the same
+//! `price_run` ([`crate::metrics::instruments`]) the native executor hands
+//! its measured timeline to.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +32,9 @@ use micsim::trace::{
 use crate::action::Action;
 use crate::context::Context;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot, RunInstruments};
+use crate::metrics::instruments::{price_run, RunCounts};
+use crate::metrics::MetricsSnapshot;
+use crate::trace::LaneMap;
 use crate::types::{Error, Result};
 
 /// Result of a simulated run.
@@ -132,40 +140,10 @@ fn lower(
 ) -> Result<SimReport> {
     let cfg = ctx.config().clone();
     let mut engine = Engine::new();
-    let mut kinds = ResourceKinds::default();
-    let mut names: BTreeMap<ResourceId, String> = BTreeMap::new();
-
-    // Link channel resources, per device.
-    let devices: Vec<_> = ctx.platform.devices().collect();
-    let mut link_channels: Vec<Vec<ResourceId>> = Vec::with_capacity(devices.len());
-    for dev in &devices {
-        let mut chans = Vec::new();
-        for c in 0..cfg.link.channels() {
-            let r = engine.add_resource(format!("{dev}.link{c}"));
-            names.insert(r, format!("{dev}.link{c}"));
-            kinds.links.push(r);
-            chans.push(r);
-        }
-        link_channels.push(chans);
-    }
-
-    // The host CPU: one resource serializing host-side kernels.
-    let host_res = engine.add_resource("host");
-    names.insert(host_res, "host".to_string());
-    kinds.partitions.push(host_res);
-
-    // Partition resources, per device.
-    let mut partition_res: Vec<Vec<ResourceId>> = Vec::with_capacity(devices.len());
-    for dev in &devices {
-        let plan = ctx.platform.plan(*dev)?;
-        let mut res = Vec::with_capacity(plan.count());
-        for p in 0..plan.count() {
-            let r = engine.add_resource(format!("{dev}.p{p}"));
-            names.insert(r, format!("{dev}.p{p}"));
-            kinds.partitions.push(r);
-            res.push(r);
-        }
-        partition_res.push(res);
+    let lanes = LaneMap::for_context(ctx);
+    for (id, name) in &lanes.names {
+        let res = engine.add_resource(name.clone());
+        debug_assert_eq!(res, *id, "engine ids follow the lane layout");
     }
 
     let multi_device = program.devices().len() > 1;
@@ -186,7 +164,7 @@ fn lower(
     // Metric inputs only the lowering walk knows (payload sizes, priced
     // retry attempts, executable-action count); consumed after the run
     // when the context's metrics flag is set.
-    let mut bytes_per_dev = vec![0u64; devices.len()];
+    let mut bytes_per_dev = vec![0u64; ctx.device_count()];
     let mut retries_priced = 0u64;
     let mut actions_lowered = 0u64;
 
@@ -237,8 +215,7 @@ fn lower(
                     Action::Transfer { dir, buf } => {
                         let bytes = ctx.buffer(*buf)?.bytes();
                         let dev_idx = stream.placement.device.0;
-                        let chan = cfg.link.channel_for(*dir);
-                        let link_res = link_channels[dev_idx][chan];
+                        let link_res = lanes.link(dev_idx, cfg.link.channel_for(*dir));
                         let idx = cursor[si];
                         let (fail_attempts, slowdown) = match fault {
                             Some(plan) => (
@@ -315,7 +292,7 @@ fn lower(
                         add(
                             &mut engine,
                             TaskSpec {
-                                resource: Some(host_res),
+                                resource: Some(lanes.host),
                                 duration,
                                 deps,
                                 label: action.label(),
@@ -352,9 +329,11 @@ fn lower(
                         add(
                             &mut engine,
                             TaskSpec {
-                                resource: Some(
-                                    partition_res[placement.device.0][placement.partition],
-                                ),
+                                resource: Some(lanes.kernel(
+                                    false,
+                                    placement.device.0,
+                                    placement.partition,
+                                )),
                                 duration,
                                 deps,
                                 label: action.label(),
@@ -410,72 +389,24 @@ fn lower(
 
     let timeline = engine.run();
 
-    // Price the shared instrument catalog off the finished timeline. The
-    // registration is identical to the native executor's, so the exported
-    // shape is a differential check; the values come from simulated time
-    // and are fully deterministic.
+    // Every priced task carries the enqueue overhead inside its span.
     let metrics = ctx.metrics_enabled().then(|| {
-        enum Lane {
-            Link(usize),
-            Host,
-            Partition(usize, usize),
-        }
-        let reg = MetricsRegistry::new();
-        let ri = RunInstruments::register(&reg, devices.len(), ctx.partitions().max(1));
-        let mut lane_of: BTreeMap<ResourceId, Lane> = BTreeMap::new();
-        for (d, chans) in link_channels.iter().enumerate() {
-            for &r in chans {
-                lane_of.insert(r, Lane::Link(d));
-            }
-        }
-        lane_of.insert(host_res, Lane::Host);
-        for (d, parts) in partition_res.iter().enumerate() {
-            for (p, &r) in parts.iter().enumerate() {
-                lane_of.insert(r, Lane::Partition(d, p));
-            }
-        }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let us = |d: SimDuration| d.as_micros_f64().round() as u64;
-        for rec in &timeline.records {
-            let Some(res) = rec.resource else { continue };
-            // Resourceless tasks (events, barriers, retry backoffs) and
-            // failed-attempt link occupations are not executed actions.
-            if rec.label.contains("!fail") {
-                continue;
-            }
-            // Every priced task carries the enqueue overhead; split it
-            // back out so `kernel_time`/`transfer_time` mean the work
-            // itself, as they do natively.
-            let work = us((rec.finish - rec.start).saturating_sub(cfg.enqueue_overhead));
-            match lane_of.get(&res) {
-                Some(&Lane::Link(d)) => {
-                    ri.transfer_time[d].record(work);
-                    // Queue wait: ready (every dependency satisfied) to
-                    // start (the link actually free) — the sim analogue of
-                    // submit-to-engine-pickup.
-                    ri.queue_wait[d].record(us(rec.start - rec.ready));
-                }
-                Some(&Lane::Host) => ri.host_kernel_time.record(work),
-                Some(&Lane::Partition(d, p)) => {
-                    ri.kernel_time[d][p].record(work);
-                    ri.launch_overhead[d][p].record(us(cfg.enqueue_overhead));
-                }
-                None => {}
-            }
-        }
-        for (d, b) in bytes_per_dev.iter().enumerate() {
-            ri.bytes_transferred[d].add(*b);
-        }
-        ri.actions_executed.add(actions_lowered);
-        ri.transfer_retries.add(retries_priced);
-        ri.finish(timeline.makespan.as_micros_f64());
-        reg.snapshot()
+        let counts = RunCounts {
+            bytes_per_device: bytes_per_dev,
+            actions_executed: actions_lowered,
+            steals: 0,
+            faults: crate::fault::FaultCounters {
+                transfer_retries: retries_priced,
+                ..Default::default()
+            },
+        };
+        price_run(&timeline, &lanes, cfg.enqueue_overhead, &counts)
     });
 
     Ok(SimReport {
         timeline,
-        kinds,
-        names,
+        kinds: lanes.kinds,
+        names: lanes.names,
         metrics,
     })
 }

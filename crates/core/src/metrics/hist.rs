@@ -101,18 +101,6 @@ impl HistCell {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Clear all recorded samples (registry reuse between runs; the
-    /// caller must not be recording concurrently).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Immutable histogram state: sparse `(bucket index, count)` pairs plus the

@@ -1,22 +1,32 @@
-//! The shared run-instrument catalog.
+//! The shared run-instrument catalog, and the one function that prices it.
 //!
-//! Both executors observe a run through one [`RunInstruments`] value,
-//! registered **up front** from the platform geometry — never lazily at
-//! the first sample — so the instrument *set* an executor exports is a
-//! pure function of the context, not of what happened to execute. The
-//! native executor fills the instruments from real clocks and the fault
-//! tallies; the simulator prices the identical names from its timeline.
-//! Any instrument one executor emits and the other does not is a bug,
-//! and `native_vs_sim_trace` fails on it (metric-shape parity as a
-//! differential check).
+//! Neither executor records into instruments while a run is live. Each
+//! hands its finished [`Timeline`] — simulated, or measured by the
+//! [`Recorder`](crate::trace) — to `price_run`, together with the lane
+//! layout and the few counts a timeline cannot hold, and gets the run's
+//! [`MetricsSnapshot`] back. The catalog is registered **up front** from the
+//! platform geometry — never lazily at the first sample — on a fresh
+//! registry per metered run, so the instrument *set* an executor exports is
+//! a pure function of the context, not of what happened to execute or of
+//! what ran before. Any instrument one executor emits and the other does
+//! not is a bug, and `native_vs_sim_trace` fails on it (metric-shape parity
+//! as a differential check).
+//!
+//! Histograms take one sample per span on the lane their labels name, in
+//! **whole microseconds** (rounded): a 0.3 µs native launch lands in bucket
+//! 0, and [`NativeCounters::launch_overhead`](crate::trace::NativeCounters)
+//! is the nanosecond-resolution view of the same samples. Gauges are
+//! timeline quantities, computed from exact interval lengths by the same
+//! [`overlap_stats`]/[`partition_stats`] that back `report.overlap()` and
+//! `report.partition_stats()` — they agree with those by construction.
 //!
 //! | name | kind | labels | unit | meaning |
 //! |---|---|---|---|---|
-//! | `launch_overhead_us` | histogram | device, partition | us | dispatch → kernel body start (locks, views) |
+//! | `launch_overhead_us` | histogram | device, partition | us | device kernel: dispatch → body start (`start − ready`, plus the modelled enqueue overhead on the sim) |
 //! | `kernel_time_us` | histogram | device, partition | us | device kernel occupation of its partition |
 //! | `host_kernel_time_us` | histogram | — | us | host-side kernel duration |
-//! | `transfer_time_us` | histogram | device | us | copy-engine wire time per transfer |
-//! | `queue_wait_us` | histogram | device | us | transfer submit → engine pickup |
+//! | `transfer_time_us` | histogram | device | us | copy-engine wire time per successful transfer |
+//! | `queue_wait_us` | histogram | device | us | transfer submit → engine pickup (`start − ready`) |
 //! | `bytes_transferred` | counter | device | bytes | payload moved over the link |
 //! | `actions_executed` | counter | — | count | kernels + transfers that ran |
 //! | `transfer_retries` | counter | — | count | failed attempts retried with backoff |
@@ -26,13 +36,19 @@
 //! | `skipped_actions` | counter | — | count | actions skipped for replay under isolation |
 //! | `replayed_actions` | counter | — | count | actions rerun by degraded replay passes |
 //! | `steals` | counter | — | count | kernels moved cross-partition by the scheduler |
-//! | `makespan_us` | gauge | — | us | end-to-end run time |
-//! | `partition_busy_us` | gauge | device, partition | us | kernel occupation per partition (pool busy) |
-//! | `partition_idle_us` | gauge | device, partition | us | makespan minus busy (pool idle) |
-//! | `link_busy_us` | gauge | device | us | total wire time per device link |
-//! | `hidden_transfer_fraction` | gauge | — | ratio | link time overlapped with compute (derived) |
+//! | `makespan_us` | gauge | — | us | the timeline's makespan |
+//! | `partition_busy_us` | gauge | device, partition | us | that lane's `partition_stats().busy` |
+//! | `partition_idle_us` | gauge | device, partition | us | that lane's `partition_stats().idle` (makespan − busy) |
+//! | `link_busy_us` | gauge | device | us | summed span length on the device's link lanes |
+//! | `hidden_transfer_fraction` | gauge | — | ratio | `overlap_stats().hidden_fraction()`: link time under compute |
 
-use super::{Counter, Gauge, Histogram, Labels, MetricsRegistry, Unit};
+use micsim::engine::Timeline;
+use micsim::time::SimDuration;
+use micsim::trace::{overlap_stats, partition_stats};
+
+use super::{Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot, Unit};
+use crate::fault::FaultCounters;
+use crate::trace::{Lane, LaneMap};
 
 /// Metric names, in one place so executors, tests, and docs agree.
 pub mod name {
@@ -106,7 +122,7 @@ pub fn catalog() -> Vec<CatalogRow> {
             "histogram",
             "device, partition",
             "us",
-            "dispatch → kernel body start (partition + buffer locks, view setup)",
+            "device kernel: dispatch → body start (start − ready of its span)",
         ),
         row(
             name::KERNEL_TIME_US,
@@ -134,7 +150,7 @@ pub fn catalog() -> Vec<CatalogRow> {
             "histogram",
             "device",
             "us",
-            "transfer submit → copy-engine pickup",
+            "transfer submit → copy-engine pickup (start − ready of its span)",
         ),
         row(
             name::BYTES_TRANSFERRED,
@@ -199,41 +215,46 @@ pub fn catalog() -> Vec<CatalogRow> {
             "count",
             "kernels moved cross-partition by the scheduler",
         ),
-        row(name::MAKESPAN_US, "gauge", "", "us", "end-to-end run time"),
+        row(
+            name::MAKESPAN_US,
+            "gauge",
+            "",
+            "us",
+            "the timeline's makespan",
+        ),
         row(
             name::PARTITION_BUSY_US,
             "gauge",
             "device, partition",
             "us",
-            "kernel occupation per partition (pool busy time)",
+            "that lane's partition_stats().busy",
         ),
         row(
             name::PARTITION_IDLE_US,
             "gauge",
             "device, partition",
             "us",
-            "makespan minus busy (pool idle time)",
+            "that lane's partition_stats().idle (makespan minus busy)",
         ),
         row(
             name::LINK_BUSY_US,
             "gauge",
             "device",
             "us",
-            "total wire time per device link",
+            "summed span length on the device's link lanes",
         ),
         row(
             name::HIDDEN_TRANSFER_FRACTION,
             "gauge",
             "",
             "ratio",
-            "link time overlapped with compute, derived from the busy sums",
+            "overlap_stats().hidden_fraction(): link time under compute",
         ),
     ]
 }
 
 /// Handles to every run instrument, indexed by geometry. Built by
-/// [`RunInstruments::register`]; both executors hold one for the duration
-/// of a run and record through the (lock-free) handles.
+/// [`RunInstruments::register`]; `price_run` fills one per metered run.
 pub struct RunInstruments {
     /// `[device][partition]` dispatch-overhead histograms.
     pub launch_overhead: Vec<Vec<Histogram>>,
@@ -351,104 +372,98 @@ impl RunInstruments {
             ),
         }
     }
+}
 
-    /// Derive the end-of-run gauges from the recorded histograms and the
-    /// measured makespan. Both executors call this same derivation, so
-    /// busy/idle/overlap semantics cannot drift between them:
-    /// `partition_busy` is the kernel-time sum, `partition_idle` the
-    /// remainder of the makespan, `link_busy` the wire-time sum, and
-    /// `hidden_transfer_fraction` the share of link time that must have
-    /// overlapped with compute given those sums
-    /// (`(link + compute - makespan) / link`, clamped to `[0, 1]`).
-    pub fn finish(&self, makespan_us: f64) {
-        self.makespan_us.set(makespan_us);
-        let mut compute_total = 0.0;
-        for (d, parts) in self.kernel_time.iter().enumerate() {
-            for (p, hist) in parts.iter().enumerate() {
-                let busy = hist.snapshot().sum as f64;
-                compute_total += busy;
-                self.partition_busy[d][p].set(busy);
-                self.partition_idle[d][p].set((makespan_us - busy).max(0.0));
+/// What a run knows that its timeline cannot hold.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RunCounts {
+    /// Payload bytes moved over each device's link.
+    pub(crate) bytes_per_device: Vec<u64>,
+    /// Kernels + transfers that ran.
+    pub(crate) actions_executed: u64,
+    /// Kernels a non-FIFO scheduler moved cross-partition.
+    pub(crate) steals: u64,
+    /// Fault-path totals.
+    pub(crate) faults: FaultCounters,
+}
+
+/// Price the full instrument catalog off a finished run — the one place a
+/// [`MetricsSnapshot`] is built from a [`Timeline`], for both executors.
+///
+/// `overhead` is the modelled enqueue overhead a simulated task's span
+/// includes (zero for a measured timeline): it is split back out of
+/// `kernel_time`/`transfer_time` so they mean the work itself on both
+/// executors, and counted into `launch_overhead` on top of the span's
+/// `start − ready`.
+pub(crate) fn price_run(
+    timeline: &Timeline,
+    lanes: &LaneMap,
+    overhead: SimDuration,
+    counts: &RunCounts,
+) -> MetricsSnapshot {
+    let reg = MetricsRegistry::new();
+    let ri = RunInstruments::register(&reg, lanes.devices(), lanes.partitions_per_device());
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let us = |d: SimDuration| d.as_micros_f64().round() as u64;
+    let mut link_busy = vec![SimDuration::ZERO; lanes.devices()];
+    for rec in &timeline.records {
+        // Resourceless tasks (events, barriers, pool jobs, retry backoffs)
+        // are not executed actions.
+        let Some(lane) = rec.resource.and_then(|res| lanes.classify(res)) else {
+            continue;
+        };
+        let held = rec.finish - rec.start;
+        if let Lane::Link(d) = lane {
+            link_busy[d] += held;
+        }
+        // Neither are the sim's failed-attempt link occupations.
+        if rec.label.contains("!fail") {
+            continue;
+        }
+        let work = us(held.saturating_sub(overhead));
+        let lag = rec.start - rec.ready;
+        match lane {
+            Lane::Link(d) => {
+                ri.transfer_time[d].record(work);
+                ri.queue_wait[d].record(us(lag));
+            }
+            Lane::Host => ri.host_kernel_time.record(work),
+            Lane::Partition(d, p) => {
+                ri.kernel_time[d][p].record(work);
+                ri.launch_overhead[d][p].record(us(lag + overhead));
             }
         }
-        let mut link_total = 0.0;
-        for (d, hist) in self.transfer_time.iter().enumerate() {
-            let busy = hist.snapshot().sum as f64;
-            link_total += busy;
-            self.link_busy[d].set(busy);
-        }
-        let hidden = if link_total > 0.0 {
-            ((link_total + compute_total - makespan_us) / link_total).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        self.hidden_transfer_fraction.set(hidden);
     }
-}
+    for (d, bytes) in counts.bytes_per_device.iter().enumerate() {
+        ri.bytes_transferred[d].add(*bytes);
+    }
+    ri.actions_executed.add(counts.actions_executed);
+    ri.steals.add(counts.steals);
+    ri.transfer_retries.add(counts.faults.transfer_retries);
+    ri.transfers_failed.add(counts.faults.transfers_failed);
+    ri.kernel_panics.add(counts.faults.kernel_panics);
+    ri.partition_losses.add(counts.faults.lost_partitions);
+    ri.skipped_actions.add(counts.faults.skipped_actions);
+    ri.replayed_actions.add(counts.faults.replayed_actions);
 
-/// A registry with its full run catalog registered, bundled for reuse.
-///
-/// Registering the catalog costs several microseconds of map inserts and
-/// cell allocations; resetting the cells is a few thousand relaxed
-/// stores. The native executor therefore caches one `RunMetrics` per
-/// [`Context`](crate::context::Context) and resets it between runs, so
-/// the per-run metrics cost is dominated by the samples actually
-/// recorded, not by setup.
-pub struct RunMetrics {
-    /// Backing registry — the snapshot source.
-    pub registry: MetricsRegistry,
-    /// Lock-free handles into the registry.
-    pub instruments: RunInstruments,
-    /// Device count the catalog was registered for.
-    pub devices: usize,
-    /// Partitions per device the catalog was registered for.
-    pub partitions: usize,
-}
-
-impl RunMetrics {
-    /// Build a fresh registry and register the full catalog on it.
-    #[must_use]
-    pub fn new(devices: usize, partitions: usize) -> RunMetrics {
-        let registry = MetricsRegistry::new();
-        let instruments = RunInstruments::register(&registry, devices, partitions);
-        RunMetrics {
-            registry,
-            instruments,
-            devices,
-            partitions,
+    ri.makespan_us.set(timeline.makespan.as_micros_f64());
+    for stats in partition_stats(timeline, &lanes.kinds) {
+        if let Some(Lane::Partition(d, p)) = lanes.classify(stats.resource) {
+            ri.partition_busy[d][p].set(stats.busy.as_micros_f64());
+            ri.partition_idle[d][p].set(stats.idle.as_micros_f64());
         }
     }
-
-    /// Clear every cell for the next run. A reset registry snapshots
-    /// byte-identically to a freshly registered one (pinned by a test).
-    pub fn reset(&self) {
-        self.registry.reset();
+    for (d, busy) in link_busy.iter().enumerate() {
+        ri.link_busy[d].set(busy.as_micros_f64());
     }
+    ri.hidden_transfer_fraction
+        .set(overlap_stats(timeline, &lanes.kinds).hidden_fraction());
+    reg.snapshot()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reset_registry_snapshots_like_fresh() {
-        let reused = RunMetrics::new(1, 2);
-        reused.instruments.kernel_time[0][1].record(40);
-        reused.instruments.steals.add(3);
-        reused.instruments.finish(100.0);
-        reused.reset();
-        reused.instruments.kernel_time[0][0].record(7);
-        reused.instruments.finish(50.0);
-
-        let fresh = RunMetrics::new(1, 2);
-        fresh.instruments.kernel_time[0][0].record(7);
-        fresh.instruments.finish(50.0);
-
-        let a = reused.registry.snapshot();
-        let b = fresh.registry.snapshot();
-        assert_eq!(a.entries, b.entries);
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
-    }
 
     #[test]
     fn register_creates_full_catalog_up_front() {
@@ -486,25 +501,62 @@ mod tests {
     }
 
     #[test]
-    fn finish_derives_busy_idle_and_overlap() {
-        let reg = MetricsRegistry::new();
-        let ri = RunInstruments::register(&reg, 1, 2);
-        ri.kernel_time[0][0].record(600);
-        ri.kernel_time[0][1].record(400);
-        ri.transfer_time[0].record(500);
-        // Makespan 1000 with 1000us of compute and 500us of link time:
-        // at least 500us of the link had to overlap compute -> fraction 1.
-        ri.finish(1000.0);
-        let snap = reg.snapshot();
-        use crate::metrics::Labels;
-        assert!(
-            (snap.gauge(name::PARTITION_BUSY_US, Labels::partition(0, 0)) - 600.0).abs() < 1e-9
+    fn price_run_gauges_are_timeline_quantities() {
+        use micsim::engine::TaskRecord;
+        use micsim::time::SimTime;
+        let lanes = LaneMap::new(1, 1, 2);
+        let span = |lane, ready_ns: u64, start_ns: u64, finish_ns: u64, label: &str| TaskRecord {
+            ready: SimTime(ready_ns),
+            ..TaskRecord::measured(Some(lane), SimTime(start_ns), SimTime(finish_ns), label)
+        };
+        // Two kernels in parallel on p0 [0, 600) and p1 [0.3, 400) us, then a
+        // transfer on the link over [500, 1000) us that waited 2 us for it.
+        // 1000 us of kernel spans and 500 us of link inside a 1000 us
+        // makespan: summing the parallel partitions would call every link
+        // microsecond hidden; the timeline says only [500, 600) was.
+        let timeline = Timeline::from_records(vec![
+            span(lanes.kernel(false, 0, 0), 0, 0, 600_000, "k0"),
+            span(lanes.kernel(false, 0, 1), 0, 300, 400_000, "k1"),
+            span(lanes.link(0, 0), 498_000, 500_000, 1_000_000, "h2d b0"),
+        ]);
+        let counts = RunCounts {
+            bytes_per_device: vec![4096],
+            actions_executed: 3,
+            ..RunCounts::default()
+        };
+        let snap = price_run(&timeline, &lanes, SimDuration::ZERO, &counts);
+        let near = |got: f64, want: f64| (got - want).abs() < 1e-9;
+        assert!(near(
+            snap.gauge(name::PARTITION_BUSY_US, Labels::partition(0, 0)),
+            600.0
+        ));
+        assert!(near(
+            snap.gauge(name::PARTITION_IDLE_US, Labels::partition(0, 1)),
+            600.3
+        ));
+        assert!(near(
+            snap.gauge(name::LINK_BUSY_US, Labels::device(0)),
+            500.0
+        ));
+        assert!(near(
+            snap.gauge(name::HIDDEN_TRANSFER_FRACTION, Labels::GLOBAL),
+            0.2
+        ));
+        assert!(near(snap.gauge(name::MAKESPAN_US, Labels::GLOBAL), 1000.0));
+        // One whole-microsecond sample per span: the 0.3 us launch rounds
+        // to 0, the 2 us queue wait does not.
+        let launch = snap
+            .histogram(name::LAUNCH_OVERHEAD_US, Labels::partition(0, 1))
+            .unwrap();
+        assert_eq!((launch.count, launch.sum), (1, 0));
+        let wait = snap
+            .histogram(name::QUEUE_WAIT_US, Labels::device(0))
+            .unwrap();
+        assert_eq!((wait.count, wait.sum), (1, 2));
+        assert_eq!(
+            snap.counter(name::BYTES_TRANSFERRED, Labels::device(0)),
+            4096
         );
-        assert!(
-            (snap.gauge(name::PARTITION_IDLE_US, Labels::partition(0, 1)) - 600.0).abs() < 1e-9
-        );
-        assert!((snap.gauge(name::LINK_BUSY_US, Labels::device(0)) - 500.0).abs() < 1e-9);
-        assert!((snap.gauge(name::HIDDEN_TRANSFER_FRACTION, Labels::GLOBAL) - 1.0).abs() < 1e-9);
-        assert!((snap.gauge(name::MAKESPAN_US, Labels::GLOBAL) - 1000.0).abs() < 1e-9);
+        assert_eq!(snap.counter(name::ACTIONS_EXECUTED, Labels::GLOBAL), 3);
     }
 }

@@ -1,33 +1,37 @@
 //! Unified telemetry: a deterministic registry of typed instruments.
 //!
 //! Every run-level measurement in the workspace — launch overhead, queue
-//! wait, transfer volume, fault/retry activity, pool busy/idle time —
-//! flows through one [`MetricsRegistry`] of typed instruments
+//! wait, transfer volume, fault/retry activity, pool busy/idle time — is
+//! exported through one [`MetricsRegistry`] of typed instruments
 //! ([`Counter`], [`Gauge`], [`Histogram`]) keyed by metric name plus
-//! `(device, partition, stream)` labels. Both executors register the
-//! *same* instrument set (see [`instruments::RunInstruments`]): the
-//! native executor fills it from real clocks, the simulator prices the
-//! identical names from its timeline, and the shared shape is itself a
-//! differential check alongside stream-check and the trace comparator.
+//! `(device, partition, stream)` labels. Both executors export the *same*
+//! instrument set (see [`instruments::RunInstruments`]) and neither fills it
+//! while running: one function, `instruments::price_run`, derives the whole
+//! catalog from a finished timeline — the simulator's, or the one the
+//! native [`Recorder`](crate::trace) measured — so a gauge and the
+//! `overlap()`/`partition_stats()` of the same run cannot disagree, and the
+//! shared shape is itself a differential check alongside stream-check and
+//! the trace comparator.
 //!
 //! Determinism: nothing in this module reads a wall clock or RNG. A
 //! snapshot's content is a pure function of the recorded samples, and all
 //! iteration orders are `BTreeMap`-sorted, so two identical sim runs
 //! export byte-identical JSONL/OpenMetrics text (pinned by a test).
 //!
-//! Overhead: instrument handles are `Arc`-shared atomic cells; recording
-//! is lock-free (`Relaxed` atomics). The registry lock is taken only at
-//! registration and snapshot time, never per-sample. When metrics are
-//! disabled the executors skip every recording site behind an
-//! `Option` check, keeping the hot path zero-cost (`mic-e2e` reports the
-//! instrumented cost as `trace_overhead_frac` on `dispatch_tiny`).
+//! Overhead: a metered native run pays for its spans (see
+//! [`crate::trace`]) plus one pass over them at join, on a registry built
+//! fresh for the run. Instrument handles are `Arc`-shared atomic cells for
+//! the layers that do record live (the serving layer's per-tenant series).
+//! When every telemetry switch is off the executors skip each recording
+//! site behind one `Option` check (`mic-e2e` reports the recorded cost as
+//! `trace_overhead_frac` on `dispatch_tiny`).
 
 pub mod export;
 pub mod hist;
 pub mod instruments;
 
 pub use hist::HistogramSnapshot;
-pub use instruments::{RunInstruments, RunMetrics};
+pub use instruments::RunInstruments;
 
 use hist::HistCell;
 use std::collections::BTreeMap;
@@ -207,12 +211,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero (registry reuse between runs; the caller must not
-    /// be recording concurrently).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Last-write-wins gauge handle storing an `f64`.
@@ -236,11 +234,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
-
-    /// Reset to zero (registry reuse between runs).
-    pub fn reset(&self) {
-        self.set(0.0);
-    }
 }
 
 /// Histogram handle over a shared [`HistCell`].
@@ -253,20 +246,10 @@ impl Histogram {
         self.0.record(v);
     }
 
-    /// Record a `Duration` in whole microseconds.
-    pub fn record_micros(&self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Snapshot the current distribution.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.snapshot()
-    }
-
-    /// Clear all recorded samples (registry reuse between runs).
-    pub fn reset(&self) {
-        self.0.reset();
     }
 }
 
@@ -298,8 +281,9 @@ impl MetricsRegistry {
 
     fn register(&self, name: &str, kind: Kind, unit: Unit, labels: Labels) -> Cell {
         let mut inner = self.inner.lock().unwrap();
-        // Look up by `&str` first: registration happens on every run, and
-        // the common case (name already present) should not allocate.
+        // Look up by `&str` first: a name is registered once per label
+        // set, and the common case (name already present) should not
+        // allocate.
         if !inner.contains_key(name) {
             inner.insert(
                 name.to_string(),
@@ -353,25 +337,6 @@ impl MetricsRegistry {
         match self.register(name, Kind::Histogram, unit, labels) {
             Cell::Histogram(h) => h,
             _ => unreachable!(),
-        }
-    }
-
-    /// Reset every registered cell to its empty state, keeping the
-    /// instrument catalog intact. This is what makes per-run registry
-    /// reuse cheap: registration costs several microseconds of maps and
-    /// allocations, a reset is a few thousand relaxed stores. Callers
-    /// must ensure no handle is recording concurrently (the native
-    /// executor serializes runs, so reuse between runs is safe).
-    pub fn reset(&self) {
-        let inner = self.inner.lock().unwrap();
-        for reg in inner.values() {
-            for cell in reg.series.values() {
-                match cell {
-                    Cell::Counter(c) => c.reset(),
-                    Cell::Gauge(g) => g.reset(),
-                    Cell::Histogram(h) => h.reset(),
-                }
-            }
         }
     }
 

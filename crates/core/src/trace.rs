@@ -1,13 +1,14 @@
-//! Wall-clock tracing for the native executor.
+//! The run recorder: the one thing the native executor writes to.
 //!
 //! The paper's headline claims are *shapes on a timeline* — H2D/D2H
-//! serialization (Fig. 5), partial compute/transfer overlap (Fig. 6) — and
-//! until now only the simulator could show them. This module records real
-//! execution into the **same [`micsim::engine::Timeline`] representation
-//! the simulator produces**, so every existing analysis tool
-//! ([`overlap_stats`], [`render_gantt`],
-//! [`chrome_trace`]) works on native runs
-//! unchanged.
+//! serialization (Fig. 5), partial compute/transfer overlap (Fig. 6). This
+//! module records real execution into the **same
+//! [`micsim::engine::Timeline`] representation the simulator produces**, so
+//! every analysis tool ([`overlap_stats`], [`render_gantt`],
+//! [`chrome_trace`]) and the metrics pricing function
+//! ([`metrics::instruments`](crate::metrics::instruments)) work on native
+//! runs unchanged. Nothing else is recorded: launch overhead and queue wait
+//! are each span's `start − ready`, read off the same records at join.
 //!
 //! Design, in order of who stamps what:
 //!
@@ -23,14 +24,17 @@
 //!   through a thread-local sink the driver installs around the run (see
 //!   `record_pool_job`).
 //!
-//! Lanes mirror the sim executor's resource layout exactly — per-device
-//! link channels, the host, per-device partitions — so a native timeline
-//! and a simulated timeline of the same program classify one-to-one.
+//! A span carries the [`Site`] of its action (or a pool job's part count),
+//! never a string: labels are rendered once, at join. Lanes come from
+//! `LaneMap`, which the sim executor builds its engine resources from too
+//! — per-device link channels, the host, per-device partitions — so a
+//! native and a simulated timeline of the same program classify one-to-one.
 //!
-//! Everything here is behind `NativeConfig { trace: true }`; with tracing
-//! off the executor carries a `None` recorder and pays one branch per
+//! The recorder exists when any of `NativeConfig::{trace, metrics}` or
+//! `ContextBuilder::metrics` is set (they only select which outputs a report
+//! carries); otherwise the executor holds `None` and pays one branch per
 //! action (`trace_overhead_frac` on `mic-e2e`'s `dispatch_tiny` prices the
-//! traced side).
+//! recorded side).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,28 +46,52 @@ use parking_lot::Mutex;
 use micsim::engine::{ResourceId, TaskRecord, Timeline};
 use micsim::time::{SimDuration, SimTime};
 use micsim::trace::{
-    chrome_trace, merge_intervals, overlap_stats, partition_stats, render_gantt, total_length,
-    Interval, OverlapStats, PartitionStats, ResourceKinds,
+    chrome_trace, overlap_stats, partition_stats, render_gantt, OverlapStats, PartitionStats,
+    ResourceKinds,
 };
 
+use crate::check::Site;
 use crate::context::Context;
+use crate::program::Program;
 
 // ----- lanes ----------------------------------------------------------------
 
-/// Resource ids for a native run, laid out exactly like the sim executor
-/// builds them: every device's link channels first, then the host, then
-/// every device's partitions.
+/// What a lane is, by geometry: the inverse of [`LaneMap`]'s layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// A link channel of this device.
+    Link(usize),
+    /// The host CPU.
+    Host,
+    /// `(device, partition)`.
+    Partition(usize, usize),
+}
+
+/// The resource ids, names and classification of a run's lanes — the one
+/// place they are laid out, for both executors: every device's link
+/// channels first, then the host, then every device's partitions. The sim
+/// executor registers its engine resources from `names` in id order; the
+/// recorder stamps spans with the same ids.
 #[derive(Clone, Debug)]
 pub(crate) struct LaneMap {
     links: Vec<Vec<ResourceId>>,
-    host: ResourceId,
+    pub(crate) host: ResourceId,
     partitions: Vec<Vec<ResourceId>>,
-    names: BTreeMap<ResourceId, String>,
-    kinds: ResourceKinds,
+    pub(crate) names: BTreeMap<ResourceId, String>,
+    pub(crate) kinds: ResourceKinds,
 }
 
 impl LaneMap {
-    fn new(devices: usize, channels: usize, partitions: usize) -> LaneMap {
+    /// The lanes of `ctx`'s current geometry.
+    pub(crate) fn for_context(ctx: &Context) -> LaneMap {
+        LaneMap::new(
+            ctx.device_count(),
+            ctx.config().link.channels(),
+            ctx.partitions(),
+        )
+    }
+
+    pub(crate) fn new(devices: usize, channels: usize, partitions: usize) -> LaneMap {
         let mut next = 0usize;
         let mut fresh = |name: String, names: &mut BTreeMap<ResourceId, String>| {
             let id = ResourceId(next);
@@ -103,27 +131,83 @@ impl LaneMap {
             kinds,
         }
     }
+
+    pub(crate) fn devices(&self) -> usize {
+        self.links.len()
+    }
+
+    pub(crate) fn partitions_per_device(&self) -> usize {
+        self.partitions.first().map_or(0, Vec::len)
+    }
+
+    pub(crate) fn link(&self, device: usize, channel: usize) -> ResourceId {
+        self.links[device][channel]
+    }
+
+    /// The lane a kernel occupies: the host's, or its partition's.
+    pub(crate) fn kernel(&self, host: bool, device: usize, partition: usize) -> ResourceId {
+        if host {
+            self.host
+        } else {
+            self.partitions[device][partition]
+        }
+    }
+
+    /// Which lane `res` is (`None` for an id this map did not lay out).
+    pub(crate) fn classify(&self, res: ResourceId) -> Option<Lane> {
+        if res.0 < self.host.0 {
+            return Some(Lane::Link(res.0 / self.links[0].len()));
+        }
+        if res == self.host {
+            return Some(Lane::Host);
+        }
+        let parts = self.partitions_per_device();
+        let idx = res.0 - self.host.0 - 1;
+        (idx < self.devices() * parts).then(|| Lane::Partition(idx / parts, idx % parts))
+    }
 }
 
 // ----- spans ----------------------------------------------------------------
 
+/// What a span measured. Rendered into the timeline's label once, at join.
+#[derive(Clone, Copy, Debug)]
+enum SpanKind {
+    /// The program action at this site.
+    Action(Site),
+    /// A chunked pool job of this many parts.
+    PoolJob(usize),
+}
+
+impl SpanKind {
+    fn label(self, program: &Program) -> String {
+        match self {
+            SpanKind::Action(site) => {
+                program.streams[site.stream.0].actions[site.action_index].label()
+            }
+            SpanKind::PoolJob(parts) => format!("pool({parts})"),
+        }
+    }
+}
+
 /// One measured interval on a lane (`None` = pure control, rendered on the
-/// synthetic row of the Chrome trace, ignored by overlap stats).
-#[derive(Clone, Debug)]
+/// synthetic row of the Chrome trace, ignored by overlap stats). `ready` is
+/// when the action was dispatched (kernels) or submitted to the copy engine
+/// (transfers); it becomes [`TaskRecord::ready`], so `start − ready` is
+/// launch overhead on a kernel lane and queue wait on a link lane, as in a
+/// simulated timeline.
+#[derive(Clone, Copy, Debug)]
 struct Span {
     lane: Option<ResourceId>,
-    label: String,
+    what: SpanKind,
+    ready: Instant,
     start: Instant,
     end: Instant,
 }
 
-/// Per-driver recording state. Each buffer is owned by exactly one driver
-/// thread for the duration of the run, so its mutex is uncontended.
-struct StreamBuf {
-    spans: Arc<Mutex<Vec<Span>>>,
-    queue_wait: Mutex<Duration>,
-    launch: Mutex<LaunchHistogram>,
-}
+/// One driver's span buffer. Owned by exactly one driver thread for the
+/// duration of the run (its pool sink shares it), so the mutex is
+/// uncontended.
+type SpanBuf = Arc<Mutex<Vec<Span>>>;
 
 /// Start/end stamps for one in-flight copy, written by the engine thread
 /// before the completion flag fires and read by the submitting driver after
@@ -135,16 +219,6 @@ pub(crate) struct CopyStamp {
 }
 
 impl CopyStamp {
-    /// A stamp slot not wired to any recorder — used by metrics-only runs
-    /// (no trace), which still need the engine's start/end pair to price
-    /// queue wait and wire time.
-    pub(crate) fn detached() -> Arc<CopyStamp> {
-        Arc::new(CopyStamp {
-            slot: Mutex::new(None),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
-        })
-    }
-
     /// Engine side: the copy queue shrank by one job.
     pub(crate) fn picked_up(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -156,8 +230,7 @@ impl CopyStamp {
     }
 
     /// Driver side, after the completion handshake: consume the engine's
-    /// start/end pair. Taken exactly once per transfer; the recorder and
-    /// the metrics instruments both read the returned value.
+    /// start/end pair. Taken exactly once per transfer.
     pub(crate) fn take(&self) -> Option<(Instant, Instant)> {
         self.slot.lock().take()
     }
@@ -196,26 +269,22 @@ impl LaunchHistogram {
         }
         self.total_ns as f64 / self.count as f64
     }
-
-    fn merge(&mut self, other: &LaunchHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
 }
 
-/// Counters derived from the recorded spans, beyond what the timeline
-/// itself answers.
+/// Counters derived from the recorded spans at join, beyond what the
+/// timeline itself answers.
 #[derive(Clone, Debug)]
 pub struct NativeCounters {
     /// Per-kernel-launch overhead — time from action dispatch to the kernel
-    /// body actually running (partition lock + buffer locks + view setup).
+    /// body actually running (partition lock + buffer locks + view setup):
+    /// `start − ready` of every span on a kernel lane, host kernels
+    /// included, at nanosecond resolution. The `launch_overhead_us`
+    /// instrument holds the device-kernel samples of the same set, rounded
+    /// to whole microseconds.
     pub launch_overhead: LaunchHistogram,
     /// Per-stream total time transfers sat in the copy-engine queue before
-    /// the engine picked them up, indexed by stream id.
+    /// the engine picked them up (`start − ready` of the stream's link-lane
+    /// spans), indexed by stream id.
     pub queue_wait: Vec<Duration>,
     /// Busy fraction of each copy-engine lane over the makespan, keyed by
     /// lane name (`mic0.link0`, ...).
@@ -283,70 +352,73 @@ impl NativeTrace {
 
 // ----- the recorder ---------------------------------------------------------
 
-/// Per-run recording state, created by the native executor when
-/// `NativeConfig::trace` is set and drained into a [`NativeTrace`] when the
-/// run's guard drops — including on panic paths, so a failed run still
-/// yields the partial timeline recorded up to the failure.
+/// Per-run recording state: the only thing the native executor writes to
+/// while a run is live. Created when any telemetry switch is on and joined
+/// into a [`Recording`] after the drivers joined — including on panic
+/// paths, so a failed run still yields the partial timeline recorded up to
+/// the failure.
 pub(crate) struct Recorder {
     epoch: Instant,
-    lanes: LaneMap,
-    streams: Vec<StreamBuf>,
+    pub(crate) lanes: LaneMap,
+    streams: Vec<SpanBuf>,
     copy_queue_depth: Arc<AtomicUsize>,
     copy_queue_hwm: AtomicUsize,
     pool_queue_hwm: Arc<AtomicUsize>,
     pool_jobs: Arc<AtomicUsize>,
-    /// The run's fault tallies, attached by the executor when a fault plan
-    /// or isolation mode is active so the trace's counters carry them.
-    fault_tallies: Option<Arc<crate::fault::FaultTallies>>,
+    /// The run's fault tallies, so the trace's counters carry them.
+    fault_tallies: Arc<crate::fault::FaultTallies>,
     /// Cross-partition kernel moves, set by the graph dispatcher after the
     /// drivers join.
     steals: std::sync::atomic::AtomicU64,
 }
 
+/// A joined run: the measured timeline, the lanes it is laid out on, and the
+/// counters derived from its spans. Metrics are priced from it; the public
+/// [`NativeTrace`] is it without the geometry.
+pub(crate) struct Recording {
+    pub(crate) lanes: LaneMap,
+    pub(crate) timeline: Timeline,
+    counters: NativeCounters,
+}
+
+impl Recording {
+    pub(crate) fn into_trace(self) -> NativeTrace {
+        NativeTrace {
+            timeline: self.timeline,
+            kinds: self.lanes.kinds,
+            names: self.lanes.names,
+            counters: self.counters,
+        }
+    }
+}
+
 impl Recorder {
-    pub(crate) fn new(ctx: &Context) -> Recorder {
-        let devices = ctx.device_count();
-        let channels = ctx.config().link.channels();
-        let partitions = ctx.partitions().max(1);
+    pub(crate) fn new(ctx: &Context, fault_tallies: Arc<crate::fault::FaultTallies>) -> Recorder {
+        let lanes = LaneMap::for_context(ctx);
+        // One buffer per driver: a FIFO run has a driver per stream, a
+        // scheduled run one per (device, partition) — which an installed
+        // program may have fewer streams than.
+        let drivers = ctx
+            .stream_count()
+            .max(lanes.devices() * lanes.partitions_per_device());
         Recorder {
             epoch: Instant::now(),
-            lanes: LaneMap::new(devices, channels, partitions),
-            streams: (0..ctx.stream_count())
-                .map(|_| StreamBuf {
-                    spans: Arc::new(Mutex::new(Vec::new())),
-                    queue_wait: Mutex::new(Duration::ZERO),
-                    launch: Mutex::new(LaunchHistogram::default()),
-                })
+            lanes,
+            streams: (0..drivers)
+                .map(|_| Arc::new(Mutex::new(Vec::new())))
                 .collect(),
             copy_queue_depth: Arc::new(AtomicUsize::new(0)),
             copy_queue_hwm: AtomicUsize::new(0),
             pool_queue_hwm: Arc::new(AtomicUsize::new(0)),
             pool_jobs: Arc::new(AtomicUsize::new(0)),
-            fault_tallies: None,
+            fault_tallies,
             steals: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Wire the executor's fault tallies into the trace's counters.
-    pub(crate) fn set_fault_tallies(&mut self, tallies: Arc<crate::fault::FaultTallies>) {
-        self.fault_tallies = Some(tallies);
     }
 
     /// Record the run's cross-partition kernel moves (graph dispatcher).
     pub(crate) fn set_steals(&self, steals: u64) {
         self.steals.store(steals, Ordering::Relaxed);
-    }
-
-    pub(crate) fn link_lane(&self, device: usize, channel: usize) -> ResourceId {
-        self.lanes.links[device][channel]
-    }
-
-    pub(crate) fn kernel_lane(&self, host: bool, device: usize, partition: usize) -> ResourceId {
-        if host {
-            self.lanes.host
-        } else {
-            self.lanes.partitions[device][partition]
-        }
     }
 
     /// A fresh per-driver copy stamp slot, wired to the queue-depth gauge.
@@ -363,78 +435,68 @@ impl Recorder {
         self.copy_queue_hwm.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Record any span on `stream`'s buffer.
+    /// Record the span of the action at `site` on `stream`'s buffer:
+    /// dispatched or submitted at `ready`, on its lane from `start` to `end`.
     pub(crate) fn record_span(
         &self,
         stream: usize,
         lane: Option<ResourceId>,
-        label: String,
+        site: Site,
+        ready: Instant,
         start: Instant,
         end: Instant,
     ) {
-        self.streams[stream].spans.lock().push(Span {
+        self.streams[stream].lock().push(Span {
             lane,
-            label,
+            what: SpanKind::Action(site),
+            ready,
             start,
             end,
         });
-    }
-
-    /// Record a completed transfer from the engine's stamped start/end
-    /// pair: the engine-lane span plus the queue wait between submit and
-    /// engine pickup. The caller takes the pair off the [`CopyStamp`] so
-    /// the metrics instruments can consume the same stamps.
-    pub(crate) fn record_transfer(
-        &self,
-        stream: usize,
-        lane: ResourceId,
-        label: String,
-        submitted: Instant,
-        pair: Option<(Instant, Instant)>,
-    ) {
-        let Some((start, end)) = pair else {
-            return;
-        };
-        *self.streams[stream].queue_wait.lock() += start.saturating_duration_since(submitted);
-        self.record_span(stream, Some(lane), label, start, end);
-    }
-
-    /// Record one kernel's dispatch-to-body-start overhead.
-    pub(crate) fn record_launch_overhead(&self, stream: usize, overhead: Duration) {
-        let ns = u64::try_from(overhead.as_nanos()).unwrap_or(u64::MAX);
-        self.streams[stream].launch.lock().record(ns);
     }
 
     /// The sink `stream`'s driver thread installs so pool jobs submitted
     /// from kernel bodies land in that driver's buffer.
     pub(crate) fn pool_sink(&self, stream: usize) -> PoolSink {
         PoolSink {
-            spans: self.streams[stream].spans.clone(),
+            spans: self.streams[stream].clone(),
             pool_queue_hwm: self.pool_queue_hwm.clone(),
             pool_jobs: self.pool_jobs.clone(),
         }
     }
 
-    /// Merge every buffer into a [`NativeTrace`]. Safe to call after the
+    /// Merge every buffer into a [`Recording`], rendering each span's label
+    /// from `program` (the one the run executed). Safe to call after the
     /// drivers joined (success or panic); spans are pushed per-action, so a
     /// partial run drains whatever completed before the failure.
-    pub(crate) fn into_trace(self) -> NativeTrace {
-        let mut records: Vec<TaskRecord> = Vec::new();
+    pub(crate) fn join(self, program: &Program) -> Recording {
+        let at = |t: Instant| SimTime::from_wall(t.saturating_duration_since(self.epoch));
+        let spans = self.streams.iter().map(|buf| buf.lock().len()).sum();
+        let mut records: Vec<TaskRecord> = Vec::with_capacity(spans);
         let mut launch = LaunchHistogram::default();
         let mut queue_wait = Vec::with_capacity(self.streams.len());
         for buf in &self.streams {
-            for span in buf.spans.lock().iter() {
-                let start = SimTime::from_wall(span.start.saturating_duration_since(self.epoch));
-                let finish = SimTime::from_wall(span.end.saturating_duration_since(self.epoch));
-                records.push(TaskRecord::measured(
-                    span.lane,
-                    start,
-                    finish,
-                    span.label.clone(),
-                ));
+            let mut waited = Duration::ZERO;
+            for span in buf.lock().iter() {
+                let lag = span.start.saturating_duration_since(span.ready);
+                match span.lane.and_then(|lane| self.lanes.classify(lane)) {
+                    Some(Lane::Link(_)) => waited += lag,
+                    Some(Lane::Host | Lane::Partition(..)) => {
+                        launch.record(u64::try_from(lag.as_nanos()).unwrap_or(u64::MAX));
+                    }
+                    None => {}
+                }
+                records.push(TaskRecord {
+                    ready: at(span.ready),
+                    ..TaskRecord::measured(
+                        span.lane,
+                        at(span.start),
+                        at(span.end),
+                        span.what.label(program),
+                    )
+                });
             }
-            launch.merge(&buf.launch.lock());
-            queue_wait.push(*buf.queue_wait.lock());
+            queue_wait.push(waited);
         }
         let timeline = Timeline::from_records(records);
         let makespan = timeline.makespan;
@@ -444,16 +506,13 @@ impl Recorder {
             .links
             .iter()
             .map(|&lane| {
-                let busy: Vec<Interval> = timeline
+                // One engine thread per lane: its spans never overlap.
+                let busy: SimDuration = timeline
                     .records
                     .iter()
                     .filter(|r| r.resource == Some(lane))
-                    .map(|r| Interval {
-                        start: r.start,
-                        end: r.finish,
-                    })
-                    .collect();
-                let busy = total_length(&merge_intervals(busy));
+                    .map(|r| r.finish - r.start)
+                    .sum();
                 let frac = if makespan == SimDuration::ZERO {
                     0.0
                 } else {
@@ -462,24 +521,20 @@ impl Recorder {
                 (self.lanes.names[&lane].clone(), frac)
             })
             .collect();
-        NativeTrace {
+        let counters = NativeCounters {
+            launch_overhead: launch,
+            queue_wait,
+            copy_busy_fraction,
+            copy_queue_depth_hwm: self.copy_queue_hwm.load(Ordering::Relaxed),
+            pool_queue_depth_hwm: self.pool_queue_hwm.load(Ordering::Relaxed),
+            pool_jobs: self.pool_jobs.load(Ordering::Relaxed),
+            faults: self.fault_tallies.snapshot(),
+            steals: self.steals.load(Ordering::Relaxed),
+        };
+        Recording {
+            lanes: self.lanes,
             timeline,
-            kinds: self.lanes.kinds,
-            names: self.lanes.names,
-            counters: NativeCounters {
-                launch_overhead: launch,
-                queue_wait,
-                copy_busy_fraction,
-                copy_queue_depth_hwm: self.copy_queue_hwm.load(Ordering::Relaxed),
-                pool_queue_depth_hwm: self.pool_queue_hwm.load(Ordering::Relaxed),
-                pool_jobs: self.pool_jobs.load(Ordering::Relaxed),
-                faults: self
-                    .fault_tallies
-                    .as_ref()
-                    .map(|t| t.snapshot())
-                    .unwrap_or_default(),
-                steals: self.steals.load(Ordering::Relaxed),
-            },
+            counters,
         }
     }
 }
@@ -488,7 +543,7 @@ impl Recorder {
 
 /// Where a driver thread's pool-job spans go while it runs kernel bodies.
 pub(crate) struct PoolSink {
-    spans: Arc<Mutex<Vec<Span>>>,
+    spans: SpanBuf,
     pool_queue_hwm: Arc<AtomicUsize>,
     pool_jobs: Arc<AtomicUsize>,
 }
@@ -516,7 +571,7 @@ impl Drop for PoolSinkGuard {
 }
 
 /// Called by the pool before a chunked job: `Some(now)` when the calling
-/// thread has a sink installed (tracing on), `None` otherwise — the only
+/// thread has a sink installed (a recorder is live), `None` otherwise — the only
 /// cost on the untraced path is this thread-local read.
 pub(crate) fn pool_job_start() -> Option<Instant> {
     POOL_SINK.with(|s| s.borrow().is_some().then(Instant::now))
@@ -534,7 +589,8 @@ pub(crate) fn record_pool_job(start: Instant, parts: usize, width: usize) {
                 .fetch_max(parts.saturating_sub(width), Ordering::Relaxed);
             sink.spans.lock().push(Span {
                 lane: None,
-                label: format!("pool({parts})"),
+                what: SpanKind::PoolJob(parts),
+                ready: start,
                 start,
                 end,
             });
@@ -564,6 +620,19 @@ mod tests {
     }
 
     #[test]
+    fn classify_inverts_the_layout() {
+        let lanes = LaneMap::new(2, 2, 3);
+        assert_eq!(lanes.classify(lanes.link(1, 0)), Some(Lane::Link(1)));
+        assert_eq!(lanes.classify(lanes.link(0, 1)), Some(Lane::Link(0)));
+        assert_eq!(lanes.classify(lanes.kernel(true, 0, 0)), Some(Lane::Host));
+        assert_eq!(
+            lanes.classify(lanes.kernel(false, 1, 2)),
+            Some(Lane::Partition(1, 2))
+        );
+        assert_eq!(lanes.classify(ResourceId(lanes.names.len())), None);
+    }
+
+    #[test]
     fn histogram_buckets_and_mean() {
         let mut h = LaunchHistogram::default();
         h.record(1); // bucket 0
@@ -575,11 +644,6 @@ mod tests {
         assert_eq!(h.buckets[23], 1);
         assert_eq!(h.count, 4);
         assert_eq!(h.max_ns, u64::MAX);
-        let mut other = LaunchHistogram::default();
-        other.record(2);
-        h.merge(&other);
-        assert_eq!(h.count, 5);
-        assert_eq!(h.buckets[1], 1);
     }
 
     #[test]

@@ -349,3 +349,109 @@ fn traced_run_labels_kernel_and_transfer_spans() {
     assert!(trace.timeline.records.iter().any(|r| r.label == "k"));
     assert!(trace.timeline.records.iter().any(|r| r.label == "h2d b0"));
 }
+
+/// The paper's Fig. 10 regime: `tiles` tiles of 64 elements over two
+/// streams (h2d, kernel, d2h each — every kernel body well under a
+/// microsecond), plus one host kernel so "device launches" and "all
+/// launches" differ. Returns `(context, device kernels, transfers)`.
+fn sub_microsecond_tiles(tiles: usize) -> (Context, u64, u64) {
+    let mut ctx = small_ctx(2);
+    for t in 0..tiles {
+        let a = ctx.alloc(format!("a{t}"), 64);
+        let b = ctx.alloc(format!("b{t}"), 64);
+        let s = ctx.stream(t % 2).unwrap();
+        ctx.h2d(s, a).unwrap();
+        ctx.kernel(
+            s,
+            native_kernel(&format!("tile{t}"))
+                .reading([a])
+                .writing([b])
+                .with_native(|k| {
+                    for (o, i) in k.writes[0].iter_mut().zip(k.reads[0]) {
+                        *o = i + 1.0;
+                    }
+                }),
+        )
+        .unwrap();
+        ctx.d2h(s, b).unwrap();
+    }
+    let s0 = ctx.stream(0).unwrap();
+    ctx.kernel(s0, native_kernel("on-host").on_host().with_native(|_| {}))
+        .unwrap();
+    (ctx, tiles as u64, 2 * tiles as u64)
+}
+
+fn partition_busy_sum_us(snap: &hstreams::MetricsSnapshot) -> f64 {
+    (0..2)
+        .map(|p| {
+            snap.gauge(
+                "partition_busy_us",
+                hstreams::metrics::Labels::partition(0, p),
+            )
+        })
+        .sum()
+}
+
+#[test]
+fn metrics_alone_see_sub_microsecond_work_and_attach_no_trace() {
+    let (ctx, device_kernels, transfers) = sub_microsecond_tiles(64);
+    let report = ctx
+        .run_native_with(&NativeConfig {
+            metrics: true,
+            ..NativeConfig::default()
+        })
+        .unwrap();
+    let snap = report.metrics.as_ref().expect("metrics requested");
+    // Busy time comes from exact span lengths, not from whole-microsecond
+    // histogram sums that truncate every one of these kernels to zero.
+    assert!(
+        partition_busy_sum_us(snap) > 0.0,
+        "64 sub-microsecond kernels must still add up to busy time"
+    );
+    assert_eq!(
+        snap.histogram_merged("launch_overhead_us").count,
+        device_kernels
+    );
+    assert_eq!(snap.histogram_merged("queue_wait_us").count, transfers);
+    // The metrics switch selects an output, not a second trace.
+    assert!(report.trace.is_none());
+    assert!(ctx.take_native_trace().is_none());
+}
+
+#[test]
+fn trace_alone_counts_every_launch_and_attaches_no_metrics() {
+    let (ctx, device_kernels, _) = sub_microsecond_tiles(64);
+    let report = ctx.run_native_with(&traced_cfg()).unwrap();
+    assert!(report.metrics.is_none());
+    let trace = report.trace.expect("trace requested");
+    // Host kernels launch too; only the per-partition instrument skips them.
+    assert_eq!(trace.counters.launch_overhead.count, device_kernels + 1);
+}
+
+#[test]
+fn metered_busy_time_is_the_traced_kernel_span_sum_to_the_nanosecond() {
+    let (ctx, _, _) = sub_microsecond_tiles(64);
+    let report = ctx
+        .run_native_with(&NativeConfig {
+            trace: true,
+            metrics: true,
+            ..NativeConfig::default()
+        })
+        .unwrap();
+    let trace = report.trace.expect("trace requested");
+    // kinds.partitions[0] is the host; the rest are the device partitions.
+    let device_partitions = &trace.kinds.partitions[1..];
+    let span_ns: u64 = trace
+        .timeline
+        .records
+        .iter()
+        .filter(|r| {
+            r.resource
+                .is_some_and(|res| device_partitions.contains(&res))
+        })
+        .map(|r| r.finish.since(r.start).nanos())
+        .sum();
+    let busy_us = partition_busy_sum_us(report.metrics.as_ref().expect("metrics requested"));
+    assert!(span_ns > 0);
+    assert_eq!((busy_us * 1e3).round() as u64, span_ns);
+}

@@ -98,11 +98,10 @@ pub fn intersect(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
 }
 
 fn busy_intervals(timeline: &Timeline, resources: &[ResourceId]) -> Vec<Interval> {
-    let set: std::collections::HashSet<ResourceId> = resources.iter().copied().collect();
     let raw: Vec<Interval> = timeline
         .records
         .iter()
-        .filter(|r| r.resource.map(|res| set.contains(&res)).unwrap_or(false))
+        .filter(|r| r.resource.is_some_and(|res| resources.contains(&res)))
         .map(|r| Interval {
             start: r.start,
             end: r.finish,

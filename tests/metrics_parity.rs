@@ -7,6 +7,12 @@
 //!   differential check the metrics layer was designed around: a counter
 //!   added to one executor but not the other fails here, not in a
 //!   dashboard three PRs later.
+//! * **Value parity**: the end-of-run gauges are *timeline quantities*. On
+//!   both executors `hidden_transfer_fraction`, `partition_busy_us`,
+//!   `partition_idle_us` and `link_busy_us` must equal what the same run's
+//!   `overlap()` / `partition_stats()` / link-lane spans say, exactly — a
+//!   gauge estimated some other way (from histogram sums, say, which
+//!   saturate the hidden fraction at 1.0 for any P > 1) fails here.
 //! * **Determinism**: the sim executor prices instruments off simulated
 //!   time, so two identical runs must export **byte-identical** JSONL and
 //!   OpenMetrics text (no wall clock, no RNG, no iteration-order leaks).
@@ -15,8 +21,13 @@ use mic_streams::apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn, TunablePartitionMicro,
 };
 use mic_streams::hstreams::context::Context;
-use mic_streams::hstreams::MetricsSnapshot;
+use mic_streams::hstreams::metrics::Labels;
+use mic_streams::hstreams::{MetricsSnapshot, NativeConfig};
+use mic_streams::micsim::engine::{ResourceId, Timeline};
+use mic_streams::micsim::time::SimDuration;
+use mic_streams::micsim::trace::{overlap_stats, partition_stats, ResourceKinds};
 use mic_streams::micsim::PlatformConfig;
+use std::collections::BTreeMap;
 
 const PARTITIONS: usize = 2;
 const TASKS: usize = 4;
@@ -115,4 +126,93 @@ fn sim_metrics_exports_are_byte_identical_across_runs() {
     let (jsonl_b, om_b) = export(&mut TunableMm::new(32, Some(7)));
     assert_eq!(jsonl_a, jsonl_b, "sim JSONL export must be deterministic");
     assert_eq!(om_a, om_b, "sim OpenMetrics export must be deterministic");
+}
+
+/// `(device, index)` of a lane named `mic{device}.{kind}{index}`.
+fn lane_coords(name: &str, kind: &str) -> Option<(u16, u16)> {
+    let (dev, lane) = name.strip_prefix("mic")?.split_once('.')?;
+    Some((dev.parse().ok()?, lane.strip_prefix(kind)?.parse().ok()?))
+}
+
+/// The snapshot's gauges against the timeline they must be derived from.
+fn assert_gauges_are_timeline_quantities(
+    who: &str,
+    snap: &MetricsSnapshot,
+    timeline: &Timeline,
+    kinds: &ResourceKinds,
+    names: &BTreeMap<ResourceId, String>,
+) {
+    assert_eq!(
+        snap.gauge("hidden_transfer_fraction", Labels::GLOBAL),
+        overlap_stats(timeline, kinds).hidden_fraction(),
+        "{who}: hidden_transfer_fraction vs overlap().hidden_fraction()"
+    );
+    let mut partitions = 0;
+    for stats in partition_stats(timeline, kinds) {
+        // The host lane is a partition to the timeline tools but has no
+        // per-partition series.
+        let Some((d, p)) = lane_coords(&names[&stats.resource], "p") else {
+            continue;
+        };
+        partitions += 1;
+        let labels = Labels::partition(d, p);
+        assert_eq!(
+            snap.gauge("partition_busy_us", labels),
+            stats.busy.as_micros_f64(),
+            "{who}: partition_busy_us{labels} vs partition_stats()"
+        );
+        assert_eq!(
+            snap.gauge("partition_idle_us", labels),
+            stats.idle.as_micros_f64(),
+            "{who}: partition_idle_us{labels} vs partition_stats()"
+        );
+    }
+    assert_eq!(partitions, PARTITIONS, "{who}: partition lanes checked");
+    let mut link_busy: BTreeMap<u16, SimDuration> = BTreeMap::new();
+    for &lane in &kinds.links {
+        let (d, _) = lane_coords(&names[&lane], "link").expect("link lane name");
+        *link_busy.entry(d).or_default() += timeline
+            .records
+            .iter()
+            .filter(|r| r.resource == Some(lane))
+            .map(|r| r.finish - r.start)
+            .sum::<SimDuration>();
+    }
+    assert!(!link_busy.is_empty(), "{who}: link lanes checked");
+    for (d, busy) in link_busy {
+        assert_eq!(
+            snap.gauge("link_busy_us", Labels::device(d)),
+            busy.as_micros_f64(),
+            "{who}: link_busy_us{{device={d}}} vs the link lanes' span sum"
+        );
+    }
+}
+
+#[test]
+fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
+    for mut app in apps() {
+        let ctx = record(app.as_mut());
+        let sim = ctx.run_sim().unwrap();
+        assert_gauges_are_timeline_quantities(
+            &format!("{} (sim)", app.name()),
+            sim.metrics.as_ref().expect("sim metrics enabled"),
+            &sim.timeline,
+            &sim.kinds,
+            &sim.names,
+        );
+        let native = ctx
+            .run_native_with(&NativeConfig {
+                trace: true,
+                ..NativeConfig::default()
+            })
+            .unwrap();
+        let trace = native.trace.expect("trace requested");
+        assert_gauges_are_timeline_quantities(
+            &format!("{} (native)", app.name()),
+            native.metrics.as_ref().expect("native metrics enabled"),
+            &trace.timeline,
+            &trace.kinds,
+            &trace.names,
+        );
+    }
 }

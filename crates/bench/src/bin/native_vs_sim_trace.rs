@@ -82,7 +82,7 @@ fn compare(n: usize, tiles_per_dim: usize, partitions: usize) -> Row {
     let sim = ctx.run_sim().unwrap();
     let sim_stats = sim.overlap();
 
-    // Throttle the native copy engine to the simulator's modelled link
+    // Throttle the native link lane to the simulator's modelled link
     // bandwidth so the two executors price transfers comparably.
     let native_cfg = NativeConfig {
         trace: true,

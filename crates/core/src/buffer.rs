@@ -3,7 +3,7 @@
 //! A [`Buffer`] is a named, fixed-length array of `f32` with a host copy and
 //! (conceptually) one instance in each device's memory. The simulator
 //! executor only uses the byte size; the native executor materializes both
-//! copies and really moves the bytes through its copy engine.
+//! copies and really moves the bytes, under its link-lane locks.
 //!
 //! Buffers are allocated at *tile granularity* by applications: one logical
 //! buffer per tile, so different streams can write different tiles without

@@ -772,9 +772,10 @@ impl Context {
     }
 
     /// Number of persistent threads owned by this context's native runtime
-    /// (stream drivers, partition pool workers, copy engines), or `None`
-    /// before the first native run builds it. Repeated
-    /// `run_native` calls reuse these threads; this count must not grow.
+    /// (stream drivers and partition pool workers — link channels are
+    /// locks, not threads), or `None` before the first native run builds
+    /// it. Repeated `run_native` calls reuse these threads; this count must
+    /// not grow.
     pub fn native_thread_count(&self) -> Option<usize> {
         self.native_rt
             .get()

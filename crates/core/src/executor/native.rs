@@ -3,10 +3,11 @@
 //! Executes a recorded program for real on the host:
 //!
 //! * one **driver thread per stream** interprets that stream's FIFO;
-//! * a **copy engine thread** per link channel performs transfers between
-//!   each buffer's host and device storage — one engine in serial-duplex
-//!   mode, which reproduces the Phi's serialized H2D/D2H behaviour in real
-//!   execution, optionally throttled to a configured bandwidth;
+//! * a **link lane** per `(device, channel)` — a FIFO ticket lock, not a
+//!   thread: the submitting driver takes the lane, copies between the
+//!   buffer's host and device storage itself, and releases it. One lane in
+//!   serial-duplex mode reproduces the Phi's serialized H2D/D2H behaviour
+//!   in real execution, optionally throttled to a configured bandwidth;
 //! * kernels take their partition's mutex (streams sharing a partition
 //!   serialize, as on the card), lock their declared buffers in global id
 //!   order (deadlock-free), and run their native body with a `threads` hint
@@ -18,15 +19,14 @@
 //!
 //! The context lazily builds a `NativeRuntime` on its first native run and
 //! reuses it for every run after that: the stream drivers are a parked
-//! [`WorkerGroup`], the copy engines are
-//! long-lived threads fed over persistent channels, and each `(device,
-//! partition)` pair owns a partition-pinned worker group that
+//! [`WorkerGroup`], and each `(device, partition)` pair owns a
+//! partition-pinned worker group that
 //! [`par_chunks_mut`](crate::parallel::par_chunks_mut) and
 //! [`par_reduce`](crate::parallel::par_reduce) pick up inside kernel
 //! bodies. Repeated runs of the same context — the paper's measurement
-//! loop — therefore spawn no OS threads at all, and each driver completes
-//! transfers through one reusable completion slot instead of allocating a
-//! channel per copy.
+//! loop — therefore spawn no OS threads at all, and a transfer hands
+//! nothing to another thread: drivers and pool workers are the only
+//! threads a context owns.
 //!
 //! A panicking kernel does not poison the run: the stream switches to a
 //! skipping mode that still fires its events and joins its barriers so the
@@ -48,11 +48,9 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use micsim::pcie::Direction;
 
@@ -66,7 +64,7 @@ use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
 use crate::program::StreamRecord;
-use crate::trace::{CopyStamp, NativeTrace, Recorder, Recording};
+use crate::trace::{NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result};
 
 /// Settings for native execution.
@@ -76,7 +74,7 @@ pub struct NativeConfig {
     /// as `available_parallelism / partitions` (at least 1), so partitions
     /// genuinely share the host like they share the card.
     pub max_threads_per_partition: Option<usize>,
-    /// Emulate PCIe bandwidth: each copy holds the engine for at least
+    /// Emulate PCIe bandwidth: each copy holds its link lane for at least
     /// `bytes / bandwidth` seconds. `None` copies at memory speed.
     pub link_bandwidth: Option<f64>,
     /// Attach the run's [`NativeTrace`] to [`NativeReport::trace`] — the
@@ -121,7 +119,7 @@ pub struct NativeReport {
     pub wall: Duration,
     /// Actions executed across all streams.
     pub actions_executed: usize,
-    /// Total bytes moved through the copy engine(s).
+    /// Total bytes moved over the link lane(s).
     pub bytes_transferred: u64,
     /// The measured timeline, when [`NativeConfig::trace`] was set (`None`
     /// for untraced runs and for empty programs).
@@ -166,11 +164,6 @@ impl EventFlag {
             self.cv.wait(&mut guard);
         }
     }
-
-    /// Re-arm the flag so it can complete another wait (reusable slot).
-    fn reset(&self) {
-        *self.fired.lock() = false;
-    }
 }
 
 /// A buffer id, write-intent flag, and its storage Arc, collected before
@@ -181,53 +174,45 @@ type StorageEntry = (
     std::sync::Arc<parking_lot::RwLock<Vec<Elem>>>,
 );
 
-struct CopyJob {
-    src: Arc<RwLock<Vec<Elem>>>,
-    dst: Arc<RwLock<Vec<Elem>>>,
-    bytes: u64,
-    /// Throttle for this job (engines outlive any single run's config).
-    bandwidth: Option<f64>,
-    /// Completion slot the submitting driver waits on — reset and reused
-    /// across the driver's transfers rather than allocated per copy.
-    done: Arc<EventFlag>,
-    /// Recorder stamps (engine start/end, queue-depth gauge); `None` when
-    /// the run is unrecorded. Reused across the driver's transfers like
-    /// `done`.
-    trace: Option<Arc<CopyStamp>>,
-    /// Injected link-congestion factor (1.0 = healthy): the engine holds
-    /// the lane `slowdown`× longer than the copy itself took.
-    slowdown: f64,
+/// One link channel of one device: a resource with a FIFO queue, as the
+/// simulator models it. Drivers are served strictly in the order they asked
+/// (a ticket lock) — a plain mutex would let the releasing driver barge back
+/// in ahead of a parked one and bunch one stream's transfers, and the
+/// link-lane shapes (Fig. 5 serialisation) depend on submission order.
+#[derive(Default)]
+struct LinkLane {
+    /// `(next ticket to hand out, ticket being served)`.
+    tickets: Mutex<(usize, usize)>,
+    cv: Condvar,
 }
 
-fn copy_engine(rx: &Receiver<CopyJob>) {
-    while let Ok(job) = rx.recv() {
-        if let Some(stamp) = &job.trace {
-            stamp.picked_up();
+/// Holding this is holding the lane; dropping it (also on unwind) serves the
+/// next ticket, so a panicking holder cannot strand the drivers behind it.
+struct LaneGuard<'a>(&'a LinkLane);
+
+impl LinkLane {
+    /// Queue behind every earlier caller and block until served.
+    fn acquire(&self) -> LaneGuard<'_> {
+        let mut tickets = self.tickets.lock();
+        let mine = tickets.0;
+        tickets.0 += 1;
+        while tickets.1 != mine {
+            self.cv.wait(&mut tickets);
         }
-        let started = Instant::now();
-        {
-            let src = job.src.read();
-            let mut dst = job.dst.write();
-            dst.copy_from_slice(&src);
+        LaneGuard(self)
+    }
+}
+
+impl Drop for LaneGuard<'_> {
+    fn drop(&mut self) {
+        let mut tickets = self.0.tickets.lock();
+        tickets.1 += 1;
+        let waiters = tickets.0 != tickets.1;
+        drop(tickets);
+        if waiters {
+            // Every waiter re-checks its ticket; only the next one proceeds.
+            self.0.cv.notify_all();
         }
-        if let Some(bw) = job.bandwidth {
-            let target = Duration::from_secs_f64(job.bytes as f64 / bw);
-            let elapsed = started.elapsed();
-            if target > elapsed {
-                std::thread::sleep(target - elapsed);
-            }
-        }
-        if job.slowdown > 1.0 {
-            // Degraded link: stretch the lane occupation to slowdown× the
-            // time spent so far (copy + bandwidth throttle).
-            std::thread::sleep(started.elapsed().mul_f64(job.slowdown - 1.0));
-        }
-        // Stamp before firing: the flag's lock publishes the slot to the
-        // waiting driver.
-        if let Some(stamp) = &job.trace {
-            stamp.stamp(started, Instant::now());
-        }
-        job.done.fire();
     }
 }
 
@@ -308,11 +293,11 @@ fn default_threads_per_partition(ctx: &Context) -> usize {
 // ----- persistent runtime ---------------------------------------------------
 
 /// Long-lived execution state a [`Context`] reuses across native runs: the
-/// stream-driver group, partition-pinned kernel worker pools, copy-engine
-/// threads, and the locks that model partition/host exclusivity. Built
-/// lazily on the first native run; torn down when the context drops.
+/// stream-driver group, partition-pinned kernel worker pools, and the locks
+/// that model partition, host and link exclusivity. Built lazily on the
+/// first native run; torn down when the context drops.
 pub(crate) struct NativeRuntime {
-    /// Serializes whole runs: drivers and engines are shared state.
+    /// Serializes whole runs: drivers and lanes are shared state.
     run_lock: Mutex<()>,
     /// One executor per stream (`run_fixed`): streams block on each other
     /// through events and barriers, so each needs a dedicated thread.
@@ -324,9 +309,8 @@ pub(crate) struct NativeRuntime {
     /// Host kernels serialize on the host, exactly as the simulator prices
     /// them on its single host resource.
     host_lock: Mutex<()>,
-    /// Per-device, per-channel feeds into the persistent copy engines.
-    engine_tx: Vec<Vec<Sender<CopyJob>>>,
-    engine_handles: Vec<JoinHandle<()>>,
+    /// Link lanes: `[device][channel]`.
+    link_lanes: Vec<Vec<LinkLane>>,
 }
 
 impl NativeRuntime {
@@ -344,22 +328,6 @@ impl NativeRuntime {
             .unwrap_or(1);
         let width = (host_par / parts_per_dev).max(1);
         let channels_per_dev = ctx.config().link.channels();
-        let mut engine_tx: Vec<Vec<Sender<CopyJob>>> = Vec::with_capacity(n_devices);
-        let mut engine_handles = Vec::new();
-        for d in 0..n_devices {
-            let mut chans = Vec::with_capacity(channels_per_dev);
-            for c in 0..channels_per_dev {
-                let (tx, rx) = unbounded::<CopyJob>();
-                engine_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("hsp-copy-d{d}c{c}"))
-                        .spawn(move || copy_engine(&rx))
-                        .expect("spawn copy engine"),
-                );
-                chans.push(tx);
-            }
-            engine_tx.push(chans);
-        }
         NativeRuntime {
             run_lock: Mutex::new(()),
             drivers: WorkerGroup::new("drv", n_streams.saturating_sub(1)),
@@ -368,24 +336,15 @@ impl NativeRuntime {
                 .map(|_| (0..parts_per_dev).map(|_| Mutex::new(())).collect())
                 .collect(),
             host_lock: Mutex::new(()),
-            engine_tx,
-            engine_handles,
+            link_lanes: (0..n_devices)
+                .map(|_| (0..channels_per_dev).map(|_| LinkLane::default()).collect())
+                .collect(),
         }
     }
 
-    /// Persistent threads owned by the runtime (drivers + pool + engines).
+    /// Persistent threads owned by the runtime (drivers + pool).
     pub(crate) fn thread_count(&self) -> usize {
-        self.drivers.worker_count() + self.pool.thread_count() + self.engine_handles.len()
-    }
-}
-
-impl Drop for NativeRuntime {
-    fn drop(&mut self) {
-        // Disconnect the engines' feeds, then reap them.
-        self.engine_tx.clear();
-        for h in self.engine_handles.drain(..) {
-            let _ = h.join();
-        }
+        self.drivers.worker_count() + self.pool.thread_count()
     }
 }
 
@@ -400,7 +359,7 @@ struct RunShared<'a> {
     barriers: Vec<Barrier>,
     partition_locks: &'a [Vec<Mutex<()>>],
     host_lock: &'a Mutex<()>,
-    engine_tx: &'a [Vec<Sender<CopyJob>>],
+    link_lanes: &'a [Vec<LinkLane>],
     /// Partition-pinned worker groups for kernel bodies.
     pool: &'a WorkerPool,
     /// Span recorder; `None` with every telemetry switch off (the
@@ -415,11 +374,10 @@ struct RunShared<'a> {
     bytes_moved: &'a [AtomicU64],
 }
 
-/// Submit the transfer at `site` to its device's copy engine and wait for
-/// completion, recording against recorder stream `rsi`. Shared by the FIFO
-/// stream drivers and the graph dispatcher so both execute transfers
-/// identically.
-#[allow(clippy::too_many_arguments)]
+/// Perform the transfer at `site` on the calling driver: queue for the
+/// device's link lane, copy while holding it, and record the span against
+/// recorder stream `rsi`. Shared by the FIFO stream drivers and the graph
+/// dispatcher so both execute transfers identically.
 fn exec_transfer(
     shared: &RunShared<'_>,
     rsi: usize,
@@ -427,8 +385,6 @@ fn exec_transfer(
     buf: BufId,
     dev: usize,
     slowdown: f64,
-    done: &Arc<EventFlag>,
-    stamp: Option<&Arc<CopyStamp>>,
     site: Site,
 ) {
     let buffer = shared
@@ -436,36 +392,44 @@ fn exec_transfer(
         .buffer(buf)
         .expect("buffer validated at enqueue time");
     let (src, dst) = match dir {
-        Direction::HostToDevice => (buffer.host.clone(), buffer.device.clone()),
-        Direction::DeviceToHost => (buffer.device.clone(), buffer.host.clone()),
+        Direction::HostToDevice => (&buffer.host, &buffer.device),
+        Direction::DeviceToHost => (&buffer.device, &buffer.host),
     };
     let chan = shared.ctx.config().link.channel_for(dir);
     let bytes = buffer.bytes();
-    done.reset();
     let submitted = shared.recorder.map(|rec| {
         rec.copy_submitted();
         (rec, Instant::now())
     });
-    shared.engine_tx[dev][chan]
-        .send(CopyJob {
-            src,
-            dst,
-            bytes,
-            bandwidth: shared.link_bandwidth,
-            done: done.clone(),
-            trace: stamp.cloned(),
-            slowdown,
-        })
-        .expect("copy engine alive for run duration");
-    done.wait();
-    if let Some((rec, submitted)) = submitted {
-        // The engine's stamped start/end pair is the link-lane span; the
-        // gap back to `submitted` is the transfer's queue wait.
-        if let Some((start, end)) = stamp.and_then(|s| s.take()) {
-            let lane = rec.lanes.link(dev, chan);
-            rec.record_span(rsi, Some(lane), site, submitted, start, end);
+    let lane = shared.link_lanes[dev][chan].acquire();
+    if let Some((rec, _)) = submitted {
+        rec.copy_granted();
+    }
+    let started = Instant::now();
+    {
+        let src = src.read();
+        let mut dst = dst.write();
+        dst.copy_from_slice(&src);
+    }
+    if let Some(bw) = shared.link_bandwidth {
+        let target = Duration::from_secs_f64(bytes as f64 / bw);
+        let elapsed = started.elapsed();
+        if target > elapsed {
+            std::thread::sleep(target - elapsed);
         }
     }
+    if slowdown > 1.0 {
+        // Degraded link: stretch the lane occupation to slowdown× the
+        // time spent so far (copy + bandwidth throttle).
+        std::thread::sleep(started.elapsed().mul_f64(slowdown - 1.0));
+    }
+    if let Some((rec, submitted)) = submitted {
+        // Stamped inside the lane, so a lane's spans never overlap; the gap
+        // back to `submitted` is the transfer's queue wait.
+        let link = rec.lanes.link(dev, chan);
+        rec.record_span(rsi, Some(link), site, submitted, started, Instant::now());
+    }
+    drop(lane);
     shared.bytes_moved[dev].fetch_add(bytes, Ordering::Relaxed);
     shared.executed.fetch_add(1, Ordering::Relaxed);
 }
@@ -608,13 +572,8 @@ fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
     let si = stream.id.0;
     let dev = stream.placement.device.0;
     let part = stream.placement.partition;
-    // One reusable completion slot for this driver's transfers: reset, hand
-    // to the engine, wait — no per-transfer channel allocation.
-    let done = Arc::new(EventFlag::new());
-    // Recording state, allocated once per driver: the engine-stamp slot
-    // and the sink that routes pool-job spans from kernel bodies into this
-    // driver's buffer.
-    let stamp = shared.recorder.map(Recorder::copy_stamp);
+    // Recording state, installed once per driver: the sink that routes
+    // pool-job spans from kernel bodies into this driver's buffer.
     let _pool_sink = shared
         .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(si)));
@@ -690,17 +649,7 @@ fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
                     .plan
                     .as_ref()
                     .map_or(1.0, |p| p.transfer_slowdown(si, ai));
-                exec_transfer(
-                    shared,
-                    si,
-                    *dir,
-                    *buf,
-                    dev,
-                    slowdown,
-                    &done,
-                    stamp.as_ref(),
-                    site,
-                );
+                exec_transfer(shared, si, *dir, *buf, dev, slowdown, site);
             }
             Action::Kernel(desc) => {
                 if skipping {
@@ -900,11 +849,9 @@ impl<'a> GraphDispatch<'a> {
 /// `idx / parts_per_dev` and executes tasks handed out by `dispatch`.
 fn dispatch_driver(shared: &RunShared<'_>, dispatch: &GraphDispatch<'_>, idx: usize) {
     let part_i = idx % dispatch.parts_per_dev;
-    // Reusable completion slot + recording state, as in `drive_stream`. The
-    // recorder stream index is the driver index: scheduled traces are
-    // per-(device, partition) lanes, matching how the work actually ran.
-    let done = Arc::new(EventFlag::new());
-    let stamp = shared.recorder.map(Recorder::copy_stamp);
+    // Recording state, as in `drive_stream`. The recorder stream index is
+    // the driver index: scheduled traces are per-(device, partition) lanes,
+    // matching how the work actually ran.
     let _pool_sink = shared
         .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(idx)));
@@ -914,17 +861,7 @@ fn dispatch_driver(shared: &RunShared<'_>, dispatch: &GraphDispatch<'_>, idx: us
         let action = &shared.ctx.program().streams[site.stream.0].actions[site.action_index];
         match action {
             Action::Transfer { dir, buf } => {
-                exec_transfer(
-                    shared,
-                    idx,
-                    *dir,
-                    *buf,
-                    task.device,
-                    1.0,
-                    &done,
-                    stamp.as_ref(),
-                    site,
-                );
+                exec_transfer(shared, idx, *dir, *buf, task.device, 1.0, site);
             }
             Action::Kernel(desc) => {
                 if !desc.host && (stolen || part_i != task.partition) {
@@ -1140,7 +1077,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
 }
 
 /// Execute on the context's persistent runtime: parked drivers, pinned
-/// kernel pools, long-lived copy engines. No threads are spawned.
+/// kernel pools, link lanes. No threads are spawned.
 #[allow(clippy::too_many_arguments)]
 fn run_persistent(
     ctx: &Context,
@@ -1166,7 +1103,7 @@ fn run_persistent(
             .collect(),
         partition_locks: &rt.partition_locks,
         host_lock: &rt.host_lock,
-        engine_tx: &rt.engine_tx,
+        link_lanes: &rt.link_lanes,
         pool: &rt.pool,
         recorder,
         fault,
@@ -1393,6 +1330,68 @@ mod tests {
         ctx.d2h(s, a).unwrap();
         ctx.run_native().unwrap();
         assert_eq!(ctx.read_host(a).unwrap(), vec![5.0]);
+    }
+
+    #[test]
+    fn kernel_panic_beside_a_contended_lane_does_not_poison_later_runs() {
+        // Stream 0's kernel panics while streams 1 and 2 take turns on a
+        // throttled lane (one holds it, the other is parked behind it for
+        // the whole 8 ms): the run still reports the panic, and the same
+        // lanes serve the next run.
+        let mut ctx = small_ctx(3);
+        let out = ctx.alloc("out", 1);
+        let ups: Vec<_> = (0..8).map(|i| ctx.alloc(format!("up{i}"), 256)).collect();
+        let s: Vec<_> = (0..3).map(|i| ctx.stream(i).unwrap()).collect();
+        let record = |ctx: &mut Context, boom: bool| {
+            ctx.kernel(
+                s[0],
+                native_kernel("k").writing([out]).with_native(move |k| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    assert!(!boom, "boom");
+                    k.writes[0][0] = 5.0;
+                }),
+            )
+            .unwrap();
+            ctx.d2h(s[0], out).unwrap();
+            for (i, &b) in ups.iter().enumerate() {
+                ctx.h2d(s[1 + i % 2], b).unwrap();
+            }
+        };
+        // 8 KiB at 1 MB/s: each stream holds the lane 4 × 1 ms.
+        let throttled = NativeConfig {
+            link_bandwidth: Some(1.0e6),
+            ..NativeConfig::default()
+        };
+        record(&mut ctx, true);
+        let err = ctx.run_native_with(&throttled).unwrap_err();
+        assert!(matches!(err, Error::KernelPanicked { .. }), "{err}");
+        ctx.reset_program();
+        record(&mut ctx, false);
+        let report = ctx.run_native_with(&throttled).unwrap();
+        assert_eq!(report.bytes_transferred, 8 * 256 * 4 + 4);
+        assert_eq!(ctx.read_host(out).unwrap(), vec![5.0]);
+    }
+
+    #[test]
+    fn lane_holder_unwinding_serves_the_next_ticket() {
+        let lane = LinkLane::default();
+        std::thread::scope(|scope| {
+            let held = lane.acquire();
+            let waiter = scope.spawn(|| drop(lane.acquire()));
+            // Force the interleaving: the waiter holds ticket 1 before the
+            // holder unwinds.
+            while lane.tickets.lock().0 < 2 {
+                std::thread::yield_now();
+            }
+            let unwound = catch_unwind(AssertUnwindSafe(move || {
+                let _held = held;
+                panic!("holder panics with the lane");
+            }));
+            assert!(unwound.is_err());
+            waiter.join().expect("waiter was served");
+        });
+        // Both tickets served: the lane is free again.
+        assert_eq!(*lane.tickets.lock(), (2, 2));
     }
 
     #[test]

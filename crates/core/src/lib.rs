@@ -18,8 +18,9 @@
 //!     model of the Xeon Phi 31SP platform (serial PCIe link, SMT scaling,
 //!     launch overheads) and returns an exact, reproducible timeline;
 //!   - the **native** backend ([`executor::native`]) really executes it on
-//!     partitioned host thread pools with a serialized copy engine, so the
-//!     kernels' numerics can be validated end to end.
+//!     partitioned host thread pools, transfers serialized on a FIFO lane
+//!     lock per link channel, so the kernels' numerics can be validated end
+//!     to end.
 //!
 //! ## Quick start
 //!

@@ -25,8 +25,8 @@
 //! | `launch_overhead_us` | histogram | device, partition | us | device kernel: dispatch → body start (`start − ready`, plus the modelled enqueue overhead on the sim) |
 //! | `kernel_time_us` | histogram | device, partition | us | device kernel occupation of its partition |
 //! | `host_kernel_time_us` | histogram | — | us | host-side kernel duration |
-//! | `transfer_time_us` | histogram | device | us | copy-engine wire time per successful transfer |
-//! | `queue_wait_us` | histogram | device | us | transfer submit → engine pickup (`start − ready`) |
+//! | `transfer_time_us` | histogram | device | us | link-lane occupation per successful transfer |
+//! | `queue_wait_us` | histogram | device | us | transfer queued → link lane granted (`start − ready`) |
 //! | `bytes_transferred` | counter | device | bytes | payload moved over the link |
 //! | `actions_executed` | counter | — | count | kernels + transfers that ran |
 //! | `transfer_retries` | counter | — | count | failed attempts retried with backoff |
@@ -143,14 +143,14 @@ pub fn catalog() -> Vec<CatalogRow> {
             "histogram",
             "device",
             "us",
-            "copy-engine wire time per successful transfer",
+            "link-lane occupation per successful transfer",
         ),
         row(
             name::QUEUE_WAIT_US,
             "histogram",
             "device",
             "us",
-            "transfer submit → copy-engine pickup (start − ready of its span)",
+            "transfer queued → link lane granted (start − ready of its span)",
         ),
         row(
             name::BYTES_TRANSFERRED,

@@ -15,11 +15,9 @@
 //! * each **stream driver** owns a private span buffer (one buffer per
 //!   driver thread, touched by nobody else while the run is live, merged
 //!   only after the drivers joined — the per-buffer mutex is therefore
-//!   uncontended and never blocks the hot path);
-//! * the **copy-engine threads** stamp start/end [`Instant`]s into a
-//!   per-driver reusable slot carried by each `CopyJob`; the submitting
-//!   driver folds the stamps into its own buffer after the completion
-//!   handshake, so engine threads never allocate;
+//!   uncontended and never blocks the hot path); a transfer's `start` and
+//!   `end` are stamped by that same driver while it holds the link lane, so
+//!   a lane's spans never overlap;
 //! * the **pool workers** in [`pool`](crate::pool) report chunked-job spans
 //!   through a thread-local sink the driver installs around the run (see
 //!   `record_pool_job`).
@@ -191,7 +189,7 @@ impl SpanKind {
 
 /// One measured interval on a lane (`None` = pure control, rendered on the
 /// synthetic row of the Chrome trace, ignored by overlap stats). `ready` is
-/// when the action was dispatched (kernels) or submitted to the copy engine
+/// when the action was dispatched (kernels) or queued for its link lane
 /// (transfers); it becomes [`TaskRecord::ready`], so `start − ready` is
 /// launch overhead on a kernel lane and queue wait on a link lane, as in a
 /// simulated timeline.
@@ -208,33 +206,6 @@ struct Span {
 /// duration of the run (its pool sink shares it), so the mutex is
 /// uncontended.
 type SpanBuf = Arc<Mutex<Vec<Span>>>;
-
-/// Start/end stamps for one in-flight copy, written by the engine thread
-/// before the completion flag fires and read by the submitting driver after
-/// its wait returns (the flag's lock orders the accesses). One slot per
-/// driver, reset and reused across that driver's transfers.
-pub(crate) struct CopyStamp {
-    slot: Mutex<Option<(Instant, Instant)>>,
-    queue_depth: Arc<AtomicUsize>,
-}
-
-impl CopyStamp {
-    /// Engine side: the copy queue shrank by one job.
-    pub(crate) fn picked_up(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Engine side: record when the copy held the engine.
-    pub(crate) fn stamp(&self, start: Instant, end: Instant) {
-        *self.slot.lock() = Some((start, end));
-    }
-
-    /// Driver side, after the completion handshake: consume the engine's
-    /// start/end pair. Taken exactly once per transfer.
-    pub(crate) fn take(&self) -> Option<(Instant, Instant)> {
-        self.slot.lock().take()
-    }
-}
 
 // ----- derived counters -----------------------------------------------------
 
@@ -282,14 +253,15 @@ pub struct NativeCounters {
     /// instrument holds the device-kernel samples of the same set, rounded
     /// to whole microseconds.
     pub launch_overhead: LaunchHistogram,
-    /// Per-stream total time transfers sat in the copy-engine queue before
-    /// the engine picked them up (`start − ready` of the stream's link-lane
-    /// spans), indexed by stream id.
+    /// Per-stream total time transfers queued for their link lane before it
+    /// was granted (`start − ready` of the stream's link-lane spans),
+    /// indexed by stream id.
     pub queue_wait: Vec<Duration>,
-    /// Busy fraction of each copy-engine lane over the makespan, keyed by
-    /// lane name (`mic0.link0`, ...).
+    /// Busy fraction of each link lane over the makespan, keyed by lane
+    /// name (`mic0.link0`, ...).
     pub copy_busy_fraction: Vec<(String, f64)>,
-    /// High-water mark of jobs sitting in copy-engine queues.
+    /// High-water mark of transfers queued for a link lane (submitted, not
+    /// yet granted).
     pub copy_queue_depth_hwm: usize,
     /// High-water mark of chunk parts queued beyond a worker group's width
     /// in one pool job (0 = the pool never had more work than threads).
@@ -320,7 +292,7 @@ pub struct NativeTrace {
     pub kinds: ResourceKinds,
     /// Lane names for Gantt/Chrome rendering.
     pub names: BTreeMap<ResourceId, String>,
-    /// Derived counters (launch overhead, queue wait, engine busy).
+    /// Derived counters (launch overhead, queue wait, link busy).
     pub counters: NativeCounters,
 }
 
@@ -361,7 +333,7 @@ pub(crate) struct Recorder {
     epoch: Instant,
     pub(crate) lanes: LaneMap,
     streams: Vec<SpanBuf>,
-    copy_queue_depth: Arc<AtomicUsize>,
+    copy_queue_depth: AtomicUsize,
     copy_queue_hwm: AtomicUsize,
     pool_queue_hwm: Arc<AtomicUsize>,
     pool_jobs: Arc<AtomicUsize>,
@@ -407,7 +379,7 @@ impl Recorder {
             streams: (0..drivers)
                 .map(|_| Arc::new(Mutex::new(Vec::new())))
                 .collect(),
-            copy_queue_depth: Arc::new(AtomicUsize::new(0)),
+            copy_queue_depth: AtomicUsize::new(0),
             copy_queue_hwm: AtomicUsize::new(0),
             pool_queue_hwm: Arc::new(AtomicUsize::new(0)),
             pool_jobs: Arc::new(AtomicUsize::new(0)),
@@ -421,18 +393,15 @@ impl Recorder {
         self.steals.store(steals, Ordering::Relaxed);
     }
 
-    /// A fresh per-driver copy stamp slot, wired to the queue-depth gauge.
-    pub(crate) fn copy_stamp(&self) -> Arc<CopyStamp> {
-        Arc::new(CopyStamp {
-            slot: Mutex::new(None),
-            queue_depth: self.copy_queue_depth.clone(),
-        })
-    }
-
-    /// Driver side, at submit time: the copy queue grew by one.
+    /// A driver queued for a link lane: the copy queue grew by one.
     pub(crate) fn copy_submitted(&self) {
         let depth = self.copy_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.copy_queue_hwm.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// That driver was granted the lane: the copy queue shrank by one.
+    pub(crate) fn copy_granted(&self) {
+        self.copy_queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Record the span of the action at `site` on `stream`'s buffer:
@@ -506,7 +475,7 @@ impl Recorder {
             .links
             .iter()
             .map(|&lane| {
-                // One engine thread per lane: its spans never overlap.
+                // Stamped inside the lane lock: a lane's spans never overlap.
                 let busy: SimDuration = timeline
                     .records
                     .iter()

@@ -298,6 +298,39 @@ fn slow_partition_stretches_native_kernel_occupancy() {
     );
 }
 
+// ----- congested link -------------------------------------------------------
+
+#[test]
+fn transfer_slowdown_stretches_the_lane_span() {
+    // The stretch is served while the lane is held, so it shows up as lane
+    // occupation on the trace — not merely as wall time.
+    let mut ctx = small_ctx(1);
+    let a = ctx.alloc("a", 1 << 12); // 16 KiB
+    let s = ctx.stream(0).unwrap();
+    ctx.h2d(s, a).unwrap();
+    let plan = FaultPlan::seeded(7).transfer_slowdowns(1.0, 4.0);
+    let report = ctx
+        .run_native_with(&NativeConfig {
+            trace: true,
+            link_bandwidth: Some(8.0e6), // ~2 ms healthy
+            ..faulted_cfg(plan)
+        })
+        .unwrap();
+    let trace = report.trace.unwrap();
+    let span = trace
+        .timeline
+        .records
+        .iter()
+        .find(|r| r.resource == Some(trace.kinds.links[0]))
+        .expect("the transfer's lane span");
+    let held = span.finish - span.start;
+    // 16 KiB at 8 MB/s is 2.048 ms; ×4 = 8.2 ms.
+    assert!(
+        held.nanos() >= 8_000_000,
+        "slowdown not served on the lane: held {held:?}"
+    );
+}
+
 // ----- fault-free plans are inert -------------------------------------------
 
 #[test]
@@ -345,7 +378,7 @@ fn persistent_runtime_is_clean_after_a_panicked_run() {
     assert!(ctx.take_native_trace().is_some());
 
     // Second run on the SAME runtime: a healthy program must see no stale
-    // transfer-completion slots, byte counts, or trace buffers.
+    // lane tickets, byte counts, or trace buffers.
     ctx.reset_program();
     ctx.h2d(s, a).unwrap();
     ctx.kernel(s, add1_kernel("add1").reading([a]).writing([b]))

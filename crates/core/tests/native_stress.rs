@@ -107,8 +107,8 @@ fn barrier_ladder_consistency() {
     );
 }
 
-/// Many tiny transfers through the serialized copy engine while kernels run:
-/// checks the engine never drops or reorders same-stream copies.
+/// Many tiny transfers through the serialized link lane while kernels run:
+/// checks the lane never drops or reorders same-stream copies.
 #[test]
 fn copy_engine_hammering() {
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())

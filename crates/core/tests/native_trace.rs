@@ -1,6 +1,6 @@
 //! Integration tests for native-executor tracing: the measured timeline
 //! must behave like a simulator timeline under the existing analysis tools,
-//! and the structural claims of the platform model (serialized copy engine,
+//! and the structural claims of the platform model (serialized link lane,
 //! overlap only with multiple streams) must show up in real measurements.
 
 use std::time::Duration;
@@ -197,6 +197,108 @@ fn copy_engine_lane_never_overlaps_itself() {
             "interval {iv:?} overlaps another engine interval"
         );
     }
+}
+
+/// `per_stream` same-sized transfers of direction `dirs[s]` on each of two
+/// streams, over a link throttled to ~0.5 ms per transfer so the lanes stay
+/// contended for the whole run. Returns the traced run; buffer `2 * i + s`
+/// belongs to stream `s`.
+fn contended_link_trace(
+    platform: PlatformConfig,
+    dirs: [micsim::Direction; 2],
+    per_stream: usize,
+) -> hstreams::NativeTrace {
+    let mut ctx = Context::builder(platform).partitions(2).build().unwrap();
+    for i in 0..per_stream {
+        for (s, dir) in dirs.iter().enumerate() {
+            let buf = ctx.alloc(format!("t{i}s{s}"), 1 << 10); // 4 KiB
+            let stream = ctx.stream(s).unwrap();
+            match dir {
+                micsim::Direction::HostToDevice => ctx.h2d(stream, buf).unwrap(),
+                micsim::Direction::DeviceToHost => ctx.d2h(stream, buf).unwrap(),
+            }
+        }
+    }
+    let report = ctx
+        .run_native_with(&NativeConfig {
+            trace: true,
+            link_bandwidth: Some(8.0e6),
+            ..NativeConfig::default()
+        })
+        .unwrap();
+    report.trace.unwrap()
+}
+
+#[test]
+fn link_lane_serves_transfers_in_submission_order() {
+    // Two streams fight for the one half-duplex lane. The lane is a FIFO
+    // queue: whoever asked first is served first, so by lane order the
+    // submission instants never go backwards and the streams alternate. A
+    // lock that lets the releasing driver barge back in (a plain mutex)
+    // bunches one stream's transfers and fails all three assertions.
+    use micsim::Direction::HostToDevice;
+    let trace = contended_link_trace(PlatformConfig::phi_31sp(), [HostToDevice; 2], 16);
+    let mut lane: Vec<_> = trace
+        .timeline
+        .records
+        .iter()
+        .filter(|r| r.resource == Some(trace.kinds.links[0]))
+        .collect();
+    assert_eq!(lane.len(), 32);
+    lane.sort_by_key(|r| r.start);
+    for pair in lane.windows(2) {
+        assert!(
+            pair[0].ready <= pair[1].ready,
+            "`{}` (queued {:?}) was served before `{}` (queued {:?})",
+            pair[0].label,
+            pair[0].ready,
+            pair[1].label,
+            pair[1].ready
+        );
+        assert!(
+            pair[0].finish <= pair[1].start,
+            "`{}` and `{}` held the lane together",
+            pair[0].label,
+            pair[1].label
+        );
+    }
+    // Labels are `h2d b<id>`; even ids are stream 0's, odd ids stream 1's.
+    let stream_of = |label: &str| label[5..].parse::<usize>().unwrap() % 2;
+    let first_four: Vec<usize> = lane[..4].iter().map(|r| stream_of(&r.label)).collect();
+    assert!(
+        first_four.contains(&0) && first_four.contains(&1),
+        "one stream monopolised the lane: {first_four:?}"
+    );
+}
+
+#[test]
+fn duplex_link_lanes_are_independent() {
+    // Full duplex: H2D and D2H have a lane (and a lock) each, so stream 0's
+    // uploads and stream 1's downloads hold the link at the same time.
+    use micsim::Direction::{DeviceToHost, HostToDevice};
+    let trace = contended_link_trace(
+        PlatformConfig::phi_31sp_full_duplex(),
+        [HostToDevice, DeviceToHost],
+        8,
+    );
+    let lane = |c: usize| -> Vec<Interval> {
+        trace
+            .timeline
+            .records
+            .iter()
+            .filter(|r| r.resource == Some(trace.kinds.links[c]))
+            .map(|r| Interval {
+                start: r.start,
+                end: r.finish,
+            })
+            .collect()
+    };
+    let (up, down) = (lane(0), lane(1));
+    assert_eq!((up.len(), down.len()), (8, 8));
+    assert!(
+        !intersect(&merge_intervals(up), &merge_intervals(down)).is_empty(),
+        "H2D and D2H never overlapped on a full-duplex link"
+    );
 }
 
 #[test]

@@ -21,12 +21,17 @@ fn prof() -> KernelProfile {
 /// where `/proc` is unavailable, so the growth assertion degrades to the
 /// runtime's own count.
 fn runtime_os_threads() -> Option<usize> {
+    runtime_os_thread_names().map(|names| names.len())
+}
+
+/// The names behind [`runtime_os_threads`].
+fn runtime_os_thread_names() -> Option<Vec<String>> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         tasks
             .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
             .filter(|comm| comm.starts_with("hsp-"))
-            .count(),
+            .collect(),
     )
 }
 
@@ -90,6 +95,46 @@ fn hundred_runs_do_not_grow_thread_count() {
     let expect: Vec<f32> = (0..256).map(|j| j as f32).collect();
     for &b in &bufs {
         assert_eq!(ctx.read_host(b).unwrap(), expect);
+    }
+}
+
+#[test]
+fn runtime_threads_are_stream_drivers_plus_pool_workers() {
+    // A link channel is a lock the submitting driver takes, not a thread:
+    // the runtime owns one driver per stream beyond the submitting thread's
+    // own, and `width − 1` workers in each partition group and the host
+    // group (the kernel's driver is the group's first member) — nothing
+    // per link channel, on one card or two.
+    let _serial = one_runtime_at_a_time();
+    let host_par = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    for devices in [1, 2] {
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp_multi(devices))
+            .partitions(2)
+            .build()
+            .unwrap();
+        // Every stream uploads and downloads, so every link lane is used.
+        for i in 0..ctx.stream_count() {
+            let b = ctx.alloc(format!("b{i}"), 64);
+            let s = ctx.stream(i).unwrap();
+            ctx.h2d(s, b).unwrap();
+            ctx.d2h(s, b).unwrap();
+        }
+        ctx.run_native().unwrap();
+        let drivers = ctx.stream_count() - 1;
+        let width = (host_par / 2).max(1);
+        let pool_workers = (devices * 2 + 1) * (width - 1);
+        assert_eq!(
+            ctx.native_thread_count(),
+            Some(drivers + pool_workers),
+            "{devices} device(s)"
+        );
+        if let Some(names) = runtime_os_thread_names() {
+            assert_eq!(names.len(), drivers + pool_workers, "{names:?}");
+            assert!(
+                !names.iter().any(|name| name.starts_with("hsp-copy")),
+                "a copy-engine thread is alive: {names:?}"
+            );
+        }
     }
 }
 

@@ -42,7 +42,7 @@ fn main() -> hstreams::Result<()> {
 
     // The same flow, natively executed at a host-tractable size, traced
     // into the identical timeline representation. Both executors run the
-    // *same* recorded program, with the native copy engine throttled to the
+    // *same* recorded program, with the native link lane throttled to the
     // simulator's link bandwidth.
     let cfg = CfConfig {
         n: 1536,

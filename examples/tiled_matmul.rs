@@ -1,6 +1,6 @@
 //! Streamed tiled matrix multiplication on the **native** executor: the
 //! kernels really run on partitioned host thread pools, the "PCIe link" is
-//! a serialized copy engine, and the result is validated against a serial
+//! a serialized link lane, and the result is validated against a serial
 //! reference.
 //!
 //! Run with: `cargo run --release --example tiled_matmul`
@@ -11,7 +11,7 @@ use mic_apps::util::max_rel_diff;
 use micsim::PlatformConfig;
 use std::time::Instant;
 
-/// Throttle the copy engine to PCIe-gen2-ish speed so the link is a real
+/// Throttle the link lane to PCIe-gen2-ish speed so the link is a real
 /// resource, as on the original platform (unthrottled host memcpy would be
 /// too fast to matter).
 const LINK_BW: f64 = 50.0e6;
@@ -61,7 +61,7 @@ fn main() {
         flops / streamed_wall / 1e9
     );
     println!(
-        "(the copy engine is throttled to {:.0} MB/s to stand in for PCIe; \
+        "(the link lane is throttled to {:.0} MB/s to stand in for PCIe; \
          the streamed version wins by overlapping those transfers with \
          kernels in other streams — the paper's temporal sharing, for real)",
         LINK_BW / 1e6

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, build, every test target of
 # the workspace in both profiles, the ledger's own tests, the simulator's
-# exact numbers against the committed baseline, and the boolean
-# gate binaries. Run from the repo root: ./scripts/verify.sh
+# and the native executor's exact numbers against the committed baseline,
+# and the boolean gate binaries. Run from the repo root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,7 +49,15 @@ bash bench/e2e/run.sh --self-test
 
 echo "==> simulator ledger (sim_sweep's makespans and exact counts equal the committed baseline, bit for bit)"
 bash bench/e2e/run.sh --workload sim_sweep --seed 1 --seconds 3 --trace 1 2>/dev/null \
-  | python3 scripts/sim_exact.py bench/e2e/baseline/baseline.json
+  | python3 scripts/sim_exact.py bench/e2e/baseline/baseline.json sim_sweep \
+      sim.makespan_ms.hbench sim.makespan_ms.mm sim.makespan_ms.cf sim.makespan_ms.nn \
+      sim.makespan_ms.kmeans sim_makespan_ms tune.candidates_per_sweep tune.evaluator_calls \
+      micsim.tasks_per_sweep hstreams.actions_per_op hstreams.bytes_per_op
+
+echo "==> native ledger (dispatch_tiny executes every action and moves every byte of the committed baseline; counters only, no wall-clock gate)"
+bash bench/e2e/run.sh --workload dispatch_tiny --seed 1 --seconds 3 --trace 1 2>/dev/null \
+  | python3 scripts/sim_exact.py bench/e2e/baseline/baseline.json dispatch_tiny \
+      hstreams.actions_per_op hstreams.bytes_per_op
 
 echo "==> differential fuzz smoke (quick: corpus replay + 2 fixed-seed sessions agree)"
 cargo run --release -p mic-bench --bin fuzz_smoke -- --quick

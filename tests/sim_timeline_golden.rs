@@ -1,0 +1,281 @@
+//! Golden simulated timelines.
+//!
+//! Every cell below is the FNV-1a fingerprint of one whole simulated
+//! timeline — `label, resource, ready, start, finish, critical_pred` of
+//! every [`TaskRecord`], in task-id order — so it pins the simulator's
+//! lowering (which tasks exist, in which creation order, with which
+//! dependencies and resources), its prices and the engine's arbitration at
+//! once. The constants were computed at commit f5ba4ea (PR 20), before the
+//! simulator's lowering was rebuilt on the checker's happens-before graph;
+//! a refactor of the lowering or of the cost model must leave every `fifo`
+//! and faulted cell equal. `heft`/`steal` cells additionally depend on the
+//! prices the *schedulers* see (see CHANGES.md for the CF cells PR 21
+//! moved, and why).
+//!
+//! On a mismatch the test prints the full actual table in source form.
+
+use mic_streams::apps::hotspot::{self, HotspotConfig};
+use mic_streams::apps::srad::{self, SradConfig};
+use mic_streams::apps::tunable::{
+    Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn,
+};
+use mic_streams::hstreams::context::Context;
+use mic_streams::hstreams::kernel::KernelDesc;
+use mic_streams::hstreams::testutil::fnv64;
+use mic_streams::hstreams::{FaultPlan, SchedulerKind, SimReport};
+use mic_streams::micsim::compute::KernelProfile;
+use mic_streams::micsim::PlatformConfig;
+use std::fmt::Write as _;
+
+fn fingerprint(report: &SimReport) -> u64 {
+    let mut text = String::new();
+    for r in &report.timeline.records {
+        writeln!(
+            text,
+            "{}|{:?}|{}|{}|{}|{:?}",
+            r.label,
+            r.resource.map(|res| res.0),
+            r.ready.0,
+            r.start.0,
+            r.finish.0,
+            r.critical_pred.map(|t| t.0)
+        )
+        .unwrap();
+    }
+    fnv64(&text)
+}
+
+fn ctx(platform: PlatformConfig, partitions: usize) -> Context {
+    Context::builder(platform)
+        .partitions(partitions)
+        .build()
+        .unwrap()
+}
+
+/// The five tunable apps, each at two `(P, T)`.
+fn tunables() -> Vec<(Box<dyn Tunable>, [(usize, usize); 2])> {
+    vec![
+        (
+            Box::new(TunableHbench::new(1 << 16, 8, None)) as Box<dyn Tunable>,
+            [(2, 4), (4, 16)],
+        ),
+        (Box::new(TunableMm::new(96, None)), [(2, 4), (4, 16)]),
+        (Box::new(TunableCf::new(96, None)), [(2, 9), (4, 16)]),
+        (Box::new(TunableNn::new(1 << 14, None)), [(2, 4), (7, 14)]),
+        (
+            Box::new(TunableKmeans::new(1 << 12, 4, 3, None)),
+            [(2, 4), (4, 8)],
+        ),
+    ]
+}
+
+/// Every scheduler's timeline of the program recorded in `ctx`.
+fn cells(name: &str, ctx: &mut Context, out: &mut Vec<(String, u64)>) {
+    for kind in SchedulerKind::all() {
+        ctx.set_scheduler(kind);
+        let report = ctx.run_sim().unwrap();
+        out.push((format!("{name}/{kind}"), fingerprint(&report)));
+    }
+}
+
+fn actual() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+
+    for (mut app, geometries) in tunables() {
+        for (p, t) in geometries {
+            let mut ctx = ctx(PlatformConfig::phi_31sp(), p);
+            assert!(app.feasible(t), "{} T={t}", app.name());
+            app.record(&mut ctx, t).unwrap();
+            cells(&format!("{}@p{p}t{t}", app.name()), &mut ctx, &mut out);
+        }
+    }
+
+    // The two barrier-per-iteration stencil apps (app modules only).
+    for (p, t) in [(2, 4), (4, 8)] {
+        let mut c = ctx(PlatformConfig::phi_31sp(), p);
+        let cfg = HotspotConfig {
+            rows: 64,
+            cols: 64,
+            iterations: 3,
+            tiles: t,
+        };
+        hotspot::build(&mut c, &cfg).unwrap();
+        cells(&format!("hotspot@p{p}t{t}"), &mut c, &mut out);
+
+        let mut c = ctx(PlatformConfig::phi_31sp(), p);
+        let cfg = SradConfig {
+            rows: 64,
+            cols: 64,
+            lambda: 0.5,
+            iterations: 2,
+            tiles: t,
+        };
+        srad::build(&mut c, &cfg).unwrap();
+        cells(&format!("srad@p{p}t{t}"), &mut c, &mut out);
+    }
+
+    // A fault plan with priced retries, degraded transfers and a slow
+    // partition (FIFO only: fault sites are keyed by recorded coordinates).
+    {
+        let mut c = ctx(PlatformConfig::phi_31sp(), 4);
+        let mut app = TunableMm::new(96, None);
+        app.record(&mut c, 16).unwrap();
+        let plan = FaultPlan::seeded(2026)
+            .transfer_failures(0.25, 2)
+            .transfer_slowdowns(0.25, 3.0)
+            .slow_partition(0, 1, 2.5)
+            .fail_transfer_at(0, 0);
+        let report = c.run_sim_faulted(&plan).unwrap();
+        assert!(
+            report
+                .timeline
+                .records
+                .iter()
+                .any(|r| r.label.contains("!backoff")),
+            "the plan must price at least one retry"
+        );
+        out.push(("mm@p4t16/faulted".into(), fingerprint(&report)));
+    }
+
+    // Two cards, barriers between phases: the `cross_device_sync` path.
+    {
+        let mut c = ctx(PlatformConfig::phi_31sp_multi(2), 2);
+        let streams = c.stream_count();
+        let bufs: Vec<_> = (0..streams)
+            .map(|i| {
+                (
+                    c.alloc(format!("a{i}"), 1 << 16),
+                    c.alloc(format!("b{i}"), 1 << 16),
+                )
+            })
+            .collect();
+        let kernel = |label: String| {
+            KernelDesc::simulated(label, KernelProfile::streaming("k", 0.32e9), 4e7)
+        };
+        for (i, &(a, _)) in bufs.iter().enumerate() {
+            let s = c.stream(i).unwrap();
+            c.h2d(s, a).unwrap();
+        }
+        c.barrier();
+        for (i, &(a, b)) in bufs.iter().enumerate() {
+            let s = c.stream(i).unwrap();
+            c.kernel(s, kernel(format!("k{i}")).reading([a]).writing([b]))
+                .unwrap();
+        }
+        c.barrier();
+        c.barrier();
+        for (i, &(_, b)) in bufs.iter().enumerate() {
+            let s = c.stream(i).unwrap();
+            c.d2h(s, b).unwrap();
+        }
+        cells("two-device-barriers@p2", &mut c, &mut out);
+    }
+
+    // Forward event references across a barrier: stream 0 waits on stream
+    // 1, which waits on stream 2 — the lowering order is not stream order.
+    {
+        let mut c = ctx(PlatformConfig::phi_31sp(), 3);
+        let bufs: Vec<_> = (0..6).map(|i| c.alloc(format!("l{i}"), 1 << 14)).collect();
+        let (s0, s1, s2) = (
+            c.stream(0).unwrap(),
+            c.stream(1).unwrap(),
+            c.stream(2).unwrap(),
+        );
+        let kernel =
+            |label: &str| KernelDesc::simulated(label, KernelProfile::streaming("k", 0.32e9), 2e7);
+        for round in 0..2 {
+            let (a, b, d) = (bufs[3 * round], bufs[3 * round + 1], bufs[3 * round + 2]);
+            c.h2d(s2, a).unwrap();
+            c.kernel(s2, kernel("produce").reading([a]).writing([b]))
+                .unwrap();
+            let e2 = c.record_event(s2).unwrap();
+            c.wait_event(s1, e2).unwrap();
+            c.kernel(s1, kernel("refine").reading([b]).writing([d]))
+                .unwrap();
+            let e1 = c.record_event(s1).unwrap();
+            c.wait_event(s0, e1).unwrap();
+            c.d2h(s0, d).unwrap();
+            if round == 0 {
+                c.barrier();
+            }
+        }
+        cells("event-ladder@p3", &mut c, &mut out);
+    }
+
+    out
+}
+
+/// Fingerprints computed at f5ba4ea (see the module docs).
+const GOLDEN: &[(&str, u64)] = &[
+    ("hbench@p2t4/fifo", 0x39e9ff618229209d),
+    ("hbench@p2t4/heft", 0x37b8ac5947d0430f),
+    ("hbench@p2t4/steal", 0x0dec4f0e4a6fcc99),
+    ("hbench@p4t16/fifo", 0x0f7e69d242d1be40),
+    ("hbench@p4t16/heft", 0xed5f050b456828c7),
+    ("hbench@p4t16/steal", 0xf3e79237916d5d3d),
+    ("mm@p2t4/fifo", 0xe0e0496158c6f5ae),
+    ("mm@p2t4/heft", 0x4cbcb2dbfebeab2e),
+    ("mm@p2t4/steal", 0x277af7cae73f1854),
+    ("mm@p4t16/fifo", 0x8ded3e7001c65587),
+    ("mm@p4t16/heft", 0x35d7ef29968321d1),
+    ("mm@p4t16/steal", 0xbdfdee695b8e50ef),
+    ("cf@p2t9/fifo", 0x6693f17236be9f36),
+    ("cf@p2t9/heft", 0x126e3ee03736f90c),
+    ("cf@p2t9/steal", 0xee255aa72f57bcbd),
+    ("cf@p4t16/fifo", 0xde98364bfaa42c25),
+    ("cf@p4t16/heft", 0xe94379d925134ec8),
+    ("cf@p4t16/steal", 0x587331bde5f832ef),
+    ("nn@p2t4/fifo", 0x719c2c1d84f275d3),
+    ("nn@p2t4/heft", 0xee9d0ec9711fd696),
+    ("nn@p2t4/steal", 0x759a0564afd4c250),
+    ("nn@p7t14/fifo", 0xc32d0bfe30f1dd7c),
+    ("nn@p7t14/heft", 0x258754bc63386800),
+    ("nn@p7t14/steal", 0x95bb65b9591df835),
+    ("kmeans@p2t4/fifo", 0x58026f8d3b4ed3e6),
+    ("kmeans@p2t4/heft", 0x644f7d4258ae76b9),
+    ("kmeans@p2t4/steal", 0x5f35ed8771a2debf),
+    ("kmeans@p4t8/fifo", 0xdb3a8630524fce74),
+    ("kmeans@p4t8/heft", 0x99c8d10c76e2a8e4),
+    ("kmeans@p4t8/steal", 0x083d1ac54ce37e80),
+    ("hotspot@p2t4/fifo", 0x7919b475ff41b508),
+    ("hotspot@p2t4/heft", 0x8fdc53135424adf2),
+    ("hotspot@p2t4/steal", 0xe47ef3ad6d254880),
+    ("srad@p2t4/fifo", 0x4d914c26b6b04787),
+    ("srad@p2t4/heft", 0x214cb1e40e08430f),
+    ("srad@p2t4/steal", 0x83d5f319c8612ba2),
+    ("hotspot@p4t8/fifo", 0xdbd7aec7177b8161),
+    ("hotspot@p4t8/heft", 0x21030361926a86a2),
+    ("hotspot@p4t8/steal", 0x356efef8b4ed457b),
+    ("srad@p4t8/fifo", 0x5b0b1cf5a80b9773),
+    ("srad@p4t8/heft", 0x6c0ffc43d369bdb2),
+    ("srad@p4t8/steal", 0xcae0a9d898d7e063),
+    ("mm@p4t16/faulted", 0x2670bd1cc7de13b1),
+    ("two-device-barriers@p2/fifo", 0x86d6d4dc5f66f51e),
+    ("two-device-barriers@p2/heft", 0x0cac77988442cf7d),
+    ("two-device-barriers@p2/steal", 0x8c58afbf241e6831),
+    ("event-ladder@p3/fifo", 0x6aaa1fad927f82c4),
+    ("event-ladder@p3/heft", 0x836d674b7d039516),
+    ("event-ladder@p3/steal", 0xe753ae468dcb9dac),
+];
+
+#[test]
+fn simulated_timelines_match_the_committed_fingerprints() {
+    let actual = actual();
+    let same = actual.len() == GOLDEN.len()
+        && actual
+            .iter()
+            .zip(GOLDEN)
+            .all(|((name, fp), (gname, gfp))| name == gname && fp == gfp);
+    if !same {
+        let mut table = String::new();
+        for (name, fp) in &actual {
+            let moved = GOLDEN
+                .iter()
+                .find(|(g, _)| g == name)
+                .is_some_and(|(_, g)| g != fp);
+            let mark = if moved { " // MOVED" } else { "" };
+            writeln!(table, "    (\"{name}\", 0x{fp:016x}),{mark}").unwrap();
+        }
+        panic!("timeline fingerprints differ from GOLDEN; actual table:\n{table}");
+    }
+}

@@ -239,7 +239,7 @@ fn main() {
                     continue;
                 };
                 candidates += 1;
-                if lb > m.seconds + 1e-12 {
+                if lb > m.seconds {
                     violations += 1;
                     eprintln!(
                         "UNSOUND: {} (P={p}, T={t}): bound {lb:.9} > measured {:.9}",

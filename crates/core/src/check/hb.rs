@@ -8,12 +8,20 @@
 //! * **barriers** — `Barrier(n)` actions feed barrier `n`'s join node,
 //!   which feeds the next action of every participating stream.
 //!
-//! A Kahn topological sort detects cycles (deadlocks) and, on acyclic
-//! graphs, drives one forward pass of per-stream **vector clocks**:
-//! `clock[v][s]` is the number of leading actions of stream `s` that must
-//! complete before `v` *starts*. That makes every happens-before query
-//! O(1) — `a → b` iff `clock[b][a.stream] > a.action_index` — at
-//! O(nodes × streams) build cost, microseconds for paper-scale programs.
+//! One topological sort ([`HbEdges::topo_order`]) detects cycles
+//! (deadlocks) and, on acyclic graphs, drives one forward pass of
+//! per-stream **vector clocks**: `clock[v][s]` is the number of leading
+//! actions of stream `s` that must complete before `v` *starts*. That
+//! makes every happens-before query O(1) — `a → b` iff
+//! `clock[b][a.stream] > a.action_index` — at O(nodes × streams) build
+//! cost, microseconds for paper-scale programs.
+//!
+//! This is the only place a program's ordering is derived. [`HbGraph`]
+//! keeps the graph and its order for everything downstream: the race and
+//! dataflow checks, the witness scheduler, the static cost analysis
+//! ([`crate::opt::static_cost`]), the schedulers' task graph and the
+//! simulator's lowering ([`crate::executor::sim`]) — one engine task per
+//! node, created in exactly this order.
 
 use crate::action::Action;
 use crate::program::Program;
@@ -21,13 +29,10 @@ use crate::types::StreamId;
 
 use super::diagnostics::Site;
 
-/// Node layout + edge lists of the happens-before graph, and the one Kahn
-/// sort over them — the part of the construction shared between
-/// [`HbGraph::build`] (cycle witness and vector clocks on top), the static
-/// cost analysis ([`crate::opt::static_cost`], which prices the longest
-/// path along the same order) and the witness scheduler
-/// ([`super::witness`], which runs constrained topological sorts over the
-/// same edges to produce executable schedules).
+/// Node layout + edge lists of the happens-before graph, and the one
+/// topological sort over them. [`HbGraph::build`] builds and keeps them;
+/// only [`crate::opt`]'s elision pass builds bare edge lists of its own,
+/// for the trial programs it probes.
 pub(crate) struct HbEdges {
     /// First node id of each stream's action run (last entry = total
     /// action count).
@@ -75,7 +80,9 @@ impl HbEdges {
         for (si, s) in program.streams.iter().enumerate() {
             for (ai, a) in s.actions.iter().enumerate() {
                 let v = offsets[si] + ai;
-                if ai > 0 {
+                // FIFO. After a barrier the join node carries it: the join
+                // waits on this stream's barrier action too.
+                if ai > 0 && !matches!(s.actions[ai - 1], Action::Barrier(_)) {
                     edge(v - 1, v);
                 }
                 match a {
@@ -109,21 +116,53 @@ impl HbEdges {
         }
     }
 
-    /// Kahn's topological order over the edges. On a cyclic graph the
-    /// sort stalls and `Err` carries the in-degree still left on every
-    /// node (positive exactly on the unsorted ones).
-    pub(crate) fn topo_order(&self) -> Result<Vec<u32>, Vec<u32>> {
+    /// The topological order: a **stream-major greedy sweep**. Each pass
+    /// visits the streams in index order and emits every action whose
+    /// predecessors are out, stopping a stream at its first blocked one (a
+    /// wait whose record is still to come, the action after a barrier);
+    /// joins that became ready are emitted at the end of the pass, in
+    /// barrier order. The simulator creates its tasks in this order and
+    /// its engine breaks arbitration ties by creation order, so the order
+    /// is part of the simulated timeline; checker and static cost would
+    /// take any topological order, so this one serves all three.
+    ///
+    /// On a cyclic graph the sweep stalls and `Err` carries the in-degree
+    /// still left on every node (positive exactly on the unsorted ones).
+    fn topo_order(&self) -> Result<Vec<u32>, Vec<u32>> {
         let mut indeg: Vec<u32> = self.preds.iter().map(|ps| ps.len() as u32).collect();
         let mut order: Vec<u32> = Vec::with_capacity(self.nodes);
-        order.extend((0..self.nodes as u32).filter(|&v| indeg[v as usize] == 0));
-        let mut next = 0;
-        while let Some(&v) = order.get(next) {
-            next += 1;
-            for &w in &self.succs[v as usize] {
+        let n_streams = self.offsets.len() - 1;
+        let mut cursor: Vec<usize> = self.offsets[..n_streams].to_vec();
+        // Joins nothing feeds (a barrier count above the recorded barriers).
+        let mut ready_joins: Vec<u32> = (self.total_actions..self.nodes)
+            .filter(|&j| indeg[j] == 0)
+            .map(|j| j as u32)
+            .collect();
+        // Emit `v`: release its successors, noting joins that became ready.
+        let mut emit = |v: usize, indeg: &mut [u32], ready_joins: &mut Vec<u32>| {
+            order.push(v as u32);
+            for &w in &self.succs[v] {
                 indeg[w as usize] -= 1;
-                if indeg[w as usize] == 0 {
-                    order.push(w);
+                if indeg[w as usize] == 0 && w as usize >= self.total_actions {
+                    ready_joins.push(w);
                 }
+            }
+        };
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for s in 0..n_streams {
+                while cursor[s] < self.offsets[s + 1] && indeg[cursor[s]] == 0 {
+                    emit(cursor[s], &mut indeg, &mut ready_joins);
+                    cursor[s] += 1;
+                    progressed = true;
+                }
+            }
+            ready_joins.sort_unstable();
+            // A join feeds actions only, so the list does not grow here.
+            for j in std::mem::take(&mut ready_joins) {
+                emit(j as usize, &mut indeg, &mut ready_joins);
+                progressed = true;
             }
         }
         if order.len() == self.nodes {
@@ -156,18 +195,16 @@ impl HbEdges {
     }
 }
 
-/// Dense happens-before representation built by [`crate::check::analyze`].
+/// The happens-before graph of one program: its edges, their topological
+/// order and the vector clocks propagated along it — the one derivation of
+/// the program's ordering, which every consumer reads.
 pub struct HbGraph {
-    n_streams: usize,
-    /// First node id of each stream's action run (last entry = total
-    /// action count).
-    offsets: Vec<usize>,
-    /// Total nodes: actions + barrier join nodes.
-    nodes: usize,
-    edges: usize,
+    edges: HbEdges,
+    /// The edges' topological order; empty when the graph is cyclic.
+    order: Vec<u32>,
     /// Flat `nodes × n_streams` in-clocks; empty when the graph is cyclic.
     clocks: Vec<u32>,
-    /// One witness cycle (action sites only, causal order), if any.
+    /// One witness cycle (action sites, causal order), if any.
     cycle: Option<Vec<Site>>,
 }
 
@@ -175,57 +212,40 @@ impl HbGraph {
     /// Build the graph and run cycle detection + clock propagation.
     pub fn build(program: &Program) -> HbGraph {
         let edges = HbEdges::build(program);
-        match edges.topo_order() {
-            Ok(order) => HbGraph::from_order(&edges, &order),
-            Err(indeg) => HbGraph::new(&edges, Vec::new(), Some(extract_cycle(&edges, &indeg))),
-        }
-    }
-
-    /// The graph of acyclic `edges`, with clocks propagated along `order`
-    /// (a full [`HbEdges::topo_order`] of the same edges).
-    pub(crate) fn from_order(edges: &HbEdges, order: &[u32]) -> HbGraph {
-        let n_streams = edges.offsets.len() - 1;
-        let mut clocks: Vec<u32> = vec![0; edges.nodes * n_streams];
-        let mut bumped = vec![0u32; n_streams];
-        for &v in order {
-            let v = v as usize;
-            // out-clock of v = in-clock of v, plus v itself if it is an
-            // action node.
-            bumped.copy_from_slice(&clocks[v * n_streams..(v + 1) * n_streams]);
-            if let Some(sv) = edges.stream_of(v) {
-                let idx = (v - edges.offsets[sv] + 1) as u32;
-                bumped[sv] = bumped[sv].max(idx);
-            }
-            for &w in &edges.succs[v] {
-                let w = w as usize;
-                let wc = &mut clocks[w * n_streams..(w + 1) * n_streams];
-                for (c, b) in wc.iter_mut().zip(&bumped) {
-                    *c = (*c).max(*b);
-                }
-            }
-        }
-        HbGraph::new(edges, clocks, None)
-    }
-
-    fn new(edges: &HbEdges, clocks: Vec<u32>, cycle: Option<Vec<Site>>) -> HbGraph {
+        let (order, cycle) = match edges.topo_order() {
+            Ok(order) => (order, None),
+            Err(indeg) => (Vec::new(), Some(extract_cycle(&edges, &indeg))),
+        };
         HbGraph {
-            n_streams: edges.offsets.len() - 1,
-            offsets: edges.offsets.clone(),
-            nodes: edges.nodes,
-            edges: edges.preds.iter().map(Vec::len).sum(),
-            clocks,
+            clocks: clocks_along(&edges, &order),
+            edges,
+            order,
             cycle,
+        }
+    }
+
+    /// The node layout and edge lists.
+    pub(crate) fn edges(&self) -> &HbEdges {
+        &self.edges
+    }
+
+    /// The topological order every consumer walks, or the witness cycle
+    /// of a deadlocked program.
+    pub(crate) fn order(&self) -> Result<&[u32], &[Site]> {
+        match &self.cycle {
+            None => Ok(&self.order),
+            Some(cycle) => Err(cycle),
         }
     }
 
     /// Nodes in the graph (actions + barrier joins).
     pub fn node_count(&self) -> usize {
-        self.nodes
+        self.edges.nodes
     }
 
     /// Edges in the graph.
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.edges.preds.iter().map(Vec::len).sum()
     }
 
     /// A witness deadlock cycle (action sites, causal order), if the
@@ -240,16 +260,44 @@ impl HbGraph {
         if self.clocks.is_empty() || a == b {
             return false;
         }
-        let (sa, sb) = (a.stream.0, b.stream.0);
-        debug_assert!(sa < self.n_streams && sb < self.n_streams);
-        let vb = self.offsets[sb] + b.action_index;
-        self.clocks[vb * self.n_streams + sa] > a.action_index as u32
+        let n_streams = self.edges.offsets.len() - 1;
+        debug_assert!(a.stream.0 < n_streams && b.stream.0 < n_streams);
+        self.clocks[self.edges.node_of(b) * n_streams + a.stream.0] > a.action_index as u32
     }
 
     /// Neither `a → b` nor `b → a` (and `a != b`).
     pub fn concurrent(&self, a: Site, b: Site) -> bool {
         a != b && !self.happens_before(a, b) && !self.happens_before(b, a)
     }
+}
+
+/// In-clocks of acyclic `edges`, propagated along their topological
+/// `order`; none for the empty order of a cyclic graph.
+fn clocks_along(edges: &HbEdges, order: &[u32]) -> Vec<u32> {
+    if order.is_empty() {
+        return Vec::new();
+    }
+    let n_streams = edges.offsets.len() - 1;
+    let mut clocks: Vec<u32> = vec![0; edges.nodes * n_streams];
+    let mut bumped = vec![0u32; n_streams];
+    for &v in order {
+        let v = v as usize;
+        // out-clock of v = in-clock of v, plus v itself if it is an
+        // action node.
+        bumped.copy_from_slice(&clocks[v * n_streams..(v + 1) * n_streams]);
+        if let Some(sv) = edges.stream_of(v) {
+            let idx = (v - edges.offsets[sv] + 1) as u32;
+            bumped[sv] = bumped[sv].max(idx);
+        }
+        for &w in &edges.succs[v] {
+            let w = w as usize;
+            let wc = &mut clocks[w * n_streams..(w + 1) * n_streams];
+            for (c, b) in wc.iter_mut().zip(&bumped) {
+                *c = (*c).max(*b);
+            }
+        }
+    }
+    clocks
 }
 
 /// Walk predecessor edges inside the unsorted remainder of a cyclic graph
@@ -360,6 +408,56 @@ mod tests {
     }
 
     #[test]
+    fn order_is_the_stream_major_sweep_with_joins_after_their_pass() {
+        // s0 (nodes 0..4) starts blocked on s1's record; s1 (nodes 4..8)
+        // runs up to the barrier. The join (node 8) comes out at the end
+        // of the pass in which its last barrier action did.
+        let mut p = Program {
+            barriers: 1,
+            ..Default::default()
+        };
+        p.streams.push(stream(
+            0,
+            vec![
+                Action::WaitEvent(EventId(0)),
+                h2d(0),
+                Action::Barrier(0),
+                h2d(1),
+            ],
+        ));
+        p.streams.push(stream(
+            1,
+            vec![
+                h2d(2),
+                Action::RecordEvent(EventId(0)),
+                Action::Barrier(0),
+                h2d(3),
+            ],
+        ));
+        p.events.push(EventSite {
+            stream: StreamId(1),
+            action_index: 1,
+        });
+        let g = HbGraph::build(&p);
+        assert_eq!(g.order().unwrap(), [4, 5, 6, 0, 1, 2, 8, 3, 7]);
+        // After a barrier the join alone carries the stream's FIFO order;
+        // a wait's FIFO predecessor comes before its record.
+        assert_eq!(g.edges().preds[3], [8]);
+        assert_eq!(g.edges().preds[8], [2, 6]);
+        assert!(g.happens_before(Site::new(0, 2), Site::new(0, 3)));
+        let mut q = Program::default();
+        q.streams
+            .push(stream(0, vec![h2d(0), Action::RecordEvent(EventId(0))]));
+        q.streams
+            .push(stream(1, vec![h2d(1), Action::WaitEvent(EventId(0))]));
+        q.events.push(EventSite {
+            stream: StreamId(0),
+            action_index: 1,
+        });
+        assert_eq!(HbGraph::build(&q).edges().preds[3], [2, 1]);
+    }
+
+    #[test]
     fn mutual_event_wait_is_a_cycle() {
         // s0: wait e1, record e0 / s1: wait e0, record e1.
         let mut p = Program::default();
@@ -388,6 +486,7 @@ mod tests {
         let g = HbGraph::build(&p);
         let cycle = g.cycle().expect("mutual wait must cycle");
         assert!(cycle.len() >= 2, "cycle: {cycle:?}");
+        assert_eq!(g.order(), Err(cycle), "no order to walk");
         // Queries are disabled on cyclic graphs.
         assert!(!g.happens_before(Site::new(0, 0), Site::new(0, 1)));
     }

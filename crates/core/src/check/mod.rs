@@ -52,11 +52,11 @@ use crate::program::Program;
 pub use diagnostics::{CheckClass, CheckCode, CheckReport, CheckStats, Diagnostic, Severity, Site};
 pub use witness::{HazardWitness, WitnessKind};
 
-// The scheduler module reuses the race detector's access analysis to build
-// its task graph (same conflict definition, same memory-space split).
+// The optimizer probes trial programs with bare edge lists and accesses;
+// everything else reads both off the `Analysis`.
 pub(crate) use hb::HbEdges;
 pub use hb::HbGraph;
-pub(crate) use races::{collect_accesses, Space};
+pub(crate) use races::{collect_accesses, Accesses, Space};
 
 /// What the executors do with analyzer findings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,12 +137,15 @@ enum SiteKind {
     Control,
 }
 
-/// The analyzer's output: the [`CheckReport`] plus the happens-before
-/// relation it was derived from, kept for O(1) ordering queries.
+/// The analyzer's output: the [`CheckReport`] plus what it was derived
+/// from — the happens-before graph (for O(1) ordering queries, and for the
+/// schedulers and the simulator's lowering to read instead of deriving
+/// the ordering again) and the buffer accesses.
 pub struct Analysis {
     /// All findings.
     pub report: CheckReport,
-    hb: hb::HbGraph,
+    pub(crate) hb: hb::HbGraph,
+    pub(crate) accesses: Accesses,
     kinds: Vec<Vec<SiteKind>>,
 }
 
@@ -161,10 +164,10 @@ impl Analysis {
 
     /// Turn `diag`'s claim into an executable demonstration: witness
     /// schedules for races, the wait cycle for deadlocks, a structural
-    /// refusal otherwise (see [`witness`]). `program` must
-    /// be the program this analysis was built from.
-    pub fn witness(&self, program: &Program, diag: &Diagnostic) -> HazardWitness {
-        witness::witness(program, self.hb.cycle(), diag)
+    /// refusal otherwise (see [`witness`]), read off the graph this
+    /// analysis was built on.
+    pub fn witness(&self, diag: &Diagnostic) -> HazardWitness {
+        witness::witness(&self.hb, diag)
     }
 
     /// Count the cross-stream (transfer, kernel) pairs left unordered —
@@ -238,6 +241,7 @@ pub fn analyze(program: &Program, env: &CheckEnv) -> Analysis {
     Analysis {
         report,
         hb: graph,
+        accesses,
         kinds,
     }
 }

@@ -49,9 +49,12 @@ pub(crate) struct Access {
     pub transfer: bool,
 }
 
+/// Accesses grouped by `(buffer, space)`.
+pub(crate) type Accesses = HashMap<(BufId, Space), Vec<Access>>;
+
 /// All accesses of the program, grouped by `(buffer, space)`.
-pub(crate) fn collect_accesses(program: &Program) -> HashMap<(BufId, Space), Vec<Access>> {
-    let mut map: HashMap<(BufId, Space), Vec<Access>> = HashMap::new();
+pub(crate) fn collect_accesses(program: &Program) -> Accesses {
+    let mut map = Accesses::new();
     let mut push = |buf: BufId, space: Space, site: Site, write: bool, transfer: bool| {
         map.entry((buf, space)).or_default().push(Access {
             site,
@@ -96,7 +99,7 @@ const MAX_RACES_PER_GROUP: usize = 4;
 pub(super) fn check(
     program: &Program,
     hb: &HbGraph,
-    accesses: &HashMap<(BufId, Space), Vec<Access>>,
+    accesses: &Accesses,
     report: &mut CheckReport,
 ) {
     if hb.cycle().is_some() {

@@ -9,7 +9,7 @@ use crate::types::BufId;
 
 use super::diagnostics::{CheckCode, CheckReport, Diagnostic, Site};
 use super::hb::HbGraph;
-use super::races::{Access, Space};
+use super::races::{Access, Accesses, Space};
 use super::CheckEnv;
 
 /// Device reads with no happens-before producer, and events nobody waits
@@ -19,7 +19,7 @@ use super::CheckEnv;
 pub(super) fn check_dataflow(
     program: &Program,
     hb: &HbGraph,
-    accesses: &HashMap<(BufId, Space), Vec<Access>>,
+    accesses: &Accesses,
     report: &mut CheckReport,
 ) {
     if hb.cycle().is_none() {

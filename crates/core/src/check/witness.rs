@@ -22,10 +22,8 @@
 //! always picks the smallest ready node, so the same program and
 //! diagnostic produce byte-identical orders.
 
-use crate::program::Program;
-
 use super::diagnostics::{CheckClass, CheckCode, Diagnostic, Site};
-use super::hb::HbEdges;
+use super::hb::{HbEdges, HbGraph};
 
 /// What kind of runtime behavior a witness demonstrates.
 #[derive(Clone, Debug)]
@@ -75,17 +73,12 @@ impl HazardWitness {
     }
 }
 
-/// Build the witness for `diag` over `program` (see the [module
-/// docs](self)). `cycle` is the happens-before graph's witness cycle, if
-/// the graph was cyclic.
-pub(super) fn witness(
-    program: &Program,
-    cycle: Option<&[Site]>,
-    diag: &Diagnostic,
-) -> HazardWitness {
+/// Build the witness for `diag` over the program `hb` was built from (see
+/// the [module docs](self)).
+pub(super) fn witness(hb: &HbGraph, diag: &Diagnostic) -> HazardWitness {
     let kind = match diag.code {
         CheckCode::DeadlockCycle => WitnessKind::Deadlock {
-            cycle: cycle.map_or_else(
+            cycle: hb.cycle().map_or_else(
                 || {
                     // The graph was rebuilt acyclic (shouldn't happen for a
                     // live diagnostic) — fall back to the diagnostic's
@@ -103,8 +96,8 @@ pub(super) fn witness(
                 WitnessKind::Race {
                     a,
                     b,
-                    order_ab: linear_extension(program, b),
-                    order_ba: linear_extension(program, a),
+                    order_ab: linear_extension(hb.edges(), b),
+                    order_ba: linear_extension(hb.edges(), a),
                 }
             }
             // A race claim without a partner site names no pair to
@@ -133,8 +126,7 @@ pub(super) fn witness(
 ///
 /// On a cyclic graph the sort stalls at the cycle and the order is
 /// partial — callers pair this with the deadlock witness instead.
-fn linear_extension(program: &Program, delayed: Site) -> Vec<Site> {
-    let edges = HbEdges::build(program);
+fn linear_extension(edges: &HbEdges, delayed: Site) -> Vec<Site> {
     let delayed_node = edges.node_of(delayed);
 
     let mut indeg: Vec<u32> = edges.preds.iter().map(|ps| ps.len() as u32).collect();
@@ -169,6 +161,7 @@ fn linear_extension(program: &Program, delayed: Site) -> Vec<Site> {
 mod tests {
     use super::*;
     use crate::check::{analyze, CheckEnv};
+    use crate::program::Program;
     use crate::testutil::{build_synced, drop_one_wait, mix_kernel, stream_skeleton, RefExec};
     use crate::types::BufId;
 
@@ -201,7 +194,7 @@ mod tests {
             )));
         let (analysis, diag) = first_error(&p);
         assert_eq!(diag.code, CheckCode::Race);
-        let w = analysis.witness(&p, &diag);
+        let w = analysis.witness(&diag);
         let WitnessKind::Race {
             a,
             b,
@@ -231,7 +224,7 @@ mod tests {
         let env = CheckEnv::permissive(&broken);
         let analysis = analyze(&broken, &env);
         let diag = analysis.report.errors().next().expect("must not be clean");
-        let w = analysis.witness(&broken, diag);
+        let w = analysis.witness(diag);
         match &w.kind {
             WitnessKind::Race {
                 order_ab, order_ba, ..
@@ -264,7 +257,7 @@ mod tests {
         });
         let (analysis, diag) = first_error(&p);
         assert_eq!(diag.code, CheckCode::DeadlockCycle);
-        let w = analysis.witness(&p, &diag);
+        let w = analysis.witness(&diag);
         let WitnessKind::Deadlock { cycle } = &w.kind else {
             panic!("deadlock witness expected");
         };
@@ -289,7 +282,7 @@ mod tests {
         p.streams[0].actions.push(Action::WaitEvent(EventId(9)));
         let (analysis, diag) = first_error(&p);
         assert_eq!(diag.code, CheckCode::UnknownEvent);
-        let w = analysis.witness(&p, &diag);
+        let w = analysis.witness(&diag);
         assert!(matches!(w.kind, WitnessKind::Structural));
         assert_eq!(w.class(), CheckClass::Deadlock);
     }

@@ -623,10 +623,10 @@ impl Context {
     }
 
     /// Static cost bounds for the recorded program under the context's
-    /// calibrated cost model (see [`crate::opt::static_cost`]). `None`
-    /// when the program is empty, cyclic, or prices an action the model
-    /// cannot (it mirrors the simulator's pricing exactly, so in practice
-    /// this means a malformed program).
+    /// cost model (see [`crate::opt::static_cost`]). `None` when the
+    /// program is cyclic or holds an action the model cannot price (it is
+    /// the function the simulator prices with, so in practice this means a
+    /// malformed program).
     pub fn static_cost(&self) -> Option<crate::opt::StaticCost> {
         let model = self.cost_model().ok()?;
         crate::opt::static_cost(&self.program, &model)
@@ -642,10 +642,12 @@ impl Context {
 
     /// Pre-run analyzer gate shared by both executors: analyze under the
     /// context's [`CheckMode`](crate::check::CheckMode), stash the report,
-    /// and refuse error-severity findings when enforcing.
-    pub(crate) fn enforce_check(&self) -> Result<()> {
+    /// and refuse error-severity findings when enforcing. A run that may
+    /// proceed gets the analysis (`None` when the mode is `Off`) to plan
+    /// and lower from, instead of deriving the graph again.
+    pub(crate) fn enforce_check(&self) -> Result<Option<crate::check::Analysis>> {
         match self.check_mode {
-            crate::check::CheckMode::Off => Ok(()),
+            crate::check::CheckMode::Off => Ok(None),
             mode => {
                 let analysis = self.analyze();
                 let clean = analysis.report.is_clean();
@@ -653,7 +655,7 @@ impl Context {
                 if !clean && mode == crate::check::CheckMode::Enforce {
                     Err(Error::Check(Box::new(analysis.report)))
                 } else {
-                    Ok(())
+                    Ok(Some(analysis))
                 }
             }
         }
@@ -685,9 +687,9 @@ impl Context {
         self.scheduler = kind;
     }
 
-    /// The cost model the schedulers price actions with: the context's own
-    /// calibrated platform configuration, partition geometry and buffer
-    /// sizes — the same numbers the simulator executes against.
+    /// The cost model of this context — its calibrated platform
+    /// configuration, partition geometry and buffer sizes: the prices the
+    /// simulator, the static cost analysis and the schedulers all read.
     pub fn cost_model(&self) -> Result<crate::sched::CostModel> {
         let devices: Vec<DeviceId> = self.platform.devices().collect();
         let mut plans = Vec::with_capacity(devices.len());
@@ -706,18 +708,6 @@ impl Context {
         crate::sched::plan(&self.program, &cost, self.scheduler)
     }
 
-    /// Plan under `kind` (ignoring the context's configured scheduler) and
-    /// materialize the result into the lane-per-stream program the
-    /// simulator executes. `None` under the same conditions as
-    /// [`Context::plan_schedule`].
-    pub fn plan_scheduled_program(
-        &self,
-        kind: crate::sched::SchedulerKind,
-    ) -> Option<(crate::sched::Schedule, Program)> {
-        let cost = self.cost_model().ok()?;
-        crate::sched::plan_program(&self.program, &cost, kind)
-    }
-
     /// Plan the program under the context's scheduler and render the
     /// per-action placement listing
     /// ([`Program::dump_scheduled`](crate::program::Program::dump_scheduled)).
@@ -727,15 +717,24 @@ impl Context {
             .map(|schedule| self.program.dump_scheduled(&schedule))
     }
 
-    /// Plan under `kind` keeping the task graph alongside — the native
-    /// executor's graph dispatcher drives the original program through the
-    /// graph directly instead of materializing a new one.
+    /// The executors' planning step: plan under `kind` over the analysis
+    /// their gate made (`None` under `CheckMode::Off` — a scheduled run
+    /// then pays for one here), keeping the task graph alongside: the
+    /// simulator materializes a program from both, the native graph
+    /// dispatcher drives the recorded program through the graph directly.
     pub(crate) fn plan_schedule_graph(
         &self,
         kind: crate::sched::SchedulerKind,
+        analysis: Option<&crate::check::Analysis>,
     ) -> Option<(crate::sched::Schedule, crate::sched::TaskGraph)> {
+        if kind == crate::sched::SchedulerKind::Fifo {
+            return None;
+        }
         let cost = self.cost_model().ok()?;
-        crate::sched::plan_with_graph(&self.program, &cost, kind)
+        match analysis {
+            Some(made) => crate::sched::plan_analyzed(&self.program, made, &cost, kind),
+            None => crate::sched::plan_analyzed(&self.program, &self.analyze(), &cost, kind),
+        }
     }
 
     // ----- execution -------------------------------------------------------

@@ -943,8 +943,20 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     ctx.program().validate()?;
     // Static race/deadlock/dataflow gate — this also re-checks every
     // replay program `run_native_resilient` swaps in before a degraded
-    // pass runs it.
-    ctx.enforce_check()?;
+    // pass runs it. Non-FIFO scheduling plans over the gate's analysis and
+    // replaces the per-stream drivers with the graph dispatcher; fault
+    // plans and partition isolation key off the recorded program's
+    // (stream, action) sites, so either disables scheduling — the run then
+    // behaves exactly as FIFO. The analysis is dropped here, before
+    // anything is materialized or run.
+    let planned = {
+        let analysis = ctx.enforce_check()?;
+        if cfg.fault.is_none() && !cfg.isolate_partitions {
+            ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
+        } else {
+            None
+        }
+    };
 
     // Every kernel needs a native body — check before running anything.
     for stream in &ctx.program().streams {
@@ -1005,16 +1017,6 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     let threads_hint = cfg
         .max_threads_per_partition
         .unwrap_or_else(|| default_threads_per_partition(ctx));
-
-    // Non-FIFO scheduling replaces the per-stream drivers with the graph
-    // dispatcher. Fault plans and partition isolation key off the recorded
-    // program's (stream, action) sites, so either disables scheduling —
-    // the run then behaves exactly as FIFO.
-    let planned = if cfg.fault.is_none() && !cfg.isolate_partitions {
-        ctx.plan_schedule_graph(ctx.scheduler())
-    } else {
-        None
-    };
 
     // One recorder behind all three telemetry switches; they only select
     // which outputs are attached below.

@@ -1,18 +1,26 @@
 //! The simulator executor.
 //!
-//! Lowers a recorded program onto the `micsim` task-DAG engine:
+//! Prices a recorded program on the `micsim` task-DAG engine. The executor
+//! derives nothing itself:
 //!
-//! * each card's PCIe link becomes one resource per channel (one channel in
-//!   the Phi's serial-duplex mode — this is what serializes H2D against D2H);
-//! * each partition becomes one resource, serializing kernels launched by
-//!   the stream(s) bound to it;
-//! * per-stream FIFO order becomes a dependency chain;
-//! * events become cross-stream edges, barriers become join/fork points
-//!   priced at the platform's sync overhead.
+//! * **what depends on what** is the checker's happens-before graph
+//!   ([`crate::check::HbGraph`] — per-stream FIFO, event edges from the
+//!   events table, barrier joins), the one the pre-run gate already built;
+//!   the lowering is a single pass over its topological order, one engine
+//!   task per node, a node's dependencies the tasks of its predecessors.
+//!   A `Barrier` action creates no task (the task it waited behind stands
+//!   in for it), a barrier join node is the `barrier#n` task. Cycles are
+//!   the graph's finding, reported here as an error;
+//! * **which resource a task occupies and for how long** is
+//!   [`CostModel`]'s answer: a link channel (one per card in the Phi's
+//!   serial-duplex mode — this is what serializes H2D against D2H), a
+//!   partition (serializing the kernels of the streams bound to it), the
+//!   host; barriers at the platform's sync overhead.
 //!
-//! Lowering walks the streams with a work-list so cross-stream event edges
-//! can point forward in program order; a cycle of event waits (a genuine
-//! user deadlock) is detected and reported instead of hanging.
+//! What is left here is the fault model (priced retries and backoffs,
+//! injected panics) and the engine bookkeeping. The engine breaks
+//! arbitration ties by task creation order, so the graph's order is part
+//! of the timeline: see [`HbGraph`]'s sort.
 //!
 //! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
 //! ids and names the native recorder stamps its spans with — and with the
@@ -22,7 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use micsim::compute::KernelInvocation;
 use micsim::engine::{Engine, ResourceId, TaskId, TaskSpec, Timeline};
 use micsim::time::SimDuration;
 use micsim::trace::{
@@ -30,10 +37,14 @@ use micsim::trace::{
 };
 
 use crate::action::Action;
+use crate::check::HbGraph;
 use crate::context::Context;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
+use crate::program::Program;
+use crate::sched::materialize::materialize;
+use crate::sched::{CostModel, Lane};
 use crate::trace::LaneMap;
 use crate::types::{Error, Result};
 
@@ -102,7 +113,7 @@ pub fn run_with(
     retry: &RetryPolicy,
 ) -> Result<SimReport> {
     ctx.program.validate()?;
-    ctx.enforce_check()?;
+    let analysis = ctx.enforce_check()?;
     check_device_memory(ctx)?;
     if let Some(plan) = fault {
         for i in 0..ctx.buffers.len() {
@@ -114,6 +125,7 @@ pub fn run_with(
             }
         }
     }
+    let cost = ctx.cost_model()?;
 
     // A non-FIFO scheduler replaces the recorded program with its
     // materialized schedule. Fault plans are keyed by the *recorded*
@@ -121,45 +133,58 @@ pub fn run_with(
     // to fault-free runs; unclean or empty programs also fall back to the
     // recorded FIFO order (FIFO itself always declines to schedule).
     if fault.is_none() {
-        if let Some((_, scheduled)) = ctx.plan_scheduled_program(ctx.scheduler()) {
+        if let Some((schedule, graph)) = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
+        {
+            let scheduled = materialize(&ctx.program, &graph, &schedule);
             scheduled.validate()?;
-            return lower(ctx, &scheduled, fault, retry);
+            let hb = HbGraph::build(&scheduled);
+            return lower(ctx, &scheduled, &hb, &cost, fault, retry);
         }
     }
-    lower(ctx, &ctx.program, fault, retry)
+    // The gate's graph; under `CheckMode::Off` nobody built one yet.
+    let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
+    lower(ctx, &ctx.program, &hb, &cost, fault, retry)
 }
 
-/// Lower `program` onto the task-DAG engine and price it. `program` is
-/// either the context's recorded program or its materialized schedule;
-/// buffers and platform geometry always come from `ctx`.
+/// Lower `program` onto the task-DAG engine and run it: one task per node
+/// of `hb` (the happens-before graph of `program`), in its topological
+/// order, priced by `cost`. `program` is either the context's recorded
+/// program or its materialized schedule; buffers and platform geometry
+/// always come from `ctx`.
 fn lower(
     ctx: &Context,
-    program: &crate::program::Program,
+    program: &Program,
+    hb: &HbGraph,
+    cost: &CostModel,
     fault: Option<&FaultPlan>,
     retry: &RetryPolicy,
 ) -> Result<SimReport> {
-    let cfg = ctx.config().clone();
+    let order = hb.order().map_err(|cycle| {
+        let hops: Vec<String> = cycle.iter().map(ToString::to_string).collect();
+        Error::Config(format!(
+            "wait cycle {}: the program can never complete",
+            hops.join(" -> ")
+        ))
+    })?;
+    let edges = hb.edges();
+
     let mut engine = Engine::new();
     let lanes = LaneMap::for_context(ctx);
     for (id, name) in &lanes.names {
         let res = engine.add_resource(name.clone());
         debug_assert_eq!(res, *id, "engine ids follow the lane layout");
     }
-
-    let multi_device = program.devices().len() > 1;
-    let per_stream =
-        SimDuration::from_nanos(cfg.sync_per_stream.nanos() * program.streams.len() as u64);
-    let barrier_cost = if multi_device {
-        cfg.sync_overhead + per_stream + cfg.cross_device_sync
-    } else {
-        cfg.sync_overhead + per_stream
+    let mut add = |resource: Option<Lane>, duration, deps, label| -> Result<TaskId> {
+        engine
+            .add_task(TaskSpec {
+                resource: resource.map(|lane| lanes.resource(lane)),
+                duration,
+                deps,
+                label,
+            })
+            .map_err(|e| Error::Config(format!("lowering bug: {e}")))
     };
-
-    // Work-list lowering.
-    let n_streams = program.streams.len();
-    let mut cursor = vec![0usize; n_streams];
-    let mut last: Vec<Option<TaskId>> = vec![None; n_streams];
-    let mut event_task: Vec<Option<TaskId>> = vec![None; program.events.len()];
+    let barrier_price = cost.barrier_price(program.streams.len(), program.devices().len());
 
     // Metric inputs only the lowering walk knows (payload sizes, priced
     // retry attempts, executable-action count); consumed after the run
@@ -168,223 +193,92 @@ fn lower(
     let mut retries_priced = 0u64;
     let mut actions_lowered = 0u64;
 
-    let add = |engine: &mut Engine, spec: TaskSpec| -> Result<TaskId> {
-        engine
-            .add_task(spec)
-            .map_err(|e| Error::Config(format!("lowering bug: {e}")))
-    };
-
-    loop {
-        let mut progressed = false;
-        for (si, stream) in program.streams.iter().enumerate() {
-            while cursor[si] < stream.actions.len() {
-                let action = &stream.actions[cursor[si]];
-                let mut deps: Vec<TaskId> = last[si].into_iter().collect();
-                let task = match action {
-                    Action::Barrier(_) => break, // handled collectively below
-                    Action::WaitEvent(e) => {
-                        match event_task[e.0] {
-                            None => break, // recording stream hasn't got there yet
-                            Some(t) => {
-                                deps.push(t);
-                                add(
-                                    &mut engine,
-                                    TaskSpec {
-                                        resource: None,
-                                        duration: SimDuration::ZERO,
-                                        deps,
-                                        label: action.label(),
-                                    },
-                                )?
-                            }
-                        }
+    // done[v]: the task whose finish marks node `v` complete.
+    let mut done: Vec<Option<TaskId>> = vec![None; edges.nodes];
+    for &v in order {
+        let v = v as usize;
+        let mut deps: Vec<TaskId> = edges.preds[v]
+            .iter()
+            .filter_map(|&p| done[p as usize])
+            .collect();
+        let Some(site) = edges.site_of(v) else {
+            let n = v - edges.total_actions;
+            done[v] = Some(add(None, barrier_price, deps, format!("barrier#{n}"))?);
+            continue;
+        };
+        let (si, ai) = (site.stream.0, site.action_index);
+        let stream = &program.streams[si];
+        let action = &stream.actions[ai];
+        let (device, partition) = (stream.placement.device.0, stream.placement.partition);
+        let Some(lane) = cost.lane(action, device, partition) else {
+            done[v] = match action {
+                // A barrier action is its stream arriving: whatever the
+                // stream last waited behind arrives for it.
+                Action::Barrier(_) => deps.pop(),
+                Action::RecordEvent(e) | Action::WaitEvent(e) => {
+                    // The graph's event edges follow the events table.
+                    if !program.event_site_matches(si, ai) {
+                        return Err(Error::UnknownEvent(*e));
                     }
-                    Action::RecordEvent(e) => {
-                        let t = add(
-                            &mut engine,
-                            TaskSpec {
-                                resource: None,
-                                duration: SimDuration::ZERO,
-                                deps,
-                                label: action.label(),
-                            },
-                        )?;
-                        event_task[e.0] = Some(t);
-                        t
-                    }
-                    Action::Transfer { dir, buf } => {
-                        let bytes = ctx.buffer(*buf)?.bytes();
-                        let dev_idx = stream.placement.device.0;
-                        let link_res = lanes.link(dev_idx, cfg.link.channel_for(*dir));
-                        let idx = cursor[si];
-                        let (fail_attempts, slowdown) = match fault {
-                            Some(plan) => (
-                                plan.transfer_fail_attempts(si, idx),
-                                plan.transfer_slowdown(si, idx),
-                            ),
-                            None => (0, 1.0),
-                        };
-                        if fail_attempts > retry.max_retries {
-                            return Err(Error::Fault {
-                                site: format!("transfer s{si}#{idx}"),
-                                attempts: retry.max_retries + 1,
-                            });
-                        }
-                        let wire_time = if slowdown > 1.0 {
-                            cfg.link.degraded_transfer_time(bytes, slowdown)
-                        } else {
-                            cfg.link.transfer_time(bytes)
-                        };
-                        bytes_per_dev[dev_idx] += bytes;
-                        retries_priced += u64::from(fail_attempts);
-                        actions_lowered += 1;
-                        // Price each failed attempt as a full occupation of
-                        // the link, followed by the retry backoff off-link.
-                        for attempt in 0..fail_attempts {
-                            let failed = add(
-                                &mut engine,
-                                TaskSpec {
-                                    resource: Some(link_res),
-                                    duration: wire_time + cfg.enqueue_overhead,
-                                    deps: deps.clone(),
-                                    label: format!("{}!fail{attempt}", action.label()),
-                                },
-                            )?;
-                            let backoff = add(
-                                &mut engine,
-                                TaskSpec {
-                                    resource: None,
-                                    duration: SimDuration::from_secs_f64(
-                                        retry.backoff_for(attempt).as_secs_f64(),
-                                    ),
-                                    deps: vec![failed],
-                                    label: format!("{}!backoff{attempt}", action.label()),
-                                },
-                            )?;
-                            deps = vec![backoff];
-                        }
-                        add(
-                            &mut engine,
-                            TaskSpec {
-                                resource: Some(link_res),
-                                duration: wire_time + cfg.enqueue_overhead,
-                                deps,
-                                label: action.label(),
-                            },
-                        )?
-                    }
-                    Action::Kernel(desc) if desc.host => {
-                        // Host-side kernel: no offload launch, no partition
-                        // effects — just the host's aggregate rate. Injected
-                        // panics still apply (the native executor injects
-                        // regardless of where the kernel runs); with no
-                        // partition to lose, the loss is the kernel itself.
-                        actions_lowered += 1;
-                        if let Some(fp) = fault {
-                            if fp.kernel_panics_at(si, cursor[si]) {
-                                return Err(Error::KernelPanicked {
-                                    kernel: desc.label.clone(),
-                                });
-                            }
-                        }
-                        let secs = desc.work / (desc.profile.thread_rate * cfg.host_equivalents);
-                        let duration = SimDuration::from_secs_f64(secs) + cfg.enqueue_overhead;
-                        add(
-                            &mut engine,
-                            TaskSpec {
-                                resource: Some(lanes.host),
-                                duration,
-                                deps,
-                                label: action.label(),
-                            },
-                        )?
-                    }
-                    Action::Kernel(desc) => {
-                        actions_lowered += 1;
-                        let placement = stream.placement;
-                        let plan = ctx.platform.plan(placement.device)?;
-                        let part = &plan.partitions[placement.partition];
-                        if let Some(fp) = fault {
-                            if fp.kernel_panics_at(si, cursor[si]) {
-                                return Err(Error::PartitionLost {
-                                    device: placement.device.0,
-                                    partition: placement.partition,
-                                    kernel: desc.label.clone(),
-                                });
-                            }
-                        }
-                        let inv = KernelInvocation {
-                            profile: &desc.profile,
-                            work: desc.work,
-                        };
-                        let mut body = cfg.compute.kernel_time(&inv, part)?;
-                        if let Some(fp) = fault {
-                            let factor =
-                                fp.partition_slowdown(placement.device.0, placement.partition);
-                            if factor > 1.0 {
-                                body = SimDuration::from_secs_f64(body.as_secs_f64() * factor);
-                            }
-                        }
-                        let duration = body + cfg.enqueue_overhead;
-                        add(
-                            &mut engine,
-                            TaskSpec {
-                                resource: Some(lanes.kernel(
-                                    false,
-                                    placement.device.0,
-                                    placement.partition,
-                                )),
-                                duration,
-                                deps,
-                                label: action.label(),
-                            },
-                        )?
-                    }
-                };
-                last[si] = Some(task);
-                cursor[si] += 1;
-                progressed = true;
-            }
-        }
-
-        // Collective barrier step: all streams stalled at the same barrier?
-        let all_at_barrier = (0..n_streams).all(|si| {
-            matches!(
-                program.streams[si].actions.get(cursor[si]),
-                Some(Action::Barrier(_))
-            )
-        });
-        if all_at_barrier && n_streams > 0 {
-            let deps: Vec<TaskId> = last.iter().flatten().copied().collect();
-            let n = match program.streams[0].actions[cursor[0]] {
-                Action::Barrier(n) => n,
-                _ => unreachable!(),
+                    Some(add(None, SimDuration::ZERO, deps, action.label())?)
+                }
+                _ => unreachable!("payload actions occupy a lane"),
             };
-            let bar = add(
-                &mut engine,
-                TaskSpec {
-                    resource: None,
-                    duration: barrier_cost,
-                    deps,
-                    label: format!("barrier#{n}"),
-                },
-            )?;
-            for si in 0..n_streams {
-                last[si] = Some(bar);
-                cursor[si] += 1;
-            }
-            progressed = true;
-        }
+            continue;
+        };
+        actions_lowered += 1;
 
-        let done = (0..n_streams).all(|si| cursor[si] >= program.streams[si].actions.len());
-        if done {
-            break;
+        // Faults injected at this site. A slow link stretches the
+        // transfer, a slow partition the kernel; host kernels are not
+        // slowed, but injected panics apply to them too (the native
+        // executor injects regardless of where the kernel runs) — with no
+        // partition to lose, the loss is the kernel itself.
+        let mut fail_attempts = 0;
+        let mut slowdown = 1.0;
+        if let Some(plan) = fault {
+            match (action, lane) {
+                (Action::Kernel(desc), _) if plan.kernel_panics_at(si, ai) => {
+                    let kernel = desc.label.clone();
+                    return Err(match lane {
+                        Lane::Host => Error::KernelPanicked { kernel },
+                        _ => Error::PartitionLost {
+                            device,
+                            partition,
+                            kernel,
+                        },
+                    });
+                }
+                (_, Lane::Link { .. }) => {
+                    fail_attempts = plan.transfer_fail_attempts(si, ai);
+                    slowdown = plan.transfer_slowdown(si, ai);
+                }
+                (_, Lane::Partition { .. }) => {
+                    slowdown = plan.partition_slowdown(device, partition);
+                }
+                (_, Lane::Host) => {}
+            }
         }
-        if !progressed {
-            return Err(Error::Config(
-                "event-wait cycle between streams: the program can never complete".into(),
-            ));
+        if fail_attempts > retry.max_retries {
+            return Err(Error::Fault {
+                site: format!("transfer s{si}#{ai}"),
+                attempts: retry.max_retries + 1,
+            });
         }
+        let duration = cost.degraded_price(action, lane, slowdown)?;
+        if let Action::Transfer { buf, .. } = action {
+            bytes_per_dev[device] += cost.bytes_of(*buf);
+            retries_priced += u64::from(fail_attempts);
+        }
+        // Price each failed attempt as a full occupation of the link,
+        // followed by the retry backoff off-link.
+        for attempt in 0..fail_attempts {
+            let label = format!("{}!fail{attempt}", action.label());
+            let failed = add(Some(lane), duration, deps, label)?;
+            let backoff = SimDuration::from_secs_f64(retry.backoff_for(attempt).as_secs_f64());
+            let label = format!("{}!backoff{attempt}", action.label());
+            deps = vec![add(None, backoff, vec![failed], label)?];
+        }
+        done[v] = Some(add(Some(lane), duration, deps, action.label())?);
     }
 
     let timeline = engine.run();
@@ -400,7 +294,7 @@ fn lower(
                 ..Default::default()
             },
         };
-        price_run(&timeline, &lanes, cfg.enqueue_overhead, &counts)
+        price_run(&timeline, &lanes, ctx.config().enqueue_overhead, &counts)
     });
 
     Ok(SimReport {
@@ -630,6 +524,88 @@ mod tests {
         }
         let err = ctx.run_sim().unwrap_err();
         assert!(err.to_string().contains("cycle"), "{err}");
+        // With the checker off the graph still refuses: the lowering walks
+        // the checker's order, and a cyclic graph has none.
+        ctx.set_check_mode(crate::check::CheckMode::Off);
+        let err = ctx.run_sim().unwrap_err();
+        assert!(
+            matches!(&err, Error::Config(m) if m.contains("wait cycle s")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn wait_before_its_record_through_a_barrier_is_refused_with_the_checker_off() {
+        // s0 = [wait e, barrier], s1 = [barrier, record e]: the record is
+        // causally after the wait. No hang, no panic, a typed error — in
+        // every check mode.
+        use crate::check::CheckMode;
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(2)
+            .build()
+            .unwrap();
+        let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+        ctx.barrier();
+        let e = ctx.record_event(s1).unwrap();
+        ctx.wait_event(s0, e).unwrap();
+        ctx.program.streams[0].actions.swap(0, 1);
+        ctx.program.validate().unwrap();
+        for mode in [CheckMode::Off, CheckMode::WarnOnly] {
+            ctx.set_check_mode(mode);
+            let err = ctx.run_sim().unwrap_err();
+            assert!(
+                matches!(&err, Error::Config(m) if m.contains("cycle")),
+                "{mode:?}: {err}"
+            );
+        }
+        ctx.set_check_mode(CheckMode::Enforce);
+        assert!(matches!(ctx.run_sim(), Err(Error::Check(_))));
+    }
+
+    #[test]
+    fn a_program_whose_events_table_disagrees_with_its_actions_is_refused() {
+        // The graph's event edges follow the events table. A hand-edited
+        // program whose record moved without the table would simulate with
+        // the wait ordered after the *wrong* action; `Enforce` refuses it
+        // in the checker, `WarnOnly`/`Off` must not price it either.
+        use crate::check::CheckMode;
+        let build = || {
+            let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+                .partitions(2)
+                .build()
+                .unwrap();
+            let a = ctx.alloc("a", 1 << 10);
+            let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+            ctx.h2d(s0, a).unwrap();
+            let e = ctx.record_event(s0).unwrap();
+            ctx.wait_event(s1, e).unwrap();
+            ctx.d2h(s1, a).unwrap();
+            (ctx, e)
+        };
+        let consistent = build().0.run_sim().unwrap().makespan();
+
+        // The record slides behind a new action; the table still says #1.
+        let (mut moved, e) = build();
+        let h2d = moved.program.streams[0].actions[0].clone();
+        moved.program.streams[0].actions.insert(1, h2d);
+        // The table points at an action that is not a record at all.
+        let (mut dangling, _) = build();
+        dangling.program.events[e.0].action_index = 0;
+
+        for ctx in [&mut moved, &mut dangling] {
+            ctx.program.validate().unwrap();
+            for mode in [CheckMode::Off, CheckMode::WarnOnly] {
+                ctx.set_check_mode(mode);
+                let err = ctx.run_sim().unwrap_err();
+                assert!(
+                    matches!(err, Error::UnknownEvent(x) if x == e),
+                    "{mode:?}: {err}"
+                );
+            }
+        }
+        moved.set_check_mode(CheckMode::Enforce);
+        assert!(matches!(moved.run_sim(), Err(Error::Check(_))));
+        assert!(consistent > SimDuration::ZERO);
     }
 
     #[test]

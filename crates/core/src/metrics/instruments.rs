@@ -48,7 +48,8 @@ use micsim::trace::{overlap_stats, partition_stats};
 
 use super::{Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot, Unit};
 use crate::fault::FaultCounters;
-use crate::trace::{Lane, LaneMap};
+use crate::sched::Lane;
+use crate::trace::LaneMap;
 
 /// Metric names, in one place so executors, tests, and docs agree.
 pub mod name {
@@ -413,8 +414,8 @@ pub(crate) fn price_run(
             continue;
         };
         let held = rec.finish - rec.start;
-        if let Lane::Link(d) = lane {
-            link_busy[d] += held;
+        if let Lane::Link { device, .. } = lane {
+            link_busy[device] += held;
         }
         // Neither are the sim's failed-attempt link occupations.
         if rec.label.contains("!fail") {
@@ -423,14 +424,14 @@ pub(crate) fn price_run(
         let work = us(held.saturating_sub(overhead));
         let lag = rec.start - rec.ready;
         match lane {
-            Lane::Link(d) => {
-                ri.transfer_time[d].record(work);
-                ri.queue_wait[d].record(us(lag));
+            Lane::Link { device, .. } => {
+                ri.transfer_time[device].record(work);
+                ri.queue_wait[device].record(us(lag));
             }
             Lane::Host => ri.host_kernel_time.record(work),
-            Lane::Partition(d, p) => {
-                ri.kernel_time[d][p].record(work);
-                ri.launch_overhead[d][p].record(us(lag + overhead));
+            Lane::Partition { device, partition } => {
+                ri.kernel_time[device][partition].record(work);
+                ri.launch_overhead[device][partition].record(us(lag + overhead));
             }
         }
     }
@@ -448,9 +449,9 @@ pub(crate) fn price_run(
 
     ri.makespan_us.set(timeline.makespan.as_micros_f64());
     for stats in partition_stats(timeline, &lanes.kinds) {
-        if let Some(Lane::Partition(d, p)) = lanes.classify(stats.resource) {
-            ri.partition_busy[d][p].set(stats.busy.as_micros_f64());
-            ri.partition_idle[d][p].set(stats.idle.as_micros_f64());
+        if let Some(Lane::Partition { device, partition }) = lanes.classify(stats.resource) {
+            ri.partition_busy[device][partition].set(stats.busy.as_micros_f64());
+            ri.partition_idle[device][partition].set(stats.idle.as_micros_f64());
         }
     }
     for (d, busy) in link_busy.iter().enumerate() {

@@ -1,25 +1,29 @@
 //! Static cost analysis: interval bounds and a sound makespan lower bound.
 //!
-//! Prices come from [`CostModel`], which uses the exact per-action
-//! formulas the simulator charges (wire + enqueue for transfers, the
-//! SMT-scaling compute model for kernels). The simulator's dependency
-//! edges are a superset of the HB edges (it adds resource serialization),
-//! its control tasks are free or positively priced (barrier sync
-//! overhead), and every lane (a link channel, a partition, the host, a
-//! stream's FIFO) is a serial resource — so both bounds below hold
-//! against any simulated execution of the program:
+//! Nothing here knows a formula. The graph is the checker's
+//! ([`HbGraph`]: its edges, its topological order, its clocks) and every
+//! weight is [`CostModel::price`] on [`CostModel::lane`] — the function
+//! the simulator calls for the duration of the task it creates for the
+//! same action, in the simulator's integer nanoseconds. The simulator's
+//! dependency edges are a superset of the HB edges (it adds resource
+//! serialization), its control tasks are free or positively priced
+//! (barrier sync overhead), and every lane (a link channel, a partition,
+//! the host, a stream's FIFO) is a serial resource — so both bounds below
+//! hold against any fault-free FIFO simulation of the program, **exactly**:
+//! they are sums and maxima of the very integers the engine adds up, and
+//! only the finished totals are converted to seconds.
 //!
-//! * **critical path**: the longest HB chain, weighted by action cost;
+//! * **critical path**: the longest HB chain, weighted by action price;
 //! * **lane load**: the busiest serial resource's total assigned work.
 
 use std::collections::BTreeMap;
 
-use crate::action::Action;
-use crate::check::{HbEdges, HbGraph, Site};
-use crate::program::Program;
-use crate::sched::CostModel;
+use micsim::time::SimDuration;
 
-use super::is_payload;
+use crate::action::Action;
+use crate::check::{HbGraph, Site};
+use crate::program::Program;
+use crate::sched::{CostModel, Lane};
 
 /// Static interval bounds for one stream.
 #[derive(Clone, Debug)]
@@ -61,85 +65,63 @@ pub struct StaticCost {
 /// priced on its recorded placement.
 #[must_use]
 pub fn static_cost(program: &Program, model: &CostModel) -> Option<StaticCost> {
-    let edges = HbEdges::build(program);
-    let n_streams = program.streams.len();
+    let hb = HbGraph::build(program);
+    let order = hb.order().ok()?; // `Err` = cyclic
+    let edges = hb.edges();
 
-    // Per-node weights from the recorded placements.
-    let mut weight = vec![0.0f64; edges.nodes];
-    let mut transfer_seconds = 0.0;
-    let mut kernel_seconds = 0.0;
+    // Per-node weights and serial-lane loads from the recorded placements:
+    // every resource the simulator serializes on, plus each stream's FIFO.
+    let mut weight = vec![SimDuration::ZERO; edges.nodes];
+    let mut lanes: BTreeMap<Lane, SimDuration> = BTreeMap::new();
+    let mut busy = vec![SimDuration::ZERO; program.streams.len()];
+    let (mut transfers, mut kernels) = (SimDuration::ZERO, SimDuration::ZERO);
     for (si, s) in program.streams.iter().enumerate() {
         for (ai, a) in s.actions.iter().enumerate() {
-            let w = model.action_seconds(a, s.placement.device.0, s.placement.partition)?;
+            let Some(lane) = model.lane(a, s.placement.device.0, s.placement.partition) else {
+                continue; // control actions are free
+            };
+            let w = model.price(a, lane).ok()?;
             weight[edges.offsets[si] + ai] = w;
+            *lanes.entry(lane).or_default() += w;
+            busy[si] += w;
             match a {
-                Action::Transfer { .. } => transfer_seconds += w,
-                Action::Kernel(_) => kernel_seconds += w,
-                _ => {}
+                Action::Transfer { .. } => transfers += w,
+                _ => kernels += w,
             }
         }
     }
+    let lane_bound = lanes
+        .values()
+        .chain(&busy)
+        .copied()
+        .max()
+        .unwrap_or_default();
 
     // Forward pass in topological order: earliest finish per node.
-    let order = edges.topo_order().ok()?; // `Err` = cyclic
-    let mut finish = vec![0.0f64; edges.nodes];
-    for &v in &order {
+    let mut finish = vec![SimDuration::ZERO; edges.nodes];
+    for &v in order {
         let v = v as usize;
-        finish[v] = edges.preds[v]
-            .iter()
-            .map(|&p| finish[p as usize])
-            .fold(0.0f64, f64::max)
-            + weight[v];
+        let ready = edges.preds[v].iter().map(|&p| finish[p as usize]).max();
+        finish[v] = ready.unwrap_or_default() + weight[v];
     }
-    let critical_path_seconds = finish.iter().copied().fold(0.0f64, f64::max);
+    let critical_path = finish.iter().copied().max().unwrap_or_default();
 
-    // Serial-lane load: every resource the simulator serializes on.
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    enum Lane {
-        Link(usize, usize),
-        Partition(usize, usize),
-        Host,
-        Stream(usize),
-    }
-    let mut lanes: BTreeMap<Lane, f64> = BTreeMap::new();
-    let mut per_stream = Vec::with_capacity(n_streams);
-    for (si, s) in program.streams.iter().enumerate() {
-        let mut busy = 0.0f64;
-        for (ai, a) in s.actions.iter().enumerate() {
-            let w = weight[edges.offsets[si] + ai];
-            busy += w;
-            let lane = match a {
-                Action::Transfer { dir, .. } => {
-                    Some(Lane::Link(s.placement.device.0, model.channel_for(*dir)))
-                }
-                Action::Kernel(k) if k.host => Some(Lane::Host),
-                Action::Kernel(_) => {
-                    Some(Lane::Partition(s.placement.device.0, s.placement.partition))
-                }
-                _ => None,
-            };
-            if let Some(lane) = lane {
-                *lanes.entry(lane).or_insert(0.0) += w;
-            }
-        }
-        *lanes.entry(Lane::Stream(si)).or_insert(0.0) += busy;
-        let finish_seconds = if s.actions.is_empty() {
-            0.0
-        } else {
-            finish[edges.offsets[si] + s.actions.len() - 1]
-        };
-        per_stream.push(StreamBound {
+    let per_stream = program
+        .streams
+        .iter()
+        .enumerate()
+        .map(|(si, s)| StreamBound {
             stream: si,
-            busy_seconds: busy,
-            finish_seconds,
-        });
-    }
-    let lane_bound_seconds = lanes.values().copied().fold(0.0f64, f64::max);
+            busy_seconds: busy[si].as_secs_f64(),
+            finish_seconds: match s.actions.len() {
+                0 => 0.0,
+                n => finish[edges.offsets[si] + n - 1].as_secs_f64(),
+            },
+        })
+        .collect();
 
-    // Hidden-fraction estimate needs pairwise concurrency: the analyzer's
-    // clock matrix, propagated along the order already in hand.
-    let hb = HbGraph::from_order(&edges, &order);
-    let mut hidden = 0.0f64;
+    // Hidden-fraction estimate: pairwise concurrency off the graph's clocks.
+    let mut hidden = SimDuration::ZERO;
     for (si, s) in program.streams.iter().enumerate() {
         for (ai, a) in s.actions.iter().enumerate() {
             if !matches!(a, Action::Transfer { .. }) {
@@ -149,9 +131,7 @@ pub fn static_cost(program: &Program, model: &CostModel) -> Option<StaticCost> {
             let overlappable = program.streams.iter().enumerate().any(|(sj, sk)| {
                 sj != si
                     && sk.actions.iter().enumerate().any(|(aj, b)| {
-                        matches!(b, Action::Kernel(_))
-                            && is_payload(b)
-                            && hb.concurrent(t, Site::new(sj, aj))
+                        matches!(b, Action::Kernel(_)) && hb.concurrent(t, Site::new(sj, aj))
                     })
             });
             if overlappable {
@@ -159,19 +139,19 @@ pub fn static_cost(program: &Program, model: &CostModel) -> Option<StaticCost> {
             }
         }
     }
-    let hidden_fraction_estimate = if transfer_seconds > 0.0 {
-        hidden / transfer_seconds
+    let hidden_fraction_estimate = if transfers > SimDuration::ZERO {
+        hidden.as_secs_f64() / transfers.as_secs_f64()
     } else {
         0.0
     };
 
     Some(StaticCost {
         per_stream,
-        critical_path_seconds,
-        lane_bound_seconds,
-        makespan_lower_bound: critical_path_seconds.max(lane_bound_seconds),
-        transfer_seconds,
-        kernel_seconds,
+        critical_path_seconds: critical_path.as_secs_f64(),
+        lane_bound_seconds: lane_bound.as_secs_f64(),
+        makespan_lower_bound: critical_path.max(lane_bound).as_secs_f64(),
+        transfer_seconds: transfers.as_secs_f64(),
+        kernel_seconds: kernels.as_secs_f64(),
         hidden_fraction_estimate,
     })
 }
@@ -332,7 +312,9 @@ mod tests {
     #[test]
     fn an_unordered_transfer_kernel_pair_counts_as_hidden() {
         let m = model();
-        let k = m.device_kernel_seconds(&device_kernel(), 0, 1).unwrap();
+        let k = m
+            .action_seconds(&Action::Kernel(device_kernel()), 0, 1)
+            .unwrap();
         let p = program(vec![
             vec![h2d(0)],
             vec![h2d(1), Action::Kernel(device_kernel())],

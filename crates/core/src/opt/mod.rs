@@ -17,10 +17,10 @@
 //! * [`static_cost`] — **static cost analysis** on the same graph, priced
 //!   by [`sched::CostModel`](crate::sched::CostModel): per-stream busy and
 //!   finish bounds, a critical-path / lane-load makespan lower bound that
-//!   is sound against the simulator (the model prices actions with the
-//!   exact formulas the simulator executes, and the simulator's dependency
-//!   edges are a superset of the HB edges), and a static estimate of the
-//!   hidden (overlappable) transfer fraction.
+//!   is sound against the simulator with no slack (the prices come from
+//!   the function the simulator calls, summed in its integer nanoseconds,
+//!   and the simulator's dependency edges are a superset of the HB edges),
+//!   and a static estimate of the hidden (overlappable) transfer fraction.
 //! * [`lint`] — **advisory diagnostics** built from both: redundant sync
 //!   sites, statically-detectable `T < P` partition starvation, and
 //!   transfer/kernel pairs serialized by sync that could overlap. These

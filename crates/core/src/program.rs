@@ -219,6 +219,23 @@ impl Program {
     // (`validate()`'s all-streams rule) is the caller's to maintain —
     // barriers are a whole-program construct, not a per-stream edit.
 
+    /// Whether the events table agrees with the event action at `(stream,
+    /// index)` (stream by position): a `RecordEvent(e)` sits exactly at
+    /// `events[e]`, a `WaitEvent(e)`'s `events[e]` holds a `RecordEvent(e)`.
+    /// The editing accessors below keep this; a hand-built program may
+    /// not, and then the happens-before graph (which follows the table)
+    /// and the actions disagree.
+    pub(crate) fn event_site_matches(&self, stream: usize, index: usize) -> bool {
+        let at = |s: usize, i: usize| self.streams.get(s).and_then(|s| s.actions.get(i));
+        let site = |e: &EventId| self.events.get(e.0).map(|t| (t.stream.0, t.action_index));
+        match at(stream, index) {
+            Some(Action::RecordEvent(e)) => site(e) == Some((stream, index)),
+            Some(Action::WaitEvent(e)) => site(e)
+                .is_some_and(|(s, i)| matches!(at(s, i), Some(Action::RecordEvent(x)) if x == e)),
+            _ => true,
+        }
+    }
+
     /// Re-point event sites in `stream` after an insertion (`delta = +1`)
     /// or removal (`delta = -1`) at `index`. For removals the site *at*
     /// `index` must already be gone from the table.

@@ -1,6 +1,6 @@
-//! Shared machinery for the list and stealing schedulers: candidate lane
-//! enumeration, per-lane pricing, and schedule finalization (native driver
-//! hints, steal counting, global ordering).
+//! Shared machinery for the list and stealing schedulers: node-indexed
+//! views of the cost model's lanes and prices, and schedule finalization
+//! (native driver hints, steal counting, global ordering).
 
 use crate::action::Action;
 
@@ -14,8 +14,16 @@ pub(super) struct Placed {
     pub finish: f64,
 }
 
-/// Cost of every node on its *recorded* placement, in node order. `None`
-/// when any kernel cannot be priced (decline to schedule).
+/// Seconds node `u` takes on `lane` — the cost model's price, in the
+/// schedulers' unit. `None` for impossible combinations.
+pub(super) fn lane_cost(input: &SchedInput<'_>, u: usize, lane: Lane) -> Option<f64> {
+    let action = input.graph.action(input.program, u);
+    let price = input.cost.price(action, lane).ok()?;
+    Some(price.as_secs_f64())
+}
+
+/// Cost of every node on its *recorded* lane, in node order. `None` when
+/// any kernel cannot be priced (decline to schedule).
 pub(super) fn base_costs(input: &SchedInput<'_>) -> Option<Vec<f64>> {
     (0..input.graph.len())
         .map(|u| {
@@ -26,41 +34,6 @@ pub(super) fn base_costs(input: &SchedInput<'_>) -> Option<Vec<f64>> {
                 .action_seconds(action, node.device, node.partition)
         })
         .collect()
-}
-
-/// Lanes node `u` may legally run on: transfers are pinned to their link
-/// channel, host kernels to the host, device kernels may move to any
-/// partition of their recorded device.
-pub(super) fn candidate_lanes(input: &SchedInput<'_>, u: usize) -> Vec<Lane> {
-    let node = input.graph.nodes[u];
-    match input.graph.action(input.program, u) {
-        Action::Transfer { dir, .. } => vec![Lane::Link {
-            device: node.device,
-            channel: input.cost.channel_for(*dir),
-        }],
-        Action::Kernel(k) if k.host => vec![Lane::Host],
-        Action::Kernel(_) => (0..input.cost.partitions().max(1))
-            .map(|p| Lane::Partition {
-                device: node.device,
-                partition: p,
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Price node `u` on `lane`. `None` for impossible combinations.
-pub(super) fn lane_cost(input: &SchedInput<'_>, u: usize, lane: Lane) -> Option<f64> {
-    match (input.graph.action(input.program, u), lane) {
-        (Action::Transfer { buf, .. }, Lane::Link { .. }) => {
-            Some(input.cost.transfer_seconds(input.cost.bytes_of(*buf)))
-        }
-        (Action::Kernel(k), Lane::Host) if k.host => Some(input.cost.host_kernel_seconds(k)),
-        (Action::Kernel(k), Lane::Partition { device, partition }) if !k.host => {
-            input.cost.device_kernel_seconds(k, device, partition)
-        }
-        _ => None,
-    }
 }
 
 /// Buffers node `u` produces (transfer payloads and kernel writes) — the
@@ -99,7 +72,9 @@ pub(super) fn locality_penalty(
         }
         for buf in produces(input, p) {
             if k.reads.contains(&buf) {
-                penalty += input.cost.transfer_seconds(input.cost.bytes_of(buf));
+                let dir = micsim::pcie::Direction::HostToDevice;
+                let reload = Action::Transfer { dir, buf };
+                penalty += input.cost.action_seconds(&reload, 0, 0).unwrap_or(0.0);
             }
         }
     }

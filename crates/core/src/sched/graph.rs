@@ -3,12 +3,13 @@
 //! Nodes are the program's non-control actions (transfers and kernels —
 //! the things that occupy hardware). Edges are *data dependences*: one
 //! edge per conflicting access pair (same buffer, same memory space, at
-//! least one write), oriented by the check module's happens-before
-//! relation. Events and barriers do not appear as nodes; on an
-//! analyzer-clean program every conflicting pair is HB-ordered, so the
-//! data edges alone carry the program's semantics — which is exactly what
-//! lets a scheduler drop the recorded stream structure and re-place work
-//! freely without changing any buffer's final contents.
+//! least one write — the analyzer's own access table), oriented by the
+//! check module's happens-before relation. Events and barriers do not
+//! appear as nodes; on an analyzer-clean program every conflicting pair is
+//! HB-ordered, so the data edges alone carry the program's semantics —
+//! which is exactly what lets a scheduler drop the recorded stream
+//! structure and re-place work freely without changing any buffer's final
+//! contents.
 //!
 //! Construction refuses unclean programs: if any conflicting pair is
 //! unordered (a race), [`TaskGraph::build`] returns `None` and the caller
@@ -70,9 +71,8 @@ impl TaskGraph {
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
 
-        let accesses = crate::check::collect_accesses(program);
         // Deterministic group order (same key the race checker sorts by).
-        let mut groups: Vec<_> = accesses.iter().collect();
+        let mut groups: Vec<_> = analysis.accesses.iter().collect();
         groups.sort_by_key(|((buf, space), _)| {
             let skey = match space {
                 crate::check::Space::Host => 0usize,

@@ -66,7 +66,8 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
             .map(|&p| placed[p].expect("preds placed first").finish)
             .fold(0.0f64, f64::max);
         let mut best: Option<(f64, f64, Lane)> = None; // (score, finish, lane)
-        for lane in common::candidate_lanes(input, u) {
+        let action = graph.action(input.program, u);
+        for lane in input.cost.candidate_lanes(action, graph.nodes[u].device) {
             let Some(cost) = common::lane_cost(input, u, lane) else {
                 continue;
             };

@@ -16,9 +16,11 @@
 //!   *subsumed* by these edges: an analyzer-clean program has every
 //!   conflicting pair ordered, so the data edges alone reproduce its
 //!   semantics);
-//! * a **cost model** ([`CostModel`]) pricing each action from the same
-//!   calibrated platform the simulator uses (tile bytes on the link,
-//!   tile flops on a partition);
+//! * the **cost model** ([`CostModel`]) — the one function that says
+//!   which lane an action occupies and what the simulator charges for it
+//!   there (tile bytes on the link, tile flops on a partition); the
+//!   schedulers rank and place by exactly the durations the simulator
+//!   will then run;
 //!
 //! and emits a [`Schedule`]: per-task placement + order decisions that both
 //! executors honor — the simulator by materializing the schedule back into
@@ -40,13 +42,17 @@
 //! * [`WorkSteal`] — greedy work-conserving placement: ready tasks go to
 //!   whichever partition frees up first, modeling idle partitions stealing
 //!   ready tiles cross-partition. The native executor implements this
-//!   *dynamically* (real deque stealing in the partition pool, stolen-task
-//!   counters surfaced in the trace); the simulator prices the equivalent
-//!   earliest-ready placement deterministically.
+//!   *dynamically* (idle drivers steal from their siblings' queues in the
+//!   graph dispatcher, stolen-task counters surfaced in the trace); the
+//!   simulator prices the equivalent earliest-ready placement
+//!   deterministically.
 //!
 //! Scheduling is only attempted on analyzer-clean programs; anything else
 //! (races, deadlocks, unknown references) falls back to FIFO execution,
-//! where the executors' own gates handle it.
+//! where the executors' own gates handle it. The executors plan over the
+//! [`Analysis`] their gate already made (`plan_analyzed`); only the public
+//! [`plan`] / [`plan_program`], handed a bare [`Program`] from outside,
+//! analyze one themselves.
 
 mod common;
 pub mod cost;
@@ -55,7 +61,7 @@ pub mod heft;
 pub mod materialize;
 pub mod steal;
 
-use crate::check::Site;
+use crate::check::{Analysis, CheckEnv, Site};
 use crate::program::Program;
 
 pub use cost::CostModel;
@@ -256,30 +262,23 @@ pub fn scheduler_for(kind: SchedulerKind) -> Box<dyn Scheduler> {
     }
 }
 
-/// [`plan`], also handing back the [`TaskGraph`] the schedule was planned
-/// over — the native executor's graph dispatcher needs both.
-pub(crate) fn plan_with_graph(
+/// Plan `program` under `kind` over an `analysis` already in hand (the
+/// executors' gate made it; nothing here analyzes again), also handing
+/// back the [`TaskGraph`] the schedule was planned over — the simulator
+/// materializes from both, the native executor's graph dispatcher drives
+/// both. `None` when the kind declines (FIFO), the program is empty, or it
+/// is not analyzer-clean (racy/deadlocked programs keep FIFO semantics and
+/// let the executors' check gates deal with them).
+pub(crate) fn plan_analyzed(
     program: &Program,
+    analysis: &Analysis,
     cost: &CostModel,
     kind: SchedulerKind,
 ) -> Option<(Schedule, TaskGraph)> {
-    plan_inner(program, cost, kind)
-}
-
-fn plan_inner(
-    program: &Program,
-    cost: &CostModel,
-    kind: SchedulerKind,
-) -> Option<(Schedule, TaskGraph)> {
-    if kind == SchedulerKind::Fifo || program.action_count() == 0 {
+    if kind == SchedulerKind::Fifo || program.action_count() == 0 || !analysis.report.is_clean() {
         return None;
     }
-    let env = crate::check::CheckEnv::permissive(program);
-    let analysis = crate::check::analyze(program, &env);
-    if !analysis.report.is_clean() {
-        return None;
-    }
-    let graph = TaskGraph::build(program, &analysis)?;
+    let graph = TaskGraph::build(program, analysis)?;
     let input = SchedInput {
         program,
         graph: &graph,
@@ -289,12 +288,13 @@ fn plan_inner(
     Some((schedule, graph))
 }
 
-/// Compute a schedule for `program` under `kind`, or `None` when the kind
-/// declines (FIFO), the program is empty, or it is not analyzer-clean
-/// (racy/deadlocked programs keep FIFO semantics and let the executors'
-/// check gates deal with them).
+/// Compute a schedule for a bare `program` under `kind` — analyzing it
+/// first, against the environment it implies ([`CheckEnv::permissive`]).
+/// `None` when the kind declines (FIFO), the program is empty, or it is
+/// not analyzer-clean.
 pub fn plan(program: &Program, cost: &CostModel, kind: SchedulerKind) -> Option<Schedule> {
-    plan_inner(program, cost, kind).map(|(schedule, _)| schedule)
+    let analysis = crate::check::analyze(program, &CheckEnv::permissive(program));
+    plan_analyzed(program, &analysis, cost, kind).map(|(schedule, _)| schedule)
 }
 
 /// [`plan`], then [`materialize`](materialize::materialize) the result
@@ -305,7 +305,8 @@ pub fn plan_program(
     cost: &CostModel,
     kind: SchedulerKind,
 ) -> Option<(Schedule, Program)> {
-    let (schedule, graph) = plan_inner(program, cost, kind)?;
+    let analysis = crate::check::analyze(program, &CheckEnv::permissive(program));
+    let (schedule, graph) = plan_analyzed(program, &analysis, cost, kind)?;
     let scheduled = materialize::materialize(program, &graph, &schedule);
     Some((schedule, scheduled))
 }

@@ -45,7 +45,8 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
         // Best (start, prefers-home, lane, site order) over ready × lanes.
         let mut best: Option<(f64, bool, Lane, usize, f64)> = None;
         for &u in &ready {
-            for lane in common::candidate_lanes(input, u) {
+            let action = graph.action(input.program, u);
+            for lane in input.cost.candidate_lanes(action, graph.nodes[u].device) {
                 let Some(cost) = common::lane_cost(input, u, lane) else {
                     continue;
                 };
@@ -180,13 +181,12 @@ mod tests {
         let p = kernels_on_streams(8, 4, |t| if t % 4 == 0 { 8e9 } else { 1e9 });
         let sched = plan(&p, &cost);
         // FIFO lower bound on partition 0: two heavy kernels back to back.
-        let heavy = cost
-            .device_kernel_seconds(
-                &KernelDesc::simulated("h", KernelProfile::streaming("k", 1e9), 8e9),
-                0,
-                0,
-            )
-            .unwrap();
+        let heavy = Action::Kernel(KernelDesc::simulated(
+            "h",
+            KernelProfile::streaming("k", 1e9),
+            8e9,
+        ));
+        let heavy = cost.action_seconds(&heavy, 0, 0).unwrap();
         assert!(
             sched.makespan < 2.0 * heavy,
             "makespan {} vs fifo-ish {}",

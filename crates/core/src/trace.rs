@@ -51,19 +51,9 @@ use micsim::trace::{
 use crate::check::Site;
 use crate::context::Context;
 use crate::program::Program;
+use crate::sched::Lane;
 
 // ----- lanes ----------------------------------------------------------------
-
-/// What a lane is, by geometry: the inverse of [`LaneMap`]'s layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Lane {
-    /// A link channel of this device.
-    Link(usize),
-    /// The host CPU.
-    Host,
-    /// `(device, partition)`.
-    Partition(usize, usize),
-}
 
 /// The resource ids, names and classification of a run's lanes — the one
 /// place they are laid out, for both executors: every device's link
@@ -138,6 +128,15 @@ impl LaneMap {
         self.partitions.first().map_or(0, Vec::len)
     }
 
+    /// The resource of a [cost-model](crate::sched::CostModel) lane.
+    pub(crate) fn resource(&self, lane: Lane) -> ResourceId {
+        match lane {
+            Lane::Link { device, channel } => self.link(device, channel),
+            Lane::Host => self.host,
+            Lane::Partition { device, partition } => self.partitions[device][partition],
+        }
+    }
+
     pub(crate) fn link(&self, device: usize, channel: usize) -> ResourceId {
         self.links[device][channel]
     }
@@ -154,14 +153,21 @@ impl LaneMap {
     /// Which lane `res` is (`None` for an id this map did not lay out).
     pub(crate) fn classify(&self, res: ResourceId) -> Option<Lane> {
         if res.0 < self.host.0 {
-            return Some(Lane::Link(res.0 / self.links[0].len()));
+            let channels = self.links[0].len();
+            return Some(Lane::Link {
+                device: res.0 / channels,
+                channel: res.0 % channels,
+            });
         }
         if res == self.host {
             return Some(Lane::Host);
         }
         let parts = self.partitions_per_device();
         let idx = res.0 - self.host.0 - 1;
-        (idx < self.devices() * parts).then(|| Lane::Partition(idx / parts, idx % parts))
+        (idx < self.devices() * parts).then(|| Lane::Partition {
+            device: idx / parts,
+            partition: idx % parts,
+        })
     }
 }
 
@@ -449,8 +455,8 @@ impl Recorder {
             for span in buf.lock().iter() {
                 let lag = span.start.saturating_duration_since(span.ready);
                 match span.lane.and_then(|lane| self.lanes.classify(lane)) {
-                    Some(Lane::Link(_)) => waited += lag,
-                    Some(Lane::Host | Lane::Partition(..)) => {
+                    Some(Lane::Link { .. }) => waited += lag,
+                    Some(Lane::Host | Lane::Partition { .. }) => {
                         launch.record(u64::try_from(lag.as_nanos()).unwrap_or(u64::MAX));
                     }
                     None => {}
@@ -591,12 +597,17 @@ mod tests {
     #[test]
     fn classify_inverts_the_layout() {
         let lanes = LaneMap::new(2, 2, 3);
-        assert_eq!(lanes.classify(lanes.link(1, 0)), Some(Lane::Link(1)));
-        assert_eq!(lanes.classify(lanes.link(0, 1)), Some(Lane::Link(0)));
+        for (device, channel) in [(1, 0), (0, 1)] {
+            let lane = Lane::Link { device, channel };
+            assert_eq!(lanes.classify(lanes.resource(lane)), Some(lane));
+        }
         assert_eq!(lanes.classify(lanes.kernel(true, 0, 0)), Some(Lane::Host));
         assert_eq!(
             lanes.classify(lanes.kernel(false, 1, 2)),
-            Some(Lane::Partition(1, 2))
+            Some(Lane::Partition {
+                device: 1,
+                partition: 2
+            })
         );
         assert_eq!(lanes.classify(ResourceId(lanes.names.len())), None);
     }

@@ -57,7 +57,7 @@ proptest! {
         // The claim must be executable: conflict buffers are `k`, result
         // buffers `conflicts.len() + k`.
         let lens = vec![4usize; 2 * conflicts.len()];
-        let witness = analysis.witness(&broken, diag);
+        let witness = analysis.witness(diag);
         match &witness.kind {
             WitnessKind::Race { order_ab, order_ba, .. } => {
                 prop_assert_eq!(order_ab.len(), broken.action_count());

@@ -21,10 +21,14 @@
 
 use hstreams::action::Action;
 use hstreams::check::{analyze, CheckEnv, Site};
+use hstreams::context::Context;
+use hstreams::kernel::KernelDesc;
 use hstreams::opt::{certify, optimize};
 use hstreams::program::Program;
-use hstreams::testutil::{build_synced, drop_one_wait, RefExec};
-use hstreams::types::StreamId;
+use hstreams::testutil::{build_chained, build_synced, drop_one_wait, mix_kernel, RefExec};
+use hstreams::types::{BufId, StreamId};
+use micsim::compute::KernelProfile;
+use micsim::PlatformConfig;
 use proptest::prelude::*;
 
 /// Duplicate every `WaitEvent` in place (each copy directly after its
@@ -132,6 +136,51 @@ proptest! {
         prop_assert!(opt.report.certificate.is_none());
         prop_assert_eq!(format!("{:?}", opt.program), format!("{:?}", broken));
     }
+
+    /// Soundness of the static bound, with zero slack: tile chains,
+    /// event-ordered conflicts and — as in CF, the only catalog app with
+    /// one — a `d2h → host kernel → h2d` round trip whose host body is not
+    /// a whole number of nanoseconds, so a bound priced by anything but
+    /// the simulator's own (rounded) price list overshoots.
+    #[test]
+    fn static_bound_never_exceeds_the_simulated_makespan(
+        first in 1usize..4,
+        others in proptest::collection::vec(0usize..3, 1..4),
+        conflicts in proptest::collection::vec((0usize..16, 0usize..16), 0..3),
+        host_tenths_ns in 1usize..50_000,
+        host_kernels in 1usize..40,
+    ) {
+        // Often stream 0 runs alone: the bound is then tight, and any
+        // drift between it and the simulator shows.
+        let tiles: Vec<usize> = std::iter::once(first).chain(others).collect();
+        let chain_bufs = 2 * tiles.iter().sum::<usize>();
+        let mut program = build_chained(&tiles, &conflicts, tiles.len(), chain_bufs);
+        // Stream 0 ends its first chain with `d2h b1`: factor b1 on the
+        // host, `host_kernels` times over, and send it back.
+        let cfg = PlatformConfig::phi_31sp();
+        let work = host_tenths_ns as f64 * 0.1e-9 * 1.0e9 * cfg.host_equivalents;
+        for i in 0..host_kernels {
+            let k = mix_kernel(format!("potrf{i}"), [], [BufId(1)], work).on_host();
+            program.streams[0].actions.push(Action::Kernel(k));
+        }
+        program.streams[0].actions.push(Action::Transfer {
+            dir: micsim::pcie::Direction::HostToDevice,
+            buf: BufId(1),
+        });
+
+        let mut ctx = Context::builder(cfg).partitions(tiles.len()).build().unwrap();
+        for b in 0..chain_bufs + conflicts.len() {
+            ctx.alloc(format!("b{b}"), 64);
+        }
+        ctx.install_program(program).unwrap();
+        let bound = ctx.static_cost().expect("clean program prices").makespan_lower_bound;
+        let makespan = ctx.run_sim().unwrap().makespan().as_secs_f64();
+        prop_assert!(bound > 0.0);
+        prop_assert!(
+            bound <= makespan,
+            "bound {:.1} ns > makespan {:.1} ns", bound * 1e9, makespan * 1e9
+        );
+    }
 }
 
 #[test]
@@ -192,8 +241,7 @@ fn dead_records_are_elided() {
 
 #[test]
 fn adjacent_barriers_collapse_but_the_load_bearing_one_survives() {
-    use hstreams::testutil::{mix_kernel, stream_skeleton};
-    use hstreams::types::BufId;
+    use hstreams::testutil::stream_skeleton;
 
     // s0 produces buffer 0; two back-to-back barriers; s1 consumes it.
     // Exactly one barrier is implied by the other — and exactly one is
@@ -226,4 +274,30 @@ fn adjacent_barriers_collapse_but_the_load_bearing_one_survives() {
     assert!(cert.holds(), "{cert:?}");
     // Removing the survivor too would race the producer/consumer pair.
     assert!(analyze(&opt.program, &env).report.is_clean());
+}
+
+#[test]
+fn static_bound_is_sound_on_host_kernel_chains() {
+    // 200 host kernels of 1000.4 ns each on one stream. The simulator
+    // rounds every body to whole nanoseconds (1000 ns), so a bound summed
+    // from unrounded prices overshoots it by 200 x 0.4 ns = 80 ns — and a
+    // lower bound that exceeds the makespan prunes winners in the tuner.
+    // No slack: bound and makespan are the same integer-nanosecond sums.
+    let cfg = PlatformConfig::phi_31sp();
+    let rate = 1.0e9;
+    let work = 1000.4e-9 * rate * cfg.host_equivalents;
+    let mut ctx = Context::builder(cfg).build().unwrap();
+    let s = ctx.stream(0).unwrap();
+    for i in 0..200 {
+        let k = KernelDesc::simulated(format!("h{i}"), KernelProfile::streaming("h", rate), work);
+        ctx.kernel(s, k.on_host()).unwrap();
+    }
+    let bound = ctx.static_cost().unwrap().makespan_lower_bound;
+    let makespan = ctx.run_sim().unwrap().makespan().as_secs_f64();
+    assert!(
+        bound <= makespan,
+        "static bound {:.1} ns exceeds the simulated makespan {:.1} ns",
+        bound * 1e9,
+        makespan * 1e9
+    );
 }

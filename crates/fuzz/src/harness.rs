@@ -293,7 +293,7 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
             ctx.zero_buffers();
         }
         if let Some(diag) = analysis.report.errors().next() {
-            let w = analysis.witness(&program, diag);
+            let w = analysis.witness(diag);
             let lens = buf_lens();
             match &w.kind {
                 WitnessKind::Deadlock { cycle } => match RefExec::run_fifo(&program, &lens) {

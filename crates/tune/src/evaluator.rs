@@ -121,12 +121,13 @@ impl Evaluator for SimEvaluator {
     }
 
     /// [`hstreams::opt::static_cost`]'s makespan lower bound for the
-    /// candidate's recorded program. Sound against the simulator because
-    /// the cost model prices actions with the exact formulas the
-    /// simulator executes and the simulator's dependency edges are a
-    /// superset of the happens-before edges — but **only under FIFO**:
-    /// the other schedulers re-place and reorder the recorded program, so
-    /// the bound declines (`None`) for them.
+    /// candidate's recorded program. Sound against the simulator, with no
+    /// slack: the bound sums the integer-nanosecond prices of the one
+    /// function the simulator charges its tasks with, along the
+    /// happens-before graph whose edges the simulator's dependencies are a
+    /// superset of — but **only under FIFO**: the other schedulers
+    /// re-place and reorder the recorded program, so the bound declines
+    /// (`None`) for them.
     fn lower_bound(&mut self, app: &mut dyn Tunable, p: usize, t: usize) -> Option<f64> {
         if self.ctx.scheduler() != SchedulerKind::Fifo || !app.feasible(t) {
             return None;
@@ -279,7 +280,7 @@ mod tests {
             let lb = ev.lower_bound(&mut app, p, t).expect("FIFO sim can bound");
             let m = ev.evaluate(&mut app, p, t).unwrap();
             assert!(
-                lb > 0.0 && lb <= m.seconds + 1e-12,
+                lb > 0.0 && lb <= m.seconds,
                 "bound must be sound at P={p} T={t}: {lb} vs {}",
                 m.seconds
             );

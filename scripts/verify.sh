@@ -27,6 +27,32 @@ done < <(grep -rnE 'unsafe (impl|fn)|unsafe ?\{' crates shims src bench/e2e/src 
            | grep -vE ':[[:space:]]*(//|//!|///)')
 [ "$unaudited" -eq 0 ] || { echo "unsafe audit failed"; exit 1; }
 
+echo "==> shim audit (every shims/<name> is a dependency of some manifest)"
+for shim in shims/*/; do
+  name=$(basename "$shim")
+  # `name.workspace = true` / `name = {` under [dependencies] or
+  # [dev-dependencies] of a crate or of the root package; the
+  # [workspace.dependencies] table alone does not count as an importer.
+  if ! awk -v name="$name" '
+         /^\[/ { deps = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
+         deps && $0 ~ "^" name "(\\.workspace)? *=" { found = 1 }
+         END { exit !found }' crates/*/Cargo.toml Cargo.toml; then
+    echo "  shims/$name has no importer: delete it with its [workspace.dependencies] line"
+    exit 1
+  fi
+done
+
+echo "==> one price list (the three pricing expressions live in the cost model only)"
+for pat in 'transfer_time(' 'kernel_time(' 'host_equivalents'; do
+  files=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+            if sed '/#\[cfg(test)\]/,$d' "$f" | grep -F "$pat" >/dev/null; then echo "$f"; fi
+          done)
+  if [ "$files" != "crates/core/src/sched/cost.rs" ]; then
+    echo "  '$pat' outside the cost model (non-test code): $(echo $files)"
+    exit 1
+  fi
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -12,7 +12,16 @@
 //! prices the *schedulers* see (see CHANGES.md for the CF cells PR 21
 //! moved, and why).
 //!
-//! On a mismatch the test prints the full actual table in source form.
+//! Every `heft`/`steal` cell carries a second, *payload* fingerprint over
+//! only the records that hold a resource — `label, resource, start,
+//! finish`, sorted — which is what a scheduled run means: which transfer
+//! and kernel occupied which lane, when. It is blind to zero-duration
+//! control tasks, task ids and creation order, so a change in *how* a
+//! schedule is lowered must leave it equal. `PAYLOAD` was computed at
+//! 44181bd (PR 21), when a scheduled run was still re-recorded as a
+//! lane-per-stream program with an event pair per cross-lane edge.
+//!
+//! On a mismatch the test prints the full actual tables in source form.
 
 use mic_streams::apps::hotspot::{self, HotspotConfig};
 use mic_streams::apps::srad::{self, SradConfig};
@@ -45,6 +54,45 @@ fn fingerprint(report: &SimReport) -> u64 {
     fnv64(&text)
 }
 
+/// What a scheduled run means, however it was lowered: the sorted
+/// `label, resource, start, finish` of every resource-holding record.
+fn payload_fingerprint(report: &SimReport) -> u64 {
+    let mut lines: Vec<String> = report
+        .timeline
+        .records
+        .iter()
+        .filter_map(|r| {
+            let res = r.resource?;
+            Some(format!(
+                "{}|{}|{}|{}\n",
+                r.label, res.0, r.start.0, r.finish.0
+            ))
+        })
+        .collect();
+    lines.sort_unstable();
+    fnv64(&lines.concat())
+}
+
+/// One pinned timeline: its full fingerprint, task count (printed with the
+/// table, not pinned) and — scheduled cells only — payload fingerprint.
+struct Cell {
+    name: String,
+    full: u64,
+    payload: Option<u64>,
+    tasks: usize,
+}
+
+impl Cell {
+    fn new(name: String, report: &SimReport, scheduled: bool) -> Cell {
+        Cell {
+            name,
+            full: fingerprint(report),
+            payload: scheduled.then(|| payload_fingerprint(report)),
+            tasks: report.timeline.records.len(),
+        }
+    }
+}
+
 fn ctx(platform: PlatformConfig, partitions: usize) -> Context {
     Context::builder(platform)
         .partitions(partitions)
@@ -73,15 +121,16 @@ fn tunables() -> Vec<Pinned> {
 }
 
 /// Every scheduler's timeline of the program recorded in `ctx`.
-fn cells(name: &str, ctx: &mut Context, out: &mut Vec<(String, u64)>) {
+fn cells(name: &str, ctx: &mut Context, out: &mut Vec<Cell>) {
     for kind in SchedulerKind::all() {
         ctx.set_scheduler(kind);
         let report = ctx.run_sim().unwrap();
-        out.push((format!("{name}/{kind}"), fingerprint(&report)));
+        let scheduled = kind != SchedulerKind::Fifo;
+        out.push(Cell::new(format!("{name}/{kind}"), &report, scheduled));
     }
 }
 
-fn actual() -> Vec<(String, u64)> {
+fn actual() -> Vec<Cell> {
     let mut out = Vec::new();
 
     for (mut app, geometries) in tunables() {
@@ -137,7 +186,7 @@ fn actual() -> Vec<(String, u64)> {
                 .any(|r| r.label.contains("!backoff")),
             "the plan must price at least one retry"
         );
-        out.push(("mm@p4t16/faulted".into(), fingerprint(&report)));
+        out.push(Cell::new("mm@p4t16/faulted".into(), &report, false));
     }
 
     // Two cards, barriers between phases: the `cross_device_sync` path.
@@ -265,24 +314,87 @@ const GOLDEN: &[(&str, u64)] = &[
     ("event-ladder@p3/steal", 0xe753ae468dcb9dac),
 ];
 
+/// Payload fingerprints of every scheduled cell, computed at 44181bd (see
+/// the module docs).
+const PAYLOAD: &[(&str, u64)] = &[
+    ("hbench@p2t4/heft", 0xc5cf82f89ae18082),
+    ("hbench@p2t4/steal", 0xc5cf82f89ae18082),
+    ("hbench@p4t16/heft", 0x36ee5917674567fd),
+    ("hbench@p4t16/steal", 0x7b7c87f275b5a04f),
+    ("mm@p2t4/heft", 0xf6dc947282992693),
+    ("mm@p2t4/steal", 0xf6dc947282992693),
+    ("mm@p4t16/heft", 0xc4fa6c7bb0a6a62a),
+    ("mm@p4t16/steal", 0x8059364a5c198eee),
+    ("cf@p2t9/heft", 0xb860da282cf2b5bd),
+    ("cf@p2t9/steal", 0x23ca87db691d0622),
+    ("cf@p4t16/heft", 0xc7441dd76e99506b),
+    ("cf@p4t16/steal", 0x6664ffc70d0e886e),
+    ("nn@p2t4/heft", 0x0c8f8d856addcd16),
+    ("nn@p2t4/steal", 0x0c8f8d856addcd16),
+    ("nn@p7t14/heft", 0xbe3fcb739ab7692d),
+    ("nn@p7t14/steal", 0xf85effb261804921),
+    ("kmeans@p2t4/heft", 0x0836d9bc9e64b264),
+    ("kmeans@p2t4/steal", 0xbeb2bb0cd760919c),
+    ("kmeans@p4t8/heft", 0x5544ff4deefbe06b),
+    ("kmeans@p4t8/steal", 0xf26fbdbe27899504),
+    ("hotspot@p2t4/heft", 0x75040c8664be97bf),
+    ("hotspot@p2t4/steal", 0xe05e67121b1e4540),
+    ("srad@p2t4/heft", 0x8892ffab0f3240e5),
+    ("srad@p2t4/steal", 0x00cb2e966f322923),
+    ("hotspot@p4t8/heft", 0xf3417ecc47d77f03),
+    ("hotspot@p4t8/steal", 0x44fd0b4e36bfdaea),
+    ("srad@p4t8/heft", 0xe7e12f77c94e88a3),
+    ("srad@p4t8/steal", 0x3a4730cff36bd903),
+    ("two-device-barriers@p2/heft", 0x8b01b74fa48d23f1),
+    ("two-device-barriers@p2/steal", 0x8b01b74fa48d23f1),
+    ("event-ladder@p3/heft", 0xc4b177655210583c),
+    ("event-ladder@p3/steal", 0x8f3e94d54d23604d),
+];
+
+/// `actual` against `golden`, name by name and in order; on a difference,
+/// the actual table in source form.
+fn diff(table: &str, actual: &[(&str, u64, usize)], golden: &[(&str, u64)]) -> Option<String> {
+    let same = actual.len() == golden.len()
+        && actual
+            .iter()
+            .zip(golden)
+            .all(|((name, fp, _), (gname, gfp))| name == gname && fp == gfp);
+    if same {
+        return None;
+    }
+    let mut text = format!("{table} differs; actual table:\n");
+    for (name, fp, tasks) in actual {
+        let moved = golden
+            .iter()
+            .find(|(g, _)| g == name)
+            .is_some_and(|(_, g)| g != fp);
+        let mark = if moved { " MOVED" } else { "" };
+        writeln!(
+            text,
+            "    (\"{name}\", 0x{fp:016x}), // {tasks} tasks{mark}"
+        )
+        .unwrap();
+    }
+    Some(text)
+}
+
 #[test]
 fn simulated_timelines_match_the_committed_fingerprints() {
     let actual = actual();
-    let same = actual.len() == GOLDEN.len()
-        && actual
-            .iter()
-            .zip(GOLDEN)
-            .all(|((name, fp), (gname, gfp))| name == gname && fp == gfp);
-    if !same {
-        let mut table = String::new();
-        for (name, fp) in &actual {
-            let moved = GOLDEN
-                .iter()
-                .find(|(g, _)| g == name)
-                .is_some_and(|(_, g)| g != fp);
-            let mark = if moved { " // MOVED" } else { "" };
-            writeln!(table, "    (\"{name}\", 0x{fp:016x}),{mark}").unwrap();
-        }
-        panic!("timeline fingerprints differ from GOLDEN; actual table:\n{table}");
-    }
+    let full: Vec<_> = actual
+        .iter()
+        .map(|c| (c.name.as_str(), c.full, c.tasks))
+        .collect();
+    let payload: Vec<_> = actual
+        .iter()
+        .filter_map(|c| Some((c.name.as_str(), c.payload?, c.tasks)))
+        .collect();
+    let diffs: Vec<String> = [
+        diff("GOLDEN", &full, GOLDEN),
+        diff("PAYLOAD", &payload, PAYLOAD),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
 }

@@ -2,15 +2,15 @@
 //!
 //! A [`Buffer`] is a named, fixed-length array of `f32` with a host copy and
 //! (conceptually) one instance in each device's memory. The simulator
-//! executor only uses the byte size; the native executor materializes both
-//! copies and really moves the bytes, under its link-lane locks.
+//! executor only uses the byte size; the native executor backs both
+//! copies with storage and really moves the bytes, under its link-lane locks.
 //!
 //! Buffers are allocated at *tile granularity* by applications: one logical
 //! buffer per tile, so different streams can write different tiles without
 //! aliasing (the native executor locks whole buffers).
 //!
 //! Storage is **lazy**: a freshly allocated buffer holds no bytes until it
-//! is first written or a native run materializes it. Simulator-only
+//! is first written or a native run backs it. Simulator-only
 //! programs can therefore describe multi-gigabyte device datasets without
 //! allocating them on the host.
 
@@ -36,7 +36,7 @@ pub struct Buffer {
     pub len: usize,
     /// Host-side storage.
     pub host: Arc<RwLock<Vec<Elem>>>,
-    /// Device-side storage (materialized by the native executor; the sim
+    /// Device-side storage (backed by the native executor; the sim
     /// executor tracks only capacity in `micsim`'s device memory).
     pub device: Arc<RwLock<Vec<Elem>>>,
 }
@@ -97,7 +97,7 @@ impl Buffer {
     }
 
     /// Read the host copy through a closure without cloning. A still-lazy
-    /// buffer is materialized first so the closure always sees `len`
+    /// buffer is backed first so the closure always sees `len`
     /// elements.
     pub fn with_host<R>(&self, f: impl FnOnce(&[Elem]) -> R) -> R {
         {
@@ -119,7 +119,7 @@ mod tests {
     fn new_buffer_is_logically_zero_but_lazy() {
         let b = Buffer::new(BufId(0), "a", 4);
         assert_eq!(b.read_host(), vec![0.0; 4]);
-        assert_eq!(b.device.read().len(), 0, "no storage until materialized");
+        assert_eq!(b.device.read().len(), 0, "no storage until backed");
         assert_eq!(b.bytes(), 16);
         b.ensure_materialized();
         assert_eq!(b.device.read().len(), 4);
@@ -130,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn with_host_materializes_lazily() {
+    fn with_host_backs_lazily() {
         let b = Buffer::new(BufId(9), "lazy", 3);
         assert_eq!(b.with_host(<[f32]>::len), 3);
         assert_eq!(b.with_host(|h| h.iter().sum::<f32>()), 0.0);

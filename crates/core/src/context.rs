@@ -34,7 +34,6 @@
 use micsim::calibrate::PlatformConfig;
 use micsim::device::DeviceId;
 use micsim::fabric::SimPlatform;
-use micsim::partition::Partition;
 use micsim::pcie::Direction;
 
 use crate::action::Action;
@@ -265,7 +264,7 @@ impl Context {
     /// (device-major, same streams-per-partition), and the recorded program
     /// — actions, events, barriers — is discarded so a new one can be
     /// recorded against the new geometry. Buffer ids, host copies and any
-    /// materialized native storage all survive, which is what makes an
+    /// backed native storage all survive, which is what makes an
     /// autotuning sweep over `(T, P)` cheap: allocate and fill once, replan
     /// and re-record per trial.
     ///
@@ -342,13 +341,6 @@ impl Context {
             .get(stream.0)
             .map(|s| s.placement)
             .ok_or(Error::UnknownStream(stream))
-    }
-
-    /// Geometry of the partition `stream` runs on.
-    pub fn partition_of(&self, stream: StreamId) -> Result<Partition> {
-        let placement = self.placement(stream)?;
-        let plan = self.platform.plan(placement.device)?;
-        Ok(plan.partitions[placement.partition].clone())
     }
 
     // ----- buffers ---------------------------------------------------------
@@ -532,7 +524,7 @@ impl Context {
     }
 
     /// Reset every allocated buffer's host **and** device storage to zeros
-    /// (materialized storage is zeroed in place; still-lazy storage stays
+    /// (backed storage is zeroed in place; still-lazy storage stays
     /// lazy, which already reads as zeros). Between two native runs this
     /// restores the initial memory state, making their outputs comparable
     /// bit for bit — the differential harness's reset button.
@@ -632,14 +624,6 @@ impl Context {
         crate::opt::static_cost(&self.program, &model)
     }
 
-    /// Advisory performance lints for the recorded program (see
-    /// [`crate::opt::lint`]): over-synchronization, statically-detectable
-    /// starvation, serialized transfer/kernel pairs that could overlap.
-    pub fn lint(&self) -> crate::check::CheckReport {
-        let model = self.cost_model().ok();
-        crate::opt::lint(&self.program, &self.check_env(), model.as_ref())
-    }
-
     /// Pre-run analyzer gate shared by both executors: analyze under the
     /// context's [`CheckMode`](crate::check::CheckMode), stash the report,
     /// and refuse error-severity findings when enforcing. A run that may
@@ -708,20 +692,11 @@ impl Context {
         crate::sched::plan(&self.program, &cost, self.scheduler)
     }
 
-    /// Plan the program under the context's scheduler and render the
-    /// per-action placement listing
-    /// ([`Program::dump_scheduled`](crate::program::Program::dump_scheduled)).
-    /// `None` when the scheduler declines (FIFO, empty or unclean program).
-    pub fn dump_schedule(&self) -> Option<String> {
-        self.plan_schedule()
-            .map(|schedule| self.program.dump_scheduled(&schedule))
-    }
-
     /// The executors' planning step: plan under `kind` over the analysis
     /// their gate made (`None` under `CheckMode::Off` — a scheduled run
-    /// then pays for one here), keeping the task graph alongside: the
-    /// simulator materializes a program from both, the native graph
-    /// dispatcher drives the recorded program through the graph directly.
+    /// then pays for one here), keeping the task graph alongside. Both
+    /// executors run that pair as it is: the simulator lowers it, the
+    /// native graph dispatcher seeds its queues from it.
     pub(crate) fn plan_schedule_graph(
         &self,
         kind: crate::sched::SchedulerKind,
@@ -1124,7 +1099,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_buffers_resets_materialized_storage() {
+    fn zero_buffers_resets_backed_storage() {
         let mut c = ctx(1, 1);
         let a = c.alloc("a", 4);
         c.write_host(a, &[1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -1133,14 +1108,6 @@ mod tests {
         c.zero_buffers();
         assert_eq!(c.read_host(a).unwrap(), vec![0.0; 4]);
         assert_eq!(*c.buffer(a).unwrap().device.read(), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn partition_of_reports_geometry() {
-        let c = ctx(4, 1);
-        let part = c.partition_of(StreamId(0)).unwrap();
-        assert_eq!(part.threads, 56);
-        assert!(!part.shares_core);
     }
 
     #[test]

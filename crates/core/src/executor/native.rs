@@ -754,7 +754,7 @@ impl<'a> GraphDispatch<'a> {
         let mut queue_of = vec![0usize; graph.len()];
         let mut seq_of = vec![0usize; graph.len()];
         for (seq, task) in schedule.tasks.iter().enumerate() {
-            let u = graph.node_of(task.site).expect("scheduled task is a node");
+            let u = task.node;
             seq_of[u] = seq;
             // WorkSteal seeds queues from the *recorded* placement so steals
             // happen at runtime, when a partition is genuinely idle; ListHeft
@@ -948,7 +948,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     // plans and partition isolation key off the recorded program's
     // (stream, action) sites, so either disables scheduling — the run then
     // behaves exactly as FIFO. The analysis is dropped here, before
-    // anything is materialized or run.
+    // any storage is backed or anything run.
     let planned = {
         let analysis = ctx.enforce_check()?;
         if cfg.fault.is_none() && !cfg.isolate_partitions {
@@ -986,7 +986,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     let fc = FaultControl::new(ctx, cfg);
 
     // Injected allocation failures fire before any work starts: a buffer
-    // that cannot be materialized fails the whole run (nothing to replay).
+    // that cannot be backed fails the whole run (nothing to replay).
     if let Some(plan) = &fc.plan {
         for i in 0..ctx.buffer_count() {
             if plan.alloc_fails(i) {

@@ -10,7 +10,10 @@
 //!   task per node, a node's dependencies the tasks of its predecessors.
 //!   A `Barrier` action creates no task (the task it waited behind stands
 //!   in for it), a barrier join node is the `barrier#n` task. Cycles are
-//!   the graph's finding, reported here as an error;
+//!   the graph's finding, reported here as an error. A scheduled run makes
+//!   the same pass over the scheduler's plan instead ([`Schedule`] and its
+//!   [`TaskGraph`], no program in between): one task per scheduled task,
+//!   after the previous task of its lane and its graph predecessors;
 //! * **which resource a task occupies and for how long** is
 //!   [`CostModel`]'s answer: a link channel (one per card in the Phi's
 //!   serial-duplex mode — this is what serializes H2D against D2H), a
@@ -20,7 +23,8 @@
 //! What is left here is the fault model (priced retries and backoffs,
 //! injected panics) and the engine bookkeeping. The engine breaks
 //! arbitration ties by task creation order, so the graph's order is part
-//! of the timeline: see [`HbGraph`]'s sort.
+//! of the timeline: see [`HbGraph`]'s sort (a schedule chains the tasks of
+//! each lane, which leaves no tie to break).
 //!
 //! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
 //! ids and names the native recorder stamps its spans with — and with the
@@ -37,14 +41,12 @@ use micsim::trace::{
 };
 
 use crate::action::Action;
-use crate::check::HbGraph;
+use crate::check::{HbEdges, HbGraph};
 use crate::context::Context;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
-use crate::program::Program;
-use crate::sched::materialize::materialize;
-use crate::sched::{CostModel, Lane};
+use crate::sched::{CostModel, Lane, Schedule, SchedulerKind, TaskGraph};
 use crate::trace::LaneMap;
 use crate::types::{Error, Result};
 
@@ -127,38 +129,18 @@ pub fn run_with(
     }
     let cost = ctx.cost_model()?;
 
-    // A non-FIFO scheduler replaces the recorded program with its
-    // materialized schedule. Fault plans are keyed by the *recorded*
-    // program's (stream, action-index) sites, so scheduling only applies
-    // to fault-free runs; unclean or empty programs also fall back to the
-    // recorded FIFO order (FIFO itself always declines to schedule).
-    if fault.is_none() {
-        if let Some((schedule, graph)) = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
-        {
-            let scheduled = materialize(&ctx.program, &graph, &schedule);
-            scheduled.validate()?;
-            let hb = HbGraph::build(&scheduled);
-            return lower(ctx, &scheduled, &hb, &cost, fault, retry);
-        }
+    // A non-FIFO scheduler replaces the recorded order and placements with
+    // its plan. Fault plans are keyed by the *recorded* program's (stream,
+    // action-index) sites, so scheduling only applies to fault-free runs;
+    // unclean or empty programs also fall back to the recorded FIFO order
+    // (FIFO itself always declines to schedule).
+    let kind = fault.map_or(ctx.scheduler(), |_| SchedulerKind::Fifo);
+    if let Some((schedule, graph)) = ctx.plan_schedule_graph(kind, analysis.as_ref()) {
+        let walk = Walk::Scheduled(&schedule, &graph);
+        return lower(ctx, &walk, &cost, fault, retry);
     }
     // The gate's graph; under `CheckMode::Off` nobody built one yet.
     let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
-    lower(ctx, &ctx.program, &hb, &cost, fault, retry)
-}
-
-/// Lower `program` onto the task-DAG engine and run it: one task per node
-/// of `hb` (the happens-before graph of `program`), in its topological
-/// order, priced by `cost`. `program` is either the context's recorded
-/// program or its materialized schedule; buffers and platform geometry
-/// always come from `ctx`.
-fn lower(
-    ctx: &Context,
-    program: &Program,
-    hb: &HbGraph,
-    cost: &CostModel,
-    fault: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-) -> Result<SimReport> {
     let order = hb.order().map_err(|cycle| {
         let hops: Vec<String> = cycle.iter().map(ToString::to_string).collect();
         Error::Config(format!(
@@ -166,7 +148,37 @@ fn lower(
             hops.join(" -> ")
         ))
     })?;
-    let edges = hb.edges();
+    lower(ctx, &Walk::Recorded(order, hb.edges()), &cost, fault, retry)
+}
+
+/// The sequence [`lower`] walks: which node comes next, on which lane, after
+/// which earlier nodes.
+enum Walk<'a> {
+    /// The recorded program: its happens-before nodes in topological order,
+    /// each on its stream's lane, after its predecessors in the edges.
+    Recorded(&'a [u32], &'a HbEdges),
+    /// A plan: `schedule.tasks` in order, each on the lane it was placed
+    /// on, after that lane's previous task and its `graph.preds`.
+    Scheduled(&'a Schedule, &'a TaskGraph),
+}
+
+/// Lower the context's program onto the task-DAG engine along `walk` and
+/// run it: one engine task per step (bar `Barrier` actions, which the
+/// task they waited behind stands in for), priced by `cost`. A step whose
+/// predecessor has not been lowered yet — a schedule that is not a
+/// topological order of its graph — is an error, not a dropped edge.
+fn lower(
+    ctx: &Context,
+    walk: &Walk<'_>,
+    cost: &CostModel,
+    fault: Option<&FaultPlan>,
+    retry: &RetryPolicy,
+) -> Result<SimReport> {
+    let program = &ctx.program;
+    let (steps, nodes, steals) = match walk {
+        Walk::Recorded(order, edges) => (order.len(), edges.nodes, 0),
+        Walk::Scheduled(schedule, graph) => (schedule.tasks.len(), graph.len(), schedule.steals),
+    };
 
     let mut engine = Engine::new();
     let lanes = LaneMap::for_context(ctx);
@@ -194,23 +206,50 @@ fn lower(
     let mut actions_lowered = 0u64;
 
     // done[v]: the task whose finish marks node `v` complete.
-    let mut done: Vec<Option<TaskId>> = vec![None; edges.nodes];
-    for &v in order {
-        let v = v as usize;
-        let mut deps: Vec<TaskId> = edges.preds[v]
-            .iter()
-            .filter_map(|&p| done[p as usize])
-            .collect();
-        let Some(site) = edges.site_of(v) else {
-            let n = v - edges.total_actions;
-            done[v] = Some(add(None, barrier_price, deps, format!("barrier#{n}"))?);
-            continue;
+    let mut done: Vec<Option<TaskId>> = vec![None; nodes];
+    // tail[r]: the latest task a schedule put on resource `r`.
+    let mut tail: Vec<Option<TaskId>> = vec![None; lanes.names.len()];
+    for step in 0..steps {
+        let (v, site, placed, mut deps) = match walk {
+            Walk::Recorded(order, edges) => {
+                let v = order[step] as usize;
+                let deps: Vec<TaskId> = edges.preds[v]
+                    .iter()
+                    .filter_map(|&p| done[p as usize])
+                    .collect();
+                // Barrier join nodes follow the action nodes.
+                let site = edges.site_of(v).ok_or_else(|| v - edges.total_actions);
+                (v, site, None, deps)
+            }
+            Walk::Scheduled(schedule, graph) => {
+                let task = &schedule.tasks[step];
+                let preds = &graph.preds[task.node];
+                let mut deps = Vec::with_capacity(1 + preds.len());
+                deps.extend(tail[lanes.resource(task.lane).0]);
+                for &p in preds {
+                    let Some(dep) = done[p] else {
+                        let (site, pred) = (task.site, graph.nodes[p].site);
+                        return Err(Error::Config(format!(
+                            "not a topological order: {site} is scheduled before {pred}"
+                        )));
+                    };
+                    deps.push(dep);
+                }
+                (task.node, Ok(task.site), Some(task.lane), deps)
+            }
+        };
+        let site = match site {
+            Ok(site) => site,
+            Err(n) => {
+                done[v] = Some(add(None, barrier_price, deps, format!("barrier#{n}"))?);
+                continue;
+            }
         };
         let (si, ai) = (site.stream.0, site.action_index);
         let stream = &program.streams[si];
         let action = &stream.actions[ai];
         let (device, partition) = (stream.placement.device.0, stream.placement.partition);
-        let Some(lane) = cost.lane(action, device, partition) else {
+        let Some(lane) = placed.or_else(|| cost.lane(action, device, partition)) else {
             done[v] = match action {
                 // A barrier action is its stream arriving: whatever the
                 // stream last waited behind arrives for it.
@@ -278,7 +317,11 @@ fn lower(
             let label = format!("{}!backoff{attempt}", action.label());
             deps = vec![add(None, backoff, vec![failed], label)?];
         }
-        done[v] = Some(add(Some(lane), duration, deps, action.label())?);
+        let task = add(Some(lane), duration, deps, action.label())?;
+        done[v] = Some(task);
+        if placed.is_some() {
+            tail[lanes.resource(lane).0] = Some(task);
+        }
     }
 
     let timeline = engine.run();
@@ -288,7 +331,7 @@ fn lower(
         let counts = RunCounts {
             bytes_per_device: bytes_per_dev,
             actions_executed: actions_lowered,
-            steals: 0,
+            steals: steals as u64,
             faults: crate::fault::FaultCounters {
                 transfer_retries: retries_priced,
                 ..Default::default()
@@ -606,6 +649,65 @@ mod tests {
         moved.set_check_mode(CheckMode::Enforce);
         assert!(matches!(moved.run_sim(), Err(Error::Check(_))));
         assert!(consistent > SimDuration::ZERO);
+    }
+
+    /// `tiles` h2d -> kernel tiles recorded round-robin on the first
+    /// `streams` of `partitions` partitions' streams.
+    fn tiled(partitions: usize, streams: usize, tiles: usize, metrics: bool) -> Context {
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(partitions)
+            .metrics(metrics)
+            .build()
+            .unwrap();
+        for t in 0..tiles {
+            let a = ctx.alloc(format!("a{t}"), 1 << 18);
+            let s = ctx.stream(t % streams).unwrap();
+            ctx.h2d(s, a).unwrap();
+            ctx.kernel(s, kernel(&format!("k{t}"), 1e9).reading([a]))
+                .unwrap();
+        }
+        ctx
+    }
+
+    #[test]
+    fn a_schedule_that_is_not_topological_is_refused() {
+        use crate::sched::SchedulerKind;
+        let ctx = tiled(2, 1, 1, false);
+        let cost = ctx.cost_model().unwrap();
+        let (mut schedule, graph) = ctx
+            .plan_schedule_graph(SchedulerKind::ListHeft, None)
+            .expect("a clean program schedules");
+        let retry = RetryPolicy::default();
+        let run = |schedule: &Schedule| {
+            let walk = Walk::Scheduled(schedule, &graph);
+            lower(&ctx, &walk, &cost, None, &retry)
+        };
+        assert!(run(&schedule).is_ok());
+        // The kernel now comes before the transfer that feeds it.
+        schedule.tasks.reverse();
+        let err = run(&schedule).unwrap_err();
+        assert!(
+            matches!(&err, Error::Config(m) if m.contains("not a topological order")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_scheduled_run_reports_the_steals_of_its_schedule() {
+        // 8 tiles recorded on 2 of 4 partitions' streams (T < P): HEFT
+        // moves kernels onto the two starved partitions.
+        use crate::metrics::{instruments::name, Labels};
+        use crate::sched::SchedulerKind;
+        let mut ctx = tiled(4, 2, 8, true);
+        let steals = |ctx: &Context| {
+            let metrics = ctx.run_sim().unwrap().metrics.expect("metrics are on");
+            metrics.counter(name::STEALS, Labels::GLOBAL)
+        };
+        assert_eq!(steals(&ctx), 0, "FIFO moves nothing");
+        ctx.set_scheduler(SchedulerKind::ListHeft);
+        let planned = ctx.plan_schedule().unwrap().steals;
+        assert!(planned > 0);
+        assert_eq!(steals(&ctx), planned as u64);
     }
 
     #[test]

@@ -82,7 +82,7 @@ where
         group.run_chunked(parts, &|idx| {
             let (offset, ptr, len) = chunks.raw_chunk(idx);
             // SAFETY: the pool hands out each index at most once, so the
-            // slices materialized across workers are pairwise disjoint
+            // slices formed across workers are pairwise disjoint
             // views into the exclusive borrow held by this call.
             let chunk = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
             f(idx, offset, chunk);

@@ -110,6 +110,7 @@ pub(super) fn finalize(input: &SchedInput<'_>, kind: SchedulerKind, placed: &[Pl
             .unwrap_or((node.device, 0));
         tasks.push(ScheduledTask {
             site: node.site,
+            node: u,
             lane: pl.lane,
             start: pl.start,
             finish: pl.finish,

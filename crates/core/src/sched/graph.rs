@@ -15,7 +15,7 @@
 //! unordered (a race), [`TaskGraph::build`] returns `None` and the caller
 //! falls back to FIFO execution.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::check::{Analysis, Site};
 use crate::program::Program;
@@ -40,7 +40,6 @@ pub struct TaskGraph {
     pub preds: Vec<Vec<usize>>,
     /// `succs[i]` = node indices waiting on node `i`.
     pub succs: Vec<Vec<usize>>,
-    node_index: HashMap<Site, usize>,
 }
 
 impl TaskGraph {
@@ -50,21 +49,23 @@ impl TaskGraph {
     /// program is racy and must keep its recorded FIFO semantics.
     pub fn build(program: &Program, analysis: &Analysis) -> Option<TaskGraph> {
         let mut nodes = Vec::new();
-        let mut node_index = HashMap::new();
         for (si, stream) in program.streams.iter().enumerate() {
             for (ai, action) in stream.actions.iter().enumerate() {
                 if action.is_control() {
                     continue;
                 }
-                let site = Site::new(si, ai);
-                node_index.insert(site, nodes.len());
                 nodes.push(TaskNode {
-                    site,
+                    site: Site::new(si, ai),
                     device: stream.placement.device.0,
                     partition: stream.placement.partition,
                 });
             }
         }
+        // Site order, so a site finds its node by binary search.
+        let node_of = |site: Site| {
+            let found = nodes.binary_search_by_key(&site, |n| n.site);
+            found.expect("only non-control actions access buffers")
+        };
 
         let n = nodes.len();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -98,7 +99,7 @@ impl TaskGraph {
                         // Unordered conflict: a race. Refuse to schedule.
                         return None;
                     };
-                    let (u, v) = (node_index[&from], node_index[&to]);
+                    let (u, v) = (node_of(from), node_of(to));
                     if seen.insert((u, v)) {
                         succs[u].push(v);
                         preds[v].push(u);
@@ -111,7 +112,6 @@ impl TaskGraph {
             nodes,
             preds,
             succs,
-            node_index,
         })
     }
 
@@ -123,11 +123,6 @@ impl TaskGraph {
     /// Whether the graph has no tasks.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Node index of the task at `site`, if `site` is a non-control action.
-    pub fn node_of(&self, site: Site) -> Option<usize> {
-        self.node_index.get(&site).copied()
     }
 
     /// Borrow the action behind node `n` from its program.
@@ -243,10 +238,9 @@ mod tests {
         let g = TaskGraph::build(&p, &a).unwrap();
         // Control actions are not nodes.
         assert_eq!(g.len(), 2);
-        let up = g.node_of(Site::new(0, 0)).unwrap();
-        let k = g.node_of(Site::new(1, 1)).unwrap();
-        assert_eq!(g.succs[up], vec![k]);
-        assert!(g.node_of(Site::new(0, 1)).is_none(), "record is control");
+        let sites: Vec<Site> = g.nodes.iter().map(|n| n.site).collect();
+        assert_eq!(sites, [Site::new(0, 0), Site::new(1, 1)], "no control");
+        assert_eq!(g.succs[0], vec![1]);
     }
 
     #[test]

@@ -261,8 +261,9 @@ mod tests {
             ],
         });
         let sched = plan(&p, &cost);
-        let lane_a = sched.lane_of(crate::check::Site::new(0, 0)).unwrap();
-        let lane_b = sched.lane_of(crate::check::Site::new(0, 1)).unwrap();
-        assert_eq!(lane_a, lane_b, "consumer follows producer on ties");
+        let [a, b] = &sched.tasks[..] else {
+            panic!("two kernels, two tasks")
+        };
+        assert_eq!(a.lane, b.lane, "consumer follows producer on ties");
     }
 }

@@ -23,11 +23,11 @@
 //!   will then run;
 //!
 //! and emits a [`Schedule`]: per-task placement + order decisions that both
-//! executors honor — the simulator by materializing the schedule back into
-//! a [`Program`] (one stream per resource lane,
-//! events for the cross-lane edges; see [`materialize`]), the native
-//! executor through its graph dispatcher (one driver per partition, queues
-//! seeded from the schedule).
+//! executors honor from the same `(Schedule, TaskGraph)` pair, no program
+//! in between — the simulator by lowering it (one engine task per scheduled
+//! task, after its lane's previous task and its graph predecessors; see
+//! [`crate::executor::sim`]), the native executor by seeding its graph
+//! dispatcher's queues from it (one driver per partition).
 //!
 //! Three implementations ship behind the trait:
 //!
@@ -51,14 +51,12 @@
 //! (races, deadlocks, unknown references) falls back to FIFO execution,
 //! where the executors' own gates handle it. The executors plan over the
 //! [`Analysis`] their gate already made (`plan_analyzed`); only the public
-//! [`plan`] / [`plan_program`], handed a bare [`Program`] from outside,
-//! analyze one themselves.
+//! [`plan`], handed a bare [`Program`] from outside, analyzes one itself.
 
 mod common;
 pub mod cost;
 pub mod graph;
 pub mod heft;
-pub mod materialize;
 pub mod steal;
 
 use crate::check::{Analysis, CheckEnv, Site};
@@ -154,6 +152,8 @@ impl std::fmt::Display for Lane {
 pub struct ScheduledTask {
     /// The action this decision is about, in the *original* program.
     pub site: Site,
+    /// Its node in the [`TaskGraph`] the schedule was planned over.
+    pub node: usize,
     /// The resource it was placed on.
     pub lane: Lane,
     /// Estimated start time, seconds from run start.
@@ -181,13 +181,6 @@ pub struct Schedule {
     pub makespan: f64,
     /// Kernels moved off their recorded partition.
     pub steals: usize,
-}
-
-impl Schedule {
-    /// The scheduled lane for the action at `site`, if it was scheduled.
-    pub fn lane_of(&self, site: Site) -> Option<Lane> {
-        self.tasks.iter().find(|t| t.site == site).map(|t| t.lane)
-    }
 }
 
 /// Everything a scheduler gets to work with.
@@ -264,11 +257,11 @@ pub fn scheduler_for(kind: SchedulerKind) -> Box<dyn Scheduler> {
 
 /// Plan `program` under `kind` over an `analysis` already in hand (the
 /// executors' gate made it; nothing here analyzes again), also handing
-/// back the [`TaskGraph`] the schedule was planned over — the simulator
-/// materializes from both, the native executor's graph dispatcher drives
-/// both. `None` when the kind declines (FIFO), the program is empty, or it
-/// is not analyzer-clean (racy/deadlocked programs keep FIFO semantics and
-/// let the executors' check gates deal with them).
+/// back the [`TaskGraph`] its [`ScheduledTask::node`]s index — the
+/// simulator lowers the pair, the native executor's graph dispatcher is
+/// seeded from it. `None` when the kind declines (FIFO), the program is
+/// empty, or it is not analyzer-clean (racy/deadlocked programs keep FIFO
+/// semantics and let the executors' check gates deal with them).
 pub(crate) fn plan_analyzed(
     program: &Program,
     analysis: &Analysis,
@@ -295,20 +288,6 @@ pub(crate) fn plan_analyzed(
 pub fn plan(program: &Program, cost: &CostModel, kind: SchedulerKind) -> Option<Schedule> {
     let analysis = crate::check::analyze(program, &CheckEnv::permissive(program));
     plan_analyzed(program, &analysis, cost, kind).map(|(schedule, _)| schedule)
-}
-
-/// [`plan`], then [`materialize`](materialize::materialize) the result
-/// into the lane-per-stream program the simulator executes. `None` under
-/// the same conditions as [`plan`].
-pub fn plan_program(
-    program: &Program,
-    cost: &CostModel,
-    kind: SchedulerKind,
-) -> Option<(Schedule, Program)> {
-    let analysis = crate::check::analyze(program, &CheckEnv::permissive(program));
-    let (schedule, graph) = plan_analyzed(program, &analysis, cost, kind)?;
-    let scheduled = materialize::materialize(program, &graph, &schedule);
-    Some((schedule, scheduled))
 }
 
 #[cfg(test)]

@@ -53,6 +53,19 @@ for pat in 'transfer_time(' 'kernel_time(' 'host_equivalents'; do
   fi
 done
 
+echo "==> one lowering (the simulator builds one engine, in one loop; no schedule is re-recorded as a program)"
+for pat in 'Engine::new(' 'LaneMap::for_context('; do
+  hits=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -cF "$pat" || true)
+  if [ "$hits" -ne 1 ]; then
+    echo "  '$pat' occurs $hits times in non-test executor/sim.rs (want exactly 1)"
+    exit 1
+  fi
+done
+if grep -rn 'materialize' crates/core/src | grep -v 'ensure_materialized'; then
+  echo "  'materialize' is back under crates/core/src (only Buffer::ensure_materialized may say it)"
+  exit 1
+fi
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -5,12 +5,14 @@
 //! every [`TaskRecord`], in task-id order — so it pins the simulator's
 //! lowering (which tasks exist, in which creation order, with which
 //! dependencies and resources), its prices and the engine's arbitration at
-//! once. The constants were computed at commit f5ba4ea (PR 20), before the
-//! simulator's lowering was rebuilt on the checker's happens-before graph;
-//! a refactor of the lowering or of the cost model must leave every `fifo`
-//! and faulted cell equal. `heft`/`steal` cells additionally depend on the
-//! prices the *schedulers* see (see CHANGES.md for the CF cells PR 21
-//! moved, and why).
+//! once. The `fifo` and faulted constants were computed at commit f5ba4ea
+//! (PR 20), before the simulator's lowering was rebuilt on the checker's
+//! happens-before graph; a refactor of the lowering or of the cost model
+//! must leave every one of them equal. `heft`/`steal` cells additionally
+//! depend on the prices the *schedulers* see and on how a schedule is
+//! lowered; they were re-pinned by PR 22, which lowers a schedule directly
+//! (no event tasks, so ids, `ready` and `critical_pred` all moved —
+//! CHANGES.md lists old → new per cell with the task-count drop).
 //!
 //! Every `heft`/`steal` cell carries a second, *payload* fingerprint over
 //! only the records that hold a resource — `label, resource, start,
@@ -19,7 +21,8 @@
 //! control tasks, task ids and creation order, so a change in *how* a
 //! schedule is lowered must leave it equal. `PAYLOAD` was computed at
 //! 44181bd (PR 21), when a scheduled run was still re-recorded as a
-//! lane-per-stream program with an event pair per cross-lane edge.
+//! lane-per-stream program with an event pair per cross-lane edge, and
+//! held across PR 22. It moves only if the schedulers' decisions do.
 //!
 //! On a mismatch the test prints the full actual tables in source form.
 
@@ -257,61 +260,58 @@ fn actual() -> Vec<Cell> {
     out
 }
 
-/// Fingerprints computed at f5ba4ea (see the module docs), bar the one
-/// annotated cell.
+/// Full fingerprints: `fifo` and faulted cells as computed at f5ba4ea,
+/// `heft`/`steal` cells as re-pinned by PR 22 (see the module docs).
 const GOLDEN: &[(&str, u64)] = &[
     ("hbench@p2t4/fifo", 0x39e9ff618229209d),
-    ("hbench@p2t4/heft", 0x37b8ac5947d0430f),
-    ("hbench@p2t4/steal", 0x0dec4f0e4a6fcc99),
+    ("hbench@p2t4/heft", 0x2369e5c572cf285b),
+    ("hbench@p2t4/steal", 0xe7dbedc52988c337),
     ("hbench@p4t16/fifo", 0x0f7e69d242d1be40),
-    ("hbench@p4t16/heft", 0xed5f050b456828c7),
-    ("hbench@p4t16/steal", 0xf3e79237916d5d3d),
+    ("hbench@p4t16/heft", 0x697c5015a8cfa747),
+    ("hbench@p4t16/steal", 0x960907d759af4683),
     ("mm@p2t4/fifo", 0xe0e0496158c6f5ae),
-    ("mm@p2t4/heft", 0x4cbcb2dbfebeab2e),
-    ("mm@p2t4/steal", 0x277af7cae73f1854),
+    ("mm@p2t4/heft", 0x75da34ac801fa18b),
+    ("mm@p2t4/steal", 0x8f80d79eba196d67),
     ("mm@p4t16/fifo", 0x8ded3e7001c65587),
-    ("mm@p4t16/heft", 0x35d7ef29968321d1),
-    ("mm@p4t16/steal", 0xbdfdee695b8e50ef),
+    ("mm@p4t16/heft", 0xde84f6351b86a9e2),
+    ("mm@p4t16/steal", 0xee2174efa71efc4f),
     ("cf@p2t9/fifo", 0x6693f17236be9f36),
-    // PR 21: was 0x126e3ee03736f90c. ListHeft now ranks CF's host POTRF by
-    // the whole-nanosecond price the simulator charges, not the unrounded
-    // one (feeding it the old price restores the old fingerprint).
-    ("cf@p2t9/heft", 0xe2ed59d8968e09ed),
-    ("cf@p2t9/steal", 0xee255aa72f57bcbd),
+    ("cf@p2t9/heft", 0x64c52d884379192e),
+    ("cf@p2t9/steal", 0x81a0fcb81ab92ba9),
     ("cf@p4t16/fifo", 0xde98364bfaa42c25),
-    ("cf@p4t16/heft", 0xe94379d925134ec8),
-    ("cf@p4t16/steal", 0x587331bde5f832ef),
+    ("cf@p4t16/heft", 0x0e2cad64572e46df),
+    ("cf@p4t16/steal", 0xa455c42e5a7c5ea9),
     ("nn@p2t4/fifo", 0x719c2c1d84f275d3),
-    ("nn@p2t4/heft", 0xee9d0ec9711fd696),
-    ("nn@p2t4/steal", 0x759a0564afd4c250),
+    ("nn@p2t4/heft", 0x09bacd692904fd27),
+    ("nn@p2t4/steal", 0x2c305773519be931),
     ("nn@p7t14/fifo", 0xc32d0bfe30f1dd7c),
-    ("nn@p7t14/heft", 0x258754bc63386800),
-    ("nn@p7t14/steal", 0x95bb65b9591df835),
+    ("nn@p7t14/heft", 0x5cd03838bcf98ad4),
+    ("nn@p7t14/steal", 0x404063eef1a52123),
     ("kmeans@p2t4/fifo", 0x58026f8d3b4ed3e6),
-    ("kmeans@p2t4/heft", 0x644f7d4258ae76b9),
-    ("kmeans@p2t4/steal", 0x5f35ed8771a2debf),
+    ("kmeans@p2t4/heft", 0xe2633e6a8fa50e05),
+    ("kmeans@p2t4/steal", 0x6e131d0eec3c8308),
     ("kmeans@p4t8/fifo", 0xdb3a8630524fce74),
-    ("kmeans@p4t8/heft", 0x99c8d10c76e2a8e4),
-    ("kmeans@p4t8/steal", 0x083d1ac54ce37e80),
+    ("kmeans@p4t8/heft", 0x34e2ddab5cf3f18f),
+    ("kmeans@p4t8/steal", 0x1e8ff3234209b9e2),
     ("hotspot@p2t4/fifo", 0x7919b475ff41b508),
-    ("hotspot@p2t4/heft", 0x8fdc53135424adf2),
-    ("hotspot@p2t4/steal", 0xe47ef3ad6d254880),
+    ("hotspot@p2t4/heft", 0x96c870bc5d6ab3ca),
+    ("hotspot@p2t4/steal", 0x5ffcc1556b436c32),
     ("srad@p2t4/fifo", 0x4d914c26b6b04787),
-    ("srad@p2t4/heft", 0x214cb1e40e08430f),
-    ("srad@p2t4/steal", 0x83d5f319c8612ba2),
+    ("srad@p2t4/heft", 0x75b19aada916fbca),
+    ("srad@p2t4/steal", 0xf8ea2070bb2eb9dc),
     ("hotspot@p4t8/fifo", 0xdbd7aec7177b8161),
-    ("hotspot@p4t8/heft", 0x21030361926a86a2),
-    ("hotspot@p4t8/steal", 0x356efef8b4ed457b),
+    ("hotspot@p4t8/heft", 0x7285f58f30598f93),
+    ("hotspot@p4t8/steal", 0x41125b37d58577bb),
     ("srad@p4t8/fifo", 0x5b0b1cf5a80b9773),
-    ("srad@p4t8/heft", 0x6c0ffc43d369bdb2),
-    ("srad@p4t8/steal", 0xcae0a9d898d7e063),
+    ("srad@p4t8/heft", 0x3c2878a87ff93755),
+    ("srad@p4t8/steal", 0x3790a07eee6db440),
     ("mm@p4t16/faulted", 0x2670bd1cc7de13b1),
     ("two-device-barriers@p2/fifo", 0x86d6d4dc5f66f51e),
-    ("two-device-barriers@p2/heft", 0x0cac77988442cf7d),
-    ("two-device-barriers@p2/steal", 0x8c58afbf241e6831),
+    ("two-device-barriers@p2/heft", 0xe80bb73963c7eef4),
+    ("two-device-barriers@p2/steal", 0x731daa8f50a0dea4),
     ("event-ladder@p3/fifo", 0x6aaa1fad927f82c4),
-    ("event-ladder@p3/heft", 0x836d674b7d039516),
-    ("event-ladder@p3/steal", 0xe753ae468dcb9dac),
+    ("event-ladder@p3/heft", 0x79229bce89f896e2),
+    ("event-ladder@p3/steal", 0x9c8e660d66369897),
 ];
 
 /// Payload fingerprints of every scheduled cell, computed at 44181bd (see

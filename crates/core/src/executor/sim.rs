@@ -671,7 +671,6 @@ mod tests {
 
     #[test]
     fn a_schedule_that_is_not_topological_is_refused() {
-        use crate::sched::SchedulerKind;
         let ctx = tiled(2, 1, 1, false);
         let cost = ctx.cost_model().unwrap();
         let (mut schedule, graph) = ctx
@@ -697,7 +696,6 @@ mod tests {
         // 8 tiles recorded on 2 of 4 partitions' streams (T < P): HEFT
         // moves kernels onto the two starved partitions.
         use crate::metrics::{instruments::name, Labels};
-        use crate::sched::SchedulerKind;
         let mut ctx = tiled(4, 2, 8, true);
         let steals = |ctx: &Context| {
             let metrics = ctx.run_sim().unwrap().metrics.expect("metrics are on");

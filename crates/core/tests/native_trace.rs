@@ -557,3 +557,159 @@ fn metered_busy_time_is_the_traced_kernel_span_sum_to_the_nanosecond() {
     assert!(span_ns > 0);
     assert_eq!((busy_us * 1e3).round() as u64, span_ns);
 }
+
+// ----- what a control span covers, and whose buffer a span lands in ---------
+
+/// A kernel that only sleeps: long enough that a span covering it cannot be
+/// mistaken for one that does not.
+fn sleeping_kernel(label: &str) -> KernelDesc {
+    native_kernel(label).with_native(|_| std::thread::sleep(Duration::from_millis(20)))
+}
+
+const MOST_OF_THE_SLEEP_NS: u64 = 15_000_000;
+
+#[test]
+fn wait_event_span_covers_its_wait() {
+    let mut ctx = small_ctx(2);
+    let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+    ctx.kernel(s0, sleeping_kernel("slow")).unwrap();
+    let e = ctx.record_event(s0).unwrap();
+    ctx.wait_event(s1, e).unwrap();
+    let trace = ctx.run_native_with(&traced_cfg()).unwrap().trace.unwrap();
+    let wait = trace
+        .timeline
+        .records
+        .iter()
+        .find(|r| r.label.starts_with("wait "))
+        .expect("the wait is recorded");
+    assert_eq!(wait.resource, None, "a wait holds no lane");
+    let waited = (wait.finish - wait.start).nanos();
+    assert!(waited >= MOST_OF_THE_SLEEP_NS, "waited {waited} ns");
+}
+
+/// Stream 0 sleeps in a kernel before the barrier, stream 1 comes straight
+/// to it; `after` puts one more action behind the barrier on stream 1.
+/// Returns the lengths of the two barrier spans, in nanoseconds.
+fn barrier_spans_ns(after: bool) -> Vec<u64> {
+    let mut ctx = small_ctx(2);
+    let a = ctx.alloc("a", 16);
+    let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+    ctx.kernel(s0, sleeping_kernel("slow")).unwrap();
+    ctx.barrier();
+    if after {
+        ctx.h2d(s1, a).unwrap();
+    }
+    let trace = ctx.run_native_with(&traced_cfg()).unwrap().trace.unwrap();
+    trace
+        .timeline
+        .records
+        .iter()
+        .filter(|r| r.label == "barrier#0")
+        .map(|r| {
+            assert_eq!(r.resource, None, "a barrier holds no lane");
+            (r.finish - r.start).nanos()
+        })
+        .collect()
+}
+
+#[test]
+fn barrier_span_on_the_idle_stream_covers_the_other_streams_kernel() {
+    for after in [true, false] {
+        let spans = barrier_spans_ns(after);
+        assert_eq!(spans.len(), 2, "one span per stream (after = {after})");
+        let idle = spans.iter().max().unwrap();
+        assert!(
+            *idle >= MOST_OF_THE_SLEEP_NS,
+            "idle stream's barrier lasted {idle} ns (after = {after})"
+        );
+    }
+}
+
+#[test]
+fn a_panicked_kernel_skips_the_rest_of_its_stream_only() {
+    // No isolation: stream 0 loses its kernel and skips what follows it,
+    // stream 1 shares nothing with it and runs to the end.
+    let mut ctx = small_ctx(2);
+    let x = ctx.alloc("x", 1);
+    let y = ctx.alloc("y", 1);
+    ctx.write_host(x, &[3.0]).unwrap();
+    let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+    ctx.kernel(
+        s0,
+        native_kernel("boom")
+            .writing([x])
+            .with_native(|_| panic!("boom")),
+    )
+    .unwrap();
+    ctx.d2h(s0, x).unwrap();
+    ctx.kernel(
+        s1,
+        native_kernel("fine").writing([y]).with_native(|k| {
+            k.writes[0][0] = 7.0;
+        }),
+    )
+    .unwrap();
+    ctx.d2h(s1, y).unwrap();
+    let err = ctx.run_native().unwrap_err();
+    assert!(
+        matches!(err, hstreams::Error::KernelPanicked { .. }),
+        "{err}"
+    );
+    assert_eq!(ctx.read_host(y).unwrap(), vec![7.0], "stream 1 ran");
+    // The skipped d2h would have copied the device's zero over it.
+    assert_eq!(
+        ctx.read_host(x).unwrap(),
+        vec![3.0],
+        "stream 0's d2h was skipped"
+    );
+}
+
+#[test]
+fn spans_are_keyed_by_stream_when_recorded_and_by_driver_when_scheduled() {
+    // Two partitions with two streams each; all work is recorded on streams
+    // 2 and 3 (both on partition 1). `queue_wait` is indexed like the span
+    // buffers: a recorded run fills the entries of the streams that ran, a
+    // scheduled run those of its (device, partition) drivers, 0 and 1.
+    let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+        .partitions(2)
+        .streams_per_partition(2)
+        .build()
+        .unwrap();
+    for t in 0..8 {
+        let a = ctx.alloc(format!("a{t}"), 256);
+        let b = ctx.alloc(format!("b{t}"), 256);
+        let s = ctx.stream(2 + t % 2).unwrap();
+        ctx.h2d(s, a).unwrap();
+        ctx.kernel(
+            s,
+            native_kernel(&format!("tile{t}"))
+                .reading([a])
+                .writing([b])
+                .with_native(|k| k.writes[0].copy_from_slice(k.reads[0])),
+        )
+        .unwrap();
+        ctx.d2h(s, b).unwrap();
+    }
+    // 1 KiB at 4 MB/s: the lane stays contended, so somebody queues.
+    let cfg = NativeConfig {
+        trace: true,
+        link_bandwidth: Some(4.0e6),
+        ..NativeConfig::default()
+    };
+    let recorded = ctx.run_native_with(&cfg).unwrap();
+    let waits = recorded.trace.unwrap().counters.queue_wait;
+    assert_eq!(waits.len(), 4);
+    assert_eq!((waits[0], waits[1]), (Duration::ZERO, Duration::ZERO));
+    assert!(waits[2] + waits[3] > Duration::ZERO, "{waits:?}");
+
+    ctx.set_scheduler(hstreams::sched::SchedulerKind::ListHeft);
+    let scheduled = ctx.run_native_with(&cfg).unwrap();
+    assert!(
+        scheduled.steals > 0,
+        "the plan moved kernels to partition 0"
+    );
+    let waits = scheduled.trace.unwrap().counters.queue_wait;
+    assert_eq!(waits.len(), 4);
+    assert!(waits[0] + waits[1] > Duration::ZERO, "{waits:?}");
+    assert_eq!((waits[2], waits[3]), (Duration::ZERO, Duration::ZERO));
+}

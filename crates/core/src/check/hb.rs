@@ -25,7 +25,7 @@
 
 use crate::action::Action;
 use crate::program::Program;
-use crate::types::StreamId;
+use crate::types::{Error, StreamId};
 
 use super::diagnostics::Site;
 
@@ -238,6 +238,16 @@ impl HbGraph {
         }
     }
 
+    /// Just the node layout and edge lists — what the native executor keeps
+    /// of the graph while a recorded run is live — or the error a cyclic
+    /// graph is to an executor.
+    pub(crate) fn into_edges(self) -> crate::types::Result<HbEdges> {
+        match self.cycle {
+            None => Ok(self.edges),
+            Some(cycle) => Err(wait_cycle(&cycle)),
+        }
+    }
+
     /// Nodes in the graph (actions + barrier joins).
     pub fn node_count(&self) -> usize {
         self.edges.nodes
@@ -269,6 +279,16 @@ impl HbGraph {
     pub fn concurrent(&self, a: Site, b: Site) -> bool {
         a != b && !self.happens_before(a, b) && !self.happens_before(b, a)
     }
+}
+
+/// What a deadlocked program is to an executor asked to run it: both refuse
+/// with this, naming the cycle [`HbGraph::order`] found.
+pub(crate) fn wait_cycle(cycle: &[Site]) -> Error {
+    let hops: Vec<String> = cycle.iter().map(ToString::to_string).collect();
+    Error::Config(format!(
+        "wait cycle {}: the program can never complete",
+        hops.join(" -> ")
+    ))
 }
 
 /// In-clocks of acyclic `edges`, propagated along their topological

@@ -54,8 +54,8 @@ pub use witness::{HazardWitness, WitnessKind};
 
 // The optimizer probes trial programs with bare edge lists and accesses;
 // everything else reads both off the `Analysis`.
-pub(crate) use hb::HbEdges;
 pub use hb::HbGraph;
+pub(crate) use hb::{wait_cycle, HbEdges};
 pub(crate) use races::{collect_accesses, Accesses, Space};
 
 /// What the executors do with analyzer findings.

@@ -185,8 +185,8 @@ pub struct Context {
     replan_capacity: usize,
     pub(crate) buffers: Vec<Buffer>,
     pub(crate) program: Program,
-    /// Persistent native execution state (drivers, worker pools, copy
-    /// engines), built lazily on the first native run and torn down when
+    /// Persistent native execution state (drivers, worker pools, link
+    /// lanes), built lazily on the first native run and torn down when
     /// the context drops.
     native_rt: std::sync::OnceLock<crate::executor::native::NativeRuntime>,
     /// The most recent traced native run's timeline, published even when the
@@ -662,11 +662,11 @@ impl Context {
     /// the recorded tiles by critical-path rank instead of replaying the
     /// recorded stream order (the default,
     /// [`SchedulerKind::Fifo`](crate::sched::SchedulerKind)). Natively, a
-    /// non-FIFO kind replaces the per-stream drivers with a graph
-    /// dispatcher — one driver per `(device, partition)`, and under
-    /// `WorkSteal` idle drivers steal ready tasks at runtime; native runs
-    /// with fault injection or partition isolation configured stay FIFO,
-    /// because both are keyed by the recorded program's structure.
+    /// non-FIFO kind makes the drivers walk the plan's task graph instead
+    /// of the recorded streams — one driver per `(device, partition)`, an
+    /// idle one stealing ready tasks from its siblings at runtime; native
+    /// runs with fault injection or partition isolation configured stay
+    /// FIFO, because both are keyed by the recorded program's structure.
     pub fn set_scheduler(&mut self, kind: crate::sched::SchedulerKind) {
         self.scheduler = kind;
     }
@@ -696,7 +696,7 @@ impl Context {
     /// their gate made (`None` under `CheckMode::Off` — a scheduled run
     /// then pays for one here), keeping the task graph alongside. Both
     /// executors run that pair as it is: the simulator lowers it, the
-    /// native graph dispatcher seeds its queues from it.
+    /// native drivers walk it.
     pub(crate) fn plan_schedule_graph(
         &self,
         kind: crate::sched::SchedulerKind,

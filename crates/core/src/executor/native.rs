@@ -1,8 +1,30 @@
 //! The native executor.
 //!
-//! Executes a recorded program for real on the host:
+//! Executes a recorded program for real on the host. There is one way to run:
+//! a dependence graph whose nodes carry a counter of unfinished predecessors,
+//! an ordered queue of nodes per **driver thread**, and one loop (`drive`)
+//! every driver runs — take the next node, do its action, decrement its
+//! successors' counters, wake the driver that sleeps for one that reached
+//! zero. What the graph and the queues are is the only thing two kinds of
+//! run differ in (`Walk`):
 //!
-//! * one **driver thread per stream** interprets that stream's FIFO;
+//! * a **recorded** run walks the checker's happens-before graph
+//!   ([`crate::check::HbGraph`]: per-stream FIFO, event edges from the
+//!   events table, barrier joins) with one driver per stream taking that
+//!   stream's actions strictly in order. Only control actions ever wait: a
+//!   `WaitEvent` for its own counter, a `Barrier` — after arriving — for what
+//!   the barrier's join releases, both inside their recorded span;
+//! * a **scheduled** run ([`crate::sched`]) walks the plan's task graph with
+//!   one driver per `(device, partition)`: it takes the first ready node of
+//!   its own queue (`ListHeft` seeds the queues from the planned drivers,
+//!   `WorkSteal` from the recorded placements), else steals a ready node
+//!   from the back of a sibling's queue, else sleeps until one becomes ready.
+//!
+//! A sleeping driver names what it sleeps for in an atomic and parks its
+//! thread; a step nobody sleeps for costs neither a lock nor a system call.
+//! The payload step (`run_payload`: fault injection, retries, isolation,
+//! then the action itself) is shared too:
+//!
 //! * a **link lane** per `(device, channel)` — a FIFO ticket lock, not a
 //!   thread: the submitting driver takes the lane, copies between the
 //!   buffer's host and device storage itself, and releases it. One lane in
@@ -11,14 +33,12 @@
 //! * kernels take their partition's mutex (streams sharing a partition
 //!   serialize, as on the card), lock their declared buffers in global id
 //!   order (deadlock-free), and run their native body with a `threads` hint
-//!   sized from the partition;
-//! * events are flag+condvar pairs, barriers are `std::sync::Barrier`s over
-//!   all streams.
+//!   sized from the partition.
 //!
 //! # Persistent runtime
 //!
 //! The context lazily builds a `NativeRuntime` on its first native run and
-//! reuses it for every run after that: the stream drivers are a parked
+//! reuses it for every run after that: the drivers are a parked
 //! [`WorkerGroup`], and each `(device, partition)` pair owns a
 //! partition-pinned worker group that
 //! [`par_chunks_mut`](crate::parallel::par_chunks_mut) and
@@ -28,9 +48,10 @@
 //! nothing to another thread: drivers and pool workers are the only
 //! threads a context owns.
 //!
-//! A panicking kernel does not poison the run: the stream switches to a
-//! skipping mode that still fires its events and joins its barriers so the
-//! other drivers can drain, and the error is reported at the end.
+//! A panicking kernel does not poison the run: the rest of its recorded
+//! stream skips its payload but still records its events and arrives at its
+//! barriers so the other drivers can drain, and the error is reported at
+//! the end.
 //!
 //! # Telemetry
 //!
@@ -46,8 +67,10 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::task::Poll;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -56,14 +79,14 @@ use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::Elem;
-use crate::check::Site;
+use crate::check::{HbEdges, HbGraph, Site};
 use crate::context::Context;
 use crate::fault::{FaultCounters, FaultPlan, FaultTallies, RecoveryState, RetryPolicy};
 use crate::kernel::KernelCtx;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
-use crate::program::StreamRecord;
+use crate::sched::{Schedule, SchedulerKind, TaskGraph};
 use crate::trace::{NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result};
 
@@ -115,7 +138,7 @@ pub struct NativeConfig {
 /// Result of a native run.
 #[derive(Debug)]
 pub struct NativeReport {
-    /// Wall-clock time of the whole run (driver spawn to last join).
+    /// Wall-clock time of the whole run (drivers released to last one done).
     pub wall: Duration,
     /// Actions executed across all streams.
     pub actions_executed: usize,
@@ -137,33 +160,6 @@ pub struct NativeReport {
     /// simulator exports, priced from the measured timeline (`None`
     /// otherwise).
     pub metrics: Option<MetricsSnapshot>,
-}
-
-struct EventFlag {
-    fired: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl EventFlag {
-    fn new() -> EventFlag {
-        EventFlag {
-            fired: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fire(&self) {
-        let mut guard = self.fired.lock();
-        *guard = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut guard = self.fired.lock();
-        while !*guard {
-            self.cv.wait(&mut guard);
-        }
-    }
 }
 
 /// A buffer id, write-intent flag, and its storage Arc, collected before
@@ -299,8 +295,8 @@ fn default_threads_per_partition(ctx: &Context) -> usize {
 pub(crate) struct NativeRuntime {
     /// Serializes whole runs: drivers and lanes are shared state.
     run_lock: Mutex<()>,
-    /// One executor per stream (`run_fixed`): streams block on each other
-    /// through events and barriers, so each needs a dedicated thread.
+    /// One dedicated thread per driver: drivers sleep for each other's
+    /// nodes, so none may wait behind another for a thread.
     drivers: WorkerGroup,
     /// Partition-pinned groups kernel bodies split work across.
     pool: WorkerPool,
@@ -350,13 +346,11 @@ impl NativeRuntime {
 
 // ----- per-run state --------------------------------------------------------
 
-/// Everything a stream driver needs for one run, shared by reference.
+/// Everything a driver needs for one run, shared by reference.
 struct RunShared<'a> {
     ctx: &'a Context,
     threads_hint: usize,
     link_bandwidth: Option<f64>,
-    events: Vec<EventFlag>,
-    barriers: Vec<Barrier>,
     partition_locks: &'a [Vec<Mutex<()>>],
     host_lock: &'a Mutex<()>,
     link_lanes: &'a [Vec<LinkLane>],
@@ -369,15 +363,25 @@ struct RunShared<'a> {
     /// Fault injection and isolation state for this run.
     fault: &'a FaultControl,
     first_error: Mutex<Option<Error>>,
+    /// Per recorded stream: it lost a kernel or a transfer (no isolation),
+    /// so the rest of it skips its payload. In a recorded run only the
+    /// stream's own driver touches its flag.
+    skipping: Vec<AtomicBool>,
     executed: AtomicUsize,
     /// Payload bytes moved, per device.
     bytes_moved: &'a [AtomicU64],
 }
 
+impl RunShared<'_> {
+    /// Report `err` as the run's outcome unless an earlier one already is.
+    fn fail(&self, err: Error) {
+        self.first_error.lock().get_or_insert(err);
+    }
+}
+
 /// Perform the transfer at `site` on the calling driver: queue for the
 /// device's link lane, copy while holding it, and record the span against
-/// recorder stream `rsi`. Shared by the FIFO stream drivers and the graph
-/// dispatcher so both execute transfers identically.
+/// recorder stream `rsi`.
 fn exec_transfer(
     shared: &RunShared<'_>,
     rsi: usize,
@@ -438,8 +442,7 @@ fn exec_transfer(
 /// at `site`, run its native body, and record the span against recorder
 /// stream `rsi`.
 /// Returns the body's outcome so the caller decides how a panic is handled
-/// (abort vs poison-and-skip). Shared by the FIFO stream drivers and the
-/// graph dispatcher so both execute kernels identically.
+/// (skip the stream vs poison-and-skip).
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel(
     shared: &RunShared<'_>,
@@ -566,344 +569,443 @@ fn exec_kernel(
     outcome
 }
 
-/// Interpret one stream's FIFO. Runs on a driver thread of the runtime's
-/// persistent group.
-fn drive_stream(shared: &RunShared<'_>, stream: &StreamRecord) {
-    let si = stream.id.0;
-    let dev = stream.placement.device.0;
-    let part = stream.placement.partition;
+/// The payload step of both walks: execute the transfer or kernel `action`
+/// recorded at `site` on `(dev, part)`, under the run's fault plan, retry
+/// policy and isolation rules (all keyed by the recorded site), recording
+/// against recorder stream `rsi`. A lost kernel or transfer leaves the error
+/// in `shared` and, without isolation, makes the rest of its recorded stream
+/// skip its payload.
+fn run_payload(
+    shared: &RunShared<'_>,
+    rsi: usize,
+    site: Site,
+    action: &Action,
+    dev: usize,
+    part: usize,
+) {
+    let (si, ai) = (site.stream.0, site.action_index);
+    let fc = shared.fault;
+    // Publishes nothing: a payload that runs before it sees the flag only
+    // delays a run that already failed.
+    let skipping = &shared.skipping[si];
+    if skipping.load(Ordering::Relaxed) {
+        return;
+    }
+    match action {
+        Action::Transfer { dir, buf } => {
+            // Under isolation a transfer touching a tainted buffer would
+            // move garbage — skip it and let the replay pass redo it.
+            // (Healthy transfers still run even on streams whose
+            // partition is poisoned: they only occupy the link.)
+            if fc.isolate && fc.tainted.lock().contains(buf) {
+                fc.skip(si, ai, &[]);
+                return;
+            }
+            // Injected transfer failures: retry with backoff until the
+            // fault clears or the retry budget runs out.
+            let fail_attempts = fc
+                .plan
+                .as_ref()
+                .map_or(0, |p| p.transfer_fail_attempts(si, ai));
+            for attempt in 0..fail_attempts {
+                if attempt >= fc.retry.max_retries {
+                    FaultTallies::bump(&fc.tallies.transfers_failed);
+                    shared.fail(Error::Fault {
+                        site: format!("transfer s{si}#{ai}"),
+                        attempts: attempt + 1,
+                    });
+                    if fc.isolate {
+                        // The destination never got its data.
+                        fc.skip(si, ai, &[*buf]);
+                    } else {
+                        skipping.store(true, Ordering::Relaxed);
+                    }
+                    return;
+                }
+                FaultTallies::bump(&fc.tallies.transfer_retries);
+                std::thread::sleep(fc.retry.backoff_for(attempt));
+            }
+            let slowdown = fc
+                .plan
+                .as_ref()
+                .map_or(1.0, |p| p.transfer_slowdown(si, ai));
+            exec_transfer(shared, rsi, *dir, *buf, dev, slowdown, site);
+        }
+        Action::Kernel(desc) => {
+            // Isolation: kernels on a poisoned partition, or touching a
+            // buffer tainted by skipped upstream work, are skipped (and
+            // their outputs tainted in turn) for the replay pass.
+            if fc.isolate && !desc.host {
+                let blocked = fc.is_poisoned(dev, part) || {
+                    let t = fc.tainted.lock();
+                    !t.is_empty() && desc.reads.iter().chain(&desc.writes).any(|b| t.contains(b))
+                };
+                if blocked {
+                    fc.skip(si, ai, &desc.writes);
+                    return;
+                }
+            }
+            let slow_factor = if desc.host {
+                1.0
+            } else {
+                fc.plan
+                    .as_ref()
+                    .map_or(1.0, |p| p.partition_slowdown(dev, part))
+            };
+            let injected = fc.plan.as_ref().is_some_and(|p| p.kernel_panics_at(si, ai));
+            let outcome = exec_kernel(shared, rsi, site, desc, dev, part, slow_factor, injected);
+            if outcome.is_err() {
+                FaultTallies::bump(&fc.tallies.kernel_panics);
+                let kernel = desc.label.clone();
+                if fc.isolate && !desc.host {
+                    // Poison only this partition; the stream keeps
+                    // driving (later kernels here skip via the poison
+                    // check, its control actions keep the others
+                    // unblocked) and the replay pass reruns the loss.
+                    fc.poison(dev, part, &desc.label);
+                    fc.skip(si, ai, &desc.writes);
+                    shared.fail(Error::PartitionLost {
+                        device: dev,
+                        partition: part,
+                        kernel,
+                    });
+                } else {
+                    shared.fail(Error::KernelPanicked { kernel });
+                    skipping.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        _ => unreachable!("control actions carry no payload"),
+    }
+}
+
+// ----- dispatch -------------------------------------------------------------
+
+/// Where a run's nodes, edges and queues come from — the one thing a
+/// recorded and a scheduled run differ in.
+enum Walk<'a> {
+    /// The recorded program: the happens-before graph's nodes (actions, then
+    /// barrier joins) and edges; the driver of stream `s` takes that
+    /// stream's actions strictly in order.
+    Recorded(&'a HbEdges),
+    /// A plan: the task graph's nodes and data edges; the driver of each
+    /// `(device, partition)` takes the first *ready* node of its queue
+    /// (`schedule.tasks` order), or steals one from a sibling's.
+    Scheduled(&'a Schedule, &'a TaskGraph),
+}
+
+/// [`Parker::sleeps_for`] of a driver that is not sleeping.
+const AWAKE: u32 = u32::MAX;
+/// [`Parker::sleeps_for`] of an idle scheduled driver: any node that becomes
+/// ready may be its next.
+const ANY: u32 = u32::MAX - 1;
+/// [`Dispatch::pending`] of a node a scheduled driver has taken.
+const CLAIMED: u32 = u32::MAX;
+
+/// How one driver sleeps and is woken. The sleeper announces what it sleeps
+/// for, checks once more that it is still missing, then parks; a waker makes
+/// it available first and reads the announcement second. Every access is
+/// `SeqCst`, so of the sleeper's second check and the waker's read at least
+/// one sees the other's write — and a step nobody sleeps for costs the waker
+/// one load.
+struct Parker {
+    sleeps_for: AtomicU32,
+    /// The driver's thread, registered before it first announces anything.
+    thread: OnceLock<Thread>,
+}
+
+impl Parker {
+    fn wake(&self) {
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
+    }
+
+    fn wake_if(&self, what: u32) {
+        if self.sleeps_for.load(Ordering::SeqCst) == what {
+            self.wake();
+        }
+    }
+
+    /// Return what `poll` is ready with, sleeping for `what` while it is
+    /// pending. A wake-up may be stale (an earlier waker's token), so every
+    /// one is followed by a fresh poll.
+    fn sleep_until<T>(&self, what: u32, mut poll: impl FnMut() -> Poll<T>) -> T {
+        loop {
+            if let Poll::Ready(got) = poll() {
+                return got;
+            }
+            self.sleeps_for.store(what, Ordering::SeqCst);
+            let meanwhile = poll();
+            if meanwhile.is_pending() {
+                std::thread::park();
+            }
+            self.sleeps_for.store(AWAKE, Ordering::SeqCst);
+            if let Poll::Ready(got) = meanwhile {
+                return got;
+            }
+        }
+    }
+}
+
+/// One run's dependence counters and driver queues.
+struct Dispatch<'a> {
+    walk: Walk<'a>,
+    /// Unfinished predecessors of each node ([`CLAIMED`] once a scheduled
+    /// driver took it).
+    pending: Vec<AtomicU32>,
+    /// The nodes each driver takes, in the order it takes them.
+    queues: Vec<Vec<u32>>,
+    parkers: Vec<Parker>,
+    parts_per_dev: usize,
+    steals: AtomicUsize,
+    /// A driver unwound (a panic outside a kernel body): the others stop at
+    /// their next step instead of sleeping for nodes nobody will finish.
+    dead: AtomicBool,
+}
+
+impl<'a> Dispatch<'a> {
+    fn new(ctx: &Context, walk: Walk<'a>) -> Dispatch<'a> {
+        fn counters<T>(preds: &[Vec<T>]) -> Vec<AtomicU32> {
+            let count = |p: &Vec<T>| AtomicU32::new(p.len() as u32);
+            preds.iter().map(count).collect()
+        }
+        let parts_per_dev = ctx.partitions().max(1);
+        let (pending, queues) = match &walk {
+            Walk::Recorded(edges) => {
+                let stream = |s: &[usize]| (s[0] as u32..s[1] as u32).collect();
+                let queues = edges.offsets.windows(2).map(stream).collect();
+                (counters(&edges.preds), queues)
+            }
+            Walk::Scheduled(schedule, graph) => {
+                let mut queues = vec![Vec::new(); ctx.device_count() * parts_per_dev];
+                for task in &schedule.tasks {
+                    // WorkSteal seeds queues from the *recorded* placement so
+                    // steals happen at runtime, when a partition is genuinely
+                    // idle; ListHeft pins each task to its planned driver.
+                    let (dev, part) = if schedule.kind == SchedulerKind::WorkSteal {
+                        let node = &graph.nodes[task.node];
+                        (node.device, node.partition)
+                    } else {
+                        task.driver
+                    };
+                    let queue = dev * parts_per_dev + part.min(parts_per_dev - 1);
+                    queues[queue].push(task.node as u32);
+                }
+                (counters(&graph.preds), queues)
+            }
+        };
+        let parker = |_| Parker {
+            sleeps_for: AtomicU32::new(AWAKE),
+            thread: OnceLock::new(),
+        };
+        Dispatch {
+            walk,
+            pending,
+            parkers: (0..queues.len()).map(parker).collect(),
+            queues,
+            parts_per_dev,
+            steals: AtomicUsize::new(0),
+            dead: AtomicBool::new(false),
+        }
+    }
+
+    /// The next node for driver `idx` (`true` when stolen from a sibling's
+    /// queue), or `None` when nothing is left for it. `cursor` is the
+    /// driver's own position in its queue.
+    fn next(&self, idx: usize, cursor: &mut usize) -> Option<(usize, bool)> {
+        match self.walk {
+            Walk::Recorded(_) => {
+                let node = *self.queues[idx].get(*cursor)?;
+                *cursor += 1;
+                (!self.dead.load(Ordering::SeqCst)).then_some((node as usize, false))
+            }
+            Walk::Scheduled(..) => self.parkers[idx].sleep_until(ANY, || self.scan(idx, cursor)),
+        }
+    }
+
+    /// One look over the queues a scheduled driver takes from: the first
+    /// ready node of its own, else the *last* ready node of the sibling queue
+    /// on its device holding the most ready ones (the classic
+    /// steal-from-the-tail discipline, away from the victim's own
+    /// front-of-queue progress). `Ready(None)` when every node there is
+    /// taken, `Pending` when some are left but none is ready.
+    fn scan(&self, idx: usize, cursor: &mut usize) -> Poll<Option<(usize, bool)>> {
+        let state = |node: u32| self.pending[node as usize].load(Ordering::SeqCst);
+        let claim = |node: u32| {
+            let taken = self.pending[node as usize].compare_exchange(
+                0,
+                CLAIMED,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            taken.is_ok()
+        };
+        let dev = idx / self.parts_per_dev;
+        let siblings = (dev * self.parts_per_dev)..((dev + 1) * self.parts_per_dev);
+        loop {
+            if self.dead.load(Ordering::SeqCst) {
+                return Poll::Ready(None);
+            }
+            let own = &self.queues[idx];
+            while own.get(*cursor).is_some_and(|&node| state(node) == CLAIMED) {
+                *cursor += 1;
+            }
+            if let Some(&node) = own[*cursor..].iter().find(|&&node| state(node) == 0) {
+                if claim(node) {
+                    return Poll::Ready(Some((node as usize, false)));
+                }
+                continue; // a thief was faster: look again
+            }
+            let mut left = *cursor < own.len();
+            let mut victim: Option<(usize, u32)> = None; // (ready nodes, the last one)
+            for queue in siblings.clone().filter(|&q| q != idx) {
+                let (mut ready, mut last) = (0usize, None);
+                for &node in &self.queues[queue] {
+                    match state(node) {
+                        0 => (ready, last) = (ready + 1, Some(node)),
+                        CLAIMED => {}
+                        _ => left = true,
+                    }
+                }
+                if let Some(node) = last.filter(|_| victim.is_none_or(|(most, _)| ready >= most)) {
+                    victim = Some((ready, node));
+                }
+            }
+            match victim {
+                Some((_, node)) if claim(node) => return Poll::Ready(Some((node as usize, true))),
+                Some(_) => {} // its owner was faster: look again
+                None if left => return Poll::Pending,
+                None => return Poll::Ready(None),
+            }
+        }
+    }
+
+    /// Sleep driver `idx` until `node` has no unfinished predecessor.
+    fn wait_for(&self, idx: usize, node: usize) {
+        self.parkers[idx].sleep_until(node as u32, || {
+            let released = self.pending[node].load(Ordering::SeqCst) == 0;
+            if released || self.dead.load(Ordering::SeqCst) {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        });
+    }
+
+    /// `node` is done: one predecessor fewer for each of its successors.
+    fn complete(&self, node: usize) {
+        let release = |succ: usize| {
+            if self.pending[succ].fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.ready(succ);
+            }
+        };
+        match &self.walk {
+            Walk::Recorded(edges) => edges.succs[node].iter().for_each(|&s| release(s as usize)),
+            Walk::Scheduled(_, graph) => graph.succs[node].iter().for_each(|&s| release(s)),
+        }
+    }
+
+    /// `node` just lost its last unfinished predecessor: wake who sleeps
+    /// for it.
+    fn ready(&self, node: usize) {
+        match &self.walk {
+            Walk::Recorded(edges) => match edges.stream_of(node) {
+                Some(stream) => self.parkers[stream].wake_if(node as u32),
+                // A barrier join. Streams that end on this barrier sleep for
+                // the join itself; nobody runs it, so the last arriver
+                // completes it on the spot.
+                None => {
+                    self.parkers.iter().for_each(|p| p.wake_if(node as u32));
+                    self.complete(node);
+                }
+            },
+            Walk::Scheduled(..) => self.parkers.iter().for_each(|p| p.wake_if(ANY)),
+        }
+    }
+}
+
+/// Dropped by a driver on its way out: when that is an unwind, nothing it
+/// still owed will be completed, so the run is declared dead and every
+/// sleeper woken — the panic then re-raises through `run_fixed` instead of
+/// stranding them.
+struct DriverExit<'a>(&'a Dispatch<'a>);
+
+impl Drop for DriverExit<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.dead.store(true, Ordering::SeqCst);
+            self.0.parkers.iter().for_each(Parker::wake);
+        }
+    }
+}
+
+/// The driver loop, run by driver `idx` of the runtime's persistent group:
+/// the driver of stream `idx` in a recorded run, of `(device, partition)`
+/// number `idx` in a scheduled one — which is also the recorder stream its
+/// spans go to, matching how the work actually ran.
+fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
     // Recording state, installed once per driver: the sink that routes
     // pool-job spans from kernel bodies into this driver's buffer.
     let _pool_sink = shared
         .recorder
-        .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(si)));
-    let fc = shared.fault;
-    let mut skipping = false;
-    for (ai, action) in stream.actions.iter().enumerate() {
-        let site = Site::new(si, ai);
-        match action {
-            Action::Barrier(_) | Action::RecordEvent(_) | Action::WaitEvent(_) => {
-                let t0 = shared.recorder.map(|rec| (rec, Instant::now()));
-                match action {
-                    Action::Barrier(n) => {
-                        shared.barriers[*n].wait();
-                    }
-                    Action::RecordEvent(e) => shared.events[e.0].fire(),
-                    Action::WaitEvent(e) => shared.events[e.0].wait(),
-                    _ => unreachable!("control actions only"),
-                }
-                if let Some((rec, t0)) = t0 {
-                    rec.record_span(si, None, site, t0, t0, Instant::now());
-                }
-            }
-            Action::Transfer { dir, buf } => {
-                if skipping {
-                    continue;
-                }
-                // Under isolation a transfer touching a tainted buffer would
-                // move garbage — skip it and let the replay pass redo it.
-                // (Healthy transfers still run even on streams whose
-                // partition is poisoned: they only occupy the link.)
-                if fc.isolate && fc.tainted.lock().contains(buf) {
-                    fc.skip(si, ai, &[]);
-                    continue;
-                }
-                // Injected transfer failures: retry with backoff until the
-                // fault clears or the retry budget runs out.
-                let fail_attempts = fc
-                    .plan
-                    .as_ref()
-                    .map_or(0, |p| p.transfer_fail_attempts(si, ai));
-                if fail_attempts > 0 {
-                    let mut attempt: u32 = 0;
-                    let mut gave_up = false;
-                    while attempt < fail_attempts {
-                        if attempt >= fc.retry.max_retries {
-                            FaultTallies::bump(&fc.tallies.transfers_failed);
-                            let mut slot = shared.first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(Error::Fault {
-                                    site: format!("transfer s{si}#{ai}"),
-                                    attempts: attempt + 1,
-                                });
-                            }
-                            drop(slot);
-                            if fc.isolate {
-                                // The destination never got its data.
-                                fc.skip(si, ai, &[*buf]);
-                            } else {
-                                skipping = true;
-                            }
-                            gave_up = true;
-                            break;
-                        }
-                        FaultTallies::bump(&fc.tallies.transfer_retries);
-                        std::thread::sleep(fc.retry.backoff_for(attempt));
-                        attempt += 1;
-                    }
-                    if gave_up {
-                        continue;
-                    }
-                }
-                let slowdown = fc
-                    .plan
-                    .as_ref()
-                    .map_or(1.0, |p| p.transfer_slowdown(si, ai));
-                exec_transfer(shared, si, *dir, *buf, dev, slowdown, site);
-            }
-            Action::Kernel(desc) => {
-                if skipping {
-                    continue;
-                }
-                // Isolation: kernels on a poisoned partition, or touching a
-                // buffer tainted by skipped upstream work, are skipped (and
-                // their outputs tainted in turn) for the replay pass.
-                if fc.isolate && !desc.host {
-                    let blocked = fc.is_poisoned(dev, part) || {
-                        let t = fc.tainted.lock();
-                        !t.is_empty()
-                            && desc.reads.iter().chain(&desc.writes).any(|b| t.contains(b))
-                    };
-                    if blocked {
-                        fc.skip(si, ai, &desc.writes);
-                        continue;
-                    }
-                }
-                let slow_factor = if desc.host {
-                    1.0
-                } else {
-                    fc.plan
-                        .as_ref()
-                        .map_or(1.0, |p| p.partition_slowdown(dev, part))
-                };
-                let injected = fc.plan.as_ref().is_some_and(|p| p.kernel_panics_at(si, ai));
-                let outcome = exec_kernel(shared, si, site, desc, dev, part, slow_factor, injected);
-                if outcome.is_err() {
-                    FaultTallies::bump(&fc.tallies.kernel_panics);
-                    if fc.isolate && !desc.host {
-                        // Poison only this partition; the stream keeps
-                        // driving (later kernels here skip via the poison
-                        // check, its control actions keep the others
-                        // unblocked) and the replay pass reruns the loss.
-                        fc.poison(dev, part, &desc.label);
-                        fc.skip(si, ai, &desc.writes);
-                        let mut slot = shared.first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(Error::PartitionLost {
-                                device: dev,
-                                partition: part,
-                                kernel: desc.label.clone(),
-                            });
-                        }
-                    } else {
-                        let mut slot = shared.first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(Error::KernelPanicked {
-                                kernel: desc.label.clone(),
-                            });
-                        }
-                        skipping = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ----- graph dispatcher -----------------------------------------------------
-
-/// Shared ready-queue state for a scheduled (non-FIFO) run: one driver per
-/// `(device, partition)` drains its own queue of ready task-graph nodes
-/// and steals from a loaded sibling queue on the same device when its own
-/// runs dry. The dispatch layer is work-conserving for *every* scheduled
-/// kind — a driver sleeping in a kernel must not strand the transfers
-/// queued behind it while siblings idle; the kinds differ only in how the
-/// queues are seeded (`ListHeft` pins to the planned driver, `WorkSteal`
-/// to the recorded placement).
-struct GraphDispatch<'a> {
-    graph: &'a crate::sched::TaskGraph,
-    parts_per_dev: usize,
-    total: usize,
-    /// Home queue of each node (seeded from the schedule's driver hints).
-    queue_of: Vec<usize>,
-    /// Position of each node in the schedule's global order — the queue
-    /// ordering key, so drivers drain in scheduled order.
-    seq_of: Vec<usize>,
-    state: Mutex<DispatchState>,
-    cv: Condvar,
-    abort: AtomicBool,
-    steals: AtomicUsize,
-}
-
-struct DispatchState {
-    /// Ready nodes per driver queue, ordered by (scheduled sequence, node).
-    queues: Vec<std::collections::BTreeSet<(usize, usize)>>,
-    indeg: Vec<usize>,
-    completed: usize,
-}
-
-impl<'a> GraphDispatch<'a> {
-    fn new(
-        ctx: &Context,
-        schedule: &crate::sched::Schedule,
-        graph: &'a crate::sched::TaskGraph,
-    ) -> GraphDispatch<'a> {
-        let parts_per_dev = ctx.partitions().max(1);
-        let n_queues = ctx.device_count() * parts_per_dev;
-        let dynamic = schedule.kind == crate::sched::SchedulerKind::WorkSteal;
-        let mut queue_of = vec![0usize; graph.len()];
-        let mut seq_of = vec![0usize; graph.len()];
-        for (seq, task) in schedule.tasks.iter().enumerate() {
-            let u = task.node;
-            seq_of[u] = seq;
-            // WorkSteal seeds queues from the *recorded* placement so steals
-            // happen at runtime, when a partition is genuinely idle; ListHeft
-            // pins each task to its planned driver.
-            let (dev, part) = if dynamic {
-                let node = &graph.nodes[u];
-                (node.device, node.partition.min(parts_per_dev - 1))
-            } else {
-                let (dev, part) = task.driver;
-                (dev, part.min(parts_per_dev - 1))
-            };
-            queue_of[u] = dev * parts_per_dev + part;
-        }
-        let indeg: Vec<usize> = graph.preds.iter().map(Vec::len).collect();
-        let mut queues = vec![std::collections::BTreeSet::new(); n_queues];
-        for u in 0..graph.len() {
-            if indeg[u] == 0 {
-                queues[queue_of[u]].insert((seq_of[u], u));
-            }
-        }
-        GraphDispatch {
-            graph,
-            parts_per_dev,
-            total: graph.len(),
-            queue_of,
-            seq_of,
-            state: Mutex::new(DispatchState {
-                queues,
-                indeg,
-                completed: 0,
-            }),
-            cv: Condvar::new(),
-            abort: AtomicBool::new(false),
-            steals: AtomicUsize::new(0),
-        }
-    }
-
-    /// Next node for driver `idx`, or `None` when the run is over (all
-    /// tasks completed, or aborted after an error). Blocks while the
-    /// driver's queue is empty but work is still in flight. The `bool` is
-    /// true when the node was stolen from a sibling queue.
-    fn next_task(&self, idx: usize) -> Option<(usize, bool)> {
-        let mut state = self.state.lock();
-        loop {
-            if self.abort.load(Ordering::Acquire) || state.completed == self.total {
-                return None;
-            }
-            if let Some(&entry) = state.queues[idx].iter().next() {
-                state.queues[idx].remove(&entry);
-                return Some((entry.1, false));
-            }
-            // Steal from the most loaded sibling queue on this device,
-            // from the *back* (latest-scheduled ready task — the classic
-            // steal-from-the-tail deque discipline, minimizing contention
-            // with the victim's own front-of-queue progress).
-            let dev = idx / self.parts_per_dev;
-            let siblings = (dev * self.parts_per_dev)..((dev + 1) * self.parts_per_dev);
-            let victim = siblings
-                .filter(|&q| q != idx && !state.queues[q].is_empty())
-                .max_by_key(|&q| state.queues[q].len());
-            if let Some(victim) = victim {
-                let entry = *state.queues[victim].iter().next_back().expect("non-empty");
-                state.queues[victim].remove(&entry);
-                return Some((entry.1, true));
-            }
-            self.cv.wait(&mut state);
-        }
-    }
-
-    /// Mark `node` done and release any successors that became ready.
-    fn complete(&self, node: usize) {
-        let mut state = self.state.lock();
-        state.completed += 1;
-        for &v in &self.graph.succs[node] {
-            state.indeg[v] -= 1;
-            if state.indeg[v] == 0 {
-                let key = (self.seq_of[v], v);
-                state.queues[self.queue_of[v]].insert(key);
-            }
-        }
-        drop(state);
-        self.cv.notify_all();
-    }
-
-    fn abort_run(&self) {
-        self.abort.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-}
-
-/// One scheduled-run driver: owns partition `idx % parts_per_dev` on device
-/// `idx / parts_per_dev` and executes tasks handed out by `dispatch`.
-fn dispatch_driver(shared: &RunShared<'_>, dispatch: &GraphDispatch<'_>, idx: usize) {
-    let part_i = idx % dispatch.parts_per_dev;
-    // Recording state, as in `drive_stream`. The recorder stream index is
-    // the driver index: scheduled traces are per-(device, partition) lanes,
-    // matching how the work actually ran.
-    let _pool_sink = shared
-        .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(idx)));
-    while let Some((node, stolen)) = dispatch.next_task(idx) {
-        let task = &dispatch.graph.nodes[node];
-        let site = task.site;
-        let action = &shared.ctx.program().streams[site.stream.0].actions[site.action_index];
-        match action {
-            Action::Transfer { dir, buf } => {
-                exec_transfer(shared, idx, *dir, *buf, task.device, 1.0, site);
+    let _ = dispatch.parkers[idx].thread.set(std::thread::current());
+    let _exit = DriverExit(dispatch);
+    let streams = &shared.ctx.program().streams;
+    let mut cursor = 0;
+    while let Some((node, stolen)) = dispatch.next(idx, &mut cursor) {
+        // What the node is and where it runs: a recorded action on its
+        // stream's placement, a scheduled task on this driver's partition.
+        let (site, dev, part, moved) = match &dispatch.walk {
+            Walk::Recorded(edges) => {
+                let at = streams[idx].placement;
+                let site = Site::new(idx, node - edges.offsets[idx]);
+                (site, at.device.0, at.partition, false)
             }
-            Action::Kernel(desc) => {
-                if !desc.host && (stolen || part_i != task.partition) {
-                    dispatch.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let outcome = exec_kernel(shared, idx, site, desc, task.device, part_i, 1.0, false);
-                if outcome.is_err() {
-                    FaultTallies::bump(&shared.fault.tallies.kernel_panics);
-                    let mut slot = shared.first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(Error::KernelPanicked {
-                            kernel: desc.label.clone(),
-                        });
-                    }
-                    drop(slot);
-                    dispatch.abort_run();
-                    return;
-                }
+            Walk::Scheduled(_, graph) => {
+                let task = &graph.nodes[node];
+                let part = idx % dispatch.parts_per_dev;
+                let moved = stolen || part != task.partition;
+                (task.site, task.device, part, moved)
             }
-            _ => unreachable!("control actions are not task-graph nodes"),
+        };
+        let action = &streams[site.stream.0].actions[site.action_index];
+        if !action.is_control() {
+            if moved && matches!(action, Action::Kernel(k) if !k.host) {
+                dispatch.steals.fetch_add(1, Ordering::Relaxed);
+            }
+            run_payload(shared, idx, site, action, dev, part);
+            dispatch.complete(node);
+            continue;
         }
-        dispatch.complete(node);
+        // Control actions run even on a stream that skips its payload, so
+        // the other drivers drain. Their waits fall inside their span.
+        let t0 = shared.recorder.map(|rec| (rec, Instant::now()));
+        match (action, &dispatch.walk) {
+            (Action::RecordEvent(_), _) => dispatch.complete(node),
+            (Action::WaitEvent(_), _) => {
+                dispatch.wait_for(idx, node);
+                dispatch.complete(node);
+            }
+            // Arrive, then wait for what the join releases: the stream's
+            // next action, or the join itself when there is none.
+            (Action::Barrier(n), Walk::Recorded(edges)) => {
+                dispatch.complete(node);
+                let last = node + 1 == edges.offsets[idx + 1];
+                let released = if last {
+                    edges.total_actions + n
+                } else {
+                    node + 1
+                };
+                dispatch.wait_for(idx, released);
+            }
+            _ => unreachable!("a task graph has no control nodes"),
+        }
+        if let Some((rec, t0)) = t0 {
+            rec.record_span(idx, None, site, t0, t0, Instant::now());
+        }
     }
-}
-
-fn finish(shared: RunShared<'_>, wall: Duration, steals: usize) -> Result<NativeReport> {
-    if let Some(err) = shared.first_error.into_inner() {
-        return Err(err);
-    }
-    Ok(NativeReport {
-        wall,
-        actions_executed: shared.executed.into_inner(),
-        bytes_transferred: shared
-            .bytes_moved
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum(),
-        trace: None,                      // attached by `run` from the recording
-        faults: FaultCounters::default(), // filled by `run` from the tallies
-        steals,
-        metrics: None, // priced by `run` from the recording
-    })
 }
 
 /// Owns the run's recorder so a traced run's spans reach the context **on
@@ -943,30 +1045,49 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     ctx.program().validate()?;
     // Static race/deadlock/dataflow gate — this also re-checks every
     // replay program `run_native_resilient` swaps in before a degraded
-    // pass runs it. Non-FIFO scheduling plans over the gate's analysis and
-    // replaces the per-stream drivers with the graph dispatcher; fault
-    // plans and partition isolation key off the recorded program's
+    // pass runs it. Non-FIFO scheduling plans over the gate's analysis;
+    // fault plans and partition isolation key off the recorded program's
     // (stream, action) sites, so either disables scheduling — the run then
-    // behaves exactly as FIFO. The analysis is dropped here, before
-    // any storage is backed or anything run.
-    let planned = {
-        let analysis = ctx.enforce_check()?;
-        if cfg.fault.is_none() && !cfg.isolate_partitions {
-            ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
-        } else {
-            None
+    // behaves exactly as FIFO.
+    let analysis = ctx.enforce_check()?;
+    let planned = if cfg.fault.is_none() && !cfg.isolate_partitions {
+        ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
+    } else {
+        None
+    };
+    // What the drivers walk. Of the analysis only a recorded run's edges
+    // outlive this statement: clocks, order and findings go before any
+    // storage is backed or anything run.
+    let edges;
+    let walk = match &planned {
+        Some((schedule, graph)) => {
+            drop(analysis);
+            Walk::Scheduled(schedule, graph)
+        }
+        None => {
+            // The gate's graph; under `CheckMode::Off` nobody built one yet.
+            let hb = analysis.map_or_else(|| HbGraph::build(ctx.program()), |made| made.hb);
+            edges = hb.into_edges()?;
+            Walk::Recorded(&edges)
         }
     };
 
-    // Every kernel needs a native body — check before running anything.
-    for stream in &ctx.program().streams {
-        for action in &stream.actions {
-            if let Action::Kernel(k) = action {
-                if k.native.is_none() {
+    // Every kernel needs a native body, and the recorded walk follows the
+    // events table — check both before running anything.
+    for (si, stream) in ctx.program().streams.iter().enumerate() {
+        for (ai, action) in stream.actions.iter().enumerate() {
+            match action {
+                Action::Kernel(k) if k.native.is_none() => {
                     return Err(Error::MissingNativeBody {
                         kernel: k.label.clone(),
                     });
                 }
+                Action::RecordEvent(e) | Action::WaitEvent(e)
+                    if !ctx.program().event_site_matches(si, ai) =>
+                {
+                    return Err(Error::UnknownEvent(*e));
+                }
+                _ => {}
             }
         }
     }
@@ -1034,7 +1155,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         guard.recorder.as_ref(),
         &bytes_moved,
         &fc,
-        planned.as_ref(),
+        walk,
     );
     let recording = guard.join();
     let faults = fc.tallies.snapshot();
@@ -1088,21 +1209,15 @@ fn run_persistent(
     recorder: Option<&Recorder>,
     bytes_moved: &[AtomicU64],
     fault: &FaultControl,
-    planned: Option<&(crate::sched::Schedule, crate::sched::TaskGraph)>,
+    walk: Walk<'_>,
 ) -> Result<NativeReport> {
     let rt = ctx.native_runtime();
     let _active = rt.run_lock.lock();
-    let streams = &ctx.program().streams;
+    let streams = ctx.program().streams.len();
     let shared = RunShared {
         ctx,
         threads_hint,
         link_bandwidth: cfg.link_bandwidth,
-        events: (0..ctx.program().events.len())
-            .map(|_| EventFlag::new())
-            .collect(),
-        barriers: (0..ctx.program().barriers)
-            .map(|_| Barrier::new(streams.len()))
-            .collect(),
         partition_locks: &rt.partition_locks,
         host_lock: &rt.host_lock,
         link_lanes: &rt.link_lanes,
@@ -1110,27 +1225,31 @@ fn run_persistent(
         recorder,
         fault,
         first_error: Mutex::new(None),
+        skipping: (0..streams).map(|_| AtomicBool::new(false)).collect(),
         executed: AtomicUsize::new(0),
         bytes_moved,
     };
-    if let Some((schedule, graph)) = planned {
-        let dispatch = GraphDispatch::new(ctx, schedule, graph);
-        let n_drivers = ctx.device_count() * ctx.partitions().max(1);
-        let started = Instant::now();
-        rt.drivers
-            .run_fixed(n_drivers, &|idx| dispatch_driver(&shared, &dispatch, idx));
-        let wall = started.elapsed();
-        let steals = dispatch.steals.load(Ordering::Relaxed);
-        if let Some(rec) = recorder {
-            rec.set_steals(steals as u64);
-        }
-        return finish(shared, wall, steals);
-    }
+    let dispatch = Dispatch::new(ctx, walk);
     let started = Instant::now();
     rt.drivers
-        .run_fixed(streams.len(), &|idx| drive_stream(&shared, &streams[idx]));
+        .run_fixed(dispatch.queues.len(), &|idx| drive(&shared, &dispatch, idx));
     let wall = started.elapsed();
-    finish(shared, wall, 0)
+    let steals = dispatch.steals.into_inner();
+    if let Some(rec) = recorder {
+        rec.set_steals(steals as u64);
+    }
+    if let Some(err) = shared.first_error.into_inner() {
+        return Err(err);
+    }
+    Ok(NativeReport {
+        wall,
+        actions_executed: shared.executed.into_inner(),
+        bytes_transferred: bytes_moved.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
+        trace: None,                      // attached by `run` from the recording
+        faults: FaultCounters::default(), // filled by `run` from the tallies
+        steals,
+        metrics: None, // priced by `run` from the recording
+    })
 }
 
 #[cfg(test)]
@@ -1784,5 +1903,173 @@ mod tests {
             after_first,
             "repeated runs must not grow the runtime"
         );
+    }
+
+    /// Run `f` on its own thread and give it `secs` seconds: what would
+    /// otherwise hang the suite (drivers asleep for good) fails instead.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(secs))
+            .expect("the drivers never came back")
+    }
+
+    #[test]
+    fn native_refuses_a_wait_cycle_with_the_checker_off() {
+        // The cycle of `native_refuses_deadlocked_program_instead_of_hanging`
+        // with no gate in front of it: walking the graph finds it, where two
+        // drivers following event flags would sleep on each other for good.
+        let mut ctx = small_ctx(2);
+        let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+        let e_a = ctx.record_event(s0).unwrap();
+        let e_b = ctx.record_event(s1).unwrap();
+        ctx.program.streams[0]
+            .actions
+            .insert(0, Action::WaitEvent(e_b));
+        ctx.program.streams[1]
+            .actions
+            .insert(0, Action::WaitEvent(e_a));
+        ctx.program.events[e_a.0].action_index = 1;
+        ctx.program.events[e_b.0].action_index = 1;
+        ctx.program.validate().unwrap();
+        ctx.set_check_mode(crate::check::CheckMode::Off);
+        let err = within(5, move || ctx.run_native().unwrap_err());
+        assert!(
+            matches!(&err, Error::Config(m) if m.contains("wait cycle")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_events_table_that_disagrees_with_the_actions_is_refused_by_both_executors() {
+        // events[e] names the h2d, not the record: the happens-before graph
+        // follows the table, so no executor may follow the actions instead.
+        let mut ctx = small_ctx(2);
+        let a = ctx.alloc("a", 8);
+        let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+        ctx.h2d(s0, a).unwrap();
+        let e = ctx.record_event(s0).unwrap();
+        ctx.wait_event(s1, e).unwrap();
+        ctx.d2h(s1, a).unwrap();
+        ctx.run_native().unwrap();
+        ctx.program.events[e.0].action_index = 0;
+        ctx.program.validate().unwrap();
+        ctx.set_check_mode(crate::check::CheckMode::Off);
+        for err in [ctx.run_native().unwrap_err(), ctx.run_sim().unwrap_err()] {
+            assert!(matches!(err, Error::UnknownEvent(x) if x == e), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_driver_unwinding_outside_a_kernel_wakes_the_sleepers() {
+        // Stream 1 sleeps for its wait; stream 0's driver unwinds before it
+        // records. The sleeper must come back and find the run over.
+        let mut ctx = small_ctx(2);
+        let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+        let e = ctx.record_event(s0).unwrap();
+        ctx.wait_event(s1, e).unwrap();
+        let edges = HbGraph::build(ctx.program()).into_edges().unwrap();
+        let wait = edges.node_of(Site::new(1, 0));
+        let dispatch = Dispatch::new(&ctx, Walk::Recorded(&edges));
+        std::thread::scope(|scope| {
+            let sleeper = scope.spawn(|| {
+                let _ = dispatch.parkers[1].thread.set(std::thread::current());
+                dispatch.wait_for(1, wait);
+            });
+            // Force the interleaving: the sleeper has announced its node.
+            while dispatch.parkers[1].sleeps_for.load(Ordering::SeqCst) != wait as u32 {
+                std::thread::yield_now();
+            }
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let _exit = DriverExit(&dispatch);
+                panic!("driver 0 panics outside a kernel body");
+            }));
+            assert!(unwound.is_err());
+            sleeper.join().expect("the sleeper was woken");
+        });
+        assert_eq!(dispatch.next(1, &mut 0), None, "the run is over");
+    }
+
+    #[test]
+    fn scheduled_kernel_panic_does_not_poison_later_runs() {
+        // The scheduled twin of `kernel_panic_does_not_poison_later_runs`:
+        // 8 tiles over 2 partitions under ListHeft, tile 3 panics on demand.
+        let boom = Arc::new(AtomicBool::new(false));
+        let mut ctx = small_ctx(2);
+        let mut outs = Vec::new();
+        for t in 0..8 {
+            let a = ctx.alloc(format!("a{t}"), 32);
+            let b = ctx.alloc(format!("b{t}"), 32);
+            ctx.write_host(a, &[t as f32 + 0.5; 32]).unwrap();
+            let s = ctx.stream(t % 2).unwrap();
+            let boom = boom.clone();
+            ctx.h2d(s, a).unwrap();
+            ctx.kernel(
+                s,
+                native_kernel(&format!("tile{t}"))
+                    .reading([a])
+                    .writing([b])
+                    .with_native(move |k| {
+                        assert!(t != 3 || !boom.load(Ordering::SeqCst), "boom");
+                        for (o, i) in k.writes[0].iter_mut().zip(k.reads[0]) {
+                            *o = i * 3.0;
+                        }
+                    }),
+            )
+            .unwrap();
+            ctx.d2h(s, b).unwrap();
+            outs.push(b);
+        }
+        let outputs = |ctx: &Context| -> Vec<Vec<f32>> {
+            outs.iter().map(|&b| ctx.read_host(b).unwrap()).collect()
+        };
+        ctx.run_native().unwrap();
+        let fifo = outputs(&ctx);
+        let threads = ctx.native_thread_count();
+
+        ctx.set_scheduler(SchedulerKind::ListHeft);
+        boom.store(true, Ordering::SeqCst);
+        let err = ctx.run_native().unwrap_err();
+        assert!(matches!(err, Error::KernelPanicked { .. }), "{err}");
+        assert_eq!(ctx.native_thread_count(), threads);
+
+        boom.store(false, Ordering::SeqCst);
+        for &b in &outs {
+            ctx.write_host(b, &[0.0; 32]).unwrap();
+        }
+        let report = ctx.run_native().unwrap();
+        assert_eq!(report.actions_executed, 24);
+        assert_eq!(outputs(&ctx), fifo);
+        assert_eq!(ctx.native_thread_count(), threads);
+    }
+
+    #[test]
+    fn work_stealing_neither_loses_a_wake_up_nor_claims_a_node_twice() {
+        // The shape of `tiled_ctx(4, 2, 32)` with kernels that do not sleep,
+        // so drivers race for every node: a lost wake-up is a hang, a double
+        // claim a wrong count.
+        let mut ctx = small_ctx(4);
+        for t in 0..32 {
+            let a = ctx.alloc(format!("a{t}"), 32);
+            let b = ctx.alloc(format!("b{t}"), 32);
+            let s = ctx.stream(t % 2).unwrap();
+            ctx.h2d(s, a).unwrap();
+            ctx.kernel(
+                s,
+                native_kernel(&format!("tile{t}"))
+                    .reading([a])
+                    .writing([b])
+                    .with_native(|k| k.writes[0].copy_from_slice(k.reads[0])),
+            )
+            .unwrap();
+            ctx.d2h(s, b).unwrap();
+        }
+        ctx.set_scheduler(SchedulerKind::WorkSteal);
+        within(60, move || {
+            for run in 0..200 {
+                let report = ctx.run_native().unwrap();
+                assert_eq!(report.actions_executed, 96, "run {run}");
+            }
+        });
     }
 }

@@ -41,7 +41,7 @@ use micsim::trace::{
 };
 
 use crate::action::Action;
-use crate::check::{HbEdges, HbGraph};
+use crate::check::{wait_cycle, HbEdges, HbGraph};
 use crate::context::Context;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::metrics::instruments::{price_run, RunCounts};
@@ -141,13 +141,7 @@ pub fn run_with(
     }
     // The gate's graph; under `CheckMode::Off` nobody built one yet.
     let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
-    let order = hb.order().map_err(|cycle| {
-        let hops: Vec<String> = cycle.iter().map(ToString::to_string).collect();
-        Error::Config(format!(
-            "wait cycle {}: the program can never complete",
-            hops.join(" -> ")
-        ))
-    })?;
+    let order = hb.order().map_err(wait_cycle)?;
     lower(ctx, &Walk::Recorded(order, hb.edges()), &cost, fault, retry)
 }
 

@@ -7,8 +7,8 @@
 //! program recorded onto `T < P` streams starves `P - T` partitions
 //! outright (the Fig. 10 cliff).
 //!
-//! This module lifts scheduling out of the executors into a [`Scheduler`]
-//! trait. A scheduler consumes:
+//! This module lifts scheduling out of the executors: a scheduler is a
+//! function of a [`SchedInput`], chosen by [`SchedulerKind`]. It consumes:
 //!
 //! * the **task graph** ([`TaskGraph`]) — every non-control action as a
 //!   node, with an edge per conflicting buffer access pair, oriented by the
@@ -26,25 +26,26 @@
 //! executors honor from the same `(Schedule, TaskGraph)` pair, no program
 //! in between — the simulator by lowering it (one engine task per scheduled
 //! task, after its lane's previous task and its graph predecessors; see
-//! [`crate::executor::sim`]), the native executor by seeding its graph
-//! dispatcher's queues from it (one driver per partition).
+//! [`crate::executor::sim`]), the native executor by walking the task graph
+//! with one driver per partition, their queues seeded from the schedule (see
+//! [`crate::executor::native`]).
 //!
-//! Three implementations ship behind the trait:
+//! The three kinds:
 //!
-//! * [`Fifo`] — the default. Declines to schedule ([`Scheduler::schedule`]
-//!   returns `None`), which routes both executors through their original,
-//!   bit-identical code paths. This is the differential baseline.
-//! * [`ListHeft`] — HEFT-style list scheduling: tasks ordered by critical-
-//!   path *upward rank*, each placed on the candidate partition with the
-//!   earliest finish time, with locality-aware tie-breaking that scores
-//!   candidates by the re-transfer bytes they avoid (inputs whose producer
-//!   ran elsewhere).
-//! * [`WorkSteal`] — greedy work-conserving placement: ready tasks go to
-//!   whichever partition frees up first, modeling idle partitions stealing
-//!   ready tiles cross-partition. The native executor implements this
-//!   *dynamically* (idle drivers steal from their siblings' queues in the
-//!   graph dispatcher, stolen-task counters surfaced in the trace); the
-//!   simulator prices the equivalent earliest-ready placement
+//! * [`SchedulerKind::Fifo`] — the default. Declines to schedule ([`plan`]
+//!   returns `None`), so both executors walk the recorded program: stream
+//!   order on recorded placements. This is the differential baseline.
+//! * [`SchedulerKind::ListHeft`] — HEFT-style list scheduling ([`heft`]):
+//!   tasks ordered by critical-path *upward rank*, each placed on the
+//!   candidate partition with the earliest finish time, with locality-aware
+//!   tie-breaking that scores candidates by the re-transfer bytes they
+//!   avoid (inputs whose producer ran elsewhere).
+//! * [`SchedulerKind::WorkSteal`] — greedy work-conserving placement
+//!   ([`steal`]): ready tasks go to whichever partition frees up first,
+//!   modeling idle partitions stealing ready tiles cross-partition. The
+//!   native executor implements this *dynamically* (idle drivers steal from
+//!   their siblings' queues, stolen-task counters surfaced in the trace);
+//!   the simulator prices the equivalent earliest-ready placement
 //!   deterministically.
 //!
 //! Scheduling is only attempted on analyzer-clean programs; anything else
@@ -193,75 +194,13 @@ pub struct SchedInput<'a> {
     pub cost: &'a CostModel,
 }
 
-/// A placement + ordering policy over the task graph.
-///
-/// Returning `None` means "execute the recorded program as-is" — the
-/// executors then run their original FIFO paths untouched. [`Fifo`] always
-/// declines; the others decline only on empty programs.
-pub trait Scheduler {
-    /// Which [`SchedulerKind`] this implements.
-    fn kind(&self) -> SchedulerKind;
-
-    /// Produce placement + order decisions, or decline.
-    fn schedule(&self, input: &SchedInput<'_>) -> Option<Schedule>;
-}
-
-/// The FIFO baseline: always declines, so executors replay the recorded
-/// program bit-identically to the pre-scheduler runtime.
-pub struct Fifo;
-
-impl Scheduler for Fifo {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Fifo
-    }
-
-    fn schedule(&self, _input: &SchedInput<'_>) -> Option<Schedule> {
-        None
-    }
-}
-
-/// HEFT-style list scheduler — see [`heft`].
-pub struct ListHeft;
-
-impl Scheduler for ListHeft {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::ListHeft
-    }
-
-    fn schedule(&self, input: &SchedInput<'_>) -> Option<Schedule> {
-        heft::schedule(input)
-    }
-}
-
-/// Work-stealing scheduler — see [`steal`].
-pub struct WorkSteal;
-
-impl Scheduler for WorkSteal {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::WorkSteal
-    }
-
-    fn schedule(&self, input: &SchedInput<'_>) -> Option<Schedule> {
-        steal::schedule(input)
-    }
-}
-
-/// Instantiate the scheduler for `kind`.
-pub fn scheduler_for(kind: SchedulerKind) -> Box<dyn Scheduler> {
-    match kind {
-        SchedulerKind::Fifo => Box::new(Fifo),
-        SchedulerKind::ListHeft => Box::new(ListHeft),
-        SchedulerKind::WorkSteal => Box::new(WorkSteal),
-    }
-}
-
 /// Plan `program` under `kind` over an `analysis` already in hand (the
 /// executors' gate made it; nothing here analyzes again), also handing
 /// back the [`TaskGraph`] its [`ScheduledTask::node`]s index — the
-/// simulator lowers the pair, the native executor's graph dispatcher is
-/// seeded from it. `None` when the kind declines (FIFO), the program is
-/// empty, or it is not analyzer-clean (racy/deadlocked programs keep FIFO
-/// semantics and let the executors' check gates deal with them).
+/// simulator lowers the pair, the native executor's drivers walk it. `None`
+/// when the kind declines (FIFO), the program is empty, or it is not
+/// analyzer-clean (racy/deadlocked programs keep FIFO semantics and let the
+/// executors' check gates deal with them).
 pub(crate) fn plan_analyzed(
     program: &Program,
     analysis: &Analysis,
@@ -277,7 +216,11 @@ pub(crate) fn plan_analyzed(
         graph: &graph,
         cost,
     };
-    let schedule = scheduler_for(kind).schedule(&input)?;
+    let schedule = match kind {
+        SchedulerKind::ListHeft => heft::schedule(&input),
+        SchedulerKind::WorkSteal => steal::schedule(&input),
+        SchedulerKind::Fifo => None,
+    }?;
     Some((schedule, graph))
 }
 

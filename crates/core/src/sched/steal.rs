@@ -1,7 +1,7 @@
 //! Work-stealing schedule: greedy earliest-ready, work-conserving
 //! placement.
 //!
-//! Models what the native executor's graph dispatcher does dynamically:
+//! Models what the native executor's scheduled drivers do dynamically:
 //! every partition drains its own recorded queue, and the moment it goes
 //! idle it steals the next ready tile from a loaded sibling. The simulator
 //! cannot observe "idle at runtime", so this module prices the equivalent

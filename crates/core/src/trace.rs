@@ -345,7 +345,7 @@ pub(crate) struct Recorder {
     pool_jobs: Arc<AtomicUsize>,
     /// The run's fault tallies, so the trace's counters carry them.
     fault_tallies: Arc<crate::fault::FaultTallies>,
-    /// Cross-partition kernel moves, set by the graph dispatcher after the
+    /// Cross-partition kernel moves of a scheduled run, set after the
     /// drivers join.
     steals: std::sync::atomic::AtomicU64,
 }
@@ -394,7 +394,7 @@ impl Recorder {
         }
     }
 
-    /// Record the run's cross-partition kernel moves (graph dispatcher).
+    /// Record the run's cross-partition kernel moves (a scheduled run's).
     pub(crate) fn set_steals(&self, steals: u64) {
         self.steals.store(steals, Ordering::Relaxed);
     }

@@ -110,7 +110,7 @@ fn barrier_ladder_consistency() {
 /// Many tiny transfers through the serialized link lane while kernels run:
 /// checks the lane never drops or reorders same-stream copies.
 #[test]
-fn copy_engine_hammering() {
+fn link_lane_hammering() {
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())
         .partitions(4)
         .build()

@@ -143,7 +143,7 @@ fn traced_run_yields_analyzable_timeline() {
 }
 
 #[test]
-fn copy_engine_lane_never_overlaps_itself() {
+fn link_lane_never_overlaps_itself() {
     // Acceptance check (a): on a serial-duplex link the H2D and D2H
     // intervals share one engine, so the merged lane intervals of the raw
     // records must already be disjoint — merging must not shrink the count,

@@ -66,6 +66,20 @@ if grep -rn 'materialize' crates/core/src | grep -v 'ensure_materialized'; then
   exit 1
 fi
 
+echo "==> one native driver loop (a recorded and a scheduled run go through the same drive(), dispatched over dependence counters)"
+native=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs)
+hits=$(grep -cF 'run_fixed(' <<<"$native" || true)
+if [ "$hits" -ne 1 ]; then
+  echo "  'run_fixed(' occurs $hits times in non-test executor/native.rs (want exactly 1)"
+  exit 1
+fi
+for pat in 'fn drive_stream' 'fn dispatch_driver' 'GraphDispatch' 'EventFlag' 'Barrier::new' 'BTreeSet' 'abort_run'; do
+  if grep -nF "$pat" <<<"$native"; then
+    echo "  '$pat' is back in non-test executor/native.rs (a second way to run natively)"
+    exit 1
+  fi
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

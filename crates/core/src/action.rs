@@ -53,12 +53,13 @@ impl Action {
 
     /// Every buffer this action touches: the transfer payload, or a
     /// kernel's reads followed by its writes. Control actions touch none.
-    pub fn buffers(&self) -> Vec<BufId> {
-        match self {
-            Action::Transfer { buf, .. } => vec![*buf],
-            Action::Kernel(k) => k.reads.iter().chain(&k.writes).copied().collect(),
-            Action::RecordEvent(_) | Action::WaitEvent(_) | Action::Barrier(_) => Vec::new(),
-        }
+    pub fn buffers(&self) -> impl Iterator<Item = BufId> + '_ {
+        let (payload, reads, writes): (Option<&BufId>, &[BufId], &[BufId]) = match self {
+            Action::Transfer { buf, .. } => (Some(buf), &[], &[]),
+            Action::Kernel(k) => (None, &k.reads, &k.writes),
+            Action::RecordEvent(_) | Action::WaitEvent(_) | Action::Barrier(_) => (None, &[], &[]),
+        };
+        payload.into_iter().chain(reads).chain(writes).copied()
     }
 }
 

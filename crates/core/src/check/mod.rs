@@ -52,11 +52,13 @@ use crate::program::Program;
 pub use diagnostics::{CheckClass, CheckCode, CheckReport, CheckStats, Diagnostic, Severity, Site};
 pub use witness::{HazardWitness, WitnessKind};
 
-// The optimizer probes trial programs with bare edge lists and accesses;
-// everything else reads both off the `Analysis`.
+// The optimizer probes trial programs with bare edge lists; everything
+// else — the schedulers' task graph and the elision certificate included —
+// reads the edges and the one sorted access table (its `groups()`) off the
+// `Analysis`.
 pub use hb::HbGraph;
 pub(crate) use hb::{wait_cycle, HbEdges};
-pub(crate) use races::{collect_accesses, Accesses, Space};
+use races::Accesses;
 
 /// What the executors do with analyzer findings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,7 +131,7 @@ pub struct OverlapSummary {
     pub concurrent_transfer_kernel_pairs: usize,
 }
 
-/// Per-site action kind retained for [`Analysis::overlap_summary`].
+/// Per-action kind retained for [`Analysis::overlap_summary`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SiteKind {
     Transfer,
@@ -146,7 +148,8 @@ pub struct Analysis {
     pub report: CheckReport,
     pub(crate) hb: hb::HbGraph,
     pub(crate) accesses: Accesses,
-    kinds: Vec<Vec<SiteKind>>,
+    /// Action kinds indexed by happens-before node (action nodes only).
+    kinds: Vec<SiteKind>,
 }
 
 impl Analysis {
@@ -174,14 +177,14 @@ impl Analysis {
     /// the program's overlap potential. O(transfers × kernels) clock
     /// queries; meaningless on deadlocked programs (returns zero pairs).
     pub fn overlap_summary(&self) -> OverlapSummary {
-        let mut sites: Vec<(Site, SiteKind)> = Vec::new();
-        for (si, stream) in self.kinds.iter().enumerate() {
-            for (ai, &kind) in stream.iter().enumerate() {
-                if kind != SiteKind::Control {
-                    sites.push((Site::new(si, ai), kind));
-                }
-            }
-        }
+        let edges = self.hb.edges();
+        let sites: Vec<(Site, SiteKind)> = self
+            .kinds
+            .iter()
+            .enumerate()
+            .filter(|&(_, &kind)| kind != SiteKind::Control)
+            .filter_map(|(v, &kind)| Some((edges.site_of(v)?, kind)))
+            .collect();
         let mut summary = OverlapSummary::default();
         for (i, &(a, ka)) in sites.iter().enumerate() {
             match ka {
@@ -210,7 +213,7 @@ pub fn analyze(program: &Program, env: &CheckEnv) -> Analysis {
     let graph = hb::HbGraph::build(program);
     deadlock::check(program, &graph, &mut report);
 
-    let accesses = races::collect_accesses(program);
+    let accesses = Accesses::collect(program);
     races::check(program, &graph, &accesses, &mut report);
     residency::check_dataflow(program, &graph, &accesses, &mut report);
     residency::check_resources(program, env, &mut report);
@@ -226,15 +229,11 @@ pub fn analyze(program: &Program, env: &CheckEnv) -> Analysis {
     let kinds = program
         .streams
         .iter()
-        .map(|s| {
-            s.actions
-                .iter()
-                .map(|a| match a {
-                    crate::action::Action::Transfer { .. } => SiteKind::Transfer,
-                    crate::action::Action::Kernel(_) => SiteKind::Kernel,
-                    _ => SiteKind::Control,
-                })
-                .collect()
+        .flat_map(|s| &s.actions)
+        .map(|a| match a {
+            crate::action::Action::Transfer { .. } => SiteKind::Transfer,
+            crate::action::Action::Kernel(_) => SiteKind::Kernel,
+            _ => SiteKind::Control,
         })
         .collect();
 
@@ -523,6 +522,27 @@ mod tests {
         q.streams.push(stream_on(0, 0, 0, vec![h2d(0)]));
         q.streams.push(stream_on(1, 0, 0, vec![]));
         assert_eq!(analyze(&q, &env(2)).report.warnings().count(), 0);
+    }
+
+    #[test]
+    fn oversubscription_names_the_first_active_stream() {
+        // p0 = [idle s0, active s1, active s2], one stream per partition:
+        // the finding must sit on an action that exists, or the annotated
+        // dump has no line to put it under.
+        let mut p = Program::default();
+        p.streams.push(stream_on(0, 0, 0, vec![]));
+        p.streams.push(stream_on(1, 0, 0, vec![h2d(0)]));
+        p.streams.push(stream_on(2, 0, 0, vec![h2d(1)]));
+        let a = analyze(&p, &env(2));
+        let d = a
+            .report
+            .warnings()
+            .find(|d| d.code == CheckCode::PartitionOversubscribed)
+            .expect("oversubscription lint");
+        assert_eq!(d.site, Site::new(1, 0));
+        let dump = p.dump_annotated(&a.report);
+        let under_s1 = format!("  [  0] h2d b0\n        ^ {}\n", d.render());
+        assert!(dump.contains(&under_s1), "{dump}");
     }
 
     // ----- overlap summary & env inference ---------------------------------

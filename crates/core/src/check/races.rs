@@ -10,8 +10,13 @@
 //! patterns clean: Cholesky's host POTRF round trip (D2H → host kernel →
 //! H2D on one stream) never conflicts with device-side readers of other
 //! tiles, and multi-card residency mirroring touches distinct instances.
-
-use std::collections::HashMap;
+//!
+//! The accesses live in **one sorted table** ([`Accesses`]): a flat vector
+//! stable-sorted once by `(buffer, space)`, so each `(buffer, space)`
+//! group is a contiguous slice in program order and the groups come out
+//! in one deterministic order. The race check, the dataflow check, the
+//! schedulers' task graph and the elision certificate all walk those
+//! slices; none of them groups or sorts again.
 
 use micsim::pcie::Direction;
 
@@ -22,8 +27,9 @@ use crate::types::BufId;
 use super::diagnostics::{CheckCode, CheckReport, Diagnostic, Site};
 use super::hb::HbGraph;
 
-/// Which copy of a buffer an access touches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which copy of a buffer an access touches. Ordered host first, then
+/// devices by index — the group order of [`Accesses`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Space {
     /// The host-memory copy.
     Host,
@@ -43,51 +49,64 @@ impl std::fmt::Display for Space {
 /// One buffer access by one action.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Access {
+    pub buf: BufId,
+    pub space: Space,
     pub site: Site,
     pub write: bool,
     /// `true` when the access comes from a `Transfer` (for messages).
     pub transfer: bool,
 }
 
-/// Accesses grouped by `(buffer, space)`.
-pub(crate) type Accesses = HashMap<(BufId, Space), Vec<Access>>;
+/// All accesses of a program in one table, sorted by `(buffer, space)`
+/// and in program order within each group.
+pub(crate) struct Accesses(Vec<Access>);
 
-/// All accesses of the program, grouped by `(buffer, space)`.
-pub(crate) fn collect_accesses(program: &Program) -> Accesses {
-    let mut map = Accesses::new();
-    let mut push = |buf: BufId, space: Space, site: Site, write: bool, transfer: bool| {
-        map.entry((buf, space)).or_default().push(Access {
-            site,
-            write,
-            transfer,
-        });
-    };
-    for (si, s) in program.streams.iter().enumerate() {
-        let dev = Space::Device(s.placement.device.0);
-        for (ai, a) in s.actions.iter().enumerate() {
-            let site = Site::new(si, ai);
-            match a {
-                Action::Transfer { dir, buf } => match dir {
-                    Direction::HostToDevice => {
-                        push(*buf, Space::Host, site, false, true);
-                        push(*buf, dev, site, true, true);
+impl Accesses {
+    /// Lower every action of `program` to its accesses and sort them once.
+    pub(crate) fn collect(program: &Program) -> Accesses {
+        let mut all = Vec::new();
+        for (si, s) in program.streams.iter().enumerate() {
+            let dev = Space::Device(s.placement.device.0);
+            for (ai, a) in s.actions.iter().enumerate() {
+                let site = Site::new(si, ai);
+                let mut push = |buf: BufId, space: Space, write: bool, transfer: bool| {
+                    all.push(Access {
+                        buf,
+                        space,
+                        site,
+                        write,
+                        transfer,
+                    });
+                };
+                match a {
+                    Action::Transfer { dir, buf } => {
+                        let (from, to) = match dir {
+                            Direction::HostToDevice => (Space::Host, dev),
+                            Direction::DeviceToHost => (dev, Space::Host),
+                        };
+                        push(*buf, from, false, true);
+                        push(*buf, to, true, true);
                     }
-                    Direction::DeviceToHost => {
-                        push(*buf, dev, site, false, true);
-                        push(*buf, Space::Host, site, true, true);
+                    Action::Kernel(k) => {
+                        let space = if k.host { Space::Host } else { dev };
+                        for (buf, write) in k.accesses() {
+                            push(buf, space, write, false);
+                        }
                     }
-                },
-                Action::Kernel(k) => {
-                    let space = if k.host { Space::Host } else { dev };
-                    for (buf, write) in k.accesses() {
-                        push(buf, space, site, write, false);
-                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
+        // Stable: program order survives inside each group.
+        all.sort_by_key(|a| (a.buf, a.space));
+        Accesses(all)
     }
-    map
+
+    /// The `(buffer, space)` groups, each a contiguous slice in program
+    /// order, in table order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &[Access]> {
+        self.0.chunk_by(|a, b| a.buf == b.buf && a.space == b.space)
+    }
 }
 
 /// Cap on race reports per `(buffer, space)` group, so one missing event
@@ -106,10 +125,8 @@ pub(super) fn check(
         return;
     }
     let label = |site: Site| program.streams[site.stream.0].actions[site.action_index].label();
-    // Deterministic group order for stable output.
-    let mut groups: Vec<(&(BufId, Space), &Vec<Access>)> = accesses.iter().collect();
-    groups.sort_by_key(|((buf, space), _)| (buf.0, *space != Space::Host, space_key(space)));
-    for ((buf, space), group) in groups {
+    for group in accesses.groups() {
+        let (buf, space) = (group[0].buf, group[0].space);
         let mut reported = 0usize;
         // First pair past the cap: every Race diagnostic — including the
         // overflow summary — must name a concrete unordered pair, or its
@@ -158,12 +175,5 @@ pub(super) fn check(
                 ),
             });
         }
-    }
-}
-
-fn space_key(space: &Space) -> usize {
-    match space {
-        Space::Host => 0,
-        Space::Device(d) => *d,
     }
 }

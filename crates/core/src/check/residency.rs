@@ -1,15 +1,12 @@
 //! Dataflow diagnostics (use-before-produce, dead events, dangling buffer
 //! references) and resource lints (placement range, partition budget).
 
-use std::collections::HashMap;
-
 use crate::action::Action;
 use crate::program::Program;
-use crate::types::BufId;
 
 use super::diagnostics::{CheckCode, CheckReport, Diagnostic, Site};
 use super::hb::HbGraph;
-use super::races::{Access, Accesses, Space};
+use super::races::{Accesses, Space};
 use super::CheckEnv;
 
 /// Device reads with no happens-before producer, and events nobody waits
@@ -24,9 +21,8 @@ pub(super) fn check_dataflow(
 ) {
     if hb.cycle().is_none() {
         let label = |site: Site| program.streams[site.stream.0].actions[site.action_index].label();
-        let mut groups: Vec<(&(BufId, Space), &Vec<Access>)> = accesses.iter().collect();
-        groups.sort_by_key(|((buf, _), _)| buf.0);
-        for ((buf, space), group) in groups {
+        for group in accesses.groups() {
+            let (buf, space) = (group[0].buf, group[0].space);
             let Space::Device(d) = space else {
                 // Host copies are initialized by `alloc`/`write_host`
                 // before the program runs; reading one is always fine.
@@ -85,7 +81,9 @@ pub(super) fn check_dataflow(
 
 /// Placement and buffer-table lints against the context's plan.
 pub(super) fn check_resources(program: &Program, env: &CheckEnv, report: &mut CheckReport) {
-    let mut per_partition: HashMap<(usize, usize), usize> = HashMap::new();
+    // Per in-range partition, `dev * partitions + part`: its active
+    // streams and the first of them, which an oversubscription names.
+    let mut active: Vec<(usize, usize)> = vec![(0, 0); env.devices * env.partitions];
     for (si, s) in program.streams.iter().enumerate() {
         let (dev, part) = (s.placement.device.0, s.placement.partition);
         if dev >= env.devices || part >= env.partitions {
@@ -102,7 +100,11 @@ pub(super) fn check_resources(program: &Program, env: &CheckEnv, report: &mut Ch
             continue;
         }
         if !s.actions.is_empty() {
-            *per_partition.entry((dev, part)).or_default() += 1;
+            let (n, first) = &mut active[dev * env.partitions + part];
+            if *n == 0 {
+                *first = si;
+            }
+            *n += 1;
         }
         for (ai, a) in s.actions.iter().enumerate() {
             for buf in a.buffers() {
@@ -121,26 +123,18 @@ pub(super) fn check_resources(program: &Program, env: &CheckEnv, report: &mut Ch
             }
         }
     }
-    let mut over: Vec<(&(usize, usize), &usize)> = per_partition
-        .iter()
-        .filter(|(_, &n)| n > env.streams_per_partition)
-        .collect();
-    over.sort();
-    for ((dev, part), n) in over {
-        let site = program
-            .streams
-            .iter()
-            .position(|s| s.placement.device.0 == *dev && s.placement.partition == *part)
-            .map(|si| Site::new(si, 0))
-            .unwrap_or(Site::new(0, 0));
-        report.push(Diagnostic {
-            code: CheckCode::PartitionOversubscribed,
-            site,
-            related: vec![],
-            message: format!(
-                "{n} active streams share dev{dev}#p{part}, planned for {} per partition",
-                env.streams_per_partition
-            ),
-        });
+    for (slot, &(n, first)) in active.iter().enumerate() {
+        if n > env.streams_per_partition {
+            let (dev, part) = (slot / env.partitions, slot % env.partitions);
+            report.push(Diagnostic {
+                code: CheckCode::PartitionOversubscribed,
+                site: Site::new(first, 0),
+                related: vec![],
+                message: format!(
+                    "{n} active streams share dev{dev}#p{part}, planned for {} per partition",
+                    env.streams_per_partition
+                ),
+            });
+        }
     }
 }

@@ -158,9 +158,10 @@ enum Walk<'a> {
 
 /// Lower the context's program onto the task-DAG engine along `walk` and
 /// run it: one engine task per step (bar `Barrier` actions, which the
-/// task they waited behind stands in for), priced by `cost`. A step whose
-/// predecessor has not been lowered yet — a schedule that is not a
-/// topological order of its graph — is an error, not a dropped edge.
+/// task they waited behind stands in for), priced by `cost`. A step's
+/// dependencies are refilled into one scratch vector the engine borrows.
+/// A step whose predecessor has not been lowered yet — a schedule that is
+/// not a topological order of its graph — is an error, not a dropped edge.
 fn lower(
     ctx: &Context,
     walk: &Walk<'_>,
@@ -176,11 +177,11 @@ fn lower(
 
     let mut engine = Engine::new();
     let lanes = LaneMap::for_context(ctx);
-    for (id, name) in &lanes.names {
-        let res = engine.add_resource(name.clone());
+    for id in lanes.names.keys() {
+        let res = engine.add_resource();
         debug_assert_eq!(res, *id, "engine ids follow the lane layout");
     }
-    let mut add = |resource: Option<Lane>, duration, deps, label| -> Result<TaskId> {
+    let mut add = |resource: Option<Lane>, duration, deps: &[TaskId], label| -> Result<TaskId> {
         engine
             .add_task(TaskSpec {
                 resource: resource.map(|lane| lanes.resource(lane)),
@@ -203,24 +204,22 @@ fn lower(
     let mut done: Vec<Option<TaskId>> = vec![None; nodes];
     // tail[r]: the latest task a schedule put on resource `r`.
     let mut tail: Vec<Option<TaskId>> = vec![None; lanes.names.len()];
+    // The current step's dependencies, refilled for every step.
+    let mut deps: Vec<TaskId> = Vec::new();
     for step in 0..steps {
-        let (v, site, placed, mut deps) = match walk {
+        deps.clear();
+        let (v, site, placed) = match walk {
             Walk::Recorded(order, edges) => {
                 let v = order[step] as usize;
-                let deps: Vec<TaskId> = edges.preds[v]
-                    .iter()
-                    .filter_map(|&p| done[p as usize])
-                    .collect();
+                deps.extend(edges.preds[v].iter().filter_map(|&p| done[p as usize]));
                 // Barrier join nodes follow the action nodes.
                 let site = edges.site_of(v).ok_or_else(|| v - edges.total_actions);
-                (v, site, None, deps)
+                (v, site, None)
             }
             Walk::Scheduled(schedule, graph) => {
                 let task = &schedule.tasks[step];
-                let preds = &graph.preds[task.node];
-                let mut deps = Vec::with_capacity(1 + preds.len());
                 deps.extend(tail[lanes.resource(task.lane).0]);
-                for &p in preds {
+                for &p in &graph.preds[task.node] {
                     let Some(dep) = done[p] else {
                         let (site, pred) = (task.site, graph.nodes[p].site);
                         return Err(Error::Config(format!(
@@ -229,13 +228,13 @@ fn lower(
                     };
                     deps.push(dep);
                 }
-                (task.node, Ok(task.site), Some(task.lane), deps)
+                (task.node, Ok(task.site), Some(task.lane))
             }
         };
         let site = match site {
             Ok(site) => site,
             Err(n) => {
-                done[v] = Some(add(None, barrier_price, deps, format!("barrier#{n}"))?);
+                done[v] = Some(add(None, barrier_price, &deps, format!("barrier#{n}"))?);
                 continue;
             }
         };
@@ -247,13 +246,13 @@ fn lower(
             done[v] = match action {
                 // A barrier action is its stream arriving: whatever the
                 // stream last waited behind arrives for it.
-                Action::Barrier(_) => deps.pop(),
+                Action::Barrier(_) => deps.last().copied(),
                 Action::RecordEvent(e) | Action::WaitEvent(e) => {
                     // The graph's event edges follow the events table.
                     if !program.event_site_matches(si, ai) {
                         return Err(Error::UnknownEvent(*e));
                     }
-                    Some(add(None, SimDuration::ZERO, deps, action.label())?)
+                    Some(add(None, SimDuration::ZERO, &deps, action.label())?)
                 }
                 _ => unreachable!("payload actions occupy a lane"),
             };
@@ -306,12 +305,14 @@ fn lower(
         // followed by the retry backoff off-link.
         for attempt in 0..fail_attempts {
             let label = format!("{}!fail{attempt}", action.label());
-            let failed = add(Some(lane), duration, deps, label)?;
+            let failed = add(Some(lane), duration, &deps, label)?;
             let backoff = SimDuration::from_secs_f64(retry.backoff_for(attempt).as_secs_f64());
             let label = format!("{}!backoff{attempt}", action.label());
-            deps = vec![add(None, backoff, vec![failed], label)?];
+            let waited = add(None, backoff, &[failed], label)?;
+            deps.clear();
+            deps.push(waited);
         }
-        let task = add(Some(lane), duration, deps, action.label())?;
+        let task = add(Some(lane), duration, &deps, action.label())?;
         done[v] = Some(task);
         if placed.is_some() {
             tail[lanes.resource(lane).0] = Some(task);

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use crate::action::Action;
-use crate::check::{analyze, collect_accesses, CheckEnv, Site};
+use crate::check::{analyze, CheckEnv, Site};
 use crate::check::{HbEdges, HbGraph};
 use crate::program::Program;
 use crate::types::{EventId, StreamId};
@@ -299,8 +299,7 @@ pub fn certify(original: &Program, optimized: &Program, env: &CheckEnv) -> Certi
     if payload_preserved {
         let ord_orig = payload_ordinals(original);
         let by_ordinal: Vec<Vec<usize>> = payload_sites(optimized);
-        let groups = collect_accesses(original);
-        for accesses in groups.values() {
+        for accesses in a_orig.accesses.groups() {
             for (i, a) in accesses.iter().enumerate() {
                 for b in &accesses[i + 1..] {
                     if !a.write && !b.write {
@@ -342,7 +341,7 @@ fn payload_keys(
     actions
         .iter()
         .filter(|a| is_payload(a))
-        .map(|a| (a.label(), a.buffers()))
+        .map(|a| (a.label(), a.buffers().collect()))
 }
 
 /// `ordinals[stream][action index]` = payload ordinal within the stream

@@ -72,17 +72,8 @@ impl TaskGraph {
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
 
-        // Deterministic group order (same key the race checker sorts by).
-        let mut groups: Vec<_> = analysis.accesses.iter().collect();
-        groups.sort_by_key(|((buf, space), _)| {
-            let skey = match space {
-                crate::check::Space::Host => 0usize,
-                crate::check::Space::Device(d) => d + 1,
-            };
-            (buf.0, skey)
-        });
-
-        for (_, group) in groups {
+        // The analyzer's access table, group by group in its order.
+        for group in analysis.accesses.groups() {
             for (i, a) in group.iter().enumerate() {
                 for b in &group[i + 1..] {
                     if !a.write && !b.write {

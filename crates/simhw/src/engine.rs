@@ -15,6 +15,13 @@
 //! became ready earliest (ties broken by creation order) runs next. Together
 //! with the deterministic event queue this makes simulated timelines exactly
 //! reproducible.
+//!
+//! The graph is kept flat. A [`TaskSpec`] *borrows* its dependency list, so
+//! a caller lowering thousands of tasks can refill one scratch vector; the
+//! engine appends each `(dependency, dependent)` edge to one array, and
+//! [`Engine::run`] turns that array into one offsets-plus-list dependents
+//! table (CSR) with a counting pass. Each task's dependents keep creation
+//! order, which is the order a finishing task releases them in.
 
 use std::collections::VecDeque;
 
@@ -31,14 +38,16 @@ pub struct TaskId(pub usize);
 
 /// A task to simulate.
 #[derive(Clone, Debug)]
-pub struct TaskSpec {
+pub struct TaskSpec<'a> {
     /// Resource the task occupies; `None` for zero-footprint control tasks
     /// (events, barriers) that only propagate dependencies.
     pub resource: Option<ResourceId>,
     /// How long the task holds its resource.
     pub duration: SimDuration,
-    /// Tasks that must finish before this one may start.
-    pub deps: Vec<TaskId>,
+    /// Tasks that must finish before this one may start (borrowed: the
+    /// engine copies the edges out in [`Engine::add_task`]). A task listed
+    /// twice counts twice and is released by its one finish.
+    pub deps: &'a [TaskId],
     /// Free-form label used in traces ("h2d tile 3", "gemm(2,4)", ...).
     pub label: String,
 }
@@ -223,9 +232,10 @@ enum Event {
 }
 
 struct TaskState {
-    spec: TaskSpec,
+    resource: Option<ResourceId>,
+    duration: SimDuration,
+    label: String,
     unmet_deps: usize,
-    dependents: Vec<TaskId>,
     ready: Option<SimTime>,
     start: Option<SimTime>,
     finish: Option<SimTime>,
@@ -234,16 +244,54 @@ struct TaskState {
 }
 
 struct ResourceState {
-    #[allow(dead_code)]
-    name: String,
     busy: bool,
     // FIFO of tasks waiting for this resource, in (ready_time, task_id) order.
     waiting: VecDeque<TaskId>,
 }
 
+/// Every task's dependents in one offsets-plus-list array: task `t`'s are
+/// `list[offsets[t]..offsets[t + 1]]`, in creation order.
+struct Dependents {
+    offsets: Vec<usize>,
+    list: Vec<TaskId>,
+}
+
+impl Dependents {
+    /// Counting pass over `(dependency, dependent)` edges given in creation
+    /// order of the dependents.
+    fn build(tasks: usize, edges: &[(TaskId, TaskId)]) -> Dependents {
+        let mut offsets = vec![0usize; tasks + 1];
+        for &(dep, _) in edges {
+            offsets[dep.0] += 1;
+        }
+        // Exclusive prefix sum: `offsets[t]` is `t`'s first slot.
+        let mut sum = 0;
+        for o in &mut offsets {
+            let count = *o;
+            *o = sum;
+            sum += count;
+        }
+        let mut list = vec![TaskId(0); edges.len()];
+        for &(dep, t) in edges {
+            list[offsets[dep.0]] = t;
+            offsets[dep.0] += 1;
+        }
+        // Each cursor now sits at its task's end, the next task's start.
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        Dependents { offsets, list }
+    }
+
+    fn of(&self, t: TaskId) -> &[TaskId] {
+        &self.list[self.offsets[t.0]..self.offsets[t.0 + 1]]
+    }
+}
+
 /// Builder + runner for one simulation.
 pub struct Engine {
     tasks: Vec<TaskState>,
+    /// `(dependency, dependent)` edges, in the order tasks were added.
+    edges: Vec<(TaskId, TaskId)>,
     resources: Vec<ResourceState>,
 }
 
@@ -258,15 +306,17 @@ impl Engine {
     pub fn new() -> Engine {
         Engine {
             tasks: Vec::new(),
+            edges: Vec::new(),
             resources: Vec::new(),
         }
     }
 
-    /// Register a serializing resource.
-    pub fn add_resource(&mut self, name: impl Into<String>) -> ResourceId {
+    /// Register a serializing resource. Resources are numbered in
+    /// registration order; naming them is the caller's business (e.g. a
+    /// Gantt chart's row labels).
+    pub fn add_resource(&mut self) -> ResourceId {
         let id = ResourceId(self.resources.len());
         self.resources.push(ResourceState {
-            name: name.into(),
             busy: false,
             waiting: VecDeque::new(),
         });
@@ -285,7 +335,7 @@ impl Engine {
 
     /// Add a task. Dependencies must reference earlier tasks (see
     /// [`EngineError::UnknownDependency`]).
-    pub fn add_task(&mut self, spec: TaskSpec) -> Result<TaskId, EngineError> {
+    pub fn add_task(&mut self, spec: TaskSpec<'_>) -> Result<TaskId, EngineError> {
         let id = TaskId(self.tasks.len());
         if let Some(res) = spec.resource {
             if res.0 >= self.resources.len() {
@@ -295,19 +345,15 @@ impl Engine {
                 });
             }
         }
-        for &dep in &spec.deps {
-            if dep.0 >= self.tasks.len() {
-                return Err(EngineError::UnknownDependency { task: id.0, dep });
-            }
+        if let Some(&dep) = spec.deps.iter().find(|dep| dep.0 >= id.0) {
+            return Err(EngineError::UnknownDependency { task: id.0, dep });
         }
-        let unmet = spec.deps.len();
-        for &dep in &spec.deps {
-            self.tasks[dep.0].dependents.push(id);
-        }
+        self.edges.extend(spec.deps.iter().map(|&dep| (dep, id)));
         self.tasks.push(TaskState {
-            spec,
-            unmet_deps: unmet,
-            dependents: Vec::new(),
+            resource: spec.resource,
+            duration: spec.duration,
+            label: spec.label,
+            unmet_deps: spec.deps.len(),
             ready: None,
             start: None,
             finish: None,
@@ -319,24 +365,20 @@ impl Engine {
 
     /// Run the simulation to completion and consume the engine.
     pub fn run(mut self) -> Timeline {
+        let dependents = Dependents::build(self.tasks.len(), &self.edges);
         let mut queue: EventQueue<Event> = EventQueue::new();
 
-        // Seed: every task with no dependencies is ready at t=0. Iterate in
-        // id order so FIFO arbitration matches creation (enqueue) order.
-        let initially_ready: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.unmet_deps == 0)
-            .map(|(i, _)| TaskId(i))
-            .collect();
-        for id in initially_ready {
-            self.task_became_ready(id, SimTime::ZERO, &mut queue);
+        // Seed: every task with no dependencies is ready at t=0, in id
+        // order so FIFO arbitration matches creation (enqueue) order.
+        for i in 0..self.tasks.len() {
+            if self.tasks[i].unmet_deps == 0 {
+                self.task_became_ready(TaskId(i), SimTime::ZERO, &mut queue);
+            }
         }
 
         while let Some((now, event)) = queue.pop() {
             match event {
-                Event::TaskFinished(id) => self.finish_task(id, now, &mut queue),
+                Event::TaskFinished(id) => self.finish_task(id, now, &mut queue, &dependents),
             }
         }
 
@@ -363,11 +405,11 @@ impl Engine {
                 };
                 TaskRecord {
                     task: TaskId(i),
-                    resource: t.spec.resource,
+                    resource: t.resource,
                     ready: t.ready.unwrap_or(SimTime::ZERO),
                     start: t.start.unwrap_or(SimTime::ZERO),
                     finish: t.finish.unwrap_or(SimTime::ZERO),
-                    label: t.spec.label,
+                    label: t.label,
                     critical_pred,
                 }
             })
@@ -379,7 +421,7 @@ impl Engine {
     fn task_became_ready(&mut self, id: TaskId, now: SimTime, queue: &mut EventQueue<Event>) {
         debug_assert!(self.tasks[id.0].ready.is_none(), "task readied twice");
         self.tasks[id.0].ready = Some(now);
-        match self.tasks[id.0].spec.resource {
+        match self.tasks[id.0].resource {
             None => self.start_task(id, now, queue),
             Some(res) => {
                 if self.resources[res.0].busy {
@@ -395,15 +437,21 @@ impl Engine {
     fn start_task(&mut self, id: TaskId, now: SimTime, queue: &mut EventQueue<Event>) {
         let task = &mut self.tasks[id.0];
         task.start = Some(now);
-        let finish = now + task.spec.duration;
+        let finish = now + task.duration;
         queue.schedule(finish, Event::TaskFinished(id));
     }
 
-    fn finish_task(&mut self, id: TaskId, now: SimTime, queue: &mut EventQueue<Event>) {
+    fn finish_task(
+        &mut self,
+        id: TaskId,
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+        dependents: &Dependents,
+    ) {
         self.tasks[id.0].finish = Some(now);
 
         // Free the resource and hand it to the longest-waiting ready task.
-        if let Some(res) = self.tasks[id.0].spec.resource {
+        if let Some(res) = self.tasks[id.0].resource {
             let state = &mut self.resources[res.0];
             if let Some(next) = state.waiting.pop_front() {
                 // Resource stays busy; next task starts immediately.
@@ -415,16 +463,14 @@ impl Engine {
         }
 
         // Propagate readiness to dependents.
-        let dependents = std::mem::take(&mut self.tasks[id.0].dependents);
-        for dep in &dependents {
+        for &dep in dependents.of(id) {
             let t = &mut self.tasks[dep.0];
             t.unmet_deps -= 1;
             if t.unmet_deps == 0 {
                 t.ready_setter = Some(id);
-                self.task_became_ready(*dep, now, queue);
+                self.task_became_ready(dep, now, queue);
             }
         }
-        self.tasks[id.0].dependents = dependents;
     }
 }
 
@@ -432,7 +478,12 @@ impl Engine {
 mod tests {
     use super::*;
 
-    fn task(resource: Option<ResourceId>, us: u64, deps: Vec<TaskId>, label: &str) -> TaskSpec {
+    fn task<'a>(
+        resource: Option<ResourceId>,
+        us: u64,
+        deps: &'a [TaskId],
+        label: &str,
+    ) -> TaskSpec<'a> {
         TaskSpec {
             resource,
             duration: SimDuration::from_micros(us),
@@ -444,10 +495,10 @@ mod tests {
     #[test]
     fn serial_chain_accumulates() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let a = e.add_task(task(Some(r), 10, vec![], "a")).unwrap();
-        let b = e.add_task(task(Some(r), 20, vec![a], "b")).unwrap();
-        let c = e.add_task(task(Some(r), 30, vec![b], "c")).unwrap();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(r), 10, &[], "a")).unwrap();
+        let b = e.add_task(task(Some(r), 20, &[a], "b")).unwrap();
+        let c = e.add_task(task(Some(r), 30, &[b], "c")).unwrap();
         let tl = e.run();
         assert_eq!(tl.makespan, SimDuration::from_micros(60));
         assert_eq!(tl.record(c).start, SimTime(30_000));
@@ -458,10 +509,10 @@ mod tests {
     #[test]
     fn independent_tasks_on_distinct_resources_overlap() {
         let mut e = Engine::new();
-        let r1 = e.add_resource("r1");
-        let r2 = e.add_resource("r2");
-        e.add_task(task(Some(r1), 50, vec![], "x")).unwrap();
-        e.add_task(task(Some(r2), 50, vec![], "y")).unwrap();
+        let r1 = e.add_resource();
+        let r2 = e.add_resource();
+        e.add_task(task(Some(r1), 50, &[], "x")).unwrap();
+        e.add_task(task(Some(r2), 50, &[], "y")).unwrap();
         let tl = e.run();
         assert_eq!(tl.makespan, SimDuration::from_micros(50));
     }
@@ -469,10 +520,10 @@ mod tests {
     #[test]
     fn shared_resource_serializes_in_fifo_order() {
         let mut e = Engine::new();
-        let r = e.add_resource("link");
+        let r = e.add_resource();
         let ids: Vec<_> = (0..4)
             .map(|i| {
-                e.add_task(task(Some(r), 10, vec![], &format!("t{i}")))
+                e.add_task(task(Some(r), 10, &[], &format!("t{i}")))
                     .unwrap()
             })
             .collect();
@@ -493,20 +544,18 @@ mod tests {
         let unit = 100u64;
         let build = |streams: usize, tasks: usize| {
             let mut e = Engine::new();
-            let h2d = e.add_resource("h2d");
-            let d2h = e.add_resource("d2h");
-            let partitions: Vec<_> = (0..streams)
-                .map(|i| e.add_resource(format!("p{i}")))
-                .collect();
+            let h2d = e.add_resource();
+            let d2h = e.add_resource();
+            let partitions: Vec<_> = (0..streams).map(|_| e.add_resource()).collect();
             let mut last_in_stream: Vec<Option<TaskId>> = vec![None; streams];
             for t in 0..tasks {
                 let s = t % streams;
-                let dep = last_in_stream[s].map(|d| vec![d]).unwrap_or_default();
-                let a = e.add_task(task(Some(h2d), unit, dep, "h2d")).unwrap();
+                let dep: Vec<TaskId> = last_in_stream[s].into_iter().collect();
+                let a = e.add_task(task(Some(h2d), unit, &dep, "h2d")).unwrap();
                 let b = e
-                    .add_task(task(Some(partitions[s]), unit, vec![a], "exe"))
+                    .add_task(task(Some(partitions[s]), unit, &[a], "exe"))
                     .unwrap();
-                let c = e.add_task(task(Some(d2h), unit, vec![b], "d2h")).unwrap();
+                let c = e.add_task(task(Some(d2h), unit, &[b], "d2h")).unwrap();
                 last_in_stream[s] = Some(c);
             }
             e.run().makespan
@@ -520,19 +569,19 @@ mod tests {
     #[test]
     fn control_tasks_take_no_resource() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let a = e.add_task(task(Some(r), 10, vec![], "a")).unwrap();
-        let b = e.add_task(task(Some(r), 10, vec![], "b")).unwrap();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(r), 10, &[], "a")).unwrap();
+        let b = e.add_task(task(Some(r), 10, &[], "b")).unwrap();
         // Barrier joining a and b, then a dependent task.
         let bar = e
             .add_task(TaskSpec {
                 resource: None,
                 duration: SimDuration::ZERO,
-                deps: vec![a, b],
+                deps: &[a, b],
                 label: "barrier".into(),
             })
             .unwrap();
-        let c = e.add_task(task(Some(r), 10, vec![bar], "c")).unwrap();
+        let c = e.add_task(task(Some(r), 10, &[bar], "c")).unwrap();
         let tl = e.run();
         assert_eq!(tl.record(bar).start, tl.record(bar).finish);
         assert_eq!(tl.record(c).start, SimTime(20_000));
@@ -542,9 +591,7 @@ mod tests {
     #[test]
     fn forward_only_dependencies_enforced() {
         let mut e = Engine::new();
-        let err = e
-            .add_task(task(None, 0, vec![TaskId(7)], "bad"))
-            .unwrap_err();
+        let err = e.add_task(task(None, 0, &[TaskId(7)], "bad")).unwrap_err();
         assert_eq!(
             err,
             EngineError::UnknownDependency {
@@ -558,7 +605,7 @@ mod tests {
     fn unknown_resource_rejected() {
         let mut e = Engine::new();
         let err = e
-            .add_task(task(Some(ResourceId(3)), 1, vec![], "bad"))
+            .add_task(task(Some(ResourceId(3)), 1, &[], "bad"))
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownResource { .. }));
     }
@@ -566,15 +613,53 @@ mod tests {
     #[test]
     fn fifo_arbitration_prefers_earlier_ready_tasks() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let gate = e.add_task(task(None, 5, vec![], "gate")).unwrap();
+        let r = e.add_resource();
+        let gate = e.add_task(task(None, 5, &[], "gate")).unwrap();
         // w becomes ready at t=5, but q (ready at t=0) must win the resource.
-        let q = e.add_task(task(Some(r), 50, vec![], "q")).unwrap();
-        let w = e.add_task(task(Some(r), 10, vec![gate], "w")).unwrap();
+        let q = e.add_task(task(Some(r), 50, &[], "q")).unwrap();
+        let w = e.add_task(task(Some(r), 10, &[gate], "w")).unwrap();
         let tl = e.run();
         assert_eq!(tl.record(q).start, SimTime::ZERO);
         assert_eq!(tl.record(w).start, SimTime(50_000));
         assert_eq!(tl.record(w).ready, SimTime(5_000));
+    }
+
+    #[test]
+    fn duplicate_dependencies_release_once() {
+        // `b` lists `a` twice. Readied twice, it would hold `r` twice and
+        // push `c` (ready at the same instant, created later) back.
+        let mut e = Engine::new();
+        let link = e.add_resource();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(link), 10, &[], "a")).unwrap();
+        let b = e.add_task(task(Some(r), 5, &[a, a], "b")).unwrap();
+        let c = e.add_task(task(Some(r), 5, &[a], "c")).unwrap();
+        let tl = e.run();
+        assert_eq!(tl.record(b).ready, SimTime(10_000));
+        assert_eq!(tl.record(b).start, SimTime(10_000));
+        assert_eq!(tl.record(b).critical_pred, Some(a));
+        assert_eq!(tl.record(c).start, SimTime(15_000));
+        assert_eq!(tl.makespan, SimDuration::from_micros(20));
+    }
+
+    #[test]
+    fn fan_out_releases_in_creation_order() {
+        // Three waiters on one resource, all released by `gate`'s finish
+        // (their edges interleaved with an unrelated one): they take the
+        // resource in task-id order.
+        let mut e = Engine::new();
+        let r = e.add_resource();
+        let other = e.add_task(task(None, 1, &[], "other")).unwrap();
+        let gate = e.add_task(task(None, 10, &[], "gate")).unwrap();
+        let w0 = e.add_task(task(Some(r), 5, &[other, gate], "w0")).unwrap();
+        e.add_task(task(None, 0, &[other], "x")).unwrap();
+        let w1 = e.add_task(task(Some(r), 5, &[gate], "w1")).unwrap();
+        let w2 = e.add_task(task(Some(r), 5, &[gate, other], "w2")).unwrap();
+        let tl = e.run();
+        for (i, w) in [w0, w1, w2].into_iter().enumerate() {
+            assert_eq!(tl.record(w).ready, SimTime(10_000));
+            assert_eq!(tl.record(w).start, SimTime(10_000 + 5_000 * i as u64));
+        }
     }
 
     #[test]
@@ -608,10 +693,10 @@ mod tests {
     #[test]
     fn resource_busy_accounting() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        e.add_task(task(Some(r), 10, vec![], "a")).unwrap();
-        let gap = e.add_task(task(None, 100, vec![], "wait")).unwrap();
-        e.add_task(task(Some(r), 20, vec![gap], "b")).unwrap();
+        let r = e.add_resource();
+        e.add_task(task(Some(r), 10, &[], "a")).unwrap();
+        let gap = e.add_task(task(None, 100, &[], "wait")).unwrap();
+        e.add_task(task(Some(r), 20, &[gap], "b")).unwrap();
         let tl = e.run();
         assert_eq!(tl.resource_busy(r), SimDuration::from_micros(30));
         assert!(tl.resource_utilization(r) < 0.5);
@@ -622,7 +707,12 @@ mod tests {
 mod critical_path_tests {
     use super::*;
 
-    fn task(resource: Option<ResourceId>, us: u64, deps: Vec<TaskId>, label: &str) -> TaskSpec {
+    fn task<'a>(
+        resource: Option<ResourceId>,
+        us: u64,
+        deps: &'a [TaskId],
+        label: &str,
+    ) -> TaskSpec<'a> {
         TaskSpec {
             resource,
             duration: SimDuration::from_micros(us),
@@ -634,10 +724,10 @@ mod critical_path_tests {
     #[test]
     fn serial_chain_is_its_own_critical_path() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let a = e.add_task(task(Some(r), 10, vec![], "a")).unwrap();
-        let b = e.add_task(task(Some(r), 10, vec![a], "b")).unwrap();
-        let c = e.add_task(task(Some(r), 10, vec![b], "c")).unwrap();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(r), 10, &[], "a")).unwrap();
+        let b = e.add_task(task(Some(r), 10, &[a], "b")).unwrap();
+        let c = e.add_task(task(Some(r), 10, &[b], "c")).unwrap();
         let tl = e.run();
         assert_eq!(tl.critical_path(), vec![a, b, c]);
     }
@@ -647,9 +737,9 @@ mod critical_path_tests {
         // Two independent tasks on one resource: the second's critical
         // predecessor is the first (it freed the resource).
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let a = e.add_task(task(Some(r), 10, vec![], "a")).unwrap();
-        let b = e.add_task(task(Some(r), 20, vec![], "b")).unwrap();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(r), 10, &[], "a")).unwrap();
+        let b = e.add_task(task(Some(r), 20, &[], "b")).unwrap();
         let tl = e.run();
         assert_eq!(tl.critical_path(), vec![a, b]);
     }
@@ -657,13 +747,11 @@ mod critical_path_tests {
     #[test]
     fn parallel_branches_pick_the_longer_one() {
         let mut e = Engine::new();
-        let r1 = e.add_resource("r1");
-        let r2 = e.add_resource("r2");
-        let short = e.add_task(task(Some(r1), 5, vec![], "short")).unwrap();
-        let long = e.add_task(task(Some(r2), 50, vec![], "long")).unwrap();
-        let join = e
-            .add_task(task(None, 1, vec![short, long], "join"))
-            .unwrap();
+        let r1 = e.add_resource();
+        let r2 = e.add_resource();
+        let short = e.add_task(task(Some(r1), 5, &[], "short")).unwrap();
+        let long = e.add_task(task(Some(r2), 50, &[], "long")).unwrap();
+        let join = e.add_task(task(None, 1, &[short, long], "join")).unwrap();
         let tl = e.run();
         let path = tl.critical_path();
         assert_eq!(path, vec![long, join]);
@@ -675,16 +763,16 @@ mod critical_path_tests {
         // Pipeline: the path's first task starts at 0 and its last ends at
         // the makespan.
         let mut e = Engine::new();
-        let link = e.add_resource("link");
-        let part = e.add_resource("p");
+        let link = e.add_resource();
+        let part = e.add_resource();
         let mut last = None;
         for i in 0..6 {
-            let deps = last.into_iter().collect();
+            let deps: Vec<TaskId> = last.into_iter().collect();
             let h = e
-                .add_task(task(Some(link), 7, deps, &format!("h{i}")))
+                .add_task(task(Some(link), 7, &deps, &format!("h{i}")))
                 .unwrap();
             let k = e
-                .add_task(task(Some(part), 13, vec![h], &format!("k{i}")))
+                .add_task(task(Some(part), 13, &[h], &format!("k{i}")))
                 .unwrap();
             last = Some(k);
         }
@@ -703,10 +791,10 @@ mod critical_path_tests {
     #[test]
     fn breakdown_aggregates_by_label_prefix() {
         let mut e = Engine::new();
-        let r = e.add_resource("r");
-        let a = e.add_task(task(Some(r), 10, vec![], "h2d(0)")).unwrap();
-        let b = e.add_task(task(Some(r), 30, vec![a], "gemm(0,0)")).unwrap();
-        let _c = e.add_task(task(Some(r), 20, vec![b], "gemm(0,1)")).unwrap();
+        let r = e.add_resource();
+        let a = e.add_task(task(Some(r), 10, &[], "h2d(0)")).unwrap();
+        let b = e.add_task(task(Some(r), 30, &[a], "gemm(0,0)")).unwrap();
+        let _c = e.add_task(task(Some(r), 20, &[b], "gemm(0,1)")).unwrap();
         let tl = e.run();
         let breakdown = tl.critical_path_breakdown();
         assert_eq!(breakdown[0].0, "gemm");

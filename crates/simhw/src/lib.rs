@@ -30,18 +30,18 @@
 //! use micsim::time::SimDuration;
 //!
 //! let mut engine = Engine::new();
-//! let link = engine.add_resource("pcie");
-//! let part = engine.add_resource("partition0");
+//! let link = engine.add_resource();
+//! let part = engine.add_resource();
 //! let h2d = engine.add_task(TaskSpec {
 //!     resource: Some(link),
 //!     duration: SimDuration::from_micros(100),
-//!     deps: vec![],
+//!     deps: &[],
 //!     label: "h2d".into(),
 //! }).unwrap();
 //! engine.add_task(TaskSpec {
 //!     resource: Some(part),
 //!     duration: SimDuration::from_micros(250),
-//!     deps: vec![h2d],
+//!     deps: &[h2d],
 //!     label: "kernel".into(),
 //! }).unwrap();
 //! let timeline = engine.run();

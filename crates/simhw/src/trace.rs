@@ -98,10 +98,18 @@ pub fn intersect(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
 }
 
 fn busy_intervals(timeline: &Timeline, resources: &[ResourceId]) -> Vec<Interval> {
+    // Membership by resource id: one lookup per record.
+    let mut member = vec![false; resources.iter().map(|r| r.0 + 1).max().unwrap_or(0)];
+    for r in resources {
+        member[r.0] = true;
+    }
     let raw: Vec<Interval> = timeline
         .records
         .iter()
-        .filter(|r| r.resource.is_some_and(|res| resources.contains(&res)))
+        .filter(|r| {
+            r.resource
+                .is_some_and(|res| member.get(res.0) == Some(&true))
+        })
         .map(|r| Interval {
             start: r.start,
             end: r.finish,
@@ -269,27 +277,27 @@ mod tests {
     fn stats_from_simple_pipeline() {
         // link busy 0-10, compute busy 5-15 => overlap 5.
         let mut e = Engine::new();
-        let link = e.add_resource("link");
-        let part = e.add_resource("p0");
+        let link = e.add_resource();
+        let part = e.add_resource();
         let gate = e
             .add_task(TaskSpec {
                 resource: None,
                 duration: SimDuration(5),
-                deps: vec![],
+                deps: &[],
                 label: "gate".into(),
             })
             .unwrap();
         e.add_task(TaskSpec {
             resource: Some(link),
             duration: SimDuration(10),
-            deps: vec![],
+            deps: &[],
             label: "h2d".into(),
         })
         .unwrap();
         e.add_task(TaskSpec {
             resource: Some(part),
             duration: SimDuration(10),
-            deps: vec![gate],
+            deps: &[gate],
             label: "exe".into(),
         })
         .unwrap();
@@ -313,13 +321,13 @@ mod tests {
     fn partition_stats_expose_starvation() {
         // p0 busy 0-10 then 15-20; p1 completely idle (starved).
         let mut e = Engine::new();
-        let p0 = e.add_resource("p0");
-        let p1 = e.add_resource("p1");
+        let p0 = e.add_resource();
+        let p1 = e.add_resource();
         let first = e
             .add_task(TaskSpec {
                 resource: Some(p0),
                 duration: SimDuration(10),
-                deps: vec![],
+                deps: &[],
                 label: "a".into(),
             })
             .unwrap();
@@ -327,14 +335,14 @@ mod tests {
             .add_task(TaskSpec {
                 resource: None,
                 duration: SimDuration(5),
-                deps: vec![first],
+                deps: &[first],
                 label: "gap".into(),
             })
             .unwrap();
         e.add_task(TaskSpec {
             resource: Some(p0),
             duration: SimDuration(5),
-            deps: vec![gate],
+            deps: &[gate],
             label: "b".into(),
         })
         .unwrap();
@@ -371,11 +379,11 @@ mod tests {
     #[test]
     fn gantt_renders_rows_for_named_resources() {
         let mut e = Engine::new();
-        let link = e.add_resource("link");
+        let link = e.add_resource();
         e.add_task(TaskSpec {
             resource: Some(link),
             duration: SimDuration::from_micros(10),
-            deps: vec![],
+            deps: &[],
             label: "h2d".into(),
         })
         .unwrap();
@@ -438,18 +446,18 @@ mod chrome_tests {
     #[test]
     fn chrome_trace_is_valid_shape() {
         let mut e = Engine::new();
-        let link = e.add_resource("link");
+        let link = e.add_resource();
         e.add_task(TaskSpec {
             resource: Some(link),
             duration: SimDuration::from_micros(10),
-            deps: vec![],
+            deps: &[],
             label: "h2d \"quoted\"".into(),
         })
         .unwrap();
         e.add_task(TaskSpec {
             resource: None,
             duration: SimDuration::ZERO,
-            deps: vec![],
+            deps: &[],
             label: "event".into(),
         })
         .unwrap();

@@ -42,7 +42,7 @@ proptest! {
     ) {
         let mut engine = Engine::new();
         let resources: Vec<ResourceId> =
-            (0..n_res).map(|i| engine.add_resource(format!("r{i}"))).collect();
+            (0..n_res).map(|_| engine.add_resource()).collect();
         let mut durations = Vec::new();
         for (i, (res, dur, dep_idx)) in specs.iter().enumerate() {
             let deps: Vec<TaskId> = if i == 0 {
@@ -55,7 +55,7 @@ proptest! {
                 .add_task(TaskSpec {
                     resource,
                     duration: SimDuration::from_nanos(*dur),
-                    deps,
+                    deps: &deps,
                     label: format!("t{i}"),
                 })
                 .unwrap();
@@ -86,7 +86,7 @@ proptest! {
     ) {
         let mut engine = Engine::new();
         let resources: Vec<ResourceId> =
-            (0..n_res).map(|i| engine.add_resource(format!("r{i}"))).collect();
+            (0..n_res).map(|_| engine.add_resource()).collect();
         for (i, (res, dur, dep_idx)) in specs.iter().enumerate() {
             let deps: Vec<TaskId> = if i == 0 {
                 vec![]
@@ -98,7 +98,7 @@ proptest! {
                 .add_task(TaskSpec {
                     resource,
                     duration: SimDuration::from_nanos(*dur),
-                    deps,
+                    deps: &deps,
                     label: format!("t{i}"),
                 })
                 .unwrap();
@@ -124,13 +124,13 @@ proptest! {
         durs in proptest::collection::vec(1u64..300, 2..40)
     ) {
         let mut engine = Engine::new();
-        let r = engine.add_resource("r");
+        let r = engine.add_resource();
         for (i, d) in durs.iter().enumerate() {
             engine
                 .add_task(TaskSpec {
                     resource: Some(r),
                     duration: SimDuration::from_nanos(*d),
-                    deps: vec![],
+                    deps: &[],
                     label: format!("t{i}"),
                 })
                 .unwrap();

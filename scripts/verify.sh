@@ -80,6 +80,27 @@ for pat in 'fn drive_stream' 'fn dispatch_driver' 'GraphDispatch' 'EventFlag' 'B
   fi
 done
 
+echo "==> one access table (accesses are sorted once into one table; the engine keeps its edges flat)"
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
+  echo "  'HashMap' is back in non-test check/races.rs (accesses live in one sorted table)"
+  exit 1
+fi
+sorts=$(for f in crates/core/src/check/*.rs crates/core/src/sched/graph.rs; do
+          sed '/#\[cfg(test)\]/,$d' "$f" | { grep -F 'sort_by_key' || true; } | sed "s|^|$f: |"
+        done)
+if [ "$(grep -c . <<<"$sorts")" -ne 1 ] || ! grep -q '^crates/core/src/check/races.rs: ' <<<"$sorts"; then
+  echo "  access groups are sorted outside Accesses::collect (want the one sort_by_key in check/races.rs):"
+  echo "$sorts"
+  exit 1
+fi
+engine=$(sed '/#\[cfg(test)\]/,$d' crates/simhw/src/engine.rs)
+for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]'; do
+  if grep -nF "$pat" <<<"$engine"; then
+    echo "  '$pat' is back in non-test micsim engine.rs (dependents are one CSR array built at run)"
+    exit 1
+  fi
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

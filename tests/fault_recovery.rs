@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use mic_streams::apps::mm::{self, MmConfig};
+use mic_streams::apps::tunable::{Tunable, TunableHbench, TunableKmeans, TunableMm, TunableNn};
 use mic_streams::hstreams::action::Action;
-use mic_streams::hstreams::{Context, FaultPlan, NativeConfig};
+use mic_streams::hstreams::{BufId, Context, FaultPlan, NativeConfig};
 use mic_streams::micsim::PlatformConfig;
 
 #[test]
@@ -83,4 +84,72 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         recovered.data, clean.data,
         "faulted + recovered result must match the clean run bit-for-bit"
     );
+}
+
+/// Every buffer's host copy, as bits.
+fn host_bits(ctx: &Context) -> Vec<Vec<u32>> {
+    (0..ctx.buffer_count())
+        .map(|i| {
+            let data = ctx.read_host(BufId(i)).unwrap();
+            data.iter().map(|x| x.to_bits()).collect()
+        })
+        .collect()
+}
+
+/// `make()`'s app recorded at `tiles` tiles on a fresh `partitions`-way
+/// context.
+fn recorded(make: fn() -> Box<dyn Tunable>, partitions: usize, tiles: usize) -> Context {
+    let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+        .partitions(partitions)
+        .build()
+        .unwrap();
+    make().record(&mut ctx, tiles).unwrap();
+    ctx
+}
+
+/// The first device kernel of stream 0 panics: the resilient run must
+/// leave every buffer's host copy exactly as a clean run does.
+fn resilient_run_matches_a_clean_run(make: fn() -> Box<dyn Tunable>, tiles: usize) {
+    let name = make().name();
+    let clean = recorded(make, 2, tiles);
+    clean.run_native().unwrap();
+    let want = host_bits(&clean);
+
+    let mut ctx = recorded(make, 2, tiles);
+    let site = ctx.program().streams[0]
+        .actions
+        .iter()
+        .position(|a| matches!(a, Action::Kernel(k) if !k.host))
+        .expect("stream 0 records a device kernel");
+    let plan = FaultPlan::seeded(7).panic_kernel_at(0, site);
+    let cfg = NativeConfig {
+        fault: Some(Arc::new(plan)),
+        ..NativeConfig::default()
+    };
+    let resilient = ctx
+        .run_native_resilient(&cfg)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(resilient.faults.injected_kernel_panics, 1, "{name}");
+    assert_eq!(resilient.degraded_runs(), 1, "{name}");
+    assert!(host_bits(&ctx) == want, "{name}: recovered outputs differ");
+}
+
+#[test]
+fn resilient_hbench_matches_a_clean_run() {
+    resilient_run_matches_a_clean_run(|| Box::new(TunableHbench::new(1 << 12, 4, Some(3))), 4);
+}
+
+#[test]
+fn resilient_mm_matches_a_clean_run() {
+    resilient_run_matches_a_clean_run(|| Box::new(TunableMm::new(48, Some(3))), 4);
+}
+
+#[test]
+fn resilient_nn_matches_a_clean_run() {
+    resilient_run_matches_a_clean_run(|| Box::new(TunableNn::new(1 << 12, Some(3))), 4);
+}
+
+#[test]
+fn resilient_kmeans_matches_a_clean_run() {
+    resilient_run_matches_a_clean_run(|| Box::new(TunableKmeans::new(1 << 10, 4, 2, Some(3))), 4);
 }

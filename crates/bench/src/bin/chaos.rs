@@ -6,8 +6,9 @@
 //! 1. **clean** — no fault plan;
 //! 2. **retry** — every transfer's first 2 attempts fail, the default
 //!    [`RetryPolicy`](hstreams::RetryPolicy) absorbs them with backoff;
-//! 3. **degraded** — one kernel panic poisons a partition and the skipped
-//!    work is replayed on the survivor (`run_native_resilient`).
+//! 3. **degraded** — one kernel panic takes its partition with it and a
+//!    recovery pass re-runs the lost nodes on the survivor
+//!    (`run_native_resilient`).
 //!
 //! Both faulted conditions must reproduce the clean run's output exactly
 //! (exit 1 otherwise). A final chaos sweep drives the autotuner's
@@ -56,7 +57,8 @@ impl MmRig {
     }
 
     /// `(stream, action_index)` of stream 1's first kernel — the panic site
-    /// for the degraded condition (stream 0 survives and hosts the replay).
+    /// for the degraded condition (stream 0's partition survives and runs
+    /// the recovery pass).
     fn panic_site(&self) -> (usize, usize) {
         for s in &self.ctx.program().streams {
             if s.id.0 != 1 {
@@ -86,7 +88,7 @@ fn main() {
             warmup: 3,
         }
     };
-    let mut rig = MmRig::new(n);
+    let rig = MmRig::new(n);
     let panic_site = rig.panic_site();
 
     // 1. Clean baseline.
@@ -112,8 +114,8 @@ fn main() {
     });
     let retry_ok = rig.result() == clean_out;
 
-    // 3. Degraded run: stream 1's first kernel panics, partition poisoned,
-    //    skipped work replayed on stream 0's partition.
+    // 3. Degraded run: stream 1's first kernel panics and takes its
+    //    partition with it; the lost nodes are re-run on stream 0's.
     let degraded_cfg = NativeConfig {
         fault: Some(Arc::new(
             FaultPlan::seeded(SEED).panic_kernel_at(panic_site.0, panic_site.1),
@@ -163,7 +165,7 @@ fn main() {
         retry_faults.transfer_retries,
     );
     println!(
-        "  degraded : {:>8.3} ms  ({:+.1}%, {} partition lost, {} actions replayed, output identical: {degraded_ok})",
+        "  degraded : {:>8.3} ms  ({:+.1}%, {} partition lost, {} actions re-run, output identical: {degraded_ok})",
         degraded_s.mean * 1e3,
         degraded_overhead * 100.0,
         degraded_faults.lost_partitions,

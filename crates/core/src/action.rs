@@ -7,9 +7,9 @@ use crate::types::{BufId, EventId};
 
 /// One enqueued operation.
 ///
-/// `Clone` exists so recovery can build replay programs from the skipped
-/// actions of a degraded run (kernel descriptors share their native body
-/// `Arc`, so cloning is cheap).
+/// `Clone` exists so whole [`Program`](crate::program::Program)s can be
+/// cloned (kernel descriptors share their native body `Arc`, so cloning is
+/// cheap).
 #[derive(Clone, Debug)]
 pub enum Action {
     /// Move a whole buffer between host and device memory.

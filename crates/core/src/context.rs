@@ -277,11 +277,8 @@ impl Context {
     /// On error (e.g. more partitions than cores) the context keeps its
     /// previous geometry — including any pending
     /// [recovery state](Context::take_recovery_state), which stays
-    /// consumable. A **successful** replan discards pending recovery
-    /// state along with the program: its skipped-action coordinates and
-    /// poisoned-partition taint index into the geometry being thrown
-    /// away, so replaying them against the new stream set would replay
-    /// the wrong actions (or panic on out-of-range streams).
+    /// consumable. A **successful** replan discards it with the program:
+    /// its skipped sites and lost partitions index the old geometry.
     pub fn replan(&mut self, partitions: usize) -> Result<()> {
         if partitions > self.replan_capacity && self.native_rt.get().is_some() {
             return Err(Error::Config(format!(
@@ -306,10 +303,7 @@ impl Context {
         }
         self.partitions = partitions;
         self.program = streams_for(&devices, partitions, self.streams_per_partition);
-        // The taint in a pending RecoveryState is keyed by (stream,
-        // action-index) pairs of the program just discarded; stranding it
-        // would hand a later resilient replay coordinates into the wrong
-        // program. Same reasoning in install_program / reset_program.
+        // Pending recovery coordinates referenced the discarded program.
         self.recovery.lock().take();
         Ok(())
     }
@@ -664,9 +658,9 @@ impl Context {
     /// [`SchedulerKind::Fifo`](crate::sched::SchedulerKind)). Natively, a
     /// non-FIFO kind makes the drivers walk the plan's task graph instead
     /// of the recorded streams — one driver per `(device, partition)`, an
-    /// idle one stealing ready tasks from its siblings at runtime; native
-    /// runs with fault injection or partition isolation configured stay
-    /// FIFO, because both are keyed by the recorded program's structure.
+    /// idle one stealing ready tasks from its siblings at runtime. A fault
+    /// plan changes none of that: its faults fire at their recorded sites
+    /// wherever the scheduler runs them.
     pub fn set_scheduler(&mut self, kind: crate::sched::SchedulerKind) {
         self.scheduler = kind;
     }
@@ -801,100 +795,99 @@ impl Context {
         self.recovery.lock().take()
     }
 
-    /// Execute natively with **graceful degradation**: partition isolation
-    /// is forced on, and when a pass loses partitions to kernel panics (or
-    /// taints buffers through exhausted transfer retries), the skipped
-    /// actions are replayed — in their recorded skip order, which respects
-    /// the program's happens-before edges — on a surviving partition's
-    /// stream. Replay passes run with fault injection disabled (the plan's
-    /// sites are keyed by `(stream, action-index)` against the *original*
-    /// program) and are bounded at two.
-    ///
-    /// On success the returned [`ResilientReport`](crate::fault::ResilientReport)
-    /// carries the final pass's report plus fault counters accumulated
-    /// across every pass. Unrecoverable failures — allocation faults, host
-    /// kernel panics, every partition lost, replay budget exhausted — surface
-    /// the underlying error. The recorded program is restored afterwards
-    /// either way.
+    /// Execute natively with **graceful degradation**: a pass that loses work
+    /// drains and records what it skipped; the next pass re-runs exactly
+    /// those nodes of the checker's task graph on surviving partitions,
+    /// through the same scheduled walk, the fault plan live except at sites
+    /// that already fired. At most two recovery passes run. The
+    /// [`ResilientReport`](crate::fault::ResilientReport) carries the last
+    /// pass's report and every pass's counters; allocation faults, programs
+    /// that are not analyzer-clean, the loss of every partition and an
+    /// exhausted budget surface the failing pass's error.
     pub fn run_native_resilient(
-        &mut self,
+        &self,
         cfg: &crate::executor::native::NativeConfig,
     ) -> Result<crate::fault::ResilientReport> {
-        let mut cfg = cfg.clone();
-        cfg.isolate_partitions = true;
-        const MAX_DEGRADED_RUNS: usize = 2;
-        let mut total = crate::fault::FaultCounters::default();
-        let mut lost_all: Vec<(usize, usize, String)> = Vec::new();
-        let original = self.program.clone();
-        let mut passes = 0usize;
-        let result = loop {
-            match crate::executor::native::run(self, &cfg) {
+        const MAX_DEGRADED_RUNS: u64 = 2;
+        let mut faults = crate::fault::FaultCounters::default();
+        let mut after = crate::fault::RecoveryState::default();
+        let mut pass = crate::executor::native::run(self, cfg);
+        loop {
+            let err = match pass {
                 Ok(report) => {
-                    total.absorb(&report.faults);
-                    break Ok(report);
+                    faults.absorb(&report.faults);
+                    return Ok(crate::fault::ResilientReport {
+                        report,
+                        faults,
+                        lost_partitions: after.lost,
+                    });
                 }
-                Err(err) => {
-                    let Some(state) = self.take_recovery_state() else {
-                        break Err(err);
-                    };
-                    total.absorb(&state.faults);
-                    lost_all.extend(state.lost.iter().cloned());
-                    if state.skipped.is_empty() || passes >= MAX_DEGRADED_RUNS {
-                        break Err(err);
-                    }
-                    let Some(replay) = self.build_replay_program(&state, &lost_all) else {
-                        // No surviving partition to replay on.
-                        break Err(err);
-                    };
-                    passes += 1;
-                    total.degraded_runs += 1;
-                    total.replayed_actions += state.skipped.len() as u64;
-                    self.program = replay;
-                    // Replay indices don't line up with the plan's sites;
-                    // re-injecting would fault arbitrary replayed actions.
-                    cfg.fault = None;
-                }
-            }
-        };
-        self.program = original;
-        result.map(|report| crate::fault::ResilientReport {
-            report,
-            faults: total,
-            lost_partitions: lost_all,
-        })
+                Err(err) => err,
+            };
+            let Some(state) = self.take_recovery_state() else {
+                return Err(err);
+            };
+            faults.absorb(&state.faults);
+            after.lost.extend(state.lost);
+            after.fired.extend(state.fired);
+            let plan = (faults.degraded_runs < MAX_DEGRADED_RUNS)
+                .then(|| self.recovery_plan(&state.skipped, &after.lost))
+                .flatten();
+            let Some(plan) = plan else {
+                return Err(err);
+            };
+            faults.degraded_runs += 1;
+            faults.replayed_actions += state.skipped.len() as u64;
+            pass = crate::executor::native::rerun(self, cfg, &plan, &after);
+        }
     }
 
-    /// Build the replay program for a degraded pass: every skipped action,
-    /// in recorded skip order, cloned onto the first stream whose partition
-    /// survived. The skip order is a valid serial order (see
-    /// [`RecoveryState::skipped`](crate::fault::RecoveryState)), and a
-    /// single stream executes FIFO, so no events or barriers are needed.
-    /// Returns `None` when every partition is lost.
-    fn build_replay_program(
+    /// A recovery pass's plan: the `skipped` sites as task-graph nodes, in
+    /// skip order, each on its recorded partition unless that is `lost`,
+    /// else on the first survivor (same device first). `None` when there is
+    /// nothing to re-run, no clean task graph, or no survivor.
+    fn recovery_plan(
         &self,
-        state: &crate::fault::RecoveryState,
+        skipped: &[(usize, usize)],
         lost: &[(usize, usize, String)],
-    ) -> Option<Program> {
-        use std::collections::HashSet;
-        let dead: HashSet<(usize, usize)> = lost.iter().map(|&(d, p, _)| (d, p)).collect();
-        let target = self
-            .program
-            .streams
-            .iter()
-            .position(|s| !dead.contains(&(s.placement.device.0, s.placement.partition)))?;
-        let mut replay = Program::default();
-        for s in &self.program.streams {
-            replay.streams.push(StreamRecord {
-                id: s.id,
-                placement: s.placement,
-                actions: Vec::new(),
+    ) -> Option<(crate::sched::Schedule, crate::sched::TaskGraph)> {
+        use crate::sched::{Lane, Schedule, ScheduledTask, TaskGraph};
+        let analysis = self.analyze();
+        let clean = analysis.report.is_clean() && !skipped.is_empty();
+        let graph = TaskGraph::build(&self.program, &analysis).filter(|_| clean)?;
+        let cost = self.cost_model().ok()?;
+        let alive = |at: &(usize, usize)| !lost.iter().any(|&(d, p, _)| (d, p) == *at);
+        let on = |dev| (0..self.partitions).map(move |part| (dev, part));
+        let mut tasks = Vec::with_capacity(skipped.len());
+        for &(si, ai) in skipped {
+            let site = crate::check::Site::new(si, ai);
+            let node = graph.nodes.binary_search_by_key(&site, |n| n.site).ok()?;
+            let home = (graph.nodes[node].device, graph.nodes[node].partition);
+            let driver = std::iter::once(home)
+                .chain(on(home.0))
+                .chain((0..self.device_count()).flat_map(on))
+                .find(alive)?;
+            let lane = cost.lane(&self.program.streams[si].actions[ai], driver.0, driver.1)?;
+            let stolen = matches!(lane, Lane::Partition { .. }) && driver != home;
+            tasks.push(ScheduledTask {
+                site,
+                node,
+                lane,
+                // Unpriced: the walk orders by dependences alone.
+                start: 0.0,
+                finish: 0.0,
+                driver,
+                stolen,
             });
         }
-        for &(si, ai) in &state.skipped {
-            let action = self.program.streams[si].actions[ai].clone();
-            replay.streams[target].actions.push(action);
-        }
-        Some(replay)
+        let steals = tasks.iter().filter(|t| t.stolen).count();
+        let schedule = Schedule {
+            kind: self.scheduler,
+            tasks,
+            makespan: 0.0,
+            steals,
+        };
+        Some((schedule, graph))
     }
 }
 

@@ -22,8 +22,8 @@
 //!
 //! A sleeping driver names what it sleeps for in an atomic and parks its
 //! thread; a step nobody sleeps for costs neither a lock nor a system call.
-//! The payload step (`run_payload`: fault injection, retries, isolation,
-//! then the action itself) is shared too:
+//! The payload step (`run_payload`: loss and taint checks, fault injection,
+//! retries, then the action itself) is shared too:
 //!
 //! * a **link lane** per `(device, channel)` — a FIFO ticket lock, not a
 //!   thread: the submitting driver takes the lane, copies between the
@@ -48,10 +48,13 @@
 //! nothing to another thread: drivers and pool workers are the only
 //! threads a context owns.
 //!
-//! A panicking kernel does not poison the run: the rest of its recorded
-//! stream skips its payload but still records its events and arrives at its
-//! barriers so the other drivers can drain, and the error is reported at
-//! the end.
+//! One loss policy, with or without a fault plan: a device kernel that
+//! panics takes its partition with it ([`Error::PartitionLost`]), a host
+//! kernel's panic is [`Error::KernelPanicked`], a transfer out of retries
+//! [`Error::Fault`]. Whatever is lost, or later runs on a lost partition or
+//! touches a buffer a loss touched, is skipped and recorded; control
+//! actions still run so every driver drains, and the first error is
+//! reported at the end ([`Context::run_native_resilient`] re-plans the rest).
 //!
 //! # Telemetry
 //!
@@ -86,7 +89,7 @@ use crate::kernel::KernelCtx;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
-use crate::sched::{Schedule, SchedulerKind, TaskGraph};
+use crate::sched::{Schedule, TaskGraph};
 use crate::trace::{NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result};
 
@@ -113,19 +116,12 @@ pub struct NativeConfig {
     /// per action.
     pub trace: bool,
     /// Deterministic fault injection: transfer failures/slowdowns, kernel
-    /// panics, slow partitions, allocation failures (see
-    /// [`FaultPlan`]). `None` (the default) injects nothing and the fault
-    /// paths cost one branch per action.
+    /// panics, slow partitions, allocation failures (see [`FaultPlan`]),
+    /// each at its recorded site wherever the scheduler runs it. `None`
+    /// (the default) injects nothing.
     pub fault: Option<Arc<FaultPlan>>,
     /// Retry-with-backoff policy for failed transfers.
     pub retry: RetryPolicy,
-    /// Partition isolation: a panicking device kernel poisons only its own
-    /// partition instead of aborting the whole run. Skipped work is
-    /// recorded (and its output buffers tainted so downstream consumers
-    /// skip too), control actions still execute so the surviving streams
-    /// drain, and [`Context::run_native_resilient`] replays the skipped
-    /// actions on the survivors. Host-kernel panics still abort the run.
-    pub isolate_partitions: bool,
     /// Attach run metrics (see [`crate::metrics`]) to
     /// [`NativeReport::metrics`]: the full instrument catalog, priced from
     /// the recorded timeline once the drivers have joined — the same
@@ -215,40 +211,47 @@ impl Drop for LaneGuard<'_> {
 // ----- fault control --------------------------------------------------------
 
 /// Per-run fault state shared by every driver: the plan's dice, the retry
-/// policy, atomic tallies, and — under partition isolation — which
-/// partitions are poisoned, which buffers hold garbage, and which actions
-/// were skipped (in wall-clock skip order, which respects every
-/// happens-before edge between skips and therefore is a valid replay
-/// order).
+/// policy, atomic tallies, lost partitions, tainted buffers, and what was
+/// skipped, in skip order (see [`RecoveryState::skipped`]).
 struct FaultControl {
     plan: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
-    isolate: bool,
     tallies: Arc<FaultTallies>,
     parts_per_dev: usize,
-    /// `[device * parts_per_dev + partition]`.
+    /// `[device * parts_per_dev + partition]`: lost to a kernel panic.
     poisoned: Vec<AtomicBool>,
-    /// Buffers whose device contents are garbage (skipped producer).
-    tainted: Mutex<HashSet<BufId>>,
-    /// `(stream, action index)` pairs skipped under isolation.
+    /// Per buffer: a lost or skipped payload read or wrote it.
+    tainted: Vec<AtomicBool>,
+    /// Sites whose fault fired in an earlier pass of the same resilient
+    /// run (deterministic, so the plan would fire them again).
+    spent: HashSet<(usize, usize)>,
+    /// Sites whose fault fired in this run.
+    fired: Mutex<Vec<(usize, usize)>>,
+    /// `(stream, action index)` of every lost or skipped payload.
     skipped: Mutex<Vec<(usize, usize)>>,
-    /// `(device, partition, kernel)` of every poisoned partition.
+    /// `(device, partition, kernel)` of every partition lost in this run.
     lost: Mutex<Vec<(usize, usize, String)>>,
 }
 
 impl FaultControl {
-    fn new(ctx: &Context, cfg: &NativeConfig) -> FaultControl {
+    /// Fault state for a run that starts with the partitions `after` lost
+    /// already lost and the sites it fired exempt from the plan.
+    fn new(ctx: &Context, cfg: &NativeConfig, after: &RecoveryState) -> FaultControl {
         let parts_per_dev = ctx.partitions().max(1);
+        let flags = |n: usize| (0..n).map(|_| AtomicBool::new(false)).collect::<Vec<_>>();
+        let poisoned = flags(ctx.device_count() * parts_per_dev);
+        for &(dev, part, _) in &after.lost {
+            poisoned[dev * parts_per_dev + part].store(true, Ordering::Relaxed);
+        }
         FaultControl {
             plan: cfg.fault.clone(),
             retry: cfg.retry,
-            isolate: cfg.isolate_partitions,
             tallies: Arc::new(FaultTallies::default()),
             parts_per_dev,
-            poisoned: (0..ctx.device_count() * parts_per_dev)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            tainted: Mutex::new(HashSet::new()),
+            poisoned,
+            tainted: flags(ctx.buffer_count()),
+            spent: after.fired.iter().copied().collect(),
+            fired: Mutex::new(Vec::new()),
             skipped: Mutex::new(Vec::new()),
             lost: Mutex::new(Vec::new()),
         }
@@ -266,12 +269,13 @@ impl FaultControl {
         }
     }
 
-    /// Record a skipped action and taint the buffers it would have written.
-    fn skip(&self, si: usize, ai: usize, writes: &[BufId]) {
+    /// Record the lost or skipped payload at `(si, ai)` and taint every
+    /// buffer it reads or writes: no later reader may see what it never
+    /// produced, no later writer overwrite an input it will re-read.
+    fn skip(&self, si: usize, ai: usize, action: &Action) {
         FaultTallies::bump(&self.tallies.skipped_actions);
-        if !writes.is_empty() {
-            let mut t = self.tainted.lock();
-            t.extend(writes.iter().copied());
+        for b in action.buffers() {
+            self.tainted[b.0].store(true, Ordering::Relaxed);
         }
         self.skipped.lock().push((si, ai));
     }
@@ -360,13 +364,9 @@ struct RunShared<'a> {
     /// zero-cost default — each recording site is one branch on this
     /// option).
     recorder: Option<&'a Recorder>,
-    /// Fault injection and isolation state for this run.
+    /// Fault injection, loss and taint state for this run.
     fault: &'a FaultControl,
     first_error: Mutex<Option<Error>>,
-    /// Per recorded stream: it lost a kernel or a transfer (no isolation),
-    /// so the rest of it skips its payload. In a recorded run only the
-    /// stream's own driver touches its flag.
-    skipping: Vec<AtomicBool>,
     executed: AtomicUsize,
     /// Payload bytes moved, per device.
     bytes_moved: &'a [AtomicU64],
@@ -441,8 +441,7 @@ fn exec_transfer(
 /// Acquire the partition (or host) and the declared buffers of the kernel
 /// at `site`, run its native body, and record the span against recorder
 /// stream `rsi`.
-/// Returns the body's outcome so the caller decides how a panic is handled
-/// (skip the stream vs poison-and-skip).
+/// Returns the body's outcome so the caller decides what a panic loses.
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel(
     shared: &RunShared<'_>,
@@ -455,7 +454,6 @@ fn exec_kernel(
     injected_panic: bool,
 ) -> std::thread::Result<()> {
     let ctx = shared.ctx;
-    let fc = shared.fault;
     let dispatched = shared.recorder.map(|rec| (rec, Instant::now()));
     // Host kernels take the host lock instead of a partition lock (they
     // occupy the host, not the card) and act on the buffers' host copies.
@@ -547,7 +545,6 @@ fn exec_kernel(
     let started = dispatched.map(|(rec, ready)| (rec, ready, Instant::now()));
     let body_started = (slow_factor > 1.0).then(Instant::now);
     let outcome = if injected_panic {
-        FaultTallies::bump(&fc.tallies.injected_kernel_panics);
         Err(Box::new("injected kernel panic") as Box<dyn std::any::Any + Send>)
     } else {
         catch_unwind(AssertUnwindSafe(|| body(&mut kctx)))
@@ -570,11 +567,10 @@ fn exec_kernel(
 }
 
 /// The payload step of both walks: execute the transfer or kernel `action`
-/// recorded at `site` on `(dev, part)`, under the run's fault plan, retry
-/// policy and isolation rules (all keyed by the recorded site), recording
-/// against recorder stream `rsi`. A lost kernel or transfer leaves the error
-/// in `shared` and, without isolation, makes the rest of its recorded stream
-/// skip its payload.
+/// recorded at `site` on `(dev, part)` under the run's fault plan and retry
+/// policy (both keyed by the recorded site), recording against recorder
+/// stream `rsi` — or skip it (see the module docs), leaving the error of a
+/// loss in `shared`.
 fn run_payload(
     shared: &RunShared<'_>,
     rsi: usize,
@@ -585,28 +581,25 @@ fn run_payload(
 ) {
     let (si, ai) = (site.stream.0, site.action_index);
     let fc = shared.fault;
-    // Publishes nothing: a payload that runs before it sees the flag only
-    // delays a run that already failed.
-    let skipping = &shared.skipping[si];
-    if skipping.load(Ordering::Relaxed) {
+    // Transfers and host kernels still run beside a lost partition (they
+    // occupy the link and the host). Taint is stored before anything that
+    // depends on it starts (the walk's counters order them): relaxed loads.
+    let device_kernel = matches!(action, Action::Kernel(k) if !k.host);
+    let tainted = |b: BufId| fc.tainted[b.0].load(Ordering::Relaxed);
+    if (device_kernel && fc.is_poisoned(dev, part)) || action.buffers().any(tainted) {
+        fc.skip(si, ai, action);
         return;
     }
+    // The plan, unless this site's fault fired in an earlier pass.
+    let plan = fc.plan.as_deref().filter(|_| !fc.spent.contains(&(si, ai)));
     match action {
         Action::Transfer { dir, buf } => {
-            // Under isolation a transfer touching a tainted buffer would
-            // move garbage — skip it and let the replay pass redo it.
-            // (Healthy transfers still run even on streams whose
-            // partition is poisoned: they only occupy the link.)
-            if fc.isolate && fc.tainted.lock().contains(buf) {
-                fc.skip(si, ai, &[]);
-                return;
-            }
             // Injected transfer failures: retry with backoff until the
             // fault clears or the retry budget runs out.
-            let fail_attempts = fc
-                .plan
-                .as_ref()
-                .map_or(0, |p| p.transfer_fail_attempts(si, ai));
+            let fail_attempts = plan.map_or(0, |p| p.transfer_fail_attempts(si, ai));
+            if fail_attempts > 0 {
+                fc.fired.lock().push((si, ai));
+            }
             for attempt in 0..fail_attempts {
                 if attempt >= fc.retry.max_retries {
                     FaultTallies::bump(&fc.tallies.transfers_failed);
@@ -614,65 +607,40 @@ fn run_payload(
                         site: format!("transfer s{si}#{ai}"),
                         attempts: attempt + 1,
                     });
-                    if fc.isolate {
-                        // The destination never got its data.
-                        fc.skip(si, ai, &[*buf]);
-                    } else {
-                        skipping.store(true, Ordering::Relaxed);
-                    }
+                    fc.skip(si, ai, action);
                     return;
                 }
                 FaultTallies::bump(&fc.tallies.transfer_retries);
                 std::thread::sleep(fc.retry.backoff_for(attempt));
             }
-            let slowdown = fc
-                .plan
-                .as_ref()
-                .map_or(1.0, |p| p.transfer_slowdown(si, ai));
+            let slowdown = plan.map_or(1.0, |p| p.transfer_slowdown(si, ai));
             exec_transfer(shared, rsi, *dir, *buf, dev, slowdown, site);
         }
         Action::Kernel(desc) => {
-            // Isolation: kernels on a poisoned partition, or touching a
-            // buffer tainted by skipped upstream work, are skipped (and
-            // their outputs tainted in turn) for the replay pass.
-            if fc.isolate && !desc.host {
-                let blocked = fc.is_poisoned(dev, part) || {
-                    let t = fc.tainted.lock();
-                    !t.is_empty() && desc.reads.iter().chain(&desc.writes).any(|b| t.contains(b))
-                };
-                if blocked {
-                    fc.skip(si, ai, &desc.writes);
-                    return;
-                }
+            let slowed = fc.plan.as_ref().filter(|_| !desc.host);
+            let slow_factor = slowed.map_or(1.0, |p| p.partition_slowdown(dev, part));
+            let injected = plan.is_some_and(|p| p.kernel_panics_at(si, ai));
+            if injected {
+                FaultTallies::bump(&fc.tallies.injected_kernel_panics);
+                fc.fired.lock().push((si, ai));
             }
-            let slow_factor = if desc.host {
-                1.0
-            } else {
-                fc.plan
-                    .as_ref()
-                    .map_or(1.0, |p| p.partition_slowdown(dev, part))
-            };
-            let injected = fc.plan.as_ref().is_some_and(|p| p.kernel_panics_at(si, ai));
             let outcome = exec_kernel(shared, rsi, site, desc, dev, part, slow_factor, injected);
             if outcome.is_err() {
                 FaultTallies::bump(&fc.tallies.kernel_panics);
+                fc.skip(si, ai, action);
                 let kernel = desc.label.clone();
-                if fc.isolate && !desc.host {
-                    // Poison only this partition; the stream keeps
-                    // driving (later kernels here skip via the poison
-                    // check, its control actions keep the others
-                    // unblocked) and the replay pass reruns the loss.
-                    fc.poison(dev, part, &desc.label);
-                    fc.skip(si, ai, &desc.writes);
-                    shared.fail(Error::PartitionLost {
+                shared.fail(if desc.host {
+                    Error::KernelPanicked { kernel }
+                } else {
+                    // The partition goes with it: what is queued there
+                    // skips from now on.
+                    fc.poison(dev, part, &kernel);
+                    Error::PartitionLost {
                         device: dev,
                         partition: part,
                         kernel,
-                    });
-                } else {
-                    shared.fail(Error::KernelPanicked { kernel });
-                    skipping.store(true, Ordering::Relaxed);
-                }
+                    }
+                });
             }
         }
         _ => unreachable!("control actions carry no payload"),
@@ -690,7 +658,9 @@ enum Walk<'a> {
     Recorded(&'a HbEdges),
     /// A plan: the task graph's nodes and data edges; the driver of each
     /// `(device, partition)` takes the first *ready* node of its queue
-    /// (`schedule.tasks` order), or steals one from a sibling's.
+    /// (`schedule.tasks` order), or steals one from a sibling's. A plan may
+    /// cover part of the graph — a recovery pass re-runs the lost nodes
+    /// alone.
     Scheduled(&'a Schedule, &'a TaskGraph),
 }
 
@@ -758,6 +728,9 @@ struct Dispatch<'a> {
     queues: Vec<Vec<u32>>,
     parkers: Vec<Parker>,
     parts_per_dev: usize,
+    /// [`FaultControl::poisoned`]: a scheduled driver's partition is lost
+    /// (set before the run or by that driver itself, so read relaxed).
+    lost: &'a [AtomicBool],
     steals: AtomicUsize,
     /// A driver unwound (a panic outside a kernel body): the others stop at
     /// their next step instead of sleeping for nodes nobody will finish.
@@ -765,34 +738,30 @@ struct Dispatch<'a> {
 }
 
 impl<'a> Dispatch<'a> {
-    fn new(ctx: &Context, walk: Walk<'a>) -> Dispatch<'a> {
-        fn counters<T>(preds: &[Vec<T>]) -> Vec<AtomicU32> {
-            let count = |p: &Vec<T>| AtomicU32::new(p.len() as u32);
-            preds.iter().map(count).collect()
-        }
+    fn new(ctx: &Context, walk: Walk<'a>, lost: &'a [AtomicBool]) -> Dispatch<'a> {
         let parts_per_dev = ctx.partitions().max(1);
         let (pending, queues) = match &walk {
             Walk::Recorded(edges) => {
                 let stream = |s: &[usize]| (s[0] as u32..s[1] as u32).collect();
                 let queues = edges.offsets.windows(2).map(stream).collect();
-                (counters(&edges.preds), queues)
+                let count = |p: &Vec<u32>| AtomicU32::new(p.len() as u32);
+                (edges.preds.iter().map(count).collect(), queues)
             }
             Walk::Scheduled(schedule, graph) => {
                 let mut queues = vec![Vec::new(); ctx.device_count() * parts_per_dev];
+                let mut walked = vec![false; graph.len()];
                 for task in &schedule.tasks {
-                    // WorkSteal seeds queues from the *recorded* placement so
-                    // steals happen at runtime, when a partition is genuinely
-                    // idle; ListHeft pins each task to its planned driver.
-                    let (dev, part) = if schedule.kind == SchedulerKind::WorkSteal {
-                        let node = &graph.nodes[task.node];
-                        (node.device, node.partition)
-                    } else {
-                        task.driver
-                    };
+                    let (dev, part) = task.driver;
                     let queue = dev * parts_per_dev + part.min(parts_per_dev - 1);
                     queues[queue].push(task.node as u32);
+                    walked[task.node] = true;
                 }
-                (counters(&graph.preds), queues)
+                // Only predecessors this walk runs hold a node back.
+                let count = |p: &Vec<usize>| {
+                    let walked_preds = p.iter().filter(|&&u| walked[u]).count();
+                    AtomicU32::new(walked_preds as u32)
+                };
+                (graph.preds.iter().map(count).collect(), queues)
             }
         };
         let parker = |_| Parker {
@@ -805,6 +774,7 @@ impl<'a> Dispatch<'a> {
             parkers: (0..queues.len()).map(parker).collect(),
             queues,
             parts_per_dev,
+            lost,
             steals: AtomicUsize::new(0),
             dead: AtomicBool::new(false),
         }
@@ -828,8 +798,9 @@ impl<'a> Dispatch<'a> {
     /// ready node of its own, else the *last* ready node of the sibling queue
     /// on its device holding the most ready ones (the classic
     /// steal-from-the-tail discipline, away from the victim's own
-    /// front-of-queue progress). `Ready(None)` when every node there is
-    /// taken, `Pending` when some are left but none is ready.
+    /// front-of-queue progress). A driver whose partition is lost drains
+    /// its own queue but steals nothing. `Ready(None)` when every node there
+    /// is taken, `Pending` when some are left but none is ready.
     fn scan(&self, idx: usize, cursor: &mut usize) -> Poll<Option<(usize, bool)>> {
         let state = |node: u32| self.pending[node as usize].load(Ordering::SeqCst);
         let claim = |node: u32| {
@@ -843,6 +814,7 @@ impl<'a> Dispatch<'a> {
         };
         let dev = idx / self.parts_per_dev;
         let siblings = (dev * self.parts_per_dev)..((dev + 1) * self.parts_per_dev);
+        let thief = !self.lost[idx].load(Ordering::Relaxed);
         loop {
             if self.dead.load(Ordering::SeqCst) {
                 return Poll::Ready(None);
@@ -859,7 +831,7 @@ impl<'a> Dispatch<'a> {
             }
             let mut left = *cursor < own.len();
             let mut victim: Option<(usize, u32)> = None; // (ready nodes, the last one)
-            for queue in siblings.clone().filter(|&q| q != idx) {
+            for queue in siblings.clone().filter(|&q| q != idx && thief) {
                 let (mut ready, mut last) = (0usize, None);
                 for &node in &self.queues[queue] {
                     match state(node) {
@@ -965,9 +937,9 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
             }
             Walk::Scheduled(_, graph) => {
                 let task = &graph.nodes[node];
-                let part = idx % dispatch.parts_per_dev;
-                let moved = stolen || part != task.partition;
-                (task.site, task.device, part, moved)
+                let (dev, part) = (idx / dispatch.parts_per_dev, idx % dispatch.parts_per_dev);
+                let moved = stolen || (dev, part) != (task.device, task.partition);
+                (task.site, dev, part, moved)
             }
         };
         let action = &streams[site.stream.0].actions[site.action_index];
@@ -979,7 +951,7 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
             dispatch.complete(node);
             continue;
         }
-        // Control actions run even on a stream that skips its payload, so
+        // Control actions run even after their stream lost a payload, so
         // the other drivers drain. Their waits fall inside their span.
         let t0 = shared.recorder.map(|rec| (rec, Instant::now()));
         match (action, &dispatch.walk) {
@@ -1043,18 +1015,11 @@ impl Drop for TraceGuard<'_> {
 /// Validate and execute the context's program natively.
 pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     ctx.program().validate()?;
-    // Static race/deadlock/dataflow gate — this also re-checks every
-    // replay program `run_native_resilient` swaps in before a degraded
-    // pass runs it. Non-FIFO scheduling plans over the gate's analysis;
-    // fault plans and partition isolation key off the recorded program's
-    // (stream, action) sites, so either disables scheduling — the run then
-    // behaves exactly as FIFO.
+    // Static race/deadlock/dataflow gate. Non-FIFO scheduling plans over
+    // the gate's analysis, with or without a fault plan: faults fire at
+    // their recorded sites wherever the scheduler runs them.
     let analysis = ctx.enforce_check()?;
-    let planned = if cfg.fault.is_none() && !cfg.isolate_partitions {
-        ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref())
-    } else {
-        None
-    };
+    let planned = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref());
     // What the drivers walk. Of the analysis only a recorded run's edges
     // outlive this statement: clocks, order and findings go before any
     // storage is backed or anything run.
@@ -1103,19 +1068,44 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
             metrics: None,
         });
     }
+    execute(
+        ctx,
+        cfg,
+        walk,
+        FaultControl::new(ctx, cfg, &RecoveryState::default()),
+    )
+}
 
-    let fc = FaultControl::new(ctx, cfg);
+/// A recovery pass of [`Context::run_native_resilient`]: walk `plan` (the
+/// nodes earlier passes lost) with the partitions `after` lost still lost
+/// and the fault plan exempt at the sites it fired.
+pub(crate) fn rerun(
+    ctx: &Context,
+    cfg: &NativeConfig,
+    (schedule, graph): &(Schedule, TaskGraph),
+    after: &RecoveryState,
+) -> Result<NativeReport> {
+    let fc = FaultControl::new(ctx, cfg, after);
+    execute(ctx, cfg, Walk::Scheduled(schedule, graph), fc)
+}
 
+/// Back the buffers, run `walk` and attach what telemetry asks for; on
+/// failure leave the run's recovery material on the context.
+fn execute(
+    ctx: &Context,
+    cfg: &NativeConfig,
+    walk: Walk<'_>,
+    fc: FaultControl,
+) -> Result<NativeReport> {
     // Injected allocation failures fire before any work starts: a buffer
-    // that cannot be backed fails the whole run (nothing to replay).
+    // that cannot be backed fails the whole run (nothing to re-run).
     if let Some(plan) = &fc.plan {
         for i in 0..ctx.buffer_count() {
             if plan.alloc_fails(i) {
                 FaultTallies::bump(&fc.tallies.alloc_faults);
                 ctx.store_recovery(RecoveryState {
-                    lost: Vec::new(),
-                    skipped: Vec::new(),
                     faults: fc.tallies.snapshot(),
+                    ..RecoveryState::default()
                 });
                 return Err(Error::Fault {
                     site: format!("alloc b{i}"),
@@ -1188,10 +1178,11 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         }
         Err(err) => {
             // Leave the pass's recovery material on the context so
-            // `run_native_resilient` can replan onto the survivors.
+            // `run_native_resilient` can re-plan onto the survivors.
             ctx.store_recovery(RecoveryState {
                 lost: fc.lost.into_inner(),
                 skipped: fc.skipped.into_inner(),
+                fired: fc.fired.into_inner(),
                 faults,
             });
             Err(err)
@@ -1213,7 +1204,6 @@ fn run_persistent(
 ) -> Result<NativeReport> {
     let rt = ctx.native_runtime();
     let _active = rt.run_lock.lock();
-    let streams = ctx.program().streams.len();
     let shared = RunShared {
         ctx,
         threads_hint,
@@ -1225,11 +1215,10 @@ fn run_persistent(
         recorder,
         fault,
         first_error: Mutex::new(None),
-        skipping: (0..streams).map(|_| AtomicBool::new(false)).collect(),
         executed: AtomicUsize::new(0),
         bytes_moved,
     };
-    let dispatch = Dispatch::new(ctx, walk);
+    let dispatch = Dispatch::new(ctx, walk, &fault.poisoned);
     let started = Instant::now();
     rt.drivers
         .run_fixed(dispatch.queues.len(), &|idx| drive(&shared, &dispatch, idx));
@@ -1245,10 +1234,10 @@ fn run_persistent(
         wall,
         actions_executed: shared.executed.into_inner(),
         bytes_transferred: bytes_moved.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
-        trace: None,                      // attached by `run` from the recording
-        faults: FaultCounters::default(), // filled by `run` from the tallies
+        trace: None,                      // attached by `execute` from the recording
+        faults: FaultCounters::default(), // filled by `execute` from the tallies
         steals,
-        metrics: None, // priced by `run` from the recording
+        metrics: None, // priced by `execute` from the recording
     })
 }
 
@@ -1257,6 +1246,7 @@ mod tests {
     use super::*;
     use crate::context::Context;
     use crate::kernel::KernelDesc;
+    use crate::sched::SchedulerKind;
     use micsim::compute::KernelProfile;
     use micsim::time::SimDuration;
     use micsim::PlatformConfig;
@@ -1422,7 +1412,7 @@ mod tests {
         ctx.kernel(s1, native_kernel("after").with_native(|_| {}))
             .unwrap();
         let err = ctx.run_native().unwrap_err();
-        assert!(matches!(err, Error::KernelPanicked { .. }), "{err}");
+        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
     }
 
     #[test]
@@ -1485,7 +1475,7 @@ mod tests {
         };
         record(&mut ctx, true);
         let err = ctx.run_native_with(&throttled).unwrap_err();
-        assert!(matches!(err, Error::KernelPanicked { .. }), "{err}");
+        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
         ctx.reset_program();
         record(&mut ctx, false);
         let report = ctx.run_native_with(&throttled).unwrap();
@@ -1788,10 +1778,7 @@ mod tests {
         let expected: Vec<Vec<f32>> = (0..8)
             .map(|t| ctx.read_host(BufId(2 * t + 1)).unwrap())
             .collect();
-        for kind in [
-            crate::sched::SchedulerKind::ListHeft,
-            crate::sched::SchedulerKind::WorkSteal,
-        ] {
+        for kind in [SchedulerKind::ListHeft, SchedulerKind::WorkSteal] {
             ctx.set_scheduler(kind);
             let report = ctx.run_native().unwrap();
             assert_eq!(report.actions_executed, 24, "{kind}");
@@ -1810,11 +1797,11 @@ mod tests {
         // 8 tiles on 2 streams, 4 partitions: HEFT's planned placement must
         // move kernels onto the idle partitions, surfaced as steals.
         let mut ctx = tiled_ctx(4, 2, 8);
-        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+        ctx.set_scheduler(SchedulerKind::ListHeft);
         let report = ctx.run_native().unwrap();
         assert!(report.steals > 0, "steals = {}", report.steals);
         // FIFO never steals.
-        ctx.set_scheduler(crate::sched::SchedulerKind::Fifo);
+        ctx.set_scheduler(SchedulerKind::Fifo);
         let fifo = ctx.run_native().unwrap();
         assert_eq!(fifo.steals, 0);
     }
@@ -1822,7 +1809,7 @@ mod tests {
     #[test]
     fn scheduled_trace_carries_steal_counter() {
         let mut ctx = tiled_ctx(4, 2, 8);
-        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+        ctx.set_scheduler(SchedulerKind::ListHeft);
         let report = ctx
             .run_native_with(&NativeConfig {
                 trace: true,
@@ -1844,7 +1831,7 @@ mod tests {
         let mut narrow = ctx.program().clone();
         narrow.streams.truncate(2);
         ctx.install_program(narrow).unwrap();
-        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+        ctx.set_scheduler(SchedulerKind::ListHeft);
         let report = ctx
             .run_native_with(&NativeConfig {
                 trace: true,
@@ -1856,11 +1843,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_disables_scheduling() {
-        // Fault plans key off recorded (stream, action) sites, so a planned
-        // run must fall back to FIFO order — observable as zero steals.
-        let mut ctx = tiled_ctx(4, 2, 8);
-        ctx.set_scheduler(crate::sched::SchedulerKind::ListHeft);
+    fn a_fault_plan_keeps_the_schedule() {
+        // Faults fire at their recorded sites wherever a node runs, so a
+        // plan that injects nothing leaves HEFT's placement as it is. One
+        // tile per partition: each driver takes its own kernel long before
+        // a sibling runs out of work, so the count is the planned moves.
+        let mut ctx = tiled_ctx(4, 1, 4);
+        ctx.set_scheduler(SchedulerKind::ListHeft);
+        let plain = ctx.run_native().unwrap();
+        assert!(plain.steals > 0, "steals = {}", plain.steals);
         let plan = crate::fault::FaultPlan::seeded(7);
         let report = ctx
             .run_native_with(&NativeConfig {
@@ -1868,7 +1859,7 @@ mod tests {
                 ..NativeConfig::default()
             })
             .unwrap();
-        assert_eq!(report.steals, 0);
+        assert_eq!(report.steals, plain.steals);
     }
 
     #[test]
@@ -1970,7 +1961,7 @@ mod tests {
         ctx.wait_event(s1, e).unwrap();
         let edges = HbGraph::build(ctx.program()).into_edges().unwrap();
         let wait = edges.node_of(Site::new(1, 0));
-        let dispatch = Dispatch::new(&ctx, Walk::Recorded(&edges));
+        let dispatch = Dispatch::new(&ctx, Walk::Recorded(&edges), &[]);
         std::thread::scope(|scope| {
             let sleeper = scope.spawn(|| {
                 let _ = dispatch.parkers[1].thread.set(std::thread::current());
@@ -2030,7 +2021,7 @@ mod tests {
         ctx.set_scheduler(SchedulerKind::ListHeft);
         boom.store(true, Ordering::SeqCst);
         let err = ctx.run_native().unwrap_err();
-        assert!(matches!(err, Error::KernelPanicked { .. }), "{err}");
+        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
         assert_eq!(ctx.native_thread_count(), threads);
 
         boom.store(false, Ordering::SeqCst);

@@ -46,7 +46,7 @@ use crate::context::Context;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
-use crate::sched::{CostModel, Lane, Schedule, SchedulerKind, TaskGraph};
+use crate::sched::{CostModel, Lane, Schedule, TaskGraph};
 use crate::trace::LaneMap;
 use crate::types::{Error, Result};
 
@@ -104,11 +104,12 @@ pub fn run(ctx: &Context) -> Result<SimReport> {
     run_with(ctx, None, &RetryPolicy::default())
 }
 
-/// Simulate under a fault plan: failed transfer attempts and their backoffs
-/// are priced on the link, slow partitions stretch kernel time, injected
-/// kernel panics surface as [`Error::PartitionLost`], and allocation faults
-/// abort before the run starts — mirroring what the native executor does
-/// with the same plan.
+/// Simulate under a fault plan, each fault at its recorded site under any
+/// scheduler: failed transfer attempts and their backoffs are priced on the
+/// link, slow partitions stretch the kernels placed on them, injected
+/// kernel panics surface as [`Error::PartitionLost`] of the partition the
+/// kernel was placed on, and allocation faults abort before the run starts
+/// — mirroring what the native executor does with the same plan.
 pub fn run_with(
     ctx: &Context,
     fault: Option<&FaultPlan>,
@@ -130,12 +131,9 @@ pub fn run_with(
     let cost = ctx.cost_model()?;
 
     // A non-FIFO scheduler replaces the recorded order and placements with
-    // its plan. Fault plans are keyed by the *recorded* program's (stream,
-    // action-index) sites, so scheduling only applies to fault-free runs;
-    // unclean or empty programs also fall back to the recorded FIFO order
-    // (FIFO itself always declines to schedule).
-    let kind = fault.map_or(ctx.scheduler(), |_| SchedulerKind::Fifo);
-    if let Some((schedule, graph)) = ctx.plan_schedule_graph(kind, analysis.as_ref()) {
+    // its plan; unclean or empty programs fall back to the recorded FIFO
+    // order (FIFO itself always declines to schedule).
+    if let Some((schedule, graph)) = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref()) {
         let walk = Walk::Scheduled(&schedule, &graph);
         return lower(ctx, &walk, &cost, fault, retry);
     }
@@ -241,7 +239,11 @@ fn lower(
         let (si, ai) = (site.stream.0, site.action_index);
         let stream = &program.streams[si];
         let action = &stream.actions[ai];
-        let (device, partition) = (stream.placement.device.0, stream.placement.partition);
+        // A scheduled kernel runs on the partition it was placed on.
+        let (device, partition) = match placed {
+            Some(Lane::Partition { device, partition }) => (device, partition),
+            _ => (stream.placement.device.0, stream.placement.partition),
+        };
         let Some(lane) = placed.or_else(|| cost.lane(action, device, partition)) else {
             done[v] = match action {
                 // A barrier action is its stream arriving: whatever the
@@ -368,6 +370,7 @@ mod tests {
     use super::*;
     use crate::context::Context;
     use crate::kernel::KernelDesc;
+    use crate::sched::SchedulerKind;
     use micsim::compute::KernelProfile;
     use micsim::PlatformConfig;
 

@@ -9,9 +9,9 @@
 //!   native executor retries with backoff under a [`RetryPolicy`], the sim
 //!   executor prices the failed attempts and backoffs on the link;
 //! * **transfer slowdowns** — a transfer's bandwidth term is stretched;
-//! * **kernel panics** — a kernel dies on launch; with partition isolation
-//!   on, only its partition is poisoned and the skipped work is replayed on
-//!   the survivors (see `Context::run_native_resilient`);
+//! * **kernel panics** — a kernel dies on launch and takes the partition it
+//!   ran on with it; `Context::run_native_resilient` re-runs what was lost
+//!   on the partitions that survived;
 //! * **slow partitions** — every kernel on a `(device, partition)` pair
 //!   runs a factor slower;
 //! * **allocation failures** — materializing a device buffer fails, typed
@@ -19,10 +19,11 @@
 //!
 //! Every decision is a pure function of `(seed, site)` through
 //! [`micsim::fault::FaultDie`] — no wall clock, no shared RNG state — so
-//! the same plan fails the same program in the same places on every run and
-//! every thread interleaving. Sites can also be **forced** explicitly
-//! (`fail_transfer_at`, `panic_kernel_at`, ...) for tests that need a fault
-//! at one exact action.
+//! the same plan fails the same program in the same places on every run,
+//! every thread interleaving and every scheduler: a site is an action's
+//! recorded `(stream, action index)`, wherever it runs. Sites can also be
+//! **forced** explicitly (`fail_transfer_at`, `panic_kernel_at`, ...) for
+//! tests that need a fault at one exact action.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,16 +233,16 @@ pub struct FaultCounters {
     pub injected_kernel_panics: u64,
     /// Kernel panics observed in total (injected + real).
     pub kernel_panics: u64,
-    /// Partitions poisoned by a kernel panic under isolation.
+    /// Partitions lost to a device kernel's panic.
     pub lost_partitions: u64,
-    /// Actions skipped because their partition was poisoned or their data
-    /// was tainted by skipped upstream work.
+    /// Payloads lost to a fault or skipped after a loss (see
+    /// [`RecoveryState::skipped`]).
     pub skipped_actions: u64,
     /// Device-buffer materializations failed by the fault plan.
     pub alloc_faults: u64,
-    /// Degraded (replay) passes a resilient run needed.
+    /// Recovery passes a resilient run needed.
     pub degraded_runs: u64,
-    /// Actions re-executed on surviving partitions by replay passes.
+    /// Payloads re-run on surviving partitions by recovery passes.
     pub replayed_actions: u64,
 }
 
@@ -260,21 +261,23 @@ impl FaultCounters {
     }
 }
 
-/// What a degraded native run left behind: which partitions were lost, which
-/// actions were skipped (in a replay-valid order), and the pass's fault
-/// counters. Stored on the [`Context`](crate::context::Context) by a failed
-/// isolated run and consumed by `run_native_resilient` to build the replay.
+/// What a failed native run left behind: which partitions it lost, which
+/// payloads it lost or skipped, which fault sites fired, and its counters.
+/// Stored on the [`Context`](crate::context::Context) by a failed native
+/// run; `run_native_resilient` re-plans from it.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryState {
-    /// `(device, partition, kernel label)` for each partition poisoned by a
-    /// kernel panic.
+    /// `(device, partition, kernel label)` of each partition a device
+    /// kernel's panic took with it (the one the kernel ran on).
     pub lost: Vec<(usize, usize, String)>,
-    /// `(stream index, action index)` of every skipped action, in an order
-    /// that respects the program's happens-before edges (taint is published
-    /// before the skipping stream fires its events, and consumers skip only
-    /// after waiting on those events — so observed skip order is a valid
-    /// replay order).
+    /// `(stream index, action index)` of every lost or skipped payload, in
+    /// skip order. A skipped payload taints its buffers before anything
+    /// that depends on it starts, so each comes after the skipped payloads
+    /// it depends on, and whatever ran saw a clean run's inputs.
     pub skipped: Vec<(usize, usize)>,
+    /// `(stream index, action index)` of every site whose injected fault
+    /// fired; a later pass of the same resilient run leaves them out.
+    pub fired: Vec<(usize, usize)>,
     /// Counters of the failing pass.
     pub faults: FaultCounters,
 }
@@ -286,19 +289,19 @@ pub struct RecoveryState {
 pub struct ResilientReport {
     /// Report of the last (clean) pass.
     pub report: crate::executor::native::NativeReport,
-    /// Fault counters accumulated over the initial run and all replays.
+    /// Fault counters accumulated over every pass.
     pub faults: FaultCounters,
     /// Partitions lost across the whole resilient run.
     pub lost_partitions: Vec<(usize, usize, String)>,
 }
 
 impl ResilientReport {
-    /// Replay passes the run needed (0 = the first pass was clean).
+    /// Recovery passes the run needed (0 = the first pass was clean).
     pub fn degraded_runs(&self) -> u64 {
         self.faults.degraded_runs
     }
 
-    /// Actions re-executed on surviving partitions.
+    /// Payloads re-run on surviving partitions.
     pub fn replayed_actions(&self) -> u64 {
         self.faults.replayed_actions
     }

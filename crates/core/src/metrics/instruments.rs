@@ -32,9 +32,9 @@
 //! | `transfer_retries` | counter | — | count | failed attempts retried with backoff |
 //! | `transfers_failed` | counter | — | count | transfers that exhausted the retry budget |
 //! | `kernel_panics` | counter | — | count | kernel bodies that panicked (incl. injected) |
-//! | `partition_losses` | counter | — | count | partitions poisoned under isolation |
-//! | `skipped_actions` | counter | — | count | actions skipped for replay under isolation |
-//! | `replayed_actions` | counter | — | count | actions rerun by degraded replay passes |
+//! | `partition_losses` | counter | — | count | partitions lost to a device kernel's panic |
+//! | `skipped_actions` | counter | — | count | payloads lost or skipped, left to a recovery pass |
+//! | `replayed_actions` | counter | — | count | payloads re-run by recovery passes |
 //! | `steals` | counter | — | count | kernels moved cross-partition by the scheduler |
 //! | `makespan_us` | gauge | — | us | the timeline's makespan |
 //! | `partition_busy_us` | gauge | device, partition | us | that lane's `partition_stats().busy` |
@@ -75,9 +75,9 @@ pub mod name {
     pub const KERNEL_PANICS: &str = "kernel_panics";
     /// Poisoned-partition counter.
     pub const PARTITION_LOSSES: &str = "partition_losses";
-    /// Isolation-skip counter.
+    /// Lost-or-skipped payload counter.
     pub const SKIPPED_ACTIONS: &str = "skipped_actions";
-    /// Degraded-replay counter.
+    /// Recovery re-run counter.
     pub const REPLAYED_ACTIONS: &str = "replayed_actions";
     /// Cross-partition steal counter.
     pub const STEALS: &str = "steals";
@@ -193,21 +193,21 @@ pub fn catalog() -> Vec<CatalogRow> {
             "counter",
             "",
             "count",
-            "partitions poisoned under isolation",
+            "partitions lost to a device kernel's panic",
         ),
         row(
             name::SKIPPED_ACTIONS,
             "counter",
             "",
             "count",
-            "actions skipped for replay under isolation",
+            "payloads lost or skipped, left to a recovery pass",
         ),
         row(
             name::REPLAYED_ACTIONS,
             "counter",
             "",
             "count",
-            "actions rerun by degraded replay passes",
+            "payloads re-run by recovery passes",
         ),
         row(
             name::STEALS,
@@ -279,9 +279,9 @@ pub struct RunInstruments {
     pub kernel_panics: Counter,
     /// Poisoned-partition counter.
     pub partition_losses: Counter,
-    /// Isolation-skip counter.
+    /// Lost-or-skipped payload counter.
     pub skipped_actions: Counter,
-    /// Degraded-replay counter.
+    /// Recovery re-run counter.
     pub replayed_actions: Counter,
     /// Cross-partition steal counter.
     pub steals: Counter,

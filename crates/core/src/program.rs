@@ -41,9 +41,10 @@ pub struct EventSite {
 
 /// A fully recorded streamed program.
 ///
-/// `Clone` exists so
-/// [`Context::run_native_resilient`](crate::context::Context::run_native_resilient)
-/// can swap in a replay program and restore the original afterwards.
+/// `Clone` exists so a recorded program can be rewritten without losing
+/// the original: the optimizer elides sync into a copy, the service
+/// captures a tenant's program to relocate and merge, the fuzzer installs
+/// mutated variants.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// All streams, indexed by `StreamId.0`.

@@ -101,13 +101,18 @@ pub(super) fn finalize(input: &SchedInput<'_>, kind: SchedulerKind, placed: &[Pl
         if stolen {
             steals += 1;
         }
-        // Native driver hint: kernels issue from their own partition's
-        // driver; transfers from the partition of the kernel they feed
-        // (or came from); host kernels from driver (0, 0).
-        let driver = part_of(u)
-            .or_else(|| graph.succs[u].iter().find_map(|&v| part_of(v)))
-            .or_else(|| graph.preds[u].iter().find_map(|&v| part_of(v)))
-            .unwrap_or((node.device, 0));
+        // Native driver hint: work stealing queues every task on its
+        // recorded partition (drivers steal when genuinely idle); otherwise
+        // a kernel goes to its own partition's driver, a transfer to that of
+        // the kernel it feeds (or came from), a host kernel to (0, 0).
+        let driver = if kind == SchedulerKind::WorkSteal {
+            (node.device, node.partition)
+        } else {
+            part_of(u)
+                .or_else(|| graph.succs[u].iter().find_map(|&v| part_of(v)))
+                .or_else(|| graph.preds[u].iter().find_map(|&v| part_of(v)))
+                .unwrap_or((node.device, 0))
+        };
         tasks.push(ScheduledTask {
             site: node.site,
             node: u,

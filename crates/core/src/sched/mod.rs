@@ -161,9 +161,9 @@ pub struct ScheduledTask {
     pub start: f64,
     /// Estimated finish time, seconds from run start.
     pub finish: f64,
-    /// Which `(device, partition)` driver should issue this task on the
-    /// native executor (transfers and host kernels are issued by a
-    /// partition's driver even though they occupy the link / the host).
+    /// Which `(device, partition)` driver queues this task on the native
+    /// executor (transfers and host kernels too; work stealing queues every
+    /// task on its recorded partition and lets idle drivers steal).
     pub driver: (usize, usize),
     /// `true` when a kernel ended up on a different partition than the
     /// stream it was recorded on — a cross-partition move ("steal").

@@ -1,6 +1,6 @@
 //! Fault-injection integration tests: a seeded [`FaultPlan`] must break the
-//! native executor in exactly the planned places, the retry/isolation
-//! machinery must contain what it can, and everything it cannot contain
+//! native executor in exactly the planned places, retries and partition
+//! loss must contain what they can, and everything they cannot contain
 //! must surface as a typed error with recovery material — never a crashed
 //! process, a hang, or silently wrong data.
 
@@ -117,32 +117,64 @@ fn exhausted_retry_budget_is_a_typed_fault() {
     assert_eq!(state.faults.transfer_retries, 3);
 }
 
-// ----- kernel panics and isolation ------------------------------------------
+// ----- kernel panics and partition loss -------------------------------------
 
 #[test]
-fn injected_panic_aborts_run_without_isolation() {
+fn an_injected_device_panic_loses_its_only_partition() {
     let (ctx, _a, _b) = roundtrip_ctx();
     let plan = FaultPlan::seeded(2).panic_kernel_at(0, 1);
     let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
     assert!(
-        matches!(err, Error::KernelPanicked { ref kernel } if kernel == "add1"),
+        matches!(
+            err,
+            Error::PartitionLost { device: 0, partition: 0, ref kernel } if kernel == "add1"
+        ),
         "{err}"
     );
     let state = ctx.take_recovery_state().unwrap();
     assert_eq!(state.faults.injected_kernel_panics, 1);
     assert_eq!(state.faults.kernel_panics, 1);
-    assert!(state.skipped.is_empty(), "no isolation: nothing to replay");
+    assert_eq!(state.lost, vec![(0, 0, "add1".to_string())]);
+    // The kernel and the d2h of the buffer it never wrote.
+    assert_eq!(state.skipped, vec![(0, 1), (0, 2)]);
+    assert_eq!(state.fired, vec![(0, 1)]);
+}
+
+#[test]
+fn an_injected_host_kernel_panic_loses_no_partition_and_recovers() {
+    let mut ctx = small_ctx(1);
+    let a = ctx.alloc("a", 4);
+    let b = ctx.alloc("b", 4);
+    ctx.write_host(a, &[1., 2., 3., 4.]).unwrap();
+    let s = ctx.stream(0).unwrap();
+    ctx.kernel(
+        s,
+        add1_kernel("host-add1").on_host().reading([a]).writing([b]),
+    )
+    .unwrap();
+    let plan = FaultPlan::seeded(2).panic_kernel_at(0, 0);
+    let err = ctx.run_native_with(&faulted_cfg(plan.clone())).unwrap_err();
+    assert!(
+        matches!(err, Error::KernelPanicked { ref kernel } if kernel == "host-add1"),
+        "{err}"
+    );
+    let state = ctx.take_recovery_state().unwrap();
+    assert!(
+        state.lost.is_empty(),
+        "a host kernel has no partition to lose"
+    );
+    assert_eq!(state.skipped, vec![(0, 0)]);
+    // Its site already fired, so the recovery pass runs it cleanly.
+    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    assert_eq!(resilient.degraded_runs(), 1);
+    assert_eq!(ctx.read_host(b).unwrap(), vec![2., 3., 4., 5.]);
 }
 
 #[test]
 fn isolation_poisons_one_partition_and_spares_the_other() {
     let (ctx, _ins, outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(3).panic_kernel_at(0, 1);
-    let cfg = NativeConfig {
-        isolate_partitions: true,
-        ..faulted_cfg(plan)
-    };
-    let err = ctx.run_native_with(&cfg).unwrap_err();
+    let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -167,7 +199,7 @@ fn isolation_poisons_one_partition_and_spares_the_other() {
 
 #[test]
 fn resilient_run_replays_lost_work_on_survivors() {
-    let (mut ctx, _ins, outs) = two_lane_ctx();
+    let (ctx, _ins, outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(4).panic_kernel_at(0, 1);
     let resilient = ctx
         .run_native_resilient(&faulted_cfg(plan))
@@ -179,14 +211,14 @@ fn resilient_run_replays_lost_work_on_survivors() {
     // Both lanes' outputs are exactly what a fault-free run produces.
     assert_eq!(ctx.read_host(outs[0]).unwrap(), vec![1., 2., 3., 4.]);
     assert_eq!(ctx.read_host(outs[1]).unwrap(), vec![11., 12., 13., 14.]);
-    // The original program was restored: a clean re-run still works.
+    // The program is untouched: a clean re-run still works.
     ctx.run_native().unwrap();
     assert_eq!(ctx.read_host(outs[0]).unwrap(), vec![1., 2., 3., 4.]);
 }
 
 #[test]
 fn resilient_run_gives_up_when_every_partition_dies() {
-    let (mut ctx, _ins, _outs) = two_lane_ctx();
+    let (ctx, _ins, _outs) = two_lane_ctx();
     // Both lanes' kernels panic: no survivor to replay on.
     let plan = FaultPlan::seeded(5)
         .panic_kernel_at(0, 1)
@@ -195,18 +227,67 @@ fn resilient_run_gives_up_when_every_partition_dies() {
     assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
 }
 
+#[test]
+fn a_skipped_kernel_keeps_its_input_from_a_later_writer() {
+    // s1: h2d b, record e1, wait e2, y (b := 100), d2h b
+    // s0: h2d a, w (a -> c), wait e1, x (d := b + 1), record e2, d2h d
+    // w panics and takes partition 0, so x skips. y overwrites x's input
+    // after x's turn: it must skip too, or the recovery pass reads 100.
+    let mut ctx = small_ctx(2);
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|name| ctx.alloc(name, 4));
+    ctx.write_host(a, &[1.0; 4]).unwrap();
+    ctx.write_host(b, &[5.0; 4]).unwrap();
+    let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+    ctx.h2d(s1, b).unwrap();
+    let e1 = ctx.record_event(s1).unwrap();
+    ctx.h2d(s0, a).unwrap();
+    ctx.kernel(s0, add1_kernel("w").reading([a]).writing([c]))
+        .unwrap();
+    ctx.wait_event(s0, e1).unwrap();
+    ctx.kernel(s0, add1_kernel("x").reading([b]).writing([d]))
+        .unwrap();
+    let e2 = ctx.record_event(s0).unwrap();
+    ctx.d2h(s0, d).unwrap();
+    ctx.wait_event(s1, e2).unwrap();
+    let fill = KernelDesc::simulated("y", KernelProfile::streaming("k", 1e9), 1.0)
+        .writing([b])
+        .with_native(|k| k.writes[0].fill(100.0));
+    ctx.kernel(s1, fill).unwrap();
+    ctx.d2h(s1, b).unwrap();
+
+    let plan = FaultPlan::seeded(11).panic_kernel_at(0, 1);
+    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    assert_eq!(resilient.degraded_runs(), 1);
+    assert_eq!(ctx.read_host(d).unwrap(), vec![6.0; 4]);
+    assert_eq!(ctx.read_host(b).unwrap(), vec![100.0; 4]);
+}
+
+#[test]
+fn a_skipped_sites_fault_fires_during_recovery() {
+    // Lane 0's kernel panics, so its d2h — whose first two attempts fail —
+    // never runs in the first pass. The plan stays live while the recovery
+    // pass runs it: the retries happen there.
+    let (ctx, _ins, outs) = two_lane_ctx();
+    let plan = FaultPlan::seeded(12)
+        .transfer_failures(0.0, 2)
+        .fail_transfer_at(0, 2)
+        .panic_kernel_at(0, 1);
+    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    assert_eq!(resilient.degraded_runs(), 1);
+    assert_eq!(resilient.faults.injected_kernel_panics, 1);
+    assert_eq!(resilient.faults.transfer_retries, 2);
+    assert_eq!(ctx.read_host(outs[0]).unwrap(), vec![1., 2., 3., 4.]);
+    assert_eq!(ctx.read_host(outs[1]).unwrap(), vec![11., 12., 13., 14.]);
+}
+
 // ----- replan / recovery interaction ----------------------------------------
 
 /// Leave a pending `RecoveryState` behind by running the two-lane rig
-/// with an isolated kernel panic on lane 0.
+/// with a kernel panic on lane 0.
 fn poisoned_two_lane() -> Context {
     let (ctx, _ins, _outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(3).panic_kernel_at(0, 1);
-    let cfg = NativeConfig {
-        isolate_partitions: true,
-        ..faulted_cfg(plan)
-    };
-    ctx.run_native_with(&cfg).unwrap_err();
+    ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
     ctx
 }
 
@@ -371,7 +452,7 @@ fn persistent_runtime_is_clean_after_a_panicked_run() {
     };
     assert!(matches!(
         ctx.run_native_with(&traced),
-        Err(Error::KernelPanicked { .. })
+        Err(Error::PartitionLost { .. })
     ));
     let threads = ctx.native_thread_count().expect("runtime built");
     // Drop the partial trace the failed run published.

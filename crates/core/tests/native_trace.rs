@@ -377,7 +377,7 @@ fn panicking_kernel_still_yields_partial_trace() {
         .unwrap();
 
     let err = ctx.run_native_with(&traced_cfg()).unwrap_err();
-    assert!(matches!(err, hstreams::Error::KernelPanicked { .. }));
+    assert!(matches!(err, hstreams::Error::PartitionLost { .. }));
 
     let trace = ctx
         .take_native_trace()
@@ -627,8 +627,8 @@ fn barrier_span_on_the_idle_stream_covers_the_other_streams_kernel() {
 
 #[test]
 fn a_panicked_kernel_skips_the_rest_of_its_stream_only() {
-    // No isolation: stream 0 loses its kernel and skips what follows it,
-    // stream 1 shares nothing with it and runs to the end.
+    // Stream 0 loses its kernel and skips what depends on it, stream 1
+    // shares nothing with it and runs to the end.
     let mut ctx = small_ctx(2);
     let x = ctx.alloc("x", 1);
     let y = ctx.alloc("y", 1);
@@ -652,7 +652,7 @@ fn a_panicked_kernel_skips_the_rest_of_its_stream_only() {
     ctx.d2h(s1, y).unwrap();
     let err = ctx.run_native().unwrap_err();
     assert!(
-        matches!(err, hstreams::Error::KernelPanicked { .. }),
+        matches!(err, hstreams::Error::PartitionLost { .. }),
         "{err}"
     );
     assert_eq!(ctx.read_host(y).unwrap(), vec![7.0], "stream 1 ran");

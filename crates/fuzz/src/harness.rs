@@ -10,8 +10,8 @@
 //!   executor must run it twice with bit-identical buffer contents, agree
 //!   bit-for-bit with the reference interpreter, and export the same
 //!   metric catalog the simulator does; a spliced fault plan must resolve
-//!   to the same outcome class (recovered / fault / panic) on both
-//!   executors;
+//!   to the same outcome class (recovered / fault / partition lost /
+//!   kernel panicked) on both executors, under the genome's scheduler;
 //! * **rejected** (error diagnostics): both executors must refuse with a
 //!   checker report, and the diagnostic's
 //!   [witness](hstreams::check::HazardWitness) must be demonstrable — a
@@ -126,15 +126,17 @@ fn build_ctx(partitions: usize, spp: usize) -> Context {
     ctx
 }
 
-/// Outcome class of an executor result, for class-level agreement (the
-/// executors legitimately differ in *which* typed error a hazard
-/// surfaces as — e.g. an injected kernel panic is `PartitionLost` on the
-/// simulator and `KernelPanicked` natively — but must agree on the class).
+/// Outcome class of an executor result, for class-level agreement: both
+/// executors must surface a hazard as the same kind of typed error — an
+/// injected device-kernel panic as a lost partition, a host-kernel panic
+/// as a panicked kernel — though the details (which partition a scheduled
+/// kernel ran on) may differ.
 fn error_class(e: &Error) -> &'static str {
     match e {
         Error::Check(_) => "check",
         Error::Fault { .. } => "fault",
-        Error::KernelPanicked { .. } | Error::PartitionLost { .. } => "panic",
+        Error::PartitionLost { .. } => "partition-lost",
+        Error::KernelPanicked { .. } => "kernel-panicked",
         Error::MissingNativeBody { .. } => "native-body",
         Error::UnknownBuffer(_) | Error::UnknownEvent(_) | Error::UnknownStream(_) => "unknown-ref",
         Error::Config(_) => "config",

@@ -4,10 +4,10 @@
 //! carves its partitions into per-tenant grants; a [`DrrQueue`] picks a
 //! fair batch of queued jobs each round. The round relocates every
 //! selected tenant's program into shared coordinates, merges them into
-//! one program, and runs it **once** with partition isolation on — so
-//! tenants time-share streams and space-share partitions exactly the way
-//! the paper's multiple-streams mechanism intends, and an injected
-//! kernel panic poisons only the leasing tenant's partitions.
+//! one program, and runs it **once** — so tenants time-share streams and
+//! space-share partitions exactly the way the paper's multiple-streams
+//! mechanism intends, and an injected kernel panic loses only the
+//! partition it ran on, which belongs to the leasing tenant.
 //!
 //! The life of a job:
 //!
@@ -662,7 +662,6 @@ impl StreamService {
             }
             ExecutorKind::Native => {
                 let native = NativeConfig {
-                    isolate_partitions: true,
                     fault: plan.map(Arc::new),
                     ..NativeConfig::default()
                 };

@@ -101,6 +101,24 @@ for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]'; do
   fi
 done
 
+echo "==> one fault policy (a fault never switches the loss policy or the scheduler; recovery re-plans, it builds no program)"
+if grep -rn 'isolate_partitions' crates; then
+  echo "  'isolate_partitions' is back under crates/ (there is one loss policy, with or without a fault plan)"
+  exit 1
+fi
+if grep -nE 'build_replay_program|cfg\.fault = None' crates/core/src/context.rs; then
+  echo "  context.rs builds a replay program or turns the fault plan off for recovery (re-plan the lost nodes through drive)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -nE 'fault.*SchedulerKind::Fifo|SchedulerKind::Fifo.*fault'; then
+  echo "  non-test executor/sim.rs falls back to FIFO under a fault plan (faults keep the schedule)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF 'fault.is_none()'; then
+  echo "  non-test executor/native.rs branches on a missing fault plan (faults keep the schedule)"
+  exit 1
+fi
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

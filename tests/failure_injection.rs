@@ -1,8 +1,12 @@
 //! Failure-path integration tests: the runtime must reject or contain bad
 //! programs rather than hang, corrupt data, or crash the process.
 
+use std::sync::Arc;
+
+use mic_streams::apps::tunable::{Tunable, TunableCf};
+use mic_streams::hstreams::action::Action;
 use mic_streams::hstreams::kernel::KernelDesc;
-use mic_streams::hstreams::{BufId, Context, Error};
+use mic_streams::hstreams::{BufId, Context, Error, FaultPlan, NativeConfig, SchedulerKind};
 use mic_streams::micsim::compute::KernelProfile;
 use mic_streams::micsim::PlatformConfig;
 
@@ -87,7 +91,10 @@ fn panicking_kernel_contained_and_other_streams_complete() {
     .unwrap();
     ctx.d2h(s1, ok_out).unwrap();
     let err = ctx.run_native().unwrap_err();
-    assert!(matches!(err, Error::KernelPanicked { ref kernel } if kernel == "boom"));
+    assert!(matches!(
+        err,
+        Error::PartitionLost { device: 0, partition: 0, ref kernel } if kernel == "boom"
+    ));
     // The healthy stream's work still landed.
     assert_eq!(ctx.read_host(ok_out).unwrap(), vec![7.0]);
 }
@@ -154,4 +161,48 @@ fn zero_length_buffers_flow_through_both_executors() {
     let sim = ctx.run_sim().unwrap();
     assert!(sim.makespan().nanos() > 0, "latency still paid");
     ctx.run_native().unwrap();
+}
+
+#[test]
+fn a_lost_partition_leaves_cholesky_exact_under_every_scheduler() {
+    // CF runs host kernels between device kernels: whatever depends on the
+    // lost device kernel, host side included, must wait for the recovery
+    // pass instead of computing from data the loss never produced.
+    let record = || {
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(2)
+            .build()
+            .unwrap();
+        TunableCf::new(48, Some(3)).record(&mut ctx, 9).unwrap();
+        ctx
+    };
+    let host_bits = |ctx: &Context| -> Vec<Vec<u32>> {
+        let bits = |i| {
+            ctx.read_host(BufId(i))
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        (0..ctx.buffer_count()).map(bits).collect()
+    };
+    let clean = record();
+    clean.run_native().unwrap();
+    let want = host_bits(&clean);
+    for kind in SchedulerKind::all() {
+        let mut ctx = record();
+        ctx.set_scheduler(kind);
+        let site = ctx.program().streams[0]
+            .actions
+            .iter()
+            .position(|a| matches!(a, Action::Kernel(k) if !k.host))
+            .expect("stream 0 records a device kernel");
+        let cfg = NativeConfig {
+            fault: Some(Arc::new(FaultPlan::seeded(7).panic_kernel_at(0, site))),
+            ..NativeConfig::default()
+        };
+        let resilient = ctx.run_native_resilient(&cfg).unwrap();
+        assert_eq!(resilient.degraded_runs(), 1, "{kind}");
+        assert!(host_bits(&ctx) == want, "{kind}: recovered factor differs");
+    }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use mic_streams::apps::mm::{self, MmConfig};
 use mic_streams::apps::tunable::{Tunable, TunableHbench, TunableKmeans, TunableMm, TunableNn};
 use mic_streams::hstreams::action::Action;
-use mic_streams::hstreams::{BufId, Context, FaultPlan, NativeConfig};
+use mic_streams::hstreams::{BufId, Context, FaultPlan, NativeConfig, SchedulerKind};
 use mic_streams::micsim::PlatformConfig;
 
 #[test]
@@ -66,24 +66,30 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         fault: Some(Arc::new(plan)),
         ..NativeConfig::default()
     };
-    let resilient = ctx
-        .run_native_resilient(&native_cfg)
-        .expect("retries + replay recover the run");
+    for kind in SchedulerKind::all() {
+        ctx.zero_buffers();
+        mm::fill_inputs(&ctx, &cfg_mm, &bufs, 42).unwrap();
+        ctx.set_scheduler(kind);
+        let resilient = ctx
+            .run_native_resilient(&native_cfg)
+            .unwrap_or_else(|e| panic!("{kind}: retries + replay recover the run: {e}"));
 
-    // The recovery actually exercised both paths...
-    assert_eq!(resilient.faults.transfer_retries, 6, "2 retries x 3 sites");
-    assert_eq!(resilient.faults.transfers_failed, 0);
-    assert_eq!(resilient.faults.injected_kernel_panics, 1);
-    assert_eq!(resilient.faults.lost_partitions, 1);
-    assert_eq!(resilient.degraded_runs(), 1);
-    assert!(resilient.replayed_actions() >= 2);
+        // The recovery actually exercised both paths...
+        let faults = resilient.faults;
+        assert_eq!(faults.transfer_retries, 6, "{kind}: 2 retries x 3 sites");
+        assert_eq!(faults.transfers_failed, 0, "{kind}");
+        assert_eq!(faults.injected_kernel_panics, 1, "{kind}");
+        assert_eq!(faults.lost_partitions, 1, "{kind}");
+        assert_eq!(resilient.degraded_runs(), 1, "{kind}");
+        assert!(resilient.replayed_actions() >= 2, "{kind}");
 
-    // ...and the output is numerically identical to the fault-free run.
-    let recovered = mm::collect_result(&ctx, &cfg_mm, &bufs).unwrap();
-    assert_eq!(
-        recovered.data, clean.data,
-        "faulted + recovered result must match the clean run bit-for-bit"
-    );
+        // ...and the output is numerically identical to the fault-free run.
+        let recovered = mm::collect_result(&ctx, &cfg_mm, &bufs).unwrap();
+        assert_eq!(
+            recovered.data, clean.data,
+            "{kind}: faulted + recovered result must match the clean run bit-for-bit"
+        );
+    }
 }
 
 /// Every buffer's host copy, as bits.
@@ -115,23 +121,29 @@ fn resilient_run_matches_a_clean_run(make: fn() -> Box<dyn Tunable>, tiles: usiz
     clean.run_native().unwrap();
     let want = host_bits(&clean);
 
-    let mut ctx = recorded(make, 2, tiles);
-    let site = ctx.program().streams[0]
-        .actions
-        .iter()
-        .position(|a| matches!(a, Action::Kernel(k) if !k.host))
-        .expect("stream 0 records a device kernel");
-    let plan = FaultPlan::seeded(7).panic_kernel_at(0, site);
-    let cfg = NativeConfig {
-        fault: Some(Arc::new(plan)),
-        ..NativeConfig::default()
-    };
-    let resilient = ctx
-        .run_native_resilient(&cfg)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(resilient.faults.injected_kernel_panics, 1, "{name}");
-    assert_eq!(resilient.degraded_runs(), 1, "{name}");
-    assert!(host_bits(&ctx) == want, "{name}: recovered outputs differ");
+    for kind in SchedulerKind::all() {
+        let mut ctx = recorded(make, 2, tiles);
+        ctx.set_scheduler(kind);
+        let site = ctx.program().streams[0]
+            .actions
+            .iter()
+            .position(|a| matches!(a, Action::Kernel(k) if !k.host))
+            .expect("stream 0 records a device kernel");
+        let plan = FaultPlan::seeded(7).panic_kernel_at(0, site);
+        let cfg = NativeConfig {
+            fault: Some(Arc::new(plan)),
+            ..NativeConfig::default()
+        };
+        let resilient = ctx
+            .run_native_resilient(&cfg)
+            .unwrap_or_else(|e| panic!("{name} {kind}: {e}"));
+        assert_eq!(resilient.faults.injected_kernel_panics, 1, "{name} {kind}");
+        assert_eq!(resilient.degraded_runs(), 1, "{name} {kind}");
+        assert!(
+            host_bits(&ctx) == want,
+            "{name} {kind}: recovered outputs differ"
+        );
+    }
 }
 
 #[test]

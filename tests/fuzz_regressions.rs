@@ -63,7 +63,7 @@ fn injected_host_kernel_panic_fells_both_executors() {
         out.disagreement
     );
     assert!(
-        out.signals.contains("fault:sim:panic"),
+        out.signals.contains("fault:sim:kernel-panicked"),
         "the sim must observe the injected panic, got {:?}",
         out.signals
     );

@@ -24,6 +24,11 @@
 //! lane-per-stream program with an event pair per cross-lane edge, and
 //! held across PR 22. It moves only if the schedulers' decisions do.
 //!
+//! The faulted cell has `heft` and `steal` twins, pinned (both
+//! fingerprints) when a fault plan stopped switching the scheduler off.
+//! They also check that the slow partition stretches exactly the kernels
+//! placed on it.
+//!
 //! On a mismatch the test prints the full actual tables in source form.
 
 use mic_streams::apps::hotspot::{self, HotspotConfig};
@@ -31,11 +36,14 @@ use mic_streams::apps::srad::{self, SradConfig};
 use mic_streams::apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn,
 };
+use mic_streams::hstreams::action::Action;
 use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::kernel::KernelDesc;
 use mic_streams::hstreams::testutil::fnv64;
 use mic_streams::hstreams::{FaultPlan, SchedulerKind, SimReport};
 use mic_streams::micsim::compute::KernelProfile;
+use mic_streams::micsim::engine::TaskRecord;
+use mic_streams::micsim::time::SimDuration;
 use mic_streams::micsim::PlatformConfig;
 use std::fmt::Write as _;
 
@@ -133,6 +141,57 @@ fn cells(name: &str, ctx: &mut Context, out: &mut Vec<Cell>) {
     }
 }
 
+/// Slowdown of partition 1 in the faulted cells.
+const SLOW: f64 = 2.5;
+
+/// Every kernel `faulted` ran on partition 1 takes [`SLOW`]× its body in
+/// `clean` (the same schedule without the plan: the schedulers plan on
+/// healthy prices), every other kernel exactly as long — and partition 1
+/// runs a kernel recorded on another partition's stream.
+fn assert_slow_partition_stretches_what_it_runs(
+    ctx: &Context,
+    clean: &SimReport,
+    faulted: &SimReport,
+) {
+    fn kernels(report: &SimReport) -> Vec<&TaskRecord> {
+        let partitions = &report.kinds.partitions;
+        let records = report.timeline.records.iter();
+        records
+            .filter(|r| r.resource.is_some_and(|id| partitions.contains(&id)))
+            .collect()
+    }
+    let p1 = faulted
+        .names
+        .iter()
+        .find(|(_, n)| *n == "mic0.p1")
+        .map(|(id, _)| *id);
+    let (clean, faulted) = (kernels(clean), kernels(faulted));
+    assert_eq!(clean.len(), faulted.len());
+    let overhead = ctx.config().enqueue_overhead;
+    let mut moved_onto_p1 = 0;
+    for f in faulted {
+        let mut same = clean.iter().filter(|c| c.label == f.label);
+        let c = same.next().expect("the kernel ran in the clean run");
+        assert!(same.next().is_none(), "kernel labels are unique");
+        assert_eq!(c.resource, f.resource, "{}: placed alike", f.label);
+        let healthy = c.finish - c.start;
+        let want = if f.resource == p1 {
+            let body = (healthy - overhead).as_secs_f64();
+            SimDuration::from_secs_f64(body * SLOW) + overhead
+        } else {
+            healthy
+        };
+        assert_eq!(f.finish - f.start, want, "{}", f.label);
+        let recorded_on = ctx.program().streams.iter().find(|s| {
+            let kernel = |a: &Action| matches!(a, Action::Kernel(k) if k.label == f.label);
+            s.actions.iter().any(kernel)
+        });
+        let home = recorded_on.map(|s| s.placement.partition);
+        moved_onto_p1 += usize::from(f.resource == p1 && home != Some(1));
+    }
+    assert!(moved_onto_p1 > 0, "partition 1 runs a moved kernel");
+}
+
 fn actual() -> Vec<Cell> {
     let mut out = Vec::new();
 
@@ -170,7 +229,8 @@ fn actual() -> Vec<Cell> {
     }
 
     // A fault plan with priced retries, degraded transfers and a slow
-    // partition (FIFO only: fault sites are keyed by recorded coordinates).
+    // partition, on the recorded program and under both schedulers: faults
+    // fire at their recorded sites wherever the scheduler puts them.
     {
         let mut c = ctx(PlatformConfig::phi_31sp(), 4);
         let mut app = TunableMm::new(96, None);
@@ -178,7 +238,7 @@ fn actual() -> Vec<Cell> {
         let plan = FaultPlan::seeded(2026)
             .transfer_failures(0.25, 2)
             .transfer_slowdowns(0.25, 3.0)
-            .slow_partition(0, 1, 2.5)
+            .slow_partition(0, 1, SLOW)
             .fail_transfer_at(0, 0);
         let report = c.run_sim_faulted(&plan).unwrap();
         assert!(
@@ -190,6 +250,13 @@ fn actual() -> Vec<Cell> {
             "the plan must price at least one retry"
         );
         out.push(Cell::new("mm@p4t16/faulted".into(), &report, false));
+        for kind in [SchedulerKind::ListHeft, SchedulerKind::WorkSteal] {
+            c.set_scheduler(kind);
+            let clean = c.run_sim().unwrap();
+            let report = c.run_sim_faulted(&plan).unwrap();
+            assert_slow_partition_stretches_what_it_runs(&c, &clean, &report);
+            out.push(Cell::new(format!("mm@p4t16/faulted/{kind}"), &report, true));
+        }
     }
 
     // Two cards, barriers between phases: the `cross_device_sync` path.
@@ -306,6 +373,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("srad@p4t8/heft", 0x3c2878a87ff93755),
     ("srad@p4t8/steal", 0x3790a07eee6db440),
     ("mm@p4t16/faulted", 0x2670bd1cc7de13b1),
+    ("mm@p4t16/faulted/heft", 0x0bf80a6b8de2a783),
+    ("mm@p4t16/faulted/steal", 0xa6d5f767b1e057d9),
     ("two-device-barriers@p2/fifo", 0x86d6d4dc5f66f51e),
     ("two-device-barriers@p2/heft", 0xe80bb73963c7eef4),
     ("two-device-barriers@p2/steal", 0x731daa8f50a0dea4),
@@ -345,6 +414,8 @@ const PAYLOAD: &[(&str, u64)] = &[
     ("hotspot@p4t8/steal", 0x44fd0b4e36bfdaea),
     ("srad@p4t8/heft", 0xe7e12f77c94e88a3),
     ("srad@p4t8/steal", 0x3a4730cff36bd903),
+    ("mm@p4t16/faulted/heft", 0x3e6b859e8ccaf4f8),
+    ("mm@p4t16/faulted/steal", 0x53e5148879474397),
     ("two-device-barriers@p2/heft", 0x8b01b74fa48d23f1),
     ("two-device-barriers@p2/steal", 0x8b01b74fa48d23f1),
     ("event-ladder@p3/heft", 0xc4b177655210583c),

@@ -1,5 +1,5 @@
 //! Chaos suite: measures what fault recovery *costs* on the native
-//! executor, and proves it never costs *correctness*.
+//! executor.
 //!
 //! Three MM conditions at the same `(P, T)` geometry, same inputs:
 //!
@@ -10,11 +10,11 @@
 //!    recovery pass re-runs the lost nodes on the survivor
 //!    (`run_native_resilient`).
 //!
-//! Both faulted conditions must reproduce the clean run's output exactly
-//! (exit 1 otherwise). A final chaos sweep drives the autotuner's
+//! Each faulted row reports whether it reproduced the clean run's output
+//! bit for bit; `tests/fault_recovery.rs` gates that under all three
+//! schedulers. A final chaos sweep drives the autotuner's
 //! [`NativeEvaluator`] under an unrecoverable fault plan and shows killed
-//! trials are logged and skipped, not fatal. `--quick` shrinks the problem
-//! and the repetition protocol for CI.
+//! trials are logged and skipped, not fatal.
 
 use std::sync::Arc;
 
@@ -75,18 +75,10 @@ impl MmRig {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let n = if quick { 48 } else { 256 };
-    let runs = if quick {
-        Repetitions {
-            total: 4,
-            warmup: 1,
-        }
-    } else {
-        Repetitions {
-            total: 12,
-            warmup: 3,
-        }
+    let n = 256;
+    let runs = Repetitions {
+        total: 12,
+        warmup: 3,
     };
     let rig = MmRig::new(n);
     let panic_site = rig.panic_site();
@@ -151,7 +143,6 @@ fn main() {
 
     let retry_overhead = retry_s.mean / clean_s.mean - 1.0;
     let degraded_overhead = degraded_s.mean / clean_s.mean - 1.0;
-    let pass = retry_ok && degraded_ok;
 
     println!(
         "chaos suite: MM n={n} T=4 P={PARTITIONS}, {} runs ({} warmup) per condition",
@@ -172,9 +163,4 @@ fn main() {
         degraded_faults.replayed_actions,
     );
     println!("  sweep    : {evaluated} trials measured, {faulted} killed by faults and logged");
-
-    if !pass {
-        eprintln!("FAIL: a faulted condition changed the output");
-        std::process::exit(1);
-    }
 }

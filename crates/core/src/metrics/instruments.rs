@@ -9,8 +9,8 @@
 //! registry per metered run, so the instrument *set* an executor exports is
 //! a pure function of the context, not of what happened to execute or of
 //! what ran before. Any instrument one executor emits and the other does
-//! not is a bug, and `native_vs_sim_trace` fails on it (metric-shape parity
-//! as a differential check).
+//! not is a bug, and `tests/metrics_parity.rs` fails on it (metric-shape
+//! parity as a differential check).
 //!
 //! Histograms take one sample per span on the lane their labels name, in
 //! **whole microseconds** (rounded): a 0.3 µs native launch lands in bucket

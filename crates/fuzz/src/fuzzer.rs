@@ -17,8 +17,8 @@
 //! corpus (same order) and the same execution budget, two fuzzer
 //! instances produce byte-identical corpus evolution —
 //! [`Fuzzer::evolution_hash`] folds every retained entry, its operator
-//! lineage, its novel signals and every finding into one number the smoke
-//! gate compares across two fresh runs.
+//! lineage, its novel signals and every finding into one number
+//! `tests/fuzz_regressions.rs` compares across two fresh runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -262,7 +262,7 @@ impl Fuzzer {
         &self.seen
     }
 
-    /// Signal counts per family — the smoke gate's breadth check.
+    /// Signal counts per family — the fuzzing sessions' breadth check.
     pub fn families(&self) -> BTreeMap<String, usize> {
         let mut out = BTreeMap::new();
         for s in &self.seen {
@@ -284,8 +284,8 @@ impl Fuzzer {
     /// Fold the entire observable state — every retained entry's label,
     /// operator, parent, serialized genome and novel signals, plus every
     /// finding — into one hash. Two runs with identical config, seeds and
-    /// budget must produce identical hashes; the smoke binary enforces
-    /// this.
+    /// budget must produce identical hashes; `tests/fuzz_regressions.rs`
+    /// enforces this.
     pub fn evolution_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |s: &str| {

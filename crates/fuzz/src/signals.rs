@@ -9,9 +9,9 @@
 //! scheduler outcomes.
 //!
 //! Signals are grouped into *families* by their prefix up to the first
-//! `:` ([`family`]); the smoke gate requires several distinct families to
-//! light up, which catches a fuzzer that silently stopped exercising one
-//! of the oracles.
+//! `:` ([`family`]); the fuzzing-session test requires several distinct
+//! families to light up, which catches a fuzzer that silently stopped
+//! exercising one of the oracles.
 //!
 //! Numeric signals are bucketed ([`bucket`]: 0, 1, 2, 4, 8, … powers of
 //! two; [`decile`] for fractions) so the signal space stays finite and

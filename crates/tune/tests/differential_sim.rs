@@ -1,10 +1,11 @@
 //! Differential guarantees of the autotuner on the deterministic simulator:
 //! for every overlappable app the cheap strategies (pruned, model-seeded)
 //! must land within 5 % of the exhaustive optimum while evaluating a
-//! fraction of the grid, and the whole loop must be bit-for-bit
+//! fraction of the grid (at most 1/8 of it at paper scale, and on an
+//! overhead-dominated hBench), and the whole loop must be bit-for-bit
 //! reproducible — same winner, same visit order — across runs.
 
-use mic_apps::tunable::{Tunable, TunableCf, TunableMm, TunableNn};
+use mic_apps::tunable::{Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn};
 use micsim::PlatformConfig;
 use stream_tune::evaluator::SimEvaluator;
 use stream_tune::tuner::{RepeatPolicy, Strategy, TuneOutcome, Tuner};
@@ -61,6 +62,71 @@ fn pruned_and_model_seeded_within_5_percent_of_exhaustive() {
                 "{name}/{}: cheap strategy must visit fewer candidates",
                 strategy.label()
             );
+        }
+    }
+}
+
+/// A fresh app, its bounds, and whether the 5 % optimum gate applies.
+type Case = (fn() -> Box<dyn Tunable>, TuneBounds, bool);
+
+/// The cheap strategies' budget: each visits at most 1/8 of the exhaustive
+/// grid, on the five apps at paper scale and bounds (where the overlappable
+/// ones must also land within 5 % of the optimum), and on a deliberately
+/// overhead-dominated hBench (tiny tiles, almost no compute) whose true
+/// optimum sits at the excluded `P = 1`, so only the budget holds there.
+#[test]
+fn cheap_strategies_visit_at_most_an_eighth_of_the_grid() {
+    let dp = TuneBounds {
+        max_partitions: 56,
+        max_tiles: 64,
+        max_multiple: 8,
+    };
+    let cf = TuneBounds {
+        max_partitions: 56,
+        max_tiles: 196,
+        max_multiple: 98,
+    };
+    let small = TuneBounds {
+        max_partitions: 8,
+        max_tiles: 16,
+        max_multiple: 2,
+    };
+    let cases: [Case; 6] = [
+        (|| Box::new(TunableHbench::new(1 << 22, 24, None)), dp, true),
+        (|| Box::new(TunableMm::new(840, None)), dp, true),
+        (|| Box::new(TunableCf::new(16800, None)), cf, true),
+        (|| Box::new(TunableNn::new(1 << 20, None)), dp, true),
+        (
+            || Box::new(TunableKmeans::new(1 << 15, 8, 3, None)),
+            dp,
+            true,
+        ),
+        (
+            || Box::new(TunableHbench::new(1 << 14, 4, None)),
+            small,
+            false,
+        ),
+    ];
+    for (make, bounds, paper_scale) in cases {
+        let full = tune_fresh(make().as_mut(), &bounds, Strategy::Exhaustive);
+        for strategy in [Strategy::Pruned, Strategy::ModelSeeded] {
+            let mut app = make();
+            let cheap = tune_fresh(app.as_mut(), &bounds, strategy);
+            let case = format!("{} ({})/{}", app.name(), app.problem(), strategy.label());
+            assert!(
+                cheap.candidates_visited * 8 <= full.grid_size,
+                "{case}: visited {} of a {}-candidate grid",
+                cheap.candidates_visited,
+                full.grid_size
+            );
+            if paper_scale && app.overlappable() {
+                assert!(
+                    cheap.winner_seconds <= full.winner_seconds * 1.05,
+                    "{case}: {} s vs exhaustive {} s",
+                    cheap.winner_seconds,
+                    full.winner_seconds
+                );
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Sim-vs-native parity smoke: `autotune --quick`'s contract as a test.
+//! Sim-vs-native parity smoke, and the native evaluator's economy.
 //!
 //! On a deliberately overhead-dominated workload (tiny tiles, almost no
 //! compute) both backends must make the same granularity decision — the

@@ -15,6 +15,11 @@
 //! a two-device one (the host copy and two device instances of one buffer)
 //! and a dataflow one (a kernel reading two unproduced buffers, a dead
 //! event). On a mismatch the test prints the actual table in source form.
+//!
+//! The SARIF export of three reports (clean, racy, perf lints) is checked
+//! structurally, with no JSON parser: balanced brackets and strings, the
+//! version, the sorted rule catalog, and every diagnostic's rule, level,
+//! escaped message and `stream/<s>/action/<i>` sites in report order.
 
 use std::fmt::Write as _;
 
@@ -22,13 +27,14 @@ use mic_streams::apps::tunable::{
     Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn,
 };
 use mic_streams::hstreams::action::Action;
-use mic_streams::hstreams::check::{analyze, CheckEnv};
+use mic_streams::hstreams::check::sarif::to_sarif;
+use mic_streams::hstreams::check::{analyze, CheckEnv, CheckReport, Severity, Site};
 use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::kernel::KernelDesc;
-use mic_streams::hstreams::opt::optimize;
+use mic_streams::hstreams::opt::{lint, optimize};
 use mic_streams::hstreams::program::{EventSite, Program, StreamPlacement, StreamRecord};
 use mic_streams::hstreams::sched::TaskGraph;
-use mic_streams::hstreams::testutil::fnv64;
+use mic_streams::hstreams::testutil::{build_synced, fnv64, mix_kernel};
 use mic_streams::hstreams::{BufId, EventId, StreamId};
 use mic_streams::micsim::compute::KernelProfile;
 use mic_streams::micsim::device::DeviceId;
@@ -271,4 +277,158 @@ fn analyzer_outputs_match_the_committed_fingerprints() {
         writeln!(table, "    (\"{name}\", 0x{fp:016x}),").unwrap();
     }
     assert!(same, "{table}");
+}
+
+/// Byte offset just past the first `needle` at or after `from`.
+fn find_after(doc: &str, from: usize, needle: &str) -> usize {
+    match doc[from..].find(needle) {
+        Some(i) => from + i + needle.len(),
+        None => panic!("`{needle}` not found after offset {from} in {doc}"),
+    }
+}
+
+/// Every `{`/`[` outside a string literal closes in order, every string
+/// literal closes, and nothing follows the top-level object.
+fn assert_balanced(doc: &str) {
+    let mut open = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, c) in doc.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => open.push(c),
+            '}' | ']' => {
+                let want = if c == '}' { '{' } else { '[' };
+                assert_eq!(open.pop(), Some(want), "unmatched `{c}` at {i} in {doc}");
+                assert!(
+                    !open.is_empty() || i + 1 == doc.len(),
+                    "content after the document at {i}: {doc}"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(!in_string, "unterminated string in {doc}");
+    assert!(open.is_empty(), "unclosed {open:?} in {doc}");
+}
+
+/// The export of `report` carries every field a CI annotator reads, in
+/// report order.
+fn assert_sarif_structure(report: &CheckReport) {
+    let doc = to_sarif(report);
+    assert_eq!(doc, to_sarif(report), "export is deterministic");
+    assert_balanced(&doc);
+    assert!(doc.starts_with(r#"{"version":"2.1.0","#), "{doc}");
+    let mut rules: Vec<&str> = report.diagnostics.iter().map(|d| d.code.name()).collect();
+    rules.sort_unstable();
+    rules.dedup();
+    let catalog: Vec<String> = rules.iter().map(|r| format!(r#"{{"id":"{r}"}}"#)).collect();
+    let mut at = find_after(
+        &doc,
+        0,
+        &format!(
+            r#""driver":{{"name":"stream-check","rules":[{}]}}"#,
+            catalog.join(",")
+        ),
+    );
+    let site = |s: Site| {
+        format!(
+            r#""fullyQualifiedName":"stream/{}/action/{}""#,
+            s.stream.0, s.action_index
+        )
+    };
+    for d in &report.diagnostics {
+        let level = match d.code.severity() {
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+        };
+        // A Rust string literal escapes the printable-ASCII messages the
+        // way JSON does.
+        at = find_after(&doc, at, &format!(r#""ruleId":"{}""#, d.code.name()));
+        at = find_after(&doc, at, &format!(r#""level":"{level}""#));
+        at = find_after(
+            &doc,
+            at,
+            &format!(r#""message":{{"text":{:?}}}"#, d.message),
+        );
+        for &s in std::iter::once(&d.site).chain(&d.related) {
+            at = find_after(&doc, at, &site(s));
+        }
+    }
+    assert_eq!(
+        doc.matches(r#""ruleId":"#).count(),
+        report.diagnostics.len(),
+        "one result per diagnostic"
+    );
+    assert_eq!(
+        doc.matches(r#""fullyQualifiedName":"#).count(),
+        report
+            .diagnostics
+            .iter()
+            .map(|d| 1 + d.related.len())
+            .sum::<usize>(),
+        "one location per site"
+    );
+}
+
+#[test]
+fn sarif_exports_carry_every_diagnostic_field_in_report_order() {
+    // Clean: no results, an empty rule catalog.
+    let p = build_synced(3, &[(0, 0), (1, 1)]);
+    let clean = analyze(&p, &CheckEnv::permissive(&p)).report;
+    assert_eq!(clean.error_count(), 0);
+    assert_sarif_structure(&clean);
+
+    // Racy: two kernels conflict on b0 with no synchronization; the race
+    // diagnostics carry the opposing site as a related location.
+    let mut p = Program::default();
+    let kernels = [
+        mix_kernel("w", [], [BufId(0)], 1.0),
+        mix_kernel("r", [BufId(0)], [BufId(1)], 1.0),
+    ];
+    for (pos, k) in kernels.into_iter().enumerate() {
+        p.streams
+            .push(stream_on(pos, 0, pos, vec![Action::Kernel(k)]));
+    }
+    let racy = analyze(&p, &CheckEnv::permissive(&p)).report;
+    assert!(racy.error_count() > 0, "unsynced conflict must error");
+    assert!(
+        racy.diagnostics.iter().any(|d| !d.related.is_empty()),
+        "race diagnostics carry related sites"
+    );
+    assert_sarif_structure(&racy);
+
+    // Lints: a duplicated wait is a perf-class redundant-sync warning.
+    let mut p = build_synced(3, &[(0, 0), (1, 1)]);
+    let (si, ai, e) = p
+        .streams
+        .iter()
+        .enumerate()
+        .find_map(|(si, s)| {
+            s.actions.iter().enumerate().find_map(|(ai, a)| match a {
+                Action::WaitEvent(e) => Some((si, ai, *e)),
+                _ => None,
+            })
+        })
+        .expect("build_synced waits on its conflicts");
+    p.insert_action(StreamId(si), ai + 1, Action::WaitEvent(e));
+    let lints = lint(&p, &CheckEnv::permissive(&p), None);
+    assert!(
+        lints
+            .diagnostics
+            .iter()
+            .any(|d| d.code.name() == "redundant-sync"),
+        "duplicate wait must lint: {}",
+        lints.render()
+    );
+    assert_eq!(lints.error_count(), 0, "lints are advisory");
+    assert_sarif_structure(&lints);
 }

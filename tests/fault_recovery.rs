@@ -1,7 +1,9 @@
 //! End-to-end acceptance: a seeded fault plan that kills several transfers
 //! and one kernel inside the streamed MM pipeline must not change the
-//! numerical result. Retries absorb the transfer failures; partition
-//! isolation plus one replay pass absorbs the kernel panic.
+//! numerical result, under every scheduler. Retries absorb the transfer
+//! failures; the panic takes its partition, and a recovery pass re-plans
+//! the lost nodes onto the survivor. A plan that fails every transfer
+//! twice is absorbed by retries alone.
 
 use std::sync::Arc;
 
@@ -34,8 +36,8 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
 
     // Force faults at real sites of the recorded program: stream 0's first
     // three transfers each fail twice (recoverable under the default
-    // 3-retry budget) and stream 1's first kernel panics (recoverable via
-    // isolation + replay). The panic lives on the *other* stream so no
+    // 3-retry budget) and stream 1's first kernel panics (recoverable by
+    // re-planning its lost nodes). The panic lives on the *other* stream so no
     // forced-fail transfer sits downstream of it — a tainted transfer is
     // skipped outright, never retried.
     let mut transfer_sites = Vec::new();
@@ -88,6 +90,39 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         assert_eq!(
             recovered.data, clean.data,
             "{kind}: faulted + recovered result must match the clean run bit-for-bit"
+        );
+    }
+
+    // Every transfer's first two attempts fail: the default retry policy
+    // absorbs all of them, with no recovery pass.
+    let transfers = ctx
+        .program()
+        .streams
+        .iter()
+        .flat_map(|s| &s.actions)
+        .filter(|a| matches!(a, Action::Transfer { .. }))
+        .count();
+    let retry_cfg = NativeConfig {
+        fault: Some(Arc::new(FaultPlan::seeded(2026).transfer_failures(1.0, 2))),
+        ..NativeConfig::default()
+    };
+    for kind in SchedulerKind::all() {
+        ctx.zero_buffers();
+        mm::fill_inputs(&ctx, &cfg_mm, &bufs, 42).unwrap();
+        ctx.set_scheduler(kind);
+        let report = ctx
+            .run_native_with(&retry_cfg)
+            .unwrap_or_else(|e| panic!("{kind}: retries absorb every transfer fault: {e}"));
+        assert_eq!(
+            report.faults.transfer_retries,
+            2 * transfers as u64,
+            "{kind}: 2 retries x {transfers} transfers"
+        );
+        assert_eq!(report.faults.transfers_failed, 0, "{kind}");
+        let retried = mm::collect_result(&ctx, &cfg_mm, &bufs).unwrap();
+        assert_eq!(
+            retried.data, clean.data,
+            "{kind}: retried result must match the clean run bit-for-bit"
         );
     }
 }

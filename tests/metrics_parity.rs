@@ -13,6 +13,8 @@
 //!   `overlap()` / `partition_stats()` / link-lane spans say, exactly — a
 //!   gauge estimated some other way (from histogram sums, say, which
 //!   saturate the hidden fraction at 1.0 for any P > 1) fails here.
+//! * **Same work**: both executors' timelines name the same set of
+//!   kernels — they ran the same program.
 //! * **Determinism**: the sim executor prices instruments off simulated
 //!   time, so two identical runs must export **byte-identical** JSONL and
 //!   OpenMetrics text (no wall clock, no RNG, no iteration-order leaks).
@@ -188,6 +190,22 @@ fn assert_gauges_are_timeline_quantities(
     }
 }
 
+/// The sorted, deduplicated labels of every record on a compute lane.
+fn kernel_labels(timeline: &Timeline, kinds: &ResourceKinds) -> Vec<String> {
+    let mut labels: Vec<String> = timeline
+        .records
+        .iter()
+        .filter(|r| {
+            r.resource
+                .is_some_and(|res| kinds.partitions.contains(&res))
+        })
+        .map(|r| r.label.clone())
+        .collect();
+    labels.sort();
+    labels.dedup();
+    labels
+}
+
 #[test]
 fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
     for mut app in apps() {
@@ -213,6 +231,14 @@ fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
             &trace.timeline,
             &trace.kinds,
             &trace.names,
+        );
+        let sim_kernels = kernel_labels(&sim.timeline, &sim.kinds);
+        assert!(!sim_kernels.is_empty(), "{}: no kernel records", app.name());
+        assert_eq!(
+            sim_kernels,
+            kernel_labels(&trace.timeline, &trace.kinds),
+            "{}: sim and native timelines disagree on the kernel set",
+            app.name()
         );
     }
 }

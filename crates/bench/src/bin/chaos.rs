@@ -4,8 +4,8 @@
 //! Three MM conditions at the same `(P, T)` geometry, same inputs:
 //!
 //! 1. **clean** — no fault plan;
-//! 2. **retry** — every transfer's first 2 attempts fail, the default
-//!    [`RetryPolicy`](hstreams::RetryPolicy) absorbs them with backoff;
+//! 2. **retry** — every transfer's first 2 attempts fail, the fixed retry
+//!    policy (3 retries, backoff from 50 µs doubling) absorbs them;
 //! 3. **degraded** — one kernel panic takes its partition with it and a
 //!    recovery pass re-runs the lost nodes on the survivor
 //!    (`run_native_resilient`).
@@ -15,8 +15,6 @@
 //! schedulers. A final chaos sweep drives the autotuner's
 //! [`NativeEvaluator`] under an unrecoverable fault plan and shows killed
 //! trials are logged and skipped, not fatal.
-
-use std::sync::Arc;
 
 use hstreams::action::Action;
 use hstreams::{Context, FaultCounters, FaultPlan, NativeConfig};
@@ -80,7 +78,7 @@ fn main() {
         total: 12,
         warmup: 3,
     };
-    let rig = MmRig::new(n);
+    let mut rig = MmRig::new(n);
     let panic_site = rig.panic_site();
 
     // 1. Clean baseline.
@@ -92,14 +90,12 @@ fn main() {
     let clean_out = rig.result();
 
     // 2. Retry overhead: every transfer fails twice, then succeeds.
-    let retry_cfg = NativeConfig {
-        fault: Some(Arc::new(FaultPlan::seeded(SEED).transfer_failures(1.0, 2))),
-        ..NativeConfig::default()
-    };
+    rig.ctx
+        .set_fault_plan(Some(FaultPlan::seeded(SEED).transfer_failures(1.0, 2)));
     let mut retry_faults = FaultCounters::default();
     let retry_s = runs.measure(|| {
         let started = std::time::Instant::now();
-        let report = rig.ctx.run_native_with(&retry_cfg).unwrap();
+        let report = rig.ctx.run_native().unwrap();
         let s = started.elapsed().as_secs_f64();
         retry_faults = report.faults;
         s
@@ -108,16 +104,16 @@ fn main() {
 
     // 3. Degraded run: stream 1's first kernel panics and takes its
     //    partition with it; the lost nodes are re-run on stream 0's.
-    let degraded_cfg = NativeConfig {
-        fault: Some(Arc::new(
-            FaultPlan::seeded(SEED).panic_kernel_at(panic_site.0, panic_site.1),
-        )),
-        ..NativeConfig::default()
-    };
+    rig.ctx.set_fault_plan(Some(
+        FaultPlan::seeded(SEED).panic_kernel_at(panic_site.0, panic_site.1),
+    ));
     let mut degraded_faults = FaultCounters::default();
     let degraded_s = runs.measure(|| {
         let started = std::time::Instant::now();
-        let resilient = rig.ctx.run_native_resilient(&degraded_cfg).unwrap();
+        let resilient = rig
+            .ctx
+            .run_native_resilient(&NativeConfig::default())
+            .unwrap();
         let s = started.elapsed().as_secs_f64();
         degraded_faults = resilient.faults;
         s

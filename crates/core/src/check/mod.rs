@@ -67,9 +67,9 @@ pub enum CheckMode {
     /// [`Error::Check`](crate::types::Error) (the default).
     #[default]
     Enforce,
-    /// Analyze and record the report (see
-    /// [`Context::take_check_report`](crate::context::Context::take_check_report)),
-    /// but run the program anyway — for deliberately-racy experiments.
+    /// Analyze, but run the program anyway — for deliberately-racy
+    /// experiments; the findings are
+    /// [`Context::analyze`](crate::context::Context::analyze)'s report.
     WarnOnly,
     /// Skip analysis entirely.
     Off,

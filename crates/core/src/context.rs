@@ -11,6 +11,12 @@
 //! * [`Context::run_native`](crate::executor::native) executes it for real
 //!   on partitioned host thread pools.
 //!
+//! What a run reads is context state — the check mode, the scheduler, the
+//! fault plan — and what it produced comes back from the call: a report,
+//! or an error that carries its evidence (a refusal its
+//! [`CheckReport`](crate::check::CheckReport), a failed native run its
+//! [`RunFailure`](crate::types::RunFailure)).
+//!
 //! ```
 //! use hstreams::context::Context;
 //! use hstreams::kernel::KernelDesc;
@@ -96,10 +102,10 @@ impl ContextBuilder {
     /// records and implied barriers are removed under an equivalence
     /// certificate before the program is stored. Off by default. Callers
     /// that address actions by `(stream, action index)` — e.g. fault
-    /// injection sites — must translate coordinates through
-    /// [`Context::take_opt_report`]. Incrementally recorded programs are
-    /// not rewritten implicitly; opt in per program with
-    /// [`Context::apply_optimizer`].
+    /// injection sites — must translate coordinates through the
+    /// [`OptReport`](crate::opt::OptReport) the install returns.
+    /// Incrementally recorded programs are not rewritten implicitly; opt in
+    /// per program with [`Context::apply_optimizer`].
     pub fn optimize(mut self, on: bool) -> ContextBuilder {
         self.optimize = on;
         self
@@ -143,14 +149,11 @@ impl ContextBuilder {
             buffers: Vec::new(),
             program,
             native_rt: std::sync::OnceLock::new(),
-            last_native_trace: parking_lot::Mutex::new(None),
-            recovery: parking_lot::Mutex::new(None),
             check_mode: self.check_mode,
-            last_check: parking_lot::Mutex::new(None),
             scheduler: crate::sched::SchedulerKind::default(),
+            fault_plan: None,
             metrics: self.metrics,
             optimize: self.optimize,
-            last_opt: parking_lot::Mutex::new(None),
         })
     }
 }
@@ -189,27 +192,17 @@ pub struct Context {
     /// lanes), built lazily on the first native run and torn down when
     /// the context drops.
     native_rt: std::sync::OnceLock<crate::executor::native::NativeRuntime>,
-    /// The most recent traced native run's timeline, published even when the
-    /// run failed partway (see [`Context::take_native_trace`]).
-    last_native_trace: parking_lot::Mutex<Option<crate::trace::NativeTrace>>,
-    /// Recovery material left by the most recent failed native run (lost
-    /// partitions, skipped actions, fault counters); consumed by
-    /// [`Context::run_native_resilient`].
-    recovery: parking_lot::Mutex<Option<crate::fault::RecoveryState>>,
     /// What the executors do with static-analyzer findings.
     check_mode: crate::check::CheckMode,
-    /// Report of the most recent pre-run analysis (any mode but `Off`).
-    last_check: parking_lot::Mutex<Option<crate::check::CheckReport>>,
     /// Which scheduler both executors use (see [`crate::sched`]).
     scheduler: crate::sched::SchedulerKind,
+    /// The faults both executors inject (see [`Context::set_fault_plan`]).
+    pub(crate) fault_plan: Option<crate::fault::FaultPlan>,
     /// Attach run metrics on both executors (see [`crate::metrics`]).
     metrics: bool,
     /// Elide redundant sync on program install (see
     /// [`ContextBuilder::optimize`]).
     optimize: bool,
-    /// Report of the most recent sync-elision pass (install-time or
-    /// [`Context::apply_optimizer`]).
-    last_opt: parking_lot::Mutex<Option<crate::opt::OptReport>>,
 }
 
 impl std::fmt::Debug for Context {
@@ -275,10 +268,7 @@ impl Context {
     /// runtime is built, replanning past the capacity simply raises it.
     ///
     /// On error (e.g. more partitions than cores) the context keeps its
-    /// previous geometry — including any pending
-    /// [recovery state](Context::take_recovery_state), which stays
-    /// consumable. A **successful** replan discards it with the program:
-    /// its skipped sites and lost partitions index the old geometry.
+    /// previous geometry and program.
     pub fn replan(&mut self, partitions: usize) -> Result<()> {
         if partitions > self.replan_capacity && self.native_rt.get().is_some() {
             return Err(Error::Config(format!(
@@ -303,8 +293,6 @@ impl Context {
         }
         self.partitions = partitions;
         self.program = streams_for(&devices, partitions, self.streams_per_partition);
-        // Pending recovery coordinates referenced the discarded program.
-        self.recovery.lock().take();
         Ok(())
     }
 
@@ -476,7 +464,12 @@ impl Context {
     /// sized for. Violations are typed [`Error`]s, never panics — the
     /// checker still runs at execution time under the context's
     /// [`CheckMode`](crate::check::CheckMode) and may reject more.
-    pub fn install_program(&mut self, program: Program) -> Result<()> {
+    ///
+    /// Returns the sync-elision report when the context was
+    /// [built](ContextBuilder::optimize) with the optimizer on (`None`
+    /// otherwise): its site map translates recorded coordinates into the
+    /// installed program's.
+    pub fn install_program(&mut self, program: Program) -> Result<Option<crate::opt::OptReport>> {
         program.validate()?;
         let devices = self.platform.device_count();
         let max_streams = devices * self.replan_capacity * self.streams_per_partition;
@@ -505,16 +498,13 @@ impl Context {
                 }
             }
         }
-        self.program = if self.optimize {
-            let optimized = crate::opt::optimize(&program, &self.check_env());
-            *self.last_opt.lock() = Some(optimized.report);
-            optimized.program
-        } else {
-            program
-        };
-        // Pending recovery coordinates referenced the replaced program.
-        self.recovery.lock().take();
-        Ok(())
+        if !self.optimize {
+            self.program = program;
+            return Ok(None);
+        }
+        let optimized = crate::opt::optimize(&program, &self.check_env());
+        self.program = optimized.program;
+        Ok(Some(optimized.report))
     }
 
     /// Reset every allocated buffer's host **and** device storage to zeros
@@ -541,8 +531,6 @@ impl Context {
         }
         self.program.events.clear();
         self.program.barriers = 0;
-        // Pending recovery coordinates referenced the cleared actions.
-        self.recovery.lock().take();
     }
 
     // ----- static analysis -------------------------------------------------
@@ -571,41 +559,24 @@ impl Context {
     }
 
     /// Statically analyze the recorded program against this context's
-    /// plan, regardless of the check mode. See [`crate::check`].
+    /// plan, regardless of the check mode. See [`crate::check`]. A run the
+    /// gate refused carries its report in [`Error::Check`].
     pub fn analyze(&self) -> crate::check::Analysis {
         crate::check::analyze(&self.program, &self.check_env())
-    }
-
-    /// The report of the most recent pre-run analysis (both executors
-    /// leave one behind unless the mode is
-    /// [`CheckMode::Off`](crate::check::CheckMode)) — including the run
-    /// that was just *refused*, so callers can render the findings.
-    pub fn take_check_report(&self) -> Option<crate::check::CheckReport> {
-        self.last_check.lock().take()
     }
 
     // ----- optimizer -------------------------------------------------------
 
     /// Run the sync-elision optimizer ([`crate::opt::optimize`]) over the
     /// **recorded** program in place and return how many actions it
-    /// removed. The report — including the equivalence
-    /// [`Certificate`](crate::opt::Certificate) and the site map for
-    /// translating optimized coordinates back to recorded ones — is
-    /// stashed for [`Context::take_opt_report`]. Unclean or already
-    /// minimal programs are left untouched (zero is returned).
+    /// removed. Unclean or already minimal programs are left untouched
+    /// (zero is returned). Callers that need the report — the equivalence
+    /// [`Certificate`](crate::opt::Certificate), the site map — call
+    /// [`crate::opt::optimize`] themselves.
     pub fn apply_optimizer(&mut self) -> usize {
         let optimized = crate::opt::optimize(&self.program, &self.check_env());
-        let elided = optimized.report.elided_actions();
         self.program = optimized.program;
-        *self.last_opt.lock() = Some(optimized.report);
-        elided
-    }
-
-    /// The report of the most recent sync-elision pass — install-time
-    /// (when [built](ContextBuilder::optimize) with the optimizer on) or
-    /// explicit [`Context::apply_optimizer`]. Taking it clears the slot.
-    pub fn take_opt_report(&self) -> Option<crate::opt::OptReport> {
-        self.last_opt.lock().take()
+        optimized.report.elided_actions()
     }
 
     /// Static cost bounds for the recorded program under the context's
@@ -619,18 +590,16 @@ impl Context {
     }
 
     /// Pre-run analyzer gate shared by both executors: analyze under the
-    /// context's [`CheckMode`](crate::check::CheckMode), stash the report,
-    /// and refuse error-severity findings when enforcing. A run that may
-    /// proceed gets the analysis (`None` when the mode is `Off`) to plan
+    /// context's [`CheckMode`](crate::check::CheckMode) and refuse
+    /// error-severity findings, report attached, when enforcing. A run that
+    /// may proceed gets the analysis (`None` when the mode is `Off`) to plan
     /// and lower from, instead of deriving the graph again.
     pub(crate) fn enforce_check(&self) -> Result<Option<crate::check::Analysis>> {
         match self.check_mode {
             crate::check::CheckMode::Off => Ok(None),
             mode => {
                 let analysis = self.analyze();
-                let clean = analysis.report.is_clean();
-                *self.last_check.lock() = Some(analysis.report.clone());
-                if !clean && mode == crate::check::CheckMode::Enforce {
+                if !analysis.report.is_clean() && mode == crate::check::CheckMode::Enforce {
                     Err(Error::Check(Box::new(analysis.report)))
                 } else {
                     Ok(Some(analysis))
@@ -663,6 +632,17 @@ impl Context {
     /// wherever the scheduler runs them.
     pub fn set_scheduler(&mut self, kind: crate::sched::SchedulerKind) {
         self.scheduler = kind;
+    }
+
+    /// Inject `plan`'s faults into every subsequent run on either executor,
+    /// until it is replaced (`None` injects nothing, the default). The
+    /// simulator prices failed transfer attempts and their backoffs on the
+    /// link, stretches slow transfers and partitions, and surfaces
+    /// unrecoverable faults as typed errors; the native executor injects
+    /// the same faults at the same recorded sites. Both retry a failed
+    /// transfer up to 3 times.
+    pub fn set_fault_plan(&mut self, plan: Option<crate::fault::FaultPlan>) {
+        self.fault_plan = plan;
     }
 
     /// The cost model of this context — its calibrated platform
@@ -714,7 +694,8 @@ impl Context {
     /// the program is analyzer-clean, the simulator executes the scheduled
     /// (re-placed, re-ordered) form of the program instead of the recorded
     /// stream order; otherwise it runs the recorded program exactly as the
-    /// pre-scheduler runtime did.
+    /// pre-scheduler runtime did. The [fault plan](Context::set_fault_plan),
+    /// if any, is priced in.
     pub fn run_sim(&self) -> Result<crate::executor::sim::SimReport> {
         crate::executor::sim::run(self)
     }
@@ -750,50 +731,7 @@ impl Context {
             .map(super::executor::native::NativeRuntime::thread_count)
     }
 
-    /// Stash the trace of the latest traced native run (called from the
-    /// executor's trace guard on every exit path, including panics).
-    pub(crate) fn store_native_trace(&self, trace: crate::trace::NativeTrace) {
-        *self.last_native_trace.lock() = Some(trace);
-    }
-
-    /// Take the trace of the most recent traced native run, if any. This is
-    /// how a **partial** timeline is recovered when `run_native_with` (with
-    /// [`NativeConfig::trace`](crate::executor::native::NativeConfig) set)
-    /// returned an error: every span recorded before the failure is there,
-    /// so the Gantt chart names the kernel that blew up. Successful runs
-    /// also attach the same trace to the report directly.
-    pub fn take_native_trace(&self) -> Option<crate::trace::NativeTrace> {
-        self.last_native_trace.lock().take()
-    }
-
-    // ----- fault injection & recovery --------------------------------------
-
-    /// Simulate the program under a [`FaultPlan`](crate::fault::FaultPlan):
-    /// failed transfer attempts and their backoffs are priced on the link,
-    /// slow transfers and partitions stretch their tasks, and unrecoverable
-    /// faults (retry budget exhausted, kernel panics, allocation failures)
-    /// surface as typed errors. The default
-    /// [`RetryPolicy`](crate::fault::RetryPolicy) prices the retries.
-    pub fn run_sim_faulted(
-        &self,
-        plan: &crate::fault::FaultPlan,
-    ) -> Result<crate::executor::sim::SimReport> {
-        crate::executor::sim::run_with(self, Some(plan), &crate::fault::RetryPolicy::default())
-    }
-
-    /// Stash the recovery material of a failed native run (called by the
-    /// native executor on its error path).
-    pub(crate) fn store_recovery(&self, state: crate::fault::RecoveryState) {
-        *self.recovery.lock() = Some(state);
-    }
-
-    /// Take the recovery material of the most recent failed native run, if
-    /// any: which partitions a kernel panic poisoned, and which actions were
-    /// skipped. [`Context::run_native_resilient`] consumes this; it is
-    /// exposed for callers that implement their own recovery policy.
-    pub fn take_recovery_state(&self) -> Option<crate::fault::RecoveryState> {
-        self.recovery.lock().take()
-    }
+    // ----- recovery --------------------------------------------------------
 
     /// Execute natively with **graceful degradation**: a pass that loses work
     /// drains and records what it skipped; the next pass re-runs exactly
@@ -813,7 +751,7 @@ impl Context {
         let mut after = crate::fault::RecoveryState::default();
         let mut pass = crate::executor::native::run(self, cfg);
         loop {
-            let err = match pass {
+            let failure = match pass {
                 Ok(report) => {
                     faults.absorb(&report.faults);
                     return Ok(crate::fault::ResilientReport {
@@ -822,19 +760,18 @@ impl Context {
                         lost_partitions: after.lost,
                     });
                 }
-                Err(err) => err,
+                Err(Error::Run(failure)) => failure,
+                Err(refused) => return Err(refused),
             };
-            let Some(state) = self.take_recovery_state() else {
-                return Err(err);
-            };
+            let state = &failure.recovery;
             faults.absorb(&state.faults);
-            after.lost.extend(state.lost);
-            after.fired.extend(state.fired);
+            after.lost.extend_from_slice(&state.lost);
+            after.fired.extend_from_slice(&state.fired);
             let plan = (faults.degraded_runs < MAX_DEGRADED_RUNS)
                 .then(|| self.recovery_plan(&state.skipped, &after.lost))
                 .flatten();
             let Some(plan) = plan else {
-                return Err(err);
+                return Err(Error::Run(failure));
             };
             faults.degraded_runs += 1;
             faults.replayed_actions += state.skipped.len() as u64;
@@ -1050,8 +987,12 @@ mod tests {
                 buf: a,
             }],
         });
-        c.install_program(good.clone()).unwrap();
+        assert!(c.install_program(good.clone()).unwrap().is_none());
         assert_eq!(c.program().action_count(), 1);
+        // With the optimizer off an install reports no elision, not even
+        // the one an explicit pass made before it.
+        c.apply_optimizer();
+        assert!(c.install_program(good.clone()).unwrap().is_none());
 
         // Unknown buffer.
         let mut bad_buf = good.clone();

@@ -84,14 +84,14 @@ use crate::action::Action;
 use crate::buffer::Elem;
 use crate::check::{HbEdges, HbGraph, Site};
 use crate::context::Context;
-use crate::fault::{FaultCounters, FaultPlan, FaultTallies, RecoveryState, RetryPolicy};
+use crate::fault::{self, FaultCounters, FaultTallies, RecoveryState};
 use crate::kernel::KernelCtx;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
 use crate::sched::{Schedule, TaskGraph};
 use crate::trace::{NativeTrace, Recorder, Recording};
-use crate::types::{BufId, Error, Result};
+use crate::types::{BufId, Error, Result, RunFailure};
 
 /// Settings for native execution.
 #[derive(Clone, Debug, Default)]
@@ -106,28 +106,19 @@ pub struct NativeConfig {
     /// Attach the run's [`NativeTrace`] to [`NativeReport::trace`] — the
     /// same `Timeline` representation the simulator produces, so overlap
     /// stats, Gantt and Chrome-trace export work on real runs unchanged —
-    /// and publish it on the context, where on error the partial trace is
-    /// still retrievable via
-    /// [`Context::take_native_trace`](crate::context::Context::take_native_trace).
-    /// This, [`metrics`](NativeConfig::metrics) and
+    /// or, when the run fails after it started, the partial trace to its
+    /// [`RunFailure::trace`]. This, [`metrics`](NativeConfig::metrics) and
     /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics)
     /// each turn the one span recorder on and differ only in the output
     /// they attach. With all three off (the default) a run pays one branch
     /// per action.
     pub trace: bool,
-    /// Deterministic fault injection: transfer failures/slowdowns, kernel
-    /// panics, slow partitions, allocation failures (see [`FaultPlan`]),
-    /// each at its recorded site wherever the scheduler runs it. `None`
-    /// (the default) injects nothing.
-    pub fault: Option<Arc<FaultPlan>>,
-    /// Retry-with-backoff policy for failed transfers.
-    pub retry: RetryPolicy,
     /// Attach run metrics (see [`crate::metrics`]) to
     /// [`NativeReport::metrics`]: the full instrument catalog, priced from
     /// the recorded timeline once the drivers have joined — the same
     /// function prices the simulator's. Also enabled by
     /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics).
-    /// Metrics alone attach no trace and publish none on the context.
+    /// Metrics alone attach no trace.
     pub metrics: bool,
 }
 
@@ -210,12 +201,10 @@ impl Drop for LaneGuard<'_> {
 
 // ----- fault control --------------------------------------------------------
 
-/// Per-run fault state shared by every driver: the plan's dice, the retry
-/// policy, atomic tallies, lost partitions, tainted buffers, and what was
-/// skipped, in skip order (see [`RecoveryState::skipped`]).
+/// Per-run fault state shared by every driver: atomic tallies, lost
+/// partitions, tainted buffers, and what was skipped, in skip order (see
+/// [`RecoveryState::skipped`]). The plan's dice are the context's.
 struct FaultControl {
-    plan: Option<Arc<FaultPlan>>,
-    retry: RetryPolicy,
     tallies: Arc<FaultTallies>,
     parts_per_dev: usize,
     /// `[device * parts_per_dev + partition]`: lost to a kernel panic.
@@ -236,7 +225,7 @@ struct FaultControl {
 impl FaultControl {
     /// Fault state for a run that starts with the partitions `after` lost
     /// already lost and the sites it fired exempt from the plan.
-    fn new(ctx: &Context, cfg: &NativeConfig, after: &RecoveryState) -> FaultControl {
+    fn new(ctx: &Context, after: &RecoveryState) -> FaultControl {
         let parts_per_dev = ctx.partitions().max(1);
         let flags = |n: usize| (0..n).map(|_| AtomicBool::new(false)).collect::<Vec<_>>();
         let poisoned = flags(ctx.device_count() * parts_per_dev);
@@ -244,8 +233,6 @@ impl FaultControl {
             poisoned[dev * parts_per_dev + part].store(true, Ordering::Relaxed);
         }
         FaultControl {
-            plan: cfg.fault.clone(),
-            retry: cfg.retry,
             tallies: Arc::new(FaultTallies::default()),
             parts_per_dev,
             poisoned,
@@ -567,8 +554,8 @@ fn exec_kernel(
 }
 
 /// The payload step of both walks: execute the transfer or kernel `action`
-/// recorded at `site` on `(dev, part)` under the run's fault plan and retry
-/// policy (both keyed by the recorded site), recording against recorder
+/// recorded at `site` on `(dev, part)` under the context's fault plan (keyed
+/// by the recorded site) and the retry policy, recording against recorder
 /// stream `rsi` — or skip it (see the module docs), leaving the error of a
 /// loss in `shared`.
 fn run_payload(
@@ -591,7 +578,8 @@ fn run_payload(
         return;
     }
     // The plan, unless this site's fault fired in an earlier pass.
-    let plan = fc.plan.as_deref().filter(|_| !fc.spent.contains(&(si, ai)));
+    let live = shared.ctx.fault_plan.as_ref();
+    let plan = live.filter(|_| !fc.spent.contains(&(si, ai)));
     match action {
         Action::Transfer { dir, buf } => {
             // Injected transfer failures: retry with backoff until the
@@ -601,7 +589,7 @@ fn run_payload(
                 fc.fired.lock().push((si, ai));
             }
             for attempt in 0..fail_attempts {
-                if attempt >= fc.retry.max_retries {
+                if attempt >= fault::MAX_RETRIES {
                     FaultTallies::bump(&fc.tallies.transfers_failed);
                     shared.fail(Error::Fault {
                         site: format!("transfer s{si}#{ai}"),
@@ -611,13 +599,13 @@ fn run_payload(
                     return;
                 }
                 FaultTallies::bump(&fc.tallies.transfer_retries);
-                std::thread::sleep(fc.retry.backoff_for(attempt));
+                std::thread::sleep(fault::backoff_for(attempt));
             }
             let slowdown = plan.map_or(1.0, |p| p.transfer_slowdown(si, ai));
             exec_transfer(shared, rsi, *dir, *buf, dev, slowdown, site);
         }
         Action::Kernel(desc) => {
-            let slowed = fc.plan.as_ref().filter(|_| !desc.host);
+            let slowed = live.filter(|_| !desc.host);
             let slow_factor = slowed.map_or(1.0, |p| p.partition_slowdown(dev, part));
             let injected = plan.is_some_and(|p| p.kernel_panics_at(si, ai));
             if injected {
@@ -980,38 +968,6 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
     }
 }
 
-/// Owns the run's recorder so a traced run's spans reach the context **on
-/// every exit path**: `run` takes the recorder back and joins it once the
-/// drivers have returned (normal completion or a reported kernel panic); if
-/// instead the driver group unwinds (a driver panicking outside the kernel
-/// `catch_unwind` re-raises on the submitting thread) the drop handler
-/// does. Spans are pushed per-action, so whatever completed before a
-/// failure survives as a partial timeline, retrievable via
-/// [`Context::take_native_trace`].
-struct TraceGuard<'a> {
-    ctx: &'a Context,
-    recorder: Option<Recorder>,
-    /// [`NativeConfig::trace`]: whether the trace is an output of this run.
-    publish: bool,
-}
-
-impl TraceGuard<'_> {
-    /// Join the recorder's buffers (`None` once taken, or when nothing was
-    /// recorded).
-    fn join(&mut self) -> Option<Recording> {
-        let recorder = self.recorder.take()?;
-        Some(recorder.join(self.ctx.program()))
-    }
-}
-
-impl Drop for TraceGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(recording) = self.join().filter(|_| self.publish) {
-            self.ctx.store_native_trace(recording.into_trace());
-        }
-    }
-}
-
 /// Validate and execute the context's program natively.
 pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     ctx.program().validate()?;
@@ -1072,7 +1028,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         ctx,
         cfg,
         walk,
-        FaultControl::new(ctx, cfg, &RecoveryState::default()),
+        FaultControl::new(ctx, &RecoveryState::default()),
     )
 }
 
@@ -1085,12 +1041,12 @@ pub(crate) fn rerun(
     (schedule, graph): &(Schedule, TaskGraph),
     after: &RecoveryState,
 ) -> Result<NativeReport> {
-    let fc = FaultControl::new(ctx, cfg, after);
+    let fc = FaultControl::new(ctx, after);
     execute(ctx, cfg, Walk::Scheduled(schedule, graph), fc)
 }
 
-/// Back the buffers, run `walk` and attach what telemetry asks for; on
-/// failure leave the run's recovery material on the context.
+/// Back the buffers, run `walk` and attach what telemetry asks for; a
+/// failure carries the run's recovery material and partial trace.
 fn execute(
     ctx: &Context,
     cfg: &NativeConfig,
@@ -1099,19 +1055,20 @@ fn execute(
 ) -> Result<NativeReport> {
     // Injected allocation failures fire before any work starts: a buffer
     // that cannot be backed fails the whole run (nothing to re-run).
-    if let Some(plan) = &fc.plan {
-        for i in 0..ctx.buffer_count() {
-            if plan.alloc_fails(i) {
-                FaultTallies::bump(&fc.tallies.alloc_faults);
-                ctx.store_recovery(RecoveryState {
-                    faults: fc.tallies.snapshot(),
-                    ..RecoveryState::default()
-                });
-                return Err(Error::Fault {
+    if let Some(plan) = &ctx.fault_plan {
+        if let Some(i) = (0..ctx.buffer_count()).find(|&i| plan.alloc_fails(i)) {
+            FaultTallies::bump(&fc.tallies.alloc_faults);
+            return Err(Error::Run(Box::new(RunFailure {
+                cause: Error::Fault {
                     site: format!("alloc b{i}"),
                     attempts: 1,
-                });
-            }
+                },
+                recovery: RecoveryState {
+                    faults: fc.tallies.snapshot(),
+                    ..RecoveryState::default()
+                },
+                trace: None,
+            })));
         }
     }
 
@@ -1132,22 +1089,20 @@ fn execute(
     // One recorder behind all three telemetry switches; they only select
     // which outputs are attached below.
     let metered = cfg.metrics || ctx.metrics_enabled();
-    let mut guard = TraceGuard {
-        ctx,
-        recorder: (cfg.trace || metered).then(|| Recorder::new(ctx, fc.tallies.clone())),
-        publish: cfg.trace,
-    };
+    let recorder = (cfg.trace || metered).then(|| Recorder::new(ctx, fc.tallies.clone()));
     let bytes_moved: Vec<AtomicU64> = (0..ctx.device_count()).map(|_| AtomicU64::new(0)).collect();
     let result = run_persistent(
         ctx,
         cfg,
         threads_hint,
-        guard.recorder.as_ref(),
+        recorder.as_ref(),
         &bytes_moved,
         &fc,
         walk,
     );
-    let recording = guard.join();
+    // Spans are pushed per action, so a failed run's recording is the
+    // partial timeline up to the failure.
+    let recording = recorder.map(|rec| rec.join(ctx.program()));
     let faults = fc.tallies.snapshot();
     let metrics = match (&result, &recording) {
         (Ok(report), Some(rec)) if metered => {
@@ -1163,12 +1118,7 @@ fn execute(
         }
         _ => None,
     };
-    // Published on the error path too: the partial trace stays retrievable
-    // from the context.
     let trace = recording.filter(|_| cfg.trace).map(Recording::into_trace);
-    if let Some(trace) = &trace {
-        ctx.store_native_trace(trace.clone());
-    }
     match result {
         Ok(mut report) => {
             report.faults = faults;
@@ -1176,17 +1126,18 @@ fn execute(
             report.trace = trace;
             Ok(report)
         }
-        Err(err) => {
-            // Leave the pass's recovery material on the context so
-            // `run_native_resilient` can re-plan onto the survivors.
-            ctx.store_recovery(RecoveryState {
+        // The pass's recovery material lets `run_native_resilient` re-plan
+        // onto the survivors.
+        Err(cause) => Err(Error::Run(Box::new(RunFailure {
+            cause,
+            recovery: RecoveryState {
                 lost: fc.lost.into_inner(),
                 skipped: fc.skipped.into_inner(),
                 fired: fc.fired.into_inner(),
                 faults,
-            });
-            Err(err)
-        }
+            },
+            trace,
+        }))),
     }
 }
 
@@ -1284,10 +1235,11 @@ mod tests {
             program.events[e_b.0].action_index = 1;
         }
         ctx.program.validate().unwrap();
+        // The refusal carries the full report.
         let err = ctx.run_native().unwrap_err();
-        assert!(matches!(err, Error::Check(_)), "{err}");
-        // The refused run still leaves the full report behind.
-        let report = ctx.take_check_report().expect("report stashed");
+        let Error::Check(report) = err else {
+            panic!("expected a check refusal, got {err}");
+        };
         assert!(!report.is_clean());
     }
 
@@ -1412,7 +1364,7 @@ mod tests {
         ctx.kernel(s1, native_kernel("after").with_native(|_| {}))
             .unwrap();
         let err = ctx.run_native().unwrap_err();
-        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
+        assert!(matches!(err.cause(), Error::PartitionLost { .. }), "{err}");
     }
 
     #[test]
@@ -1475,7 +1427,7 @@ mod tests {
         };
         record(&mut ctx, true);
         let err = ctx.run_native_with(&throttled).unwrap_err();
-        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
+        assert!(matches!(err.cause(), Error::PartitionLost { .. }), "{err}");
         ctx.reset_program();
         record(&mut ctx, false);
         let report = ctx.run_native_with(&throttled).unwrap();
@@ -1852,13 +1804,8 @@ mod tests {
         ctx.set_scheduler(SchedulerKind::ListHeft);
         let plain = ctx.run_native().unwrap();
         assert!(plain.steals > 0, "steals = {}", plain.steals);
-        let plan = crate::fault::FaultPlan::seeded(7);
-        let report = ctx
-            .run_native_with(&NativeConfig {
-                fault: Some(Arc::new(plan)),
-                ..NativeConfig::default()
-            })
-            .unwrap();
+        ctx.set_fault_plan(Some(crate::fault::FaultPlan::seeded(7)));
+        let report = ctx.run_native().unwrap();
         assert_eq!(report.steals, plain.steals);
     }
 
@@ -2021,7 +1968,7 @@ mod tests {
         ctx.set_scheduler(SchedulerKind::ListHeft);
         boom.store(true, Ordering::SeqCst);
         let err = ctx.run_native().unwrap_err();
-        assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
+        assert!(matches!(err.cause(), Error::PartitionLost { .. }), "{err}");
         assert_eq!(ctx.native_thread_count(), threads);
 
         boom.store(false, Ordering::SeqCst);

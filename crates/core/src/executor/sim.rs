@@ -43,7 +43,7 @@ use micsim::trace::{
 use crate::action::Action;
 use crate::check::{wait_cycle, HbEdges, HbGraph};
 use crate::context::Context;
-use crate::fault::{FaultPlan, RetryPolicy};
+use crate::fault;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::sched::{CostModel, Lane, Schedule, TaskGraph};
@@ -99,26 +99,19 @@ impl SimReport {
     }
 }
 
-/// Validate and simulate the context's recorded program.
+/// Validate and simulate the context's recorded program under its
+/// [fault plan](Context::set_fault_plan), each fault at its recorded site
+/// under any scheduler: failed transfer attempts and their backoffs are
+/// priced on the link, slow partitions stretch the kernels placed on them,
+/// injected kernel panics surface as [`Error::PartitionLost`] of the
+/// partition the kernel was placed on, and allocation faults abort before
+/// the run starts — mirroring what the native executor does with the same
+/// plan.
 pub fn run(ctx: &Context) -> Result<SimReport> {
-    run_with(ctx, None, &RetryPolicy::default())
-}
-
-/// Simulate under a fault plan, each fault at its recorded site under any
-/// scheduler: failed transfer attempts and their backoffs are priced on the
-/// link, slow partitions stretch the kernels placed on them, injected
-/// kernel panics surface as [`Error::PartitionLost`] of the partition the
-/// kernel was placed on, and allocation faults abort before the run starts
-/// — mirroring what the native executor does with the same plan.
-pub fn run_with(
-    ctx: &Context,
-    fault: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-) -> Result<SimReport> {
     ctx.program.validate()?;
     let analysis = ctx.enforce_check()?;
     check_device_memory(ctx)?;
-    if let Some(plan) = fault {
+    if let Some(plan) = &ctx.fault_plan {
         for i in 0..ctx.buffers.len() {
             if plan.alloc_fails(i) {
                 return Err(Error::Fault {
@@ -135,12 +128,12 @@ pub fn run_with(
     // order (FIFO itself always declines to schedule).
     if let Some((schedule, graph)) = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref()) {
         let walk = Walk::Scheduled(&schedule, &graph);
-        return lower(ctx, &walk, &cost, fault, retry);
+        return lower(ctx, &walk, &cost);
     }
     // The gate's graph; under `CheckMode::Off` nobody built one yet.
     let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
     let order = hb.order().map_err(wait_cycle)?;
-    lower(ctx, &Walk::Recorded(order, hb.edges()), &cost, fault, retry)
+    lower(ctx, &Walk::Recorded(order, hb.edges()), &cost)
 }
 
 /// The sequence [`lower`] walks: which node comes next, on which lane, after
@@ -160,13 +153,7 @@ enum Walk<'a> {
 /// dependencies are refilled into one scratch vector the engine borrows.
 /// A step whose predecessor has not been lowered yet — a schedule that is
 /// not a topological order of its graph — is an error, not a dropped edge.
-fn lower(
-    ctx: &Context,
-    walk: &Walk<'_>,
-    cost: &CostModel,
-    fault: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-) -> Result<SimReport> {
+fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> {
     let program = &ctx.program;
     let (steps, nodes, steals) = match walk {
         Walk::Recorded(order, edges) => (order.len(), edges.nodes, 0),
@@ -269,7 +256,7 @@ fn lower(
         // partition to lose, the loss is the kernel itself.
         let mut fail_attempts = 0;
         let mut slowdown = 1.0;
-        if let Some(plan) = fault {
+        if let Some(plan) = &ctx.fault_plan {
             match (action, lane) {
                 (Action::Kernel(desc), _) if plan.kernel_panics_at(si, ai) => {
                     let kernel = desc.label.clone();
@@ -292,10 +279,10 @@ fn lower(
                 (_, Lane::Host) => {}
             }
         }
-        if fail_attempts > retry.max_retries {
+        if fail_attempts > fault::MAX_RETRIES {
             return Err(Error::Fault {
                 site: format!("transfer s{si}#{ai}"),
-                attempts: retry.max_retries + 1,
+                attempts: fault::MAX_RETRIES + 1,
             });
         }
         let duration = cost.degraded_price(action, lane, slowdown)?;
@@ -308,7 +295,7 @@ fn lower(
         for attempt in 0..fail_attempts {
             let label = format!("{}!fail{attempt}", action.label());
             let failed = add(Some(lane), duration, &deps, label)?;
-            let backoff = SimDuration::from_secs_f64(retry.backoff_for(attempt).as_secs_f64());
+            let backoff = SimDuration::from_secs_f64(fault::backoff_for(attempt).as_secs_f64());
             let label = format!("{}!backoff{attempt}", action.label());
             let waited = add(None, backoff, &[failed], label)?;
             deps.clear();
@@ -329,7 +316,7 @@ fn lower(
             bytes_per_device: bytes_per_dev,
             actions_executed: actions_lowered,
             steals: steals as u64,
-            faults: crate::fault::FaultCounters {
+            faults: fault::FaultCounters {
                 transfer_retries: retries_priced,
                 ..Default::default()
             },
@@ -674,11 +661,7 @@ mod tests {
         let (mut schedule, graph) = ctx
             .plan_schedule_graph(SchedulerKind::ListHeft, None)
             .expect("a clean program schedules");
-        let retry = RetryPolicy::default();
-        let run = |schedule: &Schedule| {
-            let walk = Walk::Scheduled(schedule, &graph);
-            lower(&ctx, &walk, &cost, None, &retry)
-        };
+        let run = |schedule: &Schedule| lower(&ctx, &Walk::Scheduled(schedule, &graph), &cost);
         assert!(run(&schedule).is_ok());
         // The kernel now comes before the transfer that feeds it.
         schedule.tasks.reverse();

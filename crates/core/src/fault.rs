@@ -1,13 +1,15 @@
-//! Deterministic fault injection and the recovery policy knobs.
+//! Deterministic fault injection and the one retry policy.
 //!
 //! The platform the paper evaluates — a Xeon Phi over PCIe — is exactly the
 //! kind of accelerator where transfers stall, partitions underperform, and
-//! offloaded kernels die. A [`FaultPlan`] lets tests and benches inject
-//! those pathologies into **both** executors from one seed:
+//! offloaded kernels die. A [`FaultPlan`], set on the context with
+//! [`Context::set_fault_plan`](crate::context::Context::set_fault_plan),
+//! injects those pathologies into **both** executors from one seed:
 //!
 //! * **transfer failures** — a transfer's first `k` attempts fail; the
-//!   native executor retries with backoff under a [`RetryPolicy`], the sim
-//!   executor prices the failed attempts and backoffs on the link;
+//!   native executor retries up to 3 times with backoff (50 µs, doubling,
+//!   capped at 100 ms), the sim executor prices the failed attempts and
+//!   backoffs on the link;
 //! * **transfer slowdowns** — a transfer's bandwidth term is stretched;
 //! * **kernel panics** — a kernel dies on launch and takes the partition it
 //!   ran on with it; `Context::run_native_resilient` re-runs what was lost
@@ -189,35 +191,16 @@ impl FaultPlan {
     }
 }
 
-/// Retry-with-backoff policy for failed transfers on the native executor
-/// (and the pricing the sim executor gives the same recovery).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the initial attempt before the transfer faults out.
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub backoff: Duration,
-    /// Multiplier applied to the backoff per further retry.
-    pub multiplier: f64,
-}
+/// Retries a failed transfer gets after its initial attempt before it
+/// faults out — on the native executor, and in the simulator's pricing of
+/// the same recovery.
+pub(crate) const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_micros(50),
-            multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0-based), capped at 100 ms so a
-    /// chaos run cannot stall unboundedly.
-    pub fn backoff_for(&self, retry: u32) -> Duration {
-        let secs = self.backoff.as_secs_f64() * self.multiplier.powi(retry.min(32) as i32);
-        Duration::from_secs_f64(secs.min(0.1))
-    }
+/// Backoff before retry number `retry` (0-based): 50 µs, doubling per
+/// further retry, capped at 100 ms so a chaos run cannot stall unboundedly.
+pub(crate) fn backoff_for(retry: u32) -> Duration {
+    let secs = Duration::from_micros(50).as_secs_f64() * 2.0f64.powi(retry.min(32) as i32);
+    Duration::from_secs_f64(secs.min(0.1))
 }
 
 /// Fault-path totals for one native run (or a whole resilient run, where
@@ -263,8 +246,8 @@ impl FaultCounters {
 
 /// What a failed native run left behind: which partitions it lost, which
 /// payloads it lost or skipped, which fault sites fired, and its counters.
-/// Stored on the [`Context`](crate::context::Context) by a failed native
-/// run; `run_native_resilient` re-plans from it.
+/// Carried by the run's [`RunFailure`](crate::types::RunFailure);
+/// `run_native_resilient` re-plans from it.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryState {
     /// `(device, partition, kernel label)` of each partition a device
@@ -402,10 +385,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_geometrically_and_caps() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_for(0), Duration::from_micros(50));
-        assert_eq!(r.backoff_for(1), Duration::from_micros(100));
-        assert!(r.backoff_for(63) <= Duration::from_millis(100));
+        assert_eq!(backoff_for(0), Duration::from_micros(50));
+        assert_eq!(backoff_for(1), Duration::from_micros(100));
+        assert!(backoff_for(63) <= Duration::from_millis(100));
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use check::{
 pub use context::Context;
 pub use executor::native::{NativeConfig, NativeReport};
 pub use executor::sim::SimReport;
-pub use fault::{FaultCounters, FaultPlan, RecoveryState, ResilientReport, RetryPolicy};
+pub use fault::{FaultCounters, FaultPlan, RecoveryState, ResilientReport};
 pub use kernel::{KernelCtx, KernelDesc, KernelFn};
 pub use lease::{Lease, LeaseTable, TenantId};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, RunInstruments};
@@ -96,4 +96,4 @@ pub use plan::{enqueue_tiles, FlowMode, TileTask};
 pub use residency::ResidencyTracker;
 pub use sched::{Schedule, SchedulerKind};
 pub use trace::{LaunchHistogram, NativeCounters, NativeTrace};
-pub use types::{BufId, Error, EventId, Result, StreamId};
+pub use types::{BufId, Error, EventId, Result, RunFailure, StreamId};

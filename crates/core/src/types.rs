@@ -114,6 +114,36 @@ pub enum Error {
     /// [`crate::check`] and
     /// [`CheckMode`](crate::check::CheckMode) for the opt-out knob.
     Check(Box<crate::check::CheckReport>),
+    /// A native run failed after it started; the failure carries what the
+    /// run left behind. Displays as its cause.
+    Run(Box<RunFailure>),
+}
+
+/// A native run that failed after it started: why, what to recover, and
+/// what it recorded up to the failure.
+#[derive(Debug)]
+pub struct RunFailure {
+    /// The run's first error (a lost partition, a panicked host kernel, a
+    /// transfer out of retries, an allocation fault).
+    pub cause: Error,
+    /// Lost partitions, skipped payloads, fired fault sites and counters;
+    /// [`Context::run_native_resilient`](crate::context::Context::run_native_resilient)
+    /// re-plans from it.
+    pub recovery: crate::fault::RecoveryState,
+    /// The partial timeline — every span recorded before the failure, the
+    /// failing kernel's included — when
+    /// [`NativeConfig::trace`](crate::executor::native::NativeConfig) was set.
+    pub trace: Option<crate::trace::NativeTrace>,
+}
+
+impl Error {
+    /// What went wrong: the cause of a [`Error::Run`], else the error itself.
+    pub fn cause(&self) -> &Error {
+        match self {
+            Error::Run(failure) => &failure.cause,
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for Error {
@@ -174,6 +204,7 @@ impl fmt::Display for Error {
             Error::Check(report) => {
                 write!(f, "static check rejected the program: {}", report.summary())
             }
+            Error::Run(failure) => failure.cause.fmt(f),
         }
     }
 }
@@ -247,6 +278,18 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("partition 3") && msg.contains("gemm"));
+
+        // A failed run reads as its cause.
+        let run = Error::Run(Box::new(RunFailure {
+            cause: e,
+            recovery: crate::fault::RecoveryState::default(),
+            trace: None,
+        }));
+        assert_eq!(run.to_string(), msg);
+        assert!(matches!(
+            run.cause(),
+            Error::PartitionLost { partition: 3, .. }
+        ));
 
         let e = Error::BufferNotProduced {
             buf: BufId(7),

@@ -1,6 +1,7 @@
 //! Integration tests for the static analyzer as wired into the runtime:
 //! both executors refuse error-severity programs by default, the
-//! [`CheckMode`] knob opts out, and reports are retrievable either way.
+//! [`CheckMode`] knob opts out, a refusal carries its report, and
+//! [`Context::analyze`] returns it either way.
 
 use hstreams::check::{analyze, CheckCode, CheckEnv, CheckMode, Severity};
 use hstreams::context::Context;
@@ -45,14 +46,13 @@ fn sim_refuses_racy_program_by_default() {
     let mut c = ctx(2);
     record_racy_program(&mut c);
     let err = c.run_sim().unwrap_err();
+    assert!(err_msg_mentions_check(&err));
     let Error::Check(report) = err else {
         panic!("expected Error::Check, got: {err}");
     };
     assert!(report.errors().any(|d| d.code == CheckCode::Race));
-    assert!(err_msg_mentions_check(&Error::Check(report)));
-    // The refused run's report is also stashed on the context.
-    assert!(!c.take_check_report().unwrap().is_clean());
-    assert!(c.take_check_report().is_none(), "take drains");
+    // The refusal carries the whole report: the one `analyze` returns.
+    assert_eq!(report.render(), c.analyze().report.render());
 }
 
 fn err_msg_mentions_check(err: &Error) -> bool {
@@ -67,14 +67,14 @@ fn native_refuses_racy_program_by_default() {
 }
 
 #[test]
-fn warn_only_mode_runs_and_stashes_the_report() {
+fn warn_only_mode_runs_and_analyze_keeps_the_findings() {
     let mut c = ctx(2);
     c.set_check_mode(CheckMode::WarnOnly);
     record_racy_program(&mut c);
     // The native executor serializes conflicting buffer access with locks,
     // so the deliberately-racy experiment still completes.
     c.run_native().unwrap();
-    let report = c.take_check_report().expect("warn mode keeps the report");
+    let report = c.analyze().report;
     assert!(report.errors().any(|d| d.code == CheckCode::Race));
 }
 
@@ -87,8 +87,9 @@ fn off_mode_skips_analysis_entirely() {
         .unwrap();
     assert_eq!(c.check_mode(), CheckMode::Off);
     record_racy_program(&mut c);
+    // The race is there; no gate looked for it.
     c.run_sim().unwrap();
-    assert!(c.take_check_report().is_none());
+    assert!(!c.analyze().report.is_clean());
 }
 
 #[test]
@@ -104,7 +105,7 @@ fn clean_program_runs_with_enforcement_and_reports_clean() {
         .unwrap();
     c.d2h(s1, b).unwrap();
     c.run_sim().unwrap();
-    let report = c.take_check_report().expect("enforce mode stashes");
+    let report = c.analyze().report;
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.warnings().count(), 0);
     c.run_native().unwrap();
@@ -163,12 +164,8 @@ fn resilient_runs_recover_under_enforced_checking() {
             .unwrap();
         c.d2h(s, buf).unwrap();
     }
-    let plan = FaultPlan::seeded(7).panic_kernel_at(1, 1);
-    let cfg = NativeConfig {
-        fault: Some(plan.into()),
-        ..NativeConfig::default()
-    };
-    let report = c.run_native_resilient(&cfg).unwrap();
+    c.set_fault_plan(Some(FaultPlan::seeded(7).panic_kernel_at(1, 1)));
+    let report = c.run_native_resilient(&NativeConfig::default()).unwrap();
     assert!(
         report.faults.degraded_runs >= 1,
         "recovery actually happened"

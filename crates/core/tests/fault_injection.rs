@@ -4,11 +4,12 @@
 //! must surface as a typed error with recovery material — never a crashed
 //! process, a hang, or silently wrong data.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use hstreams::kernel::KernelDesc;
-use hstreams::{Context, Error, FaultPlan, NativeConfig};
+use hstreams::{
+    Context, Error, FaultPlan, NativeConfig, NativeReport, RecoveryState, Result, RunFailure,
+};
 use micsim::compute::KernelProfile;
 use micsim::PlatformConfig;
 
@@ -27,10 +28,17 @@ fn add1_kernel(label: &str) -> KernelDesc {
     })
 }
 
-fn faulted_cfg(plan: FaultPlan) -> NativeConfig {
-    NativeConfig {
-        fault: Some(Arc::new(plan)),
-        ..NativeConfig::default()
+/// Set `plan` on the context (it stays set for later runs) and run natively.
+fn run_faulted(ctx: &mut Context, plan: FaultPlan) -> Result<NativeReport> {
+    ctx.set_fault_plan(Some(plan));
+    ctx.run_native()
+}
+
+/// What a native run that failed after it started carries.
+fn failure(err: Error) -> Box<RunFailure> {
+    match err {
+        Error::Run(failure) => failure,
+        other => panic!("expected a failed run, got {other:?}"),
     }
 }
 
@@ -78,13 +86,13 @@ fn two_lane_ctx() -> (Context, Vec<hstreams::BufId>, Vec<hstreams::BufId>) {
 
 #[test]
 fn transfer_retries_recover_and_are_counted() {
-    let (ctx, _a, b) = roundtrip_ctx();
-    // The h2d at (stream 0, action 0) fails twice; the default budget of 3
-    // retries absorbs that.
+    let (mut ctx, _a, b) = roundtrip_ctx();
+    // The h2d at (stream 0, action 0) fails twice; the budget of 3 retries
+    // absorbs that.
     let plan = FaultPlan::seeded(1)
         .transfer_failures(0.0, 2)
         .fail_transfer_at(0, 0);
-    let report = ctx.run_native_with(&faulted_cfg(plan)).unwrap();
+    let report = run_faulted(&mut ctx, plan).unwrap();
     assert_eq!(report.faults.transfer_retries, 2);
     assert_eq!(report.faults.transfers_failed, 0);
     assert_eq!(
@@ -92,27 +100,39 @@ fn transfer_retries_recover_and_are_counted() {
         vec![2., 3., 4., 5., 6., 7., 8., 9.],
         "a retried transfer must still deliver the data"
     );
+
+    // Every transfer fails twice: both executors read the one plan on the
+    // context under the one retry policy, so both recover.
+    ctx.set_fault_plan(Some(FaultPlan::seeded(1).transfer_failures(1.0, 2)));
+    ctx.run_sim()
+        .expect("the sim retries under the same policy");
+    let report = ctx.run_native().expect("native retries absorb the faults");
+    assert_eq!(
+        report.faults.transfer_retries,
+        2 * 2,
+        "2 retries x 2 transfers"
+    );
 }
 
 #[test]
 fn exhausted_retry_budget_is_a_typed_fault() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let plan = FaultPlan::seeded(1)
         .transfer_failures(0.0, 10)
         .fail_transfer_at(0, 0);
-    let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
-    match err {
+    let failure = failure(run_faulted(&mut ctx, plan).unwrap_err());
+    match &failure.cause {
         Error::Fault { site, attempts } => {
             assert!(
                 site.contains("transfer s0#0"),
                 "site names the action: {site}"
             );
             // Initial attempt + 3 retries.
-            assert_eq!(attempts, 4);
+            assert_eq!(*attempts, 4);
         }
         other => panic!("expected Error::Fault, got {other:?}"),
     }
-    let state = ctx.take_recovery_state().expect("failed run leaves state");
+    let state = &failure.recovery;
     assert_eq!(state.faults.transfers_failed, 1);
     assert_eq!(state.faults.transfer_retries, 3);
 }
@@ -121,17 +141,17 @@ fn exhausted_retry_budget_is_a_typed_fault() {
 
 #[test]
 fn an_injected_device_panic_loses_its_only_partition() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let plan = FaultPlan::seeded(2).panic_kernel_at(0, 1);
-    let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
+    let err = run_faulted(&mut ctx, plan).unwrap_err();
     assert!(
         matches!(
-            err,
-            Error::PartitionLost { device: 0, partition: 0, ref kernel } if kernel == "add1"
+            err.cause(),
+            Error::PartitionLost { device: 0, partition: 0, kernel } if kernel == "add1"
         ),
         "{err}"
     );
-    let state = ctx.take_recovery_state().unwrap();
+    let state = failure(err).recovery;
     assert_eq!(state.faults.injected_kernel_panics, 1);
     assert_eq!(state.faults.kernel_panics, 1);
     assert_eq!(state.lost, vec![(0, 0, "add1".to_string())]);
@@ -153,42 +173,42 @@ fn an_injected_host_kernel_panic_loses_no_partition_and_recovers() {
     )
     .unwrap();
     let plan = FaultPlan::seeded(2).panic_kernel_at(0, 0);
-    let err = ctx.run_native_with(&faulted_cfg(plan.clone())).unwrap_err();
+    let err = run_faulted(&mut ctx, plan).unwrap_err();
     assert!(
-        matches!(err, Error::KernelPanicked { ref kernel } if kernel == "host-add1"),
+        matches!(err.cause(), Error::KernelPanicked { kernel } if kernel == "host-add1"),
         "{err}"
     );
-    let state = ctx.take_recovery_state().unwrap();
+    let state = failure(err).recovery;
     assert!(
         state.lost.is_empty(),
         "a host kernel has no partition to lose"
     );
     assert_eq!(state.skipped, vec![(0, 0)]);
     // Its site already fired, so the recovery pass runs it cleanly.
-    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
     assert_eq!(resilient.degraded_runs(), 1);
     assert_eq!(ctx.read_host(b).unwrap(), vec![2., 3., 4., 5.]);
 }
 
 #[test]
 fn isolation_poisons_one_partition_and_spares_the_other() {
-    let (ctx, _ins, outs) = two_lane_ctx();
+    let (mut ctx, _ins, outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(3).panic_kernel_at(0, 1);
-    let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
+    let err = run_faulted(&mut ctx, plan).unwrap_err();
     assert!(
         matches!(
-            err,
+            err.cause(),
             Error::PartitionLost {
                 device: 0,
                 partition: 0,
-                ref kernel
+                kernel
             } if kernel == "k0"
         ),
         "{err}"
     );
     // The healthy lane ran to completion despite the loss next door.
     assert_eq!(ctx.read_host(outs[1]).unwrap(), vec![11., 12., 13., 14.]);
-    let state = ctx.take_recovery_state().unwrap();
+    let state = failure(err).recovery;
     assert_eq!(state.lost, vec![(0, 0, "k0".to_string())]);
     // The poisoned lane's kernel and its tainted d2h were both skipped, in
     // program order.
@@ -199,10 +219,10 @@ fn isolation_poisons_one_partition_and_spares_the_other() {
 
 #[test]
 fn resilient_run_replays_lost_work_on_survivors() {
-    let (ctx, _ins, outs) = two_lane_ctx();
-    let plan = FaultPlan::seeded(4).panic_kernel_at(0, 1);
+    let (mut ctx, _ins, outs) = two_lane_ctx();
+    ctx.set_fault_plan(Some(FaultPlan::seeded(4).panic_kernel_at(0, 1)));
     let resilient = ctx
-        .run_native_resilient(&faulted_cfg(plan))
+        .run_native_resilient(&NativeConfig::default())
         .expect("replay on the surviving partition recovers the run");
     assert_eq!(resilient.degraded_runs(), 1);
     assert_eq!(resilient.replayed_actions(), 2);
@@ -212,19 +232,24 @@ fn resilient_run_replays_lost_work_on_survivors() {
     assert_eq!(ctx.read_host(outs[0]).unwrap(), vec![1., 2., 3., 4.]);
     assert_eq!(ctx.read_host(outs[1]).unwrap(), vec![11., 12., 13., 14.]);
     // The program is untouched: a clean re-run still works.
+    ctx.set_fault_plan(None);
     ctx.run_native().unwrap();
     assert_eq!(ctx.read_host(outs[0]).unwrap(), vec![1., 2., 3., 4.]);
 }
 
 #[test]
 fn resilient_run_gives_up_when_every_partition_dies() {
-    let (ctx, _ins, _outs) = two_lane_ctx();
+    let (mut ctx, _ins, _outs) = two_lane_ctx();
     // Both lanes' kernels panic: no survivor to replay on.
     let plan = FaultPlan::seeded(5)
         .panic_kernel_at(0, 1)
         .panic_kernel_at(1, 1);
-    let err = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap_err();
-    assert!(matches!(err, Error::PartitionLost { .. }), "{err}");
+    ctx.set_fault_plan(Some(plan));
+    let err = ctx
+        .run_native_resilient(&NativeConfig::default())
+        .unwrap_err();
+    assert!(matches!(err.cause(), Error::PartitionLost { .. }), "{err}");
+    assert_eq!(failure(err).recovery.lost.len(), 2, "both partitions lost");
 }
 
 #[test]
@@ -255,8 +280,8 @@ fn a_skipped_kernel_keeps_its_input_from_a_later_writer() {
     ctx.kernel(s1, fill).unwrap();
     ctx.d2h(s1, b).unwrap();
 
-    let plan = FaultPlan::seeded(11).panic_kernel_at(0, 1);
-    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    ctx.set_fault_plan(Some(FaultPlan::seeded(11).panic_kernel_at(0, 1)));
+    let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
     assert_eq!(resilient.degraded_runs(), 1);
     assert_eq!(ctx.read_host(d).unwrap(), vec![6.0; 4]);
     assert_eq!(ctx.read_host(b).unwrap(), vec![100.0; 4]);
@@ -267,12 +292,13 @@ fn a_skipped_sites_fault_fires_during_recovery() {
     // Lane 0's kernel panics, so its d2h — whose first two attempts fail —
     // never runs in the first pass. The plan stays live while the recovery
     // pass runs it: the retries happen there.
-    let (ctx, _ins, outs) = two_lane_ctx();
+    let (mut ctx, _ins, outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(12)
         .transfer_failures(0.0, 2)
         .fail_transfer_at(0, 2)
         .panic_kernel_at(0, 1);
-    let resilient = ctx.run_native_resilient(&faulted_cfg(plan)).unwrap();
+    ctx.set_fault_plan(Some(plan));
+    let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
     assert_eq!(resilient.degraded_runs(), 1);
     assert_eq!(resilient.faults.injected_kernel_panics, 1);
     assert_eq!(resilient.faults.transfer_retries, 2);
@@ -282,57 +308,74 @@ fn a_skipped_sites_fault_fires_during_recovery() {
 
 // ----- replan / recovery interaction ----------------------------------------
 
-/// Leave a pending `RecoveryState` behind by running the two-lane rig
-/// with a kernel panic on lane 0.
-fn poisoned_two_lane() -> Context {
-    let (ctx, _ins, _outs) = two_lane_ctx();
+/// Run the two-lane rig with a kernel panic on lane 0 and return the
+/// context, its plan still set, with the failed run's recovery material.
+fn poisoned_two_lane() -> (Context, RecoveryState) {
+    let (mut ctx, _ins, _outs) = two_lane_ctx();
     let plan = FaultPlan::seeded(3).panic_kernel_at(0, 1);
-    ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
-    ctx
+    let err = run_faulted(&mut ctx, plan).unwrap_err();
+    (ctx, failure(err).recovery)
+}
+
+/// Lift the plan and run `ctx` resiliently: nothing may be lost or re-run.
+fn assert_runs_clean(ctx: &mut Context, why: &str) {
+    ctx.set_fault_plan(None);
+    let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
+    assert_eq!(resilient.degraded_runs(), 0, "{why}");
+    assert!(resilient.lost_partitions.is_empty(), "{why}");
 }
 
 #[test]
 fn replan_discards_stale_recovery_state() {
     // The recovery state's skipped/lost coordinates index the recorded
-    // program; a successful replan throws that program away, so keeping
-    // the state would hand a later resilient replay coordinates into a
-    // freshly rebuilt (empty) stream set.
-    let mut ctx = poisoned_two_lane();
+    // program. It travels in the failed run's error, so nothing of it
+    // outlives a replan that throws that program away: the new geometry's
+    // program runs with no poisoned partition left over.
+    let (mut ctx, state) = poisoned_two_lane();
+    assert_eq!(state.lost, vec![(0, 0, "k0".to_string())]);
     ctx.replan(1).unwrap();
-    assert!(
-        ctx.take_recovery_state().is_none(),
-        "replan must not strand poisoned-partition taint"
+    let s = ctx.stream(0).unwrap();
+    ctx.h2d(s, hstreams::BufId(0)).unwrap();
+    let k = add1_kernel("k").reading([hstreams::BufId(0)]);
+    ctx.kernel(s, k.writing([hstreams::BufId(1)])).unwrap();
+    ctx.d2h(s, hstreams::BufId(1)).unwrap();
+    assert_runs_clean(&mut ctx, "replan must not strand poisoned-partition taint");
+    assert_eq!(
+        ctx.read_host(hstreams::BufId(1)).unwrap(),
+        vec![1., 2., 3., 4.]
     );
 }
 
 #[test]
 fn failed_replan_keeps_recovery_state_consumable() {
-    // A rejected replan keeps the old geometry and program, so the
-    // pending recovery material is still valid — and must survive.
-    let mut ctx = poisoned_two_lane();
+    // A rejected replan keeps the old geometry and program, so the failed
+    // run's recovery material still indexes it — and a resilient run of
+    // the same program under the same plan recovers.
+    let (mut ctx, state) = poisoned_two_lane();
     assert!(ctx.replan(999).is_err());
-    let state = ctx
-        .take_recovery_state()
-        .expect("rejected replan leaves the pending recovery state intact");
     assert_eq!(state.skipped, vec![(0, 1), (0, 2)]);
+    for &(si, ai) in &state.skipped {
+        assert!(ctx.program().streams[si].actions.get(ai).is_some());
+    }
+    let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
+    assert_eq!(resilient.degraded_runs(), 1);
 }
 
 #[test]
 fn reset_and_install_discard_stale_recovery_state() {
-    let mut ctx = poisoned_two_lane();
+    let (mut ctx, _) = poisoned_two_lane();
     ctx.reset_program();
-    assert!(
-        ctx.take_recovery_state().is_none(),
-        "reset_program cleared the actions the state points into"
+    assert_runs_clean(
+        &mut ctx,
+        "reset_program cleared the actions the state points into",
     );
 
-    let ctx2 = poisoned_two_lane();
-    let mut ctx2 = ctx2;
+    let (mut ctx2, _) = poisoned_two_lane();
     let replacement = ctx2.program().clone();
-    ctx2.install_program(replacement).unwrap();
-    assert!(
-        ctx2.take_recovery_state().is_none(),
-        "install_program replaced the program the state points into"
+    assert!(ctx2.install_program(replacement).unwrap().is_none());
+    assert_runs_clean(
+        &mut ctx2,
+        "install_program replaced the program the state points into",
     );
 }
 
@@ -340,17 +383,17 @@ fn reset_and_install_discard_stale_recovery_state() {
 
 #[test]
 fn alloc_fault_fails_before_any_work() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let plan = FaultPlan::seeded(6).fail_alloc(1);
-    let err = ctx.run_native_with(&faulted_cfg(plan)).unwrap_err();
-    match err {
+    let failure = failure(run_faulted(&mut ctx, plan).unwrap_err());
+    match &failure.cause {
         Error::Fault { site, attempts } => {
             assert_eq!(site, "alloc b1");
-            assert_eq!(attempts, 1);
+            assert_eq!(*attempts, 1);
         }
         other => panic!("expected Error::Fault, got {other:?}"),
     }
-    let state = ctx.take_recovery_state().unwrap();
+    let state = &failure.recovery;
     assert_eq!(state.faults.alloc_faults, 1);
     assert!(state.skipped.is_empty(), "alloc faults are not replayable");
 }
@@ -370,7 +413,7 @@ fn slow_partition_stretches_native_kernel_occupancy() {
     )
     .unwrap();
     let plan = FaultPlan::seeded(7).slow_partition(0, 0, 4.0);
-    let report = ctx.run_native_with(&faulted_cfg(plan)).unwrap();
+    let report = run_faulted(&mut ctx, plan).unwrap();
     // Body >= 10 ms, stretched to >= 4x by the injected slowdown.
     assert!(
         report.wall >= Duration::from_millis(35),
@@ -389,12 +432,12 @@ fn transfer_slowdown_stretches_the_lane_span() {
     let a = ctx.alloc("a", 1 << 12); // 16 KiB
     let s = ctx.stream(0).unwrap();
     ctx.h2d(s, a).unwrap();
-    let plan = FaultPlan::seeded(7).transfer_slowdowns(1.0, 4.0);
+    ctx.set_fault_plan(Some(FaultPlan::seeded(7).transfer_slowdowns(1.0, 4.0)));
     let report = ctx
         .run_native_with(&NativeConfig {
             trace: true,
             link_bandwidth: Some(8.0e6), // ~2 ms healthy
-            ..faulted_cfg(plan)
+            ..NativeConfig::default()
         })
         .unwrap();
     let trace = report.trace.unwrap();
@@ -416,12 +459,10 @@ fn transfer_slowdown_stretches_the_lane_span() {
 
 #[test]
 fn fault_free_plan_changes_nothing() {
-    let (ctx, _a, b) = roundtrip_ctx();
+    let (mut ctx, _a, b) = roundtrip_ctx();
     let clean = ctx.run_native().unwrap();
     let expected = ctx.read_host(b).unwrap();
-    let report = ctx
-        .run_native_with(&faulted_cfg(FaultPlan::seeded(99)))
-        .unwrap();
+    let report = run_faulted(&mut ctx, FaultPlan::seeded(99)).unwrap();
     assert_eq!(report.faults, hstreams::FaultCounters::default());
     assert_eq!(report.bytes_transferred, clean.bytes_transferred);
     assert_eq!(ctx.read_host(b).unwrap(), expected);
@@ -450,13 +491,11 @@ fn persistent_runtime_is_clean_after_a_panicked_run() {
         trace: true,
         ..NativeConfig::default()
     };
-    assert!(matches!(
-        ctx.run_native_with(&traced),
-        Err(Error::PartitionLost { .. })
-    ));
+    let err = ctx.run_native_with(&traced).unwrap_err();
+    assert!(matches!(err.cause(), Error::PartitionLost { .. }));
     let threads = ctx.native_thread_count().expect("runtime built");
-    // Drop the partial trace the failed run published.
-    assert!(ctx.take_native_trace().is_some());
+    // The failed run's partial trace travels in its error.
+    assert!(failure(err).trace.is_some());
 
     // Second run on the SAME runtime: a healthy program must see no stale
     // lane tickets, byte counts, or trace buffers.
@@ -497,12 +536,13 @@ fn persistent_runtime_is_clean_after_a_panicked_run() {
 
 #[test]
 fn sim_prices_retries_on_the_link() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let clean = ctx.run_sim().unwrap().makespan();
     let plan = FaultPlan::seeded(8)
         .transfer_failures(0.0, 2)
         .fail_transfer_at(0, 0);
-    let faulted = ctx.run_sim_faulted(&plan).unwrap().makespan();
+    ctx.set_fault_plan(Some(plan));
+    let faulted = ctx.run_sim().unwrap().makespan();
     assert!(
         faulted > clean,
         "failed attempts + backoff must cost time: {faulted:?} vs {clean:?}"
@@ -511,35 +551,36 @@ fn sim_prices_retries_on_the_link() {
 
 #[test]
 fn sim_surfaces_exhausted_retries_and_panics_as_typed_errors() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let give_up = FaultPlan::seeded(9)
         .transfer_failures(0.0, 10)
         .fail_transfer_at(0, 0);
+    ctx.set_fault_plan(Some(give_up));
     assert!(matches!(
-        ctx.run_sim_faulted(&give_up),
+        ctx.run_sim(),
         Err(Error::Fault { attempts: 4, .. })
     ));
-    let panic_plan = FaultPlan::seeded(9).panic_kernel_at(0, 1);
+    ctx.set_fault_plan(Some(FaultPlan::seeded(9).panic_kernel_at(0, 1)));
     assert!(matches!(
-        ctx.run_sim_faulted(&panic_plan),
+        ctx.run_sim(),
         Err(Error::PartitionLost {
             device: 0,
             partition: 0,
             ..
         })
     ));
-    let alloc_plan = FaultPlan::seeded(9).fail_alloc(0);
+    ctx.set_fault_plan(Some(FaultPlan::seeded(9).fail_alloc(0)));
     assert!(matches!(
-        ctx.run_sim_faulted(&alloc_plan),
+        ctx.run_sim(),
         Err(Error::Fault { attempts: 1, .. })
     ));
 }
 
 #[test]
 fn sim_slow_partition_stretches_the_makespan() {
-    let (ctx, _a, _b) = roundtrip_ctx();
+    let (mut ctx, _a, _b) = roundtrip_ctx();
     let clean = ctx.run_sim().unwrap().makespan();
-    let plan = FaultPlan::seeded(10).slow_partition(0, 0, 3.0);
-    let slowed = ctx.run_sim_faulted(&plan).unwrap().makespan();
+    ctx.set_fault_plan(Some(FaultPlan::seeded(10).slow_partition(0, 0, 3.0)));
+    let slowed = ctx.run_sim().unwrap().makespan();
     assert!(slowed > clean, "{slowed:?} vs {clean:?}");
 }

@@ -68,7 +68,6 @@ fn untraced_run_reports_no_trace() {
     ctx.h2d(s, a).unwrap();
     let report = ctx.run_native().unwrap();
     assert!(report.trace.is_none());
-    assert!(ctx.take_native_trace().is_none());
 }
 
 #[test]
@@ -137,9 +136,6 @@ fn traced_run_yields_analyzable_timeline() {
     assert_eq!(trace.counters.launch_overhead.count, 1);
     assert_eq!(trace.counters.queue_wait.len(), 2);
     assert!(!trace.counters.copy_busy_fraction.is_empty());
-
-    // The same trace is also published on the context.
-    assert!(ctx.take_native_trace().is_some());
 }
 
 #[test]
@@ -358,8 +354,8 @@ fn two_streams_hide_transfers_single_stream_does_not() {
 
 #[test]
 fn panicking_kernel_still_yields_partial_trace() {
-    // Satellite (f): run_native used to drop all stats on the panic path;
-    // the RAII guard now publishes whatever was recorded before the failure.
+    // A failed run's error carries whatever was recorded before the
+    // failure — the partial trace of that run and no other.
     let mut ctx = small_ctx(1);
     let a = ctx.alloc("a", 1 << 10);
     let s = ctx.stream(0).unwrap();
@@ -376,25 +372,30 @@ fn panicking_kernel_still_yields_partial_trace() {
     ctx.kernel(s, native_kernel("never").reading([a]).with_native(|_| {}))
         .unwrap();
 
-    let err = ctx.run_native_with(&traced_cfg()).unwrap_err();
-    assert!(matches!(err, hstreams::Error::PartitionLost { .. }));
-
-    let trace = ctx
-        .take_native_trace()
-        .expect("partial trace published on the error path");
-    let labels: Vec<&str> = trace
-        .timeline
-        .records
-        .iter()
-        .map(|r| r.label.as_str())
-        .collect();
-    assert!(labels.contains(&"h2d b0"), "{labels:?}");
-    assert!(labels.contains(&"ok"), "{labels:?}");
-    // The failing kernel's span is recorded too — the Gantt names the
-    // culprit.
-    assert!(labels.contains(&"boom"), "{labels:?}");
-    // Skipped work after the panic is absent.
-    assert!(!labels.contains(&"never"), "{labels:?}");
+    let failure = |cfg: &NativeConfig| match ctx.run_native_with(cfg).unwrap_err() {
+        hstreams::Error::Run(failure) => failure,
+        other => panic!("expected a failed run, got {other:?}"),
+    };
+    // Traced twice: each failure holds exactly its own run's spans.
+    for _ in 0..2 {
+        let failed = failure(&traced_cfg());
+        assert!(matches!(
+            failed.cause,
+            hstreams::Error::PartitionLost { .. }
+        ));
+        let trace = failed.trace.expect("partial trace on the error path");
+        let labels: Vec<&str> = trace
+            .timeline
+            .records
+            .iter()
+            .map(|r| r.label.as_str())
+            .collect();
+        // The failing kernel's span is recorded too — the Gantt names the
+        // culprit. Skipped work after the panic is absent.
+        assert_eq!(labels, ["h2d b0", "ok", "boom"]);
+    }
+    // An untraced failure after a traced one carries no trace at all.
+    assert!(failure(&NativeConfig::default()).trace.is_none());
 }
 
 #[test]
@@ -517,7 +518,6 @@ fn metrics_alone_see_sub_microsecond_work_and_attach_no_trace() {
     assert_eq!(snap.histogram_merged("queue_wait_us").count, transfers);
     // The metrics switch selects an output, not a second trace.
     assert!(report.trace.is_none());
-    assert!(ctx.take_native_trace().is_none());
 }
 
 #[test]
@@ -652,7 +652,7 @@ fn a_panicked_kernel_skips_the_rest_of_its_stream_only() {
     ctx.d2h(s1, y).unwrap();
     let err = ctx.run_native().unwrap_err();
     assert!(
-        matches!(err, hstreams::Error::PartitionLost { .. }),
+        matches!(err.cause(), hstreams::Error::PartitionLost { .. }),
         "{err}"
     );
     assert_eq!(ctx.read_host(y).unwrap(), vec![7.0], "stream 1 ran");

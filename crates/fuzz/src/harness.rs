@@ -32,11 +32,9 @@
 //! between native runs.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use hstreams::check::WitnessKind;
 use hstreams::context::Context;
-use hstreams::executor::native::NativeConfig;
 use hstreams::testutil::RefExec;
 use hstreams::types::{BufId, Error};
 use micsim::PlatformConfig;
@@ -130,9 +128,10 @@ fn build_ctx(partitions: usize, spp: usize) -> Context {
 /// executors must surface a hazard as the same kind of typed error — an
 /// injected device-kernel panic as a lost partition, a host-kernel panic
 /// as a panicked kernel — though the details (which partition a scheduled
-/// kernel ran on) may differ.
+/// kernel ran on) may differ. A failed native run is classified by its
+/// cause.
 fn error_class(e: &Error) -> &'static str {
-    match e {
+    match e.cause() {
         Error::Check(_) => "check",
         Error::Fault { .. } => "fault",
         Error::PartitionLost { .. } => "partition-lost",
@@ -222,19 +221,17 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
         }
         // ---- fault-outcome agreement -------------------------------------
         if let Some(f) = spec.fault {
-            let plan = f.to_plan();
-            let sim_class = match ctx.run_sim_faulted(&plan) {
+            // The context is cached across cases: the plan is lifted again
+            // below, before anything else runs.
+            ctx.set_fault_plan(Some(f.to_plan()));
+            let sim_class = match ctx.run_sim() {
                 Ok(_) => "ok",
                 Err(e) => error_class(&e),
             };
             signals.insert(format!("fault:sim:{sim_class}"));
             if full {
                 ctx.zero_buffers();
-                let cfg = NativeConfig {
-                    fault: Some(Arc::new(f.to_plan())),
-                    ..NativeConfig::default()
-                };
-                let native = ctx.run_native_with(&cfg);
+                let native = ctx.run_native();
                 let native_class = match &native {
                     Ok(_) => "ok",
                     Err(e) => error_class(e),
@@ -254,6 +251,7 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
                 }
                 ctx.zero_buffers();
             }
+            ctx.set_fault_plan(None);
         }
     } else {
         // ---- rejected direction: both refuse, and the claim replays ----

@@ -25,11 +25,9 @@
 //!    normally — isolation is per-lease, not per-round.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use hstreams::check::Site;
 use hstreams::context::Context;
-use hstreams::executor::native::NativeConfig;
 use hstreams::fault::FaultPlan;
 use hstreams::lease::{Lease, LeaseTable, TenantId};
 use hstreams::metrics::{Labels, MetricsRegistry, MetricsSnapshot, Unit};
@@ -403,14 +401,12 @@ impl StreamService {
             }
         }
 
-        self.ctx.install_program(merged)?;
-
         // Post-merge sync elision (when the service was built with
         // `optimize`) may have removed control actions, shifting later
         // action indices down: compose the fault sites with the elision's
         // site map. Faults target kernels — payload the optimizer never
         // removes — so the translation is total.
-        let opt_report = self.ctx.take_opt_report();
+        let opt_report = self.ctx.install_program(merged)?;
         let syncs_elided = opt_report.as_ref().map_or(0, OptReport::elided_actions);
         let mut plan: Option<FaultPlan> = None;
         for (ms, ma) in fault_sites {
@@ -655,25 +651,24 @@ impl StreamService {
     ) -> Result<(f64, BTreeMap<TenantId, (Vec<usize>, usize)>)> {
         match self.cfg.executor {
             ExecutorKind::Sim => {
-                // Faults are a native-executor feature; the sim path
-                // prices the merged round in virtual time.
+                // The plan stays off: a simulated loss fails the whole
+                // round, because the simulator keeps no partial-run
+                // recovery material that could confine it to one lease.
+                // The sim path prices the merged round in virtual time.
                 let report = self.ctx.run_sim()?;
                 Ok((report.makespan().as_secs_f64(), BTreeMap::new()))
             }
             ExecutorKind::Native => {
-                let native = NativeConfig {
-                    fault: plan.map(Arc::new),
-                    ..NativeConfig::default()
-                };
+                // Every native round sets its own plan, `None` included,
+                // so no earlier round's faults fire here.
+                self.ctx.set_fault_plan(plan);
                 let t0 = std::time::Instant::now();
-                let run = self.ctx.run_native_with(&native);
+                let run = self.ctx.run_native();
                 let duration = t0.elapsed().as_secs_f64();
                 match run {
                     Ok(_) => Ok((duration, BTreeMap::new())),
-                    Err(e) => {
-                        let Some(rs) = self.ctx.take_recovery_state() else {
-                            return Err(e);
-                        };
+                    Err(Error::Run(failure)) => {
+                        let rs = failure.recovery;
                         let mut degraded: BTreeMap<TenantId, (Vec<usize>, usize)> = BTreeMap::new();
                         for &(_, partition, _) in &rs.lost {
                             let owner =
@@ -691,6 +686,7 @@ impl StreamService {
                         }
                         Ok((duration, degraded))
                     }
+                    Err(refused) => Err(refused),
                 }
             }
         }

@@ -249,6 +249,15 @@ fn sim_executor_prices_rounds_in_virtual_time() {
         let p = capture(&mut synthetic(format!("s{t}"), u64::from(t) + 21, 2));
         assert!(matches!(svc.submit(TenantId(t), p), Admission::Accepted(_)));
     }
+    // A job carrying a fault site completes clean on the simulator: no
+    // fault plan reaches a simulated round.
+    let mut chaos = capture(&mut synthetic("chaos", 99, 2));
+    let site = chaos.nth_kernel_site(0).expect("has kernels");
+    chaos = chaos.with_fault(site.0, site.1);
+    assert!(matches!(
+        svc.submit(TenantId(3), chaos),
+        Admission::Accepted(_)
+    ));
     let before = svc.now();
     let reports = svc.drain(8).unwrap();
     assert!(!reports.is_empty());

@@ -11,8 +11,6 @@
 //! and never respawned — hundreds of trials cost hundreds of runs, not
 //! hundreds of thread-pool startups.
 
-use std::sync::Arc;
-
 use hstreams::context::Context;
 use hstreams::executor::native::NativeConfig;
 use hstreams::{FaultPlan, SchedulerKind};
@@ -191,7 +189,7 @@ impl NativeEvaluator {
     /// [`faulted_trials`](NativeEvaluator::faulted_trials) and skipped
     /// instead of aborting the sweep.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> NativeEvaluator {
-        self.cfg.fault = Some(Arc::new(plan));
+        self.ctx.set_fault_plan(Some(plan));
         self
     }
 

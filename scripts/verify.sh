@@ -120,6 +120,26 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF 'faul
   exit 1
 fi
 
+echo "==> a run returns what it produced (no side-channel slots on the context; one fault plan, one retry policy)"
+if grep -rnE 'take_(native_trace|recovery_state|check_report|opt_report)|run_sim_faulted|store_(recovery|native_trace)' \
+     crates tests examples src README.md; then
+  echo "  a run's output is handed out through the context again (return it from the run, or carry it in Error::Run)"
+  exit 1
+fi
+if grep -rn 'RetryPolicy' crates tests examples src README.md | grep -v '^crates/core/src/' \
+   || tr '\n' ' ' <crates/core/src/lib.rs | grep -oE 'pub use [^;]*;' | grep -F 'RetryPolicy'; then
+  echo "  'RetryPolicy' is a knob again (the retry policy is a crate-private constant of crates/core)"
+  exit 1
+fi
+if sed -n '/^pub struct Context {/,/^}/p' crates/core/src/context.rs | grep -nF 'Mutex'; then
+  echo "  struct Context holds a Mutex field again (a run's outputs come back from the call)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/context.rs | grep -nF '.set_fault_plan('; then
+  echo "  non-test context.rs changes the fault plan (recovery keeps the plan live; only callers set it)"
+  exit 1
+fi
+
 echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
 if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
   echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"

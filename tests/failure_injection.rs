@@ -1,8 +1,6 @@
 //! Failure-path integration tests: the runtime must reject or contain bad
 //! programs rather than hang, corrupt data, or crash the process.
 
-use std::sync::Arc;
-
 use mic_streams::apps::tunable::{Tunable, TunableCf};
 use mic_streams::hstreams::action::Action;
 use mic_streams::hstreams::kernel::KernelDesc;
@@ -92,8 +90,8 @@ fn panicking_kernel_contained_and_other_streams_complete() {
     ctx.d2h(s1, ok_out).unwrap();
     let err = ctx.run_native().unwrap_err();
     assert!(matches!(
-        err,
-        Error::PartitionLost { device: 0, partition: 0, ref kernel } if kernel == "boom"
+        err.cause(),
+        Error::PartitionLost { device: 0, partition: 0, kernel } if kernel == "boom"
     ));
     // The healthy stream's work still landed.
     assert_eq!(ctx.read_host(ok_out).unwrap(), vec![7.0]);
@@ -197,11 +195,8 @@ fn a_lost_partition_leaves_cholesky_exact_under_every_scheduler() {
             .iter()
             .position(|a| matches!(a, Action::Kernel(k) if !k.host))
             .expect("stream 0 records a device kernel");
-        let cfg = NativeConfig {
-            fault: Some(Arc::new(FaultPlan::seeded(7).panic_kernel_at(0, site))),
-            ..NativeConfig::default()
-        };
-        let resilient = ctx.run_native_resilient(&cfg).unwrap();
+        ctx.set_fault_plan(Some(FaultPlan::seeded(7).panic_kernel_at(0, site)));
+        let resilient = ctx.run_native_resilient(&NativeConfig::default()).unwrap();
         assert_eq!(resilient.degraded_runs(), 1, "{kind}");
         assert!(host_bits(&ctx) == want, "{kind}: recovered factor differs");
     }

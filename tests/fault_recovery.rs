@@ -5,8 +5,6 @@
 //! the lost nodes onto the survivor. A plan that fails every transfer
 //! twice is absorbed by retries alone.
 
-use std::sync::Arc;
-
 use mic_streams::apps::mm::{self, MmConfig};
 use mic_streams::apps::tunable::{Tunable, TunableHbench, TunableKmeans, TunableMm, TunableNn};
 use mic_streams::hstreams::action::Action;
@@ -35,7 +33,7 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
     }
 
     // Force faults at real sites of the recorded program: stream 0's first
-    // three transfers each fail twice (recoverable under the default
+    // three transfers each fail twice (recoverable under the fixed
     // 3-retry budget) and stream 1's first kernel panics (recoverable by
     // re-planning its lost nodes). The panic lives on the *other* stream so no
     // forced-fail transfer sits downstream of it — a tainted transfer is
@@ -64,16 +62,13 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         plan = plan.fail_transfer_at(s, ai);
     }
 
-    let native_cfg = NativeConfig {
-        fault: Some(Arc::new(plan)),
-        ..NativeConfig::default()
-    };
+    ctx.set_fault_plan(Some(plan));
     for kind in SchedulerKind::all() {
         ctx.zero_buffers();
         mm::fill_inputs(&ctx, &cfg_mm, &bufs, 42).unwrap();
         ctx.set_scheduler(kind);
         let resilient = ctx
-            .run_native_resilient(&native_cfg)
+            .run_native_resilient(&NativeConfig::default())
             .unwrap_or_else(|e| panic!("{kind}: retries + replay recover the run: {e}"));
 
         // The recovery actually exercised both paths...
@@ -93,8 +88,8 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         );
     }
 
-    // Every transfer's first two attempts fail: the default retry policy
-    // absorbs all of them, with no recovery pass.
+    // Every transfer's first two attempts fail: the retry policy absorbs
+    // all of them, with no recovery pass.
     let transfers = ctx
         .program()
         .streams
@@ -102,16 +97,13 @@ fn streamed_mm_survives_transfer_failures_and_a_kernel_panic() {
         .flat_map(|s| &s.actions)
         .filter(|a| matches!(a, Action::Transfer { .. }))
         .count();
-    let retry_cfg = NativeConfig {
-        fault: Some(Arc::new(FaultPlan::seeded(2026).transfer_failures(1.0, 2))),
-        ..NativeConfig::default()
-    };
+    ctx.set_fault_plan(Some(FaultPlan::seeded(2026).transfer_failures(1.0, 2)));
     for kind in SchedulerKind::all() {
         ctx.zero_buffers();
         mm::fill_inputs(&ctx, &cfg_mm, &bufs, 42).unwrap();
         ctx.set_scheduler(kind);
         let report = ctx
-            .run_native_with(&retry_cfg)
+            .run_native()
             .unwrap_or_else(|e| panic!("{kind}: retries absorb every transfer fault: {e}"));
         assert_eq!(
             report.faults.transfer_retries,
@@ -164,13 +156,9 @@ fn resilient_run_matches_a_clean_run(make: fn() -> Box<dyn Tunable>, tiles: usiz
             .iter()
             .position(|a| matches!(a, Action::Kernel(k) if !k.host))
             .expect("stream 0 records a device kernel");
-        let plan = FaultPlan::seeded(7).panic_kernel_at(0, site);
-        let cfg = NativeConfig {
-            fault: Some(Arc::new(plan)),
-            ..NativeConfig::default()
-        };
+        ctx.set_fault_plan(Some(FaultPlan::seeded(7).panic_kernel_at(0, site)));
         let resilient = ctx
-            .run_native_resilient(&cfg)
+            .run_native_resilient(&NativeConfig::default())
             .unwrap_or_else(|e| panic!("{name} {kind}: {e}"));
         assert_eq!(resilient.faults.injected_kernel_panics, 1, "{name} {kind}");
         assert_eq!(resilient.degraded_runs(), 1, "{name} {kind}");

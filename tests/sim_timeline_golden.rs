@@ -240,7 +240,8 @@ fn actual() -> Vec<Cell> {
             .transfer_slowdowns(0.25, 3.0)
             .slow_partition(0, 1, SLOW)
             .fail_transfer_at(0, 0);
-        let report = c.run_sim_faulted(&plan).unwrap();
+        c.set_fault_plan(Some(plan.clone()));
+        let report = c.run_sim().unwrap();
         assert!(
             report
                 .timeline
@@ -252,8 +253,10 @@ fn actual() -> Vec<Cell> {
         out.push(Cell::new("mm@p4t16/faulted".into(), &report, false));
         for kind in [SchedulerKind::ListHeft, SchedulerKind::WorkSteal] {
             c.set_scheduler(kind);
+            c.set_fault_plan(None);
             let clean = c.run_sim().unwrap();
-            let report = c.run_sim_faulted(&plan).unwrap();
+            c.set_fault_plan(Some(plan.clone()));
+            let report = c.run_sim().unwrap();
             assert_slow_partition_stretches_what_it_runs(&c, &clean, &report);
             out.push(Cell::new(format!("mm@p4t16/faulted/{kind}"), &report, true));
         }

@@ -271,4 +271,12 @@ fn sim_executor_prices_rounds_in_virtual_time() {
             assert!(matches!(o.status, JobStatus::Completed { .. }));
         }
     }
+    // Simulated rounds price every series deterministically: the
+    // per-tenant counters, gauges and latencies and the round histogram
+    // are pinned to the byte.
+    assert_eq!(
+        svc.metrics().to_jsonl(),
+        include_str!("golden/sim_rounds_metrics.jsonl"),
+        "the service's metric export moved"
+    );
 }

@@ -251,6 +251,12 @@ fn two_sessions_agree(budget: usize) {
         b.evolution_hash(),
         "the two sessions diverged: fuzzing is not deterministic"
     );
+    // Printed (`-- --nocapture`) so two commits can be compared session
+    // for session.
+    eprintln!(
+        "evolution_hash(seed {SEED:#x}, budget {budget}) = {:#018x}",
+        a.evolution_hash()
+    );
     let findings: Vec<String> = a
         .findings()
         .iter()

@@ -130,6 +130,24 @@ fn sim_metrics_exports_are_byte_identical_across_runs() {
     assert_eq!(om_a, om_b, "sim OpenMetrics export must be deterministic");
 }
 
+#[test]
+fn sim_metrics_exports_match_the_pinned_text() {
+    // One run's exact exports, pinned: how a snapshot is built may change;
+    // the series it holds, their order and every priced value may not.
+    let ctx = record(&mut TunableMm::new(32, Some(7)));
+    let snap = ctx.run_sim().unwrap().metrics.expect("metrics enabled");
+    assert_eq!(
+        snap.to_jsonl(),
+        include_str!("golden/metrics_mm_p2_t4.jsonl"),
+        "MM (P={PARTITIONS}, T={TASKS}): JSONL export moved"
+    );
+    assert_eq!(
+        snap.to_openmetrics(),
+        include_str!("golden/metrics_mm_p2_t4.openmetrics"),
+        "MM (P={PARTITIONS}, T={TASKS}): OpenMetrics export moved"
+    );
+}
+
 /// `(device, index)` of a lane named `mic{device}.{kind}{index}`.
 fn lane_coords(name: &str, kind: &str) -> Option<(u16, u16)> {
     let (dev, lane) = name.strip_prefix("mic")?.split_once('.')?;

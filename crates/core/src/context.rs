@@ -56,7 +56,6 @@ pub struct ContextBuilder {
     streams_per_partition: usize,
     replan_capacity: Option<usize>,
     check_mode: crate::check::CheckMode,
-    metrics: bool,
     optimize: bool,
 }
 
@@ -79,21 +78,6 @@ impl ContextBuilder {
     /// findings refuse the run.
     pub fn check_mode(mut self, mode: crate::check::CheckMode) -> ContextBuilder {
         self.check_mode = mode;
-        self
-    }
-
-    /// Attach run metrics (see [`crate::metrics`]) to every report of both
-    /// executors: a [`MetricsSnapshot`](crate::metrics::MetricsSnapshot)
-    /// of the full [`RunInstruments`](crate::metrics::RunInstruments)
-    /// catalog, priced from the run's finished timeline — the simulated
-    /// one, or the one the native recorder measured (setting this turns the
-    /// recorder on, exactly as
-    /// [`NativeConfig::metrics`](crate::executor::native::NativeConfig) and
-    /// [`NativeConfig::trace`](crate::executor::native::NativeConfig) do;
-    /// the three switches differ only in what they attach). Off by default —
-    /// the native executor then pays one branch per recording site.
-    pub fn metrics(mut self, on: bool) -> ContextBuilder {
-        self.metrics = on;
         self
     }
 
@@ -152,7 +136,6 @@ impl ContextBuilder {
             check_mode: self.check_mode,
             scheduler: crate::sched::SchedulerKind::default(),
             fault_plan: None,
-            metrics: self.metrics,
             optimize: self.optimize,
         })
     }
@@ -198,8 +181,6 @@ pub struct Context {
     scheduler: crate::sched::SchedulerKind,
     /// The faults both executors inject (see [`Context::set_fault_plan`]).
     pub(crate) fault_plan: Option<crate::fault::FaultPlan>,
-    /// Attach run metrics on both executors (see [`crate::metrics`]).
-    metrics: bool,
     /// Elide redundant sync on program install (see
     /// [`ContextBuilder::optimize`]).
     optimize: bool,
@@ -226,7 +207,6 @@ impl Context {
             streams_per_partition: 1,
             replan_capacity: None,
             check_mode: crate::check::CheckMode::default(),
-            metrics: false,
             optimize: false,
         }
     }
@@ -613,11 +593,6 @@ impl Context {
     /// Which scheduler both executors use (see [`crate::sched`]).
     pub fn scheduler(&self) -> crate::sched::SchedulerKind {
         self.scheduler
-    }
-
-    /// Whether both executors attach run metrics (see [`crate::metrics`]).
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics
     }
 
     /// Select the scheduler for subsequent runs on either executor — e.g.

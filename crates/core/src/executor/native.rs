@@ -64,9 +64,8 @@
 //! [`NativeTrace`] and its counters from the spans, and
 //! [`NativeReport::metrics`] from that trace's timeline by the function
 //! that prices the simulator's (`metrics::instruments::price_run`).
-//! [`NativeConfig::trace`], [`NativeConfig::metrics`] and
-//! [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics)
-//! each turn the recorder on; they differ only in which output they attach.
+//! [`NativeConfig::trace`] and [`NativeConfig::metrics`] each turn the
+//! recorder on; they differ only in which output they attach.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,17 +106,15 @@ pub struct NativeConfig {
     /// same `Timeline` representation the simulator produces, so overlap
     /// stats, Gantt and Chrome-trace export work on real runs unchanged —
     /// or, when the run fails after it started, the partial trace to its
-    /// [`RunFailure::trace`]. This, [`metrics`](NativeConfig::metrics) and
-    /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics)
+    /// [`RunFailure::trace`]. This and [`metrics`](NativeConfig::metrics)
     /// each turn the one span recorder on and differ only in the output
-    /// they attach. With all three off (the default) a run pays one branch
-    /// per action.
+    /// they attach. With both off (the default) a run pays one branch per
+    /// action.
     pub trace: bool,
     /// Attach run metrics (see [`crate::metrics`]) to
     /// [`NativeReport::metrics`]: the full instrument catalog, priced from
     /// the recorded timeline once the drivers have joined — the same
-    /// function prices the simulator's. Also enabled by
-    /// [`ContextBuilder::metrics`](crate::context::ContextBuilder::metrics).
+    /// function prices the simulator's ([`SimReport::metrics`](crate::SimReport::metrics)).
     /// Metrics alone attach no trace.
     pub metrics: bool,
 }
@@ -142,10 +139,9 @@ pub struct NativeReport {
     /// (planned placement under `ListHeft`, runtime steals under
     /// `WorkSteal`). Always zero on FIFO runs.
     pub steals: usize,
-    /// The run's metric snapshot, when [`NativeConfig::metrics`] (or the
-    /// context's metrics flag) was set — the same instrument catalog the
-    /// simulator exports, priced from the measured timeline (`None`
-    /// otherwise).
+    /// The run's metric snapshot, when [`NativeConfig::metrics`] was set —
+    /// the same instrument catalog the simulator exports, priced from the
+    /// measured timeline (`None` otherwise).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -1086,10 +1082,9 @@ fn execute(
         .max_threads_per_partition
         .unwrap_or_else(|| default_threads_per_partition(ctx));
 
-    // One recorder behind all three telemetry switches; they only select
-    // which outputs are attached below.
-    let metered = cfg.metrics || ctx.metrics_enabled();
-    let recorder = (cfg.trace || metered).then(|| Recorder::new(ctx, fc.tallies.clone()));
+    // One recorder behind both telemetry switches; they only select which
+    // outputs are attached below.
+    let recorder = (cfg.trace || cfg.metrics).then(|| Recorder::new(ctx, fc.tallies.clone()));
     let bytes_moved: Vec<AtomicU64> = (0..ctx.device_count()).map(|_| AtomicU64::new(0)).collect();
     let result = run_persistent(
         ctx,
@@ -1105,7 +1100,7 @@ fn execute(
     let recording = recorder.map(|rec| rec.join(ctx.program()));
     let faults = fc.tallies.snapshot();
     let metrics = match (&result, &recording) {
-        (Ok(report), Some(rec)) if metered => {
+        (Ok(report), Some(rec)) if cfg.metrics => {
             let counts = RunCounts {
                 bytes_per_device: bytes_moved.into_iter().map(AtomicU64::into_inner).collect(),
                 actions_executed: report.actions_executed as u64,

@@ -27,8 +27,8 @@
 //! each lane, which leaves no tie to break).
 //!
 //! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
-//! ids and names the native recorder stamps its spans with — and with the
-//! context's metrics flag set the finished timeline is priced by the same
+//! ids and names the native recorder stamps its spans with — and
+//! [`SimReport::metrics`] prices the finished timeline with the same
 //! `price_run` ([`crate::metrics::instruments`]) the native executor hands
 //! its measured timeline to.
 
@@ -59,16 +59,27 @@ pub struct SimReport {
     pub kinds: ResourceKinds,
     /// Human-readable resource names, for Gantt rendering.
     pub names: BTreeMap<ResourceId, String>,
-    /// The run's metric snapshot, when the context's
-    /// [metrics flag](crate::context::ContextBuilder::metrics) is set —
-    /// the same instrument catalog the native executor exports, priced
-    /// from the simulated timeline. Fully deterministic: identical runs
-    /// export byte-identical JSONL/OpenMetrics text. `None` when metrics
-    /// are off.
-    pub metrics: Option<MetricsSnapshot>,
+    /// `(devices, link channels, partitions)` of the lanes.
+    geometry: (usize, usize, usize),
+    /// The modelled enqueue overhead inside every priced span.
+    overhead: SimDuration,
+    /// What the lowering tallied that the timeline cannot hold.
+    counts: RunCounts,
 }
 
 impl SimReport {
+    /// The run's metric snapshot: the instrument catalog the native
+    /// executor exports, priced from the simulated timeline and the counts
+    /// the lowering tallied (bytes per device, lowered actions, steals,
+    /// priced retries). Fully deterministic: identical runs export
+    /// byte-identical JSONL/OpenMetrics text.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let (devices, channels, partitions) = self.geometry;
+        let lanes = LaneMap::new(devices, channels, partitions);
+        price_run(&self.timeline, &lanes, self.overhead, &self.counts)
+    }
+
     /// End-to-end simulated time.
     pub fn makespan(&self) -> SimDuration {
         self.timeline.makespan
@@ -179,8 +190,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
     let barrier_price = cost.barrier_price(program.streams.len(), program.devices().len());
 
     // Metric inputs only the lowering walk knows (payload sizes, priced
-    // retry attempts, executable-action count); consumed after the run
-    // when the context's metrics flag is set.
+    // retry attempts, executable-action count), kept on the report.
     let mut bytes_per_dev = vec![0u64; ctx.device_count()];
     let mut retries_priced = 0u64;
     let mut actions_lowered = 0u64;
@@ -309,10 +319,19 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
     }
 
     let timeline = engine.run();
-
-    // Every priced task carries the enqueue overhead inside its span.
-    let metrics = ctx.metrics_enabled().then(|| {
-        let counts = RunCounts {
+    let geometry = (
+        lanes.devices(),
+        ctx.config().link.channels(),
+        lanes.partitions_per_device(),
+    );
+    Ok(SimReport {
+        timeline,
+        kinds: lanes.kinds,
+        names: lanes.names,
+        geometry,
+        // Every priced task carries the enqueue overhead inside its span.
+        overhead: ctx.config().enqueue_overhead,
+        counts: RunCounts {
             bytes_per_device: bytes_per_dev,
             actions_executed: actions_lowered,
             steals: steals as u64,
@@ -320,15 +339,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
                 transfer_retries: retries_priced,
                 ..Default::default()
             },
-        };
-        price_run(&timeline, &lanes, ctx.config().enqueue_overhead, &counts)
-    });
-
-    Ok(SimReport {
-        timeline,
-        kinds: lanes.kinds,
-        names: lanes.names,
-        metrics,
+        },
     })
 }
 
@@ -638,10 +649,9 @@ mod tests {
 
     /// `tiles` h2d -> kernel tiles recorded round-robin on the first
     /// `streams` of `partitions` partitions' streams.
-    fn tiled(partitions: usize, streams: usize, tiles: usize, metrics: bool) -> Context {
+    fn tiled(partitions: usize, streams: usize, tiles: usize) -> Context {
         let mut ctx = Context::builder(PlatformConfig::phi_31sp())
             .partitions(partitions)
-            .metrics(metrics)
             .build()
             .unwrap();
         for t in 0..tiles {
@@ -656,7 +666,7 @@ mod tests {
 
     #[test]
     fn a_schedule_that_is_not_topological_is_refused() {
-        let ctx = tiled(2, 1, 1, false);
+        let ctx = tiled(2, 1, 1);
         let cost = ctx.cost_model().unwrap();
         let (mut schedule, graph) = ctx
             .plan_schedule_graph(SchedulerKind::ListHeft, None)
@@ -677,9 +687,9 @@ mod tests {
         // 8 tiles recorded on 2 of 4 partitions' streams (T < P): HEFT
         // moves kernels onto the two starved partitions.
         use crate::metrics::{instruments::name, Labels};
-        let mut ctx = tiled(4, 2, 8, true);
+        let mut ctx = tiled(4, 2, 8);
         let steals = |ctx: &Context| {
-            let metrics = ctx.run_sim().unwrap().metrics.expect("metrics are on");
+            let metrics = ctx.run_sim().unwrap().metrics();
             metrics.counter(name::STEALS, Labels::GLOBAL)
         };
         assert_eq!(steals(&ctx), 0, "FIFO moves nothing");

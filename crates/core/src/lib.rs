@@ -90,7 +90,7 @@ pub use executor::sim::SimReport;
 pub use fault::{FaultCounters, FaultPlan, RecoveryState, ResilientReport};
 pub use kernel::{KernelCtx, KernelDesc, KernelFn};
 pub use lease::{Lease, LeaseTable, TenantId};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, RunInstruments};
+pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use opt::{Certificate, OptReport, Optimized, StaticCost};
 pub use plan::{enqueue_tiles, FlowMode, TileTask};
 pub use residency::ResidencyTracker;

@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 
 /// Render an `f64` as a JSON-safe number token (non-finite values
 /// collapse to `0`, which JSON cannot represent otherwise).
-#[must_use]
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
         // Rust renders whole floats without a fractional part; keep them
@@ -31,19 +30,14 @@ fn labels_json(l: Labels) -> String {
     if let Some(p) = l.partition {
         parts.push(format!("\"partition\":{p}"));
     }
-    if let Some(s) = l.stream {
-        parts.push(format!("\"stream\":{s}"));
-    }
     if let Some(t) = l.tenant {
         parts.push(format!("\"tenant\":{t}"));
     }
     format!("{{{}}}", parts.join(","))
 }
 
-/// One series as a single-line JSON object — the unit of the JSONL log
-/// and the element type of the embedded bench `metrics.series` array.
-#[must_use]
-pub fn entry_json(e: &MetricEntry) -> String {
+/// One series as a single-line JSON object — the unit of the JSONL log.
+fn entry_json(e: &MetricEntry) -> String {
     let mut s = format!(
         "{{\"name\":\"{}\",\"kind\":\"{}\",\"unit\":\"{}\",\"labels\":{}",
         e.name,
@@ -167,22 +161,20 @@ fn with_extra(l: Labels, extra: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Labels, MetricsRegistry, Unit};
+    use super::super::{Labels, MetricsSnapshot, Unit};
 
-    fn sample() -> MetricsRegistry {
-        let reg = MetricsRegistry::new();
-        reg.counter("events_total", Unit::Count, Labels::GLOBAL)
-            .add(5);
-        reg.gauge("frac", Unit::Ratio, Labels::GLOBAL).set(0.25);
-        let h = reg.histogram("lat_us", Unit::Micros, Labels::device(0));
-        h.record(10);
-        h.record(300);
-        reg
+    fn sample() -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("events_total", Unit::Count, Labels::GLOBAL, 5);
+        snap.gauge_set("frac", Unit::Ratio, Labels::GLOBAL, 0.25);
+        snap.histogram_record("lat_us", Unit::Micros, Labels::device(0), 10);
+        snap.histogram_record("lat_us", Unit::Micros, Labels::device(0), 300);
+        snap
     }
 
     #[test]
     fn jsonl_one_line_per_series() {
-        let text = sample().snapshot().to_jsonl();
+        let text = sample().to_jsonl();
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains("\"name\":\"events_total\""));
         assert!(text.contains("\"value\":5"));
@@ -192,7 +184,7 @@ mod tests {
 
     #[test]
     fn openmetrics_has_type_unit_and_quantiles() {
-        let text = sample().snapshot().to_openmetrics();
+        let text = sample().to_openmetrics();
         assert!(text.contains("# TYPE events_total counter"));
         assert!(text.contains("# UNIT lat_us us"));
         assert!(text.contains("quantile=\"0.5\""));
@@ -203,8 +195,8 @@ mod tests {
 
     #[test]
     fn exports_are_deterministic() {
-        let a = sample().snapshot();
-        let b = sample().snapshot();
+        let a = sample();
+        let b = sample();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.to_openmetrics(), b.to_openmetrics());
     }

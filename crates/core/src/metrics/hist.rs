@@ -1,11 +1,10 @@
 //! Log-bucketed latency/size histograms with quantile extraction.
 //!
-//! The recording side ([`HistCell`]) is a fixed array of atomic buckets —
-//! one `fetch_add` per sample on the hot path, no allocation, no locks —
-//! and the analysis side ([`HistogramSnapshot`]) is a plain value type with
-//! p50/p95/p99 extraction and a merge that is associative and commutative
-//! by construction (bucket-wise addition; the proptest suite pins both
-//! laws plus the quantile error bound).
+//! [`HistogramSnapshot`] is a plain value type: `record` keeps sparse
+//! ascending buckets plus the scalar moments, with p50/p95/p99 extraction
+//! and a merge that is associative and commutative by construction
+//! (bucket-wise addition; the proptest suite pins both laws plus the
+//! quantile error bound).
 //!
 //! Bucketing is HdrHistogram-style base-2 with 4 linear sub-buckets per
 //! octave: values `0..=15` land in exact buckets, larger values in bucket
@@ -13,8 +12,6 @@
 //! the next two bits below the leading one. Relative quantile error is
 //! therefore bounded by the sub-bucket width: **at most 25 %** of the true
 //! rank statistic, and exact below 16.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: 16 exact + 4 sub-buckets for each octave `4..=63`.
 pub const BUCKETS: usize = 16 + 4 * 60;
@@ -44,67 +41,8 @@ pub fn bucket_bounds(idx: usize) -> (u64, u64) {
     (lo, lo + (width - 1))
 }
 
-/// Thread-safe recording cell behind a [`Histogram`](super::Histogram)
-/// handle: fixed atomic buckets plus count/sum/min/max.
-pub struct HistCell {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for HistCell {
-    fn default() -> HistCell {
-        HistCell {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl HistCell {
-    /// Record one sample. Hot path: one bucket `fetch_add` plus the
-    /// count/sum/min/max atomics, all `Relaxed`.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Copy the cell into a value-type snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            // Untouched series are common (the full catalog registers up
-            // front); skip the 256 bucket loads for them.
-            return HistogramSnapshot::default();
-        }
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                buckets.push((i, n));
-            }
-        }
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Immutable histogram state: sparse `(bucket index, count)` pairs plus the
-/// scalar moments. Produced by [`HistCell::snapshot`]; mergeable.
+/// Histogram state: sparse `(bucket index, count)` pairs plus the scalar
+/// moments. Written by [`HistogramSnapshot::record`]; mergeable.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Non-empty buckets as `(bucket index, sample count)`, ascending.
@@ -120,6 +58,20 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Record one sample: its bucket's count, `count`, a wrapping `sum`,
+    /// `min` and `max`.
+    pub fn record(&mut self, v: u64) {
+        let idx = bucket_of(v);
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += 1,
+            Err(at) => self.buckets.insert(at, (idx, 1)),
+        }
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
+        self.sum = self.sum.wrapping_add(v);
+        self.count += 1;
+    }
+
     /// Merge `other` into `self` — bucket-wise addition, so the operation
     /// is associative and commutative and two merged snapshots equal the
     /// snapshot of the combined sample set.
@@ -157,9 +109,8 @@ impl HistogramSnapshot {
         }
         let self_empty = self.count == 0;
         self.buckets = merged;
-        // Wrapping, to match the recording side (`fetch_add` wraps), so
-        // merged snapshots stay bit-equal to combined recording even for
-        // astronomically large totals.
+        // Wrapping, to match `record`, so merged snapshots stay bit-equal
+        // to combined recording even for astronomically large totals.
         self.sum = self.sum.wrapping_add(other.sum);
         self.min = if self_empty {
             other.min
@@ -268,11 +219,10 @@ mod tests {
 
     #[test]
     fn quantiles_on_known_data() {
-        let cell = HistCell::default();
+        let mut snap = HistogramSnapshot::default();
         for v in 1..=100u64 {
-            cell.record(v);
+            snap.record(v);
         }
-        let snap = cell.snapshot();
         assert_eq!(snap.count, 100);
         assert_eq!(snap.sum, 5050);
         assert_eq!(snap.min, 1);
@@ -289,11 +239,9 @@ mod tests {
 
     #[test]
     fn merge_equals_combined_recording() {
-        let (a, b, both) = (
-            HistCell::default(),
-            HistCell::default(),
-            HistCell::default(),
-        );
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
+        let mut both = HistogramSnapshot::default();
         for v in [3u64, 99, 1024, 5] {
             a.record(v);
             both.record(v);
@@ -302,16 +250,15 @@ mod tests {
             b.record(v);
             both.record(v);
         }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(merged, both);
     }
 
     #[test]
     fn merge_with_empty_is_identity_both_ways() {
-        let cell = HistCell::default();
-        cell.record(42);
-        let snap = cell.snapshot();
+        let mut snap = HistogramSnapshot::default();
+        snap.record(42);
         let mut left = snap.clone();
         left.merge(&HistogramSnapshot::default());
         assert_eq!(left, snap);

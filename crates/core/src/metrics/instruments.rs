@@ -4,11 +4,11 @@
 //! hands its finished [`Timeline`] — simulated, or measured by the
 //! [`Recorder`](crate::trace) — to `price_run`, together with the lane
 //! layout and the few counts a timeline cannot hold, and gets the run's
-//! [`MetricsSnapshot`] back. The catalog is registered **up front** from the
-//! platform geometry — never lazily at the first sample — on a fresh
-//! registry per metered run, so the instrument *set* an executor exports is
-//! a pure function of the context, not of what happened to execute or of
-//! what ran before. Any instrument one executor emits and the other does
+//! [`MetricsSnapshot`] back. Every series of the catalog is declared **up
+//! front** from the lane geometry — never lazily at the first sample — into
+//! a fresh snapshot per priced run, so the instrument *set* an executor
+//! exports is a pure function of the geometry, not of what happened to
+//! execute or of what ran before. Any instrument one executor emits and the other does
 //! not is a bug, and `tests/metrics_parity.rs` fails on it (metric-shape
 //! parity as a differential check).
 //!
@@ -46,7 +46,7 @@ use micsim::engine::Timeline;
 use micsim::time::SimDuration;
 use micsim::trace::{overlap_stats, partition_stats};
 
-use super::{Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot, Unit};
+use super::{Kind, Labels, MetricsSnapshot, Unit};
 use crate::fault::FaultCounters;
 use crate::sched::Lane;
 use crate::trace::LaneMap;
@@ -93,286 +93,59 @@ pub mod name {
     pub const HIDDEN_TRANSFER_FRACTION: &str = "hidden_transfer_fraction";
 }
 
-/// One row of the instrument catalog, for docs and parity tooling.
-pub struct CatalogRow {
-    /// Metric name.
-    pub name: &'static str,
-    /// Instrument kind token (`counter`/`gauge`/`histogram`).
-    pub kind: &'static str,
-    /// Label dimensions, comma-separated (`""` for a global series).
-    pub labels: &'static str,
-    /// Unit token.
-    pub unit: &'static str,
-    /// One-line meaning.
-    pub what: &'static str,
+/// Which labels a catalog series carries.
+#[derive(Clone, Copy)]
+enum Dims {
+    Global,
+    Device,
+    Partition,
 }
 
-/// The full catalog, in registration order.
-#[must_use]
-pub fn catalog() -> Vec<CatalogRow> {
-    let row = |name, kind, labels, unit, what| CatalogRow {
-        name,
-        kind,
-        labels,
-        unit,
-        what,
-    };
-    vec![
-        row(
-            name::LAUNCH_OVERHEAD_US,
-            "histogram",
-            "device, partition",
-            "us",
-            "device kernel: dispatch → body start (start − ready of its span)",
-        ),
-        row(
-            name::KERNEL_TIME_US,
-            "histogram",
-            "device, partition",
-            "us",
-            "device kernel occupation of its partition",
-        ),
-        row(
-            name::HOST_KERNEL_TIME_US,
-            "histogram",
-            "",
-            "us",
-            "host-side kernel duration",
-        ),
-        row(
-            name::TRANSFER_TIME_US,
-            "histogram",
-            "device",
-            "us",
-            "link-lane occupation per successful transfer",
-        ),
-        row(
-            name::QUEUE_WAIT_US,
-            "histogram",
-            "device",
-            "us",
-            "transfer queued → link lane granted (start − ready of its span)",
-        ),
-        row(
-            name::BYTES_TRANSFERRED,
-            "counter",
-            "device",
-            "bytes",
-            "payload moved over the link",
-        ),
-        row(
-            name::ACTIONS_EXECUTED,
-            "counter",
-            "",
-            "count",
-            "kernels + transfers that ran",
-        ),
-        row(
-            name::TRANSFER_RETRIES,
-            "counter",
-            "",
-            "count",
-            "failed transfer attempts retried with backoff",
-        ),
-        row(
-            name::TRANSFERS_FAILED,
-            "counter",
-            "",
-            "count",
-            "transfers that exhausted the retry budget",
-        ),
-        row(
-            name::KERNEL_PANICS,
-            "counter",
-            "",
-            "count",
-            "kernel bodies that panicked (including injected)",
-        ),
-        row(
-            name::PARTITION_LOSSES,
-            "counter",
-            "",
-            "count",
-            "partitions lost to a device kernel's panic",
-        ),
-        row(
-            name::SKIPPED_ACTIONS,
-            "counter",
-            "",
-            "count",
-            "payloads lost or skipped, left to a recovery pass",
-        ),
-        row(
-            name::REPLAYED_ACTIONS,
-            "counter",
-            "",
-            "count",
-            "payloads re-run by recovery passes",
-        ),
-        row(
-            name::STEALS,
-            "counter",
-            "",
-            "count",
-            "kernels moved cross-partition by the scheduler",
-        ),
-        row(
-            name::MAKESPAN_US,
-            "gauge",
-            "",
-            "us",
-            "the timeline's makespan",
-        ),
-        row(
-            name::PARTITION_BUSY_US,
-            "gauge",
-            "device, partition",
-            "us",
-            "that lane's partition_stats().busy",
-        ),
-        row(
-            name::PARTITION_IDLE_US,
-            "gauge",
-            "device, partition",
-            "us",
-            "that lane's partition_stats().idle (makespan minus busy)",
-        ),
-        row(
-            name::LINK_BUSY_US,
-            "gauge",
-            "device",
-            "us",
-            "summed span length on the device's link lanes",
-        ),
-        row(
-            name::HIDDEN_TRANSFER_FRACTION,
-            "gauge",
-            "",
-            "ratio",
-            "overlap_stats().hidden_fraction(): link time under compute",
-        ),
+/// The catalog of the table above, as the declarations `price_run` makes.
+const CATALOG: [(&str, Kind, Unit, Dims); 19] = {
+    use Dims::{Device, Global, Partition};
+    use Kind::{Counter, Gauge, Histogram};
+    use Unit::{Bytes, Count, Micros, Ratio};
+    [
+        (name::LAUNCH_OVERHEAD_US, Histogram, Micros, Partition),
+        (name::KERNEL_TIME_US, Histogram, Micros, Partition),
+        (name::HOST_KERNEL_TIME_US, Histogram, Micros, Global),
+        (name::TRANSFER_TIME_US, Histogram, Micros, Device),
+        (name::QUEUE_WAIT_US, Histogram, Micros, Device),
+        (name::BYTES_TRANSFERRED, Counter, Bytes, Device),
+        (name::ACTIONS_EXECUTED, Counter, Count, Global),
+        (name::TRANSFER_RETRIES, Counter, Count, Global),
+        (name::TRANSFERS_FAILED, Counter, Count, Global),
+        (name::KERNEL_PANICS, Counter, Count, Global),
+        (name::PARTITION_LOSSES, Counter, Count, Global),
+        (name::SKIPPED_ACTIONS, Counter, Count, Global),
+        (name::REPLAYED_ACTIONS, Counter, Count, Global),
+        (name::STEALS, Counter, Count, Global),
+        (name::MAKESPAN_US, Gauge, Micros, Global),
+        (name::PARTITION_BUSY_US, Gauge, Micros, Partition),
+        (name::PARTITION_IDLE_US, Gauge, Micros, Partition),
+        (name::LINK_BUSY_US, Gauge, Micros, Device),
+        (name::HIDDEN_TRANSFER_FRACTION, Gauge, Ratio, Global),
     ]
-}
+};
 
-/// Handles to every run instrument, indexed by geometry. Built by
-/// [`RunInstruments::register`]; `price_run` fills one per metered run.
-pub struct RunInstruments {
-    /// `[device][partition]` dispatch-overhead histograms.
-    pub launch_overhead: Vec<Vec<Histogram>>,
-    /// `[device][partition]` kernel-duration histograms.
-    pub kernel_time: Vec<Vec<Histogram>>,
-    /// Host-kernel duration histogram.
-    pub host_kernel_time: Histogram,
-    /// `[device]` transfer wire-time histograms.
-    pub transfer_time: Vec<Histogram>,
-    /// `[device]` transfer queue-wait histograms.
-    pub queue_wait: Vec<Histogram>,
-    /// `[device]` payload counters.
-    pub bytes_transferred: Vec<Counter>,
-    /// Executed-action counter.
-    pub actions_executed: Counter,
-    /// Retried-transfer counter.
-    pub transfer_retries: Counter,
-    /// Exhausted-retry counter.
-    pub transfers_failed: Counter,
-    /// Kernel-panic counter.
-    pub kernel_panics: Counter,
-    /// Poisoned-partition counter.
-    pub partition_losses: Counter,
-    /// Lost-or-skipped payload counter.
-    pub skipped_actions: Counter,
-    /// Recovery re-run counter.
-    pub replayed_actions: Counter,
-    /// Cross-partition steal counter.
-    pub steals: Counter,
-    /// Run makespan gauge.
-    pub makespan_us: Gauge,
-    /// `[device][partition]` busy gauges.
-    pub partition_busy: Vec<Vec<Gauge>>,
-    /// `[device][partition]` idle gauges.
-    pub partition_idle: Vec<Vec<Gauge>>,
-    /// `[device]` link busy gauges.
-    pub link_busy: Vec<Gauge>,
-    /// Transfer-overlap gauge.
-    pub hidden_transfer_fraction: Gauge,
-}
-
-impl RunInstruments {
-    /// Register the complete catalog for a `devices x partitions`
-    /// geometry. Every series exists after this call, so snapshot shape
-    /// does not depend on which code paths executed.
-    #[must_use]
-    pub fn register(reg: &MetricsRegistry, devices: usize, partitions: usize) -> RunInstruments {
-        let per_partition_hist = |n: &str| -> Vec<Vec<Histogram>> {
-            (0..devices)
-                .map(|d| {
-                    (0..partitions)
-                        .map(|p| {
-                            reg.histogram(n, Unit::Micros, Labels::partition(d as u16, p as u16))
-                        })
-                        .collect()
-                })
-                .collect()
+/// A snapshot holding every catalog series of a `devices x partitions`
+/// geometry at zero, so its shape does not depend on what ran.
+fn declare_catalog(devices: usize, partitions: usize) -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    for (name, kind, unit, dims) in CATALOG {
+        let labels: Vec<Labels> = match dims {
+            Dims::Global => vec![Labels::GLOBAL],
+            Dims::Device => (0..devices).map(|d| Labels::device(d as u16)).collect(),
+            Dims::Partition => (0..devices)
+                .flat_map(|d| (0..partitions).map(move |p| Labels::partition(d as u16, p as u16)))
+                .collect(),
         };
-        let per_partition_gauge = |n: &str| -> Vec<Vec<Gauge>> {
-            (0..devices)
-                .map(|d| {
-                    (0..partitions)
-                        .map(|p| reg.gauge(n, Unit::Micros, Labels::partition(d as u16, p as u16)))
-                        .collect()
-                })
-                .collect()
-        };
-        RunInstruments {
-            launch_overhead: per_partition_hist(name::LAUNCH_OVERHEAD_US),
-            kernel_time: per_partition_hist(name::KERNEL_TIME_US),
-            host_kernel_time: reg.histogram(
-                name::HOST_KERNEL_TIME_US,
-                Unit::Micros,
-                Labels::GLOBAL,
-            ),
-            transfer_time: (0..devices)
-                .map(|d| {
-                    reg.histogram(
-                        name::TRANSFER_TIME_US,
-                        Unit::Micros,
-                        Labels::device(d as u16),
-                    )
-                })
-                .collect(),
-            queue_wait: (0..devices)
-                .map(|d| reg.histogram(name::QUEUE_WAIT_US, Unit::Micros, Labels::device(d as u16)))
-                .collect(),
-            bytes_transferred: (0..devices)
-                .map(|d| {
-                    reg.counter(
-                        name::BYTES_TRANSFERRED,
-                        Unit::Bytes,
-                        Labels::device(d as u16),
-                    )
-                })
-                .collect(),
-            actions_executed: reg.counter(name::ACTIONS_EXECUTED, Unit::Count, Labels::GLOBAL),
-            transfer_retries: reg.counter(name::TRANSFER_RETRIES, Unit::Count, Labels::GLOBAL),
-            transfers_failed: reg.counter(name::TRANSFERS_FAILED, Unit::Count, Labels::GLOBAL),
-            kernel_panics: reg.counter(name::KERNEL_PANICS, Unit::Count, Labels::GLOBAL),
-            partition_losses: reg.counter(name::PARTITION_LOSSES, Unit::Count, Labels::GLOBAL),
-            skipped_actions: reg.counter(name::SKIPPED_ACTIONS, Unit::Count, Labels::GLOBAL),
-            replayed_actions: reg.counter(name::REPLAYED_ACTIONS, Unit::Count, Labels::GLOBAL),
-            steals: reg.counter(name::STEALS, Unit::Count, Labels::GLOBAL),
-            makespan_us: reg.gauge(name::MAKESPAN_US, Unit::Micros, Labels::GLOBAL),
-            partition_busy: per_partition_gauge(name::PARTITION_BUSY_US),
-            partition_idle: per_partition_gauge(name::PARTITION_IDLE_US),
-            link_busy: (0..devices)
-                .map(|d| reg.gauge(name::LINK_BUSY_US, Unit::Micros, Labels::device(d as u16)))
-                .collect(),
-            hidden_transfer_fraction: reg.gauge(
-                name::HIDDEN_TRANSFER_FRACTION,
-                Unit::Ratio,
-                Labels::GLOBAL,
-            ),
+        for labels in labels {
+            snap.series(name, kind, unit, labels);
         }
     }
+    snap
 }
 
 /// What a run knows that its timeline cannot hold.
@@ -402,10 +175,11 @@ pub(crate) fn price_run(
     overhead: SimDuration,
     counts: &RunCounts,
 ) -> MetricsSnapshot {
-    let reg = MetricsRegistry::new();
-    let ri = RunInstruments::register(&reg, lanes.devices(), lanes.partitions_per_device());
+    let mut snap = declare_catalog(lanes.devices(), lanes.partitions_per_device());
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let us = |d: SimDuration| d.as_micros_f64().round() as u64;
+    let on_device = |d: usize| Labels::device(d as u16);
+    let on_partition = |d: usize, p: usize| Labels::partition(d as u16, p as u16);
     let mut link_busy = vec![SimDuration::ZERO; lanes.devices()];
     for rec in &timeline.records {
         // Resourceless tasks (events, barriers, pool jobs, retry backoffs)
@@ -423,62 +197,92 @@ pub(crate) fn price_run(
         }
         let work = us(held.saturating_sub(overhead));
         let lag = rec.start - rec.ready;
+        let mut record = |n, labels, v| snap.histogram_record(n, Unit::Micros, labels, v);
         match lane {
             Lane::Link { device, .. } => {
-                ri.transfer_time[device].record(work);
-                ri.queue_wait[device].record(us(lag));
+                record(name::TRANSFER_TIME_US, on_device(device), work);
+                record(name::QUEUE_WAIT_US, on_device(device), us(lag));
             }
-            Lane::Host => ri.host_kernel_time.record(work),
+            Lane::Host => record(name::HOST_KERNEL_TIME_US, Labels::GLOBAL, work),
             Lane::Partition { device, partition } => {
-                ri.kernel_time[device][partition].record(work);
-                ri.launch_overhead[device][partition].record(us(lag + overhead));
+                let at = on_partition(device, partition);
+                record(name::KERNEL_TIME_US, at, work);
+                record(name::LAUNCH_OVERHEAD_US, at, us(lag + overhead));
             }
         }
     }
     for (d, bytes) in counts.bytes_per_device.iter().enumerate() {
-        ri.bytes_transferred[d].add(*bytes);
+        snap.counter_add(name::BYTES_TRANSFERRED, Unit::Bytes, on_device(d), *bytes);
     }
-    ri.actions_executed.add(counts.actions_executed);
-    ri.steals.add(counts.steals);
-    ri.transfer_retries.add(counts.faults.transfer_retries);
-    ri.transfers_failed.add(counts.faults.transfers_failed);
-    ri.kernel_panics.add(counts.faults.kernel_panics);
-    ri.partition_losses.add(counts.faults.lost_partitions);
-    ri.skipped_actions.add(counts.faults.skipped_actions);
-    ri.replayed_actions.add(counts.faults.replayed_actions);
+    let faults = &counts.faults;
+    for (n, v) in [
+        (name::ACTIONS_EXECUTED, counts.actions_executed),
+        (name::STEALS, counts.steals),
+        (name::TRANSFER_RETRIES, faults.transfer_retries),
+        (name::TRANSFERS_FAILED, faults.transfers_failed),
+        (name::KERNEL_PANICS, faults.kernel_panics),
+        (name::PARTITION_LOSSES, faults.lost_partitions),
+        (name::SKIPPED_ACTIONS, faults.skipped_actions),
+        (name::REPLAYED_ACTIONS, faults.replayed_actions),
+    ] {
+        snap.counter_add(n, Unit::Count, Labels::GLOBAL, v);
+    }
 
-    ri.makespan_us.set(timeline.makespan.as_micros_f64());
+    let makespan = timeline.makespan.as_micros_f64();
+    snap.gauge_set(name::MAKESPAN_US, Unit::Micros, Labels::GLOBAL, makespan);
     for stats in partition_stats(timeline, &lanes.kinds) {
         if let Some(Lane::Partition { device, partition }) = lanes.classify(stats.resource) {
-            ri.partition_busy[device][partition].set(stats.busy.as_micros_f64());
-            ri.partition_idle[device][partition].set(stats.idle.as_micros_f64());
+            let at = on_partition(device, partition);
+            snap.gauge_set(
+                name::PARTITION_BUSY_US,
+                Unit::Micros,
+                at,
+                stats.busy.as_micros_f64(),
+            );
+            snap.gauge_set(
+                name::PARTITION_IDLE_US,
+                Unit::Micros,
+                at,
+                stats.idle.as_micros_f64(),
+            );
         }
     }
     for (d, busy) in link_busy.iter().enumerate() {
-        ri.link_busy[d].set(busy.as_micros_f64());
+        snap.gauge_set(
+            name::LINK_BUSY_US,
+            Unit::Micros,
+            on_device(d),
+            busy.as_micros_f64(),
+        );
     }
-    ri.hidden_transfer_fraction
-        .set(overlap_stats(timeline, &lanes.kinds).hidden_fraction());
-    reg.snapshot()
+    let hidden = overlap_stats(timeline, &lanes.kinds).hidden_fraction();
+    snap.gauge_set(
+        name::HIDDEN_TRANSFER_FRACTION,
+        Unit::Ratio,
+        Labels::GLOBAL,
+        hidden,
+    );
+    snap
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What `price_run` exports for a run that did nothing.
+    fn idle_run(devices: usize, partitions: usize) -> MetricsSnapshot {
+        let lanes = LaneMap::new(devices, 1, partitions);
+        let timeline = Timeline::from_records(Vec::new());
+        price_run(&timeline, &lanes, SimDuration::ZERO, &RunCounts::default())
+    }
+
     #[test]
     fn register_creates_full_catalog_up_front() {
-        let reg = MetricsRegistry::new();
-        let _ri = RunInstruments::register(&reg, 2, 3);
-        let snap = reg.snapshot();
+        let snap = idle_run(2, 3);
         let names = snap.instrument_names();
-        assert_eq!(names.len(), catalog().len());
-        for row in catalog() {
-            assert!(
-                names.contains(&row.name.to_string()),
-                "missing {}",
-                row.name
-            );
+        assert_eq!(names.len(), CATALOG.len());
+        for (name, ..) in CATALOG {
+            assert!(names.contains(&name.to_string()), "missing {name}");
         }
         // Per-partition metrics expand to device x partition series.
         assert_eq!(
@@ -492,11 +296,7 @@ mod tests {
 
     #[test]
     fn same_geometry_same_shape() {
-        let shape = |devs, parts| {
-            let reg = MetricsRegistry::new();
-            let _ri = RunInstruments::register(&reg, devs, parts);
-            reg.snapshot().series_names()
-        };
+        let shape = |devs, parts| idle_run(devs, parts).series_names();
         assert_eq!(shape(1, 4), shape(1, 4));
         assert_ne!(shape(1, 4), shape(2, 4));
     }

@@ -1,43 +1,40 @@
-//! Unified telemetry: a deterministic registry of typed instruments.
+//! Unified telemetry: one value type, written once a run has finished.
 //!
 //! Every run-level measurement in the workspace — launch overhead, queue
 //! wait, transfer volume, fault/retry activity, pool busy/idle time — is
-//! exported through one [`MetricsRegistry`] of typed instruments
-//! ([`Counter`], [`Gauge`], [`Histogram`]) keyed by metric name plus
-//! `(device, partition, stream)` labels. Both executors export the *same*
-//! instrument set (see [`instruments::RunInstruments`]) and neither fills it
-//! while running: one function, `instruments::price_run`, derives the whole
-//! catalog from a finished timeline — the simulator's, or the one the
-//! native [`Recorder`](crate::trace) measured — so a gauge and the
+//! exported as one [`MetricsSnapshot`] of typed series (counters, gauges,
+//! log-bucketed histograms) keyed by metric name plus `(device, partition,
+//! tenant)` labels. Both executors export the *same* series set and neither
+//! writes it while running: one function, `instruments::price_run`, derives
+//! the whole catalog from a finished timeline — the simulator's, or the one
+//! the native [`Recorder`](crate::trace) measured — so a gauge and the
 //! `overlap()`/`partition_stats()` of the same run cannot disagree, and the
 //! shared shape is itself a differential check alongside stream-check and
-//! the trace comparator.
+//! the trace comparator. The other writers (the serving layer's per-tenant
+//! series, the tuner's cache counters) write from `&mut self` as well:
+//! nothing records concurrently, so a snapshot is plain data, written with
+//! [`MetricsSnapshot::counter_add`], [`MetricsSnapshot::gauge_set`] and
+//! [`MetricsSnapshot::histogram_record`] and read with the getters.
 //!
 //! Determinism: nothing in this module reads a wall clock or RNG. A
-//! snapshot's content is a pure function of the recorded samples, and all
-//! iteration orders are `BTreeMap`-sorted, so two identical sim runs
+//! snapshot's content is a pure function of the recorded samples, and its
+//! entries stay sorted by `(name, labels)`, so two identical sim runs
 //! export byte-identical JSONL/OpenMetrics text (pinned by a test).
 //!
 //! Overhead: a metered native run pays for its spans (see
-//! [`crate::trace`]) plus one pass over them at join, on a registry built
-//! fresh for the run. Instrument handles are `Arc`-shared atomic cells for
-//! the layers that do record live (the serving layer's per-tenant series).
-//! When every telemetry switch is off the executors skip each recording
-//! site behind one `Option` check (`mic-e2e` reports the recorded cost as
-//! `trace_overhead_frac` on `dispatch_tiny`).
+//! [`crate::trace`]) plus one pass over them at join. When every telemetry
+//! switch is off the native executor skips each recording site behind one
+//! `Option` check (`mic-e2e` reports the recorded cost as
+//! `trace_overhead_frac` on `dispatch_tiny`); a simulated run prices its
+//! snapshot only when asked ([`SimReport::metrics`](crate::SimReport::metrics)).
 
 pub mod export;
 pub mod hist;
 pub mod instruments;
 
 pub use hist::HistogramSnapshot;
-pub use instruments::RunInstruments;
 
-use hist::HistCell;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// What an instrument measures — exported as the OpenMetrics unit suffix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -99,8 +96,6 @@ pub struct Labels {
     pub device: Option<u16>,
     /// Partition ordinal within the device.
     pub partition: Option<u16>,
-    /// Logical stream id.
-    pub stream: Option<u16>,
     /// Serving tenant (see the `stream-serve` crate); `None` outside
     /// multi-tenant contexts, which keeps single-run catalogs unchanged.
     pub tenant: Option<u16>,
@@ -111,7 +106,6 @@ impl Labels {
     pub const GLOBAL: Labels = Labels {
         device: None,
         partition: None,
-        stream: None,
         tenant: None,
     };
 
@@ -134,16 +128,6 @@ impl Labels {
         }
     }
 
-    /// Series keyed by `(device, stream)`.
-    #[must_use]
-    pub fn stream(device: u16, stream: u16) -> Labels {
-        Labels {
-            device: Some(device),
-            stream: Some(stream),
-            ..Labels::GLOBAL
-        }
-    }
-
     /// Series keyed by tenant only (service-level instruments).
     #[must_use]
     pub fn tenant(tenant: u16) -> Labels {
@@ -151,14 +135,6 @@ impl Labels {
             tenant: Some(tenant),
             ..Labels::GLOBAL
         }
-    }
-
-    /// This labelling with the tenant dimension set — how the serving
-    /// layer scopes any per-run series to the tenant that owns it.
-    #[must_use]
-    pub fn for_tenant(mut self, tenant: u16) -> Labels {
-        self.tenant = Some(tenant);
-        self
     }
 
     /// True when every dimension is `None`.
@@ -181,9 +157,6 @@ impl fmt::Display for Labels {
         if let Some(p) = self.partition {
             parts.push(format!("partition=\"{p}\""));
         }
-        if let Some(s) = self.stream {
-            parts.push(format!("stream=\"{s}\""));
-        }
         if let Some(t) = self.tenant {
             parts.push(format!("tenant=\"{t}\""));
         }
@@ -191,180 +164,7 @@ impl fmt::Display for Labels {
     }
 }
 
-/// Monotonic counter handle. Cheap to clone; clones share the cell.
-#[derive(Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins gauge handle storing an `f64`.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
-    }
-}
-
-impl Gauge {
-    /// Overwrite the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// Histogram handle over a shared [`HistCell`].
-#[derive(Clone, Default)]
-pub struct Histogram(Arc<HistCell>);
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&self, v: u64) {
-        self.0.record(v);
-    }
-
-    /// Snapshot the current distribution.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.0.snapshot()
-    }
-}
-
-enum Cell {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-struct Registered {
-    kind: Kind,
-    unit: Unit,
-    series: BTreeMap<Labels, Cell>,
-}
-
-/// Registry of named instruments. Registration and snapshotting lock a
-/// `Mutex`; recording through the returned handles does not.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<String, Registered>>,
-}
-
-impl MetricsRegistry {
-    /// Empty registry.
-    #[must_use]
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    fn register(&self, name: &str, kind: Kind, unit: Unit, labels: Labels) -> Cell {
-        let mut inner = self.inner.lock().unwrap();
-        // Look up by `&str` first: a name is registered once per label
-        // set, and the common case (name already present) should not
-        // allocate.
-        if !inner.contains_key(name) {
-            inner.insert(
-                name.to_string(),
-                Registered {
-                    kind,
-                    unit,
-                    series: BTreeMap::new(),
-                },
-            );
-        }
-        let reg = inner.get_mut(name).expect("just inserted");
-        assert!(
-            reg.kind == kind && reg.unit == unit,
-            "metric `{name}` re-registered as {:?}/{:?} (was {:?}/{:?})",
-            kind,
-            unit,
-            reg.kind,
-            reg.unit,
-        );
-        let cell = reg.series.entry(labels).or_insert_with(|| match kind {
-            Kind::Counter => Cell::Counter(Counter::default()),
-            Kind::Gauge => Cell::Gauge(Gauge::default()),
-            Kind::Histogram => Cell::Histogram(Histogram::default()),
-        });
-        match cell {
-            Cell::Counter(c) => Cell::Counter(c.clone()),
-            Cell::Gauge(g) => Cell::Gauge(g.clone()),
-            Cell::Histogram(h) => Cell::Histogram(h.clone()),
-        }
-    }
-
-    /// Register (or fetch) a counter series. Panics if `name` already
-    /// exists with a different kind or unit.
-    pub fn counter(&self, name: &str, unit: Unit, labels: Labels) -> Counter {
-        match self.register(name, Kind::Counter, unit, labels) {
-            Cell::Counter(c) => c,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Register (or fetch) a gauge series.
-    pub fn gauge(&self, name: &str, unit: Unit, labels: Labels) -> Gauge {
-        match self.register(name, Kind::Gauge, unit, labels) {
-            Cell::Gauge(g) => g,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Register (or fetch) a histogram series.
-    pub fn histogram(&self, name: &str, unit: Unit, labels: Labels) -> Histogram {
-        match self.register(name, Kind::Histogram, unit, labels) {
-            Cell::Histogram(h) => h,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Freeze the registry into a sorted, immutable snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
-        let mut entries = Vec::new();
-        for (name, reg) in inner.iter() {
-            for (labels, cell) in &reg.series {
-                entries.push(MetricEntry {
-                    name: name.clone(),
-                    kind: reg.kind,
-                    unit: reg.unit,
-                    labels: *labels,
-                    value: match cell {
-                        Cell::Counter(c) => MetricValue::Counter(c.get()),
-                        Cell::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Cell::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    },
-                });
-            }
-        }
-        MetricsSnapshot { entries }
-    }
-}
-
-/// Recorded value of one series at snapshot time.
+/// Recorded value of one series.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
     /// Counter total.
@@ -390,8 +190,9 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-/// Immutable, deterministically ordered view of a whole registry.
-/// Entries are sorted by `(name, labels)`.
+/// A deterministically ordered set of series: written through the
+/// `&mut self` writers, read through the getters. Entries are sorted by
+/// `(name, labels)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All series, sorted by `(name, labels)`.
@@ -399,6 +200,72 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The value of series `(name, labels)`, declared as a zero `kind` in
+    /// `unit` when new. Panics if `name` already exists with a different
+    /// kind or unit.
+    fn series(&mut self, name: &str, kind: Kind, unit: Unit, labels: Labels) -> &mut MetricValue {
+        let key = (name, labels);
+        let at = match self
+            .entries
+            .binary_search_by(|e| (e.name.as_str(), e.labels).cmp(&key))
+        {
+            Ok(at) => at,
+            Err(at) => {
+                let value = match kind {
+                    Kind::Counter => MetricValue::Counter(0),
+                    Kind::Gauge => MetricValue::Gauge(0.0),
+                    Kind::Histogram => MetricValue::Histogram(HistogramSnapshot::default()),
+                };
+                self.entries.insert(
+                    at,
+                    MetricEntry {
+                        name: name.to_string(),
+                        kind,
+                        unit,
+                        labels,
+                        value,
+                    },
+                );
+                at
+            }
+        };
+        // The series of one name are adjacent and share kind and unit, so
+        // the neighbours stand for all of them.
+        for e in self.entries[at.saturating_sub(1)..].iter().take(3) {
+            assert!(
+                e.name != name || (e.kind == kind && e.unit == unit),
+                "metric `{name}` re-declared as {kind:?}/{unit:?} (was {:?}/{:?})",
+                e.kind,
+                e.unit,
+            );
+        }
+        &mut self.entries[at].value
+    }
+
+    /// Add `n` to a counter series (declaring it at zero when new).
+    /// Panics if `name` exists as another kind or unit.
+    pub fn counter_add(&mut self, name: &str, unit: Unit, labels: Labels, n: u64) {
+        if let MetricValue::Counter(v) = self.series(name, Kind::Counter, unit, labels) {
+            *v = v.wrapping_add(n);
+        }
+    }
+
+    /// Overwrite a gauge series. Panics if `name` exists as another kind
+    /// or unit.
+    pub fn gauge_set(&mut self, name: &str, unit: Unit, labels: Labels, value: f64) {
+        if let MetricValue::Gauge(v) = self.series(name, Kind::Gauge, unit, labels) {
+            *v = value;
+        }
+    }
+
+    /// Record one sample into a histogram series. Panics if `name` exists
+    /// as another kind or unit.
+    pub fn histogram_record(&mut self, name: &str, unit: Unit, labels: Labels, sample: u64) {
+        if let MetricValue::Histogram(h) = self.series(name, Kind::Histogram, unit, labels) {
+            h.record(sample);
+        }
+    }
+
     /// Distinct instrument names, sorted.
     #[must_use]
     pub fn instrument_names(&self) -> Vec<String> {
@@ -485,53 +352,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_round_trip() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("events_total", Unit::Count, Labels::GLOBAL);
-        let g = reg.gauge("makespan_us", Unit::Micros, Labels::GLOBAL);
-        let h = reg.histogram("latency_us", Unit::Micros, Labels::partition(0, 1));
-        c.add(3);
-        g.set(12.5);
-        h.record(100);
-        h.record(200);
-        let snap = reg.snapshot();
+    fn writers_round_trip() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("events_total", Unit::Count, Labels::GLOBAL, 3);
+        snap.gauge_set("makespan_us", Unit::Micros, Labels::GLOBAL, 12.5);
+        let at = Labels::partition(0, 1);
+        snap.histogram_record("latency_us", Unit::Micros, at, 100);
+        snap.histogram_record("latency_us", Unit::Micros, at, 200);
         assert_eq!(snap.counter("events_total", Labels::GLOBAL), 3);
         assert!((snap.gauge("makespan_us", Labels::GLOBAL) - 12.5).abs() < 1e-12);
-        let hist = snap
-            .histogram("latency_us", Labels::partition(0, 1))
-            .unwrap();
+        let hist = snap.histogram("latency_us", at).unwrap();
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 300);
     }
 
     #[test]
-    fn handles_share_cells() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("n", Unit::Count, Labels::GLOBAL);
-        let b = reg.counter("n", Unit::Count, Labels::GLOBAL);
-        a.inc();
-        b.inc();
-        assert_eq!(reg.snapshot().counter("n", Labels::GLOBAL), 2);
+    fn writes_to_one_series_accumulate() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("n", Unit::Count, Labels::GLOBAL, 1);
+        snap.counter_add("n", Unit::Count, Labels::GLOBAL, 1);
+        assert_eq!(snap.counter("n", Labels::GLOBAL), 2);
+        assert_eq!(snap.entries.len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "re-registered")]
+    #[should_panic(expected = "re-declared")]
     fn kind_conflict_panics() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("x", Unit::Count, Labels::GLOBAL);
-        let _ = reg.gauge("x", Unit::Count, Labels::GLOBAL);
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("x", Unit::Count, Labels::GLOBAL, 0);
+        snap.gauge_set("x", Unit::Count, Labels::device(0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-declared")]
+    fn unit_conflict_panics() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("x", Unit::Count, Labels::device(1), 0);
+        snap.counter_add("x", Unit::Bytes, Labels::device(0), 0);
     }
 
     #[test]
     fn snapshot_is_sorted_and_stable() {
-        let reg = MetricsRegistry::new();
-        // Register out of order; snapshot must sort by (name, labels).
-        let _ = reg.counter("z_total", Unit::Count, Labels::GLOBAL);
-        let _ = reg.counter("a_total", Unit::Count, Labels::device(1));
-        let _ = reg.counter("a_total", Unit::Count, Labels::device(0));
-        let names = reg.snapshot().series_names();
+        let mut snap = MetricsSnapshot::default();
+        // Written out of order; entries must sort by (name, labels).
+        snap.counter_add("z_total", Unit::Count, Labels::GLOBAL, 0);
+        snap.counter_add("a_total", Unit::Count, Labels::device(1), 0);
+        snap.counter_add("a_total", Unit::Count, Labels::device(0), 0);
         assert_eq!(
-            names,
+            snap.series_names(),
             vec![
                 "a_total{device=\"0\"}".to_string(),
                 "a_total{device=\"1\"}".to_string(),
@@ -548,25 +416,29 @@ mod tests {
             Labels::partition(0, 3).to_string(),
             "{device=\"0\",partition=\"3\"}"
         );
-        assert_eq!(
-            Labels::stream(1, 7).to_string(),
-            "{device=\"1\",stream=\"7\"}"
-        );
         assert_eq!(Labels::tenant(4).to_string(), "{tenant=\"4\"}");
         assert_eq!(
-            Labels::partition(0, 3).for_tenant(2).to_string(),
+            Labels {
+                tenant: Some(2),
+                ..Labels::partition(0, 3)
+            }
+            .to_string(),
             "{device=\"0\",partition=\"3\",tenant=\"2\"}"
         );
     }
 
     #[test]
     fn tenant_dimension_sorts_after_tenant_free_series() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("n", Unit::Count, Labels::partition(0, 1).for_tenant(0));
-        let _ = reg.counter("n", Unit::Count, Labels::partition(0, 1));
-        let names = reg.snapshot().series_names();
+        let mut snap = MetricsSnapshot::default();
+        let tenant_free = Labels::partition(0, 1);
+        let with_tenant = Labels {
+            tenant: Some(0),
+            ..tenant_free
+        };
+        snap.counter_add("n", Unit::Count, with_tenant, 0);
+        snap.counter_add("n", Unit::Count, tenant_free, 0);
         assert_eq!(
-            names,
+            snap.series_names(),
             vec![
                 "n{device=\"0\",partition=\"1\"}".to_string(),
                 "n{device=\"0\",partition=\"1\",tenant=\"0\"}".to_string(),

@@ -28,10 +28,10 @@
 //! — per-device link channels, the host, per-device partitions — so a
 //! native and a simulated timeline of the same program classify one-to-one.
 //!
-//! The recorder exists when any of `NativeConfig::{trace, metrics}` or
-//! `ContextBuilder::metrics` is set (they only select which outputs a report
-//! carries); otherwise the executor holds `None` and pays one branch per
-//! action (`trace_overhead_frac` on `mic-e2e`'s `dispatch_tiny` prices the
+//! The recorder exists when either of `NativeConfig::{trace, metrics}` is
+//! set (they only select which outputs a report carries); otherwise the
+//! executor holds `None` and pays one branch per action
+//! (`trace_overhead_frac` on `mic-e2e`'s `dispatch_tiny` prices the
 //! recorded side).
 
 use std::collections::BTreeMap;

@@ -1,16 +1,14 @@
 //! Regression: interleaved metered runs at different partition
 //! geometries must not alias each other's instrument catalogs.
 //!
-//! The run-metrics bundle is cached per `(devices, partitions)` geometry.
-//! Before that, a single cached slot was discarded on every geometry
-//! switch — and sharing one registry across shapes would be worse: the
-//! registry's `register` reuses existing `(device, partition, stream)`
-//! series, so a P=4 catalog re-registered at P=2 would keep exporting the
-//! two dead partitions' series. Alternating replans must export
-//! byte-stable catalogs per geometry, with no leakage between shapes.
+//! Every metered run declares its catalog into a fresh snapshot from the
+//! lane geometry it ran on. State carried across runs would leak: a
+//! snapshot that outlived a P=4 run would keep exporting the two dead
+//! partitions' series at P=2. Alternating replans must export byte-stable
+//! catalogs per geometry, with no leakage between shapes.
 
 use hstreams::kernel::KernelDesc;
-use hstreams::Context;
+use hstreams::{Context, NativeConfig};
 use micsim::compute::KernelProfile;
 use micsim::PlatformConfig;
 
@@ -27,7 +25,12 @@ fn metered_catalog(ctx: &mut Context) -> Vec<String> {
             .with_native(|_| {}),
     )
     .unwrap();
-    let report = ctx.run_native().unwrap();
+    let report = ctx
+        .run_native_with(&NativeConfig {
+            metrics: true,
+            ..NativeConfig::default()
+        })
+        .unwrap();
     report.metrics.expect("metered run").series_names()
 }
 
@@ -36,7 +39,6 @@ fn alternating_geometries_export_byte_stable_catalogs() {
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())
         .partitions(2)
         .replan_capacity(4)
-        .metrics(true)
         .build()
         .unwrap();
 
@@ -63,11 +65,10 @@ fn alternating_geometries_export_byte_stable_catalogs() {
 
 #[test]
 fn repeated_same_geometry_catalogs_are_stable_across_a_failed_geometry() {
-    // A second context pinned at its build geometry: repeated runs reuse
-    // the cached bundle and the catalog never drifts.
+    // A second context pinned at its build geometry: repeated runs price
+    // fresh snapshots and the catalog never drifts.
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())
         .partitions(3)
-        .metrics(true)
         .build()
         .unwrap();
     let first = metered_catalog(&mut ctx);

@@ -5,17 +5,17 @@
 //! quantile error bound (the estimate lies inside the bucket of the true
 //! rank statistic, so it is within 25 % of it and exact below 16).
 
-use hstreams::metrics::hist::{bucket_bounds, bucket_of, HistCell, HistogramSnapshot, BUCKETS};
+use hstreams::metrics::hist::{bucket_bounds, bucket_of, HistogramSnapshot, BUCKETS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Record a sample set into a fresh cell and snapshot it.
+/// Record a sample set into a fresh histogram.
 fn snap(samples: &[u64]) -> HistogramSnapshot {
-    let cell = HistCell::default();
+    let mut h = HistogramSnapshot::default();
     for &v in samples {
-        cell.record(v);
+        h.record(v);
     }
-    cell.snapshot()
+    h
 }
 
 /// Mixed-magnitude sample strategy: small exact-bucket values, mid-range,
@@ -55,7 +55,7 @@ proptest! {
         let mut right = sa.clone();
         right.merge(&bc);
         prop_assert_eq!(&left, &right);
-        // Both must equal one cell that saw every sample.
+        // Both must equal one histogram that saw every sample.
         let mut all = a.clone();
         all.extend_from_slice(&b);
         all.extend_from_slice(&c);

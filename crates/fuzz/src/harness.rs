@@ -37,6 +37,7 @@ use hstreams::check::WitnessKind;
 use hstreams::context::Context;
 use hstreams::testutil::RefExec;
 use hstreams::types::{BufId, Error};
+use hstreams::NativeConfig;
 use micsim::PlatformConfig;
 
 use crate::genome::{buf_len, buf_lens, ProgramSpec, N_BUFS};
@@ -115,7 +116,6 @@ fn build_ctx(partitions: usize, spp: usize) -> Context {
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())
         .partitions(partitions)
         .streams_per_partition(spp)
-        .metrics(true)
         .build()
         .expect("fuzz geometry is within platform limits");
     for i in 0..N_BUFS {
@@ -185,9 +185,7 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
             ),
             Ok(s1) => {
                 hidden_fraction = Some(s1.overlap().hidden_fraction());
-                if let Some(m) = &s1.metrics {
-                    signals.extend(metrics_signals(m));
-                }
+                signals.extend(metrics_signals(&s1.metrics()));
                 match ctx.run_sim() {
                     Err(e) => disagree(
                         &mut disagreement,
@@ -196,11 +194,7 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
                     ),
                     Ok(s2) => {
                         let same_makespan = s1.makespan() == s2.makespan();
-                        let same_metrics = match (&s1.metrics, &s2.metrics) {
-                            (Some(a), Some(b)) => a.to_jsonl() == b.to_jsonl(),
-                            (None, None) => true,
-                            _ => false,
-                        };
+                        let same_metrics = s1.metrics().to_jsonl() == s2.metrics().to_jsonl();
                         if !same_makespan || !same_metrics {
                             disagree(
                                 &mut disagreement,
@@ -564,7 +558,11 @@ fn native_differential(
         }
     };
     ctx.zero_buffers();
-    let n1 = match ctx.run_native() {
+    let metered = NativeConfig {
+        metrics: true,
+        ..NativeConfig::default()
+    };
+    let n1 = match ctx.run_native_with(&metered) {
         Err(e) => {
             disagree(
                 disagreement,
@@ -577,7 +575,8 @@ fn native_differential(
         Ok(r) => r,
     };
     let bits1 = ctx_bits(ctx);
-    if let (Some(nm), Some(sm)) = (&n1.metrics, &sim.metrics) {
+    if let Some(nm) = &n1.metrics {
+        let sm = sim.metrics();
         let mut ns = nm.series_names();
         let mut ss = sm.series_names();
         ns.sort();

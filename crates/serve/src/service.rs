@@ -30,7 +30,7 @@ use hstreams::check::Site;
 use hstreams::context::Context;
 use hstreams::fault::FaultPlan;
 use hstreams::lease::{Lease, LeaseTable, TenantId};
-use hstreams::metrics::{Labels, MetricsRegistry, MetricsSnapshot, Unit};
+use hstreams::metrics::{Labels, MetricsSnapshot, Unit};
 use hstreams::program::Program;
 use hstreams::types::{BufId, Error, Result};
 use hstreams::OptReport;
@@ -179,7 +179,7 @@ pub struct StreamService {
     next_job: u64,
     now: f64,
     shed: u64,
-    registry: MetricsRegistry,
+    metrics: MetricsSnapshot,
     /// Per-tenant shared-buffer table: local index → (name, len, shared id).
     buffer_cache: BTreeMap<TenantId, Vec<(String, usize, BufId)>>,
 }
@@ -204,7 +204,7 @@ impl StreamService {
             next_job: 0,
             now: 0.0,
             shed: 0,
-            registry: MetricsRegistry::new(),
+            metrics: MetricsSnapshot::default(),
             buffer_cache: BTreeMap::new(),
             ctx,
             cfg,
@@ -255,7 +255,7 @@ impl StreamService {
     /// completion/shed counters, round durations).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        self.metrics.clone()
     }
 
     /// Submit a job for `tenant`. See [`Admission`].
@@ -286,9 +286,8 @@ impl StreamService {
         }
         if self.drr.queued() >= self.cfg.queue_depth {
             self.shed += 1;
-            self.registry
-                .counter("serve_jobs_shed", Unit::Count, Labels::GLOBAL)
-                .inc();
+            self.metrics
+                .counter_add("serve_jobs_shed", Unit::Count, Labels::GLOBAL, 1);
             return Admission::Shed;
         }
         let id = self.next_job;
@@ -427,9 +426,12 @@ impl StreamService {
         let (duration, degraded) = self.execute(plan)?;
         self.now += duration;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        self.registry
-            .histogram("serve_round_us", Unit::Micros, Labels::GLOBAL)
-            .record((duration * 1e6) as u64);
+        self.metrics.histogram_record(
+            "serve_round_us",
+            Unit::Micros,
+            Labels::GLOBAL,
+            (duration * 1e6) as u64,
+        );
 
         let mut outcomes = Vec::with_capacity(selected.len());
         for (job, table) in selected.into_iter().zip(tables) {
@@ -438,9 +440,8 @@ impl StreamService {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let latency_us = (latency * 1e6) as u64;
             if let Some((lost, skipped)) = degraded.get(&job.tenant) {
-                self.registry
-                    .counter("serve_jobs_degraded", Unit::Count, labels)
-                    .inc();
+                self.metrics
+                    .counter_add("serve_jobs_degraded", Unit::Count, labels, 1);
                 outcomes.push(JobOutcome {
                     id: job.id,
                     tenant: job.tenant,
@@ -459,12 +460,10 @@ impl StreamService {
                     .iter()
                     .map(|b| self.ctx.read_host(table[b.0]))
                     .collect::<Result<Vec<_>>>()?;
-                self.registry
-                    .counter("serve_jobs_completed", Unit::Count, labels)
-                    .inc();
-                self.registry
-                    .histogram("serve_latency_us", Unit::Micros, labels)
-                    .record(latency_us);
+                self.metrics
+                    .counter_add("serve_jobs_completed", Unit::Count, labels, 1);
+                self.metrics
+                    .histogram_record("serve_latency_us", Unit::Micros, labels, latency_us);
                 self.jobs.remove(&job.id);
                 outcomes.push(JobOutcome {
                     id: job.id,
@@ -477,13 +476,12 @@ impl StreamService {
         }
         for o in &outcomes {
             #[allow(clippy::cast_precision_loss)]
-            self.registry
-                .gauge(
-                    "serve_partitions_granted",
-                    Unit::Count,
-                    Labels::tenant(o.tenant.0),
-                )
-                .set(self.leases.lease(o.tenant).map_or(0, Lease::len) as f64);
+            self.metrics.gauge_set(
+                "serve_partitions_granted",
+                Unit::Count,
+                Labels::tenant(o.tenant.0),
+                self.leases.lease(o.tenant).map_or(0, Lease::len) as f64,
+            );
         }
         Ok(Some(RoundReport {
             duration,

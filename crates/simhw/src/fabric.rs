@@ -1,14 +1,14 @@
 //! Multi-card platform state.
 //!
-//! Holds the mutable, per-card runtime state of a simulation: device memory
-//! book-keeping and the active partition plan of each card. The paper's
+//! Holds the mutable, per-card runtime state of a simulation: the active
+//! partition plan of each card. The paper's
 //! Sec. VI experiments run one logical stream pool over several Phis; the
 //! stream executor asks this type which card a partition lives on and what
 //! its geometry is.
 
 use crate::calibrate::PlatformConfig;
 use crate::device::DeviceId;
-use crate::memory::{AllocId, DeviceMemory, MemError};
+use crate::memory::MemError;
 use crate::partition::{PartitionError, PartitionPlan};
 
 /// Mutable state for one card.
@@ -16,8 +16,6 @@ use crate::partition::{PartitionError, PartitionPlan};
 pub struct CardState {
     /// Which card this is.
     pub id: DeviceId,
-    /// Device memory tracker.
-    pub memory: DeviceMemory,
     /// Active partition plan, once a context initialized the card.
     pub plan: Option<PartitionPlan>,
 }
@@ -74,7 +72,6 @@ impl SimPlatform {
         let cards = (0..cfg.device_count)
             .map(|i| CardState {
                 id: DeviceId(i),
-                memory: DeviceMemory::new(cfg.device.memory_bytes),
                 plan: None,
             })
             .collect();
@@ -126,21 +123,6 @@ impl SimPlatform {
             .as_ref()
             .ok_or(FabricError::NotInitialized(dev))
     }
-
-    /// Allocate device memory on `dev`.
-    pub fn alloc(&mut self, dev: DeviceId, bytes: u64) -> Result<AllocId, FabricError> {
-        Ok(self.card_mut(dev)?.memory.alloc(bytes)?)
-    }
-
-    /// Free device memory on `dev`.
-    pub fn dealloc(&mut self, dev: DeviceId, id: AllocId) -> Result<(), FabricError> {
-        Ok(self.card_mut(dev)?.memory.dealloc(id)?)
-    }
-
-    /// Memory tracker of `dev` (read-only).
-    pub fn memory(&self, dev: DeviceId) -> Result<&DeviceMemory, FabricError> {
-        Ok(&self.card(dev)?.memory)
-    }
 }
 
 #[cfg(test)]
@@ -181,22 +163,8 @@ mod tests {
             Err(FabricError::NoSuchDevice(_))
         ));
         assert!(matches!(
-            p.alloc(DeviceId(5), 16),
+            p.plan(DeviceId(5)),
             Err(FabricError::NoSuchDevice(_))
-        ));
-    }
-
-    #[test]
-    fn memory_is_isolated_between_cards() {
-        let mut p = SimPlatform::new(PlatformConfig::phi_31sp_multi(2)).unwrap();
-        let cap = p.memory(DeviceId(0)).unwrap().capacity();
-        p.alloc(DeviceId(0), cap).unwrap();
-        // Card 1 must still have room.
-        assert!(p.alloc(DeviceId(1), cap).is_ok());
-        // Card 0 is full.
-        assert!(matches!(
-            p.alloc(DeviceId(0), 1),
-            Err(FabricError::Memory(_))
         ));
     }
 

@@ -1,15 +1,9 @@
-//! Device memory book-keeping.
+//! Device memory errors.
 //!
-//! The simulator does not store bytes for simulated buffers — it tracks
-//! *capacity*, so that workloads which could never fit on a real 8 GB card
-//! fail loudly instead of producing meaningless timings. It also catches
-//! lifecycle bugs (double free, use after free) in executor code.
-
-use std::collections::HashMap;
-
-/// Handle to one device-side allocation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct AllocId(pub u64);
+//! The simulator does not store bytes for simulated buffers — the sim
+//! executor sums a program's buffer sizes against the card's capacity, so
+//! that workloads which could never fit on a real 8 GB card fail loudly
+//! instead of producing meaningless timings.
 
 /// Allocation failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,8 +15,6 @@ pub enum MemError {
         /// Bytes currently free.
         free: u64,
     },
-    /// The allocation id was never issued or was already freed.
-    UnknownAlloc(AllocId),
 }
 
 impl std::fmt::Display for MemError {
@@ -31,155 +23,8 @@ impl std::fmt::Display for MemError {
             MemError::OutOfMemory { requested, free } => {
                 write!(f, "device OOM: requested {requested} B, {free} B free")
             }
-            MemError::UnknownAlloc(id) => write!(f, "unknown or freed allocation {id:?}"),
         }
     }
 }
 
 impl std::error::Error for MemError {}
-
-/// Capacity tracker for one device's memory.
-#[derive(Debug)]
-pub struct DeviceMemory {
-    capacity: u64,
-    used: u64,
-    next_id: u64,
-    live: HashMap<u64, u64>, // id -> bytes
-    peak: u64,
-}
-
-impl DeviceMemory {
-    /// Tracker for a device with `capacity` bytes.
-    pub fn new(capacity: u64) -> DeviceMemory {
-        DeviceMemory {
-            capacity,
-            used: 0,
-            next_id: 0,
-            live: HashMap::new(),
-            peak: 0,
-        }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity - self.used
-    }
-
-    /// High-water mark of allocated bytes.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// Live allocation count.
-    pub fn live_allocs(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Allocate `bytes`; zero-byte allocations are legal and get an id.
-    pub fn alloc(&mut self, bytes: u64) -> Result<AllocId, MemError> {
-        if bytes > self.free_bytes() {
-            return Err(MemError::OutOfMemory {
-                requested: bytes,
-                free: self.free_bytes(),
-            });
-        }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.live.insert(id.0, bytes);
-        self.used += bytes;
-        self.peak = self.peak.max(self.used);
-        Ok(id)
-    }
-
-    /// Free an allocation.
-    pub fn dealloc(&mut self, id: AllocId) -> Result<(), MemError> {
-        match self.live.remove(&id.0) {
-            Some(bytes) => {
-                self.used -= bytes;
-                Ok(())
-            }
-            None => Err(MemError::UnknownAlloc(id)),
-        }
-    }
-
-    /// Size of a live allocation.
-    pub fn size_of(&self, id: AllocId) -> Result<u64, MemError> {
-        self.live
-            .get(&id.0)
-            .copied()
-            .ok_or(MemError::UnknownAlloc(id))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn alloc_free_roundtrip() {
-        let mut m = DeviceMemory::new(1000);
-        let a = m.alloc(400).unwrap();
-        let b = m.alloc(600).unwrap();
-        assert_eq!(m.used(), 1000);
-        assert_eq!(m.free_bytes(), 0);
-        assert_eq!(m.size_of(a).unwrap(), 400);
-        m.dealloc(a).unwrap();
-        assert_eq!(m.used(), 600);
-        m.dealloc(b).unwrap();
-        assert_eq!(m.used(), 0);
-        assert_eq!(m.peak(), 1000);
-        assert_eq!(m.live_allocs(), 0);
-    }
-
-    #[test]
-    fn oom_reports_free_bytes() {
-        let mut m = DeviceMemory::new(100);
-        m.alloc(80).unwrap();
-        let err = m.alloc(30).unwrap_err();
-        assert_eq!(
-            err,
-            MemError::OutOfMemory {
-                requested: 30,
-                free: 20
-            }
-        );
-    }
-
-    #[test]
-    fn double_free_detected() {
-        let mut m = DeviceMemory::new(100);
-        let a = m.alloc(10).unwrap();
-        m.dealloc(a).unwrap();
-        assert_eq!(m.dealloc(a), Err(MemError::UnknownAlloc(a)));
-        assert_eq!(m.size_of(a), Err(MemError::UnknownAlloc(a)));
-    }
-
-    #[test]
-    fn zero_byte_allocs_are_distinct() {
-        let mut m = DeviceMemory::new(0);
-        let a = m.alloc(0).unwrap();
-        let b = m.alloc(0).unwrap();
-        assert_ne!(a, b);
-        m.dealloc(a).unwrap();
-        m.dealloc(b).unwrap();
-    }
-
-    #[test]
-    fn freed_memory_is_reusable() {
-        let mut m = DeviceMemory::new(100);
-        let a = m.alloc(100).unwrap();
-        assert!(m.alloc(1).is_err());
-        m.dealloc(a).unwrap();
-        assert!(m.alloc(100).is_ok());
-    }
-}

@@ -248,15 +248,16 @@ impl Tuner {
     /// Embedded in the autotune bench JSON's `metrics` block.
     pub fn metrics_snapshot(&self) -> hstreams::MetricsSnapshot {
         use hstreams::metrics::{Labels, Unit};
-        let reg = hstreams::MetricsRegistry::new();
-        let count = |name: &str, v: usize| {
-            reg.counter(name, Unit::Count, Labels::GLOBAL).add(v as u64);
-        };
-        count("tune_trials", self.cache.hits() + self.cache.misses());
-        count("tune_cache_hits", self.cache.hits());
-        count("tune_cache_misses", self.cache.misses());
-        count("tune_cached_configs", self.cache.len());
-        reg.snapshot()
+        let mut snap = hstreams::MetricsSnapshot::default();
+        for (name, v) in [
+            ("tune_trials", self.cache.hits() + self.cache.misses()),
+            ("tune_cache_hits", self.cache.hits()),
+            ("tune_cache_misses", self.cache.misses()),
+            ("tune_cached_configs", self.cache.len()),
+        ] {
+            snap.counter_add(name, Unit::Count, Labels::GLOBAL, v as u64);
+        }
+        snap
     }
 
     /// Tune `app` on `eval` over the candidates `strategy` selects within

@@ -140,6 +140,18 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/context.rs | grep -nF '.set_fault_p
   exit 1
 fi
 
+echo "==> one telemetry spine (metrics are a value priced from a finished run: no concurrent registry, no context switch)"
+for f in crates/core/src/metrics/*.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Atomic|Arc<|Mutex'; then
+    echo "  $f records concurrently again (a MetricsSnapshot is written from &mut self)"
+    exit 1
+  fi
+done
+if grep -rnE 'MetricsRegistry|HistCell|RunInstruments|metrics_enabled' crates tests examples src README.md; then
+  echo "  the instrument registry or the context's metrics switch is back (price a MetricsSnapshot from the finished run)"
+  exit 1
+fi
+
 echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
 if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
   echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"

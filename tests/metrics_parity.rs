@@ -47,16 +47,19 @@ fn apps() -> Vec<Box<dyn Tunable>> {
     ]
 }
 
-fn metered_context() -> Context {
-    Context::builder(PlatformConfig::phi_31sp())
-        .partitions(PARTITIONS)
-        .metrics(true)
-        .build()
-        .unwrap()
-}
+/// A native run that prices its metrics.
+const METERED: NativeConfig = NativeConfig {
+    max_threads_per_partition: None,
+    link_bandwidth: None,
+    trace: false,
+    metrics: true,
+};
 
 fn record(app: &mut dyn Tunable) -> Context {
-    let mut ctx = metered_context();
+    let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+        .partitions(PARTITIONS)
+        .build()
+        .unwrap();
     assert!(
         app.feasible(TASKS),
         "{} must accept T={TASKS} for this test's geometry",
@@ -76,9 +79,9 @@ fn every_app_exports_the_same_instrument_set_on_both_executors() {
     for mut app in apps() {
         let ctx = record(app.as_mut());
         let sim = ctx.run_sim().unwrap();
-        let native = ctx.run_native().unwrap();
-        let sim_snap = sim.metrics.expect("sim metrics enabled");
-        let native_snap = native.metrics.expect("native metrics enabled");
+        let native = ctx.run_native_with(&METERED).unwrap();
+        let sim_snap = sim.metrics();
+        let native_snap = native.metrics.expect("native metrics requested");
         assert_eq!(
             shape(&sim_snap),
             shape(&native_snap),
@@ -119,7 +122,7 @@ fn every_app_exports_the_same_instrument_set_on_both_executors() {
 fn sim_metrics_exports_are_byte_identical_across_runs() {
     let export = |app: &mut dyn Tunable| {
         let ctx = record(app);
-        let snap = ctx.run_sim().unwrap().metrics.expect("metrics enabled");
+        let snap = ctx.run_sim().unwrap().metrics();
         (snap.to_jsonl(), snap.to_openmetrics())
     };
     // Two runs from two independently built contexts — nothing shared, so
@@ -135,7 +138,7 @@ fn sim_metrics_exports_match_the_pinned_text() {
     // One run's exact exports, pinned: how a snapshot is built may change;
     // the series it holds, their order and every priced value may not.
     let ctx = record(&mut TunableMm::new(32, Some(7)));
-    let snap = ctx.run_sim().unwrap().metrics.expect("metrics enabled");
+    let snap = ctx.run_sim().unwrap().metrics();
     assert_eq!(
         snap.to_jsonl(),
         include_str!("golden/metrics_mm_p2_t4.jsonl"),
@@ -231,7 +234,7 @@ fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
         let sim = ctx.run_sim().unwrap();
         assert_gauges_are_timeline_quantities(
             &format!("{} (sim)", app.name()),
-            sim.metrics.as_ref().expect("sim metrics enabled"),
+            &sim.metrics(),
             &sim.timeline,
             &sim.kinds,
             &sim.names,
@@ -239,13 +242,13 @@ fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
         let native = ctx
             .run_native_with(&NativeConfig {
                 trace: true,
-                ..NativeConfig::default()
+                ..METERED
             })
             .unwrap();
         let trace = native.trace.expect("trace requested");
         assert_gauges_are_timeline_quantities(
             &format!("{} (native)", app.name()),
-            native.metrics.as_ref().expect("native metrics enabled"),
+            native.metrics.as_ref().expect("native metrics requested"),
             &trace.timeline,
             &trace.kinds,
             &trace.names,

@@ -251,11 +251,11 @@ impl StreamService {
             .expect("lease table invariants hold")
     }
 
-    /// Snapshot of the service metrics (per-tenant latency histograms,
+    /// The service metrics (per-tenant latency histograms,
     /// completion/shed counters, round durations).
     #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.clone()
+    pub fn metrics(&self) -> &MetricsSnapshot {
+        &self.metrics
     }
 
     /// Submit a job for `tenant`. See [`Admission`].

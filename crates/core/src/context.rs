@@ -850,12 +850,72 @@ mod tests {
     }
 
     #[test]
-    fn bad_partition_count_surfaces_platform_error() {
-        let err = Context::builder(PlatformConfig::phi_31sp())
-            .partitions(0)
+    fn bad_partition_counts_name_the_geometry_they_violate() {
+        let msg = |p| {
+            Context::builder(PlatformConfig::phi_31sp())
+                .partitions(p)
+                .build()
+                .unwrap_err()
+                .to_string()
+        };
+        let zero = msg(0);
+        assert!(zero.contains("partition count must be positive"), "{zero}");
+        let wide = msg(500);
+        assert!(
+            wide.contains("requested 500 partitions but device has only 224 usable threads"),
+            "{wide}"
+        );
+    }
+
+    fn device_kernel() -> Action {
+        Action::Kernel(KernelDesc::simulated(
+            "k",
+            KernelProfile::streaming("k", 0.32e9),
+            1e9,
+        ))
+    }
+
+    fn two_cards(p: usize) -> Context {
+        Context::builder(PlatformConfig::phi_31sp_multi(2))
+            .partitions(p)
             .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Platform(_)));
+            .unwrap()
+    }
+
+    #[test]
+    fn every_card_prices_on_the_same_plan_and_no_third_card_exists() {
+        let cost = two_cards(4).cost_model().unwrap();
+        let k = device_kernel();
+        for part in 0..4 {
+            let on0 = cost.action_seconds(&k, 0, part);
+            assert!(on0.is_some(), "partition {part}");
+            assert_eq!(on0, cost.action_seconds(&k, 1, part), "partition {part}");
+        }
+        assert!(cost.action_seconds(&k, 2, 0).is_none(), "device 2");
+        assert!(cost.action_seconds(&k, 0, 4).is_none(), "partition 4");
+    }
+
+    #[test]
+    fn failed_replan_keeps_the_last_good_plan_on_every_card() {
+        let mut c = two_cards(4);
+        c.replan(5).unwrap();
+        assert!(c.replan(999).is_err());
+        assert_eq!(c.partitions(), 5);
+        assert_eq!(c.stream_count(), 10);
+        let (got, want) = (c.cost_model().unwrap(), two_cards(5).cost_model().unwrap());
+        let k = device_kernel();
+        for dev in 0..2 {
+            for part in 0..5 {
+                let price = got.action_seconds(&k, dev, part);
+                assert!(price.is_some(), "mic{dev}.p{part}");
+                assert_eq!(
+                    price,
+                    want.action_seconds(&k, dev, part),
+                    "mic{dev}.p{part}"
+                );
+            }
+        }
+        assert!(got.action_seconds(&k, 0, 5).is_none());
     }
 
     #[test]

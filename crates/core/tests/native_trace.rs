@@ -298,6 +298,35 @@ fn duplex_link_lanes_are_independent() {
 }
 
 #[test]
+fn copy_queue_high_water_mark_counts_transfers_waiting_together() {
+    // `streams` streams upload four 16 KiB buffers each. One stream queues
+    // its copies one after another; four streams sharing a link throttled
+    // to ~1 ms per copy queue behind whoever holds it.
+    let hwm = |streams: usize, link_bandwidth: Option<f64>| {
+        let mut ctx = small_ctx(streams);
+        for s in 0..streams {
+            let stream = ctx.stream(s).unwrap();
+            for i in 0..4 {
+                let buf = ctx.alloc(format!("s{s}t{i}"), 1 << 12);
+                ctx.h2d(stream, buf).unwrap();
+            }
+        }
+        let report = ctx
+            .run_native_with(&NativeConfig {
+                trace: true,
+                link_bandwidth,
+                ..NativeConfig::default()
+            })
+            .unwrap();
+        report.trace.unwrap().counters.copy_queue_depth_hwm
+    };
+    let alone = hwm(1, Some(16.0e6));
+    assert!(alone <= 1, "one stream queued {alone} copies at once");
+    let shared = hwm(4, Some(16.0e6));
+    assert!(shared >= 2, "four streams never queued together: {shared}");
+}
+
+#[test]
 fn two_streams_hide_transfers_single_stream_does_not() {
     // Acceptance check (b): an overlappable 2-stream program measures a
     // strictly positive hidden fraction; the single-stream version of the

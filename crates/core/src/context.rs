@@ -39,7 +39,7 @@
 
 use micsim::calibrate::PlatformConfig;
 use micsim::device::DeviceId;
-use micsim::fabric::SimPlatform;
+use micsim::partition::PartitionPlan;
 use micsim::pcie::Direction;
 
 use crate::action::Action;
@@ -105,7 +105,8 @@ impl ContextBuilder {
         self
     }
 
-    /// Initialize the context: partition every card and create the streams.
+    /// Initialize the context: split the cards into one shared partition
+    /// plan and create the streams.
     pub fn build(self) -> Result<Context> {
         if self.streams_per_partition == 0 {
             return Err(Error::Config(
@@ -119,15 +120,16 @@ impl ContextBuilder {
                 replan_capacity, self.partitions
             )));
         }
-        let mut platform = SimPlatform::new(self.cfg).map_err(Error::Config)?;
-        let devices: Vec<DeviceId> = platform.devices().collect();
-        for &dev in &devices {
-            platform.init_partitions(dev, self.partitions)?;
-        }
-        let program = streams_for(&devices, self.partitions, self.streams_per_partition);
+        self.cfg.validate().map_err(Error::Config)?;
+        let plan = PartitionPlan::equal_split(&self.cfg.device, self.partitions)?;
+        let program = streams_for(
+            self.cfg.device_count,
+            self.partitions,
+            self.streams_per_partition,
+        );
         Ok(Context {
-            platform,
-            partitions: self.partitions,
+            cfg: self.cfg,
+            plan,
             streams_per_partition: self.streams_per_partition,
             replan_capacity,
             buffers: Vec::new(),
@@ -143,16 +145,16 @@ impl ContextBuilder {
 
 /// Device-major stream layout for a partition count: every device gets
 /// `partitions * streams_per_partition` streams, partition-major.
-fn streams_for(devices: &[DeviceId], partitions: usize, streams_per_partition: usize) -> Program {
+fn streams_for(devices: usize, partitions: usize, streams_per_partition: usize) -> Program {
     let mut program = Program::default();
-    for &dev in devices {
+    for dev in 0..devices {
         for part in 0..partitions {
             for _ in 0..streams_per_partition {
                 let id = StreamId(program.streams.len());
                 program.streams.push(StreamRecord {
                     id,
                     placement: StreamPlacement {
-                        device: dev,
+                        device: DeviceId(dev),
                         partition: part,
                     },
                     actions: Vec::new(),
@@ -165,8 +167,9 @@ fn streams_for(devices: &[DeviceId], partitions: usize, streams_per_partition: u
 
 /// A live streaming context. See the [module docs](self).
 pub struct Context {
-    pub(crate) platform: SimPlatform,
-    partitions: usize,
+    cfg: PlatformConfig,
+    /// The partition plan every card shares.
+    plan: PartitionPlan,
     streams_per_partition: usize,
     replan_capacity: usize,
     pub(crate) buffers: Vec<Buffer>,
@@ -189,8 +192,8 @@ pub struct Context {
 impl std::fmt::Debug for Context {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Context")
-            .field("devices", &self.platform.device_count())
-            .field("partitions", &self.partitions)
+            .field("devices", &self.device_count())
+            .field("partitions", &self.partitions())
             .field("streams_per_partition", &self.streams_per_partition)
             .field("buffers", &self.buffers.len())
             .field("actions", &self.program.action_count())
@@ -213,12 +216,12 @@ impl Context {
 
     /// The platform configuration.
     pub fn config(&self) -> &PlatformConfig {
-        self.platform.config()
+        &self.cfg
     }
 
     /// Partitions per card.
     pub fn partitions(&self) -> usize {
-        self.partitions
+        self.plan.count()
     }
 
     /// Streams per partition.
@@ -257,22 +260,9 @@ impl Context {
                 partitions, self.replan_capacity
             )));
         }
-        let devices: Vec<DeviceId> = self.platform.devices().collect();
-        // Validate the geometry on the first device before committing
-        // anything — including the capacity raise: a rejected geometry must
-        // leave `replan_capacity` (which sizes the future native runtime)
-        // exactly as it was. All devices share one DeviceSpec, so success on
-        // the first means success everywhere and the loop below cannot leave
-        // a partial state.
-        if let Some(&first) = devices.first() {
-            self.platform.init_partitions(first, partitions)?;
-        }
+        self.plan = PartitionPlan::equal_split(&self.cfg.device, partitions)?;
         self.replan_capacity = self.replan_capacity.max(partitions);
-        for &dev in devices.iter().skip(1) {
-            self.platform.init_partitions(dev, partitions)?;
-        }
-        self.partitions = partitions;
-        self.program = streams_for(&devices, partitions, self.streams_per_partition);
+        self.program = streams_for(self.device_count(), partitions, self.streams_per_partition);
         Ok(())
     }
 
@@ -283,7 +273,7 @@ impl Context {
 
     /// Number of cards.
     pub fn device_count(&self) -> usize {
-        self.platform.device_count()
+        self.cfg.device_count
     }
 
     /// The `idx`-th stream (creation order: device-major, then partition,
@@ -451,7 +441,7 @@ impl Context {
     /// installed program's.
     pub fn install_program(&mut self, program: Program) -> Result<Option<crate::opt::OptReport>> {
         program.validate()?;
-        let devices = self.platform.device_count();
+        let devices = self.device_count();
         let max_streams = devices * self.replan_capacity * self.streams_per_partition;
         if program.streams.len() > max_streams {
             return Err(Error::Config(format!(
@@ -466,10 +456,12 @@ impl Context {
                     s.id, s.placement.device
                 )));
             }
-            if s.placement.partition >= self.partitions {
+            if s.placement.partition >= self.partitions() {
                 return Err(Error::Config(format!(
                     "stream {} placed on partition {} but the current plan has {}",
-                    s.id, s.placement.partition, self.partitions
+                    s.id,
+                    s.placement.partition,
+                    self.partitions()
                 )));
             }
             for a in &s.actions {
@@ -532,8 +524,8 @@ impl Context {
     pub fn check_env(&self) -> crate::check::CheckEnv {
         crate::check::CheckEnv {
             buffers: self.buffers.len(),
-            devices: self.platform.device_count(),
-            partitions: self.partitions,
+            devices: self.device_count(),
+            partitions: self.partitions(),
             streams_per_partition: self.streams_per_partition,
         }
     }
@@ -624,13 +616,9 @@ impl Context {
     /// configuration, partition geometry and buffer sizes: the prices the
     /// simulator, the static cost analysis and the schedulers all read.
     pub fn cost_model(&self) -> Result<crate::sched::CostModel> {
-        let devices: Vec<DeviceId> = self.platform.devices().collect();
-        let mut plans = Vec::with_capacity(devices.len());
-        for dev in devices {
-            plans.push(self.platform.plan(dev)?.partitions.clone());
-        }
         let bytes: Vec<u64> = self.buffers.iter().map(Buffer::bytes).collect();
-        Ok(crate::sched::CostModel::new(self.config(), &plans, &bytes))
+        let parts = &self.plan.partitions;
+        Ok(crate::sched::CostModel::new(&self.cfg, parts, &bytes))
     }
 
     /// Plan the recorded program under the context's scheduler. `None`
@@ -769,7 +757,7 @@ impl Context {
         let graph = TaskGraph::build(&self.program, &analysis).filter(|_| clean)?;
         let cost = self.cost_model().ok()?;
         let alive = |at: &(usize, usize)| !lost.iter().any(|&(d, p, _)| (d, p) == *at);
-        let on = |dev| (0..self.partitions).map(move |part| (dev, part));
+        let on = |dev| (0..self.partitions()).map(move |part| (dev, part));
         let mut tasks = Vec::with_capacity(skipped.len());
         for &(si, ai) in skipped {
             let site = crate::check::Site::new(si, ai);

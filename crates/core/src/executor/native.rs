@@ -70,7 +70,7 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::task::Poll;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -201,7 +201,7 @@ impl Drop for LaneGuard<'_> {
 /// partitions, tainted buffers, and what was skipped, in skip order (see
 /// [`RecoveryState::skipped`]). The plan's dice are the context's.
 struct FaultControl {
-    tallies: Arc<FaultTallies>,
+    tallies: FaultTallies,
     parts_per_dev: usize,
     /// `[device * parts_per_dev + partition]`: lost to a kernel panic.
     poisoned: Vec<AtomicBool>,
@@ -229,7 +229,7 @@ impl FaultControl {
             poisoned[dev * parts_per_dev + part].store(true, Ordering::Relaxed);
         }
         FaultControl {
-            tallies: Arc::new(FaultTallies::default()),
+            tallies: FaultTallies::default(),
             parts_per_dev,
             poisoned,
             tainted: flags(ctx.buffer_count()),
@@ -384,14 +384,8 @@ fn exec_transfer(
     };
     let chan = shared.ctx.config().link.channel_for(dir);
     let bytes = buffer.bytes();
-    let submitted = shared.recorder.map(|rec| {
-        rec.copy_submitted();
-        (rec, Instant::now())
-    });
+    let submitted = shared.recorder.map(|rec| (rec, Instant::now()));
     let lane = shared.link_lanes[dev][chan].acquire();
-    if let Some((rec, _)) = submitted {
-        rec.copy_granted();
-    }
     let started = Instant::now();
     {
         let src = src.read();
@@ -1084,9 +1078,9 @@ fn execute(
 
     // One recorder behind both telemetry switches; they only select which
     // outputs are attached below.
-    let recorder = (cfg.trace || cfg.metrics).then(|| Recorder::new(ctx, fc.tallies.clone()));
+    let recorder = (cfg.trace || cfg.metrics).then(|| Recorder::new(ctx));
     let bytes_moved: Vec<AtomicU64> = (0..ctx.device_count()).map(|_| AtomicU64::new(0)).collect();
-    let result = run_persistent(
+    let (result, steals) = run_persistent(
         ctx,
         cfg,
         threads_hint,
@@ -1095,10 +1089,10 @@ fn execute(
         &fc,
         walk,
     );
+    let faults = fc.tallies.snapshot();
     // Spans are pushed per action, so a failed run's recording is the
     // partial timeline up to the failure.
-    let recording = recorder.map(|rec| rec.join(ctx.program()));
-    let faults = fc.tallies.snapshot();
+    let recording = recorder.map(|rec| rec.join(ctx.program(), steals as u64, faults));
     let metrics = match (&result, &recording) {
         (Ok(report), Some(rec)) if cfg.metrics => {
             let counts = RunCounts {
@@ -1137,7 +1131,9 @@ fn execute(
 }
 
 /// Execute on the context's persistent runtime: parked drivers, pinned
-/// kernel pools, link lanes. No threads are spawned.
+/// kernel pools, link lanes. No threads are spawned. Returns the run's
+/// outcome and its cross-partition kernel moves, which a failed run's
+/// partial trace carries too.
 #[allow(clippy::too_many_arguments)]
 fn run_persistent(
     ctx: &Context,
@@ -1147,7 +1143,7 @@ fn run_persistent(
     bytes_moved: &[AtomicU64],
     fault: &FaultControl,
     walk: Walk<'_>,
-) -> Result<NativeReport> {
+) -> (Result<NativeReport>, usize) {
     let rt = ctx.native_runtime();
     let _active = rt.run_lock.lock();
     let shared = RunShared {
@@ -1170,21 +1166,19 @@ fn run_persistent(
         .run_fixed(dispatch.queues.len(), &|idx| drive(&shared, &dispatch, idx));
     let wall = started.elapsed();
     let steals = dispatch.steals.into_inner();
-    if let Some(rec) = recorder {
-        rec.set_steals(steals as u64);
-    }
-    if let Some(err) = shared.first_error.into_inner() {
-        return Err(err);
-    }
-    Ok(NativeReport {
-        wall,
-        actions_executed: shared.executed.into_inner(),
-        bytes_transferred: bytes_moved.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
-        trace: None,                      // attached by `execute` from the recording
-        faults: FaultCounters::default(), // filled by `execute` from the tallies
-        steals,
-        metrics: None, // priced by `execute` from the recording
-    })
+    let result = match shared.first_error.into_inner() {
+        Some(err) => Err(err),
+        None => Ok(NativeReport {
+            wall,
+            actions_executed: shared.executed.into_inner(),
+            bytes_transferred: bytes_moved.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
+            trace: None,                      // attached by `execute` from the recording
+            faults: FaultCounters::default(), // filled by `execute` from the tallies
+            steals,
+            metrics: None, // priced by `execute` from the recording
+        }),
+    };
+    (result, steals)
 }
 
 #[cfg(test)]
@@ -1196,6 +1190,7 @@ mod tests {
     use micsim::compute::KernelProfile;
     use micsim::time::SimDuration;
     use micsim::PlatformConfig;
+    use std::sync::Arc;
 
     fn small_ctx(partitions: usize) -> Context {
         Context::builder(PlatformConfig::phi_31sp())

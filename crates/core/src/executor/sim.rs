@@ -353,12 +353,10 @@ fn check_device_memory(ctx: &Context) -> Result<()> {
         .map(super::super::buffer::Buffer::bytes)
         .sum();
     if total > cap {
-        return Err(Error::Platform(micsim::fabric::FabricError::Memory(
-            micsim::memory::MemError::OutOfMemory {
-                requested: total,
-                free: cap,
-            },
-        )));
+        return Err(Error::OutOfMemory {
+            requested: total,
+            capacity: cap,
+        });
     }
     Ok(())
 }
@@ -708,10 +706,7 @@ mod tests {
         for i in 0..3 {
             ctx.alloc(format!("huge{i}"), 1 << 30);
         }
-        assert!(matches!(
-            ctx.run_sim(),
-            Err(Error::Platform(micsim::fabric::FabricError::Memory(_)))
-        ));
+        assert!(matches!(ctx.run_sim(), Err(Error::OutOfMemory { .. })));
     }
 
     #[test]

@@ -164,9 +164,7 @@ mod tests {
     use crate::testutil::stream_skeleton;
     use crate::types::{BufId, EventId, StreamId};
     use micsim::compute::KernelProfile;
-    use micsim::{
-        DeviceId, Direction, Duplex, LinkModel, PlatformConfig, SimDuration, SimPlatform,
-    };
+    use micsim::{Direction, Duplex, LinkModel, PartitionPlan, PlatformConfig, SimDuration};
 
     /// Round prices so every expectation below is mental arithmetic:
     /// a transfer is 10 µs latency + 1 µs per 1000 B + 1 µs enqueue, so
@@ -182,10 +180,8 @@ mod tests {
         cfg.link = LinkModel::new(SimDuration::from_micros(10), 1.0e9, Duplex::Serial);
         cfg.enqueue_overhead = SimDuration::from_micros(1);
         cfg.host_equivalents = 20.0;
-        let mut platform = SimPlatform::new(cfg.clone()).unwrap();
-        platform.init_partitions(DeviceId(0), 2).unwrap();
-        let plan = platform.plan(DeviceId(0)).unwrap().partitions.clone();
-        CostModel::new(&cfg, &[plan], &[1000, 3000])
+        let plan = PartitionPlan::equal_split(&cfg.device, 2).unwrap();
+        CostModel::new(&cfg, &plan.partitions, &[1000, 3000])
     }
 
     /// Stream `i` on partition `i` of the two-partition plan.

@@ -30,26 +30,26 @@ use super::Lane;
 /// cost model.
 pub struct CostModel {
     cfg: PlatformConfig,
-    /// Partition geometry per device, indexed `[device][partition]`.
-    plans: Vec<Vec<Partition>>,
+    /// The partition geometry every device shares.
+    partitions: Vec<Partition>,
     /// Byte size of each buffer, indexed by `BufId.0`.
     buffer_bytes: Vec<u64>,
 }
 
 impl CostModel {
-    /// Build a cost model for `cfg` with the given per-device partition
-    /// plans and buffer sizes.
-    pub fn new(cfg: &PlatformConfig, plans: &[Vec<Partition>], buffer_bytes: &[u64]) -> CostModel {
+    /// Build a cost model for `cfg` whose every device is split into
+    /// `partitions`, with the given buffer sizes.
+    pub fn new(cfg: &PlatformConfig, partitions: &[Partition], buffer_bytes: &[u64]) -> CostModel {
         CostModel {
             cfg: cfg.clone(),
-            plans: plans.to_vec(),
+            partitions: partitions.to_vec(),
             buffer_bytes: buffer_bytes.to_vec(),
         }
     }
 
-    /// Partitions per device in the plan (0 when no devices were planned).
+    /// Partitions per device.
     pub fn partitions(&self) -> usize {
-        self.plans.first().map(Vec::len).unwrap_or(0)
+        self.partitions.len()
     }
 
     /// Byte size of buffer `buf` (0 for unknown ids).
@@ -115,9 +115,10 @@ impl CostModel {
                 k.work / (k.profile.thread_rate * self.cfg.host_equivalents),
             ),
             (Action::Kernel(k), Lane::Partition { device, partition }) if !k.host => {
-                let part = self.plans.get(device).and_then(|plan| plan.get(partition));
-                let part =
-                    part.ok_or_else(|| Error::Config(format!("no lane {lane} in the plan")))?;
+                let part = match self.partitions.get(partition) {
+                    Some(part) if device < self.cfg.device_count => part,
+                    _ => return Err(Error::Config(format!("no lane {lane} in the plan"))),
+                };
                 let inv = KernelInvocation {
                     profile: &k.profile,
                     work: k.work,
@@ -166,20 +167,12 @@ mod tests {
     use super::*;
     use crate::kernel::KernelDesc;
     use micsim::compute::KernelProfile;
-    use micsim::fabric::SimPlatform;
+    use micsim::partition::PartitionPlan;
 
     fn model(partitions: usize) -> CostModel {
         let cfg = PlatformConfig::phi_31sp();
-        let mut platform = SimPlatform::new(cfg.clone()).unwrap();
-        let devices: Vec<_> = platform.devices().collect();
-        for &d in &devices {
-            platform.init_partitions(d, partitions).unwrap();
-        }
-        let plans: Vec<Vec<Partition>> = devices
-            .iter()
-            .map(|&d| platform.plan(d).unwrap().partitions.clone())
-            .collect();
-        CostModel::new(&cfg, &plans, &[1 << 20, 1 << 10])
+        let plan = PartitionPlan::equal_split(&cfg.device, partitions).unwrap();
+        CostModel::new(&cfg, &plan.partitions, &[1 << 20, 1 << 10])
     }
 
     fn h2d(buf: usize) -> Action {
@@ -255,6 +248,7 @@ mod tests {
             "bigger partitions run the same tile faster: {half} vs {quarter}"
         );
         assert!(m.action_seconds(&k, 0, 99).is_none(), "bad index");
+        assert!(m.action_seconds(&k, 1, 0).is_none(), "one card only");
         assert!(
             m.action_seconds(&host, 0, 99).unwrap() > 0.0,
             "host ignores placement"

@@ -117,10 +117,8 @@ mod tests {
 
     fn cost_model(partitions: usize) -> CostModel {
         let cfg = micsim::PlatformConfig::phi_31sp();
-        let mut platform = micsim::SimPlatform::new(cfg.clone()).unwrap();
-        platform.init_partitions(DeviceId(0), partitions).unwrap();
-        let plan = platform.plan(DeviceId(0)).unwrap().partitions.clone();
-        CostModel::new(&cfg, &[plan], &[1u64 << 20; 16])
+        let plan = micsim::PartitionPlan::equal_split(&cfg.device, partitions).unwrap();
+        CostModel::new(&cfg, &plan.partitions, &[1u64 << 20; 16])
     }
 
     fn tile_program(tiles: usize, streams: usize, work: impl Fn(usize) -> f64) -> Program {

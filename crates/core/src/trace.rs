@@ -8,7 +8,8 @@
 //! [`chrome_trace`]) and the metrics pricing function
 //! ([`metrics::instruments`](crate::metrics::instruments)) work on native
 //! runs unchanged. Nothing else is recorded: launch overhead and queue wait
-//! are each span's `start − ready`, read off the same records at join.
+//! are each span's `start − ready`, and the copy queue's depth and the pool
+//! counters are read off the same records at join.
 //!
 //! Design, in order of who stamps what:
 //!
@@ -35,7 +36,6 @@
 //! recorded side).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -178,8 +178,9 @@ impl LaneMap {
 enum SpanKind {
     /// The program action at this site.
     Action(Site),
-    /// A chunked pool job of this many parts.
-    PoolJob(usize),
+    /// A chunked pool job of `parts` parts on a worker group `width`
+    /// threads wide.
+    PoolJob { parts: usize, width: usize },
 }
 
 impl SpanKind {
@@ -188,7 +189,7 @@ impl SpanKind {
             SpanKind::Action(site) => {
                 program.streams[site.stream.0].actions[site.action_index].label()
             }
-            SpanKind::PoolJob(parts) => format!("pool({parts})"),
+            SpanKind::PoolJob { parts, .. } => format!("pool({parts})"),
         }
     }
 }
@@ -339,15 +340,6 @@ pub(crate) struct Recorder {
     epoch: Instant,
     pub(crate) lanes: LaneMap,
     streams: Vec<SpanBuf>,
-    copy_queue_depth: AtomicUsize,
-    copy_queue_hwm: AtomicUsize,
-    pool_queue_hwm: Arc<AtomicUsize>,
-    pool_jobs: Arc<AtomicUsize>,
-    /// The run's fault tallies, so the trace's counters carry them.
-    fault_tallies: Arc<crate::fault::FaultTallies>,
-    /// Cross-partition kernel moves of a scheduled run, set after the
-    /// drivers join.
-    steals: std::sync::atomic::AtomicU64,
 }
 
 /// A joined run: the measured timeline, the lanes it is laid out on, and the
@@ -371,7 +363,7 @@ impl Recording {
 }
 
 impl Recorder {
-    pub(crate) fn new(ctx: &Context, fault_tallies: Arc<crate::fault::FaultTallies>) -> Recorder {
+    pub(crate) fn new(ctx: &Context) -> Recorder {
         let lanes = LaneMap::for_context(ctx);
         // One buffer per driver: a FIFO run has a driver per stream, a
         // scheduled run one per (device, partition) — which an installed
@@ -385,29 +377,7 @@ impl Recorder {
             streams: (0..drivers)
                 .map(|_| Arc::new(Mutex::new(Vec::new())))
                 .collect(),
-            copy_queue_depth: AtomicUsize::new(0),
-            copy_queue_hwm: AtomicUsize::new(0),
-            pool_queue_hwm: Arc::new(AtomicUsize::new(0)),
-            pool_jobs: Arc::new(AtomicUsize::new(0)),
-            fault_tallies,
-            steals: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Record the run's cross-partition kernel moves (a scheduled run's).
-    pub(crate) fn set_steals(&self, steals: u64) {
-        self.steals.store(steals, Ordering::Relaxed);
-    }
-
-    /// A driver queued for a link lane: the copy queue grew by one.
-    pub(crate) fn copy_submitted(&self) {
-        let depth = self.copy_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.copy_queue_hwm.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// That driver was granted the lane: the copy queue shrank by one.
-    pub(crate) fn copy_granted(&self) {
-        self.copy_queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Record the span of the action at `site` on `stream`'s buffer:
@@ -435,31 +405,47 @@ impl Recorder {
     pub(crate) fn pool_sink(&self, stream: usize) -> PoolSink {
         PoolSink {
             spans: self.streams[stream].clone(),
-            pool_queue_hwm: self.pool_queue_hwm.clone(),
-            pool_jobs: self.pool_jobs.clone(),
         }
     }
 
     /// Merge every buffer into a [`Recording`], rendering each span's label
-    /// from `program` (the one the run executed). Safe to call after the
-    /// drivers joined (success or panic); spans are pushed per-action, so a
-    /// partial run drains whatever completed before the failure.
-    pub(crate) fn join(self, program: &Program) -> Recording {
+    /// from `program` (the one the run executed) and carrying the run's
+    /// `steals` and `faults`. Safe to call after the drivers joined
+    /// (success or panic); spans are pushed per-action, so a partial run
+    /// drains whatever completed before the failure.
+    pub(crate) fn join(
+        self,
+        program: &Program,
+        steals: u64,
+        faults: crate::fault::FaultCounters,
+    ) -> Recording {
         let at = |t: Instant| SimTime::from_wall(t.saturating_duration_since(self.epoch));
         let spans = self.streams.iter().map(|buf| buf.lock().len()).sum();
         let mut records: Vec<TaskRecord> = Vec::with_capacity(spans);
         let mut launch = LaunchHistogram::default();
         let mut queue_wait = Vec::with_capacity(self.streams.len());
+        // Each link span's wait `[ready, start)` as a +1 and a -1 edge.
+        let mut copy_waits = Vec::new();
+        let (mut pool_jobs, mut pool_queue_depth_hwm) = (0, 0);
         for buf in &self.streams {
             let mut waited = Duration::ZERO;
             for span in buf.lock().iter() {
                 let lag = span.start.saturating_duration_since(span.ready);
                 match span.lane.and_then(|lane| self.lanes.classify(lane)) {
-                    Some(Lane::Link { .. }) => waited += lag,
+                    Some(Lane::Link { .. }) => {
+                        waited += lag;
+                        if span.start > span.ready {
+                            copy_waits.extend([(span.ready, 1), (span.start, -1)]);
+                        }
+                    }
                     Some(Lane::Host | Lane::Partition { .. }) => {
                         launch.record(u64::try_from(lag.as_nanos()).unwrap_or(u64::MAX));
                     }
                     None => {}
+                }
+                if let SpanKind::PoolJob { parts, width } = span.what {
+                    pool_jobs += 1;
+                    pool_queue_depth_hwm = pool_queue_depth_hwm.max(parts.saturating_sub(width));
                 }
                 records.push(TaskRecord {
                     ready: at(span.ready),
@@ -500,11 +486,11 @@ impl Recorder {
             launch_overhead: launch,
             queue_wait,
             copy_busy_fraction,
-            copy_queue_depth_hwm: self.copy_queue_hwm.load(Ordering::Relaxed),
-            pool_queue_depth_hwm: self.pool_queue_hwm.load(Ordering::Relaxed),
-            pool_jobs: self.pool_jobs.load(Ordering::Relaxed),
-            faults: self.fault_tallies.snapshot(),
-            steals: self.steals.load(Ordering::Relaxed),
+            copy_queue_depth_hwm: most_at_once(copy_waits),
+            pool_queue_depth_hwm,
+            pool_jobs,
+            faults,
+            steals,
         };
         Recording {
             lanes: self.lanes,
@@ -514,13 +500,24 @@ impl Recorder {
     }
 }
 
+/// The most intervals that contain one instant, from each interval's
+/// `(start, 1)` and `(end, -1)` edges. Intervals are half-open: at a tie
+/// the end sorts first.
+fn most_at_once(mut edges: Vec<(Instant, i32)>) -> usize {
+    edges.sort_unstable();
+    let (mut depth, mut most) = (0, 0);
+    for (_, step) in edges {
+        depth += step;
+        most = most.max(depth);
+    }
+    most as usize
+}
+
 // ----- pool sink (thread-local) ---------------------------------------------
 
 /// Where a driver thread's pool-job spans go while it runs kernel bodies.
 pub(crate) struct PoolSink {
     spans: SpanBuf,
-    pool_queue_hwm: Arc<AtomicUsize>,
-    pool_jobs: Arc<AtomicUsize>,
 }
 
 thread_local! {
@@ -559,12 +556,9 @@ pub(crate) fn record_pool_job(start: Instant, parts: usize, width: usize) {
     let end = Instant::now();
     POOL_SINK.with(|s| {
         if let Some(sink) = s.borrow().as_ref() {
-            sink.pool_jobs.fetch_add(1, Ordering::Relaxed);
-            sink.pool_queue_hwm
-                .fetch_max(parts.saturating_sub(width), Ordering::Relaxed);
             sink.spans.lock().push(Span {
                 lane: None,
-                what: SpanKind::PoolJob(parts),
+                what: SpanKind::PoolJob { parts, width },
                 ready: start,
                 start,
                 end,

@@ -70,8 +70,15 @@ pub enum Error {
         /// Provided length in elements.
         got: usize,
     },
-    /// Platform-level failure (partitioning, device memory, bad device id).
-    Platform(micsim::fabric::FabricError),
+    /// The card cannot be split into the requested partitions.
+    Partition(micsim::partition::PartitionError),
+    /// The program's buffers do not fit in one card's memory.
+    OutOfMemory {
+        /// Bytes of every allocated buffer together.
+        requested: u64,
+        /// Bytes one card holds.
+        capacity: u64,
+    },
     /// Configuration rejected at context build time.
     Config(String),
     /// A kernel was enqueued for native execution without a native body.
@@ -167,7 +174,14 @@ impl fmt::Display for Error {
             Error::SizeMismatch { buf, expected, got } => {
                 write!(f, "buffer {buf} holds {expected} elements, data has {got}")
             }
-            Error::Platform(e) => write!(f, "platform error: {e}"),
+            Error::Partition(e) => write!(f, "partitioning failed: {e}"),
+            Error::OutOfMemory {
+                requested,
+                capacity,
+            } => write!(
+                f,
+                "device OOM: requested {requested} B, the card holds {capacity} B"
+            ),
             Error::Config(msg) => write!(f, "invalid configuration: {msg}"),
             Error::MissingNativeBody { kernel } => {
                 write!(
@@ -212,16 +226,16 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Platform(e) => Some(e),
+            Error::Partition(e) => Some(e),
             Error::Compute(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<micsim::fabric::FabricError> for Error {
-    fn from(e: micsim::fabric::FabricError) -> Self {
-        Error::Platform(e)
+impl From<micsim::partition::PartitionError> for Error {
+    fn from(e: micsim::partition::PartitionError) -> Self {
+        Error::Partition(e)
     }
 }
 
@@ -309,10 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn platform_errors_convert() {
-        let fe = micsim::fabric::FabricError::NoSuchDevice(DeviceId(9));
-        let e: Error = fe.into();
-        assert!(matches!(e, Error::Platform(_)));
+    fn partition_errors_convert_with_source() {
+        let e: Error = micsim::partition::PartitionError::ZeroPartitions.into();
+        assert!(matches!(e, Error::Partition(_)));
         assert!(std::error::Error::source(&e).is_some());
+        assert!(e.to_string().contains("partition count must be positive"));
+
+        let e = Error::OutOfMemory {
+            requested: 9,
+            capacity: 8,
+        };
+        assert!(e.to_string().contains("device OOM: requested 9 B"));
     }
 }

@@ -38,29 +38,11 @@ pub struct FuzzerConfig {
     /// Run the native-side oracles on retention candidates (and on
     /// seeds). Disable for checker/sim-only loops.
     pub full_oracles: bool,
-    /// Shrink disagreements before recording them.
-    pub shrink_findings: bool,
     /// Serve-mode: additionally interleave each retained child with its
     /// parent as two tenants of a [`StreamService`](stream_serve) and
     /// assert isolation ([`crate::serve::serve_case`]). Serve findings
     /// are recorded unshrunk — the *pair* is the reproducer.
     pub serve_oracle: bool,
-    /// Run the sync-elision optimizer oracle on every case: clean genomes
-    /// must optimize with a holding certificate and execute equivalently,
-    /// rejected genomes must come back untouched. On by default.
-    pub opt_oracle: bool,
-}
-
-impl Default for FuzzerConfig {
-    fn default() -> Self {
-        FuzzerConfig {
-            seed: 0x5eed_f02d,
-            full_oracles: true,
-            shrink_findings: true,
-            serve_oracle: false,
-            opt_oracle: true,
-        }
-    }
 }
 
 /// One retained corpus input and its retention pedigree.
@@ -113,10 +95,8 @@ impl Fuzzer {
     /// Fresh fuzzer; seed the corpus with [`add_seed`](Self::add_seed)
     /// before [`run`](Self::run).
     pub fn new(cfg: FuzzerConfig) -> Fuzzer {
-        let mut harness = Harness::new();
-        harness.opt_oracle = cfg.opt_oracle;
         Fuzzer {
-            harness,
+            harness: Harness::new(),
             cfg,
             corpus: Vec::new(),
             seen: BTreeSet::new(),
@@ -233,11 +213,7 @@ impl Fuzzer {
     }
 
     fn record_finding(&mut self, class: &str, detail: &str, op: &str, spec: &ProgramSpec) {
-        let minimal = if self.cfg.shrink_findings {
-            shrink(&mut self.harness, spec, class, self.cfg.full_oracles)
-        } else {
-            spec.clone()
-        };
+        let minimal = shrink(&mut self.harness, spec, class, self.cfg.full_oracles);
         self.findings.push(Finding {
             class: class.to_string(),
             detail: detail.to_string(),
@@ -319,9 +295,7 @@ mod tests {
         let cfg = FuzzerConfig {
             seed: 99,
             full_oracles: false, // keep unit tests fast; integration covers full
-            shrink_findings: true,
             serve_oracle: false,
-            opt_oracle: true,
         };
         let mut f = Fuzzer::new(cfg);
         f.add_seed("minimal", ProgramSpec::minimal());

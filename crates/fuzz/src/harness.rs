@@ -70,10 +70,6 @@ pub struct CaseOutcome {
 /// Geometry-keyed context cache plus the differential logic.
 pub struct Harness {
     ctxs: BTreeMap<(usize, usize), Context>,
-    /// Run the sync-elision optimizer oracle on every case (on by
-    /// default; [`FuzzerConfig`](crate::FuzzerConfig) threads its knob
-    /// through here).
-    pub opt_oracle: bool,
 }
 
 impl Default for Harness {
@@ -87,7 +83,6 @@ impl Harness {
     pub fn new() -> Harness {
         Harness {
             ctxs: BTreeMap::new(),
-            opt_oracle: true,
         }
     }
 
@@ -108,7 +103,7 @@ impl Harness {
             .ctxs
             .entry((partitions, spp))
             .or_insert_with(|| build_ctx(partitions, spp));
-        run_case_in(ctx, spec, full, self.opt_oracle)
+        run_case_in(ctx, spec, full)
     }
 }
 
@@ -143,7 +138,7 @@ fn error_class(e: &Error) -> &'static str {
     }
 }
 
-fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> CaseOutcome {
+fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool) -> CaseOutcome {
     let program = spec.to_program();
     let mut signals: BTreeSet<String> = BTreeSet::new();
     let mut disagreement: Option<Disagreement> = None;
@@ -346,16 +341,14 @@ fn run_case_in(ctx: &mut Context, spec: &ProgramSpec, full: bool, opt: bool) -> 
         }
     }
 
-    if opt {
-        opt_oracle(
-            ctx,
-            &program,
-            rejected,
-            full,
-            &mut signals,
-            &mut disagreement,
-        );
-    }
+    opt_oracle(
+        ctx,
+        &program,
+        rejected,
+        full,
+        &mut signals,
+        &mut disagreement,
+    );
 
     signals.extend(overlap_signals(&summary, hidden_fraction));
     CaseOutcome {

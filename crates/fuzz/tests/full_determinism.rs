@@ -10,9 +10,7 @@ fn run_session(seed: u64, budget: usize) -> Fuzzer {
     let mut f = Fuzzer::new(FuzzerConfig {
         seed,
         full_oracles: true,
-        shrink_findings: true,
         serve_oracle: true,
-        opt_oracle: true,
     });
     f.add_seed("minimal", ProgramSpec::minimal());
     f.add_seed(

@@ -56,9 +56,7 @@ pub mod compute;
 pub mod device;
 pub mod engine;
 pub mod event;
-pub mod fabric;
 pub mod fault;
-pub mod memory;
 pub mod partition;
 pub mod pcie;
 pub mod stats;
@@ -68,7 +66,6 @@ pub mod trace;
 pub use calibrate::PlatformConfig;
 pub use device::{DeviceId, DeviceSpec};
 pub use engine::{Engine, ResourceId, TaskId, TaskSpec, Timeline};
-pub use fabric::SimPlatform;
 pub use fault::FaultDie;
 pub use partition::{Partition, PartitionPlan};
 pub use pcie::{Direction, Duplex, LinkModel};

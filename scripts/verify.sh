@@ -152,6 +152,17 @@ if grep -rnE 'MetricsRegistry|HistCell|RunInstruments|metrics_enabled' crates te
   exit 1
 fi
 
+echo "==> one geometry (the context owns one partition plan every card shares; the recorder derives its counters at join)"
+if grep -rnE 'SimPlatform|FabricError|MemError|micsim::(fabric|memory)|Error::Platform' \
+     crates tests examples src README.md; then
+  echo "  micsim's per-card platform state or its errors are back (the context holds one PartitionPlan)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nF 'Atomic'; then
+  echo "  non-test trace.rs counts while a run is live again (derive the counter from the spans in Recorder::join)"
+  exit 1
+fi
+
 echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
 if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
   echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"

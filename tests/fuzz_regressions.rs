@@ -202,9 +202,7 @@ fn seeded_fuzzer() -> Fuzzer {
     let mut f = Fuzzer::new(FuzzerConfig {
         seed: SEED,
         full_oracles: true,
-        shrink_findings: true,
         serve_oracle: true,
-        opt_oracle: true,
     });
     f.add_seed("minimal", ProgramSpec::minimal());
     f.add_seed(

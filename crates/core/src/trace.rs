@@ -424,18 +424,20 @@ impl Recorder {
         let mut records: Vec<TaskRecord> = Vec::with_capacity(spans);
         let mut launch = LaunchHistogram::default();
         let mut queue_wait = Vec::with_capacity(self.streams.len());
-        // Each link span's wait `[ready, start)` as a +1 and a -1 edge.
-        let mut copy_waits = Vec::new();
+        // The ends of every link span's wait for its lane, `[ready, start)`.
+        let (mut submitted, mut granted) = (Vec::with_capacity(spans), Vec::with_capacity(spans));
         let (mut pool_jobs, mut pool_queue_depth_hwm) = (0, 0);
         for buf in &self.streams {
             let mut waited = Duration::ZERO;
             for span in buf.lock().iter() {
                 let lag = span.start.saturating_duration_since(span.ready);
+                let (ready, start) = (at(span.ready), at(span.start));
                 match span.lane.and_then(|lane| self.lanes.classify(lane)) {
                     Some(Lane::Link { .. }) => {
                         waited += lag;
-                        if span.start > span.ready {
-                            copy_waits.extend([(span.ready, 1), (span.start, -1)]);
+                        if start > ready {
+                            submitted.push(ready);
+                            granted.push(start);
                         }
                     }
                     Some(Lane::Host | Lane::Partition { .. }) => {
@@ -448,13 +450,8 @@ impl Recorder {
                     pool_queue_depth_hwm = pool_queue_depth_hwm.max(parts.saturating_sub(width));
                 }
                 records.push(TaskRecord {
-                    ready: at(span.ready),
-                    ..TaskRecord::measured(
-                        span.lane,
-                        at(span.start),
-                        at(span.end),
-                        span.what.label(program),
-                    )
+                    ready,
+                    ..TaskRecord::measured(span.lane, start, at(span.end), span.what.label(program))
                 });
             }
             queue_wait.push(waited);
@@ -486,7 +483,7 @@ impl Recorder {
             launch_overhead: launch,
             queue_wait,
             copy_busy_fraction,
-            copy_queue_depth_hwm: most_at_once(copy_waits),
+            copy_queue_depth_hwm: most_waiting(submitted, granted),
             pool_queue_depth_hwm,
             pool_jobs,
             faults,
@@ -500,17 +497,19 @@ impl Recorder {
     }
 }
 
-/// The most intervals that contain one instant, from each interval's
-/// `(start, 1)` and `(end, -1)` edges. Intervals are half-open: at a tie
-/// the end sorts first.
-fn most_at_once(mut edges: Vec<(Instant, i32)>) -> usize {
-    edges.sort_unstable();
-    let (mut depth, mut most) = (0, 0);
-    for (_, step) in edges {
-        depth += step;
-        most = most.max(depth);
+/// The most waits `[submitted[i], granted[i])` that contain one instant
+/// (every wait is non-empty). A wait granted at the instant another is
+/// submitted has left the queue.
+fn most_waiting(mut submitted: Vec<SimTime>, mut granted: Vec<SimTime>) -> usize {
+    submitted.sort_unstable();
+    granted.sort_unstable();
+    let (mut left, mut most) = (0, 0);
+    for (queued, &at) in submitted.iter().enumerate() {
+        // Every wait granted by `at` was submitted before it.
+        left += granted[left..].iter().take_while(|&&g| g <= at).count();
+        most = most.max(queued + 1 - left);
     }
-    most as usize
+    most
 }
 
 // ----- pool sink (thread-local) ---------------------------------------------
@@ -618,6 +617,17 @@ mod tests {
         assert_eq!(h.buckets[23], 1);
         assert_eq!(h.count, 4);
         assert_eq!(h.max_ns, u64::MAX);
+    }
+
+    #[test]
+    fn most_waiting_counts_half_open_waits() {
+        let t = SimTime;
+        // [0,10) [5,15) [10,20): two wait at 5; at 10 the first has left.
+        let (submitted, granted) = (vec![t(10), t(0), t(5)], vec![t(20), t(10), t(15)]);
+        assert_eq!(most_waiting(submitted, granted), 2);
+        assert_eq!(most_waiting(vec![t(0), t(1), t(2)], vec![t(9); 3]), 3);
+        assert_eq!(most_waiting(vec![t(0), t(3)], vec![t(3), t(6)]), 1);
+        assert_eq!(most_waiting(Vec::new(), Vec::new()), 0);
     }
 
     #[test]

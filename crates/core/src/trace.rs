@@ -424,22 +424,13 @@ impl Recorder {
         let mut records: Vec<TaskRecord> = Vec::with_capacity(spans);
         let mut launch = LaunchHistogram::default();
         let mut queue_wait = Vec::with_capacity(self.streams.len());
-        // The ends of every link span's wait for its lane, `[ready, start)`.
-        let (mut submitted, mut granted) = (Vec::with_capacity(spans), Vec::with_capacity(spans));
         let (mut pool_jobs, mut pool_queue_depth_hwm) = (0, 0);
         for buf in &self.streams {
             let mut waited = Duration::ZERO;
             for span in buf.lock().iter() {
                 let lag = span.start.saturating_duration_since(span.ready);
-                let (ready, start) = (at(span.ready), at(span.start));
                 match span.lane.and_then(|lane| self.lanes.classify(lane)) {
-                    Some(Lane::Link { .. }) => {
-                        waited += lag;
-                        if start > ready {
-                            submitted.push(ready);
-                            granted.push(start);
-                        }
-                    }
+                    Some(Lane::Link { .. }) => waited += lag,
                     Some(Lane::Host | Lane::Partition { .. }) => {
                         launch.record(u64::try_from(lag.as_nanos()).unwrap_or(u64::MAX));
                     }
@@ -450,8 +441,13 @@ impl Recorder {
                     pool_queue_depth_hwm = pool_queue_depth_hwm.max(parts.saturating_sub(width));
                 }
                 records.push(TaskRecord {
-                    ready,
-                    ..TaskRecord::measured(span.lane, start, at(span.end), span.what.label(program))
+                    ready: at(span.ready),
+                    ..TaskRecord::measured(
+                        span.lane,
+                        at(span.start),
+                        at(span.end),
+                        span.what.label(program),
+                    )
                 });
             }
             queue_wait.push(waited);
@@ -483,7 +479,7 @@ impl Recorder {
             launch_overhead: launch,
             queue_wait,
             copy_busy_fraction,
-            copy_queue_depth_hwm: most_waiting(submitted, granted),
+            copy_queue_depth_hwm: most_waiting(&timeline, &self.lanes.kinds.links),
             pool_queue_depth_hwm,
             pool_jobs,
             faults,
@@ -497,16 +493,29 @@ impl Recorder {
     }
 }
 
-/// The most waits `[submitted[i], granted[i])` that contain one instant
-/// (every wait is non-empty). A wait granted at the instant another is
-/// submitted has left the queue.
-fn most_waiting(mut submitted: Vec<SimTime>, mut granted: Vec<SimTime>) -> usize {
+/// The most transfers queued for a lane in `links` at one instant: records
+/// whose wait `[ready, start)` contains it. A transfer granted at the
+/// instant another is submitted has left the queue.
+fn most_waiting(timeline: &Timeline, links: &[ResourceId]) -> usize {
+    let waits = || {
+        let on_link = |r: &&TaskRecord| r.resource.is_some_and(|res| links.contains(&res));
+        timeline
+            .records
+            .iter()
+            .filter(on_link)
+            .filter(|r| r.start > r.ready)
+    };
+    let mut submitted = Vec::with_capacity(waits().count());
+    submitted.extend(waits().map(|r| r.ready));
     submitted.sort_unstable();
-    granted.sort_unstable();
+    // A timeline is sorted by start, so the grants come in order.
+    let mut granted = waits().map(|r| r.start).peekable();
     let (mut left, mut most) = (0, 0);
     for (queued, &at) in submitted.iter().enumerate() {
-        // Every wait granted by `at` was submitted before it.
-        left += granted[left..].iter().take_while(|&&g| g <= at).count();
+        // Every transfer granted by `at` was submitted before it.
+        while granted.next_if(|&g| g <= at).is_some() {
+            left += 1;
+        }
         most = most.max(queued + 1 - left);
     }
     most
@@ -620,14 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn most_waiting_counts_half_open_waits() {
-        let t = SimTime;
+    fn most_waiting_counts_half_open_waits_on_links_only() {
+        let (link, part) = (ResourceId(0), ResourceId(1));
+        // Each `(lane, ready, start)` holds its lane for 1 ns after `start`.
+        let hwm = |waits: &[(ResourceId, u64, u64)]| {
+            let records = waits.iter().map(|&(lane, ready, start)| TaskRecord {
+                ready: SimTime(ready),
+                ..TaskRecord::measured(Some(lane), SimTime(start), SimTime(start + 1), "x")
+            });
+            most_waiting(&Timeline::from_records(records.collect()), &[link])
+        };
         // [0,10) [5,15) [10,20): two wait at 5; at 10 the first has left.
-        let (submitted, granted) = (vec![t(10), t(0), t(5)], vec![t(20), t(10), t(15)]);
-        assert_eq!(most_waiting(submitted, granted), 2);
-        assert_eq!(most_waiting(vec![t(0), t(1), t(2)], vec![t(9); 3]), 3);
-        assert_eq!(most_waiting(vec![t(0), t(3)], vec![t(3), t(6)]), 1);
-        assert_eq!(most_waiting(Vec::new(), Vec::new()), 0);
+        assert_eq!(hwm(&[(link, 10, 20), (link, 0, 10), (link, 5, 15)]), 2);
+        assert_eq!(hwm(&[(link, 0, 9), (link, 1, 9), (link, 2, 9)]), 3);
+        assert_eq!(hwm(&[(link, 0, 3), (link, 3, 6), (link, 6, 6)]), 1);
+        assert_eq!(hwm(&[(link, 0, 5), (part, 1, 5), (part, 2, 5)]), 1);
+        assert_eq!(hwm(&[]), 0);
     }
 
     #[test]

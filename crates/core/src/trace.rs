@@ -23,7 +23,8 @@
 //!   through a thread-local sink the driver installs around the run (see
 //!   `record_pool_job`).
 //!
-//! A span carries the [`Site`] of its action (or a pool job's part count),
+//! A span carries the [`Site`] of its action (or a pool job's part count
+//! and group width),
 //! never a string: labels are rendered once, at join. Lanes come from
 //! `LaneMap`, which the sim executor builds its engine resources from too
 //! — per-device link channels, the host, per-device partitions — so a
@@ -497,14 +498,9 @@ impl Recorder {
 /// whose wait `[ready, start)` contains it. A transfer granted at the
 /// instant another is submitted has left the queue.
 fn most_waiting(timeline: &Timeline, links: &[ResourceId]) -> usize {
-    let waits = || {
-        let on_link = |r: &&TaskRecord| r.resource.is_some_and(|res| links.contains(&res));
-        timeline
-            .records
-            .iter()
-            .filter(on_link)
-            .filter(|r| r.start > r.ready)
-    };
+    let waited =
+        |r: &&TaskRecord| r.start > r.ready && r.resource.is_some_and(|res| links.contains(&res));
+    let waits = || timeline.records.iter().filter(waited);
     let mut submitted = Vec::with_capacity(waits().count());
     submitted.extend(waits().map(|r| r.ready));
     submitted.sort_unstable();

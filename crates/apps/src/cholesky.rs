@@ -23,17 +23,21 @@
 //! very wide device (no tile-level cache blocking) is what the streamed
 //! version's gain is measured against.
 //!
-//! Natively, all four tile kernels stand on one 4 × 4 dot-form micro-kernel
-//! (`dots`) over the row-major tiles, borrowed from the runtime and never
-//! copied: SYRK and GEMM are `C -= A·Bᵀ` in 4 × 4 blocks, TRSM and POTRF
-//! take everything left of a 4-column block from it and finish the few
-//! terms inside the block in order. It is safe Rust that vectorises at the
-//! default target. An element's summation order depends only on the tile
-//! edge and the element's column, so every kernel's output is bit-identical
-//! for every `threads` split. [`reference()`] is a separate scalar loop that
-//! shares no code with them.
+//! Natively, the four tile kernels stand on two pieces over the row-major
+//! tiles, which they borrow from the runtime and never copy: an
+//! outer-product micro-kernel `C -= A·Bᵀ` over a per-thread transposed
+//! copy of `B` (SYRK and GEMM), and a solve on the transpose of its rows,
+//! where each column step is one vector operation across every row of the
+//! thread's split (TRSM, and POTRF on the tile's own transpose). Each body
+//! is written once; one dispatch point runs it compiled for AVX2 where the
+//! host has it and for the baseline 128-bit target otherwise. Every output
+//! element is one chain of multiply-adds in a fixed order, and Rust neither
+//! contracts nor reassociates floats, so the bits are the same on every
+//! host and for every `threads` split. [`reference()`] is a separate scalar
+//! loop that shares no code with them.
 
 use std::array::from_fn;
+use std::cell::Cell;
 
 use hstreams::context::Context;
 use hstreams::kernel::KernelDesc;
@@ -141,151 +145,293 @@ fn serial_potrf(a: &mut [f32], b: usize) {
     }
 }
 
-/// `f32` lanes of one 128-bit register, the widest the default x86-64
-/// target has: sixteen such accumulators are the 4 × 4 block of [`dots`].
-const W: usize = 4;
+/// Columns of one micro-kernel block, and the granule every transposed
+/// row is padded to: two 256-bit registers of `f32`, or four 128-bit ones.
+const NR: usize = 16;
 
-/// The micro-kernel: `out[i][j] = a[i] · b[j]` for 4 × 4 pairs of equally
-/// long rows — sixteen accumulators of `W` independent lanes each over the
-/// whole `W`-chunks of `k`, the lanes summed once per pair, then a scalar
-/// tail. Four loads feed four multiply-adds where a single dot needs eight.
-///
-/// The order of every `out[i][j]`'s additions depends on the row length
-/// alone, which is what makes the kernels built on this bit-identical for
-/// every row split.
-fn dots(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f32; 4]; 4] {
-    let k = a[0].len();
-    let a = a.map(|row| &row[..k]);
-    let b = b.map(|row| &row[..k]);
-    let full = k - k % W;
-    let mut acc = [[[0.0f32; W]; 4]; 4];
-    let mut m = 0;
-    while m < full {
-        let av: [&[f32; W]; 4] = a.map(|row| row[m..m + W].try_into().expect("W elements"));
-        let bv: [&[f32; W]; 4] = b.map(|row| row[m..m + W].try_into().expect("W elements"));
-        for i in 0..4 {
-            for j in 0..4 {
-                for l in 0..W {
-                    acc[i][j][l] += av[i][l] * bv[j][l];
-                }
-            }
-        }
-        m += W;
-    }
-    let mut out = [[0.0f32; 4]; 4];
-    for i in 0..4 {
-        for j in 0..4 {
-            let [w0, w1, w2, w3] = acc[i][j];
-            let mut sum = (w0 + w2) + (w1 + w3);
-            for t in full..k {
-                sum += a[i][t] * b[j][t];
-            }
-            out[i][j] = sum;
-        }
-    }
-    out
-}
+/// Rows of one micro-kernel block at each vector width: either way the
+/// block's `rows × NR` accumulators fill eight of the target's sixteen
+/// vector registers, leaving room for the loads and broadcasts that feed
+/// them. Four rows in 128-bit registers would be sixteen accumulators;
+/// they spill, and ran GEMM 15 % slower than two rows do.
+const BASE_ROWS: usize = 2;
+const AVX2_ROWS: usize = 4;
+
+/// Lanes of one chunk of a solve's column step: four 256-bit or eight
+/// 128-bit accumulators, enough independent add chains to keep both vector
+/// ports busy. A transposed row is padded to [`NR`] lanes only, so a
+/// 12-row split runs one 16-lane chunk, not a 32-lane one.
+const LANES: usize = 32;
 
 /// Row `r` of a row-major tile of edge `b`.
 fn row(tile: &[f32], b: usize, r: usize) -> &[f32] {
     &tile[r * b..(r + 1) * b]
 }
 
-/// A block's worth of a tile's rows for [`dots`]: the `count ≤ 4` rows from
-/// `first`, each cut to `len`. A ragged edge repeats its last row as
-/// padding; callers drop the padded products.
-fn rows4(tile: &[f32], b: usize, first: usize, count: usize, len: usize) -> [&[f32]; 4] {
-    from_fn(|i| &row(tile, b, first + i.min(count - 1))[..len])
+/// `dst` becomes the transpose of the first `rows` rows of the row-major
+/// `src` (`ld` columns each): `cols` rows of width `w`, `dst[c·w + r] =
+/// src[r·ld + c]`, lanes `rows..w` zero. Its capacity is kept, so a warm
+/// scratch allocates nothing.
+#[inline(always)]
+fn transpose_into(dst: &mut Vec<f32>, src: &[f32], ld: usize, rows: usize, cols: usize, w: usize) {
+    dst.clear();
+    dst.resize(cols * w, 0.0);
+    for (r, src_row) in src.chunks_exact(ld).take(rows).enumerate() {
+        for (c, &x) in src_row[..cols].iter().enumerate() {
+            dst[c * w + r] = x;
+        }
+    }
+}
+
+/// The micro-kernel: `acc[i][j] = Σ_m a[i][m] · bt[m][c0 + j]` for `ROWS`
+/// equally long rows of `a` and `N` columns of the transposed `bt` (rows
+/// of width `w`) — per `m`, one broadcast of each `a[i][m]` times one row
+/// segment of `bt`.
+///
+/// Every element is its own chain of multiply-adds in `m` order from zero,
+/// and Rust neither contracts nor reassociates floats, so its bits depend
+/// on neither the block's shape, nor the element's place in it, nor the
+/// instruction set the chain is compiled for.
+#[inline(always)]
+fn micro<const ROWS: usize, const N: usize>(
+    a: [&[f32]; ROWS],
+    bt: &[f32],
+    w: usize,
+    c0: usize,
+) -> [[f32; N]; ROWS] {
+    let k = a[0].len();
+    let a = a.map(|r| &r[..k]);
+    let mut acc = [[0.0f32; N]; ROWS];
+    for (m, bt_row) in bt.chunks_exact(w).take(k).enumerate() {
+        let bv: &[f32; N] = bt_row[c0..c0 + N].try_into().expect("N columns");
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let x = a[m];
+            for (acc, y) in acc.iter_mut().zip(bv) {
+                *acc += x * y;
+            }
+        }
+    }
+    acc
 }
 
 /// `rows -= A·Bᵀ` for the whole rows `first_row..` of a tile of edge `b`,
-/// `a` and `bt` both row-major; with `lower`, only the elements on and
-/// below the diagonal are touched, and blocks wholly above it are skipped.
-/// One 4 × 4 [`dots`] block at a time.
-fn sub_abt(rows: &mut [f32], first_row: usize, b: usize, a: &[f32], bt: &[f32], lower: bool) {
-    for (n, block) in rows.chunks_mut(4 * b).enumerate() {
-        let r0 = first_row + 4 * n;
+/// `a` and `bm` row-major: `bm` is transposed into `scratch` once, then
+/// every block of `ROWS` rows is one [`micro`] call per `NR` columns, or
+/// per `NR / 2` for the last few it needs. With `lower`, only the elements
+/// on and below the diagonal are written: a block across the diagonal is
+/// computed full width and masked on store, blocks wholly above it are
+/// skipped.
+#[inline(always)]
+fn update<const ROWS: usize>(
+    rows: &mut [f32],
+    first_row: usize,
+    b: usize,
+    a: &[f32],
+    bm: &[f32],
+    lower: bool,
+    scratch: &mut Vec<f32>,
+) {
+    let w = b.next_multiple_of(NR);
+    transpose_into(scratch, bm, b, b, b, w);
+    for (n, block) in rows.chunks_mut(ROWS * b).enumerate() {
+        let r0 = first_row + ROWS * n;
         let height = block.len() / b;
-        let a_rows = rows4(a, b, r0, height, b);
+        // A ragged edge repeats its last row; its products are dropped.
+        let a_rows = from_fn(|i| row(a, b, r0 + i.min(height - 1)));
         let cols = if lower { r0 + height } else { b };
-        for c0 in (0..cols).step_by(4) {
-            let width = (cols - c0).min(4);
-            let s = dots(a_rows, rows4(bt, b, c0, width, b));
-            for i in 0..height {
-                for j in 0..width {
-                    if !lower || c0 + j <= r0 + i {
-                        block[i * b + c0 + j] -= s[i][j];
-                    }
-                }
+        for c0 in (0..cols).step_by(NR) {
+            if cols - c0 <= NR / 2 {
+                let s = micro::<ROWS, { NR / 2 }>(a_rows, scratch, w, c0);
+                subtract_block(block, b, r0, c0, lower, &s[..height]);
+            } else {
+                let s = micro::<ROWS, NR>(a_rows, scratch, w, c0);
+                subtract_block(block, b, r0, c0, lower, &s[..height]);
             }
         }
     }
 }
 
-/// Triangular solve of up to four whole rows `x` of a tile of edge `b`
-/// against the first `cols` rows of the lower-triangular `l`: `x[c] =
-/// (x[c] − x[..c]·l[c][..c]) / l[c][c]` for `c < cols`. The rows are
-/// independent, the columns are not: four columns at a time take
-/// everything left of them from one [`dots`] block, then the few terms
-/// between them in order.
-fn solve_rows(block: &mut [f32], b: usize, cols: usize, l: &[f32]) {
-    let height = block.len() / b;
-    for c0 in (0..cols).step_by(4) {
-        let width = (cols - c0).min(4);
-        let s = dots(rows4(block, b, 0, height, c0), rows4(l, b, c0, width, c0));
-        for i in 0..height {
-            let x = &mut block[i * b..(i + 1) * b];
-            for (j, left) in s[i][..width].iter().enumerate() {
-                let c = c0 + j;
-                let l_row = row(l, b, c);
-                let mut v = x[c] - left;
-                for m in c0..c {
-                    v -= x[m] * l_row[m];
-                }
-                x[c] = v / l_row[c];
-            }
+/// `block[i][c0 + j] -= s[i][j]` for the rows from tile row `r0`, cut at
+/// the tile's edge and, with `lower`, at the diagonal.
+#[inline(always)]
+fn subtract_block<const N: usize>(
+    block: &mut [f32],
+    b: usize,
+    r0: usize,
+    c0: usize,
+    lower: bool,
+    s: &[[f32; N]],
+) {
+    let width = (b - c0).min(N);
+    for (i, s) in s.iter().enumerate() {
+        let end = if lower {
+            (r0 + i + 1).saturating_sub(c0).min(width)
+        } else {
+            width
+        };
+        for (out, s) in block[i * b + c0..][..end].iter_mut().zip(s) {
+            *out -= s;
         }
     }
 }
 
-/// In-place Cholesky factor of one tile, four rows at a time: everything
-/// left of the 4 × 4 diagonal block is a [`solve_rows`] against the rows
-/// above; the diagonal block takes those columns' share of its sums from
-/// one [`dots`] block of its rows with themselves and is then factored
-/// element by element. The strictly-upper part is zeroed.
-fn potrf(a: &mut [f32], b: usize) {
-    for i0 in (0..b).step_by(4) {
-        let (above, rest) = a.split_at_mut(i0 * b);
-        let block = &mut rest[..(b - i0).min(4) * b];
-        let height = block.len() / b;
-        solve_rows(block, b, i0, above);
-        let left = rows4(block, b, 0, height, i0);
-        let s = dots(left, left);
-        for j in 0..height {
-            let c = i0 + j;
-            let mut d = block[j * b + c] - s[j][j];
-            for m in i0..c {
-                d -= block[j * b + m] * block[j * b + m];
-            }
-            assert!(d > 0.0, "matrix not positive definite at column {c}");
-            let d = d.sqrt();
-            block[j * b + c] = d;
-            block[j * b + c + 1..(j + 1) * b].fill(0.0);
-            for i in j + 1..height {
-                let mut v = block[i * b + c] - s[i][j];
-                for m in i0..c {
-                    v -= block[i * b + m] * block[j * b + m];
-                }
-                block[i * b + c] = v / d;
-            }
+/// One column step of a solve on transposed rows `xt` (rows of width `w`,
+/// a multiple of [`NR`]): `xt[c][l] -= Σ_m coef[m] · xt[m][l]` for every
+/// lane `l` from `lane0`, `m < coef.len() ≤ c` — one vector operation per
+/// `m` across every row the lanes hold, [`LANES`] at a time and `NR` for
+/// the rest. The sum runs in `m` order from zero and is subtracted once,
+/// so a lane's bits do not depend on which lanes share its step.
+#[inline(always)]
+fn column_step(xt: &mut [f32], w: usize, c: usize, coef: &[f32], lane0: usize) {
+    let (done, rest) = xt.split_at_mut(c * w);
+    let mut l0 = lane0;
+    while l0 + LANES <= w {
+        column_chunk::<LANES>(done, &mut rest[l0..l0 + LANES], w, coef, l0);
+        l0 += LANES;
+    }
+    if l0 < w {
+        column_chunk::<NR>(done, &mut rest[l0..l0 + NR], w, coef, l0);
+    }
+}
+
+/// `out[l] -= Σ_m coef[m] · done[m][l0 + l]` for `N` lanes, `done` in rows
+/// of width `w`: the accumulators of one [`column_step`] chunk.
+#[inline(always)]
+fn column_chunk<const N: usize>(done: &[f32], out: &mut [f32], w: usize, coef: &[f32], l0: usize) {
+    let mut acc = [0.0f32; N];
+    for (done_row, &k) in done.chunks_exact(w).zip(coef) {
+        let src: &[f32; N] = done_row[l0..l0 + N].try_into().expect("N lanes");
+        for (acc, x) in acc.iter_mut().zip(src) {
+            *acc += k * x;
         }
     }
+    for (out, acc) in out.iter_mut().zip(acc) {
+        *out -= acc;
+    }
+}
+
+/// `X := X · L^{-T}` for the whole rows `x` of a tile of edge `b` and the
+/// lower-triangular `l`, solved on the transpose of the rows in `scratch`:
+/// column `c` is one [`column_step`] against `l`'s row `c` across every
+/// row of `x`, then one division by `l[c][c]`.
+#[inline(always)]
+fn solve(x: &mut [f32], b: usize, l: &[f32], scratch: &mut Vec<f32>) {
+    let h = x.len() / b;
+    let w = h.next_multiple_of(NR);
+    transpose_into(scratch, x, b, h, b, w);
+    for c in 0..b {
+        let l_row = row(l, b, c);
+        column_step(scratch, w, c, &l_row[..c], 0);
+        let d = l_row[c];
+        for v in &mut scratch[c * w..(c + 1) * w] {
+            *v /= d;
+        }
+    }
+    for (r, x_row) in x.chunks_exact_mut(b).enumerate() {
+        for (c, v) in x_row.iter_mut().enumerate() {
+            *v = scratch[c * w + r];
+        }
+    }
+}
+
+/// In-place Cholesky factor of one tile of edge `b`, left-looking by
+/// columns on the tile's transpose in `scratch`: column `c` of `L` is one
+/// [`column_step`] against `L`'s row `c` (written back to the tile as each
+/// column finishes), the square root of its diagonal, and one division.
+/// A step starts at the `NR` boundary below `c`: the lanes above the
+/// diagonal it computes feed only each other and are never copied back.
+/// The strictly-upper part is zeroed.
+#[inline(always)]
+fn factor(a: &mut [f32], b: usize, scratch: &mut Vec<f32>) {
+    let w = b.next_multiple_of(NR);
+    transpose_into(scratch, a, b, b, b, w);
+    for c in 0..b {
+        let lane0 = c - c % NR;
+        column_step(scratch, w, c, &row(a, b, c)[..c], lane0);
+        let col = &mut scratch[c * w..(c + 1) * w];
+        let d = col[c];
+        assert!(d > 0.0, "matrix not positive definite at column {c}");
+        let d = d.sqrt();
+        for v in &mut col[lane0..] {
+            *v /= d;
+        }
+        col[c] = d;
+        for (i, a_row) in a.chunks_exact_mut(b).enumerate().skip(c) {
+            a_row[c] = col[i];
+        }
+        a[c * b + c + 1..(c + 1) * b].fill(0.0);
+    }
+}
+
+/// One kernel's work on one thread's share of a tile of edge `b`.
+enum Body<'a> {
+    /// `rows -= A·Bᵀ` ([`update`]): GEMM, or SYRK with `lower`.
+    Update {
+        rows: &'a mut [f32],
+        first_row: usize,
+        a: &'a [f32],
+        bm: &'a [f32],
+        lower: bool,
+    },
+    /// `rows := rows · L^{-T}` ([`solve`]): TRSM.
+    Solve { rows: &'a mut [f32], l: &'a [f32] },
+    /// Factor the whole tile ([`factor`]): POTRF.
+    Factor { tile: &'a mut [f32] },
+}
+
+impl Body<'_> {
+    /// The body with `ROWS`-high micro-kernel blocks; every `ROWS` gives
+    /// the same bits.
+    #[inline(always)]
+    fn run<const ROWS: usize>(self, b: usize, scratch: &mut Vec<f32>) {
+        match self {
+            Body::Update {
+                rows,
+                first_row,
+                a,
+                bm,
+                lower,
+            } => update::<ROWS>(rows, first_row, b, a, bm, lower, scratch),
+            Body::Solve { rows, l } => solve(rows, b, l, scratch),
+            Body::Factor { tile } => factor(tile, b, scratch),
+        }
+    }
+}
+
+thread_local! {
+    /// Each thread's transposed operand, kept between kernels.
+    static SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// The one dispatch point: run `body` in 256-bit registers where the host
+/// has AVX2, and as compiled for the baseline target otherwise. Both give
+/// the same bits.
+fn run(body: Body<'_>, b: usize) {
+    let mut scratch = SCRATCH.take();
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        body if is_x86_feature_detected!("avx2") => {
+            // SAFETY: `run_avx2` needs AVX2 and what AVX2 implies, and the
+            // host was just found to have it.
+            unsafe { run_avx2(body, b, &mut scratch) }
+        }
+        body => body.run::<BASE_ROWS>(b, &mut scratch),
+    }
+    SCRATCH.set(scratch);
+}
+
+/// [`Body::run`] compiled with AVX2: every body fn is `#[inline(always)]`,
+/// so all of it lands in this one function and uses 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(body: Body<'_>, b: usize, scratch: &mut Vec<f32>) {
+    body.run::<AVX2_ROWS>(b, scratch);
 }
 
 fn potrf_kernel(label: String, b: usize) -> KernelDesc {
     let work = (b as f64).powi(3) / 3.0;
     KernelDesc::simulated(label, profiles::cf_potrf(), work)
-        .with_native(move |k| potrf(k.writes[0], b))
+        .with_native(move |k| run(Body::Factor { tile: k.writes[0] }, b))
 }
 
 /// `X := X · L^{-T}` where `X` is tile `(i,k)` and `L` the factored `(k,k)`.
@@ -294,9 +440,7 @@ fn trsm_kernel(label: String, b: usize) -> KernelDesc {
     KernelDesc::simulated(label, profiles::cf_trsm(), work).with_native(move |k| {
         let l = k.reads[0];
         hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |_, rows| {
-            for block in rows.chunks_mut(4 * b) {
-                solve_rows(block, b, b, l);
-            }
+            run(Body::Solve { rows, l }, b);
         });
     })
 }
@@ -305,9 +449,18 @@ fn trsm_kernel(label: String, b: usize) -> KernelDesc {
 fn syrk_kernel(label: String, b: usize) -> KernelDesc {
     let work = (b as f64).powi(3);
     KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let lik = k.reads[0];
+        let a = k.reads[0];
         hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
-            sub_abt(rows, first_row, b, lik, lik, true);
+            run(
+                Body::Update {
+                    rows,
+                    first_row,
+                    a,
+                    bm: a,
+                    lower: true,
+                },
+                b,
+            );
         });
     })
 }
@@ -316,9 +469,18 @@ fn syrk_kernel(label: String, b: usize) -> KernelDesc {
 fn gemm_update_kernel(label: String, b: usize) -> KernelDesc {
     let work = 2.0 * (b as f64).powi(3);
     KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let (lik, ljk) = (k.reads[0], k.reads[1]);
+        let (a, bm) = (k.reads[0], k.reads[1]);
         hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
-            sub_abt(rows, first_row, b, lik, ljk, false);
+            run(
+                Body::Update {
+                    rows,
+                    first_row,
+                    a,
+                    bm,
+                    lower: false,
+                },
+                b,
+            );
         });
     })
 }
@@ -391,7 +553,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
             s,
             KernelDesc::simulated("potrf_full", full_profile(), cfg.flops())
                 .writing([buf])
-                .with_native(move |k| potrf(k.writes[0], n)),
+                .with_native(move |k| run(Body::Factor { tile: k.writes[0] }, n)),
         )?;
         ctx.d2h(s, buf)?;
         return Ok(());
@@ -717,9 +879,10 @@ mod tests {
         );
     }
 
-    /// Tile edges below, at and past the lane width and the 4 × 4 block,
-    /// multiples of neither, and the benchmark's 64.
-    const EDGES: [usize; 11] = [1, 3, 4, 5, 7, 8, 9, 13, 17, 33, 64];
+    /// Tile edges below, at and past the micro-kernel's block heights, one
+    /// and two 16-wide blocks and the 32 solve lanes, multiples of none,
+    /// and the benchmark's 64.
+    const EDGES: [usize; 16] = [1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 64, 65];
 
     /// `a · b` the plain way, one scalar chain.
     fn naive_dot(a: &[f32], b: &[f32]) -> f32 {
@@ -735,6 +898,18 @@ mod tests {
             l[r * b + r + 1..(r + 1) * b].fill(0.0);
         }
         l
+    }
+
+    /// A symmetric, diagonally dominant (so positive-definite) tile.
+    fn spd_tile(seed: u64, b: usize) -> Vec<f32> {
+        let mut a = util::random_vec(seed, b * b, 0.0, 1.0);
+        for r in 0..b {
+            for c in 0..r {
+                a[c * b + r] = a[r * b + c];
+            }
+            a[r * b + r] = b as f32 + 1.0;
+        }
+        a
     }
 
     /// `X := X · L^{-T}` by forward substitution, one scalar chain per element.
@@ -764,19 +939,24 @@ mod tests {
 
     #[test]
     fn micro_kernel_matches_naive_dots_wherever_a_pair_sits() {
+        let w = 3 * NR;
         for k in [0, 2].into_iter().chain(EDGES) {
-            let a = util::random_vec(k as u64, 4 * k, -1.0, 1.0);
-            let b = util::random_vec(100 + k as u64, 4 * k, -1.0, 1.0);
-            let a_rows: [_; 4] = from_fn(|i| &a[i * k..(i + 1) * k]);
-            let b_rows: [_; 4] = from_fn(|j| &b[j * k..(j + 1) * k]);
-            let got = dots(a_rows, b_rows);
-            for i in 0..4 {
-                for j in 0..4 {
-                    let want = naive_dot(a_rows[i], b_rows[j]);
-                    assert_close(&[got[i][j]], &[want], 1e-4, "dots vs naive");
-                    // The same pair padded out to a whole block: same bits.
-                    let alone = dots([a_rows[i]; 4], [b_rows[j]; 4]);
-                    assert_eq!(bits(alone.as_flattened()), [got[i][j].to_bits(); 16]);
+            let a = util::random_vec(k as u64, AVX2_ROWS * k, -1.0, 1.0);
+            let bt = util::random_vec(100 + k as u64, k * w, -1.0, 1.0);
+            let a_rows: [_; AVX2_ROWS] = from_fn(|i| &a[i * k..(i + 1) * k]);
+            for c0 in [0, 3] {
+                let got = micro::<AVX2_ROWS, NR>(a_rows, &bt, w, c0);
+                for (i, a_row) in a_rows.into_iter().enumerate() {
+                    for j in 0..NR {
+                        let column: Vec<f32> = (0..k).map(|m| bt[m * w + c0 + j]).collect();
+                        let want = naive_dot(a_row, &column);
+                        assert_close(&[got[i][j]], &[want], 1e-4, "micro vs naive");
+                        // The same pair in the last row and first column of
+                        // a block of the other shape: same bits.
+                        let alone =
+                            micro::<BASE_ROWS, { NR / 2 }>([a_row; BASE_ROWS], &bt, w, c0 + j);
+                        assert_eq!(alone[BASE_ROWS - 1][0].to_bits(), got[i][j].to_bits());
+                    }
                 }
             }
         }
@@ -784,6 +964,7 @@ mod tests {
 
     #[test]
     fn update_blocks_match_the_naive_triple_loop_for_every_edge_and_row_block() {
+        let mut scratch = Vec::new();
         for b in EDGES {
             let c = util::random_vec(b as u64, b * b, -1.0, 1.0);
             let a = util::random_vec(200 + b as u64, b * b, -1.0, 1.0);
@@ -792,19 +973,22 @@ mod tests {
                 for first_row in [0, (b - height).min(3), b - height] {
                     for lower in [false, true] {
                         // SYRK multiplies a tile by its own transpose.
-                        let bt = if lower { &a } else { &other };
+                        let bm = if lower { &a } else { &other };
                         let before = &c[first_row * b..(first_row + height) * b];
                         let mut got = before.to_owned();
-                        sub_abt(&mut got, first_row, b, &a, bt, lower);
+                        update::<BASE_ROWS>(&mut got, first_row, b, &a, bm, lower, &mut scratch);
                         let mut want = before.to_owned();
                         for i in 0..height {
                             let r = first_row + i;
                             for col in 0..if lower { r + 1 } else { b } {
-                                want[i * b + col] -= naive_dot(row(&a, b, r), row(bt, b, col));
+                                want[i * b + col] -= naive_dot(row(&a, b, r), row(bm, b, col));
                             }
                         }
                         let what = format!("b={b} rows {first_row}+{height} lower={lower}");
                         assert_close(&got, &want, 1e-4, &what);
+                        let mut taller = before.to_owned();
+                        update::<AVX2_ROWS>(&mut taller, first_row, b, &a, bm, lower, &mut scratch);
+                        assert_eq!(bits(&taller), bits(&got), "{what}: block height moved bits");
                         if lower {
                             for i in 0..height {
                                 let upper = i * b + first_row + i + 1..(i + 1) * b;
@@ -823,12 +1007,13 @@ mod tests {
 
     #[test]
     fn solve_rows_matches_naive_forward_substitution() {
+        let mut scratch = Vec::new();
         for b in EDGES {
             let l = lower_tile(b as u64, b);
-            for height in 1..=b.min(4) {
+            for height in (1..=b.min(4)).chain([b]) {
                 let mut got = util::random_vec(400 + b as u64, height * b, -1.0, 1.0);
                 let mut want = got.clone();
-                solve_rows(&mut got, b, b, &l);
+                solve(&mut got, b, &l, &mut scratch);
                 naive_trsm(&mut want, b, &l);
                 assert_close(&got, &want, 1e-4, &format!("b={b} height={height}"));
             }
@@ -837,16 +1022,11 @@ mod tests {
 
     #[test]
     fn potrf_matches_the_scalar_oracle_for_every_edge() {
+        let mut scratch = Vec::new();
         for b in EDGES {
-            let mut a = util::random_vec(b as u64, b * b, 0.0, 1.0);
-            for r in 0..b {
-                for c in 0..r {
-                    a[c * b + r] = a[r * b + c];
-                }
-                a[r * b + r] = b as f32 + 1.0;
-            }
+            let mut a = spd_tile(b as u64, b);
             let mut got = a.clone();
-            potrf(&mut got, b);
+            factor(&mut got, b, &mut scratch);
             serial_potrf(&mut a, b);
             assert_close(&got, &a, 1e-4, &format!("potrf b={b}"));
             for r in 0..b {
@@ -887,6 +1067,82 @@ mod tests {
             let mut want = start.clone();
             naive_trsm(&mut want, b, &l);
             assert_close(&got, &want, 1e-4, &format!("trsm b={b}"));
+        }
+    }
+
+    /// The body as the baseline target compiles it, called directly on a
+    /// whole tile.
+    fn baseline(body: Body<'_>, b: usize) {
+        body.run::<BASE_ROWS>(b, &mut Vec::new());
+    }
+
+    #[test]
+    fn kernels_are_bit_identical_for_every_instruction_set() {
+        #[cfg(target_arch = "x86_64")]
+        let wide = is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if !wide {
+            println!("skipped: this host has no AVX2, so every kernel runs the baseline compile");
+            return;
+        }
+        for b in EDGES {
+            let l = lower_tile(b as u64, b);
+            let p = util::random_vec(500 + b as u64, b * b, -1.0, 1.0);
+            let q = util::random_vec(600 + b as u64, b * b, -1.0, 1.0);
+            let start = util::random_vec(700 + b as u64, b * b, -1.0, 1.0);
+            let (mut gemm, mut syrk, mut trsm) = (start.clone(), start.clone(), start.clone());
+            baseline(
+                Body::Update {
+                    rows: &mut gemm,
+                    first_row: 0,
+                    a: &p,
+                    bm: &q,
+                    lower: false,
+                },
+                b,
+            );
+            baseline(
+                Body::Update {
+                    rows: &mut syrk,
+                    first_row: 0,
+                    a: &p,
+                    bm: &p,
+                    lower: true,
+                },
+                b,
+            );
+            baseline(
+                Body::Solve {
+                    rows: &mut trsm,
+                    l: &l,
+                },
+                b,
+            );
+            let cases = [
+                (gemm_update_kernel("gemm".into(), b), vec![&p[..], &q], gemm),
+                (syrk_kernel("syrk".into(), b), vec![&p[..]], syrk),
+                (trsm_kernel("trsm".into(), b), vec![&l[..]], trsm),
+            ];
+            for (desc, reads, want) in &cases {
+                for threads in 1..=8 {
+                    let mut got = start.clone();
+                    run_kernel(desc, reads, &mut got, threads);
+                    assert_eq!(
+                        bits(&got),
+                        bits(want),
+                        "{} b={b} threads={threads}",
+                        desc.label
+                    );
+                }
+            }
+            // POTRF factors its tile on one thread.
+            let a = spd_tile(b as u64, b);
+            let mut want = a.clone();
+            baseline(Body::Factor { tile: &mut want }, b);
+            let mut got = a;
+            run_kernel(&potrf_kernel("potrf".into(), b), &[], &mut got, 1);
+            assert_eq!(bits(&got), bits(&want), "potrf b={b}");
         }
     }
 }

@@ -163,6 +163,21 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nF 'Atomic'; then
   exit 1
 fi
 
+echo "==> one SIMD dispatch (the CF tile kernels' AVX2 wrapper is the only feature check and the only target_feature fn)"
+simd=$(grep -rlE 'is_x86_feature_detected!|#\[target_feature' --include='*.rs' \
+         crates shims src tests examples bench/e2e/src | sort -u)
+if [ "$simd" != "crates/apps/src/cholesky.rs" ]; then
+  echo "  a feature check or target_feature fn outside crates/apps/src/cholesky.rs: $(echo $simd)"
+  exit 1
+fi
+for pat in 'is_x86_feature_detected!' '#[target_feature'; do
+  hits=$(sed '/#\[cfg(test)\]/,$d' crates/apps/src/cholesky.rs | grep -cF "$pat" || true)
+  if [ "$hits" -ne 1 ]; then
+    echo "  '$pat' occurs $hits times in non-test cholesky.rs (one dispatch point, one wrapper)"
+    exit 1
+  fi
+done
+
 echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
 if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
   echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"

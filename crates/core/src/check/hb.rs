@@ -8,6 +8,12 @@
 //! * **barriers** — `Barrier(n)` actions feed barrier `n`'s join node,
 //!   which feeds the next action of every participating stream.
 //!
+//! The edges are kept flat, one CSR table per direction (offsets plus one
+//! list; each node's predecessors and successors in the order the edges
+//! were derived), filled by enumerating the program's edges twice — count,
+//! then place — so a graph costs a handful of allocations, not two per
+//! node, and every reader takes a node's edges as a slice.
+//!
 //! One topological sort ([`HbEdges::topo_order`]) detects cycles
 //! (deadlocks) and, on acyclic graphs, drives one forward pass of
 //! per-stream **vector clocks**: `clock[v][s]` is the number of leading
@@ -33,6 +39,10 @@ use super::diagnostics::Site;
 /// topological sort over them. [`HbGraph::build`] builds and keeps them;
 /// only [`crate::opt`]'s elision pass builds bare edge lists of its own,
 /// for the trial programs it probes.
+///
+/// Both directions are stored flat ([`Csr`]): a program's edges are
+/// enumerated twice, once to count every node's degrees and once to fill
+/// the lists, so a graph costs a handful of allocations whatever its size.
 pub(crate) struct HbEdges {
     /// First node id of each stream's action run (last entry = total
     /// action count).
@@ -41,10 +51,100 @@ pub(crate) struct HbEdges {
     pub(crate) total_actions: usize,
     /// Total nodes: actions + barrier join nodes.
     pub(crate) nodes: usize,
-    /// Predecessor lists, indexed by node.
-    pub(crate) preds: Vec<Vec<u32>>,
-    /// Successor lists, indexed by node (the same edges, reversed).
-    pub(crate) succs: Vec<Vec<u32>>,
+    /// Each node's predecessors.
+    preds: Csr,
+    /// Each node's successors (the same edges, reversed).
+    succs: Csr,
+}
+
+/// One list per node, flat: node `v`'s entries are
+/// `list[offsets[v]..offsets[v + 1]]`, in the order they were added.
+/// Built in two passes over the same entries: [`Csr::count`] each, then
+/// [`Csr::allot`], [`Csr::push`] each in order, then [`Csr::seal`].
+struct Csr {
+    offsets: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl Csr {
+    fn counting(nodes: usize) -> Csr {
+        Csr {
+            offsets: vec![0; nodes + 1],
+            list: Vec::new(),
+        }
+    }
+
+    /// One more entry for node `v` (first pass).
+    fn count(&mut self, v: usize) {
+        self.offsets[v] += 1;
+    }
+
+    /// Turn the counts into each node's first slot and size the list.
+    fn allot(&mut self) {
+        let mut sum = 0;
+        for o in &mut self.offsets {
+            let count = *o;
+            *o = sum;
+            sum += count;
+        }
+        self.list = vec![0; sum as usize];
+    }
+
+    /// Append `x` to node `v`'s list (second pass).
+    fn push(&mut self, v: usize, x: usize) {
+        self.list[self.offsets[v] as usize] = x as u32;
+        self.offsets[v] += 1;
+    }
+
+    /// Each cursor sits at its node's end, the next node's start.
+    fn seal(&mut self) {
+        self.offsets.rotate_right(1);
+        self.offsets[0] = 0;
+    }
+
+    fn of(&self, v: usize) -> &[u32] {
+        &self.list[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Every happens-before edge of `program` as `edge(from, to)`, in one fixed
+/// order — each node's predecessors and successors come out in the order
+/// their lists keep. Action node ids start at `offsets[stream]`; barrier
+/// `n`'s join is node `total + n`.
+fn for_each_edge(
+    program: &Program,
+    offsets: &[usize],
+    total: usize,
+    mut edge: impl FnMut(usize, usize),
+) {
+    let n_streams = program.streams.len();
+    for (si, s) in program.streams.iter().enumerate() {
+        for (ai, a) in s.actions.iter().enumerate() {
+            let v = offsets[si] + ai;
+            // FIFO. After a barrier the join node carries it: the join
+            // waits on this stream's barrier action too.
+            if ai > 0 && !matches!(s.actions[ai - 1], Action::Barrier(_)) {
+                edge(v - 1, v);
+            }
+            match a {
+                Action::WaitEvent(e) => {
+                    if let Some(site) = program.events.get(e.0) {
+                        let rs = site.stream.0;
+                        if rs < n_streams && site.action_index < program.streams[rs].actions.len() {
+                            edge(offsets[rs] + site.action_index, v);
+                        }
+                    }
+                }
+                Action::Barrier(n) => {
+                    edge(v, total + n);
+                    if ai + 1 < s.actions.len() {
+                        edge(total + n, v + 1);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 impl HbEdges {
@@ -71,41 +171,20 @@ impl HbEdges {
         }
         let nodes = total + n_barriers;
 
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        let mut edge = |from: usize, to: usize| {
-            preds[to].push(from as u32);
-            succs[from].push(to as u32);
-        };
-        for (si, s) in program.streams.iter().enumerate() {
-            for (ai, a) in s.actions.iter().enumerate() {
-                let v = offsets[si] + ai;
-                // FIFO. After a barrier the join node carries it: the join
-                // waits on this stream's barrier action too.
-                if ai > 0 && !matches!(s.actions[ai - 1], Action::Barrier(_)) {
-                    edge(v - 1, v);
-                }
-                match a {
-                    Action::WaitEvent(e) => {
-                        if let Some(site) = program.events.get(e.0) {
-                            let rs = site.stream.0;
-                            if rs < n_streams
-                                && site.action_index < program.streams[rs].actions.len()
-                            {
-                                edge(offsets[rs] + site.action_index, v);
-                            }
-                        }
-                    }
-                    Action::Barrier(n) => {
-                        edge(v, total + n);
-                        if ai + 1 < s.actions.len() {
-                            edge(total + n, v + 1);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let mut preds = Csr::counting(nodes);
+        let mut succs = Csr::counting(nodes);
+        for_each_edge(program, &offsets, total, |from, to| {
+            preds.count(to);
+            succs.count(from);
+        });
+        preds.allot();
+        succs.allot();
+        for_each_edge(program, &offsets, total, |from, to| {
+            preds.push(to, from);
+            succs.push(from, to);
+        });
+        preds.seal();
+        succs.seal();
 
         HbEdges {
             offsets,
@@ -114,6 +193,21 @@ impl HbEdges {
             preds,
             succs,
         }
+    }
+
+    /// The nodes `v` waits for, in the order the edges were derived.
+    pub(crate) fn preds(&self, v: usize) -> &[u32] {
+        self.preds.of(v)
+    }
+
+    /// The nodes waiting for `v`, in the order the edges were derived.
+    pub(crate) fn succs(&self, v: usize) -> &[u32] {
+        self.succs.of(v)
+    }
+
+    /// Edges in the graph.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.preds.list.len()
     }
 
     /// The topological order: a **stream-major greedy sweep**. Each pass
@@ -129,7 +223,9 @@ impl HbEdges {
     /// On a cyclic graph the sweep stalls and `Err` carries the in-degree
     /// still left on every node (positive exactly on the unsorted ones).
     fn topo_order(&self) -> Result<Vec<u32>, Vec<u32>> {
-        let mut indeg: Vec<u32> = self.preds.iter().map(|ps| ps.len() as u32).collect();
+        let mut indeg: Vec<u32> = (0..self.nodes)
+            .map(|v| self.preds(v).len() as u32)
+            .collect();
         let mut order: Vec<u32> = Vec::with_capacity(self.nodes);
         let n_streams = self.offsets.len() - 1;
         let mut cursor: Vec<usize> = self.offsets[..n_streams].to_vec();
@@ -141,7 +237,7 @@ impl HbEdges {
         // Emit `v`: release its successors, noting joins that became ready.
         let mut emit = |v: usize, indeg: &mut [u32], ready_joins: &mut Vec<u32>| {
             order.push(v as u32);
-            for &w in &self.succs[v] {
+            for &w in self.succs(v) {
                 indeg[w as usize] -= 1;
                 if indeg[w as usize] == 0 && w as usize >= self.total_actions {
                     ready_joins.push(w);
@@ -255,7 +351,7 @@ impl HbGraph {
 
     /// Edges in the graph.
     pub fn edge_count(&self) -> usize {
-        self.edges.preds.iter().map(Vec::len).sum()
+        self.edges.edge_count()
     }
 
     /// A witness deadlock cycle (action sites, causal order), if the
@@ -309,7 +405,7 @@ fn clocks_along(edges: &HbEdges, order: &[u32]) -> Vec<u32> {
             let idx = (v - edges.offsets[sv] + 1) as u32;
             bumped[sv] = bumped[sv].max(idx);
         }
-        for &w in &edges.succs[v] {
+        for &w in edges.succs(v) {
             let w = w as usize;
             let wc = &mut clocks[w * n_streams..(w + 1) * n_streams];
             for (c, b) in wc.iter_mut().zip(&bumped) {
@@ -345,7 +441,8 @@ fn extract_cycle(edges: &HbEdges, indeg: &[u32]) -> Vec<Site> {
         path.push(v);
         // Every unsorted node keeps at least one unsorted predecessor, so
         // the walk stays inside the cyclic region and must repeat.
-        v = edges.preds[v]
+        v = edges
+            .preds(v)
             .iter()
             .map(|&p| p as usize)
             .find(|&p| indeg[p] > 0)
@@ -462,8 +559,8 @@ mod tests {
         assert_eq!(g.order().unwrap(), [4, 5, 6, 0, 1, 2, 8, 3, 7]);
         // After a barrier the join alone carries the stream's FIFO order;
         // a wait's FIFO predecessor comes before its record.
-        assert_eq!(g.edges().preds[3], [8]);
-        assert_eq!(g.edges().preds[8], [2, 6]);
+        assert_eq!(g.edges().preds(3), [8]);
+        assert_eq!(g.edges().preds(8), [2, 6]);
         assert!(g.happens_before(Site::new(0, 2), Site::new(0, 3)));
         let mut q = Program::default();
         q.streams
@@ -474,7 +571,7 @@ mod tests {
             stream: StreamId(0),
             action_index: 1,
         });
-        assert_eq!(HbGraph::build(&q).edges().preds[3], [2, 1]);
+        assert_eq!(HbGraph::build(&q).edges().preds(3), [2, 1]);
     }
 
     #[test]

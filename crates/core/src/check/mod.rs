@@ -58,7 +58,7 @@ pub use witness::{HazardWitness, WitnessKind};
 // `Analysis`.
 pub use hb::HbGraph;
 pub(crate) use hb::{wait_cycle, HbEdges};
-use races::Accesses;
+pub(crate) use races::{Accesses, Space};
 
 /// What the executors do with analyzer findings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -226,16 +226,18 @@ pub fn analyze(program: &Program, env: &CheckEnv) -> Analysis {
     };
     report.finish();
 
-    let kinds = program
-        .streams
-        .iter()
-        .flat_map(|s| &s.actions)
-        .map(|a| match a {
-            crate::action::Action::Transfer { .. } => SiteKind::Transfer,
-            crate::action::Action::Kernel(_) => SiteKind::Kernel,
-            _ => SiteKind::Control,
-        })
-        .collect();
+    let mut kinds = Vec::with_capacity(program.action_count());
+    kinds.extend(
+        program
+            .streams
+            .iter()
+            .flat_map(|s| &s.actions)
+            .map(|a| match a {
+                crate::action::Action::Transfer { .. } => SiteKind::Transfer,
+                crate::action::Action::Kernel(_) => SiteKind::Kernel,
+                _ => SiteKind::Control,
+            }),
+    );
 
     Analysis {
         report,

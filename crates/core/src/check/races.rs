@@ -12,9 +12,11 @@
 //! tiles, and multi-card residency mirroring touches distinct instances.
 //!
 //! The accesses live in **one sorted table** ([`Accesses`]): a flat vector
-//! stable-sorted once by `(buffer, space)`, so each `(buffer, space)`
-//! group is a contiguous slice in program order and the groups come out
-//! in one deterministic order. The race check, the dataflow check, the
+//! ordered once by `(buffer, space)` with a stable counting sort — one
+//! counter per `(buffer, space)` key, so the table costs three allocations
+//! and no comparisons whatever its size — so each `(buffer, space)` group
+//! is a contiguous slice in program order and the groups come out in one
+//! deterministic order. The race check, the dataflow check, the
 //! schedulers' task graph and the elision certificate all walk those
 //! slices; none of them groups or sorts again.
 
@@ -35,6 +37,17 @@ pub(crate) enum Space {
     Host,
     /// The instance in device `.0`'s memory.
     Device(usize),
+}
+
+impl Space {
+    /// The space's place in the group order: the host 0, device `d` at
+    /// `d + 1`.
+    fn rank(self) -> usize {
+        match self {
+            Space::Host => 0,
+            Space::Device(d) => d + 1,
+        }
+    }
 }
 
 impl std::fmt::Display for Space {
@@ -64,7 +77,14 @@ pub(crate) struct Accesses(Vec<Access>);
 impl Accesses {
     /// Lower every action of `program` to its accesses and sort them once.
     pub(crate) fn collect(program: &Program) -> Accesses {
-        let mut all = Vec::new();
+        // A transfer makes two accesses, a kernel one per buffer it names.
+        let count = program
+            .streams
+            .iter()
+            .flat_map(|s| &s.actions)
+            .map(|a| a.buffers().count() + usize::from(matches!(a, Action::Transfer { .. })))
+            .sum();
+        let mut all = Vec::with_capacity(count);
         for (si, s) in program.streams.iter().enumerate() {
             let dev = Space::Device(s.placement.device.0);
             for (ai, a) in s.actions.iter().enumerate() {
@@ -97,9 +117,12 @@ impl Accesses {
                 }
             }
         }
-        // Stable: program order survives inside each group.
-        all.sort_by_key(|a| (a.buf, a.space));
-        Accesses(all)
+        Accesses(by_group(&all))
+    }
+
+    /// Every access, in table order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Access> {
+        self.0.iter()
     }
 
     /// The `(buffer, space)` groups, each a contiguous slice in program
@@ -107,6 +130,39 @@ impl Accesses {
     pub(crate) fn groups(&self) -> impl Iterator<Item = &[Access]> {
         self.0.chunk_by(|a, b| a.buf == b.buf && a.space == b.space)
     }
+}
+
+/// `accesses` ordered by `(buffer, space)`, program order kept inside each
+/// group: a stable counting sort over the keys `buffer × spaces + rank`,
+/// which order exactly as the pairs do. The counters span the largest
+/// buffer id in the table, as [`CheckEnv`](super::CheckEnv)'s buffer count
+/// does.
+fn by_group(accesses: &[Access]) -> Vec<Access> {
+    let spaces = accesses
+        .iter()
+        .map(|a| a.space.rank() + 1)
+        .max()
+        .unwrap_or(0);
+    let key = |a: &Access| a.buf.0 * spaces + a.space.rank();
+    let keys = accesses.iter().map(|a| key(a) + 1).max().unwrap_or(0);
+    // Each key's count, then its first slot.
+    let mut next = vec![0usize; keys];
+    for a in accesses {
+        next[key(a)] += 1;
+    }
+    let mut sum = 0;
+    for n in &mut next {
+        let count = *n;
+        *n = sum;
+        sum += count;
+    }
+    let mut sorted = accesses.to_vec();
+    for a in accesses {
+        let slot = &mut next[key(a)];
+        sorted[*slot] = *a;
+        *slot += 1;
+    }
+    sorted
 }
 
 /// Cap on race reports per `(buffer, space)` group, so one missing event

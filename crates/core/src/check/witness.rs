@@ -129,7 +129,9 @@ pub(super) fn witness(hb: &HbGraph, diag: &Diagnostic) -> HazardWitness {
 fn linear_extension(edges: &HbEdges, delayed: Site) -> Vec<Site> {
     let delayed_node = edges.node_of(delayed);
 
-    let mut indeg: Vec<u32> = edges.preds.iter().map(|ps| ps.len() as u32).collect();
+    let mut indeg: Vec<u32> = (0..edges.nodes)
+        .map(|v| edges.preds(v).len() as u32)
+        .collect();
 
     let mut ready: std::collections::BTreeSet<usize> =
         (0..edges.nodes).filter(|&v| indeg[v] == 0).collect();
@@ -146,7 +148,7 @@ fn linear_extension(edges: &HbEdges, delayed: Site) -> Vec<Site> {
         if let Some(site) = edges.site_of(v) {
             order.push(site);
         }
-        for &w in &edges.succs[v] {
+        for &w in edges.succs(v) {
             let w = w as usize;
             indeg[w] -= 1;
             if indeg[w] == 0 {

@@ -37,6 +37,8 @@
 //! assert!(report.timeline.makespan.nanos() > 0);
 //! ```
 
+use std::sync::Arc;
+
 use micsim::calibrate::PlatformConfig;
 use micsim::device::DeviceId;
 use micsim::partition::PartitionPlan;
@@ -133,7 +135,7 @@ impl ContextBuilder {
             streams_per_partition: self.streams_per_partition,
             replan_capacity,
             buffers: Vec::new(),
-            program,
+            program: Arc::new(program),
             native_rt: std::sync::OnceLock::new(),
             check_mode: self.check_mode,
             scheduler: crate::sched::SchedulerKind::default(),
@@ -173,7 +175,10 @@ pub struct Context {
     streams_per_partition: usize,
     replan_capacity: usize,
     pub(crate) buffers: Vec<Buffer>,
-    pub(crate) program: Program,
+    /// The recorded program, shared with the reports of the runs that
+    /// priced it (they render their task labels from it); recording into
+    /// a program a live report still holds copies it first.
+    pub(crate) program: Arc<Program>,
     /// Persistent native execution state (drivers, worker pools, link
     /// lanes), built lazily on the first native run and torn down when
     /// the context drops.
@@ -262,7 +267,11 @@ impl Context {
         }
         self.plan = PartitionPlan::equal_split(&self.cfg.device, partitions)?;
         self.replan_capacity = self.replan_capacity.max(partitions);
-        self.program = streams_for(self.device_count(), partitions, self.streams_per_partition);
+        self.program = Arc::new(streams_for(
+            self.device_count(),
+            partitions,
+            self.streams_per_partition,
+        ));
         Ok(())
     }
 
@@ -327,8 +336,13 @@ impl Context {
 
     // ----- recording -------------------------------------------------------
 
+    /// The recorded program, for writing.
+    pub(crate) fn program_mut(&mut self) -> &mut Program {
+        Arc::make_mut(&mut self.program)
+    }
+
     fn stream_mut(&mut self, stream: StreamId) -> Result<&mut StreamRecord> {
-        self.program
+        self.program_mut()
             .streams
             .get_mut(stream.0)
             .ok_or(Error::UnknownStream(stream))
@@ -380,7 +394,7 @@ impl Context {
         let action_index = s.actions.len();
         s.actions.push(Action::RecordEvent(event));
         let sid = s.id;
-        self.program.events.push(EventSite {
+        self.program_mut().events.push(EventSite {
             stream: sid,
             action_index,
         });
@@ -409,9 +423,10 @@ impl Context {
     /// enqueued before it. This is how the paper's non-overlappable flows
     /// (Hotspot, Kmeans, SRAD) separate their stages.
     pub fn barrier(&mut self) {
-        let n = self.program.barriers;
-        self.program.barriers += 1;
-        for s in &mut self.program.streams {
+        let program = self.program_mut();
+        let n = program.barriers;
+        program.barriers += 1;
+        for s in &mut program.streams {
             s.actions.push(Action::Barrier(n));
         }
     }
@@ -471,11 +486,11 @@ impl Context {
             }
         }
         if !self.optimize {
-            self.program = program;
+            self.program = Arc::new(program);
             return Ok(None);
         }
         let optimized = crate::opt::optimize(&program, &self.check_env());
-        self.program = optimized.program;
+        self.program = Arc::new(optimized.program);
         Ok(Some(optimized.report))
     }
 
@@ -498,11 +513,12 @@ impl Context {
     /// partitions and buffers. Handy for sweeping a parameter with the same
     /// buffers.
     pub fn reset_program(&mut self) {
-        for s in &mut self.program.streams {
+        let program = self.program_mut();
+        for s in &mut program.streams {
             s.actions.clear();
         }
-        self.program.events.clear();
-        self.program.barriers = 0;
+        program.events.clear();
+        program.barriers = 0;
     }
 
     // ----- static analysis -------------------------------------------------
@@ -547,7 +563,7 @@ impl Context {
     /// [`crate::opt::optimize`] themselves.
     pub fn apply_optimizer(&mut self) -> usize {
         let optimized = crate::opt::optimize(&self.program, &self.check_env());
-        self.program = optimized.program;
+        self.program = Arc::new(optimized.program);
         optimized.report.elided_actions()
     }
 

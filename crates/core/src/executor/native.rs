@@ -722,8 +722,8 @@ impl<'a> Dispatch<'a> {
             Walk::Recorded(edges) => {
                 let stream = |s: &[usize]| (s[0] as u32..s[1] as u32).collect();
                 let queues = edges.offsets.windows(2).map(stream).collect();
-                let count = |p: &Vec<u32>| AtomicU32::new(p.len() as u32);
-                (edges.preds.iter().map(count).collect(), queues)
+                let count = |v| AtomicU32::new(edges.preds(v).len() as u32);
+                ((0..edges.nodes).map(count).collect(), queues)
             }
             Walk::Scheduled(schedule, graph) => {
                 let mut queues = vec![Vec::new(); ctx.device_count() * parts_per_dev];
@@ -851,7 +851,7 @@ impl<'a> Dispatch<'a> {
             }
         };
         match &self.walk {
-            Walk::Recorded(edges) => edges.succs[node].iter().for_each(|&s| release(s as usize)),
+            Walk::Recorded(edges) => edges.succs(node).iter().for_each(|&s| release(s as usize)),
             Walk::Scheduled(_, graph) => graph.succs[node].iter().for_each(|&s| release(s)),
         }
     }
@@ -1092,7 +1092,7 @@ fn execute(
     let faults = fc.tallies.snapshot();
     // Spans are pushed per action, so a failed run's recording is the
     // partial timeline up to the failure.
-    let recording = recorder.map(|rec| rec.join(ctx.program(), steals as u64, faults));
+    let recording = recorder.map(|rec| rec.join(&ctx.program, steals as u64, faults));
     let metrics = match (&result, &recording) {
         (Ok(report), Some(rec)) if cfg.metrics => {
             let counts = RunCounts {
@@ -1214,7 +1214,7 @@ mod tests {
         let e_a = ctx.record_event(s0).unwrap();
         let e_b = ctx.record_event(s1).unwrap();
         {
-            let program = &mut ctx.program;
+            let program = ctx.program_mut();
             program.streams[0].actions.clear();
             program.streams[1].actions.clear();
             program.streams[0].actions.push(Action::WaitEvent(e_b));
@@ -1851,14 +1851,14 @@ mod tests {
         let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
         let e_a = ctx.record_event(s0).unwrap();
         let e_b = ctx.record_event(s1).unwrap();
-        ctx.program.streams[0]
+        ctx.program_mut().streams[0]
             .actions
             .insert(0, Action::WaitEvent(e_b));
-        ctx.program.streams[1]
+        ctx.program_mut().streams[1]
             .actions
             .insert(0, Action::WaitEvent(e_a));
-        ctx.program.events[e_a.0].action_index = 1;
-        ctx.program.events[e_b.0].action_index = 1;
+        ctx.program_mut().events[e_a.0].action_index = 1;
+        ctx.program_mut().events[e_b.0].action_index = 1;
         ctx.program.validate().unwrap();
         ctx.set_check_mode(crate::check::CheckMode::Off);
         let err = within(5, move || ctx.run_native().unwrap_err());
@@ -1880,7 +1880,7 @@ mod tests {
         ctx.wait_event(s1, e).unwrap();
         ctx.d2h(s1, a).unwrap();
         ctx.run_native().unwrap();
-        ctx.program.events[e.0].action_index = 0;
+        ctx.program_mut().events[e.0].action_index = 0;
         ctx.program.validate().unwrap();
         ctx.set_check_mode(crate::check::CheckMode::Off);
         for err in [ctx.run_native().unwrap_err(), ctx.run_sim().unwrap_err()] {

@@ -27,17 +27,22 @@
 //! each lane, which leaves no tie to break).
 //!
 //! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
-//! ids and names the native recorder stamps its spans with — and
+//! ids the native recorder stamps its spans with — and
 //! [`SimReport::metrics`] prices the finished timeline with the same
 //! `price_run` ([`crate::metrics::instruments`]) the native executor hands
-//! its measured timeline to.
+//! its measured timeline to. Every engine task carries a [`TaskTag`] (its
+//! node's site or barrier join, and a priced retry's attempt), never a
+//! string: one candidate's run allocates per run, not per task, and
+//! [`SimReport::label`] renders a label only when a reader asks.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use micsim::engine::{Engine, ResourceId, TaskId, TaskSpec, Timeline};
+use micsim::engine::{Engine, ResourceId, TaskId, TaskRecord, TaskSpec, Timeline};
 use micsim::time::SimDuration;
 use micsim::trace::{
-    overlap_stats, partition_stats, render_gantt, OverlapStats, PartitionStats, ResourceKinds,
+    chrome_trace, overlap_stats, partition_stats, render_gantt, OverlapStats, PartitionStats,
+    ResourceKinds,
 };
 
 use crate::action::Action;
@@ -46,21 +51,22 @@ use crate::context::Context;
 use crate::fault;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
+use crate::program::Program;
 use crate::sched::{CostModel, Lane, Schedule, TaskGraph};
-use crate::trace::LaneMap;
+use crate::trace::{label, LaneMap, TaskTag};
 use crate::types::{Error, Result};
 
 /// Result of a simulated run.
 #[derive(Debug)]
 pub struct SimReport {
     /// The full task timeline.
-    pub timeline: Timeline,
+    pub timeline: Timeline<TaskTag>,
     /// Resource classification (links vs partitions).
     pub kinds: ResourceKinds,
-    /// Human-readable resource names, for Gantt rendering.
-    pub names: BTreeMap<ResourceId, String>,
-    /// `(devices, link channels, partitions)` of the lanes.
-    geometry: (usize, usize, usize),
+    /// The lanes the timeline's resources are.
+    lanes: LaneMap,
+    /// The program the run priced: it renders the tasks' labels.
+    program: Arc<Program>,
     /// The modelled enqueue overhead inside every priced span.
     overhead: SimDuration,
     /// What the lowering tallied that the timeline cannot hold.
@@ -75,9 +81,19 @@ impl SimReport {
     /// byte-identical JSONL/OpenMetrics text.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let (devices, channels, partitions) = self.geometry;
-        let lanes = LaneMap::new(devices, channels, partitions);
-        price_run(&self.timeline, &lanes, self.overhead, &self.counts)
+        price_run(&self.timeline, &self.lanes, self.overhead, &self.counts)
+    }
+
+    /// The label of `record`, one of this run's ([`label`]): `h2d b3`, a
+    /// kernel's own label, `h2d b3!fail0`, `barrier#1`, ...
+    pub fn label(&self, record: &TaskRecord<TaskTag>) -> String {
+        label(&self.program, record.tag)
+    }
+
+    /// Lane names (`mic0.link0`, `host`, `mic0.p0`, ...) for Gantt and
+    /// Chrome rendering.
+    pub fn names(&self) -> BTreeMap<ResourceId, String> {
+        self.lanes.names()
     }
 
     /// End-to-end simulated time.
@@ -100,13 +116,18 @@ impl SimReport {
 
     /// ASCII Gantt chart of the run, `width` columns wide.
     pub fn gantt(&self, width: usize) -> String {
-        render_gantt(&self.timeline, &self.names, width)
+        render_gantt(&self.timeline, &self.names(), width, |r| self.label(r))
+    }
+
+    /// Chrome trace-event JSON (open at `chrome://tracing` or Perfetto).
+    pub fn chrome_trace(&self) -> String {
+        chrome_trace(&self.timeline, &self.names(), |r| self.label(r))
     }
 
     /// What limited this run: per-label-prefix time along the critical
     /// path (e.g. `gemm: 740 ms, h2d: 12 ms, barrier#: 3 ms`).
     pub fn critical_path_breakdown(&self) -> Vec<(String, SimDuration)> {
-        self.timeline.critical_path_breakdown()
+        self.timeline.critical_path_breakdown(|r| self.label(r))
     }
 }
 
@@ -171,19 +192,26 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
         Walk::Scheduled(schedule, graph) => (schedule.tasks.len(), graph.len(), schedule.steals),
     };
 
-    let mut engine = Engine::new();
     let lanes = LaneMap::for_context(ctx);
-    for id in lanes.names.keys() {
-        let res = engine.add_resource();
-        debug_assert_eq!(res, *id, "engine ids follow the lane layout");
+    // Room for one task per step and every edge (plus a schedule's lane
+    // chain) up front: priced retries are the only tasks beyond that.
+    let edges = match walk {
+        Walk::Recorded(_, edges) => edges.edge_count(),
+        Walk::Scheduled(schedule, graph) => {
+            graph.preds.iter().map(Vec::len).sum::<usize>() + schedule.tasks.len()
+        }
+    };
+    let mut engine = Engine::with_capacity(lanes.count(), steps, edges);
+    for _ in 0..lanes.count() {
+        engine.add_resource();
     }
-    let mut add = |resource: Option<Lane>, duration, deps: &[TaskId], label| -> Result<TaskId> {
+    let mut add = |resource: Option<Lane>, duration, deps: &[TaskId], tag| -> Result<TaskId> {
         engine
             .add_task(TaskSpec {
                 resource: resource.map(|lane| lanes.resource(lane)),
                 duration,
                 deps,
-                label,
+                tag,
             })
             .map_err(|e| Error::Config(format!("lowering bug: {e}")))
     };
@@ -198,7 +226,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
     // done[v]: the task whose finish marks node `v` complete.
     let mut done: Vec<Option<TaskId>> = vec![None; nodes];
     // tail[r]: the latest task a schedule put on resource `r`.
-    let mut tail: Vec<Option<TaskId>> = vec![None; lanes.names.len()];
+    let mut tail: Vec<Option<TaskId>> = vec![None; lanes.count()];
     // The current step's dependencies, refilled for every step.
     let mut deps: Vec<TaskId> = Vec::new();
     for step in 0..steps {
@@ -206,7 +234,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
         let (v, site, placed) = match walk {
             Walk::Recorded(order, edges) => {
                 let v = order[step] as usize;
-                deps.extend(edges.preds[v].iter().filter_map(|&p| done[p as usize]));
+                deps.extend(edges.preds(v).iter().filter_map(|&p| done[p as usize]));
                 // Barrier join nodes follow the action nodes.
                 let site = edges.site_of(v).ok_or_else(|| v - edges.total_actions);
                 (v, site, None)
@@ -229,7 +257,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
         let site = match site {
             Ok(site) => site,
             Err(n) => {
-                done[v] = Some(add(None, barrier_price, &deps, format!("barrier#{n}"))?);
+                done[v] = Some(add(None, barrier_price, &deps, TaskTag::Barrier(n))?);
                 continue;
             }
         };
@@ -251,7 +279,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
                     if !program.event_site_matches(si, ai) {
                         return Err(Error::UnknownEvent(*e));
                     }
-                    Some(add(None, SimDuration::ZERO, &deps, action.label())?)
+                    Some(add(None, SimDuration::ZERO, &deps, TaskTag::Action(site))?)
                 }
                 _ => unreachable!("payload actions occupy a lane"),
             };
@@ -303,32 +331,29 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
         // Price each failed attempt as a full occupation of the link,
         // followed by the retry backoff off-link.
         for attempt in 0..fail_attempts {
-            let label = format!("{}!fail{attempt}", action.label());
-            let failed = add(Some(lane), duration, &deps, label)?;
+            let failed = add(
+                Some(lane),
+                duration,
+                &deps,
+                TaskTag::FailedAttempt { site, attempt },
+            )?;
             let backoff = SimDuration::from_secs_f64(fault::backoff_for(attempt).as_secs_f64());
-            let label = format!("{}!backoff{attempt}", action.label());
-            let waited = add(None, backoff, &[failed], label)?;
+            let waited = add(None, backoff, &[failed], TaskTag::Backoff { site, attempt })?;
             deps.clear();
             deps.push(waited);
         }
-        let task = add(Some(lane), duration, &deps, action.label())?;
+        let task = add(Some(lane), duration, &deps, TaskTag::Action(site))?;
         done[v] = Some(task);
         if placed.is_some() {
             tail[lanes.resource(lane).0] = Some(task);
         }
     }
 
-    let timeline = engine.run();
-    let geometry = (
-        lanes.devices(),
-        ctx.config().link.channels(),
-        lanes.partitions_per_device(),
-    );
     Ok(SimReport {
-        timeline,
-        kinds: lanes.kinds,
-        names: lanes.names,
-        geometry,
+        timeline: engine.run(),
+        kinds: lanes.kinds(),
+        lanes,
+        program: Arc::clone(&ctx.program),
         // Every priced task carries the enqueue overhead inside its span.
         overhead: ctx.config().enqueue_overhead,
         counts: RunCounts {
@@ -502,8 +527,11 @@ mod tests {
         let report = ctx.run_sim().unwrap();
         // The kernel must start after the transfer finishes.
         let recs = &report.timeline.records;
-        let h2d = recs.iter().find(|r| r.label.starts_with("h2d")).unwrap();
-        let k = recs.iter().find(|r| r.label == "consumer").unwrap();
+        let h2d = recs
+            .iter()
+            .find(|r| report.label(r).starts_with("h2d"))
+            .unwrap();
+        let k = recs.iter().find(|r| report.label(r) == "consumer").unwrap();
         assert!(k.start >= h2d.finish);
     }
 
@@ -522,8 +550,11 @@ mod tests {
         ctx.kernel(s0, kernel("after", 1e8).reading([a])).unwrap();
         let report = ctx.run_sim().unwrap();
         let recs = &report.timeline.records;
-        let h2d = recs.iter().find(|r| r.label.starts_with("h2d")).unwrap();
-        let k = recs.iter().find(|r| r.label == "after").unwrap();
+        let h2d = recs
+            .iter()
+            .find(|r| report.label(r).starts_with("h2d"))
+            .unwrap();
+        let k = recs.iter().find(|r| report.label(r) == "after").unwrap();
         assert!(k.start >= h2d.finish);
     }
 
@@ -541,7 +572,7 @@ mod tests {
         let e_a = ctx.record_event(s0).unwrap();
         let e_b = ctx.record_event(s1).unwrap();
         {
-            let program = &mut ctx.program;
+            let program = ctx.program_mut();
             program.streams[0].actions.clear();
             program.streams[1].actions.clear();
             program.streams[0]
@@ -585,7 +616,7 @@ mod tests {
         ctx.barrier();
         let e = ctx.record_event(s1).unwrap();
         ctx.wait_event(s0, e).unwrap();
-        ctx.program.streams[0].actions.swap(0, 1);
+        ctx.program_mut().streams[0].actions.swap(0, 1);
         ctx.program.validate().unwrap();
         for mode in [CheckMode::Off, CheckMode::WarnOnly] {
             ctx.set_check_mode(mode);
@@ -624,10 +655,10 @@ mod tests {
         // The record slides behind a new action; the table still says #1.
         let (mut moved, e) = build();
         let h2d = moved.program.streams[0].actions[0].clone();
-        moved.program.streams[0].actions.insert(1, h2d);
+        moved.program_mut().streams[0].actions.insert(1, h2d);
         // The table points at an action that is not a record at all.
         let (mut dangling, _) = build();
-        dangling.program.events[e.0].action_index = 0;
+        dangling.program_mut().events[e.0].action_index = 0;
 
         for ctx in [&mut moved, &mut dangling] {
             ctx.program.validate().unwrap();

@@ -95,5 +95,5 @@ pub use opt::{Certificate, OptReport, Optimized, StaticCost};
 pub use plan::{enqueue_tiles, FlowMode, TileTask};
 pub use residency::ResidencyTracker;
 pub use sched::{Schedule, SchedulerKind};
-pub use trace::{LaunchHistogram, NativeCounters, NativeTrace};
+pub use trace::{LaunchHistogram, NativeCounters, NativeTrace, TaskTag};
 pub use types::{BufId, Error, EventId, Result, RunFailure, StreamId};

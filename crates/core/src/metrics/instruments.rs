@@ -49,7 +49,7 @@ use micsim::trace::{overlap_stats, partition_stats};
 use super::{Kind, Labels, MetricsSnapshot, Unit};
 use crate::fault::FaultCounters;
 use crate::sched::Lane;
-use crate::trace::LaneMap;
+use crate::trace::{LaneMap, TaskTag};
 
 /// Metric names, in one place so executors, tests, and docs agree.
 pub mod name {
@@ -170,12 +170,13 @@ pub(crate) struct RunCounts {
 /// executors, and counted into `launch_overhead` on top of the span's
 /// `start − ready`.
 pub(crate) fn price_run(
-    timeline: &Timeline,
+    timeline: &Timeline<TaskTag>,
     lanes: &LaneMap,
     overhead: SimDuration,
     counts: &RunCounts,
 ) -> MetricsSnapshot {
     let mut snap = declare_catalog(lanes.devices(), lanes.partitions_per_device());
+    let kinds = lanes.kinds();
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let us = |d: SimDuration| d.as_micros_f64().round() as u64;
     let on_device = |d: usize| Labels::device(d as u16);
@@ -192,7 +193,7 @@ pub(crate) fn price_run(
             link_busy[device] += held;
         }
         // Neither are the sim's failed-attempt link occupations.
-        if rec.label.contains("!fail") {
+        if let TaskTag::FailedAttempt { .. } = rec.tag {
             continue;
         }
         let work = us(held.saturating_sub(overhead));
@@ -230,7 +231,7 @@ pub(crate) fn price_run(
 
     let makespan = timeline.makespan.as_micros_f64();
     snap.gauge_set(name::MAKESPAN_US, Unit::Micros, Labels::GLOBAL, makespan);
-    for stats in partition_stats(timeline, &lanes.kinds) {
+    for stats in partition_stats(timeline, &kinds) {
         if let Some(Lane::Partition { device, partition }) = lanes.classify(stats.resource) {
             let at = on_partition(device, partition);
             snap.gauge_set(
@@ -255,7 +256,7 @@ pub(crate) fn price_run(
             busy.as_micros_f64(),
         );
     }
-    let hidden = overlap_stats(timeline, &lanes.kinds).hidden_fraction();
+    let hidden = overlap_stats(timeline, &kinds).hidden_fraction();
     snap.gauge_set(
         name::HIDDEN_TRANSFER_FRACTION,
         Unit::Ratio,
@@ -302,13 +303,58 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_labelled_like_a_failed_attempt_is_counted() {
+        // Failed attempts are skipped by their tag, not by their text: a
+        // user kernel named `probe!fail0` is a kernel like any other, and
+        // a priced retry of the transfer is still left out.
+        use crate::context::Context;
+        use crate::fault::FaultPlan;
+        use crate::kernel::KernelDesc;
+        use micsim::compute::KernelProfile;
+        use micsim::PlatformConfig;
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(1)
+            .build()
+            .unwrap();
+        let a = ctx.alloc("a", 1 << 10);
+        let s = ctx.stream(0).unwrap();
+        ctx.h2d(s, a).unwrap();
+        let profile = KernelProfile::streaming("probe", 1e9);
+        ctx.kernel(
+            s,
+            KernelDesc::simulated("probe!fail0", profile, 1e6).reading([a]),
+        )
+        .unwrap();
+        ctx.set_fault_plan(Some(FaultPlan::seeded(1).fail_transfer_at(0, 0)));
+        let report = ctx.run_sim().unwrap();
+        assert!(report
+            .timeline
+            .records
+            .iter()
+            .any(|r| report.label(r) == "h2d b0!fail0"));
+        let snap = report.metrics();
+        let count = |n, labels| snap.histogram(n, labels).map_or(0, |h| h.count);
+        let p0 = Labels::partition(0, 0);
+        assert_eq!(count(name::KERNEL_TIME_US, p0), 1);
+        assert_eq!(count(name::LAUNCH_OVERHEAD_US, p0), 1);
+        assert_eq!(count(name::TRANSFER_TIME_US, Labels::device(0)), 1);
+        assert_eq!(snap.counter(name::TRANSFER_RETRIES, Labels::GLOBAL), 1);
+    }
+
+    #[test]
     fn price_run_gauges_are_timeline_quantities() {
         use micsim::engine::TaskRecord;
         use micsim::time::SimTime;
         let lanes = LaneMap::new(1, 1, 2);
-        let span = |lane, ready_ns: u64, start_ns: u64, finish_ns: u64, label: &str| TaskRecord {
+        use crate::check::Site;
+        let span = |lane, ready_ns: u64, start_ns: u64, finish_ns: u64, action| TaskRecord {
             ready: SimTime(ready_ns),
-            ..TaskRecord::measured(Some(lane), SimTime(start_ns), SimTime(finish_ns), label)
+            ..TaskRecord::measured(
+                Some(lane),
+                SimTime(start_ns),
+                SimTime(finish_ns),
+                TaskTag::Action(Site::new(0, action)),
+            )
         };
         // Two kernels in parallel on p0 [0, 600) and p1 [0.3, 400) us, then a
         // transfer on the link over [500, 1000) us that waited 2 us for it.
@@ -316,9 +362,9 @@ mod tests {
         // makespan: summing the parallel partitions would call every link
         // microsecond hidden; the timeline says only [500, 600) was.
         let timeline = Timeline::from_records(vec![
-            span(lanes.kernel(false, 0, 0), 0, 0, 600_000, "k0"),
-            span(lanes.kernel(false, 0, 1), 0, 300, 400_000, "k1"),
-            span(lanes.link(0, 0), 498_000, 500_000, 1_000_000, "h2d b0"),
+            span(lanes.kernel(false, 0, 0), 0, 0, 600_000, 0),
+            span(lanes.kernel(false, 0, 1), 0, 300, 400_000, 1),
+            span(lanes.link(0, 0), 498_000, 500_000, 1_000_000, 2),
         ]);
         let counts = RunCounts {
             bytes_per_device: vec![4096],

@@ -101,7 +101,7 @@ pub fn static_cost(program: &Program, model: &CostModel) -> Option<StaticCost> {
     let mut finish = vec![SimDuration::ZERO; edges.nodes];
     for &v in order {
         let v = v as usize;
-        let ready = edges.preds[v].iter().map(|&p| finish[p as usize]).max();
+        let ready = edges.preds(v).iter().map(|&p| finish[p as usize]).max();
         finish[v] = ready.unwrap_or_default() + weight[v];
     }
     let critical_path = finish.iter().copied().max().unwrap_or_default();

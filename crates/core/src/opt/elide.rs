@@ -448,7 +448,8 @@ fn find_redundant_wait(p: &Program) -> Option<(usize, usize)> {
 /// predecessor list removes exactly that one edge.
 fn reaches_without_direct_edge(edges: &HbEdges, vr: usize, vw: usize) -> bool {
     let mut seen = vec![false; edges.nodes];
-    let mut stack: Vec<usize> = edges.preds[vw]
+    let mut stack: Vec<usize> = edges
+        .preds(vw)
         .iter()
         .map(|&x| x as usize)
         .filter(|&x| x != vr)
@@ -459,7 +460,7 @@ fn reaches_without_direct_edge(edges: &HbEdges, vr: usize, vw: usize) -> bool {
         }
         if !seen[v] {
             seen[v] = true;
-            stack.extend(edges.preds[v].iter().map(|&x| x as usize));
+            stack.extend(edges.preds(v).iter().map(|&x| x as usize));
         }
     }
     false

@@ -180,7 +180,7 @@ mod tests {
             .timeline
             .records
             .iter()
-            .filter(|r| r.label.starts_with("h2d"))
+            .filter(|r| report.label(r).starts_with("h2d"))
             .count();
         assert_eq!(transfers, 2, "original + mirror");
     }

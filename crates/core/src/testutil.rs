@@ -29,6 +29,7 @@ use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::Elem;
+use crate::check::{Accesses, Site, Space};
 use crate::kernel::{KernelCtx, KernelDesc};
 use crate::program::{EventSite, Program, StreamPlacement, StreamRecord};
 use crate::types::{BufId, EventId, StreamId};
@@ -55,6 +56,31 @@ pub fn fnv64(s: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+// ---------------------------------------------------------------------------
+// The checker's access table
+// ---------------------------------------------------------------------------
+
+/// One row of the checker's access table: `(buffer, space, site, write,
+/// transfer)`, the space `None` for the host copy and `Some(d)` for device
+/// `d`'s instance.
+pub type AccessRow = (BufId, Option<usize>, Site, bool, bool);
+
+/// The access table the static checker builds for `program`, in table
+/// order: grouped by `(buffer, space)`, host before devices, program order
+/// inside each group.
+pub fn access_table(program: &Program) -> Vec<AccessRow> {
+    Accesses::collect(program)
+        .iter()
+        .map(|a| {
+            let space = match a.space {
+                Space::Host => None,
+                Space::Device(d) => Some(d),
+            };
+            (a.buf, space, a.site, a.write, a.transfer)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

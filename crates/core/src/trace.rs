@@ -23,12 +23,14 @@
 //!   through a thread-local sink the driver installs around the run (see
 //!   `record_pool_job`).
 //!
-//! A span carries the [`Site`] of its action (or a pool job's part count
-//! and group width),
-//! never a string: labels are rendered once, at join. Lanes come from
+//! A span carries a [`TaskTag`] — the [`Site`] of its action, or a pool
+//! job's part count and group width — never a string, and so does every
+//! record of the joined timeline: [`label`] renders a tag on demand, the
+//! one rendering the simulator's timelines go through too. Lanes come from
 //! `LaneMap`, which the sim executor builds its engine resources from too
 //! — per-device link channels, the host, per-device partitions — so a
-//! native and a simulated timeline of the same program classify one-to-one.
+//! native and a simulated timeline of the same program classify one-to-one;
+//! a lane's name is derived from the run's geometry when a chart asks.
 //!
 //! The recorder exists when either of `NativeConfig::{trace, metrics}` is
 //! set (they only select which outputs a report carries); otherwise the
@@ -56,18 +58,17 @@ use crate::sched::Lane;
 
 // ----- lanes ----------------------------------------------------------------
 
-/// The resource ids, names and classification of a run's lanes — the one
-/// place they are laid out, for both executors: every device's link
-/// channels first, then the host, then every device's partitions. The sim
-/// executor registers its engine resources from `names` in id order; the
-/// recorder stamps spans with the same ids.
-#[derive(Clone, Debug)]
+/// The resource ids and classification of a run's lanes — the one place
+/// they are laid out, for both executors: every device's link channels
+/// first, then the host, then every device's partitions. The sim executor
+/// registers its engine resources in id order; the recorder stamps spans
+/// with the same ids. A lane's id, kind and name all follow from the run's
+/// `(devices, channels, partitions)`, so the map holds nothing else.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct LaneMap {
-    links: Vec<Vec<ResourceId>>,
-    pub(crate) host: ResourceId,
-    partitions: Vec<Vec<ResourceId>>,
-    pub(crate) names: BTreeMap<ResourceId, String>,
-    pub(crate) kinds: ResourceKinds,
+    devices: usize,
+    channels: usize,
+    partitions: usize,
 }
 
 impl LaneMap {
@@ -81,119 +82,161 @@ impl LaneMap {
     }
 
     pub(crate) fn new(devices: usize, channels: usize, partitions: usize) -> LaneMap {
-        let mut next = 0usize;
-        let mut fresh = |name: String, names: &mut BTreeMap<ResourceId, String>| {
-            let id = ResourceId(next);
-            next += 1;
-            names.insert(id, name);
-            id
-        };
-        let mut names = BTreeMap::new();
-        let mut kinds = ResourceKinds::default();
-        let mut links = Vec::with_capacity(devices);
-        for d in 0..devices {
-            let mut chans = Vec::with_capacity(channels);
-            for c in 0..channels {
-                let r = fresh(format!("mic{d}.link{c}"), &mut names);
-                kinds.links.push(r);
-                chans.push(r);
-            }
-            links.push(chans);
-        }
-        let host = fresh("host".to_string(), &mut names);
-        kinds.partitions.push(host);
-        let mut parts = Vec::with_capacity(devices);
-        for d in 0..devices {
-            let mut res = Vec::with_capacity(partitions);
-            for p in 0..partitions {
-                let r = fresh(format!("mic{d}.p{p}"), &mut names);
-                kinds.partitions.push(r);
-                res.push(r);
-            }
-            parts.push(res);
-        }
         LaneMap {
-            links,
-            host,
-            partitions: parts,
-            names,
-            kinds,
+            devices,
+            channels,
+            partitions,
         }
     }
 
     pub(crate) fn devices(&self) -> usize {
-        self.links.len()
+        self.devices
     }
 
     pub(crate) fn partitions_per_device(&self) -> usize {
-        self.partitions.first().map_or(0, Vec::len)
+        self.partitions
+    }
+
+    /// The host's lane, right after every device's link channels.
+    pub(crate) fn host(&self) -> ResourceId {
+        ResourceId(self.devices * self.channels)
+    }
+
+    /// Lanes in the layout (ids `0..count`).
+    pub(crate) fn count(&self) -> usize {
+        self.host().0 + 1 + self.devices * self.partitions
     }
 
     /// The resource of a [cost-model](crate::sched::CostModel) lane.
     pub(crate) fn resource(&self, lane: Lane) -> ResourceId {
         match lane {
             Lane::Link { device, channel } => self.link(device, channel),
-            Lane::Host => self.host,
-            Lane::Partition { device, partition } => self.partitions[device][partition],
+            Lane::Host => self.host(),
+            Lane::Partition { device, partition } => {
+                ResourceId(self.host().0 + 1 + device * self.partitions + partition)
+            }
         }
     }
 
     pub(crate) fn link(&self, device: usize, channel: usize) -> ResourceId {
-        self.links[device][channel]
+        ResourceId(device * self.channels + channel)
     }
 
     /// The lane a kernel occupies: the host's, or its partition's.
     pub(crate) fn kernel(&self, host: bool, device: usize, partition: usize) -> ResourceId {
-        if host {
-            self.host
+        self.resource(if host {
+            Lane::Host
         } else {
-            self.partitions[device][partition]
-        }
+            Lane::Partition { device, partition }
+        })
     }
 
     /// Which lane `res` is (`None` for an id this map did not lay out).
     pub(crate) fn classify(&self, res: ResourceId) -> Option<Lane> {
-        if res.0 < self.host.0 {
-            let channels = self.links[0].len();
+        let host = self.host();
+        if res.0 < host.0 {
             return Some(Lane::Link {
-                device: res.0 / channels,
-                channel: res.0 % channels,
+                device: res.0 / self.channels,
+                channel: res.0 % self.channels,
             });
         }
-        if res == self.host {
+        if res == host {
             return Some(Lane::Host);
         }
-        let parts = self.partitions_per_device();
-        let idx = res.0 - self.host.0 - 1;
-        (idx < self.devices() * parts).then(|| Lane::Partition {
-            device: idx / parts,
-            partition: idx % parts,
+        let idx = res.0 - host.0 - 1;
+        (idx < self.devices * self.partitions).then(|| Lane::Partition {
+            device: idx / self.partitions,
+            partition: idx % self.partitions,
         })
+    }
+
+    /// Links vs compute lanes (the host counts as a compute lane).
+    pub(crate) fn kinds(&self) -> ResourceKinds {
+        let host = self.host().0;
+        ResourceKinds {
+            links: (0..host).map(ResourceId).collect(),
+            partitions: (host..self.count()).map(ResourceId).collect(),
+        }
+    }
+
+    /// The name of lane `res` (one this map laid out): `mic{d}.link{c}`,
+    /// `host` or `mic{d}.p{p}`.
+    pub(crate) fn name(&self, res: ResourceId) -> String {
+        match self.classify(res).expect("a lane of this layout") {
+            Lane::Link { device, channel } => format!("mic{device}.link{channel}"),
+            Lane::Host => "host".to_string(),
+            Lane::Partition { device, partition } => format!("mic{device}.p{partition}"),
+        }
+    }
+
+    /// Every lane's name, for Gantt and Chrome rendering.
+    pub(crate) fn names(&self) -> BTreeMap<ResourceId, String> {
+        (0..self.count())
+            .map(|i| (ResourceId(i), self.name(ResourceId(i))))
+            .collect()
+    }
+}
+
+// ----- task tags ------------------------------------------------------------
+
+/// What a task on a run's timeline is — the tag both executors stamp on
+/// every engine task and measured span. A tag names the program node the
+/// task stands for (the action at a [`Site`], or a barrier's join) and, for
+/// the simulator's priced transfer retries, the attempt; it is rendered
+/// into text only when a reader asks, by [`label`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum TaskTag {
+    /// The action at this site (for a retried transfer, its last attempt).
+    Action(Site),
+    /// A failed attempt of the transfer at `site`, holding its link for a
+    /// full transfer time (simulated runs).
+    FailedAttempt {
+        /// The transfer.
+        site: Site,
+        /// Which attempt failed, from 0.
+        attempt: u32,
+    },
+    /// The off-link backoff after failed attempt `attempt` of the transfer
+    /// at `site` (simulated runs).
+    Backoff {
+        /// The transfer.
+        site: Site,
+        /// The failed attempt it follows.
+        attempt: u32,
+    },
+    /// The join of barrier `n`: every stream arrived.
+    Barrier(usize),
+    /// A chunked pool job of `parts` parts on a worker group `width`
+    /// threads wide (native runs).
+    PoolJob {
+        /// Chunk parts submitted.
+        parts: usize,
+        /// Threads in the group that ran them.
+        width: usize,
+    },
+}
+
+/// The label of a task tagged `tag` in a run of `program` — the one
+/// rendering both executors' timelines go through: the action's own label
+/// (`h2d b3`, the kernel's label, `record e0`, `wait e0`, `barrier#2`), a
+/// transfer attempt's `h2d b3!fail0` / `h2d b3!backoff0`, a barrier join's
+/// `barrier#2` and a pool job's `pool(8)`.
+pub fn label(program: &Program, tag: TaskTag) -> String {
+    let action = |site: Site| &program.streams[site.stream.0].actions[site.action_index];
+    match tag {
+        TaskTag::Action(site) => action(site).label(),
+        TaskTag::FailedAttempt { site, attempt } => {
+            format!("{}!fail{attempt}", action(site).label())
+        }
+        TaskTag::Backoff { site, attempt } => {
+            format!("{}!backoff{attempt}", action(site).label())
+        }
+        TaskTag::Barrier(n) => format!("barrier#{n}"),
+        TaskTag::PoolJob { parts, .. } => format!("pool({parts})"),
     }
 }
 
 // ----- spans ----------------------------------------------------------------
-
-/// What a span measured. Rendered into the timeline's label once, at join.
-#[derive(Clone, Copy, Debug)]
-enum SpanKind {
-    /// The program action at this site.
-    Action(Site),
-    /// A chunked pool job of `parts` parts on a worker group `width`
-    /// threads wide.
-    PoolJob { parts: usize, width: usize },
-}
-
-impl SpanKind {
-    fn label(self, program: &Program) -> String {
-        match self {
-            SpanKind::Action(site) => {
-                program.streams[site.stream.0].actions[site.action_index].label()
-            }
-            SpanKind::PoolJob { parts, .. } => format!("pool({parts})"),
-        }
-    }
-}
 
 /// One measured interval on a lane (`None` = pure control, rendered on the
 /// synthetic row of the Chrome trace, ignored by overlap stats). `ready` is
@@ -204,7 +247,7 @@ impl SpanKind {
 #[derive(Clone, Copy, Debug)]
 struct Span {
     lane: Option<ResourceId>,
-    what: SpanKind,
+    what: TaskTag,
     ready: Instant,
     start: Instant,
     end: Instant,
@@ -287,24 +330,37 @@ pub struct NativeCounters {
 
 // ----- the public trace -----------------------------------------------------
 
-/// A native run's recorded timeline plus the classification and names the
-/// analysis tools need — the native analogue of
-/// [`SimReport`](crate::executor::sim::SimReport).
+/// A native run's recorded timeline plus the classification the analysis
+/// tools need — the native analogue of
+/// [`SimReport`](crate::executor::sim::SimReport). Its tasks are tagged, not
+/// named: [`NativeTrace::label`] renders a record's label from the program
+/// the run executed.
 #[derive(Clone, Debug)]
 pub struct NativeTrace {
     /// Measured spans as engine task records (wall-clock nanoseconds since
     /// run start).
-    pub timeline: Timeline,
+    pub timeline: Timeline<TaskTag>,
     /// Which lanes are links vs partitions (the host counts as a
     /// partition, as in the sim executor).
     pub kinds: ResourceKinds,
-    /// Lane names for Gantt/Chrome rendering.
-    pub names: BTreeMap<ResourceId, String>,
     /// Derived counters (launch overhead, queue wait, link busy).
     pub counters: NativeCounters,
+    lanes: LaneMap,
+    program: Arc<Program>,
 }
 
 impl NativeTrace {
+    /// The label of `record`, one of this trace's ([`label`]).
+    pub fn label(&self, record: &TaskRecord<TaskTag>) -> String {
+        label(&self.program, record.tag)
+    }
+
+    /// Lane names (`mic0.link0`, `host`, `mic0.p0`, ...) for Gantt and
+    /// Chrome rendering.
+    pub fn names(&self) -> BTreeMap<ResourceId, String> {
+        self.lanes.names()
+    }
+
     /// Temporal-sharing statistics: link busy, compute busy, overlap.
     pub fn overlap(&self) -> OverlapStats {
         overlap_stats(&self.timeline, &self.kinds)
@@ -321,12 +377,12 @@ impl NativeTrace {
 
     /// ASCII Gantt chart of the run, `width` columns wide.
     pub fn gantt(&self, width: usize) -> String {
-        render_gantt(&self.timeline, &self.names, width)
+        render_gantt(&self.timeline, &self.names(), width, |r| self.label(r))
     }
 
     /// Chrome trace-event JSON (open at `chrome://tracing` or Perfetto).
     pub fn chrome_trace(&self) -> String {
-        chrome_trace(&self.timeline, &self.names)
+        chrome_trace(&self.timeline, &self.names(), |r| self.label(r))
     }
 }
 
@@ -343,22 +399,25 @@ pub(crate) struct Recorder {
     streams: Vec<SpanBuf>,
 }
 
-/// A joined run: the measured timeline, the lanes it is laid out on, and the
-/// counters derived from its spans. Metrics are priced from it; the public
-/// [`NativeTrace`] is it without the geometry.
+/// A joined run: the measured timeline, the lanes it is laid out on, the
+/// program it ran and the counters derived from its spans. Metrics are
+/// priced from it; the public [`NativeTrace`] is it with the lanes
+/// classified.
 pub(crate) struct Recording {
     pub(crate) lanes: LaneMap,
-    pub(crate) timeline: Timeline,
+    pub(crate) timeline: Timeline<TaskTag>,
     counters: NativeCounters,
+    program: Arc<Program>,
 }
 
 impl Recording {
     pub(crate) fn into_trace(self) -> NativeTrace {
         NativeTrace {
             timeline: self.timeline,
-            kinds: self.lanes.kinds,
-            names: self.lanes.names,
+            kinds: self.lanes.kinds(),
             counters: self.counters,
+            lanes: self.lanes,
+            program: self.program,
         }
     }
 }
@@ -394,7 +453,7 @@ impl Recorder {
     ) {
         self.streams[stream].lock().push(Span {
             lane,
-            what: SpanKind::Action(site),
+            what: TaskTag::Action(site),
             ready,
             start,
             end,
@@ -409,20 +468,20 @@ impl Recorder {
         }
     }
 
-    /// Merge every buffer into a [`Recording`], rendering each span's label
-    /// from `program` (the one the run executed) and carrying the run's
-    /// `steals` and `faults`. Safe to call after the drivers joined
+    /// Merge every buffer into a [`Recording`] of `program` (the one the run
+    /// executed, which renders the spans' labels on demand), carrying the
+    /// run's `steals` and `faults`. Safe to call after the drivers joined
     /// (success or panic); spans are pushed per-action, so a partial run
     /// drains whatever completed before the failure.
     pub(crate) fn join(
         self,
-        program: &Program,
+        program: &Arc<Program>,
         steals: u64,
         faults: crate::fault::FaultCounters,
     ) -> Recording {
         let at = |t: Instant| SimTime::from_wall(t.saturating_duration_since(self.epoch));
         let spans = self.streams.iter().map(|buf| buf.lock().len()).sum();
-        let mut records: Vec<TaskRecord> = Vec::with_capacity(spans);
+        let mut records: Vec<TaskRecord<TaskTag>> = Vec::with_capacity(spans);
         let mut launch = LaunchHistogram::default();
         let mut queue_wait = Vec::with_capacity(self.streams.len());
         let (mut pool_jobs, mut pool_queue_depth_hwm) = (0, 0);
@@ -437,28 +496,21 @@ impl Recorder {
                     }
                     None => {}
                 }
-                if let SpanKind::PoolJob { parts, width } = span.what {
+                if let TaskTag::PoolJob { parts, width } = span.what {
                     pool_jobs += 1;
                     pool_queue_depth_hwm = pool_queue_depth_hwm.max(parts.saturating_sub(width));
                 }
                 records.push(TaskRecord {
                     ready: at(span.ready),
-                    ..TaskRecord::measured(
-                        span.lane,
-                        at(span.start),
-                        at(span.end),
-                        span.what.label(program),
-                    )
+                    ..TaskRecord::measured(span.lane, at(span.start), at(span.end), span.what)
                 });
             }
             queue_wait.push(waited);
         }
         let timeline = Timeline::from_records(records);
         let makespan = timeline.makespan;
-        let copy_busy_fraction = self
-            .lanes
-            .kinds
-            .links
+        let links = self.lanes.kinds().links;
+        let copy_busy_fraction = links
             .iter()
             .map(|&lane| {
                 // Stamped inside the lane lock: a lane's spans never overlap.
@@ -473,14 +525,14 @@ impl Recorder {
                 } else {
                     busy.nanos() as f64 / makespan.nanos() as f64
                 };
-                (self.lanes.names[&lane].clone(), frac)
+                (self.lanes.name(lane), frac)
             })
             .collect();
         let counters = NativeCounters {
             launch_overhead: launch,
             queue_wait,
             copy_busy_fraction,
-            copy_queue_depth_hwm: most_waiting(&timeline, &self.lanes.kinds.links),
+            copy_queue_depth_hwm: most_waiting(&timeline, &links),
             pool_queue_depth_hwm,
             pool_jobs,
             faults,
@@ -490,6 +542,7 @@ impl Recorder {
             lanes: self.lanes,
             timeline,
             counters,
+            program: Arc::clone(program),
         }
     }
 }
@@ -497,9 +550,10 @@ impl Recorder {
 /// The most transfers queued for a lane in `links` at one instant: records
 /// whose wait `[ready, start)` contains it. A transfer granted at the
 /// instant another is submitted has left the queue.
-fn most_waiting(timeline: &Timeline, links: &[ResourceId]) -> usize {
-    let waited =
-        |r: &&TaskRecord| r.start > r.ready && r.resource.is_some_and(|res| links.contains(&res));
+fn most_waiting<T>(timeline: &Timeline<T>, links: &[ResourceId]) -> usize {
+    let waited = |r: &&TaskRecord<T>| {
+        r.start > r.ready && r.resource.is_some_and(|res| links.contains(&res))
+    };
     let waits = || timeline.records.iter().filter(waited);
     let mut submitted = Vec::with_capacity(waits().count());
     submitted.extend(waits().map(|r| r.ready));
@@ -562,7 +616,7 @@ pub(crate) fn record_pool_job(start: Instant, parts: usize, width: usize) {
         if let Some(sink) = s.borrow().as_ref() {
             sink.spans.lock().push(Span {
                 lane: None,
-                what: SpanKind::PoolJob { parts, width },
+                what: TaskTag::PoolJob { parts, width },
                 ready: start,
                 start,
                 end,
@@ -579,17 +633,21 @@ mod tests {
     fn lane_map_mirrors_sim_layout() {
         // 2 devices, 1 channel, 3 partitions: links first, host, partitions.
         let lanes = LaneMap::new(2, 1, 3);
-        assert_eq!(lanes.links[0][0], ResourceId(0));
-        assert_eq!(lanes.links[1][0], ResourceId(1));
-        assert_eq!(lanes.host, ResourceId(2));
-        assert_eq!(lanes.partitions[0][0], ResourceId(3));
-        assert_eq!(lanes.partitions[1][2], ResourceId(8));
-        assert_eq!(lanes.names[&ResourceId(0)], "mic0.link0");
-        assert_eq!(lanes.names[&ResourceId(2)], "host");
-        assert_eq!(lanes.names[&ResourceId(8)], "mic1.p2");
-        assert_eq!(lanes.kinds.links.len(), 2);
+        assert_eq!(lanes.link(0, 0), ResourceId(0));
+        assert_eq!(lanes.link(1, 0), ResourceId(1));
+        assert_eq!(lanes.host(), ResourceId(2));
+        assert_eq!(lanes.kernel(false, 0, 0), ResourceId(3));
+        assert_eq!(lanes.kernel(false, 1, 2), ResourceId(8));
+        assert_eq!(lanes.count(), 9);
+        let names = lanes.names();
+        assert_eq!(names.len(), 9);
+        assert_eq!(names[&ResourceId(0)], "mic0.link0");
+        assert_eq!(names[&ResourceId(2)], "host");
+        assert_eq!(names[&ResourceId(8)], "mic1.p2");
+        let kinds = lanes.kinds();
+        assert_eq!(kinds.links.len(), 2);
         // Host + 6 partitions.
-        assert_eq!(lanes.kinds.partitions.len(), 7);
+        assert_eq!(kinds.partitions.len(), 7);
     }
 
     #[test]
@@ -607,7 +665,7 @@ mod tests {
                 partition: 2
             })
         );
-        assert_eq!(lanes.classify(ResourceId(lanes.names.len())), None);
+        assert_eq!(lanes.classify(ResourceId(lanes.count())), None);
     }
 
     #[test]
@@ -631,7 +689,7 @@ mod tests {
         let hwm = |waits: &[(ResourceId, u64, u64)]| {
             let records = waits.iter().map(|&(lane, ready, start)| TaskRecord {
                 ready: SimTime(ready),
-                ..TaskRecord::measured(Some(lane), SimTime(start), SimTime(start + 1), "x")
+                ..TaskRecord::measured(Some(lane), SimTime(start), SimTime(start + 1), ())
             });
             most_waiting(&Timeline::from_records(records.collect()), &[link])
         };

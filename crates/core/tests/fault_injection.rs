@@ -518,11 +518,11 @@ fn persistent_runtime_is_clean_after_a_panicked_run() {
         "no threads respawned after the panic"
     );
     let trace = report.trace.expect("traced run");
-    let labels: Vec<&str> = trace
+    let labels: Vec<String> = trace
         .timeline
         .records
         .iter()
-        .map(|r| r.label.as_str())
+        .map(|r| trace.label(r))
         .collect();
     assert!(
         !labels.iter().any(|l| l.contains("boom")),

@@ -105,7 +105,7 @@ fn traced_run_yields_analyzable_timeline() {
         assert!(r.finish >= r.start);
         assert!(r.finish.since(micsim::time::SimTime::ZERO) <= trace.timeline.makespan);
         if let Some(res) = r.resource {
-            assert!(trace.names.contains_key(&res), "unnamed lane {res:?}");
+            assert!(trace.names().contains_key(&res), "unnamed lane {res:?}");
         }
     }
 
@@ -246,21 +246,24 @@ fn link_lane_serves_transfers_in_submission_order() {
         assert!(
             pair[0].ready <= pair[1].ready,
             "`{}` (queued {:?}) was served before `{}` (queued {:?})",
-            pair[0].label,
+            trace.label(pair[0]),
             pair[0].ready,
-            pair[1].label,
+            trace.label(pair[1]),
             pair[1].ready
         );
         assert!(
             pair[0].finish <= pair[1].start,
             "`{}` and `{}` held the lane together",
-            pair[0].label,
-            pair[1].label
+            trace.label(pair[0]),
+            trace.label(pair[1])
         );
     }
     // Labels are `h2d b<id>`; even ids are stream 0's, odd ids stream 1's.
     let stream_of = |label: &str| label[5..].parse::<usize>().unwrap() % 2;
-    let first_four: Vec<usize> = lane[..4].iter().map(|r| stream_of(&r.label)).collect();
+    let first_four: Vec<usize> = lane[..4]
+        .iter()
+        .map(|r| stream_of(&trace.label(r)))
+        .collect();
     assert!(
         first_four.contains(&0) && first_four.contains(&1),
         "one stream monopolised the lane: {first_four:?}"
@@ -413,11 +416,11 @@ fn panicking_kernel_still_yields_partial_trace() {
             hstreams::Error::PartitionLost { .. }
         ));
         let trace = failed.trace.expect("partial trace on the error path");
-        let labels: Vec<&str> = trace
+        let labels: Vec<String> = trace
             .timeline
             .records
             .iter()
-            .map(|r| r.label.as_str())
+            .map(|r| trace.label(r))
             .collect();
         // The failing kernel's span is recorded too — the Gantt names the
         // culprit. Skipped work after the panic is absent.
@@ -463,7 +466,7 @@ fn pool_jobs_are_counted_when_kernels_chunk_work() {
             .timeline
             .records
             .iter()
-            .any(|r| r.resource.is_none() && r.label.starts_with("pool(")),
+            .any(|r| r.resource.is_none() && trace.label(r).starts_with("pool(")),
         "pool span missing"
     );
 }
@@ -478,8 +481,12 @@ fn traced_run_labels_kernel_and_transfer_spans() {
         .unwrap();
     let report = ctx.run_native_with(&traced_cfg()).unwrap();
     let trace = report.trace.unwrap();
-    assert!(trace.timeline.records.iter().any(|r| r.label == "k"));
-    assert!(trace.timeline.records.iter().any(|r| r.label == "h2d b0"));
+    assert!(trace.timeline.records.iter().any(|r| trace.label(r) == "k"));
+    assert!(trace
+        .timeline
+        .records
+        .iter()
+        .any(|r| trace.label(r) == "h2d b0"));
 }
 
 /// The paper's Fig. 10 regime: `tiles` tiles of 64 elements over two
@@ -609,7 +616,7 @@ fn wait_event_span_covers_its_wait() {
         .timeline
         .records
         .iter()
-        .find(|r| r.label.starts_with("wait "))
+        .find(|r| trace.label(r).starts_with("wait "))
         .expect("the wait is recorded");
     assert_eq!(wait.resource, None, "a wait holds no lane");
     let waited = (wait.finish - wait.start).nanos();
@@ -633,7 +640,7 @@ fn barrier_spans_ns(after: bool) -> Vec<u64> {
         .timeline
         .records
         .iter()
-        .filter(|r| r.label == "barrier#0")
+        .filter(|r| trace.label(r) == "barrier#0")
         .map(|r| {
             assert_eq!(r.resource, None, "a barrier holds no lane");
             (r.finish - r.start).nanos()

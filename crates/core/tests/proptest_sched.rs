@@ -130,8 +130,8 @@ proptest! {
             prop_assert_eq!(records.len(), schedule.tasks.len(), "{}: control survived", kind);
             let mut at: HashMap<Site, usize> = HashMap::new();
             for (i, (task, record)) in schedule.tasks.iter().zip(records).enumerate() {
-                prop_assert_eq!(&record.label, &action(task.site).label());
-                prop_assert!(record.resource.is_some(), "{kind}: {} holds nothing", record.label);
+                prop_assert_eq!(report.label(record), action(task.site).label());
+                prop_assert!(record.resource.is_some(), "{kind}: {} holds nothing", report.label(record));
                 at.insert(task.site, i);
             }
 
@@ -145,7 +145,7 @@ proptest! {
                         prop_assert!(
                             ra.finish <= rb.start,
                             "{kind}: {} ({}) must finish before {} ({}) starts",
-                            a.site, ra.label, b.site, rb.label
+                            a.site, report.label(ra), b.site, report.label(rb)
                         );
                     }
                 }
@@ -159,7 +159,7 @@ proptest! {
                     prop_assert!(
                         prev.finish <= record.start,
                         "{kind}: {} overlaps {} on {}",
-                        record.label, prev.label, task.lane
+                        report.label(record), report.label(prev), task.lane
                     );
                 }
             }

@@ -22,8 +22,13 @@
 //! [`Engine::run`] turns that array into one offsets-plus-list dependents
 //! table (CSR) with a counting pass. Each task's dependents keep creation
 //! order, which is the order a finishing task releases them in.
-
-use std::collections::VecDeque;
+//!
+//! Tasks are unnamed, like resources: each carries a caller-defined `Copy`
+//! tag the engine copies into its record untouched, and naming a task (for
+//! a trace, a chart, a report) is the caller's business. Nothing in a run
+//! allocates per task: the task and edge tables are sized up front, the
+//! event heap holds at most one entry per task, and a resource's waiting
+//! tasks form a FIFO threaded through the task table.
 
 use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -37,8 +42,8 @@ pub struct ResourceId(pub usize);
 pub struct TaskId(pub usize);
 
 /// A task to simulate.
-#[derive(Clone, Debug)]
-pub struct TaskSpec<'a> {
+#[derive(Clone, Copy, Debug)]
+pub struct TaskSpec<'a, T> {
     /// Resource the task occupies; `None` for zero-footprint control tasks
     /// (events, barriers) that only propagate dependencies.
     pub resource: Option<ResourceId>,
@@ -48,13 +53,13 @@ pub struct TaskSpec<'a> {
     /// engine copies the edges out in [`Engine::add_task`]). A task listed
     /// twice counts twice and is released by its one finish.
     pub deps: &'a [TaskId],
-    /// Free-form label used in traces ("h2d tile 3", "gemm(2,4)", ...).
-    pub label: String,
+    /// The caller's name for the task, copied into its record.
+    pub tag: T,
 }
 
 /// Completion record for one task.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskRecord {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TaskRecord<T> {
     /// The task this record describes.
     pub task: TaskId,
     /// Resource it ran on, if any.
@@ -65,8 +70,8 @@ pub struct TaskRecord {
     pub start: SimTime,
     /// When it finished.
     pub finish: SimTime,
-    /// Label copied from the spec.
-    pub label: String,
+    /// Tag copied from the spec.
+    pub tag: T,
     /// The task whose completion gated this one's start — either its
     /// last-finishing dependency or the task that freed its resource —
     /// `None` if it started unimpeded at t = 0.
@@ -74,15 +79,24 @@ pub struct TaskRecord {
 }
 
 /// The completed simulation: per-task records plus the makespan.
-#[derive(Clone, Debug, Default)]
-pub struct Timeline {
+#[derive(Clone, Debug)]
+pub struct Timeline<T> {
     /// One record per task, indexed by `TaskId.0`.
-    pub records: Vec<TaskRecord>,
+    pub records: Vec<TaskRecord<T>>,
     /// Completion time of the last task.
     pub makespan: SimDuration,
 }
 
-impl TaskRecord {
+impl<T> Default for Timeline<T> {
+    fn default() -> Self {
+        Timeline {
+            records: Vec::new(),
+            makespan: SimDuration::ZERO,
+        }
+    }
+}
+
+impl<T> TaskRecord<T> {
     /// A record sourced from an external **measurement** (e.g. a wall-clock
     /// span stamped by the native executor) rather than simulation: `ready`
     /// coincides with `start` and there is no gating predecessor — measured
@@ -92,23 +106,23 @@ impl TaskRecord {
         resource: Option<ResourceId>,
         start: SimTime,
         finish: SimTime,
-        label: impl Into<String>,
-    ) -> TaskRecord {
+        tag: T,
+    ) -> TaskRecord<T> {
         TaskRecord {
             task: TaskId(0),
             resource,
             ready: start,
             start,
             finish,
-            label: label.into(),
+            tag,
             critical_pred: None,
         }
     }
 }
 
-impl Timeline {
+impl<T> Timeline<T> {
     /// Record for `task`.
-    pub fn record(&self, task: TaskId) -> &TaskRecord {
+    pub fn record(&self, task: TaskId) -> &TaskRecord<T> {
         &self.records[task.0]
     }
 
@@ -118,7 +132,7 @@ impl Timeline {
     /// `record(TaskId)` indexing holds; `critical_pred` is cleared because
     /// renumbering invalidates the original ids and measured records have
     /// none. The makespan is the latest finish.
-    pub fn from_records(mut records: Vec<TaskRecord>) -> Timeline {
+    pub fn from_records(mut records: Vec<TaskRecord<T>>) -> Timeline<T> {
         records.sort_by_key(|r| (r.start, r.finish));
         for (i, r) in records.iter_mut().enumerate() {
             r.task = TaskId(i);
@@ -174,13 +188,23 @@ impl Timeline {
     }
 
     /// Aggregate time on the critical path per label prefix (text before
-    /// the first `(` or space): a quick answer to "what limits this run?".
-    pub fn critical_path_breakdown(&self) -> Vec<(String, SimDuration)> {
+    /// the first `(` or space), each task named by `label`: a quick answer
+    /// to "what limits this run?".
+    pub fn critical_path_breakdown<L: AsRef<str>>(
+        &self,
+        label: impl Fn(&TaskRecord<T>) -> L,
+    ) -> Vec<(String, SimDuration)> {
         let mut agg: std::collections::BTreeMap<String, SimDuration> =
             std::collections::BTreeMap::new();
         for id in self.critical_path() {
             let r = &self.records[id.0];
-            let key = r.label.split(['(', ' ']).next().unwrap_or("?").to_string();
+            let name = label(r);
+            let key = name
+                .as_ref()
+                .split(['(', ' '])
+                .next()
+                .unwrap_or("?")
+                .to_string();
             *agg.entry(key).or_default() += r.finish - r.start;
         }
         let mut out: Vec<_> = agg.into_iter().collect();
@@ -231,22 +255,28 @@ enum Event {
     TaskFinished(TaskId),
 }
 
-struct TaskState {
+struct TaskState<T> {
     resource: Option<ResourceId>,
     duration: SimDuration,
-    label: String,
+    tag: T,
     unmet_deps: usize,
     ready: Option<SimTime>,
     start: Option<SimTime>,
     finish: Option<SimTime>,
     ready_setter: Option<TaskId>,
     resource_freer: Option<TaskId>,
+    /// The task queued behind this one for the same resource.
+    next_waiting: Option<TaskId>,
 }
 
+/// A resource's state: whether a task holds it, and the FIFO of tasks
+/// waiting for it in `(ready time, task id)` order — a list threaded
+/// through [`TaskState::next_waiting`], first to last.
+#[derive(Clone, Copy, Default)]
 struct ResourceState {
     busy: bool,
-    // FIFO of tasks waiting for this resource, in (ready_time, task_id) order.
-    waiting: VecDeque<TaskId>,
+    first_waiting: Option<TaskId>,
+    last_waiting: Option<TaskId>,
 }
 
 /// Every task's dependents in one offsets-plus-list array: task `t`'s are
@@ -287,27 +317,33 @@ impl Dependents {
     }
 }
 
-/// Builder + runner for one simulation.
-pub struct Engine {
-    tasks: Vec<TaskState>,
+/// Builder + runner for one simulation, over tasks tagged with `T`.
+pub struct Engine<T> {
+    tasks: Vec<TaskState<T>>,
     /// `(dependency, dependent)` edges, in the order tasks were added.
     edges: Vec<(TaskId, TaskId)>,
     resources: Vec<ResourceState>,
 }
 
-impl Default for Engine {
+impl<T: Copy> Default for Engine<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Engine {
+impl<T: Copy> Engine<T> {
     /// Fresh empty engine.
-    pub fn new() -> Engine {
+    pub fn new() -> Engine<T> {
+        Engine::with_capacity(0, 0, 0)
+    }
+
+    /// Fresh empty engine with room for `resources`, `tasks` and `edges`
+    /// (dependency entries) before any table grows.
+    pub fn with_capacity(resources: usize, tasks: usize, edges: usize) -> Engine<T> {
         Engine {
-            tasks: Vec::new(),
-            edges: Vec::new(),
-            resources: Vec::new(),
+            tasks: Vec::with_capacity(tasks),
+            edges: Vec::with_capacity(edges),
+            resources: Vec::with_capacity(resources),
         }
     }
 
@@ -316,10 +352,7 @@ impl Engine {
     /// Gantt chart's row labels).
     pub fn add_resource(&mut self) -> ResourceId {
         let id = ResourceId(self.resources.len());
-        self.resources.push(ResourceState {
-            busy: false,
-            waiting: VecDeque::new(),
-        });
+        self.resources.push(ResourceState::default());
         id
     }
 
@@ -335,7 +368,7 @@ impl Engine {
 
     /// Add a task. Dependencies must reference earlier tasks (see
     /// [`EngineError::UnknownDependency`]).
-    pub fn add_task(&mut self, spec: TaskSpec<'_>) -> Result<TaskId, EngineError> {
+    pub fn add_task(&mut self, spec: TaskSpec<'_, T>) -> Result<TaskId, EngineError> {
         let id = TaskId(self.tasks.len());
         if let Some(res) = spec.resource {
             if res.0 >= self.resources.len() {
@@ -352,21 +385,23 @@ impl Engine {
         self.tasks.push(TaskState {
             resource: spec.resource,
             duration: spec.duration,
-            label: spec.label,
+            tag: spec.tag,
             unmet_deps: spec.deps.len(),
             ready: None,
             start: None,
             finish: None,
             ready_setter: None,
             resource_freer: None,
+            next_waiting: None,
         });
         Ok(id)
     }
 
     /// Run the simulation to completion and consume the engine.
-    pub fn run(mut self) -> Timeline {
+    pub fn run(mut self) -> Timeline<T> {
         let dependents = Dependents::build(self.tasks.len(), &self.edges);
-        let mut queue: EventQueue<Event> = EventQueue::new();
+        // Each task finishes once: the heap never outgrows the task count.
+        let mut queue: EventQueue<Event> = EventQueue::with_capacity(self.tasks.len());
 
         // Seed: every task with no dependencies is ready at t=0, in id
         // order so FIFO arbitration matches creation (enqueue) order.
@@ -409,7 +444,7 @@ impl Engine {
                     ready: t.ready.unwrap_or(SimTime::ZERO),
                     start: t.start.unwrap_or(SimTime::ZERO),
                     finish: t.finish.unwrap_or(SimTime::ZERO),
-                    label: t.label,
+                    tag: t.tag,
                     critical_pred,
                 }
             })
@@ -424,10 +459,14 @@ impl Engine {
         match self.tasks[id.0].resource {
             None => self.start_task(id, now, queue),
             Some(res) => {
-                if self.resources[res.0].busy {
-                    self.resources[res.0].waiting.push_back(id);
+                let state = &mut self.resources[res.0];
+                if state.busy {
+                    match state.last_waiting.replace(id) {
+                        Some(last) => self.tasks[last.0].next_waiting = Some(id),
+                        None => state.first_waiting = Some(id),
+                    }
                 } else {
-                    self.resources[res.0].busy = true;
+                    state.busy = true;
                     self.start_task(id, now, queue);
                 }
             }
@@ -453,8 +492,12 @@ impl Engine {
         // Free the resource and hand it to the longest-waiting ready task.
         if let Some(res) = self.tasks[id.0].resource {
             let state = &mut self.resources[res.0];
-            if let Some(next) = state.waiting.pop_front() {
+            if let Some(next) = state.first_waiting {
                 // Resource stays busy; next task starts immediately.
+                state.first_waiting = self.tasks[next.0].next_waiting;
+                if state.first_waiting.is_none() {
+                    state.last_waiting = None;
+                }
                 self.tasks[next.0].resource_freer = Some(id);
                 self.start_task(next, now, queue);
             } else {
@@ -482,13 +525,13 @@ mod tests {
         resource: Option<ResourceId>,
         us: u64,
         deps: &'a [TaskId],
-        label: &str,
-    ) -> TaskSpec<'a> {
+        tag: &'static str,
+    ) -> TaskSpec<'a, &'static str> {
         TaskSpec {
             resource,
             duration: SimDuration::from_micros(us),
             deps,
-            label: label.into(),
+            tag,
         }
     }
 
@@ -523,7 +566,7 @@ mod tests {
         let r = e.add_resource();
         let ids: Vec<_> = (0..4)
             .map(|i| {
-                e.add_task(task(Some(r), 10, &[], &format!("t{i}")))
+                e.add_task(task(Some(r), 10, &[], ["t0", "t1", "t2", "t3"][i]))
                     .unwrap()
             })
             .collect();
@@ -578,7 +621,7 @@ mod tests {
                 resource: None,
                 duration: SimDuration::ZERO,
                 deps: &[a, b],
-                label: "barrier".into(),
+                tag: "barrier",
             })
             .unwrap();
         let c = e.add_task(task(Some(r), 10, &[bar], "c")).unwrap();
@@ -671,7 +714,7 @@ mod tests {
         ];
         let tl = Timeline::from_records(recs);
         assert_eq!(tl.makespan, SimDuration(90));
-        let labels: Vec<&str> = tl.records.iter().map(|r| r.label.as_str()).collect();
+        let labels: Vec<&str> = tl.records.iter().map(|r| r.tag).collect();
         assert_eq!(labels, vec!["early", "mid", "late"]);
         for (i, r) in tl.records.iter().enumerate() {
             assert_eq!(r.task, TaskId(i));
@@ -680,12 +723,12 @@ mod tests {
         }
         // The analysis helpers work on measured records unchanged.
         assert_eq!(tl.resource_busy(ResourceId(0)), SimDuration(65));
-        assert!(Timeline::from_records(Vec::new()).records.is_empty());
+        assert!(Timeline::<()>::from_records(Vec::new()).records.is_empty());
     }
 
     #[test]
     fn empty_engine_runs_to_zero_makespan() {
-        let tl = Engine::new().run();
+        let tl = Engine::<()>::new().run();
         assert_eq!(tl.makespan, SimDuration::ZERO);
         assert!(tl.records.is_empty());
     }
@@ -711,13 +754,13 @@ mod critical_path_tests {
         resource: Option<ResourceId>,
         us: u64,
         deps: &'a [TaskId],
-        label: &str,
-    ) -> TaskSpec<'a> {
+        tag: &'static str,
+    ) -> TaskSpec<'a, &'static str> {
         TaskSpec {
             resource,
             duration: SimDuration::from_micros(us),
             deps,
-            label: label.into(),
+            tag,
         }
     }
 
@@ -766,14 +809,10 @@ mod critical_path_tests {
         let link = e.add_resource();
         let part = e.add_resource();
         let mut last = None;
-        for i in 0..6 {
+        for _ in 0..6 {
             let deps: Vec<TaskId> = last.into_iter().collect();
-            let h = e
-                .add_task(task(Some(link), 7, &deps, &format!("h{i}")))
-                .unwrap();
-            let k = e
-                .add_task(task(Some(part), 13, &[h], &format!("k{i}")))
-                .unwrap();
+            let h = e.add_task(task(Some(link), 7, &deps, "h")).unwrap();
+            let k = e.add_task(task(Some(part), 13, &[h], "k")).unwrap();
             last = Some(k);
         }
         let tl = e.run();
@@ -796,7 +835,7 @@ mod critical_path_tests {
         let b = e.add_task(task(Some(r), 30, &[a], "gemm(0,0)")).unwrap();
         let _c = e.add_task(task(Some(r), 20, &[b], "gemm(0,1)")).unwrap();
         let tl = e.run();
-        let breakdown = tl.critical_path_breakdown();
+        let breakdown = tl.critical_path_breakdown(|r| r.tag);
         assert_eq!(breakdown[0].0, "gemm");
         assert_eq!(breakdown[0].1, SimDuration::from_micros(50));
         assert_eq!(breakdown[1].0, "h2d");
@@ -804,8 +843,8 @@ mod critical_path_tests {
 
     #[test]
     fn empty_timeline_has_empty_path() {
-        let tl = Engine::new().run();
+        let tl = Engine::<()>::new().run();
         assert!(tl.critical_path().is_empty());
-        assert!(tl.critical_path_breakdown().is_empty());
+        assert!(tl.critical_path_breakdown(|_| "").is_empty());
     }
 }

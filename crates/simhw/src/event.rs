@@ -60,8 +60,14 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Create an empty queue at time zero.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Create an empty queue at time zero with room for `capacity` pending
+    /// events before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
         }

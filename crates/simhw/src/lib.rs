@@ -36,13 +36,13 @@
 //!     resource: Some(link),
 //!     duration: SimDuration::from_micros(100),
 //!     deps: &[],
-//!     label: "h2d".into(),
+//!     tag: "h2d",
 //! }).unwrap();
 //! engine.add_task(TaskSpec {
 //!     resource: Some(part),
 //!     duration: SimDuration::from_micros(250),
 //!     deps: &[h2d],
-//!     label: "kernel".into(),
+//!     tag: "kernel",
 //! }).unwrap();
 //! let timeline = engine.run();
 //! assert_eq!(timeline.makespan, SimDuration::from_micros(350));

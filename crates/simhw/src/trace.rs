@@ -4,11 +4,13 @@
 //! link's busy time hides under kernel execution. This module computes that
 //! from an engine [`Timeline`] given a classification of resources into
 //! link channels and compute partitions, and renders per-resource Gantt
-//! charts for the examples.
+//! charts for the examples. The renderers name each task through a
+//! caller-supplied function of its record: the engine's tasks carry only
+//! the caller's tag.
 
 use std::collections::BTreeMap;
 
-use crate::engine::{ResourceId, Timeline};
+use crate::engine::{ResourceId, TaskRecord, Timeline};
 use crate::time::{SimDuration, SimTime};
 
 /// Classification of the resources in a timeline.
@@ -97,7 +99,7 @@ pub fn intersect(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
     out
 }
 
-fn busy_intervals(timeline: &Timeline, resources: &[ResourceId]) -> Vec<Interval> {
+fn busy_intervals<T>(timeline: &Timeline<T>, resources: &[ResourceId]) -> Vec<Interval> {
     // Membership by resource id: one lookup per record.
     let mut member = vec![false; resources.iter().map(|r| r.0 + 1).max().unwrap_or(0)];
     for r in resources {
@@ -144,7 +146,7 @@ pub struct PartitionStats {
 /// Per-partition busy/idle breakdown of `timeline` for every partition in
 /// `kinds`, in `kinds.partitions` order. Partitions with no recorded work
 /// report `busy = 0`, `idle_fraction = 1.0` — the starvation signature.
-pub fn partition_stats(timeline: &Timeline, kinds: &ResourceKinds) -> Vec<PartitionStats> {
+pub fn partition_stats<T>(timeline: &Timeline<T>, kinds: &ResourceKinds) -> Vec<PartitionStats> {
     let makespan = timeline.makespan;
     kinds
         .partitions
@@ -185,7 +187,7 @@ pub fn partition_stats(timeline: &Timeline, kinds: &ResourceKinds) -> Vec<Partit
 }
 
 /// Compute overlap statistics for `timeline` under `kinds`.
-pub fn overlap_stats(timeline: &Timeline, kinds: &ResourceKinds) -> OverlapStats {
+pub fn overlap_stats<T>(timeline: &Timeline<T>, kinds: &ResourceKinds) -> OverlapStats {
     let link = busy_intervals(timeline, &kinds.links);
     let compute = busy_intervals(timeline, &kinds.partitions);
     let both = intersect(&link, &compute);
@@ -198,11 +200,13 @@ pub fn overlap_stats(timeline: &Timeline, kinds: &ResourceKinds) -> OverlapStats
 }
 
 /// Render an ASCII Gantt chart of the timeline, one row per resource,
-/// `width` characters across the makespan.
-pub fn render_gantt(
-    timeline: &Timeline,
+/// `width` characters across the makespan; a task's cells show the first
+/// character of its `label`.
+pub fn render_gantt<T, L: AsRef<str>>(
+    timeline: &Timeline<T>,
     names: &BTreeMap<ResourceId, String>,
     width: usize,
+    label: impl Fn(&TaskRecord<T>) -> L,
 ) -> String {
     let width = width.max(10);
     let span = timeline.makespan.nanos().max(1);
@@ -216,7 +220,7 @@ pub fn render_gantt(
         let a = (rec.start.nanos() as u128 * width as u128 / span as u128) as usize;
         let b = (rec.finish.nanos() as u128 * width as u128 / span as u128) as usize;
         let b = b.clamp(a + 1, width);
-        let glyph = rec.label.chars().next().unwrap_or('#');
+        let glyph = label(rec).as_ref().chars().next().unwrap_or('#');
         for cell in row.iter_mut().take(b).skip(a) {
             *cell = glyph;
         }
@@ -284,21 +288,21 @@ mod tests {
                 resource: None,
                 duration: SimDuration(5),
                 deps: &[],
-                label: "gate".into(),
+                tag: "gate",
             })
             .unwrap();
         e.add_task(TaskSpec {
             resource: Some(link),
             duration: SimDuration(10),
             deps: &[],
-            label: "h2d".into(),
+            tag: "h2d",
         })
         .unwrap();
         e.add_task(TaskSpec {
             resource: Some(part),
             duration: SimDuration(10),
             deps: &[gate],
-            label: "exe".into(),
+            tag: "exe",
         })
         .unwrap();
         let tl = e.run();
@@ -328,7 +332,7 @@ mod tests {
                 resource: Some(p0),
                 duration: SimDuration(10),
                 deps: &[],
-                label: "a".into(),
+                tag: "a",
             })
             .unwrap();
         let gate = e
@@ -336,14 +340,14 @@ mod tests {
                 resource: None,
                 duration: SimDuration(5),
                 deps: &[first],
-                label: "gap".into(),
+                tag: "gap",
             })
             .unwrap();
         e.add_task(TaskSpec {
             resource: Some(p0),
             duration: SimDuration(5),
             deps: &[gate],
-            label: "b".into(),
+            tag: "b",
         })
         .unwrap();
         let tl = e.run();
@@ -384,13 +388,13 @@ mod tests {
             resource: Some(link),
             duration: SimDuration::from_micros(10),
             deps: &[],
-            label: "h2d".into(),
+            tag: "h2d",
         })
         .unwrap();
         let tl = e.run();
         let mut names = BTreeMap::new();
         names.insert(link, "link".to_string());
-        let chart = render_gantt(&tl, &names, 40);
+        let chart = render_gantt(&tl, &names, 40, |r| r.tag);
         assert!(chart.contains("link |"));
         assert!(chart.contains('h'), "glyph from label: {chart}");
     }
@@ -398,8 +402,13 @@ mod tests {
 
 /// Export a timeline as a Chrome trace-event JSON string (load it at
 /// `chrome://tracing` or in Perfetto). One row ("thread") per resource;
-/// control tasks (no resource) land on a synthetic row `-1`.
-pub fn chrome_trace(timeline: &Timeline, names: &BTreeMap<ResourceId, String>) -> String {
+/// control tasks (no resource) land on a synthetic row `-1`. Each task is
+/// named by `label`.
+pub fn chrome_trace<T, L: AsRef<str>>(
+    timeline: &Timeline<T>,
+    names: &BTreeMap<ResourceId, String>,
+    label: impl Fn(&TaskRecord<T>) -> L,
+) -> String {
     fn escape(s: &str) -> String {
         s.chars()
             .flat_map(|c| match c {
@@ -428,7 +437,7 @@ pub fn chrome_trace(timeline: &Timeline, names: &BTreeMap<ResourceId, String>) -
         first = false;
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-            escape(&rec.label),
+            escape(label(rec).as_ref()),
             tid,
             rec.start.as_micros_f64(),
             rec.finish.since(rec.start).as_micros_f64(),
@@ -451,20 +460,20 @@ mod chrome_tests {
             resource: Some(link),
             duration: SimDuration::from_micros(10),
             deps: &[],
-            label: "h2d \"quoted\"".into(),
+            tag: "h2d \"quoted\"",
         })
         .unwrap();
         e.add_task(TaskSpec {
             resource: None,
             duration: SimDuration::ZERO,
             deps: &[],
-            label: "event".into(),
+            tag: "event",
         })
         .unwrap();
         let tl = e.run();
         let mut names = BTreeMap::new();
         names.insert(link, "link".to_string());
-        let json = chrome_trace(&tl, &names);
+        let json = chrome_trace(&tl, &names, |r| r.tag);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""));

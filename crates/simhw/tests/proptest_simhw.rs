@@ -56,7 +56,7 @@ proptest! {
                     resource,
                     duration: SimDuration::from_nanos(*dur),
                     deps: &deps,
-                    label: format!("t{i}"),
+                    tag: i,
                 })
                 .unwrap();
             durations.push(*dur);
@@ -99,7 +99,7 @@ proptest! {
                     resource,
                     duration: SimDuration::from_nanos(*dur),
                     deps: &deps,
-                    label: format!("t{i}"),
+                    tag: i,
                 })
                 .unwrap();
         }
@@ -131,7 +131,7 @@ proptest! {
                     resource: Some(r),
                     duration: SimDuration::from_nanos(*d),
                     deps: &[],
-                    label: format!("t{i}"),
+                    tag: i,
                 })
                 .unwrap();
         }

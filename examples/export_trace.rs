@@ -9,7 +9,6 @@
 
 use hstreams::{Context, NativeConfig};
 use mic_apps::cholesky::{build, fill_inputs, CfConfig};
-use micsim::trace::chrome_trace;
 use micsim::PlatformConfig;
 
 fn main() -> hstreams::Result<()> {
@@ -27,7 +26,7 @@ fn main() -> hstreams::Result<()> {
     build(&mut ctx, &cfg)?;
     let report = ctx.run_sim()?;
 
-    let json = chrome_trace(&report.timeline, &report.names);
+    let json = report.chrome_trace();
     let file = path.join("cholesky_trace.json");
     std::fs::write(&file, &json).expect("write trace");
 

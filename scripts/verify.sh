@@ -55,13 +55,17 @@ for pat in 'transfer_time(' 'kernel_time(' 'host_equivalents'; do
 done
 
 echo "==> one lowering (the simulator builds one engine, in one loop; no schedule is re-recorded as a program)"
-for pat in 'Engine::new(' 'LaneMap::for_context('; do
+for pat in 'Engine::with_capacity(' 'LaneMap::for_context('; do
   hits=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -cF "$pat" || true)
   if [ "$hits" -ne 1 ]; then
     echo "  '$pat' occurs $hits times in non-test executor/sim.rs (want exactly 1)"
     exit 1
   fi
 done
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -nF 'Engine::new('; then
+  echo "  a second engine in non-test executor/sim.rs (the lowering sizes its one engine up front)"
+  exit 1
+fi
 if grep -rn 'materialize' crates/core/src | grep -v 'ensure_materialized'; then
   echo "  'materialize' is back under crates/core/src (only Buffer::ensure_materialized may say it)"
   exit 1
@@ -81,7 +85,7 @@ for pat in 'fn drive_stream' 'fn dispatch_driver' 'GraphDispatch' 'EventFlag' 'B
   fi
 done
 
-echo "==> one access table (accesses are sorted once into one table; the engine keeps its edges flat)"
+echo "==> one access table (accesses are counting-sorted once into one table; the engine keeps its edges flat)"
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
   echo "  'HashMap' is back in non-test check/races.rs (accesses live in one sorted table)"
   exit 1
@@ -89,18 +93,28 @@ fi
 sorts=$(for f in crates/core/src/check/*.rs crates/core/src/sched/graph.rs; do
           sed '/#\[cfg(test)\]/,$d' "$f" | { grep -F 'sort_by_key' || true; } | sed "s|^|$f: |"
         done)
-if [ "$(grep -c . <<<"$sorts")" -ne 1 ] || ! grep -q '^crates/core/src/check/races.rs: ' <<<"$sorts"; then
-  echo "  access groups are sorted outside Accesses::collect (want the one sort_by_key in check/races.rs):"
+if [ -n "$sorts" ]; then
+  echo "  access groups are comparison-sorted again (Accesses::collect counting-sorts the one table):"
   echo "$sorts"
   exit 1
 fi
 engine=$(sed '/#\[cfg(test)\]/,$d' crates/simhw/src/engine.rs)
-for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]'; do
+for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]' 'VecDeque' 'label: String'; do
   if grep -nF "$pat" <<<"$engine"; then
-    echo "  '$pat' is back in non-test micsim engine.rs (dependents are one CSR array built at run)"
+    echo "  '$pat' is back in non-test micsim engine.rs (dependents are one CSR array built at run; waiting FIFOs are threaded through the task table; tasks carry a Copy tag)"
     exit 1
   fi
 done
+
+echo "==> one edge layout (happens-before edges are CSR; tasks are tagged, lanes derived from geometry)"
+if grep -rnF 'Vec<Vec<u32>>' crates/core/src/check/; then
+  echo "  'Vec<Vec<u32>>' is back under crates/core/src/check/ (HbEdges keeps preds/succs as offsets plus one list)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nE 'BTreeMap<ResourceId, String>' | grep -v 'fn names'; then
+  echo "  non-test trace.rs stores lane names again (LaneMap derives a name from the geometry when asked)"
+  exit 1
+fi
 
 echo "==> one fault policy (a fault never switches the loss policy or the scheduler; recovery re-plans, it builds no program)"
 if grep -rn 'isolate_partitions' crates; then

@@ -24,8 +24,8 @@ use mic_streams::apps::tunable::{
 };
 use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::metrics::Labels;
-use mic_streams::hstreams::{MetricsSnapshot, NativeConfig};
-use mic_streams::micsim::engine::{ResourceId, Timeline};
+use mic_streams::hstreams::{MetricsSnapshot, NativeConfig, TaskTag};
+use mic_streams::micsim::engine::{ResourceId, TaskRecord, Timeline};
 use mic_streams::micsim::time::SimDuration;
 use mic_streams::micsim::trace::{overlap_stats, partition_stats, ResourceKinds};
 use mic_streams::micsim::PlatformConfig;
@@ -161,7 +161,7 @@ fn lane_coords(name: &str, kind: &str) -> Option<(u16, u16)> {
 fn assert_gauges_are_timeline_quantities(
     who: &str,
     snap: &MetricsSnapshot,
-    timeline: &Timeline,
+    timeline: &Timeline<TaskTag>,
     kinds: &ResourceKinds,
     names: &BTreeMap<ResourceId, String>,
 ) {
@@ -211,8 +211,13 @@ fn assert_gauges_are_timeline_quantities(
     }
 }
 
-/// The sorted, deduplicated labels of every record on a compute lane.
-fn kernel_labels(timeline: &Timeline, kinds: &ResourceKinds) -> Vec<String> {
+/// The sorted, deduplicated labels (rendered by `label`) of every record on
+/// a compute lane.
+fn kernel_labels(
+    timeline: &Timeline<TaskTag>,
+    kinds: &ResourceKinds,
+    label: impl Fn(&TaskRecord<TaskTag>) -> String,
+) -> Vec<String> {
     let mut labels: Vec<String> = timeline
         .records
         .iter()
@@ -220,7 +225,7 @@ fn kernel_labels(timeline: &Timeline, kinds: &ResourceKinds) -> Vec<String> {
             r.resource
                 .is_some_and(|res| kinds.partitions.contains(&res))
         })
-        .map(|r| r.label.clone())
+        .map(label)
         .collect();
     labels.sort();
     labels.dedup();
@@ -237,7 +242,7 @@ fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
             &sim.metrics(),
             &sim.timeline,
             &sim.kinds,
-            &sim.names,
+            &sim.names(),
         );
         let native = ctx
             .run_native_with(&NativeConfig {
@@ -251,13 +256,13 @@ fn every_gauge_equals_its_timeline_quantity_on_both_executors() {
             native.metrics.as_ref().expect("native metrics requested"),
             &trace.timeline,
             &trace.kinds,
-            &trace.names,
+            &trace.names(),
         );
-        let sim_kernels = kernel_labels(&sim.timeline, &sim.kinds);
+        let sim_kernels = kernel_labels(&sim.timeline, &sim.kinds, |r| sim.label(r));
         assert!(!sim_kernels.is_empty(), "{}: no kernel records", app.name());
         assert_eq!(
             sim_kernels,
-            kernel_labels(&trace.timeline, &trace.kinds),
+            kernel_labels(&trace.timeline, &trace.kinds, |r| trace.label(r)),
             "{}: sim and native timelines disagree on the kernel set",
             app.name()
         );

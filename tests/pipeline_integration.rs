@@ -194,9 +194,9 @@ fn sim_and_native_agree_on_program_semantics() {
         sim.timeline
             .records
             .iter()
-            .find(|r| r.label == name)
+            .find(|r| sim.label(r) == name)
+            .copied()
             .unwrap()
-            .clone()
     };
     assert!(rec("sum").start >= rec("fill").finish);
     assert!(rec("sum").start >= rec("double").finish);

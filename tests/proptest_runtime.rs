@@ -140,11 +140,11 @@ proptest! {
         let recs = &report.timeline.records;
         let barrier_finish = recs
             .iter()
-            .find(|r| r.label.starts_with("barrier"))
+            .find(|r| report.label(r).starts_with("barrier"))
             .unwrap()
             .finish;
         for r in recs {
-            if r.label.starts_with("h2d") {
+            if report.label(r).starts_with("h2d") {
                 if r.task.0 < pre + p {
                     // pre-barrier transfers (first `pre` tasks)
                     if r.task.0 < pre {

@@ -17,7 +17,7 @@ use mic_streams::apps::tunable::{
 };
 use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::kernel::KernelDesc;
-use mic_streams::hstreams::SchedulerKind;
+use mic_streams::hstreams::{SchedulerKind, TaskTag};
 use mic_streams::micsim::compute::KernelProfile;
 use mic_streams::micsim::engine::TaskRecord;
 use mic_streams::micsim::PlatformConfig;
@@ -58,7 +58,7 @@ fn recorded_ctx(app: &mut dyn Tunable, tiles: usize) -> Context {
     ctx
 }
 
-fn sim_records(ctx: &Context) -> Vec<TaskRecord> {
+fn sim_records(ctx: &Context) -> Vec<TaskRecord<TaskTag>> {
     ctx.run_sim().unwrap().timeline.records.clone()
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Every cell below is the FNV-1a fingerprint of one whole simulated
 //! timeline — `label, resource, ready, start, finish, critical_pred` of
-//! every [`TaskRecord`], in task-id order — so it pins the simulator's
+//! every [`TaskRecord`], in task-id order, each label rendered from the
+//! record's tag by [`SimReport::label`] — so it pins the simulator's
 //! lowering (which tasks exist, in which creation order, with which
 //! dependencies and resources), its prices and the engine's arbitration at
 //! once. The `fifo` and faulted constants were computed at commit f5ba4ea
@@ -40,7 +41,7 @@ use mic_streams::hstreams::action::Action;
 use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::kernel::KernelDesc;
 use mic_streams::hstreams::testutil::fnv64;
-use mic_streams::hstreams::{FaultPlan, SchedulerKind, SimReport};
+use mic_streams::hstreams::{FaultPlan, SchedulerKind, SimReport, TaskTag};
 use mic_streams::micsim::compute::KernelProfile;
 use mic_streams::micsim::engine::TaskRecord;
 use mic_streams::micsim::time::SimDuration;
@@ -53,7 +54,7 @@ fn fingerprint(report: &SimReport) -> u64 {
         writeln!(
             text,
             "{}|{:?}|{}|{}|{}|{:?}",
-            r.label,
+            report.label(r),
             r.resource.map(|res| res.0),
             r.ready.0,
             r.start.0,
@@ -76,7 +77,10 @@ fn payload_fingerprint(report: &SimReport) -> u64 {
             let res = r.resource?;
             Some(format!(
                 "{}|{}|{}|{}\n",
-                r.label, res.0, r.start.0, r.finish.0
+                report.label(r),
+                res.0,
+                r.start.0,
+                r.finish.0
             ))
         })
         .collect();
@@ -153,27 +157,29 @@ fn assert_slow_partition_stretches_what_it_runs(
     clean: &SimReport,
     faulted: &SimReport,
 ) {
-    fn kernels(report: &SimReport) -> Vec<&TaskRecord> {
+    /// Each kernel record with its label.
+    fn kernels(report: &SimReport) -> Vec<(String, &TaskRecord<TaskTag>)> {
         let partitions = &report.kinds.partitions;
         let records = report.timeline.records.iter();
         records
             .filter(|r| r.resource.is_some_and(|id| partitions.contains(&id)))
+            .map(|r| (report.label(r), r))
             .collect()
     }
     let p1 = faulted
-        .names
-        .iter()
-        .find(|(_, n)| *n == "mic0.p1")
-        .map(|(id, _)| *id);
+        .names()
+        .into_iter()
+        .find(|(_, n)| n == "mic0.p1")
+        .map(|(id, _)| id);
     let (clean, faulted) = (kernels(clean), kernels(faulted));
     assert_eq!(clean.len(), faulted.len());
     let overhead = ctx.config().enqueue_overhead;
     let mut moved_onto_p1 = 0;
-    for f in faulted {
-        let mut same = clean.iter().filter(|c| c.label == f.label);
-        let c = same.next().expect("the kernel ran in the clean run");
+    for (label, f) in faulted {
+        let mut same = clean.iter().filter(|(l, _)| *l == label);
+        let (_, c) = same.next().expect("the kernel ran in the clean run");
         assert!(same.next().is_none(), "kernel labels are unique");
-        assert_eq!(c.resource, f.resource, "{}: placed alike", f.label);
+        assert_eq!(c.resource, f.resource, "{label}: placed alike");
         let healthy = c.finish - c.start;
         let want = if f.resource == p1 {
             let body = (healthy - overhead).as_secs_f64();
@@ -181,9 +187,9 @@ fn assert_slow_partition_stretches_what_it_runs(
         } else {
             healthy
         };
-        assert_eq!(f.finish - f.start, want, "{}", f.label);
+        assert_eq!(f.finish - f.start, want, "{label}");
         let recorded_on = ctx.program().streams.iter().find(|s| {
-            let kernel = |a: &Action| matches!(a, Action::Kernel(k) if k.label == f.label);
+            let kernel = |a: &Action| matches!(a, Action::Kernel(k) if k.label == label);
             s.actions.iter().any(kernel)
         });
         let home = recorded_on.map(|s| s.placement.partition);
@@ -247,7 +253,7 @@ fn actual() -> Vec<Cell> {
                 .timeline
                 .records
                 .iter()
-                .any(|r| r.label.contains("!backoff")),
+                .any(|r| report.label(r).contains("!backoff")),
             "the plan must price at least one retry"
         );
         out.push(Cell::new("mm@p4t16/faulted".into(), &report, false));

@@ -10,7 +10,7 @@
 //!
 //! The edges are kept flat, one CSR table per direction (offsets plus one
 //! list; each node's predecessors and successors in the order the edges
-//! were derived), filled by enumerating the program's edges twice — count,
+//! were derived), filled from the program's edges in two passes — count,
 //! then place — so a graph costs a handful of allocations, not two per
 //! node, and every reader takes a node's edges as a slice.
 //!
@@ -25,9 +25,9 @@
 //! This is the only place a program's ordering is derived. [`HbGraph`]
 //! keeps the graph and its order for everything downstream: the race and
 //! dataflow checks, the witness scheduler, the static cost analysis
-//! ([`crate::opt::static_cost`]), the schedulers' task graph and the
-//! simulator's lowering ([`crate::executor::sim`]) — one engine task per
-//! node, created in exactly this order.
+//! ([`crate::opt::static_cost`]), the schedulers' task graph (its order,
+//! on its nodes) and the simulator's lowering ([`crate::executor::sim`]) —
+//! one engine task per node, created in exactly this order.
 
 use crate::action::Action;
 use crate::program::Program;
@@ -40,9 +40,9 @@ use super::diagnostics::Site;
 /// only [`crate::opt`]'s elision pass builds bare edge lists of its own,
 /// for the trial programs it probes.
 ///
-/// Both directions are stored flat ([`Csr`]): a program's edges are
-/// enumerated twice, once to count every node's degrees and once to fill
-/// the lists, so a graph costs a handful of allocations whatever its size.
+/// Both directions are stored flat ([`Csr::pair`]): a program's edges are
+/// collected once, then counted and placed, so a graph costs a handful of
+/// allocations whatever its size.
 pub(crate) struct HbEdges {
     /// First node id of each stream's action run (last entry = total
     /// action count).
@@ -59,14 +59,36 @@ pub(crate) struct HbEdges {
 
 /// One list per node, flat: node `v`'s entries are
 /// `list[offsets[v]..offsets[v + 1]]`, in the order they were added.
-/// Built in two passes over the same entries: [`Csr::count`] each, then
-/// [`Csr::allot`], [`Csr::push`] each in order, then [`Csr::seal`].
-struct Csr {
+/// [`Csr::pair`] builds both directions of an edge list in two passes:
+/// [`Csr::count`] each edge, [`Csr::allot`], [`Csr::push`] each in order,
+/// [`Csr::seal`]. The schedulers' [`TaskGraph`](crate::sched::TaskGraph)
+/// is kept this way too.
+#[derive(Default)]
+pub(crate) struct Csr {
     offsets: Vec<u32>,
     list: Vec<u32>,
 }
 
 impl Csr {
+    /// Both directions of `edges`, each `(from, to)`: `(preds, succs)`,
+    /// every node's list in the order of `edges`.
+    pub(crate) fn pair(nodes: usize, edges: &[(u32, u32)]) -> (Csr, Csr) {
+        let (mut preds, mut succs) = (Csr::counting(nodes), Csr::counting(nodes));
+        for &(from, to) in edges {
+            preds.count(to);
+            succs.count(from);
+        }
+        preds.allot();
+        succs.allot();
+        for &(from, to) in edges {
+            preds.push(to, from);
+            succs.push(from, to);
+        }
+        preds.seal();
+        succs.seal();
+        (preds, succs)
+    }
+
     fn counting(nodes: usize) -> Csr {
         Csr {
             offsets: vec![0; nodes + 1],
@@ -75,8 +97,8 @@ impl Csr {
     }
 
     /// One more entry for node `v` (first pass).
-    fn count(&mut self, v: usize) {
-        self.offsets[v] += 1;
+    fn count(&mut self, v: u32) {
+        self.offsets[v as usize] += 1;
     }
 
     /// Turn the counts into each node's first slot and size the list.
@@ -91,9 +113,9 @@ impl Csr {
     }
 
     /// Append `x` to node `v`'s list (second pass).
-    fn push(&mut self, v: usize, x: usize) {
-        self.list[self.offsets[v] as usize] = x as u32;
-        self.offsets[v] += 1;
+    fn push(&mut self, v: u32, x: u32) {
+        self.list[self.offsets[v as usize] as usize] = x;
+        self.offsets[v as usize] += 1;
     }
 
     /// Each cursor sits at its node's end, the next node's start.
@@ -102,48 +124,27 @@ impl Csr {
         self.offsets[0] = 0;
     }
 
-    fn of(&self, v: usize) -> &[u32] {
-        &self.list[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-}
-
-/// Every happens-before edge of `program` as `edge(from, to)`, in one fixed
-/// order — each node's predecessors and successors come out in the order
-/// their lists keep. Action node ids start at `offsets[stream]`; barrier
-/// `n`'s join is node `total + n`.
-fn for_each_edge(
-    program: &Program,
-    offsets: &[usize],
-    total: usize,
-    mut edge: impl FnMut(usize, usize),
-) {
-    let n_streams = program.streams.len();
-    for (si, s) in program.streams.iter().enumerate() {
-        for (ai, a) in s.actions.iter().enumerate() {
-            let v = offsets[si] + ai;
-            // FIFO. After a barrier the join node carries it: the join
-            // waits on this stream's barrier action too.
-            if ai > 0 && !matches!(s.actions[ai - 1], Action::Barrier(_)) {
-                edge(v - 1, v);
-            }
-            match a {
-                Action::WaitEvent(e) => {
-                    if let Some(site) = program.events.get(e.0) {
-                        let rs = site.stream.0;
-                        if rs < n_streams && site.action_index < program.streams[rs].actions.len() {
-                            edge(offsets[rs] + site.action_index, v);
-                        }
-                    }
+    /// Drop each entry equal to an earlier one of the same node's list.
+    pub(crate) fn dedup(&mut self) {
+        // owner[x]: one past the last node whose list kept `x`.
+        let mut owner = vec![0; self.offsets.len()];
+        let (mut start, mut kept) = (0, 0);
+        for end in 1..self.offsets.len() {
+            for i in start..self.offsets[end] as usize {
+                let x = self.list[i] as usize;
+                if owner[x] != end {
+                    owner[x] = end;
+                    self.list[kept] = x as u32;
+                    kept += 1;
                 }
-                Action::Barrier(n) => {
-                    edge(v, total + n);
-                    if ai + 1 < s.actions.len() {
-                        edge(total + n, v + 1);
-                    }
-                }
-                _ => {}
             }
+            (start, self.offsets[end]) = (self.offsets[end] as usize, kept as u32);
         }
+        self.list.truncate(kept);
+    }
+
+    pub(crate) fn of(&self, v: usize) -> &[u32] {
+        &self.list[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }
 
@@ -160,31 +161,45 @@ impl HbEdges {
         }
         offsets.push(total);
 
-        // Barrier join nodes follow the action nodes.
+        // Every edge, in one fixed order (each node's lists keep it); barrier
+        // `n`'s join is node `total + n`. A stream of `k` actions makes at
+        // most `2k - 1`: `k - 1` FIFO or join-out edges, one per wait or
+        // barrier.
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(2 * total);
+        let mut edge = |from: usize, to: usize| edges.push((from as u32, to as u32));
         let mut n_barriers = program.barriers;
-        for s in &program.streams {
-            for a in &s.actions {
-                if let Action::Barrier(n) = a {
-                    n_barriers = n_barriers.max(n + 1);
+        for (si, s) in program.streams.iter().enumerate() {
+            for (ai, a) in s.actions.iter().enumerate() {
+                let v = offsets[si] + ai;
+                // FIFO. After a barrier the join node carries it: the join
+                // waits on this stream's barrier action too.
+                if ai > 0 && !matches!(s.actions[ai - 1], Action::Barrier(_)) {
+                    edge(v - 1, v);
+                }
+                match a {
+                    Action::WaitEvent(e) => {
+                        if let Some(site) = program.events.get(e.0) {
+                            let rs = site.stream.0;
+                            if rs < n_streams
+                                && site.action_index < program.streams[rs].actions.len()
+                            {
+                                edge(offsets[rs] + site.action_index, v);
+                            }
+                        }
+                    }
+                    Action::Barrier(n) => {
+                        n_barriers = n_barriers.max(n + 1);
+                        edge(v, total + n);
+                        if ai + 1 < s.actions.len() {
+                            edge(total + n, v + 1);
+                        }
+                    }
+                    _ => {}
                 }
             }
         }
         let nodes = total + n_barriers;
-
-        let mut preds = Csr::counting(nodes);
-        let mut succs = Csr::counting(nodes);
-        for_each_edge(program, &offsets, total, |from, to| {
-            preds.count(to);
-            succs.count(from);
-        });
-        preds.allot();
-        succs.allot();
-        for_each_edge(program, &offsets, total, |from, to| {
-            preds.push(to, from);
-            succs.push(from, to);
-        });
-        preds.seal();
-        succs.seal();
+        let (preds, succs) = Csr::pair(nodes, &edges);
 
         HbEdges {
             offsets,

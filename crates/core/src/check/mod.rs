@@ -57,7 +57,7 @@ pub use witness::{HazardWitness, WitnessKind};
 // reads the edges and the one sorted access table (its `groups()`) off the
 // `Analysis`.
 pub use hb::HbGraph;
-pub(crate) use hb::{wait_cycle, HbEdges};
+pub(crate) use hb::{wait_cycle, Csr, HbEdges};
 pub(crate) use races::{Accesses, Space};
 
 /// What the executors do with analyzer findings.

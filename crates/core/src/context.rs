@@ -580,12 +580,12 @@ impl Context {
     /// Pre-run analyzer gate shared by both executors: analyze under the
     /// context's [`CheckMode`](crate::check::CheckMode) and refuse
     /// error-severity findings, report attached, when enforcing. A run that
-    /// may proceed gets the analysis (`None` when the mode is `Off`) to plan
-    /// and lower from, instead of deriving the graph again.
+    /// may proceed gets the analysis to plan and lower from, instead of
+    /// deriving the graph again (`None` for a FIFO run in mode `Off`).
     pub(crate) fn enforce_check(&self) -> Result<Option<crate::check::Analysis>> {
-        match self.check_mode {
-            crate::check::CheckMode::Off => Ok(None),
-            mode => {
+        match (self.check_mode, self.scheduler) {
+            (crate::check::CheckMode::Off, crate::sched::SchedulerKind::Fifo) => Ok(None),
+            (mode, _) => {
                 let analysis = self.analyze();
                 if !analysis.report.is_clean() && mode == crate::check::CheckMode::Enforce {
                     Err(Error::Check(Box::new(analysis.report)))
@@ -643,26 +643,6 @@ impl Context {
     pub fn plan_schedule(&self) -> Option<crate::sched::Schedule> {
         let cost = self.cost_model().ok()?;
         crate::sched::plan(&self.program, &cost, self.scheduler)
-    }
-
-    /// The executors' planning step: plan under `kind` over the analysis
-    /// their gate made (`None` under `CheckMode::Off` — a scheduled run
-    /// then pays for one here), keeping the task graph alongside. Both
-    /// executors run that pair as it is: the simulator lowers it, the
-    /// native drivers walk it.
-    pub(crate) fn plan_schedule_graph(
-        &self,
-        kind: crate::sched::SchedulerKind,
-        analysis: Option<&crate::check::Analysis>,
-    ) -> Option<(crate::sched::Schedule, crate::sched::TaskGraph)> {
-        if kind == crate::sched::SchedulerKind::Fifo {
-            return None;
-        }
-        let cost = self.cost_model().ok()?;
-        match analysis {
-            Some(made) => crate::sched::plan_analyzed(&self.program, made, &cost, kind),
-            None => crate::sched::plan_analyzed(&self.program, &self.analyze(), &cost, kind),
-        }
     }
 
     // ----- execution -------------------------------------------------------
@@ -777,7 +757,7 @@ impl Context {
         let mut tasks = Vec::with_capacity(skipped.len());
         for &(si, ai) in skipped {
             let site = crate::check::Site::new(si, ai);
-            let node = graph.nodes.binary_search_by_key(&site, |n| n.site).ok()?;
+            let node = graph.node_of(site)?;
             let home = (graph.nodes[node].device, graph.nodes[node].partition);
             let driver = std::iter::once(home)
                 .chain(on(home.0))

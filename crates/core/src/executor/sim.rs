@@ -52,7 +52,7 @@ use crate::fault;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::program::Program;
-use crate::sched::{CostModel, Lane, Schedule, TaskGraph};
+use crate::sched::{plan_analyzed, CostModel, Lane, Schedule, TaskGraph};
 use crate::trace::{label, LaneMap, TaskTag};
 use crate::types::{Error, Result};
 
@@ -158,9 +158,11 @@ pub fn run(ctx: &Context) -> Result<SimReport> {
     // A non-FIFO scheduler replaces the recorded order and placements with
     // its plan; unclean or empty programs fall back to the recorded FIFO
     // order (FIFO itself always declines to schedule).
-    if let Some((schedule, graph)) = ctx.plan_schedule_graph(ctx.scheduler(), analysis.as_ref()) {
-        let walk = Walk::Scheduled(&schedule, &graph);
-        return lower(ctx, &walk, &cost);
+    let planned = analysis
+        .as_ref()
+        .and_then(|made| plan_analyzed(&ctx.program, made, &cost, ctx.scheduler()));
+    if let Some((schedule, graph)) = planned {
+        return lower(ctx, &Walk::Scheduled(&schedule, &graph), &cost);
     }
     // The gate's graph; under `CheckMode::Off` nobody built one yet.
     let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
@@ -187,20 +189,17 @@ enum Walk<'a> {
 /// not a topological order of its graph — is an error, not a dropped edge.
 fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> {
     let program = &ctx.program;
-    let (steps, nodes, steals) = match walk {
-        Walk::Recorded(order, edges) => (order.len(), edges.nodes, 0),
-        Walk::Scheduled(schedule, graph) => (schedule.tasks.len(), graph.len(), schedule.steals),
-    };
-
-    let lanes = LaneMap::for_context(ctx);
     // Room for one task per step and every edge (plus a schedule's lane
     // chain) up front: priced retries are the only tasks beyond that.
-    let edges = match walk {
-        Walk::Recorded(_, edges) => edges.edge_count(),
+    let (steps, nodes, edges, steals) = match walk {
+        Walk::Recorded(order, edges) => (order.len(), edges.nodes, edges.edge_count(), 0),
         Walk::Scheduled(schedule, graph) => {
-            graph.preds.iter().map(Vec::len).sum::<usize>() + schedule.tasks.len()
+            let (steps, nodes) = (schedule.tasks.len(), graph.len());
+            let preds: usize = (0..nodes).map(|v| graph.preds(v).len()).sum();
+            (steps, nodes, preds + steps, schedule.steals)
         }
     };
+    let lanes = LaneMap::for_context(ctx);
     let mut engine = Engine::with_capacity(lanes.count(), steps, edges);
     for _ in 0..lanes.count() {
         engine.add_resource();
@@ -242,9 +241,9 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
             Walk::Scheduled(schedule, graph) => {
                 let task = &schedule.tasks[step];
                 deps.extend(tail[lanes.resource(task.lane).0]);
-                for &p in &graph.preds[task.node] {
-                    let Some(dep) = done[p] else {
-                        let (site, pred) = (task.site, graph.nodes[p].site);
+                for &p in graph.preds(task.node) {
+                    let Some(dep) = done[p as usize] else {
+                        let (site, pred) = (task.site, graph.nodes[p as usize].site);
                         return Err(Error::Config(format!(
                             "not a topological order: {site} is scheduled before {pred}"
                         )));
@@ -697,9 +696,9 @@ mod tests {
     fn a_schedule_that_is_not_topological_is_refused() {
         let ctx = tiled(2, 1, 1);
         let cost = ctx.cost_model().unwrap();
-        let (mut schedule, graph) = ctx
-            .plan_schedule_graph(SchedulerKind::ListHeft, None)
-            .expect("a clean program schedules");
+        let (mut schedule, graph) =
+            plan_analyzed(&ctx.program, &ctx.analyze(), &cost, SchedulerKind::ListHeft)
+                .expect("a clean program schedules");
         let run = |schedule: &Schedule| lower(&ctx, &Walk::Scheduled(schedule, &graph), &cost);
         assert!(run(&schedule).is_ok());
         // The kernel now comes before the transfer that feeds it.

@@ -63,7 +63,8 @@ pub(super) fn locality_penalty(
         return 0.0;
     };
     let mut penalty = 0.0;
-    for &p in &input.graph.preds[u] {
+    for &p in input.graph.preds(u) {
+        let p = p as usize;
         let Some(Lane::Partition { partition, .. }) = lane_of[p] else {
             continue;
         };
@@ -109,8 +110,8 @@ pub(super) fn finalize(input: &SchedInput<'_>, kind: SchedulerKind, placed: &[Pl
             (node.device, node.partition)
         } else {
             part_of(u)
-                .or_else(|| graph.succs[u].iter().find_map(|&v| part_of(v)))
-                .or_else(|| graph.preds[u].iter().find_map(|&v| part_of(v)))
+                .or_else(|| graph.succs(u).iter().find_map(|&v| part_of(v as usize)))
+                .or_else(|| graph.preds(u).iter().find_map(|&v| part_of(v as usize)))
                 .unwrap_or((node.device, 0))
         };
         tasks.push(ScheduledTask {

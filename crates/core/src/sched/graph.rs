@@ -11,13 +11,15 @@
 //! structure and re-place work freely without changing any buffer's final
 //! contents.
 //!
+//! The edges are laid out as the happens-before graph's are (one CSR table
+//! per direction, edges in the order the access table yields them), and
+//! the order is its order restricted to the task nodes: no sort of its own.
+//!
 //! Construction refuses unclean programs: if any conflicting pair is
 //! unordered (a race), [`TaskGraph::build`] returns `None` and the caller
 //! falls back to FIFO execution.
 
-use std::collections::HashSet;
-
-use crate::check::{Analysis, Site};
+use crate::check::{Analysis, Csr, Site};
 use crate::program::Program;
 
 /// One schedulable action.
@@ -36,18 +38,24 @@ pub struct TaskNode {
 pub struct TaskGraph {
     /// The nodes, in site order (stream-major, then action index).
     pub nodes: Vec<TaskNode>,
-    /// `preds[i]` = node indices that must finish before node `i` starts.
-    pub preds: Vec<Vec<usize>>,
-    /// `succs[i]` = node indices waiting on node `i`.
-    pub succs: Vec<Vec<usize>>,
+    /// Each node's predecessors.
+    preds: Csr,
+    /// Each node's successors (the same edges, reversed).
+    succs: Csr,
+    /// The nodes in the happens-before graph's topological order.
+    pub(super) order: Vec<usize>,
 }
 
 impl TaskGraph {
     /// Build the dependence DAG for `program` using `analysis` (the result
     /// of [`analyze`](crate::check::analyze) over the same program).
-    /// Returns `None` when a conflicting access pair is unordered — the
-    /// program is racy and must keep its recorded FIFO semantics.
+    ///
+    /// Every edge runs along happens-before, a strict partial order, so the
+    /// graph is acyclic by construction. Returns `None` when a conflicting
+    /// access pair is unordered — the program is racy and must keep its
+    /// recorded FIFO semantics — or the program deadlocks.
     pub fn build(program: &Program, analysis: &Analysis) -> Option<TaskGraph> {
+        let hb_order = analysis.hb.order().ok()?;
         let mut nodes = Vec::new();
         for (si, stream) in program.streams.iter().enumerate() {
             for (ai, action) in stream.actions.iter().enumerate() {
@@ -61,25 +69,25 @@ impl TaskGraph {
                 });
             }
         }
-        // Site order, so a site finds its node by binary search.
-        let node_of = |site: Site| {
-            let found = nodes.binary_search_by_key(&site, |n| n.site);
-            found.expect("only non-control actions access buffers")
+        let mut graph = TaskGraph {
+            nodes,
+            preds: Csr::default(),
+            succs: Csr::default(),
+            order: Vec::new(),
+        };
+        let node = |site| {
+            graph
+                .node_of(site)
+                .expect("only non-control actions access buffers")
         };
 
-        let n = nodes.len();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
-
-        // The analyzer's access table, group by group in its order.
+        // The analyzer's access table, group by group in its order; two
+        // sites conflicting on two buffers come up twice.
+        let mut edges = Vec::new();
         for group in analysis.accesses.groups() {
             for (i, a) in group.iter().enumerate() {
                 for b in &group[i + 1..] {
-                    if !a.write && !b.write {
-                        continue;
-                    }
-                    if a.site == b.site {
+                    if (!a.write && !b.write) || a.site == b.site {
                         continue;
                     }
                     let (from, to) = if analysis.happens_before(a.site, b.site) {
@@ -90,20 +98,18 @@ impl TaskGraph {
                         // Unordered conflict: a race. Refuse to schedule.
                         return None;
                     };
-                    let (u, v) = (node_of(from), node_of(to));
-                    if seen.insert((u, v)) {
-                        succs[u].push(v);
-                        preds[v].push(u);
-                    }
+                    edges.push((node(from) as u32, node(to) as u32));
                 }
             }
         }
+        (graph.preds, graph.succs) = Csr::pair(graph.len(), &edges);
+        graph.preds.dedup();
+        graph.succs.dedup();
 
-        Some(TaskGraph {
-            nodes,
-            preds,
-            succs,
-        })
+        let hb = analysis.hb.edges();
+        let sites = hb_order.iter().filter_map(|&v| hb.site_of(v as usize));
+        graph.order = sites.filter_map(|site| graph.node_of(site)).collect();
+        Some(graph)
     }
 
     /// Number of schedulable tasks.
@@ -116,37 +122,25 @@ impl TaskGraph {
         self.nodes.is_empty()
     }
 
+    /// The node of the action at `site` (`None` for a control action).
+    pub fn node_of(&self, site: Site) -> Option<usize> {
+        self.nodes.binary_search_by_key(&site, |n| n.site).ok()
+    }
+
+    /// The nodes that must finish before node `v` starts.
+    pub fn preds(&self, v: usize) -> &[u32] {
+        self.preds.of(v)
+    }
+
+    /// The nodes waiting on node `v`.
+    pub fn succs(&self, v: usize) -> &[u32] {
+        self.succs.of(v)
+    }
+
     /// Borrow the action behind node `n` from its program.
     pub fn action<'a>(&self, program: &'a Program, n: usize) -> &'a crate::action::Action {
         let site = self.nodes[n].site;
         &program.streams[site.stream.0].actions[site.action_index]
-    }
-
-    /// A deterministic topological order (Kahn's algorithm, smallest node
-    /// index first). Always complete for graphs built from an acyclic HB
-    /// relation; truncated if a cycle sneaks in (callers should treat a
-    /// short order as "decline to schedule").
-    pub fn topo_order(&self) -> Vec<usize> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut ready: BinaryHeap<Reverse<usize>> = indeg
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| Reverse(i))
-            .collect();
-        let mut order = Vec::with_capacity(self.len());
-        while let Some(Reverse(u)) = ready.pop() {
-            order.push(u);
-            for &v in &self.succs[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    ready.push(Reverse(v));
-                }
-            }
-        }
-        order
     }
 }
 
@@ -205,10 +199,30 @@ mod tests {
         assert!(a.report.is_clean());
         let g = TaskGraph::build(&p, &a).expect("clean program builds");
         assert_eq!(g.len(), 3);
-        assert_eq!(g.succs[0], vec![1]);
-        assert_eq!(g.succs[1], vec![2]);
-        assert_eq!(g.preds[2], vec![1]);
-        assert_eq!(g.topo_order(), vec![0, 1, 2]);
+        assert_eq!(g.succs(0), [1]);
+        assert_eq!(g.succs(1), [2]);
+        assert_eq!(g.preds(2), [1]);
+        assert_eq!(g.order, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_pair_conflicting_on_two_buffers_gets_one_edge() {
+        // k2 reads both of k1's outputs; h2d b3 precedes both on b3.
+        let mut p = Program::default();
+        p.streams.push(stream(
+            0,
+            0,
+            vec![
+                h2d(3),
+                kernel("k1", &[3], &[0, 1]),
+                kernel("k2", &[0, 1, 3], &[2]),
+            ],
+        ));
+        let a = analyzed(&p);
+        let g = TaskGraph::build(&p, &a).unwrap();
+        assert_eq!(g.preds(2), [1, 0], "first-found order, each once");
+        assert_eq!(g.succs(0), [1, 2]);
+        assert_eq!(g.succs(1), [2]);
     }
 
     #[test]
@@ -231,7 +245,9 @@ mod tests {
         assert_eq!(g.len(), 2);
         let sites: Vec<Site> = g.nodes.iter().map(|n| n.site).collect();
         assert_eq!(sites, [Site::new(0, 0), Site::new(1, 1)], "no control");
-        assert_eq!(g.succs[0], vec![1]);
+        assert_eq!(g.node_of(Site::new(1, 0)), None, "a wait is no node");
+        assert_eq!(g.node_of(Site::new(1, 1)), Some(1));
+        assert_eq!(g.succs(0), [1]);
     }
 
     #[test]
@@ -255,14 +271,11 @@ mod tests {
         let a = analyzed(&p);
         let g = TaskGraph::build(&p, &a).unwrap();
         assert_eq!(g.len(), 4);
-        let cross: usize = g
-            .succs
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        let cross: usize = (0..g.len())
+            .flat_map(|u| g.succs(u).iter().map(move |&v| (u, v as usize)))
             .filter(|&(u, v)| g.nodes[u].site.stream != g.nodes[v].site.stream)
             .count();
         assert_eq!(cross, 0, "tiles are independent");
-        assert_eq!(g.topo_order().len(), 4);
+        assert_eq!(g.order, [0, 1, 2, 3], "the happens-before sweep");
     }
 }

@@ -25,8 +25,8 @@ use super::{Lane, SchedInput, Schedule, SchedulerKind};
 /// decide exact ties deterministically toward data-local partitions.
 const LOCALITY_WEIGHT: f64 = 1e-4;
 
-/// Run HEFT list scheduling over `input`. Returns `None` on empty graphs,
-/// unpriceable kernels, or (defensively) cyclic dependence structure.
+/// Run HEFT list scheduling over `input`. Returns `None` on empty graphs or
+/// unpriceable kernels.
 pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
     let graph = input.graph;
     let n = graph.len();
@@ -34,17 +34,15 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
         return None;
     }
     let costs = common::base_costs(input)?;
-    let topo = graph.topo_order();
-    if topo.len() != n {
-        return None;
-    }
 
-    // Upward rank: cost of the task plus the heaviest successor rank.
+    // Upward rank: cost of the task plus the heaviest successor rank, in
+    // reverse of the graph's topological order.
     let mut rank = vec![0.0f64; n];
-    for &u in topo.iter().rev() {
-        let tail = graph.succs[u]
+    for &u in graph.order.iter().rev() {
+        let tail = graph
+            .succs(u)
             .iter()
-            .map(|&v| rank[v])
+            .map(|&v| rank[v as usize])
             .fold(0.0f64, f64::max);
         rank[u] = costs[u] + tail;
     }
@@ -61,9 +59,10 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
     let mut lane_of: Vec<Option<Lane>> = vec![None; n];
 
     for &u in &order {
-        let ready = graph.preds[u]
+        let ready = graph
+            .preds(u)
             .iter()
-            .map(|&p| placed[p].expect("preds placed first").finish)
+            .map(|&p| placed[p as usize].expect("preds placed first").finish)
             .fold(0.0f64, f64::max);
         let mut best: Option<(f64, f64, Lane)> = None; // (score, finish, lane)
         let action = graph.action(input.program, u);
@@ -167,7 +166,7 @@ mod tests {
         let cost = cost_model(4);
         let p = tile_program(8, 2, |_| 1e9);
         let sched = plan(&p, &cost);
-        let used: std::collections::HashSet<usize> = sched
+        let used: std::collections::BTreeSet<usize> = sched
             .tasks
             .iter()
             .filter_map(|t| match t.lane {

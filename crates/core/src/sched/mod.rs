@@ -15,7 +15,7 @@
 //!   check module's happens-before relation (events and barriers are
 //!   *subsumed* by these edges: an analyzer-clean program has every
 //!   conflicting pair ordered, so the data edges alone reproduce its
-//!   semantics);
+//!   semantics), laid out and ordered as the happens-before graph is;
 //! * the **cost model** ([`CostModel`]) — the one function that says
 //!   which lane an action occupies and what the simulator charges for it
 //!   there (tile bytes on the link, tile flops on a partition); the
@@ -51,8 +51,9 @@
 //! Scheduling is only attempted on analyzer-clean programs; anything else
 //! (races, deadlocks, unknown references) falls back to FIFO execution,
 //! where the executors' own gates handle it. The executors plan over the
-//! [`Analysis`] their gate already made (`plan_analyzed`); only the public
-//! [`plan`], handed a bare [`Program`] from outside, analyzes one itself.
+//! [`Analysis`] their gate made and their own [`CostModel`] (one
+//! `plan_analyzed` per run); only the public [`plan`], handed a bare
+//! [`Program`] from outside, analyzes one itself.
 
 mod common;
 pub mod cost;

@@ -22,20 +22,17 @@ use super::common::{self, Placed};
 use super::{Lane, SchedInput, Schedule, SchedulerKind};
 
 /// Run the earliest-ready stealing policy over `input`. Returns `None` on
-/// empty graphs, unpriceable kernels, or cyclic dependence structure.
+/// empty graphs or unpriceable kernels.
 pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
     let graph = input.graph;
     let n = graph.len();
     if n == 0 {
         return None;
     }
-    // Validate costs (and acyclicity) up front so failures decline cleanly.
+    // Validate costs up front so failures decline cleanly.
     common::base_costs(input)?;
-    if graph.topo_order().len() != n {
-        return None;
-    }
 
-    let mut indeg: Vec<usize> = graph.preds.iter().map(Vec::len).collect();
+    let mut indeg: Vec<usize> = (0..n).map(|u| graph.preds(u).len()).collect();
     let mut ready_time = vec![0.0f64; n];
     let mut ready: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
     let mut lane_avail: HashMap<Lane, f64> = HashMap::new();
@@ -73,7 +70,8 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
             finish,
         });
         ready.retain(|&r| r != u);
-        for &v in &graph.succs[u] {
+        for &v in graph.succs(u) {
+            let v = v as usize;
             indeg[v] -= 1;
             ready_time[v] = ready_time[v].max(finish);
             if indeg[v] == 0 {
@@ -82,7 +80,7 @@ pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
         }
     }
 
-    // Every node placed (graph is acyclic, checked above).
+    // Every node placed: the graph is acyclic by construction.
     let placed: Vec<Placed> = placed.into_iter().collect::<Option<_>>()?;
     Some(common::finalize(input, SchedulerKind::WorkSteal, &placed))
 }
@@ -145,7 +143,7 @@ mod tests {
         let cost = cost_model(4);
         let p = kernels_on_streams(8, 2, |_| 1e9);
         let sched = plan(&p, &cost);
-        let used: std::collections::HashSet<usize> = sched
+        let used: std::collections::BTreeSet<usize> = sched
             .tasks
             .iter()
             .filter_map(|t| match t.lane {

@@ -106,9 +106,17 @@ for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]' 'VecDeque' 'label: St
   fi
 done
 
-echo "==> one edge layout (happens-before edges are CSR; tasks are tagged, lanes derived from geometry)"
+echo "==> one edge layout (happens-before and task-graph edges are CSR, sorted once; tasks are tagged, lanes derived from geometry)"
 if grep -rnF 'Vec<Vec<u32>>' crates/core/src/check/; then
   echo "  'Vec<Vec<u32>>' is back under crates/core/src/check/ (HbEdges keeps preds/succs as offsets plus one list)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/sched/graph.rs | grep -nE 'Vec<Vec<usize>>|HashSet|BinaryHeap'; then
+  echo "  non-test sched/graph.rs keeps edge lists of its own again (TaskGraph keeps preds/succs in check::hb's Csr)"
+  exit 1
+fi
+if grep -rn 'fn topo_order' crates/core/src | grep -v '^crates/core/src/check/hb.rs:'; then
+  echo "  a second topological sort is back (HbGraph's order is the one; TaskGraph keeps it restricted to its nodes)"
   exit 1
 fi
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nE 'BTreeMap<ResourceId, String>' | grep -v 'fn names'; then

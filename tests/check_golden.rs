@@ -16,6 +16,13 @@
 //! and a dataflow one (a kernel reading two unproduced buffers, a dead
 //! event). On a mismatch the test prints the actual table in source form.
 //!
+//! A second table pins what the schedulers plan over that graph: every
+//! [`ScheduledTask`](mic_streams::hstreams::sched::ScheduledTask) (site,
+//! node, lane, start and finish bits, native driver, steal flag) of the
+//! `ListHeft` and `WorkSteal` plans of the five apps, each at its larger
+//! `(P, T)`. A driver hint names the partition of the first successor or
+//! predecessor that has one, so this table also pins edge-list order.
+//!
 //! The SARIF export of three reports (clean, racy, perf lints) is checked
 //! structurally, with no JSON parser: balanced brackets and strings, the
 //! version, the sorted rule catalog, and every diagnostic's rule, level,
@@ -33,7 +40,7 @@ use mic_streams::hstreams::context::Context;
 use mic_streams::hstreams::kernel::KernelDesc;
 use mic_streams::hstreams::opt::{lint, optimize};
 use mic_streams::hstreams::program::{EventSite, Program, StreamPlacement, StreamRecord};
-use mic_streams::hstreams::sched::TaskGraph;
+use mic_streams::hstreams::sched::{SchedulerKind, TaskGraph};
 use mic_streams::hstreams::testutil::{build_synced, fnv64, mix_kernel};
 use mic_streams::hstreams::{BufId, EventId, StreamId};
 use mic_streams::micsim::compute::KernelProfile;
@@ -55,8 +62,9 @@ fn derived(program: &Program, env: &CheckEnv) -> String {
     match TaskGraph::build(program, &analysis) {
         None => text.push_str("graph: none\n"),
         Some(g) => {
-            for (i, (p, s)) in g.preds.iter().zip(&g.succs).enumerate() {
-                writeln!(text, "{i} {} <- {p:?} -> {s:?}", g.nodes[i].site).unwrap();
+            for (i, node) in g.nodes.iter().enumerate() {
+                let (p, s) = (g.preds(i), g.succs(i));
+                writeln!(text, "{i} {} <- {p:?} -> {s:?}", node.site).unwrap();
             }
         }
     }
@@ -211,9 +219,8 @@ fn dataflow() -> Program {
 /// One tunable app and the two `(P, T)` it is pinned at.
 type Pinned = (Box<dyn Tunable>, [(usize, usize); 2]);
 
-fn actual() -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let apps: Vec<Pinned> = vec![
+fn apps() -> Vec<Pinned> {
+    vec![
         (
             Box::new(TunableHbench::new(1 << 16, 8, None)),
             [(2, 4), (4, 16)],
@@ -225,8 +232,12 @@ fn actual() -> Vec<(String, u64)> {
             Box::new(TunableKmeans::new(1 << 12, 4, 3, None)),
             [(2, 4), (4, 8)],
         ),
-    ];
-    for (mut app, points) in apps {
+    ]
+}
+
+fn actual() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (mut app, points) in apps() {
         for (p, t) in points {
             let mut ctx = Context::builder(PlatformConfig::phi_31sp())
                 .partitions(p)
@@ -271,6 +282,68 @@ fn analyzer_outputs_match_the_committed_fingerprints() {
         && actual
             .iter()
             .zip(GOLDEN)
+            .all(|((name, fp), (gname, gfp))| name == gname && fp == gfp);
+    let mut table = String::from("actual table:\n");
+    for (name, fp) in &actual {
+        writeln!(table, "    (\"{name}\", 0x{fp:016x}),").unwrap();
+    }
+    assert!(same, "{table}");
+}
+
+/// Fingerprints of the scheduled plans: per app at its larger `(P, T)`,
+/// the `ListHeft` plan then the `WorkSteal` one.
+fn actual_schedules() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (mut app, [_, (p, t)]) in apps() {
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(p)
+            .build()
+            .unwrap();
+        app.record(&mut ctx, t).unwrap();
+        for kind in [SchedulerKind::ListHeft, SchedulerKind::WorkSteal] {
+            ctx.set_scheduler(kind);
+            let plan = ctx.plan_schedule().expect("the apps are analyzer-clean");
+            let mut text = String::new();
+            for task in &plan.tasks {
+                writeln!(
+                    text,
+                    "{} {} {} {:016x} {:016x} {:?} {}",
+                    task.site,
+                    task.node,
+                    task.lane,
+                    task.start.to_bits(),
+                    task.finish.to_bits(),
+                    task.driver,
+                    task.stolen
+                )
+                .unwrap();
+            }
+            out.push((format!("{kind}:{}@p{p}t{t}", app.name()), fnv64(&text)));
+        }
+    }
+    out
+}
+
+const SCHEDULES: &[(&str, u64)] = &[
+    ("heft:hbench@p4t16", 0xd58cf93c1134ae78),
+    ("steal:hbench@p4t16", 0x71cffc4405a9092c),
+    ("heft:mm@p4t16", 0xe496729b1e892d51),
+    ("steal:mm@p4t16", 0xc44fa2ea9262cdde),
+    ("heft:cf@p4t16", 0xab2c8649960b92aa),
+    ("steal:cf@p4t16", 0x3833b530c447562d),
+    ("heft:nn@p7t14", 0x7071e9b531b4dffc),
+    ("steal:nn@p7t14", 0xfb9fb7a305bd39a0),
+    ("heft:kmeans@p4t8", 0xd32ed236c4c26336),
+    ("steal:kmeans@p4t8", 0x09352a00c465006a),
+];
+
+#[test]
+fn scheduled_tasks_match_the_committed_fingerprints() {
+    let actual = actual_schedules();
+    let same = actual.len() == SCHEDULES.len()
+        && actual
+            .iter()
+            .zip(SCHEDULES)
             .all(|((name, fp), (gname, gfp))| name == gname && fp == gfp);
     let mut table = String::from("actual table:\n");
     for (name, fp) in &actual {

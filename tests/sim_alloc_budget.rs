@@ -7,8 +7,8 @@
 //! the run's growable tables once more and must add nothing else, and
 //! either run stays far below one allocation per ten tasks.
 //!
-//! Measured (x86-64, release): 32 allocations at `T = 192` (576 tasks) and
-//! 32 at `2T = 384` (1 152 tasks). Before tasks were tagged instead of
+//! Measured (x86-64, release): 33 allocations at `T = 192` (576 tasks) and
+//! 33 at `2T = 384` (1 152 tasks). Before tasks were tagged instead of
 //! labelled and the happens-before edges were laid out flat, the same runs
 //! made 1 791 and 3 522: a label per task and two edge lists per node.
 

@@ -801,13 +801,16 @@ impl<'a> Dispatch<'a> {
             while own.get(*cursor).is_some_and(|&node| state(node) == CLAIMED) {
                 *cursor += 1;
             }
-            if let Some(&node) = own[*cursor..].iter().find(|&&node| state(node) == 0) {
-                if claim(node) {
-                    return Poll::Ready(Some((node as usize, false)));
+            // Only a node read unready counts as left, here and below: its
+            // release wakes this driver, a node claimed meanwhile never will.
+            let mut left = false;
+            for &node in &own[*cursor..] {
+                match state(node) {
+                    0 if claim(node) => return Poll::Ready(Some((node as usize, false))),
+                    0 | CLAIMED => {} // a thief was faster, or took it earlier
+                    _ => left = true,
                 }
-                continue; // a thief was faster: look again
             }
-            let mut left = *cursor < own.len();
             let mut victim: Option<(usize, u32)> = None; // (ready nodes, the last one)
             for queue in siblings.clone().filter(|&q| q != idx && thief) {
                 let (mut ready, mut last) = (0usize, None);

@@ -38,10 +38,12 @@
 
 use std::array::from_fn;
 use std::cell::Cell;
+use std::sync::Arc;
 
 use hstreams::context::Context;
-use hstreams::kernel::KernelDesc;
+use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result, StreamId};
+use hstreams::InlineStr;
 use micsim::compute::KernelProfile;
 use micsim::PlatformConfig;
 
@@ -83,12 +85,13 @@ impl CfConfig {
     }
 }
 
-/// Buffer handles: the lower-triangle tiles, indexed via [`CfBuffers::at`].
+/// Buffer handles: the lower-triangle tiles, indexed via [`CfBuffers::at`],
+/// and the tile kernels every launch of this tiling shares.
 pub struct CfBuffers {
     tiles_per_dim: usize,
-    tile: usize,
     /// Lower-triangle tile buffers, packed row-major over `(i, j)`, `j <= i`.
     pub tiles: Vec<BufId>,
+    kernels: TileKernels,
 }
 
 impl CfBuffers {
@@ -104,7 +107,7 @@ impl CfBuffers {
 
     /// Tile edge length.
     pub fn tile(&self) -> usize {
-        self.tile
+        self.kernels.b
     }
 }
 
@@ -428,61 +431,83 @@ fn run_avx2(body: Body<'_>, b: usize, scratch: &mut Vec<f32>) {
     body.run::<AVX2_ROWS>(b, scratch);
 }
 
-fn potrf_kernel(label: String, b: usize) -> KernelDesc {
-    let work = (b as f64).powi(3) / 3.0;
-    KernelDesc::simulated(label, profiles::cf_potrf(), work)
-        .with_native(move |k| run(Body::Factor { tile: k.writes[0] }, b))
+/// The four tile kernels at tile edge `b`. Each native body is built once
+/// per tiling and every launch shares it.
+struct TileKernels {
+    b: usize,
+    potrf: KernelFn,
+    trsm: KernelFn,
+    syrk: KernelFn,
+    gemm: KernelFn,
 }
 
-/// `X := X · L^{-T}` where `X` is tile `(i,k)` and `L` the factored `(k,k)`.
-fn trsm_kernel(label: String, b: usize) -> KernelDesc {
-    let work = (b as f64).powi(3);
-    KernelDesc::simulated(label, profiles::cf_trsm(), work).with_native(move |k| {
-        let l = k.reads[0];
-        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |_, rows| {
-            run(Body::Solve { rows, l }, b);
-        });
-    })
-}
+impl TileKernels {
+    fn new(b: usize) -> TileKernels {
+        TileKernels {
+            b,
+            potrf: Arc::new(move |k| run(Body::Factor { tile: k.writes[0] }, b)),
+            trsm: Arc::new(move |k| {
+                let l = k.reads[0];
+                hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |_, rows| {
+                    run(Body::Solve { rows, l }, b);
+                });
+            }),
+            syrk: Arc::new(move |k| {
+                let a = k.reads[0];
+                hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
+                    run(
+                        Body::Update {
+                            rows,
+                            first_row,
+                            a,
+                            bm: a,
+                            lower: true,
+                        },
+                        b,
+                    );
+                });
+            }),
+            gemm: Arc::new(move |k| {
+                let (a, bm) = (k.reads[0], k.reads[1]);
+                hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
+                    run(
+                        Body::Update {
+                            rows,
+                            first_row,
+                            a,
+                            bm,
+                            lower: false,
+                        },
+                        b,
+                    );
+                });
+            }),
+        }
+    }
 
-/// `A_ii -= L_ik · L_ikᵀ` (SYRK, lower half only).
-fn syrk_kernel(label: String, b: usize) -> KernelDesc {
-    let work = (b as f64).powi(3);
-    KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let a = k.reads[0];
-        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
-            run(
-                Body::Update {
-                    rows,
-                    first_row,
-                    a,
-                    bm: a,
-                    lower: true,
-                },
-                b,
-            );
-        });
-    })
-}
+    /// Factor one tile in place (POTRF).
+    fn potrf(&self, label: impl Into<InlineStr>) -> KernelDesc {
+        let work = (self.b as f64).powi(3) / 3.0;
+        KernelDesc::simulated(label, profiles::cf_potrf(), work).with_body(self.potrf.clone())
+    }
 
-/// `A_ij -= L_ik · L_jkᵀ` (GEMM update).
-fn gemm_update_kernel(label: String, b: usize) -> KernelDesc {
-    let work = 2.0 * (b as f64).powi(3);
-    KernelDesc::simulated(label, profiles::cf_update(), work).with_native(move |k| {
-        let (a, bm) = (k.reads[0], k.reads[1]);
-        hstreams::parallel::par_rows_mut(k.writes[0], b, k.threads, |first_row, rows| {
-            run(
-                Body::Update {
-                    rows,
-                    first_row,
-                    a,
-                    bm,
-                    lower: false,
-                },
-                b,
-            );
-        });
-    })
+    /// `X := X · L^{-T}` where `X` is tile `(i,k)` and `L` the factored `(k,k)`.
+    fn trsm(&self, label: impl Into<InlineStr>) -> KernelDesc {
+        let work = (self.b as f64).powi(3);
+        KernelDesc::simulated(label, profiles::cf_trsm(), work).with_body(self.trsm.clone())
+    }
+
+    /// `A_ii -= L_ik · L_ikᵀ` (SYRK, lower half only).
+    fn syrk(&self, label: impl Into<InlineStr>) -> KernelDesc {
+        let work = (self.b as f64).powi(3);
+        KernelDesc::simulated(label, profiles::cf_update(), work).with_body(self.syrk.clone())
+    }
+
+    /// `A_ij -= L_ik · L_jkᵀ` (GEMM update).
+    fn gemm(&self, label: impl Into<InlineStr>) -> KernelDesc {
+        let work = 2.0 * (self.b as f64).powi(3);
+        KernelDesc::simulated(label, profiles::cf_update(), work).with_body(self.gemm.clone())
+    }
 }
 
 /// Stream that owns tile `(i,j)`: all kernels writing the tile run there.
@@ -515,20 +540,20 @@ pub fn build(ctx: &mut Context, cfg: &CfConfig) -> Result<CfBuffers> {
         let buf = ctx.alloc("A", n * n);
         CfBuffers {
             tiles_per_dim: 1,
-            tile: n,
             tiles: vec![buf],
+            kernels: TileKernels::new(n),
         }
     } else {
         let mut tiles = Vec::with_capacity(tpd * (tpd + 1) / 2);
         for i in 0..tpd {
             for j in 0..=i {
-                tiles.push(ctx.alloc(format!("A{i}_{j}"), b * b));
+                tiles.push(ctx.alloc(format_args!("A{i}_{j}"), b * b));
             }
         }
         CfBuffers {
             tiles_per_dim: tpd,
-            tile: b,
             tiles,
+            kernels: TileKernels::new(b),
         }
     };
     record(ctx, cfg, &bufs)?;
@@ -536,16 +561,17 @@ pub fn build(ctx: &mut Context, cfg: &CfConfig) -> Result<CfBuffers> {
 }
 
 /// Record the CF action sequence (uploads, per-step POTRF/TRSM/update
-/// phases, panel downloads) against already-allocated tile buffers; used by
+/// phases, panel downloads) against already-allocated tile buffers (built
+/// by [`build`] for the same `cfg`); used by
 /// [`build`] and by autotuning sweeps that replan the stream geometry and
 /// re-record the same problem without reallocating.
 pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()> {
     cfg.validate().map_err(hstreams::Error::Config)?;
     let tpd = cfg.tiles_per_dim;
-    let b = cfg.tile();
+    let kernels = &bufs.kernels;
 
     if tpd == 1 {
-        let n = cfg.n;
+        // The whole matrix is one tile: POTRF's body at edge `n`.
         let buf = bufs.tiles[0];
         let s = ctx.stream(0)?;
         ctx.h2d(s, buf)?;
@@ -553,7 +579,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
             s,
             KernelDesc::simulated("potrf_full", full_profile(), cfg.flops())
                 .writing([buf])
-                .with_native(move |k| run(Body::Factor { tile: k.writes[0] }, n)),
+                .with_body(kernels.potrf.clone()),
         )?;
         ctx.d2h(s, buf)?;
         return Ok(());
@@ -565,7 +591,7 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
     // transfers). CF's DAG has no write-after-read hazards (a tile version
     // that is read is never overwritten afterwards), which is exactly the
     // tracker's contract.
-    let mut tracker = hstreams::ResidencyTracker::new();
+    let mut tracker = hstreams::ResidencyTracker::with_capacity(bufs.tiles.len());
 
     // Upload the lower triangle on each tile's owner stream.
     for i in 0..tpd {
@@ -585,7 +611,8 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
         ctx.d2h(s_kk, bufs.at(k, k))?;
         ctx.kernel(
             s_kk,
-            potrf_kernel(format!("potrf({k})"), b)
+            kernels
+                .potrf(format_args!("potrf({k})"))
                 .on_host()
                 .writing([bufs.at(k, k)]),
         )?;
@@ -599,7 +626,8 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
             tracker.ensure_readable(ctx, bufs.at(i, k), s)?;
             ctx.kernel(
                 s,
-                trsm_kernel(format!("trsm({i},{k})"), b)
+                kernels
+                    .trsm(format_args!("trsm({i},{k})"))
                     .reading([bufs.at(k, k)])
                     .writing([bufs.at(i, k)]),
             )?;
@@ -619,14 +647,16 @@ pub fn record(ctx: &mut Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result<()>
                 if i == j {
                     ctx.kernel(
                         s,
-                        syrk_kernel(format!("syrk({i},{k})"), b)
+                        kernels
+                            .syrk(format_args!("syrk({i},{k})"))
                             .reading([bufs.at(i, k)])
                             .writing([bufs.at(i, i)]),
                     )?;
                 } else {
                     ctx.kernel(
                         s,
-                        gemm_update_kernel(format!("gemm({i},{j},{k})"), b)
+                        kernels
+                            .gemm(format_args!("gemm({i},{j},{k})"))
                             .reading([bufs.at(i, k), bufs.at(j, k)])
                             .writing([bufs.at(i, j)]),
                     )?;
@@ -1042,10 +1072,11 @@ mod tests {
             let p = util::random_vec(500 + b as u64, b * b, -1.0, 1.0);
             let q = util::random_vec(600 + b as u64, b * b, -1.0, 1.0);
             let start = util::random_vec(700 + b as u64, b * b, -1.0, 1.0);
+            let kernels = TileKernels::new(b);
             let cases: [(KernelDesc, Vec<&[f32]>); 3] = [
-                (trsm_kernel("trsm".into(), b), vec![&l]),
-                (syrk_kernel("syrk".into(), b), vec![&p]),
-                (gemm_update_kernel("gemm".into(), b), vec![&p, &q]),
+                (kernels.trsm("trsm"), vec![&l]),
+                (kernels.syrk("syrk"), vec![&p]),
+                (kernels.gemm("gemm"), vec![&p, &q]),
             ];
             for (desc, reads) in &cases {
                 let mut serial = start.clone();
@@ -1119,10 +1150,11 @@ mod tests {
                 },
                 b,
             );
+            let kernels = TileKernels::new(b);
             let cases = [
-                (gemm_update_kernel("gemm".into(), b), vec![&p[..], &q], gemm),
-                (syrk_kernel("syrk".into(), b), vec![&p[..]], syrk),
-                (trsm_kernel("trsm".into(), b), vec![&l[..]], trsm),
+                (kernels.gemm("gemm"), vec![&p[..], &q], gemm),
+                (kernels.syrk("syrk"), vec![&p[..]], syrk),
+                (kernels.trsm("trsm"), vec![&l[..]], trsm),
             ];
             for (desc, reads, want) in &cases {
                 for threads in 1..=8 {
@@ -1141,7 +1173,7 @@ mod tests {
             let mut want = a.clone();
             baseline(Body::Factor { tile: &mut want }, b);
             let mut got = a;
-            run_kernel(&potrf_kernel("potrf".into(), b), &[], &mut got, 1);
+            run_kernel(&kernels.potrf("potrf"), &[], &mut got, 1);
             assert_eq!(bits(&got), bits(&want), "potrf b={b}");
         }
     }

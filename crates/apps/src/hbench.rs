@@ -10,9 +10,12 @@
 //! * [`partition_program`] — Fig. 7: 128 resident blocks, kernels only,
 //!   swept over the partition count, plus the non-tiled `ref` variant.
 
+use std::sync::Arc;
+
 use hstreams::context::Context;
-use hstreams::kernel::KernelDesc;
+use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::Result;
+use hstreams::InlineStr;
 use micsim::PlatformConfig;
 
 use crate::profiles;
@@ -25,24 +28,41 @@ fn kernel_work(elems: usize, iters: usize) -> f64 {
     elems as f64 * iters as f64
 }
 
-/// The hBench kernel with a native body: `B[i] = A[i] + α`, `iters` times.
-pub fn kernel(label: impl Into<String>, elems: usize, iters: usize) -> KernelDesc {
-    KernelDesc::simulated(label, profiles::hbench(), kernel_work(elems, iters)).with_native(
-        move |k| {
-            let a = k.reads[0];
-            let b = &mut k.writes[0];
-            let threads = k.threads;
-            hstreams::parallel::par_chunks_mut(b, threads, |_, offset, chunk| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let mut v = a[offset + i];
-                    for _ in 0..iters {
-                        v += ALPHA;
-                    }
-                    *out = v;
+/// The hBench kernel's native body, `B[i] = A[i] + α` `iters` times, for
+/// tiles of any length: build it once and share it with [`kernel_with`].
+pub fn body(iters: usize) -> KernelFn {
+    Arc::new(move |k| {
+        let a = k.reads[0];
+        let b = &mut k.writes[0];
+        let threads = k.threads;
+        hstreams::parallel::par_chunks_mut(b, threads, |_, offset, chunk| {
+            for (i, out) in chunk.iter_mut().enumerate() {
+                let mut v = a[offset + i];
+                for _ in 0..iters {
+                    v += ALPHA;
                 }
-            });
-        },
-    )
+                *out = v;
+            }
+        });
+    })
+}
+
+/// The hBench kernel over `elems` elements with a shared native `body`
+/// (built by [`body`] for the same `iters`).
+pub fn kernel_with(
+    label: impl Into<InlineStr>,
+    elems: usize,
+    iters: usize,
+    body: &KernelFn,
+) -> KernelDesc {
+    KernelDesc::simulated(label, profiles::hbench(), kernel_work(elems, iters))
+        .with_body(body.clone())
+}
+
+/// The hBench kernel with a native body of its own: `B[i] = A[i] + α`,
+/// `iters` times.
+pub fn kernel(label: impl Into<InlineStr>, elems: usize, iters: usize) -> KernelDesc {
+    kernel_with(label, elems, iters, &body(iters))
 }
 
 /// Serial reference of the kernel.
@@ -65,11 +85,11 @@ pub fn transfer_program(
     let s0 = ctx.stream(0)?;
     let s1 = ctx.stream(1)?;
     for i in 0..hd {
-        let b = ctx.alloc(format!("hd{i}"), elems);
+        let b = ctx.alloc(format_args!("hd{i}"), elems);
         ctx.h2d(s0, b)?;
     }
     for i in 0..dh {
-        let b = ctx.alloc(format!("dh{i}"), elems);
+        let b = ctx.alloc(format_args!("dh{i}"), elems);
         ctx.d2h(s1, b)?;
     }
     Ok(ctx)
@@ -131,15 +151,16 @@ pub fn overlap_program(
         }
         OverlapVariant::Streamed { tiles } => {
             let ranges = crate::util::split_ranges(elems, tiles);
+            let body = body(iters);
             for (t, range) in ranges.into_iter().enumerate() {
                 let n = range.len();
-                let a = ctx.alloc(format!("A{t}"), n);
-                let b = ctx.alloc(format!("B{t}"), n);
+                let a = ctx.alloc(format_args!("A{t}"), n);
+                let b = ctx.alloc(format_args!("B{t}"), n);
                 let s = ctx.stream(t % ctx.stream_count())?;
                 ctx.h2d(s, a)?;
                 ctx.kernel(
                     s,
-                    kernel(format!("hbench{t}"), n, iters)
+                    kernel_with(format_args!("hbench{t}"), n, iters, &body)
                         .reading([a])
                         .writing([b]),
                 )?;
@@ -172,13 +193,14 @@ pub fn partition_program(
         return Ok(ctx);
     }
     let mut ctx = Context::builder(cfg).partitions(partitions).build()?;
+    let body = body(iters);
     for t in 0..blocks {
-        let a = ctx.alloc(format!("A{t}"), block_elems);
-        let b = ctx.alloc(format!("B{t}"), block_elems);
+        let a = ctx.alloc(format_args!("A{t}"), block_elems);
+        let b = ctx.alloc(format_args!("B{t}"), block_elems);
         let s = ctx.stream(t % ctx.stream_count())?;
         ctx.kernel(
             s,
-            kernel(format!("k{t}"), block_elems, iters)
+            kernel_with(format_args!("k{t}"), block_elems, iters, &body)
                 .reading([a])
                 .writing([b]),
         )?;

@@ -12,8 +12,10 @@
 //! monotone drop. The cost model carries this in
 //! [`profiles::kmeans_assign`]'s `alloc_per_thread`.
 
+use std::sync::Arc;
+
 use hstreams::context::Context;
-use hstreams::kernel::KernelDesc;
+use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result};
 use micsim::PlatformConfig;
 
@@ -70,7 +72,8 @@ impl KmeansConfig {
     }
 }
 
-/// Buffer handles of a built Kmeans program.
+/// Buffer handles of a built Kmeans program, and the two kernel bodies
+/// every launch of its tiling shares.
 pub struct KmeansBuffers {
     /// Point tiles (`chunk × dims`, row-major point-major).
     pub point_tiles: Vec<BufId>,
@@ -81,14 +84,13 @@ pub struct KmeansBuffers {
     pub partials: Vec<BufId>,
     /// Point counts of each tile.
     pub tile_sizes: Vec<usize>,
+    assign: KernelFn,
+    reduce: KernelFn,
 }
 
-fn assign_kernel(label: String, cfg: &KmeansConfig, chunk: usize) -> KernelDesc {
-    let (dims, k) = (cfg.dims, cfg.k);
-    let work = chunk as f64 * k as f64 * dims as f64;
-    let profile =
-        profiles::kmeans_assign_with_alloc(micsim::SimDuration::from_micros(cfg.alloc_micros));
-    KernelDesc::simulated(label, profile, work).with_native(move |kc| {
+/// Assignment body: one tile's per-cluster partial sums and counts.
+fn assign_body(dims: usize, k: usize) -> KernelFn {
+    Arc::new(move |kc| {
         let points = kc.reads[0];
         let centroids = kc.reads[1];
         let threads = kc.threads;
@@ -134,10 +136,9 @@ fn assign_kernel(label: String, cfg: &KmeansConfig, chunk: usize) -> KernelDesc 
     })
 }
 
-fn reduce_kernel(label: String, cfg: &KmeansConfig, tiles: usize) -> KernelDesc {
-    let (dims, k) = (cfg.dims, cfg.k);
-    let work = tiles as f64 * k as f64 * (dims + 1) as f64;
-    KernelDesc::simulated(label, profiles::kmeans_reduce(), work).with_native(move |kc| {
+/// Reduction body: new centroids from every tile's partials.
+fn reduce_body(dims: usize, k: usize) -> KernelFn {
+    Arc::new(move |kc| {
         let stride = dims + 1;
         let mut sums = vec![0.0f32; k * stride];
         for partial in kc.reads.iter() {
@@ -171,17 +172,19 @@ pub fn build(ctx: &mut Context, cfg: &KmeansConfig) -> Result<KmeansBuffers> {
     let point_tiles: Vec<BufId> = tile_sizes
         .iter()
         .enumerate()
-        .map(|(t, &n)| ctx.alloc(format!("pts{t}"), n * cfg.dims))
+        .map(|(t, &n)| ctx.alloc(format_args!("pts{t}"), n * cfg.dims))
         .collect();
     let centroids = ctx.alloc("centroids", cfg.k * cfg.dims);
     let partials: Vec<BufId> = (0..tile_sizes.len())
-        .map(|t| ctx.alloc(format!("partial{t}"), cfg.k * (cfg.dims + 1)))
+        .map(|t| ctx.alloc(format_args!("partial{t}"), cfg.k * (cfg.dims + 1)))
         .collect();
     let bufs = KmeansBuffers {
         point_tiles,
         centroids,
         partials,
         tile_sizes,
+        assign: assign_body(cfg.dims, cfg.k),
+        reduce: reduce_body(cfg.dims, cfg.k),
     };
     record(ctx, cfg, &bufs)?;
     Ok(bufs)
@@ -189,7 +192,7 @@ pub fn build(ctx: &mut Context, cfg: &KmeansConfig) -> Result<KmeansBuffers> {
 
 /// Record the Kmeans action sequence (uploads, per-iteration assign/reduce
 /// phases separated by barriers, final download) against already-allocated
-/// buffers; used by [`build`] and by autotuning sweeps that replan the
+/// buffers (built by [`build`] for the same `cfg`); used by [`build`] and by autotuning sweeps that replan the
 /// stream geometry and re-record the same problem without reallocating.
 pub fn record(ctx: &mut Context, cfg: &KmeansConfig, bufs: &KmeansBuffers) -> Result<()> {
     cfg.validate().map_err(hstreams::Error::Config)?;
@@ -204,27 +207,49 @@ pub fn record(ctx: &mut Context, cfg: &KmeansConfig, bufs: &KmeansBuffers) -> Re
     ctx.h2d(s0, bufs.centroids)?;
     ctx.barrier();
 
+    record_iterations(ctx, cfg, bufs)
+}
+
+/// Record the Lloyd iterations (assign on every tile, barrier, reduce,
+/// barrier) with the bodies `bufs` shares, then the centroids' download.
+fn record_iterations(ctx: &mut Context, cfg: &KmeansConfig, bufs: &KmeansBuffers) -> Result<()> {
+    let streams = ctx.stream_count();
+    let s0 = ctx.stream(0)?;
+    let (dims, k) = (cfg.dims as f64, cfg.k as f64);
+    let assign_profile =
+        profiles::kmeans_assign_with_alloc(micsim::SimDuration::from_micros(cfg.alloc_micros));
+    let reduce_work = bufs.tile_sizes.len() as f64 * k * (dims + 1.0);
     for iter in 0..cfg.iterations {
         for (t, &pts) in bufs.point_tiles.iter().enumerate() {
             let s = ctx.stream(t % streams)?;
+            let work = bufs.tile_sizes[t] as f64 * k * dims;
             ctx.kernel(
                 s,
-                assign_kernel(format!("assign({t},{iter})"), cfg, bufs.tile_sizes[t])
-                    .reading([pts, bufs.centroids])
-                    .writing([bufs.partials[t]]),
+                KernelDesc::simulated(
+                    format_args!("assign({t},{iter})"),
+                    assign_profile.clone(),
+                    work,
+                )
+                .with_body(bufs.assign.clone())
+                .reading([pts, bufs.centroids])
+                .writing([bufs.partials[t]]),
             )?;
         }
         ctx.barrier();
         ctx.kernel(
             s0,
-            reduce_kernel(format!("reduce({iter})"), cfg, bufs.tile_sizes.len())
-                .reading(bufs.partials.iter().copied())
-                .writing([bufs.centroids]),
+            KernelDesc::simulated(
+                format_args!("reduce({iter})"),
+                profiles::kmeans_reduce(),
+                reduce_work,
+            )
+            .with_body(bufs.reduce.clone())
+            .reading(bufs.partials.iter().copied())
+            .writing([bufs.centroids]),
         )?;
         ctx.barrier();
     }
-    ctx.d2h(s0, bufs.centroids)?;
-    Ok(())
+    ctx.d2h(s0, bufs.centroids)
 }
 
 /// Deterministic clustered input: `k` well-separated Gaussian-ish blobs.
@@ -340,28 +365,7 @@ pub fn converge_native(
         // Rebuild the per-batch program without the uploads: the device
         // copies of the points and centroids survive across runs.
         ctx.reset_program();
-        let streams = ctx.stream_count();
-        let s0 = ctx.stream(0)?;
-        for iter in 0..cfg.iterations {
-            for (t, &pts) in bufs.point_tiles.iter().enumerate() {
-                let s = ctx.stream(t % streams)?;
-                ctx.kernel(
-                    s,
-                    assign_kernel(format!("assign({t},{iter})"), cfg, bufs.tile_sizes[t])
-                        .reading([pts, bufs.centroids])
-                        .writing([bufs.partials[t]]),
-                )?;
-            }
-            ctx.barrier();
-            ctx.kernel(
-                s0,
-                reduce_kernel(format!("reduce({iter})"), cfg, bufs.tile_sizes.len())
-                    .reading(bufs.partials.iter().copied())
-                    .writing([bufs.centroids]),
-            )?;
-            ctx.barrier();
-        }
-        ctx.d2h(s0, bufs.centroids)?;
+        record_iterations(ctx, cfg, bufs)?;
     }
     Ok((prev.expect("at least one batch ran"), max_batches))
 }

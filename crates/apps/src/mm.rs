@@ -11,8 +11,10 @@
 //! the overlap can hide at most a ~`6/n·(bytes/flop)` slice — which is why
 //! the paper measures a modest 8.3 % average gain for MM.
 
+use std::sync::Arc;
+
 use hstreams::context::Context;
-use hstreams::kernel::KernelDesc;
+use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result, StreamId};
 use micsim::PlatformConfig;
 
@@ -54,7 +56,8 @@ impl MmConfig {
     }
 }
 
-/// Buffer handles of a built MM program.
+/// Buffer handles of a built MM program, and the GEMM body every launch
+/// of its tiling shares.
 pub struct MmBuffers {
     /// Row-panels of `A` (`tile × n` each), one per tile row.
     pub a_panels: Vec<BufId>,
@@ -62,12 +65,12 @@ pub struct MmBuffers {
     pub b_panels: Vec<BufId>,
     /// `C` tiles (`tile × tile`), row-major tile index `i * tpd + j`.
     pub c_tiles: Vec<BufId>,
+    gemm: KernelFn,
 }
 
-/// GEMM tile kernel: `C_tile = A_panel × B_panel`.
-fn gemm_kernel(label: String, tile: usize, n: usize) -> KernelDesc {
-    let work = 2.0 * tile as f64 * tile as f64 * n as f64;
-    KernelDesc::simulated(label, profiles::mm_gemm(), work).with_native(move |k| {
+/// GEMM tile body: `C_tile = A_panel × B_panel`.
+fn gemm_body(tile: usize, n: usize) -> KernelFn {
+    Arc::new(move |k| {
         let a = k.reads[0]; // tile x n, row-major
         let b = k.reads[1]; // n x tile, row-major
         let c = &mut k.writes[0]; // tile x tile, row-major
@@ -99,33 +102,34 @@ pub fn build(ctx: &mut Context, cfg: &MmConfig) -> Result<MmBuffers> {
     let n = cfg.n;
 
     let a_panels: Vec<BufId> = (0..tpd)
-        .map(|i| ctx.alloc(format!("A_panel{i}"), tile * n))
+        .map(|i| ctx.alloc(format_args!("A_panel{i}"), tile * n))
         .collect();
     let b_panels: Vec<BufId> = (0..tpd)
-        .map(|j| ctx.alloc(format!("B_panel{j}"), n * tile))
+        .map(|j| ctx.alloc(format_args!("B_panel{j}"), n * tile))
         .collect();
     let c_tiles: Vec<BufId> = (0..tpd * tpd)
-        .map(|t| ctx.alloc(format!("C{}_{}", t / tpd, t % tpd), tile * tile))
+        .map(|t| ctx.alloc(format_args!("C{}_{}", t / tpd, t % tpd), tile * tile))
         .collect();
     let bufs = MmBuffers {
         a_panels,
         b_panels,
         c_tiles,
+        gemm: gemm_body(tile, n),
     };
     record(ctx, cfg, &bufs)?;
     Ok(bufs)
 }
 
 /// Record the streamed MM action sequence against already-allocated
-/// buffers. Called by [`build`]; also directly by autotuning sweeps, which
-/// allocate and fill the buffers once and then re-record the same problem
-/// against a replanned stream geometry (see
-/// [`Context::replan`](hstreams::context::Context::replan)).
+/// buffers (built by [`build`] for the same `cfg`). Called by [`build`];
+/// also directly by autotuning sweeps, which allocate and fill the buffers
+/// once and then re-record the same problem against a replanned stream
+/// geometry (see [`Context::replan`](hstreams::context::Context::replan)).
 pub fn record(ctx: &mut Context, cfg: &MmConfig, bufs: &MmBuffers) -> Result<()> {
     cfg.validate().map_err(hstreams::Error::Config)?;
     let tpd = cfg.tiles_per_dim;
     let tile = cfg.tile();
-    let n = cfg.n;
+    let work = 2.0 * tile as f64 * tile as f64 * cfg.n as f64;
     let streams = ctx.stream_count();
     let (a_panels, b_panels, c_tiles) = (&bufs.a_panels, &bufs.b_panels, &bufs.c_tiles);
 
@@ -137,7 +141,7 @@ pub fn record(ctx: &mut Context, cfg: &MmConfig, bufs: &MmBuffers) -> Result<()>
     // context the residency tracker mirrors panels to the other cards
     // on demand (Sec. VI's extra transfers), so the same code runs
     // unmodified on several MICs.
-    let mut tracker = hstreams::ResidencyTracker::new();
+    let mut tracker = hstreams::ResidencyTracker::with_capacity(2 * tpd);
     let mut a_up = vec![false; tpd];
     let mut b_up = vec![false; tpd];
     for i in 0..tpd {
@@ -160,7 +164,8 @@ pub fn record(ctx: &mut Context, cfg: &MmConfig, bufs: &MmBuffers) -> Result<()>
             }
             ctx.kernel(
                 s,
-                gemm_kernel(format!("gemm({i},{j})"), tile, n)
+                KernelDesc::simulated(format_args!("gemm({i},{j})"), profiles::mm_gemm(), work)
+                    .with_body(bufs.gemm.clone())
                     .reading([a_panels[i], b_panels[j]])
                     .writing([c_tiles[t]]),
             )?;

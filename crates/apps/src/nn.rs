@@ -9,8 +9,10 @@
 //! (Fig. 9(e): improvement saturates at P = 4; Fig. 10(e): T barely
 //! matters). The final k-selection runs on the host, as in Rodinia.
 
+use std::sync::Arc;
+
 use hstreams::context::Context;
-use hstreams::kernel::KernelDesc;
+use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result};
 use micsim::PlatformConfig;
 
@@ -56,7 +58,8 @@ impl NnConfig {
     }
 }
 
-/// Buffer handles of a built NN program.
+/// Buffer handles of a built NN program, and the distance body every
+/// launch of its tiling shares.
 pub struct NnBuffers {
     /// Record tiles (`chunk × 2`, interleaved lat/lng).
     pub record_tiles: Vec<BufId>,
@@ -64,10 +67,12 @@ pub struct NnBuffers {
     pub dist_tiles: Vec<BufId>,
     /// Records per tile.
     pub tile_sizes: Vec<usize>,
+    distance: KernelFn,
 }
 
-fn distance_kernel(label: String, chunk: usize, target: (f32, f32)) -> KernelDesc {
-    KernelDesc::simulated(label, profiles::nn_distance(), chunk as f64).with_native(move |kc| {
+/// Distance body: each record's Euclidean distance to `target`.
+fn distance_body(target: (f32, f32)) -> KernelFn {
+    Arc::new(move |kc| {
         let recs = kc.reads[0];
         let threads = kc.threads;
         let out = &mut kc.writes[0];
@@ -93,23 +98,25 @@ pub fn build(ctx: &mut Context, cfg: &NnConfig) -> Result<NnBuffers> {
     let record_tiles: Vec<BufId> = tile_sizes
         .iter()
         .enumerate()
-        .map(|(t, &n)| ctx.alloc(format!("rec{t}"), n * 2))
+        .map(|(t, &n)| ctx.alloc(format_args!("rec{t}"), n * 2))
         .collect();
     let dist_tiles: Vec<BufId> = tile_sizes
         .iter()
         .enumerate()
-        .map(|(t, &n)| ctx.alloc(format!("dist{t}"), n))
+        .map(|(t, &n)| ctx.alloc(format_args!("dist{t}"), n))
         .collect();
     let bufs = NnBuffers {
         record_tiles,
         dist_tiles,
         tile_sizes,
+        distance: distance_body(cfg.target),
     };
     record(ctx, cfg, &bufs)?;
     Ok(bufs)
 }
 
-/// Record the NN action sequence against already-allocated buffers; used by
+/// Record the NN action sequence against already-allocated buffers (built
+/// by [`build`] for the same `cfg`); used by
 /// [`build`] and by autotuning sweeps that replan the stream geometry and
 /// re-record the same problem without reallocating.
 pub fn record(ctx: &mut Context, cfg: &NnConfig, bufs: &NnBuffers) -> Result<()> {
@@ -120,9 +127,14 @@ pub fn record(ctx: &mut Context, cfg: &NnConfig, bufs: &NnBuffers) -> Result<()>
         ctx.h2d(s, bufs.record_tiles[t])?;
         ctx.kernel(
             s,
-            distance_kernel(format!("nn({t})"), bufs.tile_sizes[t], cfg.target)
-                .reading([bufs.record_tiles[t]])
-                .writing([bufs.dist_tiles[t]]),
+            KernelDesc::simulated(
+                format_args!("nn({t})"),
+                profiles::nn_distance(),
+                bufs.tile_sizes[t] as f64,
+            )
+            .with_body(bufs.distance.clone())
+            .reading([bufs.record_tiles[t]])
+            .writing([bufs.dist_tiles[t]]),
         )?;
         ctx.d2h(s, bufs.dist_tiles[t])?;
     }

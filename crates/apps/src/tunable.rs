@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use hstreams::context::Context;
+use hstreams::kernel::KernelFn;
 use hstreams::types::{BufId, Result};
 
 use crate::{cholesky, hbench, kmeans, mm, nn, profiles, util};
@@ -80,6 +81,38 @@ fn perfect_sqrt(t: usize) -> Option<usize> {
 
 // ----- hBench ---------------------------------------------------------------
 
+/// One tile of an hBench tiling: its input and output buffers and length.
+#[derive(Clone, Copy, Debug)]
+struct Tile {
+    a: BufId,
+    b: BufId,
+    elems: usize,
+}
+
+/// Allocate the `(A, B)` buffers of `elems` elements split into `t` tiles,
+/// writing each tile's slice of `data` into its `A` when given.
+fn alloc_tiles(
+    ctx: &mut Context,
+    elems: usize,
+    t: usize,
+    data: Option<&[f32]>,
+) -> Result<Vec<Tile>> {
+    let mut tiles = Vec::with_capacity(t);
+    for (i, range) in util::split_ranges(elems, t).into_iter().enumerate() {
+        let a = ctx.alloc(format_args!("A{t}_{i}"), range.len());
+        let b = ctx.alloc(format_args!("B{t}_{i}"), range.len());
+        if let Some(data) = data {
+            ctx.write_host(a, &data[range.clone()])?;
+        }
+        tiles.push(Tile {
+            a,
+            b,
+            elems: range.len(),
+        });
+    }
+    Ok(tiles)
+}
+
 /// The paper's microbenchmark pipeline (`B[i] = A[i] + α`, Fig. 6
 /// `Streamed` variant): `elems` elements split into `T` tiles, each tile
 /// H2D → kernel → D2H, round-robin over the context's streams.
@@ -88,8 +121,10 @@ pub struct TunableHbench {
     iters: usize,
     /// Input data, generated once; `None` skips filling (sim-only sweeps).
     data: Option<Vec<f32>>,
-    /// Per-`T` tile buffers `(A, B)`, allocated on first sight of that `T`.
-    tiles: HashMap<usize, Vec<(BufId, BufId)>>,
+    /// The kernel body every launch of every tiling shares.
+    body: KernelFn,
+    /// Per-`T` tiles, allocated on first sight of that `T`.
+    tiles: HashMap<usize, Vec<Tile>>,
 }
 
 impl TunableHbench {
@@ -101,6 +136,7 @@ impl TunableHbench {
             elems,
             iters,
             data: fill_seed.map(|s| util::random_vec(s, elems, -1.0, 1.0)),
+            body: hbench::body(iters),
             tiles: HashMap::new(),
         }
     }
@@ -124,31 +160,26 @@ impl Tunable for TunableHbench {
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let ranges = util::split_ranges(self.elems, t);
         if !self.tiles.contains_key(&t) {
-            let mut bufs = Vec::with_capacity(t);
-            for (i, range) in ranges.iter().enumerate() {
-                let a = ctx.alloc(format!("A{t}_{i}"), range.len());
-                let b = ctx.alloc(format!("B{t}_{i}"), range.len());
-                if let Some(data) = &self.data {
-                    ctx.write_host(a, &data[range.clone()])?;
-                }
-                bufs.push((a, b));
-            }
-            self.tiles.insert(t, bufs);
+            let tiles = alloc_tiles(ctx, self.elems, t, self.data.as_deref())?;
+            self.tiles.insert(t, tiles);
         }
-        let bufs = &self.tiles[&t];
         let streams = ctx.stream_count();
-        for (i, (&(a, b), range)) in bufs.iter().zip(&ranges).enumerate() {
+        for (i, tile) in self.tiles[&t].iter().enumerate() {
             let s = ctx.stream(i % streams)?;
-            ctx.h2d(s, a)?;
+            ctx.h2d(s, tile.a)?;
             ctx.kernel(
                 s,
-                hbench::kernel(format!("hbench{i}"), range.len(), self.iters)
-                    .reading([a])
-                    .writing([b]),
+                hbench::kernel_with(
+                    format_args!("hbench{i}"),
+                    tile.elems,
+                    self.iters,
+                    &self.body,
+                )
+                .reading([tile.a])
+                .writing([tile.b]),
             )?;
-            ctx.d2h(s, b)?;
+            ctx.d2h(s, tile.b)?;
         }
         Ok(())
     }
@@ -464,7 +495,8 @@ impl Tunable for TunableKmeans {
 pub struct TunablePartitionMicro {
     elems: usize,
     iters: usize,
-    tiles: HashMap<usize, Vec<(BufId, BufId)>>,
+    body: KernelFn,
+    tiles: HashMap<usize, Vec<Tile>>,
 }
 
 impl TunablePartitionMicro {
@@ -473,6 +505,7 @@ impl TunablePartitionMicro {
         TunablePartitionMicro {
             elems,
             iters,
+            body: hbench::body(iters),
             tiles: HashMap::new(),
         }
     }
@@ -496,25 +529,18 @@ impl Tunable for TunablePartitionMicro {
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let ranges = util::split_ranges(self.elems, t);
-        self.tiles.entry(t).or_insert_with(|| {
-            let mut bufs = Vec::with_capacity(t);
-            for (i, range) in ranges.iter().enumerate() {
-                let a = ctx.alloc(format!("A{t}_{i}"), range.len());
-                let b = ctx.alloc(format!("B{t}_{i}"), range.len());
-                bufs.push((a, b));
-            }
-            bufs
-        });
-        let bufs = &self.tiles[&t];
+        if !self.tiles.contains_key(&t) {
+            let tiles = alloc_tiles(ctx, self.elems, t, None)?;
+            self.tiles.insert(t, tiles);
+        }
         let streams = ctx.stream_count();
-        for (i, (&(a, b), range)) in bufs.iter().zip(&ranges).enumerate() {
+        for (i, tile) in self.tiles[&t].iter().enumerate() {
             let s = ctx.stream(i % streams)?;
             ctx.kernel(
                 s,
-                hbench::kernel(format!("k{i}"), range.len(), self.iters)
-                    .reading([a])
-                    .writing([b]),
+                hbench::kernel_with(format_args!("k{i}"), tile.elems, self.iters, &self.body)
+                    .reading([tile.a])
+                    .writing([tile.b]),
             )?;
         }
         Ok(())
@@ -572,8 +598,7 @@ mod tests {
         assert!(c.run_sim().unwrap().makespan().nanos() > 0);
         c.run_native().unwrap();
         // Output of the last tile is input + alpha*iters.
-        let (_, b) = app.tiles[&4][3];
-        let out = c.read_host(b).unwrap();
+        let out = c.read_host(app.tiles[&4][3].b).unwrap();
         let a_in = &app.data.as_ref().unwrap()[3 * 256..4 * 256];
         for (o, i) in out.iter().zip(a_in) {
             assert!((o - (i + hbench::ALPHA * 4.0)).abs() < 1e-4);

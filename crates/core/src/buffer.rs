@@ -13,11 +13,16 @@
 //! is first written or a native run backs it. Simulator-only
 //! programs can therefore describe multi-gigabyte device datasets without
 //! allocating them on the host.
-
-use std::sync::Arc;
+//!
+//! Each copy is a plain lock around its vector, owned by the buffer and
+//! not shared: a native kernel borrows the storage it locks from the
+//! [`Context`](crate::context::Context) it runs against. With its name
+//! inline (see [`crate::inline`]), allocating a buffer allocates nothing
+//! until it is backed.
 
 use parking_lot::RwLock;
 
+use crate::inline::InlineStr;
 use crate::types::{BufId, Error, Result};
 
 /// Element type of all buffers (the paper's workloads are single-precision).
@@ -31,25 +36,25 @@ pub struct Buffer {
     /// The handle.
     pub id: BufId,
     /// Debug name.
-    pub name: String,
+    pub name: InlineStr,
     /// Length in elements.
     pub len: usize,
     /// Host-side storage.
-    pub host: Arc<RwLock<Vec<Elem>>>,
+    pub host: RwLock<Vec<Elem>>,
     /// Device-side storage (backed by the native executor; the sim
     /// executor tracks only capacity in `micsim`'s device memory).
-    pub device: Arc<RwLock<Vec<Elem>>>,
+    pub device: RwLock<Vec<Elem>>,
 }
 
 impl Buffer {
     /// Create a logically zero-filled buffer (storage is lazy).
-    pub fn new(id: BufId, name: impl Into<String>, len: usize) -> Buffer {
+    pub fn new(id: BufId, name: impl Into<InlineStr>, len: usize) -> Buffer {
         Buffer {
             id,
             name: name.into(),
             len,
-            host: Arc::new(RwLock::new(Vec::new())),
-            device: Arc::new(RwLock::new(Vec::new())),
+            host: RwLock::new(Vec::new()),
+            device: RwLock::new(Vec::new()),
         }
     }
 

@@ -46,6 +46,7 @@ use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::{Buffer, Elem};
+use crate::inline::InlineStr;
 use crate::kernel::KernelDesc;
 use crate::program::{EventSite, Program, StreamPlacement, StreamRecord};
 // (Program is also the module-doc link target above.)
@@ -124,47 +125,22 @@ impl ContextBuilder {
         }
         self.cfg.validate().map_err(Error::Config)?;
         let plan = PartitionPlan::equal_split(&self.cfg.device, self.partitions)?;
-        let program = streams_for(
-            self.cfg.device_count,
-            self.partitions,
-            self.streams_per_partition,
-        );
-        Ok(Context {
+        let mut ctx = Context {
             cfg: self.cfg,
             plan,
             streams_per_partition: self.streams_per_partition,
             replan_capacity,
             buffers: Vec::new(),
-            program: Arc::new(program),
+            program: Arc::default(),
             native_rt: std::sync::OnceLock::new(),
             check_mode: self.check_mode,
             scheduler: crate::sched::SchedulerKind::default(),
             fault_plan: None,
             optimize: self.optimize,
-        })
+        };
+        ctx.lay_out_streams();
+        Ok(ctx)
     }
-}
-
-/// Device-major stream layout for a partition count: every device gets
-/// `partitions * streams_per_partition` streams, partition-major.
-fn streams_for(devices: usize, partitions: usize, streams_per_partition: usize) -> Program {
-    let mut program = Program::default();
-    for dev in 0..devices {
-        for part in 0..partitions {
-            for _ in 0..streams_per_partition {
-                let id = StreamId(program.streams.len());
-                program.streams.push(StreamRecord {
-                    id,
-                    placement: StreamPlacement {
-                        device: DeviceId(dev),
-                        partition: part,
-                    },
-                    actions: Vec::new(),
-                });
-            }
-        }
-    }
-    program
 }
 
 /// A live streaming context. See the [module docs](self).
@@ -247,7 +223,10 @@ impl Context {
     /// recorded against the new geometry. Buffer ids, host copies and any
     /// backed native storage all survive, which is what makes an
     /// autotuning sweep over `(T, P)` cheap: allocate and fill once, replan
-    /// and re-record per trial.
+    /// and re-record per trial. The program's storage survives too: each
+    /// kept stream's action queue and the events table are cleared in
+    /// place, so re-recording a candidate of a similar size allocates no
+    /// queue again.
     ///
     /// Once the persistent native runtime exists (after the first
     /// `run_native`), `partitions` must not exceed
@@ -267,12 +246,70 @@ impl Context {
         }
         self.plan = PartitionPlan::equal_split(&self.cfg.device, partitions)?;
         self.replan_capacity = self.replan_capacity.max(partitions);
-        self.program = Arc::new(streams_for(
-            self.device_count(),
-            partitions,
-            self.streams_per_partition,
-        ));
+        self.lay_out_streams();
         Ok(())
+    }
+
+    /// Empty the recorded program and lay out the streams of the current
+    /// plan (device-major, then partition, then stream-within-partition),
+    /// keeping the storage [`Context::clear_program`] keeps.
+    fn lay_out_streams(&mut self) {
+        let (devices, partitions) = (self.device_count(), self.partitions());
+        let per_partition = self.streams_per_partition;
+        let program = self.clear_program();
+        program
+            .streams
+            .truncate(devices * partitions * per_partition);
+        let placements = (0..devices).flat_map(|dev| {
+            (0..partitions * per_partition).map(move |i| StreamPlacement {
+                device: DeviceId(dev),
+                partition: i / per_partition,
+            })
+        });
+        for (i, placement) in placements.enumerate() {
+            let id = StreamId(i);
+            match program.streams.get_mut(i) {
+                Some(s) => {
+                    s.id = id;
+                    s.placement = placement;
+                }
+                None => program.streams.push(StreamRecord {
+                    id,
+                    placement,
+                    actions: Vec::new(),
+                }),
+            }
+        }
+    }
+
+    /// Discard the recorded actions, events and barriers but keep the
+    /// stream set, reusing the program's storage: each stream's action
+    /// queue and the events table are cleared in place. A program a live
+    /// report still shares stays the report's, and recording starts over
+    /// from its stream set with empty queues.
+    fn clear_program(&mut self) -> &mut Program {
+        if Arc::get_mut(&mut self.program).is_none() {
+            let streams = self
+                .program
+                .streams
+                .iter()
+                .map(|s| StreamRecord {
+                    actions: Vec::new(),
+                    ..*s
+                })
+                .collect();
+            self.program = Arc::new(Program {
+                streams,
+                ..Program::default()
+            });
+        }
+        let program = self.program_mut();
+        for s in &mut program.streams {
+            s.actions.clear();
+        }
+        program.events.clear();
+        program.barriers = 0;
+        program
     }
 
     /// Total streams across all cards.
@@ -308,7 +345,7 @@ impl Context {
 
     /// Allocate a zero-filled logical buffer of `len` elements, with an
     /// instance reserved in every card's device memory.
-    pub fn alloc(&mut self, name: impl Into<String>, len: usize) -> BufId {
+    pub fn alloc(&mut self, name: impl Into<InlineStr>, len: usize) -> BufId {
         let id = BufId(self.buffers.len());
         self.buffers.push(Buffer::new(id, name, len));
         id
@@ -513,12 +550,7 @@ impl Context {
     /// partitions and buffers. Handy for sweeping a parameter with the same
     /// buffers.
     pub fn reset_program(&mut self) {
-        let program = self.program_mut();
-        for s in &mut program.streams {
-            s.actions.clear();
-        }
-        program.events.clear();
-        program.barriers = 0;
+        self.clear_program();
     }
 
     // ----- static analysis -------------------------------------------------
@@ -883,9 +915,20 @@ mod tests {
     fn failed_replan_keeps_the_last_good_plan_on_every_card() {
         let mut c = two_cards(4);
         c.replan(5).unwrap();
+        let a = c.alloc("a", 16);
+        let (s0, s1) = (c.stream(0).unwrap(), c.stream(6).unwrap());
+        c.h2d(s0, a).unwrap();
+        let e = c.record_event(s0).unwrap();
+        c.wait_event(s1, e).unwrap();
+        c.barrier();
+        let recorded = c.program().dump();
         assert!(c.replan(999).is_err());
         assert_eq!(c.partitions(), 5);
         assert_eq!(c.stream_count(), 10);
+        assert_eq!(c.program().dump(), recorded, "actions and events survive");
+        assert_eq!(c.program().action_count(), 13);
+        assert_eq!(c.program().events.len(), 1);
+        c.program().validate().unwrap();
         let (got, want) = (c.cost_model().unwrap(), two_cards(5).cost_model().unwrap());
         let k = device_kernel();
         for dev in 0..2 {
@@ -900,6 +943,38 @@ mod tests {
             }
         }
         assert!(got.action_seconds(&k, 0, 5).is_none());
+    }
+
+    #[test]
+    fn replan_clears_in_place_and_leaves_a_live_report_its_program() {
+        let mut c = ctx(2, 1);
+        let a = c.alloc("a", 16);
+        for _ in 0..40 {
+            c.h2d(c.stream(0).unwrap(), a).unwrap();
+        }
+        let e = c.record_event(c.stream(0).unwrap()).unwrap();
+        c.wait_event(c.stream(1).unwrap(), e).unwrap();
+        // Unshared: the queues and the events table keep their storage.
+        let capacity = c.program().streams[0].actions.capacity();
+        c.replan(3).unwrap();
+        assert_eq!(c.stream_count(), 3);
+        assert_eq!(c.program().action_count(), 0);
+        assert!(c.program().events.is_empty() && c.program().events.capacity() > 0);
+        assert_eq!(c.program().streams[0].actions.capacity(), capacity);
+        for (i, s) in c.program().streams.iter().enumerate() {
+            assert_eq!((s.id, s.placement.partition), (StreamId(i), i));
+        }
+        // Shared with a report: the report keeps what it priced.
+        c.h2d(c.stream(2).unwrap(), a).unwrap();
+        let report = c.run_sim().unwrap();
+        c.replan(1).unwrap();
+        assert_eq!(c.stream_count(), 1);
+        assert_eq!(c.program().action_count(), 0);
+        assert!(report
+            .timeline
+            .records
+            .iter()
+            .any(|r| report.label(r) == "h2d b0"));
     }
 
     #[test]

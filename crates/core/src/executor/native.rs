@@ -145,14 +145,6 @@ pub struct NativeReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// A buffer id, write-intent flag, and its storage Arc, collected before
-/// the guards that borrow it.
-type StorageEntry = (
-    crate::types::BufId,
-    bool,
-    std::sync::Arc<parking_lot::RwLock<Vec<Elem>>>,
-);
-
 /// One link channel of one device: a resource with a FIFO queue, as the
 /// simulator models it. Drivers are served strictly in the order they asked
 /// (a ticket lock) — a plain mutex would let the releasing driver barge back
@@ -439,27 +431,12 @@ fn exec_kernel(
     } else {
         (Some(shared.partition_locks[dev][part].lock()), None)
     };
-    let side = |b: &crate::buffer::Buffer| {
-        if desc.host {
-            b.host.clone()
-        } else {
-            b.device.clone()
-        }
-    };
     // Lock declared buffers in global id order (deadlock-free across
     // concurrent kernels), but keep read and write guards in separate
-    // vectors so views can borrow them independently.
+    // vectors so views can borrow them independently. The guards borrow
+    // the storage from the context, which outlives the run.
     let mut wanted: Vec<(crate::types::BufId, bool)> = desc.accesses().collect();
     wanted.sort_by_key(|(b, _)| *b);
-    // Storage Arcs are collected first so the guards below (declared
-    // after, dropped before) can safely borrow them.
-    let storages: Vec<StorageEntry> = wanted
-        .iter()
-        .map(|&(b, w)| {
-            let buffer = ctx.buffer(b).expect("validated at enqueue time");
-            (b, w, side(buffer))
-        })
-        .collect();
     let mut read_guards: Vec<(
         crate::types::BufId,
         parking_lot::RwLockReadGuard<'_, Vec<Elem>>,
@@ -468,11 +445,17 @@ fn exec_kernel(
         crate::types::BufId,
         parking_lot::RwLockWriteGuard<'_, Vec<Elem>>,
     )> = Vec::with_capacity(desc.writes.len());
-    for (b, is_write, storage) in &storages {
-        if *is_write {
-            write_guards.push((*b, storage.write()));
+    for &(b, is_write) in &wanted {
+        let buffer = ctx.buffer(b).expect("validated at enqueue time");
+        let storage = if desc.host {
+            &buffer.host
         } else {
-            read_guards.push((*b, storage.read()));
+            &buffer.device
+        };
+        if is_write {
+            write_guards.push((b, storage.write()));
+        } else {
+            read_guards.push((b, storage.read()));
         }
     }
     // Read views in declaration order.
@@ -606,7 +589,7 @@ fn run_payload(
             if outcome.is_err() {
                 FaultTallies::bump(&fc.tallies.kernel_panics);
                 fc.skip(si, ai, action);
-                let kernel = desc.label.clone();
+                let kernel = desc.label.to_string();
                 shared.fail(if desc.host {
                     Error::KernelPanicked { kernel }
                 } else {
@@ -997,7 +980,7 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
             match action {
                 Action::Kernel(k) if k.native.is_none() => {
                     return Err(Error::MissingNativeBody {
-                        kernel: k.label.clone(),
+                        kernel: k.label.to_string(),
                     });
                 }
                 Action::RecordEvent(e) | Action::WaitEvent(e)

@@ -296,7 +296,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
         if let Some(plan) = &ctx.fault_plan {
             match (action, lane) {
                 (Action::Kernel(desc), _) if plan.kernel_panics_at(si, ai) => {
-                    let kernel = desc.label.clone();
+                    let kernel = desc.label.to_string();
                     return Err(match lane {
                         Lane::Host => Error::KernelPanicked { kernel },
                         _ => Error::PartitionLost {

@@ -8,12 +8,20 @@
 //!   for real by the native executor.
 //!
 //! Applications provide both so the same program runs on either backend.
+//!
+//! A launch owns its label and its read and write lists inline (see
+//! [`crate::inline`]) and shares its native body: an application builds one
+//! [`KernelFn`] per kernel kind and tiling and every launch clones the
+//! `Arc`, so recording a launch allocates nothing. The body borrows its
+//! buffers' storage from the context that runs it; no launch holds storage
+//! of its own.
 
 use std::fmt;
 use std::sync::Arc;
 
 use micsim::compute::KernelProfile;
 
+use crate::inline::{BufList, InlineStr};
 use crate::types::{BufId, Error, Result};
 
 /// Typed views of the buffers a kernel accesses, plus execution hints.
@@ -30,22 +38,22 @@ pub struct KernelCtx<'a> {
     pub threads: usize,
 }
 
-/// The native body of a kernel.
+/// The native body of a kernel, shared by every launch that clones it.
 pub type KernelFn = Arc<dyn Fn(&mut KernelCtx<'_>) + Send + Sync>;
 
 /// A complete kernel launch description.
 #[derive(Clone)]
 pub struct KernelDesc {
     /// Trace label, e.g. `"gemm(2,3)"`.
-    pub label: String,
+    pub label: InlineStr,
     /// Cost-model face.
     pub profile: KernelProfile,
     /// Work units this launch carries (same unit as `profile.thread_rate`).
     pub work: f64,
     /// Buffers read.
-    pub reads: Vec<BufId>,
+    pub reads: BufList,
     /// Buffers written.
-    pub writes: Vec<BufId>,
+    pub writes: BufList,
     /// Native face; `None` for simulate-only kernels.
     pub native: Option<KernelFn>,
     /// Run on the **host** instead of a device partition (hStreams supports
@@ -70,13 +78,13 @@ impl fmt::Debug for KernelDesc {
 
 impl KernelDesc {
     /// Build a kernel with a cost face only (no native body).
-    pub fn simulated(label: impl Into<String>, profile: KernelProfile, work: f64) -> KernelDesc {
+    pub fn simulated(label: impl Into<InlineStr>, profile: KernelProfile, work: f64) -> KernelDesc {
         KernelDesc {
             label: label.into(),
             profile,
             work,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            reads: BufList::default(),
+            writes: BufList::default(),
             native: None,
             host: false,
         }
@@ -102,10 +110,16 @@ impl KernelDesc {
 
     /// Attach a native body.
     pub fn with_native(
-        mut self,
+        self,
         body: impl Fn(&mut KernelCtx<'_>) + Send + Sync + 'static,
     ) -> KernelDesc {
-        self.native = Some(Arc::new(body));
+        self.with_body(Arc::new(body))
+    }
+
+    /// Attach a native body built once and shared: the launch clones the
+    /// `Arc`, so recording it allocates nothing.
+    pub fn with_body(mut self, body: KernelFn) -> KernelDesc {
+        self.native = Some(body);
         self
     }
 
@@ -127,7 +141,7 @@ impl KernelDesc {
             if self.writes.contains(r) {
                 return Err(Error::ReadWriteConflict {
                     buf: *r,
-                    kernel: self.label.clone(),
+                    kernel: self.label.to_string(),
                 });
             }
         }
@@ -151,8 +165,8 @@ mod tests {
             .with_native(|ctx| {
                 ctx.writes[0][0] = ctx.reads[0][0] + ctx.reads[1][0];
             });
-        assert_eq!(k.reads, vec![BufId(0), BufId(1)]);
-        assert_eq!(k.writes, vec![BufId(2)]);
+        assert_eq!(*k.reads, [BufId(0), BufId(1)]);
+        assert_eq!(*k.writes, [BufId(2)]);
         assert!(k.native.is_some());
         k.validate().unwrap();
         let dbg = format!("{k:?}");

@@ -65,6 +65,7 @@ pub mod check;
 pub mod context;
 pub mod executor;
 pub mod fault;
+pub mod inline;
 pub mod kernel;
 pub mod lease;
 pub mod metrics;
@@ -88,6 +89,7 @@ pub use context::Context;
 pub use executor::native::{NativeConfig, NativeReport};
 pub use executor::sim::SimReport;
 pub use fault::{FaultCounters, FaultPlan, RecoveryState, ResilientReport};
+pub use inline::{BufList, InlineStr};
 pub use kernel::{KernelCtx, KernelDesc, KernelFn};
 pub use lease::{Lease, LeaseTable, TenantId};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};

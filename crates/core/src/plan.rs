@@ -8,6 +8,7 @@
 //! skeletons so applications only describe their tiles.
 
 use crate::context::Context;
+use crate::inline::BufList;
 use crate::kernel::KernelDesc;
 use crate::types::{BufId, Result, StreamId};
 
@@ -68,15 +69,14 @@ pub fn enqueue_tiles(ctx: &mut Context, tasks: Vec<TileTask>, mode: FlowMode) ->
                 .zip(assignments.iter())
                 .map(|(t, s)| (*s, t.kernel))
                 .collect();
-            let outputs: Vec<(StreamId, Vec<BufId>)> = Vec::new();
-            let mut outs = outputs;
+            let mut outs: Vec<(StreamId, BufList)> = Vec::new();
             for (s, kernel) in kernels.drain(..) {
                 outs.push((s, kernel.writes.clone()));
                 ctx.kernel(s, kernel)?;
             }
             ctx.barrier();
             for (s, bufs) in outs {
-                for b in bufs {
+                for &b in &bufs {
                     ctx.d2h(s, b)?;
                 }
             }

@@ -58,6 +58,15 @@ impl ResidencyTracker {
         ResidencyTracker::default()
     }
 
+    /// Fresh tracker with room for `copies` live `(buffer, card)` copies
+    /// before it allocates again — for a recording that knows how many
+    /// buffers it will produce.
+    pub fn with_capacity(copies: usize) -> ResidencyTracker {
+        ResidencyTracker {
+            ready: HashMap::with_capacity(copies),
+        }
+    }
+
     /// Number of live `(buffer, card)` copies.
     pub fn copies(&self) -> usize {
         self.ready.len()

@@ -38,11 +38,11 @@ pub(super) fn base_costs(input: &SchedInput<'_>) -> Option<Vec<f64>> {
 
 /// Buffers node `u` produces (transfer payloads and kernel writes) — the
 /// residency a consumer would rather stay next to.
-fn produces(input: &SchedInput<'_>, u: usize) -> Vec<crate::types::BufId> {
+fn produces<'p>(input: &SchedInput<'p>, u: usize) -> &'p [crate::types::BufId] {
     match input.graph.action(input.program, u) {
-        Action::Transfer { buf, .. } => vec![*buf],
-        Action::Kernel(k) => k.writes.clone(),
-        _ => Vec::new(),
+        Action::Transfer { buf, .. } => std::slice::from_ref(buf),
+        Action::Kernel(k) => &k.writes,
+        _ => &[],
     }
 }
 
@@ -71,7 +71,7 @@ pub(super) fn locality_penalty(
         if partition == candidate {
             continue;
         }
-        for buf in produces(input, p) {
+        for &buf in produces(input, p) {
             if k.reads.contains(&buf) {
                 let dir = micsim::pcie::Direction::HostToDevice;
                 let reload = Action::Transfer { dir, buf };

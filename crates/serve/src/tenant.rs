@@ -58,7 +58,7 @@ impl TenantProgram {
         let buffers = (0..ctx.buffer_count())
             .map(|i| {
                 let b = ctx.buffer(BufId(i))?;
-                let (name, len) = (b.name.clone(), b.len);
+                let (name, len) = (b.name.to_string(), b.len);
                 Ok(CapturedBuffer {
                     name,
                     len,

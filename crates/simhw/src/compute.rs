@@ -19,6 +19,7 @@
 //!    plus an optional cache-locality bonus for compact partitions
 //!    (Hotspot's dip at P≈33–37, Fig. 9(d)).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::partition::Partition;
@@ -103,8 +104,9 @@ pub enum CacheProfile {
 /// Cost description of one kernel *type*.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelProfile {
-    /// Human-readable name (shows up in traces).
-    pub name: String,
+    /// Human-readable name (shows up in traces); a literal costs no
+    /// allocation.
+    pub name: Cow<'static, str>,
     /// Work units one *thread-equivalent* retires per second (see
     /// [`SmtScaling`]; a fully populated core supplies ≈1.8 equivalents).
     /// The unit is whatever [`KernelInvocation::work`] is measured in
@@ -122,7 +124,7 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// A neutral profile with the given name and rate; other knobs zeroed.
-    pub fn streaming(name: impl Into<String>, thread_rate: f64) -> KernelProfile {
+    pub fn streaming(name: impl Into<Cow<'static, str>>, thread_rate: f64) -> KernelProfile {
         KernelProfile {
             name: name.into(),
             thread_rate,
@@ -222,7 +224,7 @@ impl ComputeModel {
         let capacity = self.partition_capacity(part);
         if capacity <= 0.0 {
             return Err(ComputeError::EmptyPartition {
-                kernel: profile.name.clone(),
+                kernel: profile.name.to_string(),
             });
         }
         let eff = self.parallel_efficiency(profile, inv.work, part.threads);

@@ -230,6 +230,9 @@ echo "==> performance ledger: mic-e2e unit tests + self-test"
 cargo test --offline --manifest-path bench/e2e/Cargo.toml
 bash bench/e2e/run.sh --self-test
 
+echo "==> allocation budgets (a simulated run allocates per run, a recorded candidate per tiling; counts in the log)"
+cargo test --release --test sim_alloc_budget -- --nocapture
+
 echo "==> simulator ledger (sim_sweep's makespans and exact counts equal the committed baseline, bit for bit)"
 bash bench/e2e/run.sh --workload sim_sweep --seed 1 --seconds 3 --trace 1 2>/dev/null \
   | python3 scripts/sim_exact.py bench/e2e/baseline/baseline.json sim_sweep \

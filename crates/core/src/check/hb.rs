@@ -349,14 +349,12 @@ impl HbGraph {
         }
     }
 
-    /// Just the node layout and edge lists — what the native executor keeps
-    /// of the graph while a recorded run is live — or the error a cyclic
-    /// graph is to an executor.
-    pub(crate) fn into_edges(self) -> crate::types::Result<HbEdges> {
-        match self.cycle {
-            None => Ok(self.edges),
-            Some(cycle) => Err(wait_cycle(&cycle)),
-        }
+    /// Free the order and the clocks, keeping the edges — all a native
+    /// recorded run reads while it is live. After this `order` is empty
+    /// and `happens_before` answers `false`.
+    pub(crate) fn shed_order(&mut self) {
+        self.order = Vec::new();
+        self.clocks = Vec::new();
     }
 
     /// Nodes in the graph (actions + barrier joins).

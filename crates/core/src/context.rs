@@ -59,7 +59,6 @@ pub struct ContextBuilder {
     streams_per_partition: usize,
     replan_capacity: Option<usize>,
     check_mode: crate::check::CheckMode,
-    optimize: bool,
 }
 
 impl ContextBuilder {
@@ -81,20 +80,6 @@ impl ContextBuilder {
     /// findings refuse the run.
     pub fn check_mode(mut self, mode: crate::check::CheckMode) -> ContextBuilder {
         self.check_mode = mode;
-        self
-    }
-
-    /// Run [sync elision](crate::opt::optimize) on every program
-    /// installed via [`Context::install_program`]: redundant waits, dead
-    /// records and implied barriers are removed under an equivalence
-    /// certificate before the program is stored. Off by default. Callers
-    /// that address actions by `(stream, action index)` — e.g. fault
-    /// injection sites — must translate coordinates through the
-    /// [`OptReport`](crate::opt::OptReport) the install returns.
-    /// Incrementally recorded programs are not rewritten implicitly; opt in
-    /// per program with [`Context::apply_optimizer`].
-    pub fn optimize(mut self, on: bool) -> ContextBuilder {
-        self.optimize = on;
         self
     }
 
@@ -136,7 +121,6 @@ impl ContextBuilder {
             check_mode: self.check_mode,
             scheduler: crate::sched::SchedulerKind::default(),
             fault_plan: None,
-            optimize: self.optimize,
         };
         ctx.lay_out_streams();
         Ok(ctx)
@@ -165,9 +149,6 @@ pub struct Context {
     scheduler: crate::sched::SchedulerKind,
     /// The faults both executors inject (see [`Context::set_fault_plan`]).
     pub(crate) fault_plan: Option<crate::fault::FaultPlan>,
-    /// Elide redundant sync on program install (see
-    /// [`ContextBuilder::optimize`]).
-    optimize: bool,
 }
 
 impl std::fmt::Debug for Context {
@@ -191,7 +172,6 @@ impl Context {
             streams_per_partition: 1,
             replan_capacity: None,
             check_mode: crate::check::CheckMode::default(),
-            optimize: false,
         }
     }
 
@@ -487,11 +467,10 @@ impl Context {
     /// checker still runs at execution time under the context's
     /// [`CheckMode`](crate::check::CheckMode) and may reject more.
     ///
-    /// Returns the sync-elision report when the context was
-    /// [built](ContextBuilder::optimize) with the optimizer on (`None`
-    /// otherwise): its site map translates recorded coordinates into the
-    /// installed program's.
-    pub fn install_program(&mut self, program: Program) -> Result<Option<crate::opt::OptReport>> {
+    /// The program is stored as given: a caller that wants redundant sync
+    /// elided runs [`crate::opt::optimize`] first and installs its program,
+    /// translating recorded coordinates through its report's site map.
+    pub fn install_program(&mut self, program: Program) -> Result<()> {
         program.validate()?;
         let devices = self.device_count();
         let max_streams = devices * self.replan_capacity * self.streams_per_partition;
@@ -522,13 +501,8 @@ impl Context {
                 }
             }
         }
-        if !self.optimize {
-            self.program = Arc::new(program);
-            return Ok(None);
-        }
-        let optimized = crate::opt::optimize(&program, &self.check_env());
-        self.program = Arc::new(optimized.program);
-        Ok(Some(optimized.report))
+        self.program = Arc::new(program);
+        Ok(())
     }
 
     /// Reset every allocated buffer's host **and** device storage to zeros
@@ -607,25 +581,6 @@ impl Context {
     pub fn static_cost(&self) -> Option<crate::opt::StaticCost> {
         let model = self.cost_model().ok()?;
         crate::opt::static_cost(&self.program, &model)
-    }
-
-    /// Pre-run analyzer gate shared by both executors: analyze under the
-    /// context's [`CheckMode`](crate::check::CheckMode) and refuse
-    /// error-severity findings, report attached, when enforcing. A run that
-    /// may proceed gets the analysis to plan and lower from, instead of
-    /// deriving the graph again (`None` for a FIFO run in mode `Off`).
-    pub(crate) fn enforce_check(&self) -> Result<Option<crate::check::Analysis>> {
-        match (self.check_mode, self.scheduler) {
-            (crate::check::CheckMode::Off, crate::sched::SchedulerKind::Fifo) => Ok(None),
-            (mode, _) => {
-                let analysis = self.analyze();
-                if !analysis.report.is_clean() && mode == crate::check::CheckMode::Enforce {
-                    Err(Error::Check(Box::new(analysis.report)))
-                } else {
-                    Ok(Some(analysis))
-                }
-            }
-        }
     }
 
     // ----- scheduling ------------------------------------------------------
@@ -722,8 +677,6 @@ impl Context {
             .map(super::executor::native::NativeRuntime::thread_count)
     }
 
-    // ----- recovery --------------------------------------------------------
-
     /// Execute natively with **graceful degradation**: a pass that loses work
     /// drains and records what it skipped; the next pass re-runs exactly
     /// those nodes of the checker's task graph on surviving partitions,
@@ -737,85 +690,7 @@ impl Context {
         &self,
         cfg: &crate::executor::native::NativeConfig,
     ) -> Result<crate::fault::ResilientReport> {
-        const MAX_DEGRADED_RUNS: u64 = 2;
-        let mut faults = crate::fault::FaultCounters::default();
-        let mut after = crate::fault::RecoveryState::default();
-        let mut pass = crate::executor::native::run(self, cfg);
-        loop {
-            let failure = match pass {
-                Ok(report) => {
-                    faults.absorb(&report.faults);
-                    return Ok(crate::fault::ResilientReport {
-                        report,
-                        faults,
-                        lost_partitions: after.lost,
-                    });
-                }
-                Err(Error::Run(failure)) => failure,
-                Err(refused) => return Err(refused),
-            };
-            let state = &failure.recovery;
-            faults.absorb(&state.faults);
-            after.lost.extend_from_slice(&state.lost);
-            after.fired.extend_from_slice(&state.fired);
-            let plan = (faults.degraded_runs < MAX_DEGRADED_RUNS)
-                .then(|| self.recovery_plan(&state.skipped, &after.lost))
-                .flatten();
-            let Some(plan) = plan else {
-                return Err(Error::Run(failure));
-            };
-            faults.degraded_runs += 1;
-            faults.replayed_actions += state.skipped.len() as u64;
-            pass = crate::executor::native::rerun(self, cfg, &plan, &after);
-        }
-    }
-
-    /// A recovery pass's plan: the `skipped` sites as task-graph nodes, in
-    /// skip order, each on its recorded partition unless that is `lost`,
-    /// else on the first survivor (same device first). `None` when there is
-    /// nothing to re-run, no clean task graph, or no survivor.
-    fn recovery_plan(
-        &self,
-        skipped: &[(usize, usize)],
-        lost: &[(usize, usize, String)],
-    ) -> Option<(crate::sched::Schedule, crate::sched::TaskGraph)> {
-        use crate::sched::{Lane, Schedule, ScheduledTask, TaskGraph};
-        let analysis = self.analyze();
-        let clean = analysis.report.is_clean() && !skipped.is_empty();
-        let graph = TaskGraph::build(&self.program, &analysis).filter(|_| clean)?;
-        let cost = self.cost_model().ok()?;
-        let alive = |at: &(usize, usize)| !lost.iter().any(|&(d, p, _)| (d, p) == *at);
-        let on = |dev| (0..self.partitions()).map(move |part| (dev, part));
-        let mut tasks = Vec::with_capacity(skipped.len());
-        for &(si, ai) in skipped {
-            let site = crate::check::Site::new(si, ai);
-            let node = graph.node_of(site)?;
-            let home = (graph.nodes[node].device, graph.nodes[node].partition);
-            let driver = std::iter::once(home)
-                .chain(on(home.0))
-                .chain((0..self.device_count()).flat_map(on))
-                .find(alive)?;
-            let lane = cost.lane(&self.program.streams[si].actions[ai], driver.0, driver.1)?;
-            let stolen = matches!(lane, Lane::Partition { .. }) && driver != home;
-            tasks.push(ScheduledTask {
-                site,
-                node,
-                lane,
-                // Unpriced: the walk orders by dependences alone.
-                start: 0.0,
-                finish: 0.0,
-                driver,
-                stolen,
-            });
-        }
-        let steals = tasks.iter().filter(|t| t.stolen).count();
-        let schedule = Schedule {
-            kind: self.scheduler,
-            tasks,
-            makespan: 0.0,
-            steals,
-        };
-        Some((schedule, graph))
+        crate::executor::native::run_resilient(self, cfg)
     }
 }
 
@@ -1081,12 +956,8 @@ mod tests {
                 buf: a,
             }],
         });
-        assert!(c.install_program(good.clone()).unwrap().is_none());
+        c.install_program(good.clone()).unwrap();
         assert_eq!(c.program().action_count(), 1);
-        // With the optimizer off an install reports no elision, not even
-        // the one an explicit pass made before it.
-        c.apply_optimizer();
-        assert!(c.install_program(good.clone()).unwrap().is_none());
 
         // Unknown buffer.
         let mut bad_buf = good.clone();

@@ -6,7 +6,9 @@
 //! every driver runs — take the next node, do its action, decrement its
 //! successors' counters, wake the driver that sleeps for one that reached
 //! zero. What the graph and the queues are is the only thing two kinds of
-//! run differ in (`Walk`):
+//! run differ in — the `Walk` the executors' one front end hands over (see
+//! [`executor`](super)), after the refusals both executors share; only a
+//! kernel without a native body is refused here alone:
 //!
 //! * a **recorded** run walks the checker's happens-before graph
 //!   ([`crate::check::HbGraph`]: per-stream FIFO, event edges from the
@@ -54,7 +56,9 @@
 //! [`Error::Fault`]. Whatever is lost, or later runs on a lost partition or
 //! touches a buffer a loss touched, is skipped and recorded; control
 //! actions still run so every driver drains, and the first error is
-//! reported at the end ([`Context::run_native_resilient`] re-plans the rest).
+//! reported at the end. The recovery policy lives here too:
+//! [`Context::run_native_resilient`] forwards to a loop that re-plans what
+//! a pass lost onto the surviving partitions and walks that plan.
 //!
 //! # Telemetry
 //!
@@ -79,16 +83,17 @@ use parking_lot::{Condvar, Mutex};
 
 use micsim::pcie::Direction;
 
+use super::{prepare, Walk};
 use crate::action::Action;
 use crate::buffer::Elem;
-use crate::check::{HbEdges, HbGraph, Site};
+use crate::check::Site;
 use crate::context::Context;
-use crate::fault::{self, FaultCounters, FaultTallies, RecoveryState};
+use crate::fault::{self, FaultCounters, FaultTallies, RecoveryState, ResilientReport};
 use crate::kernel::KernelCtx;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
-use crate::sched::{self, Schedule, SchedulerKind, TaskGraph};
+use crate::sched::{Lane, Schedule, ScheduledTask, TaskGraph};
 use crate::trace::{NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result, RunFailure};
 
@@ -610,21 +615,6 @@ fn run_payload(
 
 // ----- dispatch -------------------------------------------------------------
 
-/// Where a run's nodes, edges and queues come from — the one thing a
-/// recorded and a scheduled run differ in.
-enum Walk<'a> {
-    /// The recorded program: the happens-before graph's nodes (actions, then
-    /// barrier joins) and edges; the driver of stream `s` takes that
-    /// stream's actions strictly in order.
-    Recorded(&'a HbEdges),
-    /// A plan: the task graph's nodes and data edges; the driver of each
-    /// `(device, partition)` takes the first *ready* node of its queue
-    /// (`schedule.tasks` order), or steals one from a sibling's. A plan may
-    /// cover part of the graph — a recovery pass re-runs the lost nodes
-    /// alone.
-    Scheduled(&'a Schedule, &'a TaskGraph),
-}
-
 /// [`Parker::sleeps_for`] of a driver that is not sleeping.
 const AWAKE: u32 = u32::MAX;
 /// [`Parker::sleeps_for`] of an idle scheduled driver: any node that becomes
@@ -679,9 +669,13 @@ impl Parker {
     }
 }
 
-/// One run's dependence counters and driver queues.
+/// One run's dependence counters and driver queues over its walk: a
+/// recorded walk's driver of stream `s` takes that stream's nodes strictly
+/// in order; a scheduled walk's driver of each `(device, partition)` takes
+/// the first *ready* node of its queue (`schedule.tasks` order), or steals
+/// one from a sibling's.
 struct Dispatch<'a> {
-    walk: Walk<'a>,
+    walk: &'a Walk,
     /// Unfinished predecessors of each node ([`CLAIMED`] once a scheduled
     /// driver took it).
     pending: Vec<AtomicU32>,
@@ -699,10 +693,11 @@ struct Dispatch<'a> {
 }
 
 impl<'a> Dispatch<'a> {
-    fn new(ctx: &Context, walk: Walk<'a>, lost: &'a [AtomicBool]) -> Dispatch<'a> {
+    fn new(ctx: &Context, walk: &'a Walk, lost: &'a [AtomicBool]) -> Dispatch<'a> {
         let parts_per_dev = ctx.partitions().max(1);
-        let (pending, queues) = match &walk {
-            Walk::Recorded(edges) => {
+        let (pending, queues) = match walk {
+            Walk::Recorded(hb) => {
+                let edges = hb.edges();
                 let stream = |s: &[usize]| (s[0] as u32..s[1] as u32).collect();
                 let queues = edges.offsets.windows(2).map(stream).collect();
                 let count = |v| AtomicU32::new(edges.preds(v).len() as u32);
@@ -836,8 +831,8 @@ impl<'a> Dispatch<'a> {
                 self.ready(succ);
             }
         };
-        let succs = match &self.walk {
-            Walk::Recorded(edges) => edges.succs(node),
+        let succs = match self.walk {
+            Walk::Recorded(hb) => hb.edges().succs(node),
             Walk::Scheduled(_, graph) => graph.succs(node),
         };
         succs.iter().for_each(|&s| release(s as usize));
@@ -846,8 +841,8 @@ impl<'a> Dispatch<'a> {
     /// `node` just lost its last unfinished predecessor: wake who sleeps
     /// for it.
     fn ready(&self, node: usize) {
-        match &self.walk {
-            Walk::Recorded(edges) => match edges.stream_of(node) {
+        match self.walk {
+            Walk::Recorded(hb) => match hb.edges().stream_of(node) {
                 Some(stream) => self.parkers[stream].wake_if(node as u32),
                 // A barrier join. Streams that end on this barrier sleep for
                 // the join itself; nobody runs it, so the last arriver
@@ -894,10 +889,10 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
     while let Some((node, stolen)) = dispatch.next(idx, &mut cursor) {
         // What the node is and where it runs: a recorded action on its
         // stream's placement, a scheduled task on this driver's partition.
-        let (site, dev, part, moved) = match &dispatch.walk {
-            Walk::Recorded(edges) => {
+        let (site, dev, part, moved) = match dispatch.walk {
+            Walk::Recorded(hb) => {
                 let at = streams[idx].placement;
-                let site = Site::new(idx, node - edges.offsets[idx]);
+                let site = Site::new(idx, node - hb.edges().offsets[idx]);
                 (site, at.device.0, at.partition, false)
             }
             Walk::Scheduled(_, graph) => {
@@ -919,7 +914,7 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
         // Control actions run even after their stream lost a payload, so
         // the other drivers drain. Their waits fall inside their span.
         let t0 = shared.recorder.map(|rec| (rec, Instant::now()));
-        match (action, &dispatch.walk) {
+        match (action, dispatch.walk) {
             (Action::RecordEvent(_), _) => dispatch.complete(node),
             (Action::WaitEvent(_), _) => {
                 dispatch.wait_for(idx, node);
@@ -927,8 +922,9 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
             }
             // Arrive, then wait for what the join releases: the stream's
             // next action, or the join itself when there is none.
-            (Action::Barrier(n), Walk::Recorded(edges)) => {
+            (Action::Barrier(n), Walk::Recorded(hb)) => {
                 dispatch.complete(node);
+                let edges = hb.edges();
                 let last = node + 1 == edges.offsets[idx + 1];
                 let released = if last {
                     edges.total_actions + n
@@ -945,54 +941,36 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
     }
 }
 
-/// Validate and execute the context's program natively.
+/// Execute the context's program natively along the walk the executors'
+/// front end takes (see [`executor`](super)). On top of the front end's
+/// refusals, every kernel needs a native body; a program without streams
+/// runs instantly. An allocation fault fails the run before any work, as an
+/// [`Error::Run`] with nothing to re-run.
 pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
-    ctx.program().validate()?;
-    // Static race/deadlock/dataflow gate. Non-FIFO scheduling plans over
-    // the gate's analysis, with or without a fault plan: faults fire at
-    // their recorded sites wherever the scheduler runs them.
-    let analysis = ctx.enforce_check()?;
-    let planned = match (&analysis, ctx.scheduler()) {
-        (None, _) | (_, SchedulerKind::Fifo) => None,
-        (Some(made), kind) => sched::plan_analyzed(ctx.program(), made, &ctx.cost_model()?, kind),
-    };
-    // What the drivers walk. Of the analysis only a recorded run's edges
-    // outlive this statement: clocks, order and findings go before any
-    // storage is backed or anything run.
-    let edges;
-    let walk = match &planned {
-        Some((schedule, graph)) => {
-            drop(analysis);
-            Walk::Scheduled(schedule, graph)
-        }
-        None => {
-            // The gate's graph; under `CheckMode::Off` nobody built one yet.
-            let hb = analysis.map_or_else(|| HbGraph::build(ctx.program()), |made| made.hb);
-            edges = hb.into_edges()?;
-            Walk::Recorded(&edges)
-        }
-    };
-
-    // Every kernel needs a native body, and the recorded walk follows the
-    // events table — check both before running anything.
-    for (si, stream) in ctx.program().streams.iter().enumerate() {
-        for (ai, action) in stream.actions.iter().enumerate() {
-            match action {
-                Action::Kernel(k) if k.native.is_none() => {
-                    return Err(Error::MissingNativeBody {
-                        kernel: k.label.to_string(),
-                    });
-                }
-                Action::RecordEvent(e) | Action::WaitEvent(e)
-                    if !ctx.program().event_site_matches(si, ai) =>
-                {
-                    return Err(Error::UnknownEvent(*e));
-                }
-                _ => {}
+    let mut walk = prepare(ctx, None).map_err(|err| match err {
+        Error::Fault { .. } => Error::Run(Box::new(RunFailure {
+            cause: err,
+            recovery: RecoveryState {
+                faults: FaultCounters {
+                    alloc_faults: 1,
+                    ..FaultCounters::default()
+                },
+                ..RecoveryState::default()
+            },
+            trace: None,
+        })),
+        refused => refused,
+    })?;
+    let actions = ctx.program().streams.iter().flat_map(|s| &s.actions);
+    for action in actions {
+        if let Action::Kernel(k) = action {
+            if k.native.is_none() {
+                return Err(Error::MissingNativeBody {
+                    kernel: k.label.to_string(),
+                });
             }
         }
     }
-
     if ctx.program().streams.is_empty() {
         return Ok(NativeReport {
             wall: Duration::ZERO,
@@ -1004,25 +982,103 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
             metrics: None,
         });
     }
+    // The drivers read only a recorded graph's edges: its order and clocks
+    // go before any storage is backed.
+    if let Walk::Recorded(hb) = &mut walk {
+        hb.shed_order();
+    }
     execute(
         ctx,
         cfg,
-        walk,
+        &walk,
         FaultControl::new(ctx, &RecoveryState::default()),
     )
 }
 
-/// A recovery pass of [`Context::run_native_resilient`]: walk `plan` (the
-/// nodes earlier passes lost) with the partitions `after` lost still lost
-/// and the fault plan exempt at the sites it fired.
-pub(crate) fn rerun(
+/// [`Context::run_native_resilient`]: a pass that loses work drains and
+/// records what it skipped; the next pass walks a plan of exactly those
+/// nodes ([`recovery_plan`]) with the partitions earlier passes lost still
+/// lost and the fault plan exempt at the sites that already fired. At most
+/// two recovery passes run.
+pub(crate) fn run_resilient(ctx: &Context, cfg: &NativeConfig) -> Result<ResilientReport> {
+    const MAX_DEGRADED_RUNS: u64 = 2;
+    let mut faults = FaultCounters::default();
+    let mut after = RecoveryState::default();
+    let mut pass = run(ctx, cfg);
+    loop {
+        let failure = match pass {
+            Ok(report) => {
+                faults.absorb(&report.faults);
+                return Ok(ResilientReport {
+                    report,
+                    faults,
+                    lost_partitions: after.lost,
+                });
+            }
+            Err(Error::Run(failure)) => failure,
+            Err(refused) => return Err(refused),
+        };
+        let state = &failure.recovery;
+        faults.absorb(&state.faults);
+        after.lost.extend_from_slice(&state.lost);
+        after.fired.extend_from_slice(&state.fired);
+        let plan = (faults.degraded_runs < MAX_DEGRADED_RUNS)
+            .then(|| recovery_plan(ctx, &state.skipped, &after.lost))
+            .flatten();
+        let Some(walk) = plan else {
+            return Err(Error::Run(failure));
+        };
+        faults.degraded_runs += 1;
+        faults.replayed_actions += state.skipped.len() as u64;
+        pass = execute(ctx, cfg, &walk, FaultControl::new(ctx, &after));
+    }
+}
+
+/// A recovery pass's walk: the `skipped` sites as task-graph nodes, in
+/// skip order, each on its recorded partition unless that is `lost`, else
+/// on the first survivor (same device first). `None` when there is nothing
+/// to re-run, no clean task graph, or no survivor.
+fn recovery_plan(
     ctx: &Context,
-    cfg: &NativeConfig,
-    (schedule, graph): &(Schedule, TaskGraph),
-    after: &RecoveryState,
-) -> Result<NativeReport> {
-    let fc = FaultControl::new(ctx, after);
-    execute(ctx, cfg, Walk::Scheduled(schedule, graph), fc)
+    skipped: &[(usize, usize)],
+    lost: &[(usize, usize, String)],
+) -> Option<Walk> {
+    let analysis = ctx.analyze();
+    let clean = analysis.report.is_clean() && !skipped.is_empty();
+    let graph = TaskGraph::build(ctx.program(), &analysis).filter(|_| clean)?;
+    let cost = ctx.cost_model().ok()?;
+    let alive = |at: &(usize, usize)| !lost.iter().any(|&(d, p, _)| (d, p) == *at);
+    let on = |dev| (0..ctx.partitions()).map(move |part| (dev, part));
+    let mut tasks = Vec::with_capacity(skipped.len());
+    for &(si, ai) in skipped {
+        let site = Site::new(si, ai);
+        let node = graph.node_of(site)?;
+        let home = (graph.nodes[node].device, graph.nodes[node].partition);
+        let driver = std::iter::once(home)
+            .chain(on(home.0))
+            .chain((0..ctx.device_count()).flat_map(on))
+            .find(alive)?;
+        let lane = cost.lane(&ctx.program().streams[si].actions[ai], driver.0, driver.1)?;
+        let stolen = matches!(lane, Lane::Partition { .. }) && driver != home;
+        tasks.push(ScheduledTask {
+            site,
+            node,
+            lane,
+            // Unpriced: the walk orders by dependences alone.
+            start: 0.0,
+            finish: 0.0,
+            driver,
+            stolen,
+        });
+    }
+    let steals = tasks.iter().filter(|t| t.stolen).count();
+    let schedule = Schedule {
+        kind: ctx.scheduler(),
+        tasks,
+        makespan: 0.0,
+        steals,
+    };
+    Some(Walk::Scheduled(schedule, graph))
 }
 
 /// Back the buffers, run `walk` and attach what telemetry asks for; a
@@ -1030,28 +1086,9 @@ pub(crate) fn rerun(
 fn execute(
     ctx: &Context,
     cfg: &NativeConfig,
-    walk: Walk<'_>,
+    walk: &Walk,
     fc: FaultControl,
 ) -> Result<NativeReport> {
-    // Injected allocation failures fire before any work starts: a buffer
-    // that cannot be backed fails the whole run (nothing to re-run).
-    if let Some(plan) = &ctx.fault_plan {
-        if let Some(i) = (0..ctx.buffer_count()).find(|&i| plan.alloc_fails(i)) {
-            FaultTallies::bump(&fc.tallies.alloc_faults);
-            return Err(Error::Run(Box::new(RunFailure {
-                cause: Error::Fault {
-                    site: format!("alloc b{i}"),
-                    attempts: 1,
-                },
-                recovery: RecoveryState {
-                    faults: fc.tallies.snapshot(),
-                    ..RecoveryState::default()
-                },
-                trace: None,
-            })));
-        }
-    }
-
     // Materialize every buffer the program touches (storage is lazy so
     // simulator-scale programs cost nothing until they really run).
     for stream in &ctx.program().streams {
@@ -1132,7 +1169,7 @@ fn run_persistent(
     recorder: Option<&Recorder>,
     bytes_moved: &[AtomicU64],
     fault: &FaultControl,
-    walk: Walk<'_>,
+    walk: &Walk,
 ) -> (Result<NativeReport>, usize) {
     let rt = ctx.native_runtime();
     let _active = rt.run_lock.lock();
@@ -1890,9 +1927,10 @@ mod tests {
         let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
         let e = ctx.record_event(s0).unwrap();
         ctx.wait_event(s1, e).unwrap();
-        let edges = HbGraph::build(ctx.program()).into_edges().unwrap();
-        let wait = edges.node_of(Site::new(1, 0));
-        let dispatch = Dispatch::new(&ctx, Walk::Recorded(&edges), &[]);
+        let hb = crate::check::HbGraph::build(ctx.program());
+        let wait = hb.edges().node_of(Site::new(1, 0));
+        let walk = Walk::Recorded(hb);
+        let dispatch = Dispatch::new(&ctx, &walk, &[]);
         std::thread::scope(|scope| {
             let sleeper = scope.spawn(|| {
                 let _ = dispatch.parkers[1].thread.set(std::thread::current());

@@ -3,17 +3,21 @@
 //! Prices a recorded program on the `micsim` task-DAG engine. The executor
 //! derives nothing itself:
 //!
-//! * **what depends on what** is the checker's happens-before graph
-//!   ([`crate::check::HbGraph`] — per-stream FIFO, event edges from the
-//!   events table, barrier joins), the one the pre-run gate already built;
-//!   the lowering is a single pass over its topological order, one engine
-//!   task per node, a node's dependencies the tasks of its predecessors.
-//!   A `Barrier` action creates no task (the task it waited behind stands
-//!   in for it), a barrier join node is the `barrier#n` task. Cycles are
-//!   the graph's finding, reported here as an error. A scheduled run makes
-//!   the same pass over the scheduler's plan instead ([`Schedule`] and its
-//!   [`TaskGraph`], no program in between): one task per scheduled task,
-//!   after the previous task of its lane and its graph predecessors;
+//! * **what to walk** comes from the executors' one front end
+//!   ([`prepare`](super) — validation, the check gate, the card-memory and
+//!   allocation-fault refusals, the events-table check), which the native
+//!   executor walks too. A recorded walk is the checker's happens-before
+//!   graph ([`crate::check::HbGraph`] — per-stream FIFO, event edges from
+//!   the events table, barrier joins), the one the gate already built; the
+//!   lowering is a single pass over its topological order, one engine task
+//!   per node, a node's dependencies the tasks of its predecessors. A
+//!   `Barrier` action creates no task (the task it waited behind stands in
+//!   for it), a barrier join node is the `barrier#n` task. A scheduled walk
+//!   makes the same pass over the scheduler's plan instead
+//!   ([`Schedule`](crate::sched::Schedule) and its
+//!   [`TaskGraph`](crate::sched::TaskGraph), no program in between): one
+//!   task per scheduled task, after the previous task of its lane and its
+//!   graph predecessors;
 //! * **which resource a task occupies and for how long** is
 //!   [`CostModel`]'s answer: a link channel (one per card in the Phi's
 //!   serial-duplex mode — this is what serializes H2D against D2H), a
@@ -23,8 +27,8 @@
 //! What is left here is the fault model (priced retries and backoffs,
 //! injected panics) and the engine bookkeeping. The engine breaks
 //! arbitration ties by task creation order, so the graph's order is part
-//! of the timeline: see [`HbGraph`]'s sort (a schedule chains the tasks of
-//! each lane, which leaves no tie to break).
+//! of the timeline: see [`HbGraph`](crate::check::HbGraph)'s sort (a
+//! schedule chains the tasks of each lane, which leaves no tie to break).
 //!
 //! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
 //! ids the native recorder stamps its spans with — and
@@ -45,14 +49,14 @@ use micsim::trace::{
     ResourceKinds,
 };
 
+use super::{prepare, Walk};
 use crate::action::Action;
-use crate::check::{wait_cycle, HbEdges, HbGraph};
 use crate::context::Context;
 use crate::fault;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::program::Program;
-use crate::sched::{plan_analyzed, CostModel, Lane, Schedule, TaskGraph};
+use crate::sched::{CostModel, Lane};
 use crate::trace::{label, LaneMap, TaskTag};
 use crate::types::{Error, Result};
 
@@ -131,68 +135,37 @@ impl SimReport {
     }
 }
 
-/// Validate and simulate the context's recorded program under its
+/// Simulate the context's recorded program along the walk the executors'
+/// front end takes (see [`executor`](super)), under its
 /// [fault plan](Context::set_fault_plan), each fault at its recorded site
 /// under any scheduler: failed transfer attempts and their backoffs are
 /// priced on the link, slow partitions stretch the kernels placed on them,
-/// injected kernel panics surface as [`Error::PartitionLost`] of the
-/// partition the kernel was placed on, and allocation faults abort before
-/// the run starts — mirroring what the native executor does with the same
-/// plan.
+/// and injected kernel panics surface as [`Error::PartitionLost`] of the
+/// partition the kernel was placed on — mirroring what the native executor
+/// does with the same plan. The front end's refusals (an allocation fault
+/// among them) come back unchanged.
 pub fn run(ctx: &Context) -> Result<SimReport> {
-    ctx.program.validate()?;
-    let analysis = ctx.enforce_check()?;
-    check_device_memory(ctx)?;
-    if let Some(plan) = &ctx.fault_plan {
-        for i in 0..ctx.buffers.len() {
-            if plan.alloc_fails(i) {
-                return Err(Error::Fault {
-                    site: format!("alloc b{i}"),
-                    attempts: 1,
-                });
-            }
-        }
-    }
     let cost = ctx.cost_model()?;
-
-    // A non-FIFO scheduler replaces the recorded order and placements with
-    // its plan; unclean or empty programs fall back to the recorded FIFO
-    // order (FIFO itself always declines to schedule).
-    let planned = analysis
-        .as_ref()
-        .and_then(|made| plan_analyzed(&ctx.program, made, &cost, ctx.scheduler()));
-    if let Some((schedule, graph)) = planned {
-        return lower(ctx, &Walk::Scheduled(&schedule, &graph), &cost);
-    }
-    // The gate's graph; under `CheckMode::Off` nobody built one yet.
-    let hb = analysis.map_or_else(|| HbGraph::build(&ctx.program), |made| made.hb);
-    let order = hb.order().map_err(wait_cycle)?;
-    lower(ctx, &Walk::Recorded(order, hb.edges()), &cost)
+    let walk = prepare(ctx, Some(&cost))?;
+    lower(ctx, &walk, &cost)
 }
 
-/// The sequence [`lower`] walks: which node comes next, on which lane, after
-/// which earlier nodes.
-enum Walk<'a> {
-    /// The recorded program: its happens-before nodes in topological order,
-    /// each on its stream's lane, after its predecessors in the edges.
-    Recorded(&'a [u32], &'a HbEdges),
-    /// A plan: `schedule.tasks` in order, each on the lane it was placed
-    /// on, after that lane's previous task and its `graph.preds`.
-    Scheduled(&'a Schedule, &'a TaskGraph),
-}
-
-/// Lower the context's program onto the task-DAG engine along `walk` and
-/// run it: one engine task per step (bar `Barrier` actions, which the
-/// task they waited behind stands in for), priced by `cost`. A step's
+/// Lower the context's program onto the task-DAG engine along `walk` (a
+/// recorded walk in its graph's topological order) and run it: one engine
+/// task per step (bar `Barrier` actions, which the task they waited behind
+/// stands in for), priced by `cost`. A step's
 /// dependencies are refilled into one scratch vector the engine borrows.
 /// A step whose predecessor has not been lowered yet — a schedule that is
 /// not a topological order of its graph — is an error, not a dropped edge.
-fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> {
+fn lower(ctx: &Context, walk: &Walk, cost: &CostModel) -> Result<SimReport> {
     let program = &ctx.program;
     // Room for one task per step and every edge (plus a schedule's lane
     // chain) up front: priced retries are the only tasks beyond that.
     let (steps, nodes, edges, steals) = match walk {
-        Walk::Recorded(order, edges) => (order.len(), edges.nodes, edges.edge_count(), 0),
+        Walk::Recorded(hb) => {
+            let edges = hb.edges();
+            (edges.nodes, edges.nodes, edges.edge_count(), 0)
+        }
         Walk::Scheduled(schedule, graph) => {
             let (steps, nodes) = (schedule.tasks.len(), graph.len());
             let preds: usize = (0..nodes).map(|v| graph.preds(v).len()).sum();
@@ -231,8 +204,10 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
     for step in 0..steps {
         deps.clear();
         let (v, site, placed) = match walk {
-            Walk::Recorded(order, edges) => {
-                let v = order[step] as usize;
+            Walk::Recorded(hb) => {
+                // `prepare` refused a cyclic graph: every node is in order.
+                let v = hb.order().unwrap_or_default()[step] as usize;
+                let edges = hb.edges();
                 deps.extend(edges.preds(v).iter().filter_map(|&p| done[p as usize]));
                 // Barrier join nodes follow the action nodes.
                 let site = edges.site_of(v).ok_or_else(|| v - edges.total_actions);
@@ -273,11 +248,7 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
                 // A barrier action is its stream arriving: whatever the
                 // stream last waited behind arrives for it.
                 Action::Barrier(_) => deps.last().copied(),
-                Action::RecordEvent(e) | Action::WaitEvent(e) => {
-                    // The graph's event edges follow the events table.
-                    if !program.event_site_matches(si, ai) {
-                        return Err(Error::UnknownEvent(*e));
-                    }
+                Action::RecordEvent(_) | Action::WaitEvent(_) => {
                     Some(add(None, SimDuration::ZERO, &deps, TaskTag::Action(site))?)
                 }
                 _ => unreachable!("payload actions occupy a lane"),
@@ -367,30 +338,12 @@ fn lower(ctx: &Context, walk: &Walk<'_>, cost: &CostModel) -> Result<SimReport> 
     })
 }
 
-/// Reject programs whose live buffers exceed one card's memory (every buffer
-/// conceptually has an instance on each card it is used from).
-fn check_device_memory(ctx: &Context) -> Result<()> {
-    let cap = ctx.config().device.memory_bytes;
-    let total: u64 = ctx
-        .buffers
-        .iter()
-        .map(super::super::buffer::Buffer::bytes)
-        .sum();
-    if total > cap {
-        return Err(Error::OutOfMemory {
-            requested: total,
-            capacity: cap,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::Context;
     use crate::kernel::KernelDesc;
-    use crate::sched::SchedulerKind;
+    use crate::sched::{plan_analyzed, SchedulerKind};
     use micsim::compute::KernelProfile;
     use micsim::PlatformConfig;
 
@@ -696,14 +649,16 @@ mod tests {
     fn a_schedule_that_is_not_topological_is_refused() {
         let ctx = tiled(2, 1, 1);
         let cost = ctx.cost_model().unwrap();
-        let (mut schedule, graph) =
+        let (schedule, graph) =
             plan_analyzed(&ctx.program, &ctx.analyze(), &cost, SchedulerKind::ListHeft)
                 .expect("a clean program schedules");
-        let run = |schedule: &Schedule| lower(&ctx, &Walk::Scheduled(schedule, &graph), &cost);
-        assert!(run(&schedule).is_ok());
+        let mut walk = Walk::Scheduled(schedule, graph);
+        assert!(lower(&ctx, &walk, &cost).is_ok());
         // The kernel now comes before the transfer that feeds it.
-        schedule.tasks.reverse();
-        let err = run(&schedule).unwrap_err();
+        if let Walk::Scheduled(schedule, _) = &mut walk {
+            schedule.tasks.reverse();
+        }
+        let err = lower(&ctx, &walk, &cost).unwrap_err();
         assert!(
             matches!(&err, Error::Config(m) if m.contains("not a topological order")),
             "{err}"

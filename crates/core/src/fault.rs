@@ -300,7 +300,6 @@ pub(crate) struct FaultTallies {
     pub(crate) kernel_panics: AtomicU64,
     pub(crate) lost_partitions: AtomicU64,
     pub(crate) skipped_actions: AtomicU64,
-    pub(crate) alloc_faults: AtomicU64,
 }
 
 impl FaultTallies {
@@ -316,7 +315,8 @@ impl FaultTallies {
             kernel_panics: self.kernel_panics.load(Ordering::Relaxed),
             lost_partitions: self.lost_partitions.load(Ordering::Relaxed),
             skipped_actions: self.skipped_actions.load(Ordering::Relaxed),
-            alloc_faults: self.alloc_faults.load(Ordering::Relaxed),
+            // Allocation faults fire before any driver starts.
+            alloc_faults: 0,
             degraded_runs: 0,
             replayed_actions: 0,
         }

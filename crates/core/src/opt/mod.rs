@@ -30,9 +30,9 @@
 //!   semantics never change; render them with
 //!   [`Program::dump_annotated`](crate::program::Program::dump_annotated).
 //!
-//! Opt-in wiring: [`ContextBuilder::optimize`](crate::context::ContextBuilder::optimize)
-//! makes [`Context::install_program`](crate::context::Context::install_program)
-//! elide on install (the serve layer's post-merge path), and
+//! Opt-in wiring: a caller that installs a whole program runs [`optimize`]
+//! and installs its program, keeping the report to translate recorded
+//! coordinates (the serve layer's post-merge path), and
 //! [`Context::apply_optimizer`](crate::context::Context::apply_optimizer)
 //! elides an incrementally recorded program in place (the tuner's path).
 

@@ -372,7 +372,7 @@ fn reset_and_install_discard_stale_recovery_state() {
 
     let (mut ctx2, _) = poisoned_two_lane();
     let replacement = ctx2.program().clone();
-    assert!(ctx2.install_program(replacement).unwrap().is_none());
+    ctx2.install_program(replacement).unwrap();
     assert_runs_clean(
         &mut ctx2,
         "install_program replaced the program the state points into",

@@ -181,11 +181,6 @@ impl ProgramSpec {
         }
     }
 
-    /// Number of lanes (streams).
-    pub fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Number of events (max recorded id + 1; dense after repair).
     pub fn event_count(&self) -> usize {
         self.lanes

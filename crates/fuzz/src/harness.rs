@@ -86,12 +86,6 @@ impl Harness {
         }
     }
 
-    /// Number of live cached contexts (bounded by the geometry space:
-    /// partitions × streams-per-partition combinations).
-    pub fn context_count(&self) -> usize {
-        self.ctxs.len()
-    }
-
     /// Run one genome through the oracles. `full` additionally runs the
     /// native executor (twice), the reference interpreter, metric-catalog
     /// parity and fault-outcome agreement; without it only the cheap

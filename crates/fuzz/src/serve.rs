@@ -20,17 +20,13 @@
 //! fuzzer records them unshrunk (the pair, not one genome, is the
 //! reproducer).
 
-use hstreams::action::Action;
 use hstreams::check::{analyze, CheckEnv};
 use hstreams::lease::TenantId;
-use hstreams::program::Program;
 use hstreams::testutil::splitmix64;
-use hstreams::types::BufId;
-use micsim::pcie::Direction;
 use micsim::PlatformConfig;
 use std::collections::BTreeSet;
 use stream_serve::{
-    Admission, CapturedBuffer, JobStatus, ServeConfig, StreamService, TenantProgram,
+    derive_outputs, Admission, CapturedBuffer, JobStatus, ServeConfig, StreamService, TenantProgram,
 };
 
 use crate::genome::{buf_len, FaultSite, ProgramSpec, N_BUFS};
@@ -76,37 +72,6 @@ pub fn payload(spec: &ProgramSpec, name: &str) -> TenantProgram {
         outputs,
         fault,
     }
-}
-
-fn derive_outputs(program: &Program) -> Vec<BufId> {
-    let mut outs: Vec<BufId> = Vec::new();
-    for s in &program.streams {
-        for a in &s.actions {
-            if let Action::Transfer {
-                dir: Direction::DeviceToHost,
-                buf,
-            } = a
-            {
-                if !outs.contains(buf) {
-                    outs.push(*buf);
-                }
-            }
-        }
-    }
-    if outs.is_empty() {
-        for s in &program.streams {
-            for a in &s.actions {
-                if let Action::Kernel(k) = a {
-                    for b in &k.writes {
-                        if !outs.contains(b) {
-                            outs.push(*b);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    outs
 }
 
 /// Is this genome's program one the serve contract applies to — valid

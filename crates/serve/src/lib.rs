@@ -33,4 +33,4 @@ pub use service::{
     jain_index, Admission, ExecutorKind, JobOutcome, JobStatus, RoundReport, ServeConfig,
     StreamService,
 };
-pub use tenant::{CapturedBuffer, TenantProgram};
+pub use tenant::{derive_outputs, CapturedBuffer, TenantProgram};

@@ -60,15 +60,6 @@ pub struct Relocated {
     pub index_map: Vec<Vec<usize>>,
 }
 
-impl Relocated {
-    /// Total merged event ids this tenant occupies (original + barrier
-    /// events) — the next tenant's `event_base` increment.
-    #[must_use]
-    pub fn event_span(&self) -> usize {
-        self.events.len()
-    }
-}
-
 fn map_buf(map: &TenantMap, b: BufId) -> Result<BufId> {
     map.buffer_map.get(b.0).copied().ok_or_else(|| {
         Error::Config(format!(

@@ -195,7 +195,6 @@ impl StreamService {
         let ctx = Context::builder(cfg.platform.clone())
             .partitions(cfg.capacity)
             .streams_per_partition(cfg.streams_per_partition)
-            .optimize(cfg.optimize)
             .build()?;
         Ok(StreamService {
             leases: LeaseTable::new(cfg.capacity),
@@ -400,12 +399,18 @@ impl StreamService {
             }
         }
 
-        // Post-merge sync elision (when the service was built with
-        // `optimize`) may have removed control actions, shifting later
-        // action indices down: compose the fault sites with the elision's
-        // site map. Faults target kernels — payload the optimizer never
-        // removes — so the translation is total.
-        let opt_report = self.ctx.install_program(merged)?;
+        // Post-merge sync elision (under `ServeConfig::optimize`) may
+        // remove control actions, shifting later action indices down:
+        // compose the fault sites with the elision's site map. Faults
+        // target kernels — payload the optimizer never removes — so the
+        // translation is total.
+        let (merged, opt_report) = if self.cfg.optimize {
+            let optimized = hstreams::opt::optimize(&merged, &self.ctx.check_env());
+            (optimized.program, Some(optimized.report))
+        } else {
+            (merged, None)
+        };
+        self.ctx.install_program(merged)?;
         let syncs_elided = opt_report.as_ref().map_or(0, OptReport::elided_actions);
         let mut plan: Option<FaultPlan> = None;
         for (ms, ma) in fault_sites {

@@ -111,7 +111,11 @@ impl TenantProgram {
     }
 }
 
-fn derive_outputs(program: &Program) -> Vec<BufId> {
+/// A program's outputs: every buffer it copies back to the host, in first
+/// copy order — or, when it copies nothing back, every buffer its kernels
+/// write.
+#[must_use]
+pub fn derive_outputs(program: &Program) -> Vec<BufId> {
     let mut outs: Vec<BufId> = Vec::new();
     for s in &program.streams {
         for a in &s.actions {

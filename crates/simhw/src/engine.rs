@@ -356,16 +356,6 @@ impl<T: Copy> Engine<T> {
         id
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
-    /// Number of tasks added so far.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Add a task. Dependencies must reference earlier tasks (see
     /// [`EngineError::UnknownDependency`]).
     pub fn add_task(&mut self, spec: TaskSpec<'_, T>) -> Result<TaskId, EngineError> {

@@ -85,6 +85,21 @@ for pat in 'fn drive_stream' 'fn dispatch_driver' 'GraphDispatch' 'EventFlag' 'B
   fi
 done
 
+echo "==> one run front end (both executors take their walk from executor::prepare: one gate, one plan, one events-table check)"
+for f in crates/core/src/executor/native.rs crates/core/src/executor/sim.rs crates/core/src/context.rs; do
+  for pat in 'enforce_check' 'plan_analyzed(' 'HbGraph::build(' 'event_site_matches(' 'alloc_fails('; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nF "$pat"; then
+      echo "  '$pat' is back in non-test $f (executor::prepare does this once for both executors)"
+      exit 1
+    fi
+  done
+done
+hits=$(grep -rF 'enum Walk' crates/core/src/executor/ | wc -l)
+if [ "$hits" -ne 1 ]; then
+  echo "  'enum Walk' occurs $hits times under crates/core/src/executor/ (want exactly 1, executor::Walk)"
+  exit 1
+fi
+
 echo "==> one access table (accesses are counting-sorted once into one table; the engine keeps its edges flat)"
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
   echo "  'HashMap' is back in non-test check/races.rs (accesses live in one sorted table)"

@@ -666,14 +666,18 @@ impl Context {
             .get_or_init(|| crate::executor::native::NativeRuntime::new(self))
     }
 
+    /// The persistent native runtime, if a native run has built it.
+    pub(crate) fn built_native_runtime(&self) -> Option<&crate::executor::native::NativeRuntime> {
+        self.native_rt.get()
+    }
+
     /// Number of persistent threads owned by this context's native runtime
     /// (stream drivers and partition pool workers — link channels are
     /// locks, not threads), or `None` before the first native run builds
     /// it. Repeated `run_native` calls reuse these threads; this count must
     /// not grow.
     pub fn native_thread_count(&self) -> Option<usize> {
-        self.native_rt
-            .get()
+        self.built_native_runtime()
             .map(super::executor::native::NativeRuntime::thread_count)
     }
 

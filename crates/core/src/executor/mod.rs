@@ -14,15 +14,19 @@
 //! front end, `prepare`: they refuse the same programs, in the same
 //! order, and walk the same graph. What stays with one executor is only
 //! what the other cannot mean — the native executor's missing-body refusal
-//! and empty-program shortcut, its recovery passes.
+//! and empty-program shortcut, its recovery passes, and its `WalkMemo`:
+//! a native run of a program it already walked reuses that walk.
 
 pub mod native;
 pub mod sim;
+
+use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::Buffer;
 use crate::check::{wait_cycle, CheckMode, HbGraph};
 use crate::context::Context;
+use crate::kernel::KernelDesc;
 use crate::sched::{plan_analyzed, CostModel, Schedule, SchedulerKind, TaskGraph};
 use crate::types::{Error, Result};
 
@@ -39,6 +43,154 @@ pub(crate) enum Walk {
     Scheduled(Schedule, TaskGraph),
 }
 
+/// A recorded walk kept for the next run of the same program: the key of
+/// the program last admitted, its happens-before graph shed to the edges
+/// the drivers read, and whether the analyzer found it clean. The native
+/// runtime keeps one behind its run lock, so a run that repeats a program
+/// — the paper's measurement loop, a re-recorded op — derives nothing the
+/// key already pins. The simulator keeps none: a tuning sweep prices a new
+/// program per candidate, so every walk would miss and pay for the copy.
+#[derive(Default)]
+pub(crate) struct WalkMemo {
+    /// Everything `check::analyze` and `HbGraph::build` read, one word per
+    /// field (see [`WalkMemo::admit`]).
+    key: Vec<u32>,
+    /// The key's graph, with only its edges left — `None` until a recorded
+    /// run hands one back, and while a run walks it.
+    graph: Option<HbGraph>,
+    /// The key's program passed the analyzer without an error.
+    checked: bool,
+}
+
+impl WalkMemo {
+    /// Make the key describe `ctx`'s program and plan: compare word by
+    /// word, and from the first difference on rewrite it in place and
+    /// forget the graph and the check. The same pass finds the first kernel
+    /// without a native body, which the native executor refuses once the
+    /// front end's own refusals are through.
+    pub(crate) fn admit<'c>(&mut self, ctx: &'c Context) -> Option<&'c KernelDesc> {
+        let mut key = KeyWriter {
+            key: &mut self.key,
+            at: 0,
+            same: true,
+        };
+        let env = ctx.check_env();
+        for n in [
+            env.buffers,
+            env.devices,
+            env.partitions,
+            env.streams_per_partition,
+        ] {
+            key.put(n);
+        }
+        let program = ctx.program();
+        let mut bodiless = None;
+        key.put(program.streams.len());
+        for stream in &program.streams {
+            key.put(stream.id.0);
+            key.put(stream.placement.device.0);
+            key.put(stream.placement.partition);
+            key.put(stream.actions.len());
+            for action in &stream.actions {
+                // A tag per kind (a kernel's carries its `host` flag), then
+                // the fields; list lengths go first, so no key is another's
+                // prefix.
+                match action {
+                    Action::Transfer { dir, buf } => {
+                        key.put(usize::from(*dir == Direction::DeviceToHost));
+                        key.put(buf.0);
+                    }
+                    Action::Kernel(k) => {
+                        key.put(2 + usize::from(k.host));
+                        for list in [&k.reads, &k.writes] {
+                            key.put(list.len());
+                            list.iter().for_each(|b| key.put(b.0));
+                        }
+                        if k.native.is_none() && bodiless.is_none() {
+                            bodiless = Some(k);
+                        }
+                    }
+                    Action::RecordEvent(e) => {
+                        key.put(4);
+                        key.put(e.0);
+                    }
+                    Action::WaitEvent(e) => {
+                        key.put(5);
+                        key.put(e.0);
+                    }
+                    Action::Barrier(n) => {
+                        key.put(6);
+                        key.put(*n);
+                    }
+                }
+            }
+        }
+        key.put(program.events.len());
+        for site in &program.events {
+            key.put(site.stream.0);
+            key.put(site.action_index);
+        }
+        key.put(program.barriers);
+        if !key.finish() {
+            self.graph = None;
+            self.checked = false;
+        }
+        bodiless
+    }
+
+    /// Hand back a recorded walk of the admitted program once it ran.
+    pub(crate) fn keep(&mut self, walk: Walk) {
+        if let Walk::Recorded(hb) = walk {
+            self.graph = Some(hb);
+        }
+    }
+}
+
+/// A cursor that compares a key against the words it is given and, from
+/// the first mismatch on, overwrites it with them.
+struct KeyWriter<'a> {
+    key: &'a mut Vec<u32>,
+    at: usize,
+    /// Every word so far matched.
+    same: bool,
+}
+
+impl KeyWriter<'_> {
+    /// One field: a word below `u32::MAX`, else that escape and both halves.
+    fn put(&mut self, n: usize) {
+        match u32::try_from(n) {
+            Ok(word) if word != u32::MAX => self.word(word),
+            _ => {
+                let wide = n as u64;
+                self.word(u32::MAX);
+                self.word(wide as u32);
+                self.word((wide >> 32) as u32);
+            }
+        }
+    }
+
+    fn word(&mut self, word: u32) {
+        if self.same && self.key.get(self.at) == Some(&word) {
+            self.at += 1;
+            return;
+        }
+        if self.same {
+            self.same = false;
+            self.key.truncate(self.at);
+        }
+        self.key.push(word);
+    }
+
+    /// Whether the key was already exactly these words.
+    fn finish(self) -> bool {
+        if self.same && self.at < self.key.len() {
+            self.key.truncate(self.at);
+            return false;
+        }
+        self.same
+    }
+}
+
 /// Everything both executors do before their first action, once and in
 /// one order: validate the program; the check gate (analyze under the
 /// context's [`CheckMode`], refuse error-severity findings when enforcing
@@ -52,14 +204,30 @@ pub(crate) enum Walk {
 ///
 /// A plan is priced by `cost`, or by a model built here when the caller has
 /// none — only then: a FIFO run builds no cost model.
-pub(crate) fn prepare(ctx: &Context, cost: Option<&CostModel>) -> Result<Walk> {
+///
+/// A FIFO run given a `memo` that has admitted the program takes its graph
+/// from there when it holds one — built once, it passed the wait-cycle
+/// refusal then — and skips the gate's analysis when the program was
+/// checked clean. A graph kept from a run in mode `Off` was never checked,
+/// so an enforcing run still analyzes it. Every other step runs each time.
+pub(crate) fn prepare(
+    ctx: &Context,
+    cost: Option<&CostModel>,
+    memo: Option<&mut WalkMemo>,
+) -> Result<Walk> {
     let program = ctx.program();
     program.validate()?;
     let kind = ctx.scheduler();
+    let mut memo = memo.filter(|_| kind == SchedulerKind::Fifo);
+    let checked = memo.as_ref().is_some_and(|memo| memo.checked);
     let analysis = match (ctx.check_mode(), kind) {
         (CheckMode::Off, SchedulerKind::Fifo) => None,
+        _ if checked => None,
         (mode, _) => {
             let made = ctx.analyze();
+            if let Some(memo) = memo.as_deref_mut() {
+                memo.checked = made.report.is_clean();
+            }
             if mode == CheckMode::Enforce && !made.report.is_clean() {
                 return Err(Error::Check(Box::new(made.report)));
             }
@@ -92,7 +260,12 @@ pub(crate) fn prepare(ctx: &Context, cost: Option<&CostModel>) -> Result<Walk> {
     let walk = match planned {
         Some((schedule, graph)) => Walk::Scheduled(schedule, graph),
         None => {
-            let hb = analysis.map_or_else(|| HbGraph::build(program), |made| made.hb);
+            let kept = memo.and_then(|memo| memo.graph.take());
+            let hb = match (kept, analysis) {
+                (Some(hb), _) => hb,
+                (None, Some(made)) => made.hb,
+                (None, None) => HbGraph::build(program),
+            };
             hb.order().map_err(wait_cycle)?;
             Walk::Recorded(hb)
         }
@@ -114,8 +287,11 @@ mod tests {
     use crate::action::Action;
     use crate::context::Context;
     use crate::fault::FaultPlan;
-    use crate::types::{BufId, Error};
+    use crate::kernel::{KernelCtx, KernelDesc};
+    use crate::types::{BufId, Error, EventId, StreamId};
     use crate::{CheckMode, SchedulerKind};
+    use micsim::compute::KernelProfile;
+    use micsim::pcie::Direction;
     use micsim::PlatformConfig;
 
     /// Two streams over two partitions and one small buffer `a`, streamed
@@ -206,6 +382,221 @@ mod tests {
                     };
                     assert_eq!(shape(&sim), shape(&native), "{at}");
                 }
+            }
+        }
+    }
+
+    /// `a`..`x` of [`memo_base`].
+    const A: BufId = BufId(0);
+    const B: BufId = BufId(1);
+    const C: BufId = BufId(2);
+    const D: BufId = BufId(3);
+    const X: BufId = BufId(4);
+
+    fn kernel(label: &str) -> KernelDesc {
+        KernelDesc::simulated(label, KernelProfile::streaming("k", 1e9), 1.0)
+    }
+
+    /// `writes[0] = Σ reads` — a kernel body the rows keep.
+    fn sum(k: &mut KernelCtx<'_>) {
+        for i in 0..k.writes[0].len() {
+            k.writes[0][i] = k.reads.iter().map(|r| r[i]).sum();
+        }
+    }
+
+    /// Record on streams 0 and 1 of `ctx`, whose buffers are `a`..`x`:
+    /// `b = a + 1` on stream 0, then behind event 1 `d = b + c` on stream 1,
+    /// while stream 0 fills `x` with 7. Stream 0 first records event 0,
+    /// which nothing waits for. Every buffer is streamed in or written
+    /// before it is read, so the outputs depend on this run only.
+    fn memo_base(ctx: &mut Context) {
+        let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
+        ctx.record_event(s0).unwrap();
+        ctx.h2d(s0, A).unwrap();
+        ctx.h2d(s0, X).unwrap();
+        let inc = kernel("inc").reading([A]).writing([B]).with_native(sum);
+        ctx.kernel(s0, inc).unwrap();
+        let e = ctx.record_event(s0).unwrap();
+        let fill = kernel("fill")
+            .writing([X])
+            .with_native(|k| k.writes[0].fill(7.0));
+        ctx.kernel(s0, fill).unwrap();
+        ctx.d2h(s0, B).unwrap();
+        ctx.d2h(s0, X).unwrap();
+        ctx.h2d(s1, C).unwrap();
+        ctx.wait_event(s1, e).unwrap();
+        let add = kernel("add").reading([B, C]).writing([D]).with_native(sum);
+        ctx.kernel(s1, add).unwrap();
+        ctx.d2h(s1, D).unwrap();
+    }
+
+    fn memo_context() -> Context {
+        let mut ctx = Context::builder(PlatformConfig::phi_31sp())
+            .partitions(2)
+            .replan_capacity(4)
+            .build()
+            .unwrap();
+        for name in ["a", "b", "c", "d", "x"] {
+            ctx.alloc(name, 8);
+        }
+        memo_base(&mut ctx);
+        ctx
+    }
+
+    /// Stream 1's kernel, `add`.
+    fn add(ctx: &mut Context) -> &mut KernelDesc {
+        let actions = &mut ctx.program_mut().streams[1].actions;
+        let found = actions.iter_mut().find_map(|a| match a {
+            Action::Kernel(k) => Some(k),
+            _ => None,
+        });
+        found.expect("stream 1 launches `add`")
+    }
+
+    /// Reset every host copy, run natively, and read every host copy back
+    /// as bits — or the refusal's shape.
+    fn memo_outcome(ctx: &Context) -> std::result::Result<Vec<Vec<u32>>, String> {
+        for i in 0..ctx.buffer_count() {
+            let fill: Vec<f32> = (0..8).map(|j| (10 * i + j) as f32).collect();
+            ctx.write_host(BufId(i), &fill).unwrap();
+        }
+        match ctx.run_native() {
+            Ok(_) => Ok((0..ctx.buffer_count())
+                .map(|i| {
+                    ctx.read_host(BufId(i))
+                        .unwrap()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect()),
+            Err(Error::Run(failure)) => Err(format!("{:?}", failure.cause)),
+            Err(Error::Check(report)) => Err(format!("Check({:?})", report.diagnostics)),
+            Err(refused) => Err(format!("{refused:?}")),
+        }
+    }
+
+    #[test]
+    fn a_memoised_walk_is_reused_only_for_the_same_program() {
+        type Change = fn(&mut Context);
+        // (what changes, applied before the first run, the change, whether
+        // the memo's key survives it).
+        let rows: [(&str, Change, Change, bool); 12] = [
+            (
+                "a kernel's read set",
+                |_| {},
+                |ctx| add(ctx).reads = [B, C, X].into_iter().collect(),
+                false,
+            ),
+            (
+                "a kernel's write set",
+                |_| {},
+                |ctx| add(ctx).writes = [X].into_iter().collect(),
+                false,
+            ),
+            (
+                "a kernel's host flag",
+                |_| {},
+                |ctx| add(ctx).host = true,
+                false,
+            ),
+            (
+                "a transfer's buffer",
+                |_| {},
+                |ctx| {
+                    ctx.program_mut().streams[1].actions[0] = Action::Transfer {
+                        dir: Direction::HostToDevice,
+                        buf: X,
+                    };
+                },
+                false,
+            ),
+            (
+                "an event id",
+                |_| {},
+                |ctx| ctx.program_mut().streams[1].actions[1] = Action::WaitEvent(EventId(0)),
+                false,
+            ),
+            (
+                "the events table",
+                |_| {},
+                |ctx| ctx.program_mut().events[1].action_index = 0,
+                false,
+            ),
+            (
+                "a barrier",
+                |_| {},
+                |ctx| {
+                    ctx.barrier();
+                    let s1 = ctx.stream(1).unwrap();
+                    let again = kernel("again").reading([X]).writing([D]).with_native(sum);
+                    ctx.kernel(s1, again).unwrap();
+                    ctx.d2h(s1, D).unwrap();
+                },
+                false,
+            ),
+            (
+                "a stream's id",
+                |_| {},
+                |ctx| ctx.program_mut().streams[0].id = StreamId(5),
+                false,
+            ),
+            (
+                "a replan to another P",
+                |_| {},
+                |ctx| {
+                    ctx.replan(4).unwrap();
+                    memo_base(ctx);
+                },
+                false,
+            ),
+            (
+                "one more buffer",
+                |_| {},
+                |ctx| {
+                    ctx.alloc("z", 8);
+                },
+                false,
+            ),
+            (
+                "a race run under Off, then under Enforce",
+                |ctx| {
+                    ctx.set_check_mode(CheckMode::Off);
+                    add(ctx).reads = [B, C, X].into_iter().collect();
+                },
+                |ctx| ctx.set_check_mode(CheckMode::Enforce),
+                true,
+            ),
+            (
+                "a relabelled kernel with another body",
+                |_| {},
+                |ctx| {
+                    *add(ctx) = kernel("mul").reading([B, C]).writing([D]).with_native(|k| {
+                        for i in 0..k.writes[0].len() {
+                            k.writes[0][i] = k.reads[0][i] * k.reads[1][i];
+                        }
+                    });
+                },
+                true,
+            ),
+        ];
+        let key = |ctx: &Context| ctx.built_native_runtime().expect("ran").memo().key.clone();
+        let base = memo_outcome(&memo_context());
+        assert!(base.is_ok(), "{base:?}");
+        for (change, first, then, hit) in rows {
+            let mut warm = memo_context();
+            first(&mut warm);
+            let _ = memo_outcome(&warm);
+            let before = key(&warm);
+            then(&mut warm);
+            let got = memo_outcome(&warm);
+            let mut fresh = memo_context();
+            first(&mut fresh);
+            then(&mut fresh);
+            assert_eq!(got, memo_outcome(&fresh), "{change}");
+            assert_eq!(key(&warm) == before, hit, "{change}: hit");
+            if hit {
+                assert_ne!(got, base, "{change}: the outcome must move");
             }
         }
     }

@@ -79,21 +79,22 @@ use std::task::Poll;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLockReadGuard, RwLockWriteGuard};
 
 use micsim::pcie::Direction;
 
-use super::{prepare, Walk};
+use super::{prepare, Walk, WalkMemo};
 use crate::action::Action;
 use crate::buffer::Elem;
 use crate::check::Site;
 use crate::context::Context;
 use crate::fault::{self, FaultCounters, FaultTallies, RecoveryState, ResilientReport};
+use crate::inline::{InlineVec, INLINE_ACCESSES};
 use crate::kernel::KernelCtx;
 use crate::metrics::instruments::{price_run, RunCounts};
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{self, WorkerGroup, WorkerPool};
-use crate::sched::{Lane, Schedule, ScheduledTask, TaskGraph};
+use crate::sched::{CostModel, Lane, Schedule, ScheduledTask, TaskGraph};
 use crate::trace::{NativeTrace, Recorder, Recording};
 use crate::types::{BufId, Error, Result, RunFailure};
 
@@ -277,8 +278,9 @@ fn default_threads_per_partition(ctx: &Context) -> usize {
 /// that model partition, host and link exclusivity. Built lazily on the
 /// first native run; torn down when the context drops.
 pub(crate) struct NativeRuntime {
-    /// Serializes whole runs: drivers and lanes are shared state.
-    run_lock: Mutex<()>,
+    /// Serializes whole runs — drivers and lanes are shared state — and
+    /// guards the walk of the program the last recorded run walked.
+    run_lock: Mutex<WalkMemo>,
     /// One dedicated thread per driver: drivers sleep for each other's
     /// nodes, so none may wait behind another for a thread.
     drivers: WorkerGroup,
@@ -309,7 +311,7 @@ impl NativeRuntime {
         let width = (host_par / parts_per_dev).max(1);
         let channels_per_dev = ctx.config().link.channels();
         NativeRuntime {
-            run_lock: Mutex::new(()),
+            run_lock: Mutex::new(WalkMemo::default()),
             drivers: WorkerGroup::new("drv", n_streams.saturating_sub(1)),
             pool: WorkerPool::for_geometry(n_devices, parts_per_dev, width),
             partition_locks: (0..n_devices)
@@ -412,6 +414,9 @@ fn exec_transfer(
     shared.executed.fetch_add(1, Ordering::Relaxed);
 }
 
+/// A launch's scratch list: inline up to `INLINE_ACCESSES` buffers.
+type Scratch<T> = InlineVec<T, INLINE_ACCESSES>;
+
 /// Acquire the partition (or host) and the declared buffers of the kernel
 /// at `site`, run its native body, and record the span against recorder
 /// stream `rsi`.
@@ -438,29 +443,27 @@ fn exec_kernel(
     };
     // Lock declared buffers in global id order (deadlock-free across
     // concurrent kernels), but keep read and write guards in separate
-    // vectors so views can borrow them independently. The guards borrow
-    // the storage from the context, which outlives the run.
-    let mut wanted: Vec<(crate::types::BufId, bool)> = desc.accesses().collect();
-    wanted.sort_by_key(|(b, _)| *b);
-    let mut read_guards: Vec<(
-        crate::types::BufId,
-        parking_lot::RwLockReadGuard<'_, Vec<Elem>>,
-    )> = Vec::with_capacity(desc.reads.len());
-    let mut write_guards: Vec<(
-        crate::types::BufId,
-        parking_lot::RwLockWriteGuard<'_, Vec<Elem>>,
-    )> = Vec::with_capacity(desc.writes.len());
-    for &(b, is_write) in &wanted {
-        let buffer = ctx.buffer(b).expect("validated at enqueue time");
+    // lists so views can borrow them independently. The guards borrow the
+    // storage from the context, which outlives the run.
+    let mut wanted: Scratch<(usize, bool)> = desc
+        .accesses()
+        .map(|(b, is_write)| (b.0, is_write))
+        .collect();
+    wanted.sort_unstable();
+    let mut read_guards: Scratch<Option<(usize, RwLockReadGuard<'_, Vec<Elem>>)>> = Scratch::new();
+    let mut write_guards: Scratch<Option<(usize, RwLockWriteGuard<'_, Vec<Elem>>)>> =
+        Scratch::new();
+    for &(b, is_write) in wanted.iter() {
+        let buffer = ctx.buffer(BufId(b)).expect("validated at enqueue time");
         let storage = if desc.host {
             &buffer.host
         } else {
             &buffer.device
         };
         if is_write {
-            write_guards.push((b, storage.write()));
+            write_guards.push(Some((b, storage.write())));
         } else {
-            read_guards.push((b, storage.read()));
+            read_guards.push(Some((b, storage.read())));
         }
     }
     // Read views in declaration order.
@@ -468,28 +471,24 @@ fn exec_kernel(
         .reads
         .iter()
         .map(|b| {
-            read_guards
-                .iter()
-                .find(|(id, _)| id == b)
-                .expect("guard acquired above")
-                .1
-                .as_slice()
+            let held = read_guards.iter().flatten().find(|(id, _)| *id == b.0);
+            held.expect("guard acquired above").1.as_slice()
         })
         .collect();
     // Write views in declaration order: compute for each held guard its
     // slot in `desc.writes`, then place the mutable slices by permutation.
-    let mut slots: Vec<Option<&mut [Elem]>> = (0..desc.writes.len()).map(|_| None).collect();
-    for (id, guard) in write_guards.iter_mut() {
+    let mut slots: Scratch<Option<&mut [Elem]>> = desc.writes.iter().map(|_| None).collect();
+    for (id, guard) in write_guards.iter_mut().flatten() {
         let pos = desc
             .writes
             .iter()
-            .position(|b| b == id)
+            .position(|b| b.0 == *id)
             .expect("guard acquired above");
         slots[pos] = Some(guard.as_mut_slice());
     }
     let writes: Vec<&mut [Elem]> = slots
-        .into_iter()
-        .map(|s| s.expect("every declared write locked"))
+        .iter_mut()
+        .map(|s| s.take().expect("every declared write locked"))
         .collect();
     let mut kctx = KernelCtx {
         reads,
@@ -946,8 +945,17 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
 /// refusals, every kernel needs a native body; a program without streams
 /// runs instantly. An allocation fault fails the run before any work, as an
 /// [`Error::Run`] with nothing to re-run.
+///
+/// The runtime's `WalkMemo` admits the program first, and a recorded
+/// walk goes back into it after the run: a repeated program is checked and
+/// its graph built once. Before the first run builds the runtime, a fresh
+/// memo stands in and the new runtime adopts it.
 pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
-    let mut walk = prepare(ctx, None).map_err(|err| match err {
+    let mut held = ctx.built_native_runtime().map(|rt| rt.run_lock.lock());
+    let mut cold = WalkMemo::default();
+    let memo = held.as_deref_mut().unwrap_or(&mut cold);
+    let bodiless = memo.admit(ctx);
+    let mut walk = prepare(ctx, None, Some(memo)).map_err(|err| match err {
         Error::Fault { .. } => Error::Run(Box::new(RunFailure {
             cause: err,
             recovery: RecoveryState {
@@ -961,15 +969,10 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         })),
         refused => refused,
     })?;
-    let actions = ctx.program().streams.iter().flat_map(|s| &s.actions);
-    for action in actions {
-        if let Action::Kernel(k) = action {
-            if k.native.is_none() {
-                return Err(Error::MissingNativeBody {
-                    kernel: k.label.to_string(),
-                });
-            }
-        }
+    if let Some(k) = bodiless {
+        return Err(Error::MissingNativeBody {
+            kernel: k.label.to_string(),
+        });
     }
     if ctx.program().streams.is_empty() {
         return Ok(NativeReport {
@@ -987,23 +990,29 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     if let Walk::Recorded(hb) = &mut walk {
         hb.shed_order();
     }
-    execute(
-        ctx,
-        cfg,
-        &walk,
-        FaultControl::new(ctx, &RecoveryState::default()),
-    )
+    let rt = ctx.native_runtime();
+    let mut memo = held.unwrap_or_else(|| {
+        let mut adopted = rt.run_lock.lock();
+        *adopted = cold;
+        adopted
+    });
+    let fc = FaultControl::new(ctx, &RecoveryState::default());
+    let outcome = execute(ctx, cfg, rt, &walk, fc);
+    memo.keep(walk);
+    outcome
 }
 
 /// [`Context::run_native_resilient`]: a pass that loses work drains and
 /// records what it skipped; the next pass walks a plan of exactly those
-/// nodes ([`recovery_plan`]) with the partitions earlier passes lost still
-/// lost and the fault plan exempt at the sites that already fired. At most
-/// two recovery passes run.
+/// nodes ([`recovery_schedule`]) with the partitions earlier passes lost
+/// still lost and the fault plan exempt at the sites that already fired.
+/// At most two recovery passes run; the task graph and cost model they plan
+/// on are derived once, by the first.
 pub(crate) fn run_resilient(ctx: &Context, cfg: &NativeConfig) -> Result<ResilientReport> {
     const MAX_DEGRADED_RUNS: u64 = 2;
     let mut faults = FaultCounters::default();
     let mut after = RecoveryState::default();
+    let mut basis = None;
     let mut pass = run(ctx, cfg);
     loop {
         let failure = match pass {
@@ -1022,31 +1031,52 @@ pub(crate) fn run_resilient(ctx: &Context, cfg: &NativeConfig) -> Result<Resilie
         faults.absorb(&state.faults);
         after.lost.extend_from_slice(&state.lost);
         after.fired.extend_from_slice(&state.fired);
-        let plan = (faults.degraded_runs < MAX_DEGRADED_RUNS)
-            .then(|| recovery_plan(ctx, &state.skipped, &after.lost))
-            .flatten();
-        let Some(walk) = plan else {
+        if faults.degraded_runs >= MAX_DEGRADED_RUNS || state.skipped.is_empty() {
+            return Err(Error::Run(failure));
+        }
+        // Derived by the first recovery pass, handed back after each.
+        let Some((graph, cost)) = basis.take().or_else(|| recovery_basis(ctx)) else {
+            return Err(Error::Run(failure));
+        };
+        let Some(schedule) = recovery_schedule(ctx, &graph, &cost, &state.skipped, &after.lost)
+        else {
             return Err(Error::Run(failure));
         };
         faults.degraded_runs += 1;
         faults.replayed_actions += state.skipped.len() as u64;
-        pass = execute(ctx, cfg, &walk, FaultControl::new(ctx, &after));
+        let walk = Walk::Scheduled(schedule, graph);
+        pass = {
+            let rt = ctx.native_runtime();
+            let _held = rt.run_lock.lock();
+            execute(ctx, cfg, rt, &walk, FaultControl::new(ctx, &after))
+        };
+        if let Walk::Scheduled(_, graph) = walk {
+            basis = Some((graph, cost));
+        }
     }
 }
 
-/// A recovery pass's walk: the `skipped` sites as task-graph nodes, in
-/// skip order, each on its recorded partition unless that is `lost`, else
-/// on the first survivor (same device first). `None` when there is nothing
-/// to re-run, no clean task graph, or no survivor.
-fn recovery_plan(
+/// What the recovery passes of one resilient run plan on: the program's
+/// task graph and cost model. `None` when the program is not
+/// analyzer-clean or has no task graph.
+fn recovery_basis(ctx: &Context) -> Option<(TaskGraph, CostModel)> {
+    let analysis = crate::check::analyze(ctx.program(), &ctx.check_env());
+    let graph =
+        TaskGraph::build(ctx.program(), &analysis).filter(|_| analysis.report.is_clean())?;
+    Some((graph, ctx.cost_model().ok()?))
+}
+
+/// A recovery pass's plan over `graph`: the `skipped` sites, in skip order,
+/// each on its recorded partition unless that is `lost`, else on the first
+/// survivor (same device first). `None` when a site has no node or no
+/// survivor can run it.
+fn recovery_schedule(
     ctx: &Context,
+    graph: &TaskGraph,
+    cost: &CostModel,
     skipped: &[(usize, usize)],
     lost: &[(usize, usize, String)],
-) -> Option<Walk> {
-    let analysis = ctx.analyze();
-    let clean = analysis.report.is_clean() && !skipped.is_empty();
-    let graph = TaskGraph::build(ctx.program(), &analysis).filter(|_| clean)?;
-    let cost = ctx.cost_model().ok()?;
+) -> Option<Schedule> {
     let alive = |at: &(usize, usize)| !lost.iter().any(|&(d, p, _)| (d, p) == *at);
     let on = |dev| (0..ctx.partitions()).map(move |part| (dev, part));
     let mut tasks = Vec::with_capacity(skipped.len());
@@ -1072,20 +1102,21 @@ fn recovery_plan(
         });
     }
     let steals = tasks.iter().filter(|t| t.stolen).count();
-    let schedule = Schedule {
+    Some(Schedule {
         kind: ctx.scheduler(),
         tasks,
         makespan: 0.0,
         steals,
-    };
-    Some(Walk::Scheduled(schedule, graph))
+    })
 }
 
-/// Back the buffers, run `walk` and attach what telemetry asks for; a
-/// failure carries the run's recovery material and partial trace.
+/// Back the buffers, run `walk` on `rt` — whose run lock the caller holds —
+/// and attach what telemetry asks for; a failure carries the run's recovery
+/// material and partial trace.
 fn execute(
     ctx: &Context,
     cfg: &NativeConfig,
+    rt: &NativeRuntime,
     walk: &Walk,
     fc: FaultControl,
 ) -> Result<NativeReport> {
@@ -1110,6 +1141,7 @@ fn execute(
     let (result, steals) = run_persistent(
         ctx,
         cfg,
+        rt,
         threads_hint,
         recorder.as_ref(),
         &bytes_moved,
@@ -1157,7 +1189,7 @@ fn execute(
     }
 }
 
-/// Execute on the context's persistent runtime: parked drivers, pinned
+/// Execute on the context's persistent runtime `rt`: parked drivers, pinned
 /// kernel pools, link lanes. No threads are spawned. Returns the run's
 /// outcome and its cross-partition kernel moves, which a failed run's
 /// partial trace carries too.
@@ -1165,14 +1197,13 @@ fn execute(
 fn run_persistent(
     ctx: &Context,
     cfg: &NativeConfig,
+    rt: &NativeRuntime,
     threads_hint: usize,
     recorder: Option<&Recorder>,
     bytes_moved: &[AtomicU64],
     fault: &FaultControl,
     walk: &Walk,
 ) -> (Result<NativeReport>, usize) {
-    let rt = ctx.native_runtime();
-    let _active = rt.run_lock.lock();
     let shared = RunShared {
         ctx,
         threads_hint,
@@ -1206,6 +1237,14 @@ fn run_persistent(
         }),
     };
     (result, steals)
+}
+
+#[cfg(test)]
+impl NativeRuntime {
+    /// The walk memo, for tests that tell a hit from a miss.
+    pub(crate) fn memo(&self) -> parking_lot::MutexGuard<'_, WalkMemo> {
+        self.run_lock.lock()
+    }
 }
 
 #[cfg(test)]

@@ -146,7 +146,7 @@ impl SimReport {
 /// among them) come back unchanged.
 pub fn run(ctx: &Context) -> Result<SimReport> {
     let cost = ctx.cost_model()?;
-    let walk = prepare(ctx, Some(&cost))?;
+    let walk = prepare(ctx, Some(&cost), None)?;
     lower(ctx, &walk, &cost)
 }
 

@@ -12,6 +12,11 @@
 //!   (Kmeans' reduce reads one partial per tile) take one heap block.
 //!
 //! Both are 24 bytes, the size of the `String` and `Vec` they replace.
+//!
+//! The native executor's launch path keeps its scratch lists — the buffers
+//! to lock, in id order, the lock guards, the write views — in an
+//! `InlineVec` of `INLINE_ACCESSES` entries for the same reason: a launch
+//! then allocates only the view lists its kernel body is handed.
 
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
@@ -287,6 +292,84 @@ impl fmt::Debug for BufList {
     }
 }
 
+/// Entries an `InlineVec` of launch scratch holds without allocating:
+/// a kernel's declared buffers, reads and writes together.
+pub(crate) const INLINE_ACCESSES: usize = 4;
+
+/// A list that keeps up to `N` items in place and moves them all to one
+/// heap block when one more is pushed. It derefs to `[T]`, in push order.
+/// The free slots hold `T::default()` — an `Option` of anything will do.
+pub(crate) struct InlineVec<T, const N: usize>(VecRepr<T, N>);
+
+enum VecRepr<T, const N: usize> {
+    Inline { len: usize, items: [T; N] },
+    Heap(Vec<T>),
+}
+
+impl<T: Default, const N: usize> InlineVec<T, N> {
+    pub(crate) fn new() -> Self {
+        InlineVec(VecRepr::Inline {
+            len: 0,
+            items: std::array::from_fn(|_| T::default()),
+        })
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        let spilled = match &mut self.0 {
+            VecRepr::Inline { len, items } if *len < N => {
+                items[*len] = item;
+                *len += 1;
+                return;
+            }
+            VecRepr::Inline { items, .. } => {
+                let mut all = Vec::with_capacity(2 * N);
+                all.extend(items.iter_mut().map(std::mem::take));
+                all.push(item);
+                all
+            }
+            VecRepr::Heap(all) => {
+                all.push(item);
+                return;
+            }
+        };
+        self.0 = VecRepr::Heap(spilled);
+    }
+
+    /// Whether the items live on the heap (more than `N` were pushed).
+    #[cfg(test)]
+    fn spilled(&self) -> bool {
+        matches!(self.0, VecRepr::Heap(_))
+    }
+}
+
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = InlineVec::new();
+        iter.into_iter().for_each(|item| list.push(item));
+        list
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            VecRepr::Inline { len, items } => &items[..*len],
+            VecRepr::Heap(all) => all,
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            VecRepr::Inline { len, items } => &mut items[..*len],
+            VecRepr::Heap(all) => all,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,5 +466,21 @@ mod tests {
         assert_eq!(list[4], BufId(0));
         assert_eq!(BufList::default().len(), 0);
         assert_eq!(format!("{:?}", list), format!("{:?}", &*list));
+    }
+
+    #[test]
+    fn inline_vecs_keep_order_and_spill_past_capacity() {
+        for n in 0..=INLINE_ACCESSES + 3 {
+            let mut list: InlineVec<Option<String>, INLINE_ACCESSES> =
+                (0..n).map(|i| Some(i.to_string())).collect();
+            assert_eq!(list.spilled(), n > INLINE_ACCESSES);
+            let want: Vec<Option<String>> = (0..n).map(|i| Some(i.to_string())).collect();
+            assert_eq!(&*list, want.as_slice());
+            list.reverse();
+            assert_eq!(
+                list.first().cloned().flatten(),
+                n.checked_sub(1).map(|i| i.to_string())
+            );
+        }
     }
 }

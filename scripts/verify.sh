@@ -100,6 +100,17 @@ if [ "$hits" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> one check per distinct program (the native runtime's walk memo checks and builds a repeated program's walk once)"
+hits=$(grep -rF 'struct WalkMemo' crates/core/src/executor/ | wc -l)
+if [ "$hits" -ne 1 ]; then
+  echo "  'struct WalkMemo' occurs $hits times under crates/core/src/executor/ (want exactly 1, executor::WalkMemo)"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF '.analyze('; then
+  echo "  '.analyze(' is back in non-test executor/native.rs (the front end analyzes a program once per key; recovery derives its basis once per resilient run)"
+  exit 1
+fi
+
 echo "==> one access table (accesses are counting-sorted once into one table; the engine keeps its edges flat)"
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
   echo "  'HashMap' is back in non-test check/races.rs (accesses live in one sorted table)"
@@ -245,8 +256,8 @@ echo "==> performance ledger: mic-e2e unit tests + self-test"
 cargo test --offline --manifest-path bench/e2e/Cargo.toml
 bash bench/e2e/run.sh --self-test
 
-echo "==> allocation budgets (a simulated run allocates per run, a recorded candidate per tiling; counts in the log)"
-cargo test --release --test sim_alloc_budget -- --nocapture
+echo "==> allocation budgets (a simulated run allocates per run, a recorded candidate per tiling, a native launch its two view lists; counts in the log)"
+cargo test --release --test sim_alloc_budget --test native_alloc_budget -- --nocapture
 
 echo "==> simulator ledger (sim_sweep's makespans and exact counts equal the committed baseline, bit for bit)"
 bash bench/e2e/run.sh --workload sim_sweep --seed 1 --seconds 3 --trace 1 2>/dev/null \

@@ -29,8 +29,7 @@
 //!   allocations per kernel launch (a label, the profile's name, two buffer
 //!   lists, a body) plus its stream queues' growth.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc_counter;
 
 use hstreams::action::Action;
 use hstreams::context::Context;
@@ -38,59 +37,10 @@ use mic_apps::hbench::{overlap_program, OverlapVariant};
 use mic_apps::tunable::{Tunable, TunableCf, TunableHbench, TunableKmeans, TunableMm, TunableNn};
 use micsim::PlatformConfig;
 
-struct Counting;
-
-thread_local! {
-    /// Allocations seen on this thread while counting (`Some`).
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn note() {
-    // `try_with`: the allocator may run while the thread-local is torn down.
-    let _ = COUNT.try_with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + 1));
-        }
-    });
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counter is a
-// const-initialised thread-local that allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
 /// Allocations made by `f` on this thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    COUNT.with(|c| c.set(Some(0)));
-    let out = f();
-    let n = COUNT.with(|c| c.replace(None)).expect("counting was on");
-    (n, out)
+    let ((on_this_thread, _), out) = alloc_counter::counted(f);
+    (on_this_thread, out)
 }
 
 /// `(allocations, tasks)` of one warm `run_sim` of `tiles` streamed tiles.

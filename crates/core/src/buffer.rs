@@ -19,6 +19,11 @@
 //! [`Context`](crate::context::Context) it runs against. With its name
 //! inline (see [`crate::inline`]), allocating a buffer allocates nothing
 //! until it is backed.
+//!
+//! Backed storage never shrinks: the copies are crate-private, and every
+//! writer in this crate either sizes a copy to `len` or writes into it in
+//! place. The native runtime's walk memo relies on this — a repeated
+//! program whose buffers a run backed skips backing them again.
 
 use parking_lot::RwLock;
 
@@ -40,10 +45,10 @@ pub struct Buffer {
     /// Length in elements.
     pub len: usize,
     /// Host-side storage.
-    pub host: RwLock<Vec<Elem>>,
+    pub(crate) host: RwLock<Vec<Elem>>,
     /// Device-side storage (backed by the native executor; the sim
     /// executor tracks only capacity in `micsim`'s device memory).
-    pub device: RwLock<Vec<Elem>>,
+    pub(crate) device: RwLock<Vec<Elem>>,
 }
 
 impl Buffer {
@@ -93,9 +98,18 @@ impl Buffer {
 
     /// Clone the host copy out (zeros if never written or transferred).
     pub fn read_host(&self) -> Vec<Elem> {
-        let host = self.host.read();
-        if host.len() == self.len {
-            host.clone()
+        self.read(&self.host)
+    }
+
+    /// Clone the device copy out (zeros if never backed).
+    pub fn read_device(&self) -> Vec<Elem> {
+        self.read(&self.device)
+    }
+
+    fn read(&self, side: &RwLock<Vec<Elem>>) -> Vec<Elem> {
+        let copy = side.read();
+        if copy.len() == self.len {
+            copy.clone()
         } else {
             vec![0.0; self.len]
         }
@@ -124,6 +138,7 @@ mod tests {
     fn new_buffer_is_logically_zero_but_lazy() {
         let b = Buffer::new(BufId(0), "a", 4);
         assert_eq!(b.read_host(), vec![0.0; 4]);
+        assert_eq!(b.read_device(), vec![0.0; 4]);
         assert_eq!(b.device.read().len(), 0, "no storage until backed");
         assert_eq!(b.bytes(), 16);
         b.ensure_materialized();

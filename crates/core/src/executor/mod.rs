@@ -45,11 +45,13 @@ pub(crate) enum Walk {
 
 /// A recorded walk kept for the next run of the same program: the key of
 /// the program last admitted, its happens-before graph shed to the edges
-/// the drivers read, and whether the analyzer found it clean. The native
-/// runtime keeps one behind its run lock, so a run that repeats a program
-/// — the paper's measurement loop, a re-recorded op — derives nothing the
-/// key already pins. The simulator keeps none: a tuning sweep prices a new
-/// program per candidate, so every walk would miss and pay for the copy.
+/// the drivers read, whether the analyzer found it clean, whether it
+/// passed validation and the events-table check, and whether a run backed
+/// its buffers. The native runtime keeps one behind its run lock, so a run
+/// that repeats a program — the paper's measurement loop, a re-recorded op
+/// — derives and backs nothing the key already pins. The simulator keeps
+/// none: a tuning sweep prices a new program per candidate, so every walk
+/// would miss and pay for the copy.
 #[derive(Default)]
 pub(crate) struct WalkMemo {
     /// Everything `check::analyze` and `HbGraph::build` read, one word per
@@ -60,12 +62,19 @@ pub(crate) struct WalkMemo {
     graph: Option<HbGraph>,
     /// The key's program passed the analyzer without an error.
     checked: bool,
+    /// The key's program passed `Program::validate` and the events-table
+    /// check, both functions of the key alone.
+    valid: bool,
+    /// A run of the key's program backed every buffer it touches. Backed
+    /// storage never shrinks (see [`crate::buffer`]) and the key holds the
+    /// buffer count and every buffer an action names, so it stays backed.
+    backed: bool,
 }
 
 impl WalkMemo {
     /// Make the key describe `ctx`'s program and plan: compare word by
     /// word, and from the first difference on rewrite it in place and
-    /// forget the graph and the check. The same pass finds the first kernel
+    /// forget the graph and every bit. The same pass finds the first kernel
     /// without a native body, which the native executor refuses once the
     /// front end's own refusals are through.
     pub(crate) fn admit<'c>(&mut self, ctx: &'c Context) -> Option<&'c KernelDesc> {
@@ -134,6 +143,8 @@ impl WalkMemo {
         if !key.finish() {
             self.graph = None;
             self.checked = false;
+            self.valid = false;
+            self.backed = false;
         }
         bodiless
     }
@@ -207,18 +218,23 @@ impl KeyWriter<'_> {
 ///
 /// A FIFO run given a `memo` that has admitted the program takes its graph
 /// from there when it holds one — built once, it passed the wait-cycle
-/// refusal then — and skips the gate's analysis when the program was
-/// checked clean. A graph kept from a run in mode `Off` was never checked,
-/// so an enforcing run still analyzes it. Every other step runs each time.
+/// refusal then — skips the gate's analysis when the program was checked
+/// clean, and skips validation and the events-table check when it passed
+/// both. A graph kept from a run in mode `Off` was never checked, so an
+/// enforcing run still analyzes it. The card-memory and allocation-fault
+/// refusals read what the key does not hold, so they run each time.
 pub(crate) fn prepare(
     ctx: &Context,
     cost: Option<&CostModel>,
     memo: Option<&mut WalkMemo>,
 ) -> Result<Walk> {
     let program = ctx.program();
-    program.validate()?;
     let kind = ctx.scheduler();
     let mut memo = memo.filter(|_| kind == SchedulerKind::Fifo);
+    let valid = memo.as_ref().is_some_and(|memo| memo.valid);
+    if !valid {
+        program.validate()?;
+    }
     let checked = memo.as_ref().is_some_and(|memo| memo.checked);
     let analysis = match (ctx.check_mode(), kind) {
         (CheckMode::Off, SchedulerKind::Fifo) => None,
@@ -260,7 +276,7 @@ pub(crate) fn prepare(
     let walk = match planned {
         Some((schedule, graph)) => Walk::Scheduled(schedule, graph),
         None => {
-            let kept = memo.and_then(|memo| memo.graph.take());
+            let kept = memo.as_deref_mut().and_then(|memo| memo.graph.take());
             let hb = match (kept, analysis) {
                 (Some(hb), _) => hb,
                 (None, Some(made)) => made.hb,
@@ -270,13 +286,18 @@ pub(crate) fn prepare(
             Walk::Recorded(hb)
         }
     };
-    for (si, stream) in program.streams.iter().enumerate() {
-        for (ai, action) in stream.actions.iter().enumerate() {
-            if let Action::RecordEvent(e) | Action::WaitEvent(e) = action {
-                if !program.event_site_matches(si, ai) {
-                    return Err(Error::UnknownEvent(*e));
+    if !valid {
+        for (si, stream) in program.streams.iter().enumerate() {
+            for (ai, action) in stream.actions.iter().enumerate() {
+                if let Action::RecordEvent(e) | Action::WaitEvent(e) = action {
+                    if !program.event_site_matches(si, ai) {
+                        return Err(Error::UnknownEvent(*e));
+                    }
                 }
             }
+        }
+        if let Some(memo) = memo {
+            memo.valid = true;
         }
     }
     Ok(walk)
@@ -473,6 +494,70 @@ mod tests {
             Err(Error::Run(failure)) => Err(format!("{:?}", failure.cause)),
             Err(Error::Check(report)) => Err(format!("Check({:?})", report.diagnostics)),
             Err(refused) => Err(format!("{refused:?}")),
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_skips_only_what_an_earlier_run_completed() {
+        type Change = fn(&mut Context);
+        // (what happens, the change before the first run, the change
+        // between the runs, whether the first run is refused). The second
+        // run must hit and equal a fresh context's run of the program as it
+        // stands then; the first must equal a fresh context's run too.
+        let rows: [(&str, Change, Change, bool); 4] = [
+            (
+                "a program validation refuses, run twice",
+                |ctx| {
+                    ctx.barrier();
+                    ctx.program_mut().streams[1].actions.pop();
+                },
+                |_| {},
+                true,
+            ),
+            (
+                "an events table that disagrees with the actions, run twice under Off",
+                |ctx| {
+                    ctx.set_check_mode(CheckMode::Off);
+                    ctx.program_mut().events[1].action_index = 0;
+                },
+                |_| {},
+                true,
+            ),
+            (
+                "an allocation fault, then no fault plan",
+                |ctx| ctx.set_fault_plan(Some(FaultPlan::seeded(1).fail_alloc(0))),
+                |ctx| ctx.set_fault_plan(None),
+                true,
+            ),
+            (
+                "zero_buffers between two runs",
+                |_| {},
+                |ctx| ctx.zero_buffers(),
+                false,
+            ),
+        ];
+        let key = |ctx: &Context| ctx.built_native_runtime().expect("ran").memo().key.clone();
+        for (what, first, then, refused) in rows {
+            // The runtime (and its memo) exists before the program is
+            // recorded, and no run has backed a buffer yet.
+            let mut warm = memo_context();
+            warm.reset_program();
+            warm.run_native().expect("a program of empty streams runs");
+            memo_base(&mut warm);
+            first(&mut warm);
+            let once = memo_outcome(&warm);
+            let before = key(&warm);
+            then(&mut warm);
+            let got = memo_outcome(&warm);
+            assert_eq!(key(&warm), before, "{what}: hit");
+            assert_eq!(once.is_err(), refused, "{what}: {once:?}");
+            let mut fresh = memo_context();
+            first(&mut fresh);
+            assert_eq!(once, memo_outcome(&fresh), "{what}: first run");
+            let mut fresh = memo_context();
+            first(&mut fresh);
+            then(&mut fresh);
+            assert_eq!(got, memo_outcome(&fresh), "{what}");
         }
     }
 

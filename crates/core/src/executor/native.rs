@@ -22,8 +22,11 @@
 //!   `WorkSteal` from the recorded placements), else steals a ready node
 //!   from the back of a sibling's queue, else sleeps until one becomes ready.
 //!
-//! A sleeping driver names what it sleeps for in an atomic and parks its
-//! thread; a step nobody sleeps for costs neither a lock nor a system call.
+//! A driver about to wait first yields its core once and looks again — on
+//! one core that lets the driver it waits for finish the step, with no
+//! park and no wake — then names what it sleeps for in an atomic, looks
+//! once more and parks its thread; a step nobody sleeps for costs neither
+//! a lock nor a system call.
 //! The payload step (`run_payload`: loss and taint checks, fault injection,
 //! retries, then the action itself) is shared too:
 //!
@@ -622,12 +625,14 @@ const ANY: u32 = u32::MAX - 1;
 /// [`Dispatch::pending`] of a node a scheduled driver has taken.
 const CLAIMED: u32 = u32::MAX;
 
-/// How one driver sleeps and is woken. The sleeper announces what it sleeps
-/// for, checks once more that it is still missing, then parks; a waker makes
-/// it available first and reads the announcement second. Every access is
-/// `SeqCst`, so of the sleeper's second check and the waker's read at least
-/// one sees the other's write — and a step nobody sleeps for costs the waker
-/// one load.
+/// How one driver sleeps and is woken. The sleeper yields its core once and
+/// checks again, then announces what it sleeps for, checks once more that
+/// it is still missing, and parks; a waker makes it available first and
+/// reads the announcement second. Every access is `SeqCst`, so of the
+/// sleeper's check after announcing and the waker's read at least one sees
+/// the other's write — and a step nobody sleeps for costs the waker one
+/// load. The yield comes before the announcement, so a waker that runs in
+/// it reads [`AWAKE`] and makes no system call.
 struct Parker {
     sleeps_for: AtomicU32,
     /// The driver's thread, registered before it first announces anything.
@@ -648,9 +653,16 @@ impl Parker {
     }
 
     /// Return what `poll` is ready with, sleeping for `what` while it is
-    /// pending. A wake-up may be stale (an earlier waker's token), so every
+    /// pending. Before the first announcement the driver yields its core
+    /// once and polls again: a driver that would make `what` ready and is
+    /// runnable on the same core gets it, and its wake finds nobody to
+    /// unpark. A wake-up may be stale (an earlier waker's token), so every
     /// one is followed by a fresh poll.
     fn sleep_until<T>(&self, what: u32, mut poll: impl FnMut() -> Poll<T>) -> T {
+        if let Poll::Ready(got) = poll() {
+            return got;
+        }
+        std::thread::yield_now();
         loop {
             if let Poll::Ready(got) = poll() {
                 return got;
@@ -947,9 +959,10 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
 /// [`Error::Run`] with nothing to re-run.
 ///
 /// The runtime's `WalkMemo` admits the program first, and a recorded
-/// walk goes back into it after the run: a repeated program is checked and
-/// its graph built once. Before the first run builds the runtime, a fresh
-/// memo stands in and the new runtime adopts it.
+/// walk goes back into it after the run: a repeated program is checked,
+/// validated, its graph built and its buffers backed once. Before the
+/// first run builds the runtime, a fresh memo stands in and the new
+/// runtime adopts it.
 pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
     let mut held = ctx.built_native_runtime().map(|rt| rt.run_lock.lock());
     let mut cold = WalkMemo::default();
@@ -997,7 +1010,8 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         adopted
     });
     let fc = FaultControl::new(ctx, &RecoveryState::default());
-    let outcome = execute(ctx, cfg, rt, &walk, fc);
+    let outcome = execute(ctx, cfg, rt, &walk, fc, memo.backed);
+    memo.backed = true;
     memo.keep(walk);
     outcome
 }
@@ -1048,7 +1062,7 @@ pub(crate) fn run_resilient(ctx: &Context, cfg: &NativeConfig) -> Result<Resilie
         pass = {
             let rt = ctx.native_runtime();
             let _held = rt.run_lock.lock();
-            execute(ctx, cfg, rt, &walk, FaultControl::new(ctx, &after))
+            execute(ctx, cfg, rt, &walk, FaultControl::new(ctx, &after), false)
         };
         if let Walk::Scheduled(_, graph) = walk {
             basis = Some((graph, cost));
@@ -1110,8 +1124,9 @@ fn recovery_schedule(
     })
 }
 
-/// Back the buffers, run `walk` on `rt` — whose run lock the caller holds —
-/// and attach what telemetry asks for; a failure carries the run's recovery
+/// Back the buffers unless a run of the same program already did
+/// (`backed`), run `walk` on `rt` — whose run lock the caller holds — and
+/// attach what telemetry asks for; a failure carries the run's recovery
 /// material and partial trace.
 fn execute(
     ctx: &Context,
@@ -1119,13 +1134,16 @@ fn execute(
     rt: &NativeRuntime,
     walk: &Walk,
     fc: FaultControl,
+    backed: bool,
 ) -> Result<NativeReport> {
-    // Materialize every buffer the program touches (storage is lazy so
+    // Back every buffer the program touches (storage is lazy so
     // simulator-scale programs cost nothing until they really run).
-    for stream in &ctx.program().streams {
-        for action in &stream.actions {
-            for b in action.buffers() {
-                ctx.buffer(b).expect("validated").ensure_materialized();
+    if !backed {
+        for stream in &ctx.program().streams {
+            for action in &stream.actions {
+                for b in action.buffers() {
+                    ctx.buffer(b).expect("validated").ensure_materialized();
+                }
             }
         }
     }

@@ -638,22 +638,14 @@ fn native_differential(
 type BufBits = Vec<(Vec<u32>, Vec<u32>)>;
 
 /// Bit-exact `(host, device)` contents of every palette buffer. Lazy
-/// (never-materialized) storage normalizes to zeros of the palette
-/// length, matching the runtime's read semantics.
+/// (never-backed) storage reads as zeros of the palette length, the
+/// runtime's read semantics.
 fn ctx_bits(ctx: &Context) -> BufBits {
+    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect();
     (0..N_BUFS)
         .map(|i| {
             let b = ctx.buffer(BufId(i)).expect("palette buffer exists");
-            let norm = |v: &[f32]| -> Vec<u32> {
-                if v.is_empty() {
-                    vec![0f32.to_bits(); buf_len(i)]
-                } else {
-                    v.iter().map(|x| x.to_bits()).collect()
-                }
-            };
-            let host = norm(b.host.read().as_slice());
-            let dev = norm(b.device.read().as_slice());
-            (host, dev)
+            (bits(b.read_host()), bits(b.read_device()))
         })
         .collect()
 }

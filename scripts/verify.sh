@@ -110,6 +110,14 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF '.ana
   echo "  '.analyze(' is back in non-test executor/native.rs (the front end analyzes a program once per key; recovery derives its basis once per resilient run)"
   exit 1
 fi
+executor=$(for f in crates/core/src/executor/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f"; done)
+for pat in 'ensure_materialized(' 'thread::park('; do
+  hits=$(grep -cF "$pat" <<<"$executor" || true)
+  if [ "$hits" -ne 1 ]; then
+    echo "  '$pat' occurs $hits times in non-test crates/core/src/executor/ (want exactly 1: execute backs a program's buffers unless the memo says a run did, Parker::sleep_until parks)"
+    exit 1
+  fi
+done
 
 echo "==> one access table (accesses are counting-sorted once into one table; the engine keeps its edges flat)"
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
@@ -251,6 +259,16 @@ cargo test -q
 echo "==> every test target, debug and release (the kernel row-split bug failed differently per profile)"
 cargo test --workspace
 cargo test --workspace --release
+
+echo "==> one-CPU wait path (native_stress and the executor::native lib tests on one core, where waiting drivers yield to each other)"
+if command -v taskset >/dev/null; then
+  # The first CPU this shell may run on.
+  cpu=$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')
+  taskset -c "$cpu" cargo test --release -p hstreams --test native_stress
+  taskset -c "$cpu" cargo test --release -p hstreams --lib executor::native
+else
+  echo "  taskset not found: one-CPU step skipped"
+fi
 
 echo "==> performance ledger: mic-e2e unit tests + self-test"
 cargo test --offline --manifest-path bench/e2e/Cargo.toml

@@ -45,13 +45,12 @@ pub(crate) enum Walk {
 
 /// A recorded walk kept for the next run of the same program: the key of
 /// the program last admitted, its happens-before graph shed to the edges
-/// the drivers read, whether the analyzer found it clean, whether it
-/// passed validation and the events-table check, and whether a run backed
-/// its buffers. The native runtime keeps one behind its run lock, so a run
-/// that repeats a program — the paper's measurement loop, a re-recorded op
-/// — derives and backs nothing the key already pins. The simulator keeps
-/// none: a tuning sweep prices a new program per candidate, so every walk
-/// would miss and pay for the copy.
+/// the drivers read, whether the analyzer found it clean, and whether a
+/// run of it got as far as backing its buffers. The native runtime keeps
+/// one behind its run lock, so a run that repeats a program — the paper's
+/// measurement loop, a re-recorded op — derives and backs nothing the key
+/// already pins. The simulator keeps none: a tuning sweep prices a new
+/// program per candidate, so every walk would miss and pay for the copy.
 #[derive(Default)]
 pub(crate) struct WalkMemo {
     /// Everything `check::analyze` and `HbGraph::build` read, one word per
@@ -62,13 +61,13 @@ pub(crate) struct WalkMemo {
     graph: Option<HbGraph>,
     /// The key's program passed the analyzer without an error.
     checked: bool,
-    /// The key's program passed `Program::validate` and the events-table
-    /// check, both functions of the key alone.
-    valid: bool,
-    /// A run of the key's program backed every buffer it touches. Backed
-    /// storage never shrinks (see [`crate::buffer`]) and the key holds the
-    /// buffer count and every buffer an action names, so it stays backed.
-    backed: bool,
+    /// A run of the key's program reached the native `execute`: its
+    /// `prepare` passed `Program::validate` and the events-table check, both
+    /// functions of the key alone, and it backed every buffer the program
+    /// touches. Backed storage never shrinks (see [`crate::buffer`]) and the
+    /// key holds the buffer count and every buffer an action names, so the
+    /// buffers stay backed.
+    ran: bool,
 }
 
 impl WalkMemo {
@@ -143,8 +142,7 @@ impl WalkMemo {
         if !key.finish() {
             self.graph = None;
             self.checked = false;
-            self.valid = false;
-            self.backed = false;
+            self.ran = false;
         }
         bodiless
     }
@@ -219,9 +217,9 @@ impl KeyWriter<'_> {
 /// A FIFO run given a `memo` that has admitted the program takes its graph
 /// from there when it holds one — built once, it passed the wait-cycle
 /// refusal then — skips the gate's analysis when the program was checked
-/// clean, and skips validation and the events-table check when it passed
-/// both. A graph kept from a run in mode `Off` was never checked, so an
-/// enforcing run still analyzes it. The card-memory and allocation-fault
+/// clean, and skips validation and the events-table check once a run of
+/// the program reached execution. A graph kept from a run in mode `Off`
+/// was never checked, so an enforcing run still analyzes it. The card-memory and allocation-fault
 /// refusals read what the key does not hold, so they run each time.
 pub(crate) fn prepare(
     ctx: &Context,
@@ -231,8 +229,8 @@ pub(crate) fn prepare(
     let program = ctx.program();
     let kind = ctx.scheduler();
     let mut memo = memo.filter(|_| kind == SchedulerKind::Fifo);
-    let valid = memo.as_ref().is_some_and(|memo| memo.valid);
-    if !valid {
+    let ran = memo.as_ref().is_some_and(|memo| memo.ran);
+    if !ran {
         program.validate()?;
     }
     let checked = memo.as_ref().is_some_and(|memo| memo.checked);
@@ -276,7 +274,7 @@ pub(crate) fn prepare(
     let walk = match planned {
         Some((schedule, graph)) => Walk::Scheduled(schedule, graph),
         None => {
-            let kept = memo.as_deref_mut().and_then(|memo| memo.graph.take());
+            let kept = memo.and_then(|memo| memo.graph.take());
             let hb = match (kept, analysis) {
                 (Some(hb), _) => hb,
                 (None, Some(made)) => made.hb,
@@ -286,7 +284,7 @@ pub(crate) fn prepare(
             Walk::Recorded(hb)
         }
     };
-    if !valid {
+    if !ran {
         for (si, stream) in program.streams.iter().enumerate() {
             for (ai, action) in stream.actions.iter().enumerate() {
                 if let Action::RecordEvent(e) | Action::WaitEvent(e) = action {
@@ -295,9 +293,6 @@ pub(crate) fn prepare(
                     }
                 }
             }
-        }
-        if let Some(memo) = memo {
-            memo.valid = true;
         }
     }
     Ok(walk)

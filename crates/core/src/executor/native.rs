@@ -22,11 +22,11 @@
 //!   `WorkSteal` from the recorded placements), else steals a ready node
 //!   from the back of a sibling's queue, else sleeps until one becomes ready.
 //!
-//! A driver about to wait first yields its core once and looks again — on
-//! one core that lets the driver it waits for finish the step, with no
-//! park and no wake — then names what it sleeps for in an atomic, looks
+//! A driver about to wait names what it sleeps for in an atomic, looks
 //! once more and parks its thread; a step nobody sleeps for costs neither
-//! a lock nor a system call.
+//! a lock nor a system call. When the process may run on one CPU only,
+//! a driver first yields its core once and looks again: the driver it
+//! waits for then finishes the step, with no park and no wake.
 //! The payload step (`run_payload`: loss and taint checks, fault injection,
 //! retries, then the action itself) is shared too:
 //!
@@ -296,6 +296,11 @@ pub(crate) struct NativeRuntime {
     host_lock: Mutex<()>,
     /// Link lanes: `[device][channel]`.
     link_lanes: Vec<Vec<LinkLane>>,
+    /// `available_parallelism` read 1 when the runtime was built (as when
+    /// the process is pinned to one CPU): every driver shares its core
+    /// with the driver it waits for, so a waiting driver yields before it
+    /// parks.
+    one_cpu: bool,
 }
 
 impl NativeRuntime {
@@ -324,6 +329,7 @@ impl NativeRuntime {
             link_lanes: (0..n_devices)
                 .map(|_| (0..channels_per_dev).map(|_| LinkLane::default()).collect())
                 .collect(),
+            one_cpu: host_par == 1,
         }
     }
 
@@ -625,18 +631,21 @@ const ANY: u32 = u32::MAX - 1;
 /// [`Dispatch::pending`] of a node a scheduled driver has taken.
 const CLAIMED: u32 = u32::MAX;
 
-/// How one driver sleeps and is woken. The sleeper yields its core once and
-/// checks again, then announces what it sleeps for, checks once more that
-/// it is still missing, and parks; a waker makes it available first and
-/// reads the announcement second. Every access is `SeqCst`, so of the
-/// sleeper's check after announcing and the waker's read at least one sees
-/// the other's write — and a step nobody sleeps for costs the waker one
-/// load. The yield comes before the announcement, so a waker that runs in
-/// it reads [`AWAKE`] and makes no system call.
+/// How one driver sleeps and is woken. The sleeper announces what it sleeps
+/// for, checks once more that it is still missing, then parks; a waker
+/// makes it available first and reads the announcement second. Every
+/// access is `SeqCst`, so of the sleeper's second check and the waker's
+/// read at least one sees the other's write — and a step nobody sleeps for
+/// costs the waker one load. A sleeper that `yields` checks and yields its
+/// core once before it first announces, so a waker that runs in the yield
+/// reads [`AWAKE`] and makes no system call.
 struct Parker {
     sleeps_for: AtomicU32,
     /// The driver's thread, registered before it first announces anything.
     thread: OnceLock<Thread>,
+    /// [`NativeRuntime::one_cpu`]: the driver this one waits for can only
+    /// run when this one gives up the core.
+    yields: bool,
 }
 
 impl Parker {
@@ -653,16 +662,17 @@ impl Parker {
     }
 
     /// Return what `poll` is ready with, sleeping for `what` while it is
-    /// pending. Before the first announcement the driver yields its core
-    /// once and polls again: a driver that would make `what` ready and is
-    /// runnable on the same core gets it, and its wake finds nobody to
-    /// unpark. A wake-up may be stale (an earlier waker's token), so every
-    /// one is followed by a fresh poll.
+    /// pending. A driver that `yields` first yields its core once and
+    /// polls again: the driver that would make `what` ready gets the core,
+    /// and its wake finds nobody to unpark. A wake-up may be stale (an
+    /// earlier waker's token), so every one is followed by a fresh poll.
     fn sleep_until<T>(&self, what: u32, mut poll: impl FnMut() -> Poll<T>) -> T {
-        if let Poll::Ready(got) = poll() {
-            return got;
+        if self.yields {
+            if let Poll::Ready(got) = poll() {
+                return got;
+            }
+            std::thread::yield_now();
         }
-        std::thread::yield_now();
         loop {
             if let Poll::Ready(got) = poll() {
                 return got;
@@ -704,7 +714,7 @@ struct Dispatch<'a> {
 }
 
 impl<'a> Dispatch<'a> {
-    fn new(ctx: &Context, walk: &'a Walk, lost: &'a [AtomicBool]) -> Dispatch<'a> {
+    fn new(ctx: &Context, walk: &'a Walk, lost: &'a [AtomicBool], yields: bool) -> Dispatch<'a> {
         let parts_per_dev = ctx.partitions().max(1);
         let (pending, queues) = match walk {
             Walk::Recorded(hb) => {
@@ -734,6 +744,7 @@ impl<'a> Dispatch<'a> {
         let parker = |_| Parker {
             sleeps_for: AtomicU32::new(AWAKE),
             thread: OnceLock::new(),
+            yields,
         };
         Dispatch {
             walk,
@@ -1010,8 +1021,8 @@ pub fn run(ctx: &Context, cfg: &NativeConfig) -> Result<NativeReport> {
         adopted
     });
     let fc = FaultControl::new(ctx, &RecoveryState::default());
-    let outcome = execute(ctx, cfg, rt, &walk, fc, memo.backed);
-    memo.backed = true;
+    let outcome = execute(ctx, cfg, rt, &walk, fc, memo.ran);
+    memo.ran = true;
     memo.keep(walk);
     outcome
 }
@@ -1236,7 +1247,7 @@ fn run_persistent(
         executed: AtomicUsize::new(0),
         bytes_moved,
     };
-    let dispatch = Dispatch::new(ctx, walk, &fault.poisoned);
+    let dispatch = Dispatch::new(ctx, walk, &fault.poisoned, rt.one_cpu);
     let started = Instant::now();
     rt.drivers
         .run_fixed(dispatch.queues.len(), &|idx| drive(&shared, &dispatch, idx));
@@ -1987,24 +1998,30 @@ mod tests {
         let hb = crate::check::HbGraph::build(ctx.program());
         let wait = hb.edges().node_of(Site::new(1, 0));
         let walk = Walk::Recorded(hb);
-        let dispatch = Dispatch::new(&ctx, &walk, &[]);
-        std::thread::scope(|scope| {
-            let sleeper = scope.spawn(|| {
-                let _ = dispatch.parkers[1].thread.set(std::thread::current());
-                dispatch.wait_for(1, wait);
+        for yields in [false, true] {
+            let dispatch = Dispatch::new(&ctx, &walk, &[], yields);
+            std::thread::scope(|scope| {
+                let sleeper = scope.spawn(|| {
+                    let _ = dispatch.parkers[1].thread.set(std::thread::current());
+                    dispatch.wait_for(1, wait);
+                });
+                // Force the interleaving: the sleeper has announced its node.
+                while dispatch.parkers[1].sleeps_for.load(Ordering::SeqCst) != wait as u32 {
+                    std::thread::yield_now();
+                }
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    let _exit = DriverExit(&dispatch);
+                    panic!("driver 0 panics outside a kernel body");
+                }));
+                assert!(unwound.is_err());
+                sleeper.join().expect("the sleeper was woken");
             });
-            // Force the interleaving: the sleeper has announced its node.
-            while dispatch.parkers[1].sleeps_for.load(Ordering::SeqCst) != wait as u32 {
-                std::thread::yield_now();
-            }
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                let _exit = DriverExit(&dispatch);
-                panic!("driver 0 panics outside a kernel body");
-            }));
-            assert!(unwound.is_err());
-            sleeper.join().expect("the sleeper was woken");
-        });
-        assert_eq!(dispatch.next(1, &mut 0), None, "the run is over");
+            assert_eq!(
+                dispatch.next(1, &mut 0),
+                None,
+                "the run is over (yields: {yields})"
+            );
+        }
     }
 
     #[test]

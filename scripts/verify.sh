@@ -260,7 +260,7 @@ echo "==> every test target, debug and release (the kernel row-split bug failed 
 cargo test --workspace
 cargo test --workspace --release
 
-echo "==> one-CPU wait path (native_stress and the executor::native lib tests on one core, where waiting drivers yield to each other)"
+echo "==> one-CPU wait path (native_stress and the executor::native lib tests on one core, the only place a waiting driver yields before it parks)"
 if command -v taskset >/dev/null; then
   # The first CPU this shell may run on.
   cpu=$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')

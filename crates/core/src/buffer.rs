@@ -65,7 +65,7 @@ impl Buffer {
 
     /// Materialize both copies (zero-filled) if they are still lazy. The
     /// native executor calls this for every buffer its program touches.
-    pub fn ensure_materialized(&self) {
+    pub(crate) fn ensure_materialized(&self) {
         for side in [&self.host, &self.device] {
             let mut guard = side.write();
             if guard.len() != self.len {

@@ -270,11 +270,6 @@ impl CheckReport {
         self.error_count() == 0
     }
 
-    /// Findings in `class`.
-    pub fn in_class(&self, class: CheckClass) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(move |d| d.class() == class)
-    }
-
     /// Sort errors before warnings, then by site, and append one finding.
     pub(crate) fn push(&mut self, diag: Diagnostic) {
         self.diagnostics.push(diag);

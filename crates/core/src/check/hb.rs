@@ -358,12 +358,12 @@ impl HbGraph {
     }
 
     /// Nodes in the graph (actions + barrier joins).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.edges.nodes
     }
 
     /// Edges in the graph.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.edge_count()
     }
 

@@ -38,12 +38,12 @@
 //! ```
 
 mod deadlock;
-pub mod diagnostics;
+mod diagnostics;
 mod hb;
 mod races;
 mod residency;
 pub mod sarif;
-pub mod witness;
+mod witness;
 
 use std::time::Instant;
 
@@ -167,7 +167,7 @@ impl Analysis {
 
     /// Turn `diag`'s claim into an executable demonstration: witness
     /// schedules for races, the wait cycle for deadlocks, a structural
-    /// refusal otherwise (see [`witness`]), read off the graph this
+    /// refusal otherwise (see `witness`), read off the graph this
     /// analysis was built on.
     pub fn witness(&self, diag: &Diagnostic) -> HazardWitness {
         witness::witness(&self.hb, diag)
@@ -258,6 +258,13 @@ mod tests {
     use micsim::device::DeviceId;
     use micsim::pcie::Direction;
 
+    fn in_class(report: &CheckReport, class: CheckClass) -> impl Iterator<Item = &Diagnostic> {
+        report
+            .diagnostics
+            .iter()
+            .filter(move |d| d.class() == class)
+    }
+
     fn stream_on(id: usize, device: usize, partition: usize, actions: Vec<Action>) -> StreamRecord {
         StreamRecord {
             id: StreamId(id),
@@ -334,9 +341,7 @@ mod tests {
         assert!(p.validate().is_ok(), "shallow validate misses the cycle");
         let a = analyze(&p, &env(0));
         assert!(!a.report.is_clean());
-        let d = a
-            .report
-            .in_class(CheckClass::Deadlock)
+        let d = in_class(&a.report, CheckClass::Deadlock)
             .find(|d| d.code == CheckCode::DeadlockCycle)
             .expect("deadlock diagnostic");
         assert_eq!(d.severity(), Severity::Error);
@@ -373,7 +378,7 @@ mod tests {
         p.streams.push(stream(0, vec![h2d(0), h2d(1)]));
         p.streams.push(stream(1, vec![kernel(&[0], &[1])]));
         let a = analyze(&p, &env(2));
-        let races: Vec<&Diagnostic> = a.report.in_class(CheckClass::Race).collect();
+        let races: Vec<&Diagnostic> = in_class(&a.report, CheckClass::Race).collect();
         assert!(!races.is_empty());
         assert!(races.iter().all(|d| d.severity() == Severity::Error));
         // Both the read-side and the write-write conflict on b1 exist.
@@ -423,7 +428,7 @@ mod tests {
         let a = analyze(&p, &env(2));
         // d2h of a never-written device buffer is a warning; no races.
         assert!(a.report.is_clean(), "{}", a.report.render());
-        assert!(a.report.in_class(CheckClass::Race).next().is_none());
+        assert!(in_class(&a.report, CheckClass::Race).next().is_none());
     }
 
     #[test]
@@ -435,7 +440,7 @@ mod tests {
             .push(stream_on(1, 1, 0, vec![h2d(0), kernel(&[0], &[2])]));
         let a = analyze(&p, &env(3));
         assert!(
-            a.report.in_class(CheckClass::Race).next().is_none(),
+            in_class(&a.report, CheckClass::Race).next().is_none(),
             "distinct device instances: {}",
             a.report.render()
         );
@@ -449,7 +454,7 @@ mod tests {
         p.streams.push(stream(0, vec![kernel(&[0], &[1]), d2h(2)]));
         let a = analyze(&p, &env(3));
         assert!(a.report.is_clean(), "warnings only");
-        let dataflow: Vec<&Diagnostic> = a.report.in_class(CheckClass::Dataflow).collect();
+        let dataflow: Vec<&Diagnostic> = in_class(&a.report, CheckClass::Dataflow).collect();
         assert!(dataflow
             .iter()
             .any(|d| d.code == CheckCode::UseBeforeProduce && d.message.contains("b0")));
@@ -475,10 +480,7 @@ mod tests {
             action_index: 2,
         });
         let a = analyze(&p, &env(2));
-        assert!(a
-            .report
-            .in_class(CheckClass::Dataflow)
-            .all(|d| d.code == CheckCode::DeadEvent));
+        assert!(in_class(&a.report, CheckClass::Dataflow).all(|d| d.code == CheckCode::DeadEvent));
         assert_eq!(a.report.warnings().count(), 1);
     }
 

@@ -44,7 +44,7 @@
 //!
 //! The context lazily builds a `NativeRuntime` on its first native run and
 //! reuses it for every run after that: the drivers are a parked
-//! [`WorkerGroup`], and each `(device, partition)` pair owns a
+//! `WorkerGroup`, and each `(device, partition)` pair owns a
 //! partition-pinned worker group that
 //! [`par_chunks_mut`](crate::parallel::par_chunks_mut) and
 //! [`par_reduce`](crate::parallel::par_reduce) pick up inside kernel
@@ -66,7 +66,7 @@
 //! # Telemetry
 //!
 //! While a run is live the executor writes to one thing, the span
-//! `Recorder` of [`crate::trace`] — one `Option` branch per action, kernel and transfer.
+//! `Recorder` of `crate::trace` — one `Option` branch per action, kernel and transfer.
 //! Everything else is derived once the drivers have joined: the
 //! [`NativeTrace`] and its counters from the spans, and
 //! [`NativeReport::metrics`] from that trace's timeline by the function

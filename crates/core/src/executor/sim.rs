@@ -30,10 +30,10 @@
 //! of the timeline: see [`HbGraph`](crate::check::HbGraph)'s sort (a
 //! schedule chains the tasks of each lane, which leaves no tie to break).
 //!
-//! The resources are laid out by [`crate::trace`]'s `LaneMap` — the same
+//! The resources are laid out by `crate::trace`'s `LaneMap` — the same
 //! ids the native recorder stamps its spans with — and
 //! [`SimReport::metrics`] prices the finished timeline with the same
-//! `price_run` ([`crate::metrics::instruments`]) the native executor hands
+//! `price_run` (`crate::metrics::instruments`) the native executor hands
 //! its measured timeline to. Every engine task carries a [`TaskTag`] (its
 //! node's site or barrier join, and a priced retry's attempt), never a
 //! string: one candidate's run allocates per run, not per task, and
@@ -88,7 +88,7 @@ impl SimReport {
         price_run(&self.timeline, &self.lanes, self.overhead, &self.counts)
     }
 
-    /// The label of `record`, one of this run's ([`label`]): `h2d b3`, a
+    /// The label of `record`, one of this run's (`trace::label`): `h2d b3`, a
     /// kernel's own label, `h2d b3!fail0`, `barrier#1`, ...
     pub fn label(&self, record: &TaskRecord<TaskTag>) -> String {
         label(&self.program, record.tag)

@@ -154,7 +154,7 @@ impl FaultPlan {
 
     /// Bandwidth-stretch factor for the transfer at `(stream,
     /// action_index)` (1.0 = healthy).
-    pub fn transfer_slowdown(&self, stream: usize, action_index: usize) -> f64 {
+    pub(crate) fn transfer_slowdown(&self, stream: usize, action_index: usize) -> f64 {
         let site = [TAG_TRANSFER_SLOW, stream as u64, action_index as u64];
         if self.die.hits(&site, self.transfer_slow_rate) {
             self.transfer_slow_factor
@@ -173,7 +173,7 @@ impl FaultPlan {
     }
 
     /// Whether materializing buffer index `buf` fails.
-    pub fn alloc_fails(&self, buf: usize) -> bool {
+    pub(crate) fn alloc_fails(&self, buf: usize) -> bool {
         if self.forced_alloc_sites.contains(&buf) {
             return true;
         }
@@ -182,7 +182,7 @@ impl FaultPlan {
     }
 
     /// Slowdown factor for kernels on `(device, partition)` (1.0 = healthy).
-    pub fn partition_slowdown(&self, device: usize, partition: usize) -> f64 {
+    pub(crate) fn partition_slowdown(&self, device: usize, partition: usize) -> f64 {
         self.slow_partitions
             .iter()
             .filter(|&&(d, p, _)| d == device && p == partition)

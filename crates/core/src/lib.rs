@@ -60,7 +60,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod action;
-pub mod buffer;
+mod buffer;
 pub mod check;
 pub mod context;
 pub mod executor;
@@ -72,12 +72,12 @@ pub mod metrics;
 pub mod opt;
 pub mod parallel;
 pub mod plan;
-pub mod pool;
+mod pool;
 pub mod program;
-pub mod residency;
+mod residency;
 pub mod sched;
 pub mod testutil;
-pub mod trace;
+mod trace;
 pub mod types;
 
 pub use buffer::{Buffer, Elem};
@@ -91,7 +91,6 @@ pub use executor::sim::SimReport;
 pub use fault::{FaultCounters, FaultPlan, RecoveryState, ResilientReport};
 pub use inline::{BufList, InlineStr};
 pub use kernel::{KernelCtx, KernelDesc, KernelFn};
-pub use lease::{Lease, LeaseTable, TenantId};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use opt::{Certificate, OptReport, Optimized, StaticCost};
 pub use plan::{enqueue_tiles, FlowMode, TileTask};

@@ -52,7 +52,7 @@ use crate::sched::Lane;
 use crate::trace::{LaneMap, TaskTag};
 
 /// Metric names, in one place so executors, tests, and docs agree.
-pub mod name {
+pub(crate) mod name {
     /// Dispatch-to-body-start overhead histogram.
     pub const LAUNCH_OVERHEAD_US: &str = "launch_overhead_us";
     /// Device-kernel duration histogram.

@@ -7,7 +7,7 @@
 //! tenant)` labels. Both executors export the *same* series set and neither
 //! writes it while running: one function, `instruments::price_run`, derives
 //! the whole catalog from a finished timeline — the simulator's, or the one
-//! the native [`Recorder`](crate::trace) measured — so a gauge and the
+//! the native `Recorder` (`crate::trace`) measured — so a gauge and the
 //! `overlap()`/`partition_stats()` of the same run cannot disagree, and the
 //! shared shape is itself a differential check alongside stream-check and
 //! the trace comparator. The other writers (the serving layer's per-tenant
@@ -22,15 +22,15 @@
 //! export byte-identical JSONL/OpenMetrics text (pinned by a test).
 //!
 //! Overhead: a metered native run pays for its spans (see
-//! [`crate::trace`]) plus one pass over them at join. When every telemetry
+//! `crate::trace`) plus one pass over them at join. When every telemetry
 //! switch is off the native executor skips each recording site behind one
 //! `Option` check (`mic-e2e` reports the recorded cost as
 //! `trace_overhead_frac` on `dispatch_tiny`); a simulated run prices its
 //! snapshot only when asked ([`SimReport::metrics`](crate::SimReport::metrics)).
 
-pub mod export;
+mod export;
 pub mod hist;
-pub mod instruments;
+pub(crate) mod instruments;
 
 pub use hist::HistogramSnapshot;
 
@@ -139,7 +139,7 @@ impl Labels {
 
     /// True when every dimension is `None`.
     #[must_use]
-    pub fn is_global(&self) -> bool {
+    fn is_global(&self) -> bool {
         *self == Labels::GLOBAL
     }
 }

@@ -5,7 +5,7 @@
 //! and splits its own output across that many workers.
 //!
 //! When the native executor runs a kernel it installs the kernel's
-//! partition-pinned [`WorkerGroup`](crate::pool::WorkerGroup) as the
+//! partition-pinned `WorkerGroup` (`crate::pool`) as the
 //! thread's current group, and the helpers route their chunks onto those
 //! persistent, parked threads — no OS thread is spawned per launch. Called
 //! from outside a pool (unit tests, serial references) or nested inside a

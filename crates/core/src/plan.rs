@@ -35,7 +35,7 @@ pub enum FlowMode {
 }
 
 /// Round-robin stream assignment for tile `index`.
-pub fn stream_for_tile(ctx: &Context, index: usize) -> Result<StreamId> {
+fn stream_for_tile(ctx: &Context, index: usize) -> Result<StreamId> {
     ctx.stream(index % ctx.stream_count())
 }
 
@@ -82,17 +82,6 @@ pub fn enqueue_tiles(ctx: &mut Context, tasks: Vec<TileTask>, mode: FlowMode) ->
             }
         }
     }
-    Ok(())
-}
-
-/// Enqueue one *iteration-style* staged kernel round (no transfers): all
-/// kernels, then a barrier. Used by iterative apps (Hotspot, SRAD, Kmeans)
-/// that move data once and then run many synchronized rounds on the device.
-pub fn enqueue_kernel_round(ctx: &mut Context, kernels: Vec<(StreamId, KernelDesc)>) -> Result<()> {
-    for (s, k) in kernels {
-        ctx.kernel(s, k)?;
-    }
-    ctx.barrier();
     Ok(())
 }
 
@@ -161,18 +150,6 @@ mod tests {
         enqueue_tiles(&mut c, tasks, FlowMode::Staged).unwrap();
         // 3 h2d + 3 kernels + 3 d2h + 2 barriers x 2 streams
         assert_eq!(c.program().action_count(), 9 + 4);
-    }
-
-    #[test]
-    fn kernel_round_appends_barrier() {
-        let mut c = ctx(2);
-        let k0 = KernelDesc::simulated("a", KernelProfile::streaming("k", 1e9), 1e6);
-        let k1 = KernelDesc::simulated("b", KernelProfile::streaming("k", 1e9), 1e6);
-        let s0 = c.stream(0).unwrap();
-        let s1 = c.stream(1).unwrap();
-        enqueue_kernel_round(&mut c, vec![(s0, k0), (s1, k1)]).unwrap();
-        assert_eq!(c.program().barriers, 1);
-        c.program().validate().unwrap();
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -80,15 +80,10 @@ struct Shared {
     next: AtomicUsize,
     /// First panic payload raised by a worker during the current job.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Lifetime count of task panics caught on this group's threads (the
-    /// submitter's own share included). Diagnostic for chaos runs: the
-    /// fault counters say what the runtime *did* about panics, this says
-    /// how many the pool ever swallowed-and-reraised.
-    panics_observed: AtomicU64,
 }
 
 /// A set of persistent threads executing chunked jobs. See module docs.
-pub struct WorkerGroup {
+pub(crate) struct WorkerGroup {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -97,7 +92,7 @@ impl WorkerGroup {
     /// Create a group contributing `extra_workers` persistent threads; with
     /// the submitting thread, jobs run `extra_workers + 1` wide. `label`
     /// names the OS threads (visible in debuggers and `/proc`).
-    pub fn new(label: &str, extra_workers: usize) -> WorkerGroup {
+    pub(crate) fn new(label: &str, extra_workers: usize) -> WorkerGroup {
         let shared = Arc::new(Shared {
             state: Mutex::new(GroupState {
                 epoch: 0,
@@ -109,7 +104,6 @@ impl WorkerGroup {
             done_cv: Condvar::new(),
             next: AtomicUsize::new(0),
             panic: Mutex::new(None),
-            panics_observed: AtomicU64::new(0),
         });
         let handles = (0..extra_workers)
             .map(|i| {
@@ -124,14 +118,8 @@ impl WorkerGroup {
     }
 
     /// Persistent threads owned by this group.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Task panics this group has caught over its lifetime (each one was
-    /// re-raised on the submitting thread; see module docs).
-    pub fn panics_observed(&self) -> u64 {
-        self.shared.panics_observed.load(Ordering::Relaxed)
     }
 
     /// Run `task(idx)` for every `idx in 0..parts`, splitting the indices
@@ -142,7 +130,7 @@ impl WorkerGroup {
     /// When the calling thread has a trace sink installed (native tracing
     /// on), the whole job is stamped as one span; otherwise the only added
     /// cost is a thread-local read.
-    pub fn run_chunked(&self, parts: usize, task: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run_chunked(&self, parts: usize, task: &(dyn Fn(usize) + Sync)) {
         let traced = crate::trace::pool_job_start();
         if parts <= 1 || self.handles.is_empty() {
             for idx in 0..parts {
@@ -159,7 +147,7 @@ impl WorkerGroup {
     /// Run `task(idx)` for every `idx in 0..parts` with a **dedicated**
     /// thread per index (the caller takes index 0), so tasks may block on
     /// one another. Requires `parts <= worker_count() + 1`.
-    pub fn run_fixed(&self, parts: usize, task: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run_fixed(&self, parts: usize, task: &(dyn Fn(usize) + Sync)) {
         assert!(
             parts <= self.handles.len() + 1,
             "fixed job of {} parts exceeds group width {}",
@@ -220,7 +208,6 @@ impl WorkerGroup {
         // worker outside its catch (and deadlocking the group).
         let stored = shared.panic.lock().take();
         if let Err(payload) = own {
-            shared.panics_observed.fetch_add(1, Ordering::Relaxed);
             resume_unwind(payload);
         }
         if let Some(payload) = stored {
@@ -282,7 +269,6 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
             }
         }));
         if let Err(payload) = outcome {
-            shared.panics_observed.fetch_add(1, Ordering::Relaxed);
             let mut slot = shared.panic.lock();
             if slot.is_none() {
                 *slot = Some(payload);
@@ -300,17 +286,16 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
 
 /// One [`WorkerGroup`] per `(device, partition)` pair plus a host group.
 /// Owned by a `Context` and reused for every native run. See module docs.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     partition_groups: Vec<Vec<Arc<WorkerGroup>>>,
     host_group: Arc<WorkerGroup>,
-    threads_per_partition: usize,
 }
 
 impl WorkerPool {
     /// Build groups for `devices × partitions`, each `threads_per_partition`
     /// wide (one of which is the submitting driver thread), mirroring how
     /// partitions share the card — and the host.
-    pub fn for_geometry(
+    pub(crate) fn for_geometry(
         devices: usize,
         partitions: usize,
         threads_per_partition: usize,
@@ -326,27 +311,21 @@ impl WorkerPool {
         WorkerPool {
             partition_groups,
             host_group: Arc::new(WorkerGroup::new("host", width - 1)),
-            threads_per_partition: width,
         }
     }
 
     /// The group pinned to `(device, partition)`.
-    pub fn partition(&self, device: usize, partition: usize) -> &Arc<WorkerGroup> {
+    pub(crate) fn partition(&self, device: usize, partition: usize) -> &Arc<WorkerGroup> {
         &self.partition_groups[device][partition]
     }
 
     /// The group host-side kernels split across.
-    pub fn host(&self) -> &Arc<WorkerGroup> {
+    pub(crate) fn host(&self) -> &Arc<WorkerGroup> {
         &self.host_group
     }
 
-    /// Worker width each group was built with (including the submitter).
-    pub fn threads_per_partition(&self) -> usize {
-        self.threads_per_partition
-    }
-
     /// Total persistent threads owned by the pool.
-    pub fn thread_count(&self) -> usize {
+    pub(crate) fn thread_count(&self) -> usize {
         self.partition_groups
             .iter()
             .flatten()
@@ -364,12 +343,12 @@ thread_local! {
 
 /// Installs `group` as the calling thread's current group for the guard's
 /// lifetime; restores the previous value on drop.
-pub struct InstallGuard {
+pub(crate) struct InstallGuard {
     previous: Option<Arc<WorkerGroup>>,
 }
 
 /// Make `group` the pool the parallel helpers on this thread submit to.
-pub fn install(group: Arc<WorkerGroup>) -> InstallGuard {
+pub(crate) fn install(group: Arc<WorkerGroup>) -> InstallGuard {
     let previous = CURRENT_GROUP.with(|c| c.borrow_mut().replace(group));
     InstallGuard { previous }
 }
@@ -384,13 +363,13 @@ impl Drop for InstallGuard {
 /// guard's lifetime (restored on drop). Taking instead of peeking makes a
 /// nested parallel call from inside a chunk fall back to scoped spawning
 /// rather than deadlocking on its own group.
-pub struct CurrentGroup {
+pub(crate) struct CurrentGroup {
     group: Arc<WorkerGroup>,
 }
 
 impl CurrentGroup {
     /// Take the calling thread's current group, if one is installed.
-    pub fn take() -> Option<CurrentGroup> {
+    pub(crate) fn take() -> Option<CurrentGroup> {
         CURRENT_GROUP
             .with(|c| c.borrow_mut().take())
             .map(|group| CurrentGroup { group })
@@ -475,33 +454,12 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("chunk 5"), "unexpected payload: {msg}");
-        assert!(group.panics_observed() >= 1, "panic was counted");
         // The group still works after the panic.
         let count = AtomicU64::new(0);
         group.run_chunked(8, &|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn panics_observed_counts_across_jobs() {
-        let group = WorkerGroup::new("t8", 2);
-        assert_eq!(group.panics_observed(), 0);
-        for round in 0..3 {
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                group.run_chunked(4, &|idx| {
-                    if idx == 0 {
-                        panic!("round {round}");
-                    }
-                });
-            }));
-        }
-        // Exactly one payload per job is counted on whichever thread ran
-        // index 0; healthy jobs add nothing.
-        assert_eq!(group.panics_observed(), 3);
-        group.run_chunked(4, &|_| {});
-        assert_eq!(group.panics_observed(), 3);
     }
 
     #[test]
@@ -519,7 +477,6 @@ mod tests {
     #[test]
     fn pool_geometry_and_thread_count() {
         let pool = WorkerPool::for_geometry(2, 3, 4);
-        assert_eq!(pool.threads_per_partition(), 4);
         // 6 partition groups × 3 extra workers + host group × 3.
         assert_eq!(pool.thread_count(), 21);
         assert_eq!(pool.partition(1, 2).worker_count(), 3);

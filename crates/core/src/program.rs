@@ -61,13 +61,6 @@ impl Program {
         self.streams.iter().map(|s| s.actions.len()).sum()
     }
 
-    /// Streams placed on `device`.
-    pub fn streams_on(&self, device: DeviceId) -> impl Iterator<Item = &StreamRecord> {
-        self.streams
-            .iter()
-            .filter(move |s| s.placement.device == device)
-    }
-
     /// Distinct devices used by the program, ascending.
     pub fn devices(&self) -> Vec<DeviceId> {
         let mut devs: Vec<DeviceId> = self.streams.iter().map(|s| s.placement.device).collect();
@@ -97,66 +90,6 @@ impl Program {
     /// same program.
     pub fn dump_annotated(&self, report: &crate::check::CheckReport) -> String {
         self.render(Some(report))
-    }
-
-    /// Like [`Program::dump`], but with each scheduled action's chosen
-    /// placement interleaved under its line — where a non-FIFO
-    /// [`Schedule`](crate::sched::Schedule) put it, when it is estimated to
-    /// run, and whether it was moved off its recorded partition:
-    ///
-    /// ```text
-    /// stream s0 @ mic0#p0 (2 actions)
-    ///   [  0] h2d b0
-    ///         -> mic0.link0 @ 0.000..0.351 ms
-    ///   [  1] kernel tile0
-    ///         -> mic0.p2 @ 0.351..1.204 ms (stolen)
-    /// ```
-    ///
-    /// Pass the schedule from [`crate::sched::plan`] (or
-    /// [`Context::plan_schedule`](crate::context::Context::plan_schedule))
-    /// over this same program. Control actions (events, barriers) carry no
-    /// placement — the schedule's dependence edges subsume them.
-    pub fn dump_scheduled(&self, schedule: &crate::sched::Schedule) -> String {
-        let mut out = format!(
-            "schedule: {} (est. makespan {:.3} ms, {} steal(s))\n",
-            schedule.kind,
-            schedule.makespan * 1e3,
-            schedule.steals
-        );
-        for s in &self.streams {
-            out.push_str(&format!(
-                "stream {} @ {}#p{} ({} actions)\n",
-                s.id,
-                s.placement.device,
-                s.placement.partition,
-                s.actions.len()
-            ));
-            for (i, a) in s.actions.iter().enumerate() {
-                out.push_str(&format!("  [{i:>3}] {}\n", a.label()));
-                let site = crate::check::Site::new(s.id.0, i);
-                if let Some(task) = schedule.tasks.iter().find(|t| t.site == site) {
-                    out.push_str(&format!(
-                        "        -> {} @ {:.3}..{:.3} ms{}\n",
-                        task.lane,
-                        task.start * 1e3,
-                        task.finish * 1e3,
-                        if task.stolen { " (stolen)" } else { "" }
-                    ));
-                }
-            }
-        }
-        out.push_str(&format!(
-            "{} streams, {} actions scheduled onto {} lane(s)\n",
-            self.streams.len(),
-            schedule.tasks.len(),
-            {
-                let mut lanes: Vec<_> = schedule.tasks.iter().map(|t| t.lane).collect();
-                lanes.sort_unstable();
-                lanes.dedup();
-                lanes.len()
-            }
-        ));
-        out
     }
 
     fn render(&self, report: Option<&crate::check::CheckReport>) -> String {
@@ -297,7 +230,7 @@ impl Program {
     ///
     /// # Panics
     /// On an out-of-range stream or index (like `Vec::remove`).
-    pub fn remove_action(&mut self, stream: StreamId, index: usize) -> Action {
+    pub(crate) fn remove_action(&mut self, stream: StreamId, index: usize) -> Action {
         let removed = self.streams[stream.0].actions.remove(index);
         if let Action::RecordEvent(e) = removed {
             // The record's own site leaves the table before the shift so
@@ -338,18 +271,9 @@ impl Program {
     ///
     /// # Panics
     /// On an unknown event id.
-    pub fn remove_event(&mut self, e: EventId) -> Action {
+    pub(crate) fn remove_event(&mut self, e: EventId) -> Action {
         let site = self.events[e.0];
         self.remove_action(site.stream, site.action_index)
-    }
-
-    /// Re-home `stream` onto `placement`. Pure metadata — the action queue
-    /// and events are untouched.
-    ///
-    /// # Panics
-    /// On an out-of-range stream.
-    pub fn set_placement(&mut self, stream: StreamId, placement: StreamPlacement) {
-        self.streams[stream.0].placement = placement;
     }
 
     /// Validate cross-stream structure:
@@ -441,7 +365,6 @@ mod tests {
         });
         assert_eq!(p.action_count(), 1);
         assert_eq!(p.devices(), vec![DeviceId(0), DeviceId(1)]);
-        assert_eq!(p.streams_on(DeviceId(0)).count(), 1);
     }
 
     #[test]
@@ -657,20 +580,6 @@ mod tests {
             Action::RecordEvent(EventId(0))
         ));
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn set_placement_rehomes_a_stream() {
-        let mut p = Program::default();
-        p.streams.push(stream(0, vec![]));
-        p.set_placement(
-            StreamId(0),
-            StreamPlacement {
-                device: DeviceId(0),
-                partition: 3,
-            },
-        );
-        assert_eq!(p.streams[0].placement.partition, 3);
     }
 
     #[test]

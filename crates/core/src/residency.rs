@@ -72,12 +72,6 @@ impl ResidencyTracker {
         self.ready.len()
     }
 
-    /// Whether `buf` has a current copy on `stream`'s card.
-    pub fn resident_on(&self, ctx: &Context, buf: BufId, stream: StreamId) -> Result<bool> {
-        let dev = ctx.placement(stream)?.device.0;
-        Ok(self.ready.contains_key(&(buf, dev)))
-    }
-
     /// Record that `stream` just produced a new version of `buf` (enqueue a
     /// `record_event` and invalidate all other cards' copies). Call this
     /// right after the producing action.
@@ -159,7 +153,6 @@ mod tests {
         // One wait action, no extra transfer.
         assert_eq!(ctx.program().action_count(), actions_before + 1);
         assert_eq!(tracker.copies(), 1);
-        assert!(tracker.resident_on(&ctx, b, s0).unwrap());
     }
 
     #[test]

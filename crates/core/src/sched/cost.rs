@@ -76,7 +76,7 @@ impl CostModel {
     /// Lanes a scheduler may move `action` (recorded on `device`) to:
     /// transfers are pinned to their link channel, host kernels to the
     /// host, device kernels may run on any partition of their device.
-    pub fn candidate_lanes(&self, action: &Action, device: usize) -> Vec<Lane> {
+    pub(crate) fn candidate_lanes(&self, action: &Action, device: usize) -> Vec<Lane> {
         match action {
             Action::Kernel(k) if !k.host => (0..self.partitions().max(1))
                 .map(|partition| Lane::Partition { device, partition })
@@ -97,7 +97,7 @@ impl CostModel {
     /// (1.0 = healthy) stretches a transfer's bandwidth term or a device
     /// kernel's body — a congested link, a throttled partition. Host
     /// kernels are not slowed.
-    pub fn degraded_price(
+    pub(crate) fn degraded_price(
         &self,
         action: &Action,
         lane: Lane,
@@ -141,7 +141,7 @@ impl CostModel {
     /// What a barrier across `streams` streams costs: the sync overhead,
     /// a per-stream term, and the cross-device term when the program
     /// spans more than one card.
-    pub fn barrier_price(&self, streams: usize, devices: usize) -> SimDuration {
+    pub(crate) fn barrier_price(&self, streams: usize, devices: usize) -> SimDuration {
         let per_stream = SimDuration::from_nanos(self.cfg.sync_per_stream.nanos() * streams as u64);
         let local = self.cfg.sync_overhead + per_stream;
         if devices > 1 {
@@ -154,7 +154,12 @@ impl CostModel {
     /// [`price`](CostModel::price) in seconds, for `action` issued from a
     /// stream on `(device, partition)`. Control actions are free; `None`
     /// when the action cannot be priced there.
-    pub fn action_seconds(&self, action: &Action, device: usize, partition: usize) -> Option<f64> {
+    pub(crate) fn action_seconds(
+        &self,
+        action: &Action,
+        device: usize,
+        partition: usize,
+    ) -> Option<f64> {
         match self.lane(action, device, partition) {
             None => Some(0.0),
             Some(lane) => self.price(action, lane).ok().map(SimDuration::as_secs_f64),

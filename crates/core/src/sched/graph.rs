@@ -123,7 +123,7 @@ impl TaskGraph {
     }
 
     /// The node of the action at `site` (`None` for a control action).
-    pub fn node_of(&self, site: Site) -> Option<usize> {
+    pub(crate) fn node_of(&self, site: Site) -> Option<usize> {
         self.nodes.binary_search_by_key(&site, |n| n.site).ok()
     }
 

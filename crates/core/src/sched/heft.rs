@@ -27,7 +27,7 @@ const LOCALITY_WEIGHT: f64 = 1e-4;
 
 /// Run HEFT list scheduling over `input`. Returns `None` on empty graphs or
 /// unpriceable kernels.
-pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
+pub(crate) fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
     let graph = input.graph;
     let n = graph.len();
     if n == 0 {
@@ -218,19 +218,6 @@ mod tests {
         assert!(find(1).start >= find(0).finish - 1e-12);
         assert!(find(2).start >= find(1).finish - 1e-12);
         assert!(sched.makespan >= find(2).finish - 1e-12);
-    }
-
-    #[test]
-    fn dump_scheduled_lists_placements() {
-        let cost = cost_model(4);
-        let p = tile_program(4, 2, |_| 1e9);
-        let sched = plan(&p, &cost);
-        let dump = p.dump_scheduled(&sched);
-        assert!(dump.starts_with("schedule: heft"), "{dump}");
-        assert!(dump.contains("-> mic0.link0 @"), "transfer lanes:\n{dump}");
-        assert!(dump.contains("-> mic0.p"), "kernel lanes:\n{dump}");
-        assert!(dump.contains("(stolen)"), "starved config steals:\n{dump}");
-        assert!(dump.contains("8 actions scheduled onto"), "{dump}");
     }
 
     #[test]

@@ -35,13 +35,13 @@
 //! * [`SchedulerKind::Fifo`] — the default. Declines to schedule ([`plan`]
 //!   returns `None`), so both executors walk the recorded program: stream
 //!   order on recorded placements. This is the differential baseline.
-//! * [`SchedulerKind::ListHeft`] — HEFT-style list scheduling ([`heft`]):
+//! * [`SchedulerKind::ListHeft`] — HEFT-style list scheduling (`heft`):
 //!   tasks ordered by critical-path *upward rank*, each placed on the
 //!   candidate partition with the earliest finish time, with locality-aware
 //!   tie-breaking that scores candidates by the re-transfer bytes they
 //!   avoid (inputs whose producer ran elsewhere).
 //! * [`SchedulerKind::WorkSteal`] — greedy work-conserving placement
-//!   ([`steal`]): ready tasks go to whichever partition frees up first,
+//!   (`steal`): ready tasks go to whichever partition frees up first,
 //!   modeling idle partitions stealing ready tiles cross-partition. The
 //!   native executor implements this *dynamically* (idle drivers steal from
 //!   their siblings' queues, stolen-task counters surfaced in the trace);
@@ -56,10 +56,10 @@
 //! [`Program`] from outside, analyzes one itself.
 
 mod common;
-pub mod cost;
-pub mod graph;
-pub mod heft;
-pub mod steal;
+mod cost;
+mod graph;
+mod heft;
+mod steal;
 
 use crate::check::{Analysis, CheckEnv, Site};
 use crate::program::Program;

@@ -23,7 +23,7 @@ use super::{Lane, SchedInput, Schedule, SchedulerKind};
 
 /// Run the earliest-ready stealing policy over `input`. Returns `None` on
 /// empty graphs or unpriceable kernels.
-pub fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
+pub(crate) fn schedule(input: &SchedInput<'_>) -> Option<Schedule> {
     let graph = input.graph;
     let n = graph.len();
     if n == 0 {

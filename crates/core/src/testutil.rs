@@ -92,7 +92,7 @@ pub fn access_table(program: &Program) -> Vec<AccessRow> {
 /// and the accumulated input value. Order-sensitive by design — executing
 /// conflicting kernels in a different order produces different bits, which
 /// is what lets race witnesses *observe* misordering.
-pub fn mix_elem(salt: u64, write_idx: usize, elem_idx: usize, acc: Elem) -> Elem {
+fn mix_elem(salt: u64, write_idx: usize, elem_idx: usize, acc: Elem) -> Elem {
     let h = splitmix64(
         salt ^ ((write_idx as u64) << 48) ^ ((elem_idx as u64) << 16) ^ u64::from(acc.to_bits()),
     );
@@ -103,7 +103,7 @@ pub fn mix_elem(salt: u64, write_idx: usize, elem_idx: usize, acc: Elem) -> Elem
 /// fold the current value and one element from each read slice into
 /// [`mix_elem`]. Both the native kernel body and [`RefExec`] call exactly
 /// this function, so their outputs are bit-comparable.
-pub fn mix_into(salt: u64, reads: &[&[Elem]], writes: &mut [&mut [Elem]]) {
+fn mix_into(salt: u64, reads: &[&[Elem]], writes: &mut [&mut [Elem]]) {
     for (wi, w) in writes.iter_mut().enumerate() {
         for i in 0..w.len() {
             let mut acc = w[i];
@@ -118,7 +118,7 @@ pub fn mix_into(salt: u64, reads: &[&[Elem]], writes: &mut [&mut [Elem]]) {
 }
 
 /// Build a kernel with **both** faces: a streaming cost profile for the
-/// simulator and a deterministic native body implementing [`mix_into`]
+/// simulator and a deterministic native body implementing `mix_into`
 /// (salted by the label), so generated programs run on either executor and
 /// on the reference interpreter with bit-identical results.
 pub fn mix_kernel(
@@ -276,7 +276,7 @@ pub fn build_chained(
 /// Remove the `pick`-th `WaitEvent` (in stream order) and re-point the
 /// event table at the shifted `RecordEvent` sites so the program stays
 /// structurally valid — only the synchronization edge is gone. Wraps
-/// [`Program::remove_action`]. Panics if the program has no waits.
+/// `Program::remove_action`. Panics if the program has no waits.
 pub fn drop_one_wait(p: &Program, pick: usize) -> Program {
     let mut out = p.clone();
     let mut seen = 0usize;
@@ -336,7 +336,7 @@ pub struct Stuck {
 
 /// Sequential reference interpreter over a [`Program`]: models the host
 /// memory space and one device space per card, executes transfers as
-/// copies and kernels as [`mix_into`] with the same salts the native
+/// copies and kernels as `mix_into` with the same salts the native
 /// bodies use. Two entry points:
 ///
 /// * [`RefExec::run_fifo`] — round-robin FIFO with blocking waits and

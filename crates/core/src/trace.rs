@@ -183,7 +183,7 @@ impl LaneMap {
 /// every engine task and measured span. A tag names the program node the
 /// task stands for (the action at a [`Site`], or a barrier's join) and, for
 /// the simulator's priced transfer retries, the attempt; it is rendered
-/// into text only when a reader asks, by [`label`].
+/// into text only when a reader asks, by `label`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TaskTag {
     /// The action at this site (for a retried transfer, its last attempt).
@@ -221,7 +221,7 @@ pub enum TaskTag {
 /// (`h2d b3`, the kernel's label, `record e0`, `wait e0`, `barrier#2`), a
 /// transfer attempt's `h2d b3!fail0` / `h2d b3!backoff0`, a barrier join's
 /// `barrier#2` and a pool job's `pool(8)`.
-pub fn label(program: &Program, tag: TaskTag) -> String {
+pub(crate) fn label(program: &Program, tag: TaskTag) -> String {
     let action = |site: Site| &program.streams[site.stream.0].actions[site.action_index];
     match tag {
         TaskTag::Action(site) => action(site).label(),
@@ -350,7 +350,7 @@ pub struct NativeTrace {
 }
 
 impl NativeTrace {
-    /// The label of `record`, one of this trace's ([`label`]).
+    /// The label of `record`, one of this trace's (`label`).
     pub fn label(&self, record: &TaskRecord<TaskTag>) -> String {
         label(&self.program, record.tag)
     }

@@ -9,8 +9,8 @@
 //!
 //! The moving parts:
 //!
-//! * [`hstreams::lease::LeaseTable`] — elastic partition grants, the
-//!   multi-tenant generalization of `Context::replan`;
+//! * [`mod@lease`] — elastic partition grants, the multi-tenant
+//!   generalization of `Context::replan`;
 //! * [`mod@relocate`] — rebasing tenant programs (streams, events, buffers,
 //!   virtual→physical partitions, barrier-to-event lowering) into one
 //!   merged coordinate space;
@@ -22,12 +22,14 @@
 #![warn(rust_2018_idioms)]
 
 pub mod drr;
+pub mod lease;
 pub mod relocate;
 pub mod service;
 pub mod tenant;
 
 pub use drr::{DrrQueue, QueuedJob};
-pub use hstreams::lease::{Lease, LeaseTable, TenantId};
+pub use hstreams::lease::TenantId;
+pub use lease::{Lease, LeaseTable};
 pub use relocate::{merge, plan_bases, relocate, Relocated, TenantMap};
 pub use service::{
     jain_index, Admission, ExecutorKind, JobOutcome, JobStatus, RoundReport, ServeConfig,

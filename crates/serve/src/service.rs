@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use hstreams::check::Site;
 use hstreams::context::Context;
 use hstreams::fault::FaultPlan;
-use hstreams::lease::{Lease, LeaseTable, TenantId};
+use hstreams::lease::TenantId;
 use hstreams::metrics::{Labels, MetricsSnapshot, Unit};
 use hstreams::program::Program;
 use hstreams::types::{BufId, Error, Result};
@@ -38,8 +38,15 @@ use micsim::device::DeviceId;
 use micsim::PlatformConfig;
 
 use crate::drr::{DrrQueue, QueuedJob};
+use crate::lease::{Lease, LeaseTable};
 use crate::relocate::{merge, plan_bases, relocate, TenantMap};
 use crate::tenant::TenantProgram;
+
+/// DRR base quantum, in recorded-action cost units.
+const QUANTUM: u64 = 32;
+
+/// Seed for the per-round fault plans built from job injection sites.
+const FAULT_SEED: u64 = 1;
 
 /// Which executor a round runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,14 +71,10 @@ pub struct ServeConfig {
     pub streams_per_partition: usize,
     /// Admission bound: total queued jobs beyond this are shed.
     pub queue_depth: usize,
-    /// DRR base quantum, in recorded-action cost units.
-    pub quantum: u64,
     /// Most tenants dispatched into one merged round.
     pub max_round_tenants: usize,
     /// Executor for rounds.
     pub executor: ExecutorKind,
-    /// Seed for the per-round fault plans built from job injection sites.
-    pub fault_seed: u64,
     /// Run the sync-elision optimizer ([`hstreams::opt`]) over every
     /// merged round program on install. Relocation lowers tenant barriers
     /// to event records and waits whose all-to-all ordering can become
@@ -92,10 +95,8 @@ impl ServeConfig {
             capacity: 8,
             streams_per_partition: 2,
             queue_depth: 64,
-            quantum: 32,
             max_round_tenants: 8,
             executor: ExecutorKind::Native,
-            fault_seed: 1,
             optimize: false,
         }
     }
@@ -198,7 +199,7 @@ impl StreamService {
             .build()?;
         Ok(StreamService {
             leases: LeaseTable::new(cfg.capacity),
-            drr: DrrQueue::new(cfg.quantum),
+            drr: DrrQueue::new(QUANTUM),
             jobs: BTreeMap::new(),
             next_job: 0,
             now: 0.0,
@@ -241,7 +242,7 @@ impl StreamService {
         self.shed
     }
 
-    /// The lease table (grants, poisons, buffer ownership).
+    /// The lease table (grants and poisoned partitions).
     #[must_use]
     pub fn leases(&self) -> &LeaseTable {
         self.leases
@@ -348,10 +349,10 @@ impl StreamService {
         // Buffer materialization: deterministic initial state for the
         // round — all storage zeroed, then every participant's captured
         // host contents written.
-        let mut tables = Vec::with_capacity(selected.len());
-        for job in &selected {
-            tables.push(self.buffer_table(job.tenant, &job.prog)?);
-        }
+        let tables: Vec<Vec<BufId>> = selected
+            .iter()
+            .map(|job| self.buffer_table(job.tenant, &job.prog))
+            .collect();
         self.ctx.zero_buffers();
         for (job, table) in selected.iter().zip(&tables) {
             for (i, cb) in job.prog.buffers.iter().enumerate() {
@@ -424,7 +425,7 @@ impl StreamService {
                 None => (ms, ma),
             };
             plan = Some(
-                plan.unwrap_or_else(|| FaultPlan::seeded(self.cfg.fault_seed))
+                plan.unwrap_or_else(|| FaultPlan::seeded(FAULT_SEED))
                     .panic_kernel_at(ms, ma),
             );
         }
@@ -615,9 +616,12 @@ impl StreamService {
             .is_some_and(|l| l.healthy().count() > 0))
     }
 
-    /// Local-index → shared-buffer table for one job, allocating and
-    /// registering ownership for buffers this tenant has not used before.
-    fn buffer_table(&mut self, tenant: TenantId, prog: &TenantProgram) -> Result<Vec<BufId>> {
+    /// Local-index → shared-buffer table for one job, allocating a fresh
+    /// shared buffer for each `(name, len)` this tenant has not used at
+    /// that index before. The cache is per tenant, so two tenants never
+    /// share an id: it is the one tenant→buffer ledger, and relocation
+    /// maps a program through nothing else.
+    fn buffer_table(&mut self, tenant: TenantId, prog: &TenantProgram) -> Vec<BufId> {
         let mut cache = self.buffer_cache.remove(&tenant).unwrap_or_default();
         let mut table = Vec::with_capacity(prog.buffers.len());
         for (i, cb) in prog.buffers.iter().enumerate() {
@@ -629,7 +633,6 @@ impl StreamService {
                 Some(id) => id,
                 None => {
                     let id = self.ctx.alloc(format!("t{}.{}", tenant.0, cb.name), cb.len);
-                    self.leases.register_buffer(tenant, id)?;
                     let entry = (cb.name.clone(), cb.len, id);
                     if i < cache.len() {
                         cache[i] = entry;
@@ -642,7 +645,7 @@ impl StreamService {
             table.push(id);
         }
         self.buffer_cache.insert(tenant, cache);
-        Ok(table)
+        table
     }
 
     /// Run the installed merged program; translate partition loss into
@@ -738,6 +741,50 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::CapturedBuffer;
+
+    fn payload(buffers: &[(&str, usize)]) -> TenantProgram {
+        TenantProgram {
+            workload: "buffers".into(),
+            partitions: 1,
+            program: Program::default(),
+            buffers: buffers
+                .iter()
+                .map(|&(name, len)| CapturedBuffer {
+                    name: name.into(),
+                    len,
+                    host: vec![0.0; len],
+                })
+                .collect(),
+            outputs: Vec::new(),
+            fault: None,
+        }
+    }
+
+    #[test]
+    fn tenants_get_disjoint_shared_buffers_reused_per_name_and_len() {
+        let mut svc = StreamService::new(ServeConfig::new(PlatformConfig::phi_31sp())).unwrap();
+        let job = payload(&[("a", 64), ("b", 32)]);
+        let t0 = svc.buffer_table(TenantId(0), &job);
+        let t1 = svc.buffer_table(TenantId(1), &job);
+        assert!(
+            t0.iter().all(|b| !t1.contains(b)),
+            "same names and lengths, yet shared ids: {t0:?} vs {t1:?}"
+        );
+        assert_eq!(
+            svc.buffer_table(TenantId(0), &job),
+            t0,
+            "a second job reuses"
+        );
+
+        let resized = svc.buffer_table(TenantId(0), &payload(&[("a", 64), ("b", 48)]));
+        assert_eq!(resized[0], t0[0], "an unchanged (name, len) keeps its id");
+        assert!(
+            !t0.contains(&resized[1]) && !t1.contains(&resized[1]),
+            "a changed len allocates a fresh buffer"
+        );
+        assert_eq!(svc.ctx.buffer(resized[1]).unwrap().len, 48);
+    }
 
     #[test]
     fn jain_index_bounds() {

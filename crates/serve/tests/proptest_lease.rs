@@ -1,16 +1,18 @@
 //! Property tests for the lease table: **any** interleaving of
-//! grow / shrink / poison / heal / release / register-buffer operations —
-//! including ones the table rejects — keeps the structural invariants:
+//! grow / shrink / poison / heal / release operations — including ones
+//! the table rejects — keeps the structural invariants:
 //!
 //! * Σ granted + free == capacity (so Σ granted ≤ device partitions);
 //! * every partition has at most one owner;
-//! * poison marks only ever sit on held partitions;
-//! * a buffer never changes owner while registered — no tenant can
-//!   observe (or be granted a mapping to) another tenant's buffers.
+//! * poison marks only ever sit on held partitions.
+//!
+//! Cross-tenant buffer isolation is not the table's: the service's
+//! per-tenant buffer cache and relocation's refusal of a foreign buffer
+//! enforce it (`serve_isolation` and `relocate`'s
+//! `foreign_buffer_references_are_rejected`).
 
-use hstreams::lease::{Lease, LeaseTable, TenantId};
-use hstreams::types::BufId;
 use proptest::prelude::*;
+use stream_serve::{Lease, LeaseTable, TenantId};
 
 const CAPACITY: usize = 8;
 const TENANTS: u16 = 5;
@@ -22,24 +24,22 @@ enum Op {
     Poison(u16, usize),
     Heal(u16),
     Release(u16),
-    Register(u16, usize),
 }
 
 /// Decode one `(kind, tenant, arg)` draw into an operation. The shimmed
 /// proptest has no `prop_oneof`, so the discriminant is an integer.
 fn decode((kind, t, arg): (u8, u16, usize)) -> Op {
-    match kind % 6 {
+    match kind % 5 {
         0 => Op::Grow(t, arg % (CAPACITY + 1)),
         1 => Op::Shrink(t, arg % (CAPACITY + 1)),
         2 => Op::Poison(t, arg % CAPACITY),
         3 => Op::Heal(t),
-        4 => Op::Release(t),
-        _ => Op::Register(t, arg % 12),
+        _ => Op::Release(t),
     }
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u16, usize)>> {
-    proptest::collection::vec((0u8..6, 0..TENANTS, 0usize..64), 1..60)
+    proptest::collection::vec((0u8..5, 0..TENANTS, 0usize..64), 1..60)
 }
 
 fn apply(table: &mut LeaseTable, op: &Op) {
@@ -57,9 +57,6 @@ fn apply(table: &mut LeaseTable, op: &Op) {
         Op::Release(t) => {
             table.release(TenantId(t));
         }
-        Op::Register(t, b) => {
-            let _ = table.register_buffer(TenantId(t), BufId(b));
-        }
     }
 }
 
@@ -69,8 +66,6 @@ proptest! {
     #[test]
     fn any_interleaving_preserves_the_invariants(raw in ops_strategy()) {
         let mut table = LeaseTable::new(CAPACITY);
-        // buffer -> current owner, the model for the ownership check.
-        let mut owners: std::collections::BTreeMap<usize, u16> = std::collections::BTreeMap::new();
 
         for draw in &raw {
             let op = decode(*draw);
@@ -94,24 +89,6 @@ proptest! {
                 Op::Heal(t) => table.heal(TenantId(t)),
                 Op::Release(t) => {
                     table.release(TenantId(t));
-                    owners.retain(|_, o| *o != t);
-                }
-                Op::Register(t, b) => {
-                    let res = table.register_buffer(TenantId(t), BufId(b));
-                    match owners.get(&b) {
-                        Some(&o) if o != t => prop_assert!(
-                            res.is_err(),
-                            "buffer b{} owned by t{} must not lease to t{}", b, o, t
-                        ),
-                        _ => {
-                            prop_assert!(
-                                res.is_ok(),
-                                "register t{} b{} rejected ({:?}) though model says {:?}",
-                                t, b, res, owners.get(&b)
-                            );
-                            owners.insert(b, t);
-                        }
-                    }
                 }
             }
 
@@ -139,12 +116,6 @@ proptest! {
                     .collect();
                 prop_assert!(holders.len() <= 1, "partition {} has {:?}", p, holders);
                 prop_assert_eq!(table.partition_owner(p), holders.first().copied());
-            }
-
-            // Ownership ledger agrees with the model — no cross-tenant
-            // buffer visibility.
-            for (&b, &o) in &owners {
-                prop_assert_eq!(table.buffer_owner(BufId(b)), Some(TenantId(o)));
             }
         }
     }

@@ -234,6 +234,23 @@ for pat in 'is_x86_feature_detected!' '#[target_feature'; do
   fi
 done
 
+echo "==> hstreams is the runtime (partition leasing lives in stream-serve; the core's public surface only shrinks)"
+if grep -rn 'struct LeaseTable' crates/core/; then
+  echo "  'struct LeaseTable' is back under crates/core/ (leasing is the service's: stream_serve::lease)"
+  exit 1
+fi
+# `pub fn` and `pub mod` lines of non-test crates/core/src code (a file's
+# tests start at its column-0 `#[cfg(test)]`). Lower the bound when the
+# surface shrinks; never raise it.
+surface_max=223
+surface=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+            sed '/^#\[cfg(test)\]/,$d' "$f"
+          done | { grep -cE '^[[:space:]]*pub (fn|mod)[[:space:]]' || true; })
+if [ "$surface" -gt "$surface_max" ]; then
+  echo "  $surface 'pub fn'/'pub mod' lines in non-test crates/core/src (at most $surface_max): make the new item pub(crate), or move it out of the runtime"
+  exit 1
+fi
+
 echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
 if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
   echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"

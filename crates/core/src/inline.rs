@@ -27,7 +27,7 @@ use crate::types::BufId;
 /// Bytes an [`InlineStr`] holds without allocating.
 pub const INLINE_STR_CAP: usize = 22;
 
-/// A string that keeps up to [`INLINE_STR_CAP`] bytes in place and spills
+/// A string that keeps up to `INLINE_STR_CAP` (22) bytes in place and spills
 /// longer ones to the heap. It derefs to `str`, and `Display`, `Debug`,
 /// `Eq` and `Hash` are those of that `str`.
 ///
@@ -93,7 +93,7 @@ impl From<String> for InlineStr {
 }
 
 impl From<fmt::Arguments<'_>> for InlineStr {
-    /// Format in place; only output longer than [`INLINE_STR_CAP`] bytes
+    /// Format in place; only output longer than `INLINE_STR_CAP` (22) bytes
     /// allocates.
     fn from(args: fmt::Arguments<'_>) -> Self {
         if let Some(s) = args.as_str() {
@@ -198,7 +198,7 @@ impl PartialEq<String> for InlineStr {
 /// Buffer ids a [`BufList`] holds without allocating.
 pub const INLINE_BUFS: usize = 2;
 
-/// A fixed list of buffer ids that keeps up to [`INLINE_BUFS`] in place
+/// A fixed list of buffer ids that keeps up to `INLINE_BUFS` (2) in place
 /// and spills longer lists to the heap. It derefs to `[BufId]`, in the
 /// order it was collected.
 #[derive(Clone)]

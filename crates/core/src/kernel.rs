@@ -10,7 +10,7 @@
 //! Applications provide both so the same program runs on either backend.
 //!
 //! A launch owns its label and its read and write lists inline (see
-//! [`crate::inline`]) and shares its native body: an application builds one
+//! `crate::inline`) and shares its native body: an application builds one
 //! [`KernelFn`] per kernel kind and tiling and every launch clones the
 //! `Arc`, so recording a launch allocates nothing. The body borrows its
 //! buffers' storage from the context that runs it; no launch holds storage

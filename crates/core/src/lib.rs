@@ -65,7 +65,7 @@ pub mod check;
 pub mod context;
 pub mod executor;
 pub mod fault;
-pub mod inline;
+mod inline;
 pub mod kernel;
 pub mod lease;
 pub mod metrics;

@@ -242,7 +242,7 @@ fi
 # `pub fn` and `pub mod` lines of non-test crates/core/src code (a file's
 # tests start at its column-0 `#[cfg(test)]`). Lower the bound when the
 # surface shrinks; never raise it.
-surface_max=223
+surface_max=222
 surface=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
             sed '/^#\[cfg(test)\]/,$d' "$f"
           done | { grep -cE '^[[:space:]]*pub (fn|mod)[[:space:]]' || true; })

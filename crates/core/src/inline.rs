@@ -32,7 +32,7 @@ pub const INLINE_STR_CAP: usize = 22;
 /// `Eq` and `Hash` are those of that `str`.
 ///
 /// ```
-/// use hstreams::inline::InlineStr;
+/// use hstreams::InlineStr;
 /// let (i, j) = (3, 14);
 /// let label = InlineStr::from(format_args!("gemm({i},{j})"));
 /// assert_eq!(label, "gemm(3,14)");

@@ -957,8 +957,8 @@ mod tests {
             .as_ref()
             .expect("CF kernels carry native bodies");
         body(&mut hstreams::kernel::KernelCtx {
-            reads: reads.into(),
-            writes: vec![out],
+            reads,
+            writes: &mut [out],
             threads,
         });
     }

@@ -159,11 +159,22 @@ pub struct NativeReport {
 /// (a ticket lock) — a plain mutex would let the releasing driver barge back
 /// in ahead of a parked one and bunch one stream's transfers, and the
 /// link-lane shapes (Fig. 5 serialisation) depend on submission order.
+///
+/// Taking a ticket and serving the next are one `fetch_add` each; the gate
+/// and the condvar are for sleepers only (the ordering argument is at
+/// [`LinkLane::acquire`]).
 #[derive(Default)]
 struct LinkLane {
-    /// `(next ticket to hand out, ticket being served)`.
-    tickets: Mutex<(usize, usize)>,
+    /// The next ticket to hand out.
+    next: AtomicUsize,
+    /// The ticket being served.
+    serving: AtomicUsize,
+    gate: Mutex<()>,
     cv: Condvar,
+    /// Waits begun on `cv`, counted under the gate: a test that reads one
+    /// more and then takes the gate knows that waiter is asleep.
+    #[cfg(test)]
+    naps: AtomicUsize,
 }
 
 /// Holding this is holding the lane; dropping it (also on unwind) serves the
@@ -173,11 +184,25 @@ struct LaneGuard<'a>(&'a LinkLane);
 impl LinkLane {
     /// Queue behind every earlier caller and block until served.
     fn acquire(&self) -> LaneGuard<'_> {
-        let mut tickets = self.tickets.lock();
-        let mine = tickets.0;
-        tickets.0 += 1;
-        while tickets.1 != mine {
-            self.cv.wait(&mut tickets);
+        // ORDERING (no lost wake-up): every ticket access is `SeqCst`, so a
+        // waiter's `next` increment and `serving` load and a releaser's
+        // `serving` increment and `next` load fall in one total order. If
+        // the releaser's load precedes the waiter's increment, the waiter's
+        // load follows the releaser's increment and it is served without
+        // sleeping. Otherwise the releaser sees a later ticket and takes the
+        // gate before it notifies. The waiter holds the gate from its
+        // re-check until the condvar wait releases it, so the releaser's
+        // gate either comes after that (the waiter is registered and the
+        // notify reaches it) or before (the unlock publishes the increment
+        // to the re-check, which then passes).
+        let mine = self.next.fetch_add(1, Ordering::SeqCst);
+        if self.serving.load(Ordering::SeqCst) != mine {
+            let mut gate = self.gate.lock();
+            while self.serving.load(Ordering::SeqCst) != mine {
+                #[cfg(test)]
+                self.naps.fetch_add(1, Ordering::SeqCst);
+                self.cv.wait(&mut gate);
+            }
         }
         LaneGuard(self)
     }
@@ -185,13 +210,14 @@ impl LinkLane {
 
 impl Drop for LaneGuard<'_> {
     fn drop(&mut self) {
-        let mut tickets = self.0.tickets.lock();
-        tickets.1 += 1;
-        let waiters = tickets.0 != tickets.1;
-        drop(tickets);
-        if waiters {
-            // Every waiter re-checks its ticket; only the next one proceeds.
-            self.0.cv.notify_all();
+        let lane = self.0;
+        let served = lane.serving.fetch_add(1, Ordering::SeqCst) + 1;
+        if lane.next.load(Ordering::SeqCst) != served {
+            // A later ticket was taken: its holder may be asleep or about
+            // to be. Every waiter re-checks its ticket; only the next one
+            // proceeds.
+            drop(lane.gate.lock());
+            lane.cv.notify_all();
         }
     }
 }
@@ -358,8 +384,9 @@ struct RunShared<'a> {
     /// Fault injection, loss and taint state for this run.
     fault: &'a FaultControl,
     first_error: Mutex<Option<Error>>,
+    /// Actions executed; each driver adds its own count once, as it leaves.
     executed: AtomicUsize,
-    /// Payload bytes moved, per device.
+    /// Payload bytes moved, per device; added to like `executed`.
     bytes_moved: &'a [AtomicU64],
 }
 
@@ -370,18 +397,33 @@ impl RunShared<'_> {
     }
 }
 
-/// Perform the transfer at `site` on the calling driver: queue for the
-/// device's link lane, copy while holding it, and record the span against
-/// recorder stream `rsi`.
-fn exec_transfer(
-    shared: &RunShared<'_>,
-    rsi: usize,
-    dir: Direction,
-    buf: BufId,
+/// One driver's own state for a run: where its payloads run — a recorded
+/// driver's stream placement, a scheduled driver's `(device, partition)` —
+/// the recorder stream its spans go to, and what it executed and moved.
+/// The counts reach the run's totals once, when the driver leaves (also on
+/// unwind), so an action touches no shared counter.
+struct Driver<'a> {
+    shared: &'a RunShared<'a>,
+    /// The driver's index, which is also its recorder stream.
+    idx: usize,
     dev: usize,
-    slowdown: f64,
-    site: Site,
-) {
+    part: usize,
+    executed: usize,
+    bytes: u64,
+}
+
+impl Drop for Driver<'_> {
+    fn drop(&mut self) {
+        let shared = self.shared;
+        shared.executed.fetch_add(self.executed, Ordering::Relaxed);
+        shared.bytes_moved[self.dev].fetch_add(self.bytes, Ordering::Relaxed);
+    }
+}
+
+/// Perform the transfer at `site` on driver `drv`: queue for the device's
+/// link lane, copy while holding it, and record the span.
+fn exec_transfer(drv: &mut Driver<'_>, dir: Direction, buf: BufId, slowdown: f64, site: Site) {
+    let shared = drv.shared;
     let buffer = shared
         .ctx
         .buffer(buf)
@@ -393,54 +435,61 @@ fn exec_transfer(
     let chan = shared.ctx.config().link.channel_for(dir);
     let bytes = buffer.bytes();
     let submitted = shared.recorder.map(|rec| (rec, Instant::now()));
-    let lane = shared.link_lanes[dev][chan].acquire();
-    let started = Instant::now();
+    let lane = shared.link_lanes[drv.dev][chan].acquire();
+    // Only a recorder, a throttle or a slowdown reads the clock.
+    let timed = shared.recorder.is_some() || shared.link_bandwidth.is_some() || slowdown > 1.0;
+    let started = timed.then(Instant::now);
     {
         let src = src.read();
         let mut dst = dst.write();
         dst.copy_from_slice(&src);
     }
-    if let Some(bw) = shared.link_bandwidth {
-        let target = Duration::from_secs_f64(bytes as f64 / bw);
-        let elapsed = started.elapsed();
-        if target > elapsed {
-            std::thread::sleep(target - elapsed);
+    if let Some(started) = started {
+        if let Some(bw) = shared.link_bandwidth {
+            let target = Duration::from_secs_f64(bytes as f64 / bw);
+            let elapsed = started.elapsed();
+            if target > elapsed {
+                std::thread::sleep(target - elapsed);
+            }
+        }
+        if slowdown > 1.0 {
+            // Degraded link: stretch the lane occupation to slowdown× the
+            // time spent so far (copy + bandwidth throttle).
+            std::thread::sleep(started.elapsed().mul_f64(slowdown - 1.0));
+        }
+        if let Some((rec, submitted)) = submitted {
+            // Stamped inside the lane, so a lane's spans never overlap; the
+            // gap back to `submitted` is the transfer's queue wait.
+            let link = rec.lanes.link(drv.dev, chan);
+            rec.record_span(
+                drv.idx,
+                Some(link),
+                site,
+                submitted,
+                started,
+                Instant::now(),
+            );
         }
     }
-    if slowdown > 1.0 {
-        // Degraded link: stretch the lane occupation to slowdown× the
-        // time spent so far (copy + bandwidth throttle).
-        std::thread::sleep(started.elapsed().mul_f64(slowdown - 1.0));
-    }
-    if let Some((rec, submitted)) = submitted {
-        // Stamped inside the lane, so a lane's spans never overlap; the gap
-        // back to `submitted` is the transfer's queue wait.
-        let link = rec.lanes.link(dev, chan);
-        rec.record_span(rsi, Some(link), site, submitted, started, Instant::now());
-    }
     drop(lane);
-    shared.bytes_moved[dev].fetch_add(bytes, Ordering::Relaxed);
-    shared.executed.fetch_add(1, Ordering::Relaxed);
+    drv.bytes += bytes;
+    drv.executed += 1;
 }
 
 /// A launch's scratch list: inline up to `INLINE_ACCESSES` buffers.
 type Scratch<T> = InlineVec<T, INLINE_ACCESSES>;
 
 /// Acquire the partition (or host) and the declared buffers of the kernel
-/// at `site`, run its native body, and record the span against recorder
-/// stream `rsi`.
+/// at `site`, run its native body on driver `drv`, and record the span.
 /// Returns the body's outcome so the caller decides what a panic loses.
-#[allow(clippy::too_many_arguments)]
 fn exec_kernel(
-    shared: &RunShared<'_>,
-    rsi: usize,
+    drv: &mut Driver<'_>,
     site: Site,
     desc: &crate::kernel::KernelDesc,
-    dev: usize,
-    part: usize,
     slow_factor: f64,
     injected_panic: bool,
 ) -> std::thread::Result<()> {
+    let shared = drv.shared;
     let ctx = shared.ctx;
     let dispatched = shared.recorder.map(|rec| (rec, Instant::now()));
     // Host kernels take the host lock instead of a partition lock (they
@@ -448,7 +497,7 @@ fn exec_kernel(
     let (_partition_guard, _host_guard) = if desc.host {
         (None, Some(shared.host_lock.lock()))
     } else {
-        (Some(shared.partition_locks[dev][part].lock()), None)
+        (Some(shared.partition_locks[drv.dev][drv.part].lock()), None)
     };
     // Lock declared buffers in global id order (deadlock-free across
     // concurrent kernels), but keep read and write guards in separate
@@ -476,7 +525,7 @@ fn exec_kernel(
         }
     }
     // Read views in declaration order.
-    let reads: Vec<&[Elem]> = desc
+    let reads: Scratch<&[Elem]> = desc
         .reads
         .iter()
         .map(|b| {
@@ -495,24 +544,20 @@ fn exec_kernel(
             .expect("guard acquired above");
         slots[pos] = Some(guard.as_mut_slice());
     }
-    let writes: Vec<&mut [Elem]> = slots
+    let mut writes: Scratch<&mut [Elem]> = slots
         .iter_mut()
         .map(|s| s.take().expect("every declared write locked"))
         .collect();
     let mut kctx = KernelCtx {
-        reads,
-        writes,
+        reads: &reads,
+        writes: &mut writes,
         threads: shared.threads_hint,
     };
-    let body = desc.native.as_ref().expect("checked above").clone();
-    // Route the body's parallel helpers onto the kernel's partition-pinned
-    // group while it runs.
-    let group = if desc.host {
-        shared.pool.host()
-    } else {
-        shared.pool.partition(dev, part)
-    };
-    let _pool_install = pool::install(group.clone());
+    let body = desc.native.as_ref().expect("checked above");
+    // The driver keeps its partition's group installed for the whole run
+    // (see `drive`); a host kernel's parallel helpers go to the host group
+    // while it runs.
+    let _host_pool = desc.host.then(|| pool::install(shared.pool.host().clone()));
     // Dispatch to body start (partition lock, buffer locks, view setup) is
     // the span's `start − ready`: the launch overhead.
     let started = dispatched.map(|(rec, ready)| (rec, ready, Instant::now()));
@@ -525,8 +570,8 @@ fn exec_kernel(
     if let Some((rec, ready, start)) = started {
         // Recorded even when the body panicked: the partial timeline then
         // names the kernel that failed.
-        let lane = rec.lanes.kernel(desc.host, dev, part);
-        rec.record_span(rsi, Some(lane), site, ready, start, Instant::now());
+        let lane = rec.lanes.kernel(desc.host, drv.dev, drv.part);
+        rec.record_span(drv.idx, Some(lane), site, ready, start, Instant::now());
     }
     if outcome.is_ok() {
         if let Some(t0) = body_started {
@@ -534,24 +579,18 @@ fn exec_kernel(
             // partition (locks still held) to factor× the body's own time.
             std::thread::sleep(t0.elapsed().mul_f64(slow_factor - 1.0));
         }
-        shared.executed.fetch_add(1, Ordering::Relaxed);
+        drv.executed += 1;
     }
     outcome
 }
 
 /// The payload step of both walks: execute the transfer or kernel `action`
-/// recorded at `site` on `(dev, part)` under the context's fault plan (keyed
-/// by the recorded site) and the retry policy, recording against recorder
-/// stream `rsi` — or skip it (see the module docs), leaving the error of a
-/// loss in `shared`.
-fn run_payload(
-    shared: &RunShared<'_>,
-    rsi: usize,
-    site: Site,
-    action: &Action,
-    dev: usize,
-    part: usize,
-) {
+/// recorded at `site` on driver `drv` under the context's fault plan (keyed
+/// by the recorded site) and the retry policy — or skip it (see the module
+/// docs), leaving the error of a loss in the run's shared state.
+fn run_payload(drv: &mut Driver<'_>, site: Site, action: &Action) {
+    let shared = drv.shared;
+    let (dev, part) = (drv.dev, drv.part);
     let (si, ai) = (site.stream.0, site.action_index);
     let fc = shared.fault;
     // Transfers and host kernels still run beside a lost partition (they
@@ -588,7 +627,7 @@ fn run_payload(
                 std::thread::sleep(fault::backoff_for(attempt));
             }
             let slowdown = plan.map_or(1.0, |p| p.transfer_slowdown(si, ai));
-            exec_transfer(shared, rsi, *dir, *buf, dev, slowdown, site);
+            exec_transfer(drv, *dir, *buf, slowdown, site);
         }
         Action::Kernel(desc) => {
             let slowed = live.filter(|_| !desc.host);
@@ -598,7 +637,7 @@ fn run_payload(
                 FaultTallies::bump(&fc.tallies.injected_kernel_panics);
                 fc.fired.lock().push((si, ai));
             }
-            let outcome = exec_kernel(shared, rsi, site, desc, dev, part, slow_factor, injected);
+            let outcome = exec_kernel(drv, site, desc, slow_factor, injected);
             if outcome.is_err() {
                 FaultTallies::bump(&fc.tallies.kernel_panics);
                 fc.skip(si, ai, action);
@@ -700,8 +739,11 @@ struct Dispatch<'a> {
     /// Unfinished predecessors of each node ([`CLAIMED`] once a scheduled
     /// driver took it).
     pending: Vec<AtomicU32>,
-    /// The nodes each driver takes, in the order it takes them.
+    /// The nodes each scheduled driver takes from, in `schedule.tasks`
+    /// order (empty for a recorded walk, whose driver `s` takes the nodes
+    /// `offsets[s]..offsets[s + 1]` in order).
     queues: Vec<Vec<u32>>,
+    /// One per driver.
     parkers: Vec<Parker>,
     parts_per_dev: usize,
     /// [`FaultControl::poisoned`]: a scheduled driver's partition is lost
@@ -716,13 +758,12 @@ struct Dispatch<'a> {
 impl<'a> Dispatch<'a> {
     fn new(ctx: &Context, walk: &'a Walk, lost: &'a [AtomicBool], yields: bool) -> Dispatch<'a> {
         let parts_per_dev = ctx.partitions().max(1);
-        let (pending, queues) = match walk {
+        let (pending, queues, drivers) = match walk {
             Walk::Recorded(hb) => {
                 let edges = hb.edges();
-                let stream = |s: &[usize]| (s[0] as u32..s[1] as u32).collect();
-                let queues = edges.offsets.windows(2).map(stream).collect();
                 let count = |v| AtomicU32::new(edges.preds(v).len() as u32);
-                ((0..edges.nodes).map(count).collect(), queues)
+                let streams = edges.offsets.len() - 1;
+                ((0..edges.nodes).map(count).collect(), Vec::new(), streams)
             }
             Walk::Scheduled(schedule, graph) => {
                 let mut queues = vec![Vec::new(); ctx.device_count() * parts_per_dev];
@@ -738,7 +779,8 @@ impl<'a> Dispatch<'a> {
                     let preds = graph.preds(v).iter();
                     AtomicU32::new(preds.filter(|&&u| walked[u as usize]).count() as u32)
                 };
-                ((0..graph.len()).map(count).collect(), queues)
+                let drivers = queues.len();
+                ((0..graph.len()).map(count).collect(), queues, drivers)
             }
         };
         let parker = |_| Parker {
@@ -749,7 +791,7 @@ impl<'a> Dispatch<'a> {
         Dispatch {
             walk,
             pending,
-            parkers: (0..queues.len()).map(parker).collect(),
+            parkers: (0..drivers).map(parker).collect(),
             queues,
             parts_per_dev,
             lost,
@@ -760,13 +802,17 @@ impl<'a> Dispatch<'a> {
 
     /// The next node for driver `idx` (`true` when stolen from a sibling's
     /// queue), or `None` when nothing is left for it. `cursor` is the
-    /// driver's own position in its queue.
+    /// driver's own position in its stream or queue.
     fn next(&self, idx: usize, cursor: &mut usize) -> Option<(usize, bool)> {
         match self.walk {
-            Walk::Recorded(_) => {
-                let node = *self.queues[idx].get(*cursor)?;
+            Walk::Recorded(hb) => {
+                let offsets = &hb.edges().offsets;
+                let node = offsets[idx] + *cursor;
+                if node == offsets[idx + 1] {
+                    return None;
+                }
                 *cursor += 1;
-                (!self.dead.load(Ordering::SeqCst)).then_some((node as usize, false))
+                (!self.dead.load(Ordering::SeqCst)).then_some((node, false))
             }
             Walk::Scheduled(..) => self.parkers[idx].sleep_until(ANY, || self.scan(idx, cursor)),
         }
@@ -899,29 +945,43 @@ impl Drop for DriverExit<'_> {
 /// number `idx` in a scheduled one — which is also the recorder stream its
 /// spans go to, matching how the work actually ran.
 fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
-    // Recording state, installed once per driver: the sink that routes
-    // pool-job spans from kernel bodies into this driver's buffer.
+    let streams = &shared.ctx.program().streams;
+    // Where this driver's payloads run: its stream's placement in a
+    // recorded walk, its own `(device, partition)` in a scheduled one.
+    let (dev, part) = match dispatch.walk {
+        Walk::Recorded(_) => {
+            let at = streams[idx].placement;
+            (at.device.0, at.partition)
+        }
+        Walk::Scheduled(..) => (idx / dispatch.parts_per_dev, idx % dispatch.parts_per_dev),
+    };
+    // Installed once per driver: the sink that routes pool-job spans from
+    // kernel bodies into this driver's buffer, and the partition's group
+    // that their parallel helpers split work across.
     let _pool_sink = shared
         .recorder
         .map(|rec| crate::trace::install_pool_sink(rec.pool_sink(idx)));
+    let _pool = pool::install(shared.pool.partition(dev, part).clone());
     let _ = dispatch.parkers[idx].thread.set(std::thread::current());
     let _exit = DriverExit(dispatch);
-    let streams = &shared.ctx.program().streams;
+    let mut drv = Driver {
+        shared,
+        idx,
+        dev,
+        part,
+        executed: 0,
+        bytes: 0,
+    };
     let mut cursor = 0;
     while let Some((node, stolen)) = dispatch.next(idx, &mut cursor) {
-        // What the node is and where it runs: a recorded action on its
-        // stream's placement, a scheduled task on this driver's partition.
-        let (site, dev, part, moved) = match dispatch.walk {
-            Walk::Recorded(hb) => {
-                let at = streams[idx].placement;
-                let site = Site::new(idx, node - hb.edges().offsets[idx]);
-                (site, at.device.0, at.partition, false)
-            }
+        // What the node is: a recorded action of this driver's stream, or
+        // a scheduled task, moved when it left its recorded partition.
+        let (site, moved) = match dispatch.walk {
+            Walk::Recorded(hb) => (Site::new(idx, node - hb.edges().offsets[idx]), false),
             Walk::Scheduled(_, graph) => {
                 let task = &graph.nodes[node];
-                let (dev, part) = (idx / dispatch.parts_per_dev, idx % dispatch.parts_per_dev);
-                let moved = stolen || (dev, part) != (task.device, task.partition);
-                (task.site, dev, part, moved)
+                let home = (task.device, task.partition);
+                (task.site, stolen || (dev, part) != home)
             }
         };
         let action = &streams[site.stream.0].actions[site.action_index];
@@ -929,7 +989,7 @@ fn drive(shared: &RunShared<'_>, dispatch: &Dispatch<'_>, idx: usize) {
             if moved && matches!(action, Action::Kernel(k) if !k.host) {
                 dispatch.steals.fetch_add(1, Ordering::Relaxed);
             }
-            run_payload(shared, idx, site, action, dev, part);
+            run_payload(&mut drv, site, action);
             dispatch.complete(node);
             continue;
         }
@@ -1249,8 +1309,9 @@ fn run_persistent(
     };
     let dispatch = Dispatch::new(ctx, walk, &fault.poisoned, rt.one_cpu);
     let started = Instant::now();
+    let drivers = dispatch.parkers.len();
     rt.drivers
-        .run_fixed(dispatch.queues.len(), &|idx| drive(&shared, &dispatch, idx));
+        .run_fixed(drivers, &|idx| drive(&shared, &dispatch, idx));
     let wall = started.elapsed();
     let steals = dispatch.steals.into_inner();
     let result = match shared.first_error.into_inner() {
@@ -1520,6 +1581,102 @@ mod tests {
         assert_eq!(ctx.read_host(out).unwrap(), vec![5.0]);
     }
 
+    /// The lane the context's runtime serves device 0's `dir` copies on.
+    fn lane_for(ctx: &Context, dir: Direction) -> &LinkLane {
+        &ctx.native_runtime().link_lanes[0][ctx.config().link.channel_for(dir)]
+    }
+
+    /// Spin until `lane` has handed out `tickets` tickets.
+    fn until_taken(lane: &LinkLane, tickets: usize) {
+        while lane.next.load(Ordering::SeqCst) < tickets {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_full_duplex_h2d_holder_does_not_block_a_d2h_acquire() {
+        let ctx = Context::builder(PlatformConfig::phi_31sp_full_duplex())
+            .build()
+            .unwrap();
+        let (up, down) = (
+            lane_for(&ctx, Direction::HostToDevice),
+            lane_for(&ctx, Direction::DeviceToHost),
+        );
+        let _upload = up.acquire();
+        // Free while the upload holds its own lane: the acquire below is
+        // served at once, on this very thread.
+        assert!(!std::ptr::eq(up, down));
+        assert_eq!(down.next.load(Ordering::SeqCst), 0);
+        drop(down.acquire());
+        assert_eq!(down.serving.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_serial_duplex_h2d_holder_blocks_a_d2h_acquire() {
+        let ctx = small_ctx(1);
+        let (up, down) = (
+            lane_for(&ctx, Direction::HostToDevice),
+            lane_for(&ctx, Direction::DeviceToHost),
+        );
+        assert!(std::ptr::eq(up, down));
+        let served = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let upload = up.acquire();
+            let download = scope.spawn(|| {
+                let _lane = down.acquire();
+                served.store(true, Ordering::SeqCst);
+            });
+            until_taken(down, 2);
+            // Ticket 1 is taken and ticket 0 still served: the download
+            // cannot have passed `acquire`.
+            assert!(!served.load(Ordering::SeqCst));
+            drop(upload);
+            download.join().unwrap();
+        });
+        assert!(served.into_inner());
+    }
+
+    #[test]
+    fn tickets_taken_while_the_lane_is_held_are_served_in_ticket_order() {
+        let lane = LinkLane::default();
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let held = lane.acquire();
+            for waiter in 0..3 {
+                let (lane, order) = (&lane, &order);
+                scope.spawn(move || {
+                    let _lane = lane.acquire();
+                    order.lock().push(waiter);
+                });
+                // Waiter `i` holds ticket `i + 1` before the next one starts.
+                until_taken(lane, waiter + 2);
+            }
+            drop(held);
+        });
+        assert_eq!(*order.lock(), [0, 1, 2]);
+        assert_eq!((lane.next.into_inner(), lane.serving.into_inner()), (4, 4));
+    }
+
+    #[test]
+    fn a_waiter_asleep_before_the_holder_releases_is_woken() {
+        let lane = LinkLane::default();
+        std::thread::scope(|scope| {
+            let held = lane.acquire();
+            let waiter = scope.spawn(|| drop(lane.acquire()));
+            // The waiter counts its nap under the gate and keeps the gate
+            // until the condvar releases it: once the count is read and the
+            // gate taken, it is asleep.
+            while lane.naps.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            drop(lane.gate.lock());
+            assert_eq!(lane.serving.load(Ordering::SeqCst), 0);
+            drop(held);
+            waiter.join().unwrap();
+        });
+        assert_eq!((lane.next.into_inner(), lane.serving.into_inner()), (2, 2));
+    }
+
     #[test]
     fn lane_holder_unwinding_serves_the_next_ticket() {
         let lane = LinkLane::default();
@@ -1528,7 +1685,7 @@ mod tests {
             let waiter = scope.spawn(|| drop(lane.acquire()));
             // Force the interleaving: the waiter holds ticket 1 before the
             // holder unwinds.
-            while lane.tickets.lock().0 < 2 {
+            while lane.next.load(Ordering::SeqCst) < 2 {
                 std::thread::yield_now();
             }
             let unwound = catch_unwind(AssertUnwindSafe(move || {
@@ -1539,7 +1696,7 @@ mod tests {
             waiter.join().expect("waiter was served");
         });
         // Both tickets served: the lane is free again.
-        assert_eq!(*lane.tickets.lock(), (2, 2));
+        assert_eq!((lane.next.into_inner(), lane.serving.into_inner()), (2, 2));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! Both are 24 bytes, the size of the `String` and `Vec` they replace.
 //!
 //! The native executor's launch path keeps its scratch lists — the buffers
-//! to lock, in id order, the lock guards, the write views — in an
-//! `InlineVec` of `INLINE_ACCESSES` entries for the same reason: a launch
-//! then allocates only the view lists its kernel body is handed.
+//! to lock, in id order, the lock guards, the read and write views its
+//! kernel body borrows — in an `InlineVec` of `INLINE_ACCESSES` entries for
+//! the same reason: a launch of up to that many buffers allocates nothing.
 
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};

@@ -12,9 +12,11 @@
 //! A launch owns its label and its read and write lists inline (see
 //! `crate::inline`) and shares its native body: an application builds one
 //! [`KernelFn`] per kernel kind and tiling and every launch clones the
-//! `Arc`, so recording a launch allocates nothing. The body borrows its
-//! buffers' storage from the context that runs it; no launch holds storage
-//! of its own.
+//! `Arc`, so recording a launch allocates nothing. Running a launch of up
+//! to four buffers allocates nothing either: the body is called through
+//! the launch's own `Arc` and borrows its buffers' storage from the context
+//! that runs it, through view lists the native executor keeps inline
+//! ([`KernelCtx`]). No launch holds storage of its own.
 
 use std::fmt;
 use std::sync::Arc;
@@ -27,12 +29,15 @@ use crate::types::{BufId, Error, Result};
 /// Typed views of the buffers a kernel accesses, plus execution hints.
 ///
 /// `reads[i]` corresponds to `KernelDesc::reads[i]` and `writes[i]` to
-/// `KernelDesc::writes[i]`, in declaration order.
+/// `KernelDesc::writes[i]`, in declaration order. Both lists are borrowed
+/// from whoever runs the body — the native executor keeps them inline for
+/// the launch, up to four buffers in all — so handing a body its views
+/// allocates nothing.
 pub struct KernelCtx<'a> {
     /// Read-only views of the declared read buffers.
-    pub reads: Vec<&'a [f32]>,
+    pub reads: &'a [&'a [f32]],
     /// Mutable views of the declared write buffers.
-    pub writes: Vec<&'a mut [f32]>,
+    pub writes: &'a mut [&'a mut [f32]],
     /// Hardware threads of the partition this kernel runs on — the
     /// parallelism hint (what `omp_get_max_threads()` would say on the Phi).
     pub threads: usize,
@@ -197,8 +202,8 @@ mod tests {
         let input = vec![1.0f32, 2.0];
         let mut output = vec![0.0f32; 2];
         let mut ctx = KernelCtx {
-            reads: vec![&input],
-            writes: vec![&mut output],
+            reads: &[&input],
+            writes: &mut [&mut output],
             threads: 4,
         };
         (k.native.as_ref().unwrap())(&mut ctx);

@@ -132,11 +132,7 @@ pub fn mix_kernel(
     KernelDesc::simulated(label, KernelProfile::streaming("mix", 1e9), work)
         .reading(reads)
         .writing(writes)
-        .with_native(move |kctx: &mut KernelCtx<'_>| {
-            let reads: Vec<&[Elem]> = kctx.reads.clone();
-            let mut writes: Vec<&mut [Elem]> = kctx.writes.iter_mut().map(|w| &mut **w).collect();
-            mix_into(salt, &reads, &mut writes);
-        })
+        .with_native(move |kctx: &mut KernelCtx<'_>| mix_into(salt, kctx.reads, kctx.writes))
 }
 
 // ---------------------------------------------------------------------------

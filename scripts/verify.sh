@@ -7,6 +7,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The non-test code of one Rust file: everything above its first column-0
+# `#[cfg(test)]`, the attribute on its test module or on a test-only item
+# after the code. An indented one gates a single member, and the phrase in
+# a comment is no attribute; neither ends the file's code.
+nontest() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -46,7 +52,7 @@ done
 echo "==> one price list (the three pricing expressions live in the cost model only)"
 for pat in 'transfer_time(' 'kernel_time(' 'host_equivalents'; do
   files=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-            if sed '/#\[cfg(test)\]/,$d' "$f" | grep -F "$pat" >/dev/null; then echo "$f"; fi
+            if nontest "$f" | grep -F "$pat" >/dev/null; then echo "$f"; fi
           done)
   if [ "$files" != "crates/core/src/sched/cost.rs" ]; then
     echo "  '$pat' outside the cost model (non-test code): $(echo $files)"
@@ -56,13 +62,13 @@ done
 
 echo "==> one lowering (the simulator builds one engine, in one loop; no schedule is re-recorded as a program)"
 for pat in 'Engine::with_capacity(' 'LaneMap::for_context('; do
-  hits=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -cF "$pat" || true)
+  hits=$(nontest crates/core/src/executor/sim.rs | grep -cF "$pat" || true)
   if [ "$hits" -ne 1 ]; then
     echo "  '$pat' occurs $hits times in non-test executor/sim.rs (want exactly 1)"
     exit 1
   fi
 done
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -nF 'Engine::new('; then
+if nontest crates/core/src/executor/sim.rs | grep -nF 'Engine::new('; then
   echo "  a second engine in non-test executor/sim.rs (the lowering sizes its one engine up front)"
   exit 1
 fi
@@ -72,7 +78,7 @@ if grep -rn 'materialize' crates/core/src | grep -v 'ensure_materialized'; then
 fi
 
 echo "==> one native driver loop (a recorded and a scheduled run go through the same drive(), dispatched over dependence counters)"
-native=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs)
+native=$(nontest crates/core/src/executor/native.rs)
 hits=$(grep -cF 'run_fixed(' <<<"$native" || true)
 if [ "$hits" -ne 1 ]; then
   echo "  'run_fixed(' occurs $hits times in non-test executor/native.rs (want exactly 1)"
@@ -88,7 +94,7 @@ done
 echo "==> one run front end (both executors take their walk from executor::prepare: one gate, one plan, one events-table check)"
 for f in crates/core/src/executor/native.rs crates/core/src/executor/sim.rs crates/core/src/context.rs; do
   for pat in 'enforce_check' 'plan_analyzed(' 'HbGraph::build(' 'event_site_matches(' 'alloc_fails('; do
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nF "$pat"; then
+    if nontest "$f" | grep -nF "$pat"; then
       echo "  '$pat' is back in non-test $f (executor::prepare does this once for both executors)"
       exit 1
     fi
@@ -106,11 +112,11 @@ if [ "$hits" -ne 1 ]; then
   echo "  'struct WalkMemo' occurs $hits times under crates/core/src/executor/ (want exactly 1, executor::WalkMemo)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF '.analyze('; then
+if nontest crates/core/src/executor/native.rs | grep -nF '.analyze('; then
   echo "  '.analyze(' is back in non-test executor/native.rs (the front end analyzes a program once per key; recovery derives its basis once per resilient run)"
   exit 1
 fi
-executor=$(for f in crates/core/src/executor/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f"; done)
+executor=$(for f in crates/core/src/executor/*.rs; do nontest "$f"; done)
 for pat in 'ensure_materialized(' 'thread::park('; do
   hits=$(grep -cF "$pat" <<<"$executor" || true)
   if [ "$hits" -ne 1 ]; then
@@ -120,19 +126,19 @@ for pat in 'ensure_materialized(' 'thread::park('; do
 done
 
 echo "==> one access table (accesses are counting-sorted once into one table; the engine keeps its edges flat)"
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/check/races.rs | grep -nF 'HashMap'; then
+if nontest crates/core/src/check/races.rs | grep -nF 'HashMap'; then
   echo "  'HashMap' is back in non-test check/races.rs (accesses live in one sorted table)"
   exit 1
 fi
 sorts=$(for f in crates/core/src/check/*.rs crates/core/src/sched/graph.rs; do
-          sed '/#\[cfg(test)\]/,$d' "$f" | { grep -F 'sort_by_key' || true; } | sed "s|^|$f: |"
+          nontest "$f" | { grep -F 'sort_by_key' || true; } | sed "s|^|$f: |"
         done)
 if [ -n "$sorts" ]; then
   echo "  access groups are comparison-sorted again (Accesses::collect counting-sorts the one table):"
   echo "$sorts"
   exit 1
 fi
-engine=$(sed '/#\[cfg(test)\]/,$d' crates/simhw/src/engine.rs)
+engine=$(nontest crates/simhw/src/engine.rs)
 for pat in 'dependents: Vec<TaskId>' '#[allow(dead_code)]' 'VecDeque' 'label: String'; do
   if grep -nF "$pat" <<<"$engine"; then
     echo "  '$pat' is back in non-test micsim engine.rs (dependents are one CSR array built at run; waiting FIFOs are threaded through the task table; tasks carry a Copy tag)"
@@ -145,7 +151,7 @@ if grep -rnF 'Vec<Vec<u32>>' crates/core/src/check/; then
   echo "  'Vec<Vec<u32>>' is back under crates/core/src/check/ (HbEdges keeps preds/succs as offsets plus one list)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/sched/graph.rs | grep -nE 'Vec<Vec<usize>>|HashSet|BinaryHeap'; then
+if nontest crates/core/src/sched/graph.rs | grep -nE 'Vec<Vec<usize>>|HashSet|BinaryHeap'; then
   echo "  non-test sched/graph.rs keeps edge lists of its own again (TaskGraph keeps preds/succs in check::hb's Csr)"
   exit 1
 fi
@@ -153,7 +159,7 @@ if grep -rn 'fn topo_order' crates/core/src | grep -v '^crates/core/src/check/hb
   echo "  a second topological sort is back (HbGraph's order is the one; TaskGraph keeps it restricted to its nodes)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nE 'BTreeMap<ResourceId, String>' | grep -v 'fn names'; then
+if nontest crates/core/src/trace.rs | grep -nE 'BTreeMap<ResourceId, String>' | grep -v 'fn names'; then
   echo "  non-test trace.rs stores lane names again (LaneMap derives a name from the geometry when asked)"
   exit 1
 fi
@@ -167,11 +173,11 @@ if grep -nE 'build_replay_program|cfg\.fault = None' crates/core/src/context.rs;
   echo "  context.rs builds a replay program or turns the fault plan off for recovery (re-plan the lost nodes through drive)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/sim.rs | grep -nE 'fault.*SchedulerKind::Fifo|SchedulerKind::Fifo.*fault'; then
+if nontest crates/core/src/executor/sim.rs | grep -nE 'fault.*SchedulerKind::Fifo|SchedulerKind::Fifo.*fault'; then
   echo "  non-test executor/sim.rs falls back to FIFO under a fault plan (faults keep the schedule)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor/native.rs | grep -nF 'fault.is_none()'; then
+if nontest crates/core/src/executor/native.rs | grep -nF 'fault.is_none()'; then
   echo "  non-test executor/native.rs branches on a missing fault plan (faults keep the schedule)"
   exit 1
 fi
@@ -191,14 +197,14 @@ if sed -n '/^pub struct Context {/,/^}/p' crates/core/src/context.rs | grep -nF 
   echo "  struct Context holds a Mutex field again (a run's outputs come back from the call)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/context.rs | grep -nF '.set_fault_plan('; then
+if nontest crates/core/src/context.rs | grep -nF '.set_fault_plan('; then
   echo "  non-test context.rs changes the fault plan (recovery keeps the plan live; only callers set it)"
   exit 1
 fi
 
 echo "==> one telemetry spine (metrics are a value priced from a finished run: no concurrent registry, no context switch)"
 for f in crates/core/src/metrics/*.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Atomic|Arc<|Mutex'; then
+  if nontest "$f" | grep -nE 'Atomic|Arc<|Mutex'; then
     echo "  $f records concurrently again (a MetricsSnapshot is written from &mut self)"
     exit 1
   fi
@@ -214,7 +220,7 @@ if grep -rnE 'SimPlatform|FabricError|MemError|micsim::(fabric|memory)|Error::Pl
   echo "  micsim's per-card platform state or its errors are back (the context holds one PartitionPlan)"
   exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/trace.rs | grep -nF 'Atomic'; then
+if nontest crates/core/src/trace.rs | grep -nF 'Atomic'; then
   echo "  non-test trace.rs counts while a run is live again (derive the counter from the spans in Recorder::join)"
   exit 1
 fi
@@ -227,7 +233,7 @@ if [ "$simd" != "crates/apps/src/cholesky.rs" ]; then
   exit 1
 fi
 for pat in 'is_x86_feature_detected!' '#[target_feature'; do
-  hits=$(sed '/#\[cfg(test)\]/,$d' crates/apps/src/cholesky.rs | grep -cF "$pat" || true)
+  hits=$(nontest crates/apps/src/cholesky.rs | grep -cF "$pat" || true)
   if [ "$hits" -ne 1 ]; then
     echo "  '$pat' occurs $hits times in non-test cholesky.rs (one dispatch point, one wrapper)"
     exit 1
@@ -239,12 +245,11 @@ if grep -rn 'struct LeaseTable' crates/core/; then
   echo "  'struct LeaseTable' is back under crates/core/ (leasing is the service's: stream_serve::lease)"
   exit 1
 fi
-# `pub fn` and `pub mod` lines of non-test crates/core/src code (a file's
-# tests start at its column-0 `#[cfg(test)]`). Lower the bound when the
-# surface shrinks; never raise it.
+# `pub fn` and `pub mod` lines of non-test crates/core/src code. Lower the
+# bound when the surface shrinks; never raise it.
 surface_max=222
 surface=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-            sed '/^#\[cfg(test)\]/,$d' "$f"
+            nontest "$f"
           done | { grep -cE '^[[:space:]]*pub (fn|mod)[[:space:]]' || true; })
 if [ "$surface" -gt "$surface_max" ]; then
   echo "  $surface 'pub fn'/'pub mod' lines in non-test crates/core/src (at most $surface_max): make the new item pub(crate), or move it out of the runtime"
@@ -291,7 +296,7 @@ echo "==> performance ledger: mic-e2e unit tests + self-test"
 cargo test --offline --manifest-path bench/e2e/Cargo.toml
 bash bench/e2e/run.sh --self-test
 
-echo "==> allocation budgets (a simulated run allocates per run, a recorded candidate per tiling, a native launch its two view lists; counts in the log)"
+echo "==> allocation budgets (a simulated run allocates per run, a recorded candidate per tiling, a native launch nothing; counts in the log)"
 cargo test --release --test sim_alloc_budget --test native_alloc_budget -- --nocapture
 
 echo "==> simulator ledger (sim_sweep's makespans and exact counts equal the committed baseline, bit for bit)"

@@ -1,6 +1,6 @@
-//! A warm native run allocates per run, plus the two view lists each
-//! kernel launch hands its body — and a run that repeats the last program
-//! reuses its checked walk instead of deriving it again.
+//! A warm native run allocates per run, not per launch — and a run that
+//! repeats the last program reuses its checked walk instead of deriving it
+//! again.
 //!
 //! A counting global allocator tallies the allocations (fresh blocks and
 //! reallocations) of the whole process — a native run allocates on its
@@ -11,21 +11,24 @@
 //! closing every 64 tiles. It is re-recorded on one context before each
 //! run, as a measurement loop does.
 //!
-//! * **Per launch.** Between a warm `T`-tile and `2T`-tile run the count
-//!   may grow by at most 2 per extra launch: the `reads` and `writes`
-//!   lists of its `KernelCtx`. The buffer list to lock, the lock guards
-//!   and the write slots stay inline.
+//! * **Per launch: nothing.** A warm `T`-tile and a warm `2T`-tile run
+//!   make the same number of allocations. The buffer list to lock, the
+//!   lock guards, the write slots and the `reads` and `writes` views a
+//!   body's `KernelCtx` borrows all stay inline; the body is called
+//!   through the launch's own `Arc`, and a driver installs its
+//!   partition's worker group once per run.
 //!
-//!   Measured (x86-64, release, `T = 128`): 268 allocations at `T` and 524
-//!   at `2T`, 2 per extra launch. With the scratch lists in `Vec`s the
-//!   same runs made 671 and 1 313, 5 per extra launch.
+//!   Measured (x86-64, release, `T = 128`): 9 allocations at `T` and 9 at
+//!   `2T`. With the views in two `Vec`s per launch the same runs made 268
+//!   and 524, 2 per extra launch; with every scratch list in a `Vec`, 671
+//!   and 1 313.
 //!
 //! * **Per program.** A run whose program the runtime's walk memo already
 //!   holds skips the analysis and the graph build, so it allocates fewer
 //!   blocks than a run of the same program after another one.
 //!
-//!   Measured (x86-64, release, 256 tiles): 524 allocations on a hit, 545
-//!   on a miss.
+//!   Measured (x86-64, release, 256 tiles): 9 allocations on a hit, 30 on
+//!   a miss.
 
 mod alloc_counter;
 
@@ -74,7 +77,7 @@ fn run_allocations(ctx: &Context) -> u64 {
 }
 
 #[test]
-fn a_warm_native_run_allocates_per_launch_only_for_its_views() {
+fn a_warm_native_run_allocates_per_run_not_per_launch() {
     let (t, t2) = (128, 256);
     let mut ctx = Context::builder(PlatformConfig::phi_31sp())
         .partitions(2)
@@ -111,10 +114,11 @@ fn a_warm_native_run_allocates_per_launch_only_for_its_views() {
     eprintln!("2T, memo miss: {missed} allocations; memo hit: {hit}");
     // The last tile reads the one before it: 1.5 + 1 + 1.
     assert_eq!(ctx.read_host(bufs[t2 - 1].1).unwrap(), vec![3.5; ELEMS]);
-    let extra_launches = (t2 - t) as u64;
-    assert!(
-        large <= small + 2 * extra_launches,
-        "{small} -> {large} allocations for {extra_launches} more launches"
+    assert_eq!(
+        large,
+        small,
+        "{small} -> {large} allocations for {} more launches",
+        t2 - t
     );
     assert!(hit < missed, "memo hit {hit}, miss {missed}");
 }

@@ -16,14 +16,14 @@ use crate::types::StreamId;
 /// How bad a diagnostic is.
 ///
 /// `Error` findings (deadlocks, races, malformed references) make both
-/// executors refuse the program by default; `Warning` findings (reads of
+/// executors refuse the program; `Warning` findings (reads of
 /// zero-initialized buffers, dead events, oversubscription) are reported
 /// but never block execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but legal — the program runs.
     Warning,
-    /// The program is refused under [`CheckMode::Enforce`](super::CheckMode).
+    /// The program is refused: neither executor runs it.
     Error,
 }
 

@@ -14,9 +14,11 @@
 //! * **resource lints** — streams placed outside the plan, partition
 //!   oversubscription, dangling buffer references.
 //!
-//! Both executors run the analyzer by default and refuse programs with
-//! [`Severity::Error`] findings ([`Error::Check`](crate::types::Error));
-//! see [`CheckMode`] for the opt-out knob. An analyzer-clean program
+//! Both executors run the analyzer on every program they have not already
+//! run and refuse [`Severity::Error`] findings
+//! ([`Error::Check`](crate::types::Error));
+//! [`Context::analyze`](crate::context::Context::analyze) reports a
+//! program's findings without running it. An analyzer-clean program
 //! cannot deadlock on events or race on buffers at runtime, on either
 //! executor — that is the contract the executors' schedulers rely on.
 //!
@@ -59,21 +61,6 @@ pub use witness::{HazardWitness, WitnessKind};
 pub use hb::HbGraph;
 pub(crate) use hb::{wait_cycle, Csr, HbEdges};
 pub(crate) use races::{Accesses, Space};
-
-/// What the executors do with analyzer findings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckMode {
-    /// Analyze every program and refuse `Severity::Error` findings with
-    /// [`Error::Check`](crate::types::Error) (the default).
-    #[default]
-    Enforce,
-    /// Analyze, but run the program anyway — for deliberately-racy
-    /// experiments; the findings are
-    /// [`Context::analyze`](crate::context::Context::analyze)'s report.
-    WarnOnly,
-    /// Skip analysis entirely.
-    Off,
-}
 
 /// The plan the program is checked against: how many buffers the context
 /// allocated and what geometry the streams may legally use.

@@ -11,8 +11,8 @@
 //! * [`Context::run_native`](crate::executor::native) executes it for real
 //!   on partitioned host thread pools.
 //!
-//! What a run reads is context state — the check mode, the scheduler, the
-//! fault plan — and what it produced comes back from the call: a report,
+//! What a run reads is context state — the scheduler, the fault plan —
+//! and what it produced comes back from the call: a report,
 //! or an error that carries its evidence (a refusal its
 //! [`CheckReport`](crate::check::CheckReport), a failed native run its
 //! [`RunFailure`](crate::types::RunFailure)).
@@ -58,7 +58,6 @@ pub struct ContextBuilder {
     partitions: usize,
     streams_per_partition: usize,
     replan_capacity: Option<usize>,
-    check_mode: crate::check::CheckMode,
 }
 
 impl ContextBuilder {
@@ -71,15 +70,6 @@ impl ContextBuilder {
     /// Streams bound to each partition. Default 1 (the paper's setup).
     pub fn streams_per_partition(mut self, s: usize) -> ContextBuilder {
         self.streams_per_partition = s;
-        self
-    }
-
-    /// What both executors do with static-analyzer findings before
-    /// running a program (see [`crate::check`]). Defaults to
-    /// [`CheckMode::Enforce`](crate::check::CheckMode): error-severity
-    /// findings refuse the run.
-    pub fn check_mode(mut self, mode: crate::check::CheckMode) -> ContextBuilder {
-        self.check_mode = mode;
         self
     }
 
@@ -118,7 +108,6 @@ impl ContextBuilder {
             buffers: Vec::new(),
             program: Arc::default(),
             native_rt: std::sync::OnceLock::new(),
-            check_mode: self.check_mode,
             scheduler: crate::sched::SchedulerKind::default(),
             fault_plan: None,
         };
@@ -143,8 +132,6 @@ pub struct Context {
     /// lanes), built lazily on the first native run and torn down when
     /// the context drops.
     native_rt: std::sync::OnceLock<crate::executor::native::NativeRuntime>,
-    /// What the executors do with static-analyzer findings.
-    check_mode: crate::check::CheckMode,
     /// Which scheduler both executors use (see [`crate::sched`]).
     scheduler: crate::sched::SchedulerKind,
     /// The faults both executors inject (see [`Context::set_fault_plan`]).
@@ -171,7 +158,6 @@ impl Context {
             partitions: 1,
             streams_per_partition: 1,
             replan_capacity: None,
-            check_mode: crate::check::CheckMode::default(),
         }
     }
 
@@ -457,15 +443,14 @@ impl Context {
     /// differential-testing entry point: build or mutate a bare
     /// [`Program`] elsewhere, install it here, run it on either executor.
     ///
-    /// Beyond [`Program::validate`], this enforces the **hard safety
-    /// bounds** that keep the executors panic-free even with the static
-    /// checker [off](crate::check::CheckMode): every buffer reference must
-    /// be allocated in this context, every placement must name a real
-    /// device and a partition inside the **current** geometry, and the
-    /// stream count must fit what the native runtime was (or will be)
-    /// sized for. Violations are typed [`Error`]s, never panics — the
-    /// checker still runs at execution time under the context's
-    /// [`CheckMode`](crate::check::CheckMode) and may reject more.
+    /// Beyond [`Program::validate`] (the events table included), this
+    /// enforces the **hard safety bounds** that keep the executors
+    /// panic-free before any analysis: every buffer reference must be
+    /// allocated in this context, every placement must name a real device
+    /// and a partition inside the **current** geometry, and the stream
+    /// count must fit what the native runtime was (or will be) sized for.
+    /// Violations are typed [`Error`]s, never panics — the static checker
+    /// still runs at execution time and may reject more.
     ///
     /// The program is stored as given: a caller that wants redundant sync
     /// elided runs [`crate::opt::optimize`] first and installs its program,
@@ -529,19 +514,6 @@ impl Context {
 
     // ----- static analysis -------------------------------------------------
 
-    /// What both executors do with analyzer findings (see
-    /// [`crate::check`]).
-    pub fn check_mode(&self) -> crate::check::CheckMode {
-        self.check_mode
-    }
-
-    /// Change the analyzer policy for subsequent runs — e.g.
-    /// [`CheckMode::WarnOnly`](crate::check::CheckMode) for a
-    /// deliberately-racy experiment.
-    pub fn set_check_mode(&mut self, mode: crate::check::CheckMode) {
-        self.check_mode = mode;
-    }
-
     /// The plan the analyzer checks programs against.
     pub fn check_env(&self) -> crate::check::CheckEnv {
         crate::check::CheckEnv {
@@ -553,8 +525,8 @@ impl Context {
     }
 
     /// Statically analyze the recorded program against this context's
-    /// plan, regardless of the check mode. See [`crate::check`]. A run the
-    /// gate refused carries its report in [`Error::Check`].
+    /// plan without running it. See [`crate::check`]. A run the gate
+    /// refused carries this report in [`Error::Check`].
     pub fn analyze(&self) -> crate::check::Analysis {
         crate::check::analyze(&self.program, &self.check_env())
     }

@@ -24,7 +24,7 @@ use micsim::pcie::Direction;
 
 use crate::action::Action;
 use crate::buffer::Buffer;
-use crate::check::{wait_cycle, CheckMode, HbGraph};
+use crate::check::{wait_cycle, HbGraph};
 use crate::context::Context;
 use crate::kernel::KernelDesc;
 use crate::sched::{plan_analyzed, CostModel, Schedule, SchedulerKind, TaskGraph};
@@ -45,12 +45,12 @@ pub(crate) enum Walk {
 
 /// A recorded walk kept for the next run of the same program: the key of
 /// the program last admitted, its happens-before graph shed to the edges
-/// the drivers read, whether the analyzer found it clean, and whether a
-/// run of it got as far as backing its buffers. The native runtime keeps
-/// one behind its run lock, so a run that repeats a program — the paper's
-/// measurement loop, a re-recorded op — derives and backs nothing the key
-/// already pins. The simulator keeps none: a tuning sweep prices a new
-/// program per candidate, so every walk would miss and pay for the copy.
+/// the drivers read, and whether a run of it got as far as backing its
+/// buffers. The native runtime keeps one behind its run lock, so a run
+/// that repeats a program — the paper's measurement loop, a re-recorded
+/// op — derives and backs nothing the key already pins. The simulator
+/// keeps none: a tuning sweep prices a new program per candidate, so every
+/// walk would miss and pay for the copy.
 #[derive(Default)]
 pub(crate) struct WalkMemo {
     /// Everything `check::analyze` and `HbGraph::build` read, one word per
@@ -59,10 +59,8 @@ pub(crate) struct WalkMemo {
     /// The key's graph, with only its edges left — `None` until a recorded
     /// run hands one back, and while a run walks it.
     graph: Option<HbGraph>,
-    /// The key's program passed the analyzer without an error.
-    checked: bool,
     /// A run of the key's program reached the native `execute`: its
-    /// `prepare` passed `Program::validate` and the events-table check, both
+    /// `prepare` passed `Program::validate` and the analyzer, both
     /// functions of the key alone, and it backed every buffer the program
     /// touches. Backed storage never shrinks (see [`crate::buffer`]) and the
     /// key holds the buffer count and every buffer an action names, so the
@@ -73,9 +71,9 @@ pub(crate) struct WalkMemo {
 impl WalkMemo {
     /// Make the key describe `ctx`'s program and plan: compare word by
     /// word, and from the first difference on rewrite it in place and
-    /// forget the graph and every bit. The same pass finds the first kernel
-    /// without a native body, which the native executor refuses once the
-    /// front end's own refusals are through.
+    /// forget the graph and the `ran` bit. The same pass finds the first
+    /// kernel without a native body, which the native executor refuses once
+    /// the front end's own refusals are through.
     pub(crate) fn admit<'c>(&mut self, ctx: &'c Context) -> Option<&'c KernelDesc> {
         let mut key = KeyWriter {
             key: &mut self.key,
@@ -141,7 +139,6 @@ impl WalkMemo {
         key.put(program.barriers);
         if !key.finish() {
             self.graph = None;
-            self.checked = false;
             self.ran = false;
         }
         bodiless
@@ -201,26 +198,20 @@ impl KeyWriter<'_> {
 }
 
 /// Everything both executors do before their first action, once and in
-/// one order: validate the program; the check gate (analyze under the
-/// context's [`CheckMode`], refuse error-severity findings when enforcing
-/// — a FIFO run in mode `Off` analyzes nothing); refuse live buffers that
-/// exceed one card's memory (every buffer conceptually has an instance on
-/// each card it is used from); fire the fault plan's allocation faults;
-/// plan under a non-FIFO scheduler, or else take the gate's happens-before
-/// graph (built here when the gate made none) and refuse its wait cycle;
-/// refuse an events table that disagrees with the event actions, which the
-/// graph's event edges follow.
+/// one order: validate the program (its events table included); analyze it
+/// and refuse error-severity findings; refuse live buffers that exceed one
+/// card's memory (every buffer conceptually has an instance on each card it
+/// is used from); fire the fault plan's allocation faults; plan under a
+/// non-FIFO scheduler, or else take the analysis's happens-before graph.
 ///
 /// A plan is priced by `cost`, or by a model built here when the caller has
 /// none — only then: a FIFO run builds no cost model.
 ///
-/// A FIFO run given a `memo` that has admitted the program takes its graph
-/// from there when it holds one — built once, it passed the wait-cycle
-/// refusal then — skips the gate's analysis when the program was checked
-/// clean, and skips validation and the events-table check once a run of
-/// the program reached execution. A graph kept from a run in mode `Off`
-/// was never checked, so an enforcing run still analyzes it. The card-memory and allocation-fault
-/// refusals read what the key does not hold, so they run each time.
+/// A FIFO run given a `memo` whose admitted program already ran skips
+/// validation and analysis — no run reaches execution without passing
+/// both, and both are functions of the key — and takes the graph kept from
+/// that run. The card-memory and allocation-fault refusals read what the
+/// key does not hold, so they run each time.
 pub(crate) fn prepare(
     ctx: &Context,
     cost: Option<&CostModel>,
@@ -228,25 +219,17 @@ pub(crate) fn prepare(
 ) -> Result<Walk> {
     let program = ctx.program();
     let kind = ctx.scheduler();
-    let mut memo = memo.filter(|_| kind == SchedulerKind::Fifo);
+    let memo = memo.filter(|_| kind == SchedulerKind::Fifo);
     let ran = memo.as_ref().is_some_and(|memo| memo.ran);
-    if !ran {
+    let analysis = if ran {
+        None
+    } else {
         program.validate()?;
-    }
-    let checked = memo.as_ref().is_some_and(|memo| memo.checked);
-    let analysis = match (ctx.check_mode(), kind) {
-        (CheckMode::Off, SchedulerKind::Fifo) => None,
-        _ if checked => None,
-        (mode, _) => {
-            let made = ctx.analyze();
-            if let Some(memo) = memo.as_deref_mut() {
-                memo.checked = made.report.is_clean();
-            }
-            if mode == CheckMode::Enforce && !made.report.is_clean() {
-                return Err(Error::Check(Box::new(made.report)));
-            }
-            Some(made)
+        let made = ctx.analyze();
+        if !made.report.is_clean() {
+            return Err(Error::Check(Box::new(made.report)));
         }
+        Some(made)
     };
     let capacity = ctx.config().device.memory_bytes;
     let requested: u64 = ctx.buffers.iter().map(Buffer::bytes).sum();
@@ -264,48 +247,41 @@ pub(crate) fn prepare(
             });
         }
     }
-    // Unclean or empty programs fall back to the recorded order.
+    // Empty programs fall back to the recorded order.
     let planned = match (&analysis, cost) {
+        _ if kind == SchedulerKind::Fifo => None,
         (None, _) => None,
-        (Some(_), _) if kind == SchedulerKind::Fifo => None,
         (Some(made), Some(cost)) => plan_analyzed(program, made, cost, kind),
         (Some(made), None) => plan_analyzed(program, made, &ctx.cost_model()?, kind),
     };
-    let walk = match planned {
+    Ok(match planned {
         Some((schedule, graph)) => Walk::Scheduled(schedule, graph),
         None => {
             let kept = memo.and_then(|memo| memo.graph.take());
+            // A hit whose graph a panicking run never handed back builds
+            // it again.
             let hb = match (kept, analysis) {
                 (Some(hb), _) => hb,
                 (None, Some(made)) => made.hb,
                 (None, None) => HbGraph::build(program),
             };
+            // The drivers' guard against a cyclic graph: an analysed
+            // program has no wait cycle, so it cannot reach this refusal.
             hb.order().map_err(wait_cycle)?;
             Walk::Recorded(hb)
         }
-    };
-    if !ran {
-        for (si, stream) in program.streams.iter().enumerate() {
-            for (ai, action) in stream.actions.iter().enumerate() {
-                if let Action::RecordEvent(e) | Action::WaitEvent(e) = action {
-                    if !program.event_site_matches(si, ai) {
-                        return Err(Error::UnknownEvent(*e));
-                    }
-                }
-            }
-        }
-    }
-    Ok(walk)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use crate::action::Action;
+    use crate::check::CheckCode;
     use crate::context::Context;
     use crate::fault::FaultPlan;
     use crate::kernel::{KernelCtx, KernelDesc};
     use crate::types::{BufId, Error, EventId, StreamId};
-    use crate::{CheckMode, SchedulerKind};
+    use crate::SchedulerKind;
     use micsim::compute::KernelProfile;
     use micsim::pcie::Direction;
     use micsim::PlatformConfig;
@@ -329,75 +305,104 @@ mod tests {
 
     #[test]
     fn both_executors_refuse_the_same_programs() {
-        use CheckMode::{Enforce, Off, WarnOnly};
-        const EVERY_MODE: &[CheckMode] = &[Off, WarnOnly, Enforce];
-        type Row = (&'static str, &'static [CheckMode], fn() -> Context);
-        let rows: [Row; 6] = [
-            ("an invalid barrier sequence", EVERY_MODE, || {
-                let mut ctx = clean();
-                ctx.barrier();
-                ctx.program_mut().streams[1].actions.pop();
-                ctx
-            }),
-            ("a race", &[Enforce], || {
-                // A second h2d of `a`, unordered with stream 1's d2h.
-                let mut ctx = clean();
-                ctx.h2d(ctx.stream(0).unwrap(), BufId(0)).unwrap();
-                ctx
-            }),
-            ("a wait cycle", &[Off], || {
-                // Stream 0 first waits for a record stream 1 makes last.
-                let mut ctx = clean();
-                let back = ctx.record_event(ctx.stream(1).unwrap()).unwrap();
-                let program = ctx.program_mut();
-                program.streams[0]
-                    .actions
-                    .insert(0, Action::WaitEvent(back));
-                program.events[0].action_index += 1;
-                ctx
-            }),
+        type Row = (&'static str, fn(&Error) -> bool, fn() -> Context);
+        fn analyzer(err: &Error, code: CheckCode) -> bool {
+            matches!(err, Error::Check(report) if report.errors().any(|d| d.code == code))
+        }
+        let rows: [Row; 7] = [
+            (
+                "an invalid barrier sequence",
+                |err| matches!(err, Error::Config(_)),
+                || {
+                    let mut ctx = clean();
+                    ctx.barrier();
+                    ctx.program_mut().streams[1].actions.pop();
+                    ctx
+                },
+            ),
+            (
+                "a race",
+                |err| analyzer(err, CheckCode::Race),
+                || {
+                    // A second h2d of `a`, unordered with stream 1's d2h.
+                    let mut ctx = clean();
+                    ctx.h2d(ctx.stream(0).unwrap(), BufId(0)).unwrap();
+                    ctx
+                },
+            ),
+            (
+                "a wait cycle",
+                |err| analyzer(err, CheckCode::DeadlockCycle),
+                || {
+                    // Stream 0 first waits for a record stream 1 makes last.
+                    let mut ctx = clean();
+                    let back = ctx.record_event(ctx.stream(1).unwrap()).unwrap();
+                    let program = ctx.program_mut();
+                    program.streams[0]
+                        .actions
+                        .insert(0, Action::WaitEvent(back));
+                    program.events[0].action_index += 1;
+                    ctx
+                },
+            ),
             (
                 "an events table that points at a non-record",
-                &[Off, WarnOnly],
+                |err| matches!(err, Error::UnknownEvent(EventId(0))),
                 || {
                     let mut ctx = clean();
                     ctx.program_mut().events[0].action_index = 0;
                     ctx
                 },
             ),
-            ("an allocation fault", EVERY_MODE, || {
-                let mut ctx = clean();
-                ctx.set_fault_plan(Some(FaultPlan::seeded(1).fail_alloc(0)));
-                ctx
-            }),
-            ("a program larger than one card", EVERY_MODE, || {
-                let mut ctx = clean();
-                // 9 GiB of lazy buffers on an 8 GiB card: nothing is backed.
-                for i in 0..9 {
-                    ctx.alloc(format!("g{i}"), 1 << 28);
-                }
-                ctx
-            }),
+            (
+                "a record slid off its events-table entry",
+                |err| matches!(err, Error::UnknownEvent(EventId(0))),
+                || {
+                    let mut ctx = clean();
+                    let h2d = ctx.program().streams[0].actions[0].clone();
+                    ctx.program_mut().streams[0].actions.insert(0, h2d);
+                    ctx
+                },
+            ),
+            (
+                "an allocation fault",
+                |err| matches!(err, Error::Fault { .. }),
+                || {
+                    let mut ctx = clean();
+                    ctx.set_fault_plan(Some(FaultPlan::seeded(1).fail_alloc(0)));
+                    ctx
+                },
+            ),
+            (
+                "a program larger than one card",
+                |err| matches!(err, Error::OutOfMemory { .. }),
+                || {
+                    let mut ctx = clean();
+                    // 9 GiB of lazy buffers on an 8 GiB card: nothing is backed.
+                    for i in 0..9 {
+                        ctx.alloc(format!("g{i}"), 1 << 28);
+                    }
+                    ctx
+                },
+            ),
         ];
         // A refusal's report carries how long the analysis took.
         let shape = |err: &Error| match err {
             Error::Check(report) => format!("Check({:?})", report.diagnostics),
             refused => format!("{refused:?}"),
         };
-        for (defect, modes, build) in rows {
+        for (defect, refusal, build) in rows {
             for kind in [SchedulerKind::Fifo, SchedulerKind::ListHeft] {
-                for &mode in modes {
-                    let mut ctx = build();
-                    ctx.set_scheduler(kind);
-                    ctx.set_check_mode(mode);
-                    let at = format!("{defect} under {kind:?}, {mode:?}");
-                    let sim = ctx.run_sim().map(|_| ()).expect_err(&at);
-                    let native = match ctx.run_native().map(|_| ()).expect_err(&at) {
-                        Error::Run(failure) => failure.cause,
-                        refused => refused,
-                    };
-                    assert_eq!(shape(&sim), shape(&native), "{at}");
-                }
+                let mut ctx = build();
+                ctx.set_scheduler(kind);
+                let at = format!("{defect} under {kind:?}");
+                let sim = ctx.run_sim().map(|_| ()).expect_err(&at);
+                let native = match ctx.run_native().map(|_| ()).expect_err(&at) {
+                    Error::Run(failure) => failure.cause,
+                    refused => refused,
+                };
+                assert!(refusal(&sim), "{at}: {sim:?}");
+                assert_eq!(shape(&sim), shape(&native), "{at}");
             }
         }
     }
@@ -469,9 +474,11 @@ mod tests {
         found.expect("stream 1 launches `add`")
     }
 
+    type Outcome = std::result::Result<Vec<Vec<u32>>, String>;
+
     /// Reset every host copy, run natively, and read every host copy back
     /// as bits — or the refusal's shape.
-    fn memo_outcome(ctx: &Context) -> std::result::Result<Vec<Vec<u32>>, String> {
+    fn memo_outcome(ctx: &Context) -> Outcome {
         for i in 0..ctx.buffer_count() {
             let fill: Vec<f32> = (0..8).map(|j| (10 * i + j) as f32).collect();
             ctx.write_host(BufId(i), &fill).unwrap();
@@ -492,6 +499,23 @@ mod tests {
         }
     }
 
+    /// Whatever the memo holds, a run refuses a program that fails
+    /// validation or the analyzer exactly as they do, the analyzer's
+    /// report included.
+    fn assert_gated(ctx: &Context, outcome: &Outcome, what: &str) {
+        let refusal = match ctx.program().validate() {
+            Err(refused) => format!("{refused:?}"),
+            Ok(()) => {
+                let report = ctx.analyze().report;
+                if report.is_clean() {
+                    return;
+                }
+                format!("Check({:?})", report.diagnostics)
+            }
+        };
+        assert_eq!(outcome, &Err(refusal), "{what}: gated");
+    }
+
     #[test]
     fn a_memo_hit_skips_only_what_an_earlier_run_completed() {
         type Change = fn(&mut Context);
@@ -510,11 +534,8 @@ mod tests {
                 true,
             ),
             (
-                "an events table that disagrees with the actions, run twice under Off",
-                |ctx| {
-                    ctx.set_check_mode(CheckMode::Off);
-                    ctx.program_mut().events[1].action_index = 0;
-                },
+                "an events table that disagrees with the actions, run twice",
+                |ctx| ctx.program_mut().events[1].action_index = 0,
                 |_| {},
                 true,
             ),
@@ -541,9 +562,11 @@ mod tests {
             memo_base(&mut warm);
             first(&mut warm);
             let once = memo_outcome(&warm);
+            assert_gated(&warm, &once, what);
             let before = key(&warm);
             then(&mut warm);
             let got = memo_outcome(&warm);
+            assert_gated(&warm, &got, what);
             assert_eq!(key(&warm), before, "{what}: hit");
             assert_eq!(once.is_err(), refused, "{what}: {once:?}");
             let mut fresh = memo_context();
@@ -559,9 +582,15 @@ mod tests {
     #[test]
     fn a_memoised_walk_is_reused_only_for_the_same_program() {
         type Change = fn(&mut Context);
+        // The clean program runs first, so a runtime holds the memo the
+        // refused runs leave their key in.
+        let racy: Change = |ctx| {
+            ctx.run_native().unwrap();
+            add(ctx).reads = [B, C, X].into_iter().collect();
+        };
         // (what changes, applied before the first run, the change, whether
         // the memo's key survives it).
-        let rows: [(&str, Change, Change, bool); 12] = [
+        let rows: [(&str, Change, Change, bool); 13] = [
             (
                 "a kernel's read set",
                 |_| {},
@@ -638,14 +667,15 @@ mod tests {
                 },
                 false,
             ),
+            ("a racy program, run twice", racy, |_| {}, true),
             (
-                "a race run under Off, then under Enforce",
+                "a racy program, then the clean one recorded again",
+                racy,
                 |ctx| {
-                    ctx.set_check_mode(CheckMode::Off);
-                    add(ctx).reads = [B, C, X].into_iter().collect();
+                    ctx.reset_program();
+                    memo_base(ctx);
                 },
-                |ctx| ctx.set_check_mode(CheckMode::Enforce),
-                true,
+                false,
             ),
             (
                 "a relabelled kernel with another body",
@@ -666,10 +696,12 @@ mod tests {
         for (change, first, then, hit) in rows {
             let mut warm = memo_context();
             first(&mut warm);
-            let _ = memo_outcome(&warm);
+            let once = memo_outcome(&warm);
+            assert_gated(&warm, &once, change);
             let before = key(&warm);
             then(&mut warm);
             let got = memo_outcome(&warm);
+            assert_gated(&warm, &got, change);
             let mut fresh = memo_context();
             first(&mut fresh);
             then(&mut fresh);

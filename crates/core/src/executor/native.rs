@@ -2099,10 +2099,11 @@ mod tests {
     }
 
     #[test]
-    fn native_refuses_a_wait_cycle_with_the_checker_off() {
+    fn native_refuses_a_wait_cycle_before_any_driver_waits() {
         // The cycle of `native_refuses_deadlocked_program_instead_of_hanging`
-        // with no gate in front of it: walking the graph finds it, where two
-        // drivers following event flags would sleep on each other for good.
+        // recorded in front of each stream's record: the analyzer refuses it
+        // before two drivers following event flags could sleep on each
+        // other for good.
         let mut ctx = small_ctx(2);
         let (s0, s1) = (ctx.stream(0).unwrap(), ctx.stream(1).unwrap());
         let e_a = ctx.record_event(s0).unwrap();
@@ -2116,10 +2117,10 @@ mod tests {
         ctx.program_mut().events[e_a.0].action_index = 1;
         ctx.program_mut().events[e_b.0].action_index = 1;
         ctx.program.validate().unwrap();
-        ctx.set_check_mode(crate::check::CheckMode::Off);
         let err = within(5, move || ctx.run_native().unwrap_err());
         assert!(
-            matches!(&err, Error::Config(m) if m.contains("wait cycle")),
+            matches!(&err, Error::Check(report)
+                if report.errors().any(|d| d.code == crate::check::CheckCode::DeadlockCycle)),
             "{err}"
         );
     }
@@ -2137,8 +2138,7 @@ mod tests {
         ctx.d2h(s1, a).unwrap();
         ctx.run_native().unwrap();
         ctx.program_mut().events[e.0].action_index = 0;
-        ctx.program.validate().unwrap();
-        ctx.set_check_mode(crate::check::CheckMode::Off);
+        assert!(matches!(ctx.program.validate(), Err(Error::UnknownEvent(x)) if x == e));
         for err in [ctx.run_native().unwrap_err(), ctx.run_sim().unwrap_err()] {
             assert!(matches!(err, Error::UnknownEvent(x) if x == e), "{err}");
         }

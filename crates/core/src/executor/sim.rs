@@ -5,10 +5,10 @@
 //!
 //! * **what to walk** comes from the executors' one front end
 //!   ([`prepare`](super) — validation, the check gate, the card-memory and
-//!   allocation-fault refusals, the events-table check), which the native
-//!   executor walks too. A recorded walk is the checker's happens-before
-//!   graph ([`crate::check::HbGraph`] — per-stream FIFO, event edges from
-//!   the events table, barrier joins), the one the gate already built; the
+//!   allocation-fault refusals), which the native executor walks too. A
+//!   recorded walk is the checker's happens-before graph
+//!   ([`crate::check::HbGraph`] — per-stream FIFO, event edges from the
+//!   events table, barrier joins), the one the gate already built; the
 //!   lowering is a single pass over its topological order, one engine task
 //!   per node, a node's dependencies the tasks of its predecessors. A
 //!   `Barrier` action creates no task (the task it waited behind stands in
@@ -543,23 +543,18 @@ mod tests {
             program.events[e_b.0].action_index = 1;
         }
         let err = ctx.run_sim().unwrap_err();
-        assert!(err.to_string().contains("cycle"), "{err}");
-        // With the checker off the graph still refuses: the lowering walks
-        // the checker's order, and a cyclic graph has none.
-        ctx.set_check_mode(crate::check::CheckMode::Off);
-        let err = ctx.run_sim().unwrap_err();
         assert!(
-            matches!(&err, Error::Config(m) if m.contains("wait cycle s")),
+            matches!(&err, Error::Check(report)
+                if report.errors().any(|d| d.code == crate::check::CheckCode::DeadlockCycle)),
             "{err}"
         );
     }
 
     #[test]
-    fn wait_before_its_record_through_a_barrier_is_refused_with_the_checker_off() {
+    fn wait_before_its_record_through_a_barrier_is_refused() {
         // s0 = [wait e, barrier], s1 = [barrier, record e]: the record is
-        // causally after the wait. No hang, no panic, a typed error — in
-        // every check mode.
-        use crate::check::CheckMode;
+        // causally after the wait. No hang, no panic: the analyzer's typed
+        // refusal.
         let mut ctx = Context::builder(PlatformConfig::phi_31sp())
             .partitions(2)
             .build()
@@ -570,15 +565,6 @@ mod tests {
         ctx.wait_event(s0, e).unwrap();
         ctx.program_mut().streams[0].actions.swap(0, 1);
         ctx.program.validate().unwrap();
-        for mode in [CheckMode::Off, CheckMode::WarnOnly] {
-            ctx.set_check_mode(mode);
-            let err = ctx.run_sim().unwrap_err();
-            assert!(
-                matches!(&err, Error::Config(m) if m.contains("cycle")),
-                "{mode:?}: {err}"
-            );
-        }
-        ctx.set_check_mode(CheckMode::Enforce);
         assert!(matches!(ctx.run_sim(), Err(Error::Check(_))));
     }
 
@@ -586,9 +572,8 @@ mod tests {
     fn a_program_whose_events_table_disagrees_with_its_actions_is_refused() {
         // The graph's event edges follow the events table. A hand-edited
         // program whose record moved without the table would simulate with
-        // the wait ordered after the *wrong* action; `Enforce` refuses it
-        // in the checker, `WarnOnly`/`Off` must not price it either.
-        use crate::check::CheckMode;
+        // the wait ordered after the *wrong* action: `Program::validate`
+        // refuses it, so neither installing nor running it gets further.
         let build = || {
             let mut ctx = Context::builder(PlatformConfig::phi_31sp())
                 .partitions(2)
@@ -613,18 +598,12 @@ mod tests {
         dangling.program_mut().events[e.0].action_index = 0;
 
         for ctx in [&mut moved, &mut dangling] {
-            ctx.program.validate().unwrap();
-            for mode in [CheckMode::Off, CheckMode::WarnOnly] {
-                ctx.set_check_mode(mode);
-                let err = ctx.run_sim().unwrap_err();
-                assert!(
-                    matches!(err, Error::UnknownEvent(x) if x == e),
-                    "{mode:?}: {err}"
-                );
-            }
+            let unknown = |err: Error| matches!(err, Error::UnknownEvent(x) if x == e);
+            assert!(unknown(ctx.program.validate().unwrap_err()));
+            assert!(unknown(ctx.run_sim().unwrap_err()));
+            let program = ctx.program().clone();
+            assert!(unknown(ctx.install_program(program).unwrap_err()));
         }
-        moved.set_check_mode(CheckMode::Enforce);
-        assert!(matches!(moved.run_sim(), Err(Error::Check(_))));
         assert!(consistent > SimDuration::ZERO);
     }
 

@@ -82,8 +82,7 @@ pub mod types;
 
 pub use buffer::{Buffer, Elem};
 pub use check::{
-    Analysis, CheckClass, CheckCode, CheckEnv, CheckMode, CheckReport, HazardWitness, Severity,
-    WitnessKind,
+    Analysis, CheckClass, CheckCode, CheckEnv, CheckReport, HazardWitness, Severity, WitnessKind,
 };
 pub use context::Context;
 pub use executor::native::{NativeConfig, NativeReport};

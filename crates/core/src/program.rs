@@ -158,7 +158,7 @@ impl Program {
     /// `events[e]`, a `WaitEvent(e)`'s `events[e]` holds a `RecordEvent(e)`.
     /// The editing accessors below keep this; a hand-built program may
     /// not, and then the happens-before graph (which follows the table)
-    /// and the actions disagree.
+    /// and the actions disagree — [`Program::validate`] refuses it.
     pub(crate) fn event_site_matches(&self, stream: usize, index: usize) -> bool {
         let at = |s: usize, i: usize| self.streams.get(s).and_then(|s| s.actions.get(i));
         let site = |e: &EventId| self.events.get(e.0).map(|t| (t.stream.0, t.action_index));
@@ -280,14 +280,17 @@ impl Program {
     ///
     /// * every `WaitEvent` references a recorded event;
     /// * no stream waits on an event it records itself (deadlock);
+    /// * the events table agrees with the event actions: a record sits at
+    ///   its own table entry, and a wait's entry holds its record (the
+    ///   happens-before graph's event edges follow the table);
     /// * every kernel's read/write sets are disjoint;
     /// * every stream contains the same barrier sequence `0..barriers`
     ///   (the context API enforces this by construction; executors rely
     ///   on it for their barrier implementations).
     pub fn validate(&self) -> Result<()> {
-        for s in &self.streams {
+        for (si, s) in self.streams.iter().enumerate() {
             let mut barrier_cursor = 0usize;
-            for action in &s.actions {
+            for (ai, action) in s.actions.iter().enumerate() {
                 match action {
                     Action::WaitEvent(e) => {
                         let site = self.events.get(e.0).ok_or(Error::UnknownEvent(*e))?;
@@ -297,9 +300,12 @@ impl Program {
                                 event: *e,
                             });
                         }
+                        if !self.event_site_matches(si, ai) {
+                            return Err(Error::UnknownEvent(*e));
+                        }
                     }
                     Action::RecordEvent(e) => {
-                        if self.events.get(e.0).is_none() {
+                        if !self.event_site_matches(si, ai) {
                             return Err(Error::UnknownEvent(*e));
                         }
                     }
@@ -394,6 +400,66 @@ mod tests {
         p.streams
             .push(stream(0, vec![Action::WaitEvent(EventId(0))]));
         assert!(matches!(p.validate(), Err(Error::UnknownEvent(_))));
+    }
+
+    #[test]
+    fn an_events_table_that_disagrees_with_the_actions_is_rejected() {
+        let h2d = || Action::Transfer {
+            dir: Direction::HostToDevice,
+            buf: crate::types::BufId(0),
+        };
+        let site = |s: usize, i: usize| EventSite {
+            stream: StreamId(s),
+            action_index: i,
+        };
+        // (what, the streams' actions, the table, the event refused).
+        let rows = [
+            (
+                "a record slid off its table entry",
+                vec![vec![h2d(), Action::RecordEvent(EventId(0))], vec![]],
+                vec![site(0, 0)],
+                EventId(0),
+            ),
+            (
+                "a table entry that points at a non-record",
+                vec![vec![Action::RecordEvent(EventId(0)), h2d()], vec![]],
+                vec![site(0, 1)],
+                EventId(0),
+            ),
+            (
+                "a wait whose event's site is not a record",
+                vec![
+                    vec![Action::WaitEvent(EventId(0))],
+                    vec![h2d(), Action::RecordEvent(EventId(0))],
+                ],
+                vec![site(1, 0)],
+                EventId(0),
+            ),
+            (
+                "a wait whose event's site is another event's record",
+                vec![
+                    vec![Action::WaitEvent(EventId(1))],
+                    vec![
+                        Action::RecordEvent(EventId(0)),
+                        Action::RecordEvent(EventId(1)),
+                    ],
+                ],
+                vec![site(1, 0), site(1, 0)],
+                EventId(1),
+            ),
+        ];
+        for (what, actions, events, refused) in rows {
+            let mut p = Program::default();
+            for (i, actions) in actions.into_iter().enumerate() {
+                p.streams.push(stream(i, actions));
+            }
+            p.events = events;
+            assert!(
+                matches!(p.validate(), Err(Error::UnknownEvent(e)) if e == refused),
+                "{what}: {:?}",
+                p.validate()
+            );
+        }
     }
 
     #[test]

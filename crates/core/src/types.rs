@@ -118,8 +118,7 @@ pub enum Error {
     Compute(micsim::compute::ComputeError),
     /// The static analyzer found error-severity defects (deadlocks, races,
     /// dangling references); the full report is attached. See
-    /// [`crate::check`] and
-    /// [`CheckMode`](crate::check::CheckMode) for the opt-out knob.
+    /// [`crate::check`].
     Check(Box<crate::check::CheckReport>),
     /// A native run failed after it started; the failure carries what the
     /// run left behind. Displays as its cause.

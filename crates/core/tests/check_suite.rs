@@ -1,9 +1,8 @@
 //! Integration tests for the static analyzer as wired into the runtime:
-//! both executors refuse error-severity programs by default, the
-//! [`CheckMode`] knob opts out, a refusal carries its report, and
-//! [`Context::analyze`] returns it either way.
+//! both executors refuse error-severity programs, a refusal carries its
+//! report, and [`Context::analyze`] returns it without running anything.
 
-use hstreams::check::{analyze, CheckCode, CheckEnv, CheckMode, Severity};
+use hstreams::check::{analyze, CheckCode, CheckEnv, Severity};
 use hstreams::context::Context;
 use hstreams::kernel::KernelDesc;
 use hstreams::program::{EventSite, Program};
@@ -64,32 +63,6 @@ fn native_refuses_racy_program_by_default() {
     let mut c = ctx(2);
     record_racy_program(&mut c);
     assert!(matches!(c.run_native(), Err(Error::Check(_))));
-}
-
-#[test]
-fn warn_only_mode_runs_and_analyze_keeps_the_findings() {
-    let mut c = ctx(2);
-    c.set_check_mode(CheckMode::WarnOnly);
-    record_racy_program(&mut c);
-    // The native executor serializes conflicting buffer access with locks,
-    // so the deliberately-racy experiment still completes.
-    c.run_native().unwrap();
-    let report = c.analyze().report;
-    assert!(report.errors().any(|d| d.code == CheckCode::Race));
-}
-
-#[test]
-fn off_mode_skips_analysis_entirely() {
-    let mut c = Context::builder(PlatformConfig::phi_31sp())
-        .partitions(2)
-        .check_mode(CheckMode::Off)
-        .build()
-        .unwrap();
-    assert_eq!(c.check_mode(), CheckMode::Off);
-    record_racy_program(&mut c);
-    // The race is there; no gate looked for it.
-    c.run_sim().unwrap();
-    assert!(!c.analyze().report.is_clean());
 }
 
 #[test]

@@ -65,25 +65,13 @@ pub trait Evaluator {
 /// native threads, identical numbers on every call.
 pub struct SimEvaluator {
     ctx: Context,
-    optimize: bool,
 }
 
 impl SimEvaluator {
     /// Build the shared context for `platform`.
     pub fn new(platform: PlatformConfig) -> hstreams::types::Result<SimEvaluator> {
         let ctx = Context::builder(platform).build()?;
-        Ok(SimEvaluator {
-            ctx,
-            optimize: false,
-        })
-    }
-
-    /// Run the sync-elision optimizer
-    /// ([`Context::apply_optimizer`]) over every recorded candidate before
-    /// simulating it — the tuner's opt-in to [`hstreams::opt`].
-    pub fn with_optimizer(mut self, on: bool) -> SimEvaluator {
-        self.optimize = on;
-        self
+        Ok(SimEvaluator { ctx })
     }
 
     /// The shared context (e.g. to inspect buffers after tuning).
@@ -103,9 +91,6 @@ impl Evaluator for SimEvaluator {
         }
         self.ctx.replan(p).ok()?;
         app.record(&mut self.ctx, t).ok()?;
-        if self.optimize {
-            self.ctx.apply_optimizer();
-        }
         let report = self.ctx.run_sim().ok()?;
         let stats = report.overlap();
         Some(Measurement {
@@ -132,9 +117,6 @@ impl Evaluator for SimEvaluator {
         }
         self.ctx.replan(p).ok()?;
         app.record(&mut self.ctx, t).ok()?;
-        if self.optimize {
-            self.ctx.apply_optimizer();
-        }
         Some(self.ctx.static_cost()?.makespan_lower_bound)
     }
 }
@@ -286,25 +268,6 @@ mod tests {
         // Non-FIFO schedulers re-place the program: the bound declines.
         ev.set_scheduler(SchedulerKind::ListHeft);
         assert!(ev.lower_bound(&mut app, 4, 8).is_none());
-    }
-
-    #[test]
-    fn sim_evaluator_with_optimizer_measures_identically_on_minimal_apps() {
-        // The tunable apps record already-minimal sync, so opting into the
-        // optimizer must not change what the simulator measures.
-        // One app per evaluator: a Tunable binds to the context it first
-        // records into.
-        let mut plain = SimEvaluator::new(PlatformConfig::phi_31sp()).unwrap();
-        let a = plain
-            .evaluate(&mut TunableHbench::new(1 << 14, 8, None), 4, 8)
-            .unwrap();
-        let mut opted = SimEvaluator::new(PlatformConfig::phi_31sp())
-            .unwrap()
-            .with_optimizer(true);
-        let b = opted
-            .evaluate(&mut TunableHbench::new(1 << 14, 8, None), 4, 8)
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -31,8 +31,9 @@ fn main() -> hstreams::Result<()> {
     ctx.kernel(s1, kernel("consume").reading([a]).writing([b]))?;
     ctx.d2h(s1, b)?;
 
-    // Executors run this analysis by default and refuse; `analyze()` runs
-    // it on demand so we can render the annotated listing ourselves.
+    // Executors run this analysis before they run a program and refuse;
+    // `analyze()` runs it on demand so we can render the annotated listing
+    // ourselves.
     let analysis = ctx.analyze();
     println!("--- annotated program (racy) ---");
     print!("{}", ctx.program().dump_annotated(&analysis.report));

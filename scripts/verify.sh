@@ -91,7 +91,15 @@ for pat in 'fn drive_stream' 'fn dispatch_driver' 'GraphDispatch' 'EventFlag' 'B
   fi
 done
 
-echo "==> one run front end (both executors take their walk from executor::prepare: one gate, one plan, one events-table check)"
+echo "==> one run front end (both executors take their walk from executor::prepare: one gate that every run passes, one plan; Program::validate checks the events table)"
+if grep -rnF 'CheckMode' crates/; then
+  echo "  'CheckMode' is back under crates/ (every run is checked: errors always refuse, Context::analyze reports without running)"
+  exit 1
+fi
+if nontest crates/core/src/executor/mod.rs | grep -nF 'event_site_matches('; then
+  echo "  'event_site_matches(' is back in non-test crates/core/src/executor/mod.rs (Program::validate checks the events table in its one walk of the actions)"
+  exit 1
+fi
 for f in crates/core/src/executor/native.rs crates/core/src/executor/sim.rs crates/core/src/context.rs; do
   for pat in 'enforce_check' 'plan_analyzed(' 'HbGraph::build(' 'event_site_matches(' 'alloc_fails('; do
     if nontest "$f" | grep -nF "$pat"; then
@@ -247,7 +255,7 @@ if grep -rn 'struct LeaseTable' crates/core/; then
 fi
 # `pub fn` and `pub mod` lines of non-test crates/core/src code. Lower the
 # bound when the surface shrinks; never raise it.
-surface_max=222
+surface_max=219
 surface=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
             nontest "$f"
           done | { grep -cE '^[[:space:]]*pub (fn|mod)[[:space:]]' || true; })

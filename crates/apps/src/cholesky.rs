@@ -29,12 +29,14 @@
 //! copy of `B` (SYRK and GEMM), and a solve on the transpose of its rows,
 //! where each column step is one vector operation across every row of the
 //! thread's split (TRSM, and POTRF on the tile's own transpose). Each body
-//! is written once; one dispatch point runs it compiled for AVX2 where the
-//! host has it and for the baseline 128-bit target otherwise. Every output
-//! element is one chain of multiply-adds in a fixed order, and Rust neither
-//! contracts nor reassociates floats, so the bits are the same on every
-//! host and for every `threads` split. [`reference()`] is a separate scalar
-//! loop that shares no code with them.
+//! is written once; one dispatch point runs it compiled for AVX-512F where
+//! the host has it, for AVX2 and FMA where it has those, and for the
+//! baseline 128-bit target otherwise, each tier with blocks shaped to its
+//! register file. Every output element is one chain of fused multiply-adds
+//! in a fixed order, and a fused step rounds once whichever instruction
+//! computes it, so the bits are the same on every host and for every
+//! `threads` split. [`reference()`] is a separate scalar loop that shares
+//! no code with them.
 
 use std::array::from_fn;
 use std::cell::Cell;
@@ -149,22 +151,31 @@ fn serial_potrf(a: &mut [f32], b: usize) {
 }
 
 /// Columns of one micro-kernel block, and the granule every transposed
-/// row is padded to: two 256-bit registers of `f32`, or four 128-bit ones.
+/// row is padded to: one 512-bit register of `f32`, two 256-bit ones or
+/// four 128-bit ones.
 const NR: usize = 16;
 
-/// Rows of one micro-kernel block at each vector width: either way the
-/// block's `rows × NR` accumulators fill eight of the target's sixteen
-/// vector registers, leaving room for the loads and broadcasts that feed
-/// them. Four rows in 128-bit registers would be sixteen accumulators;
-/// they spill, and ran GEMM 15 % slower than two rows do.
+/// Rows of one micro-kernel block in each tier, from its register file:
+/// the block's `rows × NR` accumulators are eight of the baseline's and
+/// AVX2's sixteen vector registers and sixteen of AVX-512's thirty-two,
+/// leaving room for the loads and broadcasts that feed them, and at least
+/// eight independent fused chains cover the multiply-add latency on both
+/// ports. Four rows in 128-bit registers would be sixteen accumulators;
+/// they spill, and ran GEMM 15 % slower than two rows do. Sixteen AVX-512
+/// rows ran `cf_native` ≈ 10 % faster than eight.
 const BASE_ROWS: usize = 2;
 const AVX2_ROWS: usize = 4;
+const AVX512_ROWS: usize = 16;
 
-/// Lanes of one chunk of a solve's column step: four 256-bit or eight
-/// 128-bit accumulators, enough independent add chains to keep both vector
-/// ports busy. A transposed row is padded to [`NR`] lanes only, so a
-/// 12-row split runs one 16-lane chunk, not a 32-lane one.
-const LANES: usize = 32;
+/// Lanes of one full chunk of a solve's column step in each tier: eight
+/// 128-bit or eight 256-bit accumulators, enough independent chains to
+/// keep both vector ports busy, or four 512-bit ones, which is all a
+/// 64-row tile has. A transposed row is padded to [`NR`] lanes only, so
+/// what is left after the last full chunk is one chunk of one to three
+/// `NR` granules.
+const BASE_LANES: usize = 32;
+const AVX2_LANES: usize = 64;
+const AVX512_LANES: usize = 64;
 
 /// Row `r` of a row-major tile of edge `b`.
 fn row(tile: &[f32], b: usize, r: usize) -> &[f32] {
@@ -191,10 +202,21 @@ fn transpose_into(dst: &mut Vec<f32>, src: &[f32], ld: usize, rows: usize, cols:
 /// of width `w`) — per `m`, one broadcast of each `a[i][m]` times one row
 /// segment of `bt`.
 ///
-/// Every element is its own chain of multiply-adds in `m` order from zero,
-/// and Rust neither contracts nor reassociates floats, so its bits depend
-/// on neither the block's shape, nor the element's place in it, nor the
-/// instruction set the chain is compiled for.
+/// Every element is its own chain of [`f32::mul_add`] steps in `m` order
+/// from zero. A fused step rounds once, whether a vector FMA instruction or
+/// the baseline's correctly rounded `fmaf` computes it, and Rust never
+/// reassociates the chain, so its bits depend on neither the block's shape,
+/// nor the element's place in it, nor the instruction set it is compiled
+/// for.
+///
+/// The shape of the loops is what keeps every build vectorized
+/// (EXPERIMENTS.md, "CF tile kernels at full FMA width"). Rows are
+/// innermost, so the loop the compiler widens runs over the `N` columns
+/// whether or not it unrolls the rows; with rows outside it, a
+/// `-Ccodegen-units=1` build left the AVX-512 row loop rolled and scalar.
+/// The rows are cut to `k` in place and `m` counts to `k`, so the loads of
+/// `a[i][m]` share one bounds check per step; cut with `array::map` and
+/// counted by `take(k)`, they kept one each.
 #[inline(always)]
 fn micro<const ROWS: usize, const N: usize>(
     a: [&[f32]; ROWS],
@@ -203,14 +225,20 @@ fn micro<const ROWS: usize, const N: usize>(
     c0: usize,
 ) -> [[f32; N]; ROWS] {
     let k = a[0].len();
-    let a = a.map(|r| &r[..k]);
+    let mut a = a;
+    for r in &mut a {
+        *r = &r[..k];
+    }
     let mut acc = [[0.0f32; N]; ROWS];
-    for (m, bt_row) in bt.chunks_exact(w).take(k).enumerate() {
+    for (m, bt_row) in (0..k).zip(bt.chunks_exact(w)) {
         let bv: &[f32; N] = bt_row[c0..c0 + N].try_into().expect("N columns");
-        for (acc, a) in acc.iter_mut().zip(a) {
-            let x = a[m];
-            for (acc, y) in acc.iter_mut().zip(bv) {
-                *acc += x * y;
+        let mut x = [0.0f32; ROWS];
+        for (x, a) in x.iter_mut().zip(&a) {
+            *x = a[m];
+        }
+        for (j, &y) in bv.iter().enumerate() {
+            for (acc, &x) in acc.iter_mut().zip(&x) {
+                acc[j] = x.mul_add(y, acc[j]);
             }
         }
     }
@@ -281,19 +309,25 @@ fn subtract_block<const N: usize>(
 /// One column step of a solve on transposed rows `xt` (rows of width `w`,
 /// a multiple of [`NR`]): `xt[c][l] -= Σ_m coef[m] · xt[m][l]` for every
 /// lane `l` from `lane0`, `m < coef.len() ≤ c` — one vector operation per
-/// `m` across every row the lanes hold, [`LANES`] at a time and `NR` for
-/// the rest. The sum runs in `m` order from zero and is subtracted once,
-/// so a lane's bits do not depend on which lanes share its step.
+/// `m` across every row the lanes hold, `LANES` at a time and the rest in
+/// one chunk of as many `NR` granules as it has. The sum is a chain of
+/// fused steps in `m` order from zero and is subtracted once, so a lane's
+/// bits do not depend on which lanes share its step.
 #[inline(always)]
-fn column_step(xt: &mut [f32], w: usize, c: usize, coef: &[f32], lane0: usize) {
+fn column_step<const LANES: usize>(xt: &mut [f32], w: usize, c: usize, coef: &[f32], lane0: usize) {
+    const { assert!(LANES.is_multiple_of(NR) && LANES <= 4 * NR) };
     let (done, rest) = xt.split_at_mut(c * w);
     let mut l0 = lane0;
     while l0 + LANES <= w {
         column_chunk::<LANES>(done, &mut rest[l0..l0 + LANES], w, coef, l0);
         l0 += LANES;
     }
-    if l0 < w {
-        column_chunk::<NR>(done, &mut rest[l0..l0 + NR], w, coef, l0);
+    let out = &mut rest[l0..w];
+    match out.len() / NR {
+        0 => {}
+        1 => column_chunk::<NR>(done, out, w, coef, l0),
+        2 => column_chunk::<{ 2 * NR }>(done, out, w, coef, l0),
+        _ => column_chunk::<{ 3 * NR }>(done, out, w, coef, l0),
     }
 }
 
@@ -304,8 +338,8 @@ fn column_chunk<const N: usize>(done: &[f32], out: &mut [f32], w: usize, coef: &
     let mut acc = [0.0f32; N];
     for (done_row, &k) in done.chunks_exact(w).zip(coef) {
         let src: &[f32; N] = done_row[l0..l0 + N].try_into().expect("N lanes");
-        for (acc, x) in acc.iter_mut().zip(src) {
-            *acc += k * x;
+        for (acc, &x) in acc.iter_mut().zip(src) {
+            *acc = k.mul_add(x, *acc);
         }
     }
     for (out, acc) in out.iter_mut().zip(acc) {
@@ -318,13 +352,13 @@ fn column_chunk<const N: usize>(done: &[f32], out: &mut [f32], w: usize, coef: &
 /// column `c` is one [`column_step`] against `l`'s row `c` across every
 /// row of `x`, then one division by `l[c][c]`.
 #[inline(always)]
-fn solve(x: &mut [f32], b: usize, l: &[f32], scratch: &mut Vec<f32>) {
+fn solve<const LANES: usize>(x: &mut [f32], b: usize, l: &[f32], scratch: &mut Vec<f32>) {
     let h = x.len() / b;
     let w = h.next_multiple_of(NR);
     transpose_into(scratch, x, b, h, b, w);
     for c in 0..b {
         let l_row = row(l, b, c);
-        column_step(scratch, w, c, &l_row[..c], 0);
+        column_step::<LANES>(scratch, w, c, &l_row[..c], 0);
         let d = l_row[c];
         for v in &mut scratch[c * w..(c + 1) * w] {
             *v /= d;
@@ -345,12 +379,12 @@ fn solve(x: &mut [f32], b: usize, l: &[f32], scratch: &mut Vec<f32>) {
 /// diagonal it computes feed only each other and are never copied back.
 /// The strictly-upper part is zeroed.
 #[inline(always)]
-fn factor(a: &mut [f32], b: usize, scratch: &mut Vec<f32>) {
+fn factor<const LANES: usize>(a: &mut [f32], b: usize, scratch: &mut Vec<f32>) {
     let w = b.next_multiple_of(NR);
     transpose_into(scratch, a, b, b, b, w);
     for c in 0..b {
         let lane0 = c - c % NR;
-        column_step(scratch, w, c, &row(a, b, c)[..c], lane0);
+        column_step::<LANES>(scratch, w, c, &row(a, b, c)[..c], lane0);
         let col = &mut scratch[c * w..(c + 1) * w];
         let d = col[c];
         assert!(d > 0.0, "matrix not positive definite at column {c}");
@@ -383,10 +417,10 @@ enum Body<'a> {
 }
 
 impl Body<'_> {
-    /// The body with `ROWS`-high micro-kernel blocks; every `ROWS` gives
-    /// the same bits.
+    /// The body in one tier's shape: `ROWS`-high micro-kernel blocks and
+    /// `LANES`-wide column-step chunks. Every shape gives the same bits.
     #[inline(always)]
-    fn run<const ROWS: usize>(self, b: usize, scratch: &mut Vec<f32>) {
+    fn run<const ROWS: usize, const LANES: usize>(self, b: usize, scratch: &mut Vec<f32>) {
         match self {
             Body::Update {
                 rows,
@@ -395,8 +429,8 @@ impl Body<'_> {
                 bm,
                 lower,
             } => update::<ROWS>(rows, first_row, b, a, bm, lower, scratch),
-            Body::Solve { rows, l } => solve(rows, b, l, scratch),
-            Body::Factor { tile } => factor(tile, b, scratch),
+            Body::Solve { rows, l } => solve::<LANES>(rows, b, l, scratch),
+            Body::Factor { tile } => factor::<LANES>(tile, b, scratch),
         }
     }
 }
@@ -406,29 +440,43 @@ thread_local! {
     static SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// The one dispatch point: run `body` in 256-bit registers where the host
-/// has AVX2, and as compiled for the baseline target otherwise. Both give
-/// the same bits.
+/// The one dispatch point: run `body` in 512-bit registers where the host
+/// has AVX-512F, in 256-bit ones where it has AVX2 and FMA, and as compiled
+/// for the baseline target otherwise. Every tier gives the same bits.
 fn run(body: Body<'_>, b: usize) {
     let mut scratch = SCRATCH.take();
     match body {
         #[cfg(target_arch = "x86_64")]
-        body if is_x86_feature_detected!("avx2") => {
-            // SAFETY: `run_avx2` needs AVX2 and what AVX2 implies, and the
-            // host was just found to have it.
+        body if is_x86_feature_detected!("avx512f") => {
+            // SAFETY: `run_avx512` needs AVX-512F and what AVX-512F implies
+            // (AVX2 and FMA among it), and the host was just found to have it.
+            unsafe { run_avx512(body, b, &mut scratch) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        body if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") => {
+            // SAFETY: `run_avx2` needs AVX2, FMA and what they imply, and the
+            // host was just found to have both.
             unsafe { run_avx2(body, b, &mut scratch) }
         }
-        body => body.run::<BASE_ROWS>(b, &mut scratch),
+        body => body.run::<BASE_ROWS, BASE_LANES>(b, &mut scratch),
     }
     SCRATCH.set(scratch);
 }
 
-/// [`Body::run`] compiled with AVX2: every body fn is `#[inline(always)]`,
-/// so all of it lands in this one function and uses 256-bit registers.
+/// [`Body::run`] compiled with AVX-512F: every body fn is
+/// `#[inline(always)]`, so all of it lands in this one function and uses
+/// 512-bit registers and fused multiply-adds.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512(body: Body<'_>, b: usize, scratch: &mut Vec<f32>) {
+    body.run::<AVX512_ROWS, AVX512_LANES>(b, scratch);
+}
+
+/// [`Body::run`] compiled with AVX2 and FMA, for hosts without AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
 fn run_avx2(body: Body<'_>, b: usize, scratch: &mut Vec<f32>) {
-    body.run::<AVX2_ROWS>(b, scratch);
+    body.run::<AVX2_ROWS, AVX2_LANES>(b, scratch);
 }
 
 /// The four tile kernels at tile edge `b`. Each native body is built once
@@ -971,11 +1019,11 @@ mod tests {
     fn micro_kernel_matches_naive_dots_wherever_a_pair_sits() {
         let w = 3 * NR;
         for k in [0, 2].into_iter().chain(EDGES) {
-            let a = util::random_vec(k as u64, AVX2_ROWS * k, -1.0, 1.0);
+            let a = util::random_vec(k as u64, AVX512_ROWS * k, -1.0, 1.0);
             let bt = util::random_vec(100 + k as u64, k * w, -1.0, 1.0);
-            let a_rows: [_; AVX2_ROWS] = from_fn(|i| &a[i * k..(i + 1) * k]);
+            let a_rows: [_; AVX512_ROWS] = from_fn(|i| &a[i * k..(i + 1) * k]);
             for c0 in [0, 3] {
-                let got = micro::<AVX2_ROWS, NR>(a_rows, &bt, w, c0);
+                let got = micro::<AVX512_ROWS, NR>(a_rows, &bt, w, c0);
                 for (i, a_row) in a_rows.into_iter().enumerate() {
                     for j in 0..NR {
                         let column: Vec<f32> = (0..k).map(|m| bt[m * w + c0 + j]).collect();
@@ -1017,7 +1065,15 @@ mod tests {
                         let what = format!("b={b} rows {first_row}+{height} lower={lower}");
                         assert_close(&got, &want, 1e-4, &what);
                         let mut taller = before.to_owned();
-                        update::<AVX2_ROWS>(&mut taller, first_row, b, &a, bm, lower, &mut scratch);
+                        update::<AVX512_ROWS>(
+                            &mut taller,
+                            first_row,
+                            b,
+                            &a,
+                            bm,
+                            lower,
+                            &mut scratch,
+                        );
                         assert_eq!(bits(&taller), bits(&got), "{what}: block height moved bits");
                         if lower {
                             for i in 0..height {
@@ -1043,9 +1099,12 @@ mod tests {
             for height in (1..=b.min(4)).chain([b]) {
                 let mut got = util::random_vec(400 + b as u64, height * b, -1.0, 1.0);
                 let mut want = got.clone();
-                solve(&mut got, b, &l, &mut scratch);
+                let mut wide = got.clone();
+                solve::<BASE_LANES>(&mut got, b, &l, &mut scratch);
+                solve::<AVX512_LANES>(&mut wide, b, &l, &mut scratch);
                 naive_trsm(&mut want, b, &l);
                 assert_close(&got, &want, 1e-4, &format!("b={b} height={height}"));
+                assert_close(&wide, &want, 1e-4, &format!("b={b} height={height} wide"));
             }
         }
     }
@@ -1056,11 +1115,15 @@ mod tests {
         for b in EDGES {
             let mut a = spd_tile(b as u64, b);
             let mut got = a.clone();
-            factor(&mut got, b, &mut scratch);
+            let mut wide = a.clone();
+            factor::<BASE_LANES>(&mut got, b, &mut scratch);
+            factor::<AVX512_LANES>(&mut wide, b, &mut scratch);
             serial_potrf(&mut a, b);
             assert_close(&got, &a, 1e-4, &format!("potrf b={b}"));
+            assert_close(&wide, &a, 1e-4, &format!("potrf b={b} wide"));
             for r in 0..b {
                 assert!(got[r * b + r + 1..(r + 1) * b].iter().all(|&x| x == 0.0));
+                assert!(wide[r * b + r + 1..(r + 1) * b].iter().all(|&x| x == 0.0));
             }
         }
     }
@@ -1101,20 +1164,65 @@ mod tests {
         }
     }
 
-    /// The body as the baseline target compiles it, called directly on a
-    /// whole tile.
-    fn baseline(body: Body<'_>, b: usize) {
-        body.run::<BASE_ROWS>(b, &mut Vec::new());
+    /// One tier's compile of [`Body::run`] over one thread's share.
+    type Tier = fn(Body<'_>, usize, &mut Vec<f32>);
+
+    /// The body as the baseline target compiles it.
+    fn baseline(body: Body<'_>, b: usize, scratch: &mut Vec<f32>) {
+        body.run::<BASE_ROWS, BASE_LANES>(b, scratch);
+    }
+
+    /// Every tier wrapper this host can run, the baseline compile first.
+    fn tiers() -> Vec<(&'static str, Tier)> {
+        let mut tiers: Vec<(&'static str, Tier)> = vec![("baseline", baseline)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                tiers.push(("avx2+fma", |body, b, scratch| {
+                    // SAFETY: listed only where the host has AVX2 and FMA.
+                    unsafe { run_avx2(body, b, scratch) }
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(("avx512f", |body, b, scratch| {
+                    // SAFETY: listed only where the host has AVX-512F.
+                    unsafe { run_avx512(body, b, scratch) }
+                }));
+            }
+        }
+        tiers
+    }
+
+    /// `tier`'s TRSM, SYRK or GEMM on `out` split over `threads` shares the
+    /// way [`TileKernels`] splits it.
+    fn split_body(
+        tier: Tier,
+        kind: &str,
+        reads: &[&[f32]],
+        out: &mut [f32],
+        b: usize,
+        threads: usize,
+    ) {
+        hstreams::parallel::par_rows_mut(out, b, threads, |first_row, rows| {
+            let body = match kind {
+                "trsm" => Body::Solve { rows, l: reads[0] },
+                _ => Body::Update {
+                    rows,
+                    first_row,
+                    a: reads[0],
+                    bm: reads[reads.len() - 1],
+                    lower: kind == "syrk",
+                },
+            };
+            tier(body, b, &mut Vec::new());
+        });
     }
 
     #[test]
     fn kernels_are_bit_identical_for_every_instruction_set() {
-        #[cfg(target_arch = "x86_64")]
-        let wide = is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
-        if !wide {
-            println!("skipped: this host has no AVX2, so every kernel runs the baseline compile");
+        let tiers = tiers();
+        if tiers.len() == 1 {
+            println!("skipped: this host has no AVX2+FMA or AVX-512F, so every kernel runs the baseline compile");
             return;
         }
         for b in EDGES {
@@ -1122,59 +1230,48 @@ mod tests {
             let p = util::random_vec(500 + b as u64, b * b, -1.0, 1.0);
             let q = util::random_vec(600 + b as u64, b * b, -1.0, 1.0);
             let start = util::random_vec(700 + b as u64, b * b, -1.0, 1.0);
-            let (mut gemm, mut syrk, mut trsm) = (start.clone(), start.clone(), start.clone());
-            baseline(
-                Body::Update {
-                    rows: &mut gemm,
-                    first_row: 0,
-                    a: &p,
-                    bm: &q,
-                    lower: false,
-                },
-                b,
-            );
-            baseline(
-                Body::Update {
-                    rows: &mut syrk,
-                    first_row: 0,
-                    a: &p,
-                    bm: &p,
-                    lower: true,
-                },
-                b,
-            );
-            baseline(
-                Body::Solve {
-                    rows: &mut trsm,
-                    l: &l,
-                },
-                b,
-            );
             let kernels = TileKernels::new(b);
             let cases = [
-                (kernels.gemm("gemm"), vec![&p[..], &q], gemm),
-                (kernels.syrk("syrk"), vec![&p[..]], syrk),
-                (kernels.trsm("trsm"), vec![&l[..]], trsm),
+                (kernels.gemm("gemm"), vec![&p[..], &q]),
+                (kernels.syrk("syrk"), vec![&p[..]]),
+                (kernels.trsm("trsm"), vec![&l[..]]),
             ];
-            for (desc, reads, want) in &cases {
+            for (desc, reads) in &cases {
+                let kind = desc.label.as_str();
+                let mut want = start.clone();
+                split_body(baseline, kind, reads, &mut want, b, 1);
                 for threads in 1..=8 {
+                    for &(name, tier) in &tiers {
+                        let mut got = start.clone();
+                        split_body(tier, kind, reads, &mut got, b, threads);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{kind} {name} b={b} threads={threads}"
+                        );
+                    }
+                    // And through the dispatch point, as a launch runs it.
                     let mut got = start.clone();
                     run_kernel(desc, reads, &mut got, threads);
                     assert_eq!(
                         bits(&got),
-                        bits(want),
-                        "{} b={b} threads={threads}",
-                        desc.label
+                        bits(&want),
+                        "{kind} dispatched b={b} threads={threads}"
                     );
                 }
             }
             // POTRF factors its tile on one thread.
             let a = spd_tile(b as u64, b);
             let mut want = a.clone();
-            baseline(Body::Factor { tile: &mut want }, b);
+            baseline(Body::Factor { tile: &mut want }, b, &mut Vec::new());
+            for &(name, tier) in &tiers {
+                let mut got = a.clone();
+                tier(Body::Factor { tile: &mut got }, b, &mut Vec::new());
+                assert_eq!(bits(&got), bits(&want), "potrf {name} b={b}");
+            }
             let mut got = a;
             run_kernel(&kernels.potrf("potrf"), &[], &mut got, 1);
-            assert_eq!(bits(&got), bits(&want), "potrf b={b}");
+            assert_eq!(bits(&got), bits(&want), "potrf dispatched b={b}");
         }
     }
 }

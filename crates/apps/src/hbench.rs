@@ -10,6 +10,7 @@
 //! * [`partition_program`] — Fig. 7: 128 resident blocks, kernels only,
 //!   swept over the partition count, plus the non-tiled `ref` variant.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use hstreams::context::Context;
@@ -59,10 +60,21 @@ pub fn kernel_with(
         .with_body(body.clone())
 }
 
-/// The hBench kernel with a native body of its own: `B[i] = A[i] + α`,
-/// `iters` times.
+thread_local! {
+    /// The last body [`kernel`] built on this thread, with its `iters`.
+    static BODY: RefCell<Option<(usize, KernelFn)>> = const { RefCell::new(None) };
+}
+
+/// The hBench kernel, `B[i] = A[i] + α` `iters` times: launches recorded
+/// on one thread with the same `iters` share one native body.
 pub fn kernel(label: impl Into<InlineStr>, elems: usize, iters: usize) -> KernelDesc {
-    kernel_with(label, elems, iters, &body(iters))
+    BODY.with_borrow_mut(|cached| {
+        let shared = match cached {
+            Some((n, shared)) if *n == iters => shared,
+            _ => &cached.insert((iters, body(iters))).1,
+        };
+        kernel_with(label, elems, iters, shared)
+    })
 }
 
 /// Serial reference of the kernel.
@@ -338,5 +350,26 @@ mod tests {
             got_all.extend(ctx.read_host(b).unwrap());
         }
         assert_close(&got_all, &expected_all, 1e-4, "hbench native");
+    }
+
+    #[test]
+    fn kernels_recorded_with_the_same_iters_share_one_body() {
+        let body = |k: &KernelDesc| {
+            k.native
+                .clone()
+                .expect("hBench kernels carry native bodies")
+        };
+        let (a, b, other) = (kernel("a", 64, 3), kernel("b", 128, 3), kernel("c", 64, 4));
+        assert!(Arc::ptr_eq(&body(&a), &body(&b)));
+        assert!(!Arc::ptr_eq(&body(&a), &body(&other)));
+        // The cache has moved on to `iters` 4; `a` keeps its own body.
+        let input = [1.0f32, -2.0];
+        let mut out = [0.0f32; 2];
+        body(&a)(&mut hstreams::kernel::KernelCtx {
+            reads: &[&input],
+            writes: &mut [&mut out],
+            threads: 1,
+        });
+        assert_eq!(out, [1.0 + 3.0 * ALPHA, -2.0 + 3.0 * ALPHA]);
     }
 }

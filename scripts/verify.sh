@@ -233,20 +233,24 @@ if nontest crates/core/src/trace.rs | grep -nF 'Atomic'; then
   exit 1
 fi
 
-echo "==> one SIMD dispatch (the CF tile kernels' AVX2 wrapper is the only feature check and the only target_feature fn)"
+echo "==> one SIMD dispatch (the CF tile kernels' dispatch fn run holds every feature check; one target_feature wrapper per tier)"
 simd=$(grep -rlE 'is_x86_feature_detected!|#\[target_feature' --include='*.rs' \
          crates shims src tests examples bench/e2e/src | sort -u)
 if [ "$simd" != "crates/apps/src/cholesky.rs" ]; then
   echo "  a feature check or target_feature fn outside crates/apps/src/cholesky.rs: $(echo $simd)"
   exit 1
 fi
-for pat in 'is_x86_feature_detected!' '#[target_feature'; do
-  hits=$(nontest crates/apps/src/cholesky.rs | grep -cF "$pat" || true)
-  if [ "$hits" -ne 1 ]; then
-    echo "  '$pat' occurs $hits times in non-test cholesky.rs (one dispatch point, one wrapper)"
-    exit 1
-  fi
-done
+checks=$(nontest crates/apps/src/cholesky.rs | grep -cF 'is_x86_feature_detected!' || true)
+in_run=$(nontest crates/apps/src/cholesky.rs | sed -n '/^fn run(/,/^}/p' | grep -cF 'is_x86_feature_detected!' || true)
+if [ "$in_run" -eq 0 ] || [ "$checks" -ne "$in_run" ]; then
+  echo "  $checks feature checks in non-test cholesky.rs, $in_run of them in fn run (the one dispatch point holds them all)"
+  exit 1
+fi
+wrappers=$(nontest crates/apps/src/cholesky.rs | grep -cF '#[target_feature' || true)
+if [ "$wrappers" -ne 2 ]; then
+  echo "  $wrappers target_feature fns in non-test cholesky.rs (one wrapper per tier: AVX-512F, AVX2+FMA)"
+  exit 1
+fi
 
 echo "==> hstreams is the runtime (partition leasing lives in stream-serve; the core's public surface only shrinks)"
 if grep -rn 'struct LeaseTable' crates/core/; then

@@ -233,7 +233,7 @@ if nontest crates/core/src/trace.rs | grep -nF 'Atomic'; then
   exit 1
 fi
 
-echo "==> one SIMD dispatch (the CF tile kernels' dispatch fn run holds every feature check; one target_feature wrapper per tier)"
+echo "==> one SIMD dispatch (the CF tile kernels' dispatch fn run holds every feature check; one target_feature wrapper per vector tier)"
 simd=$(grep -rlE 'is_x86_feature_detected!|#\[target_feature' --include='*.rs' \
          crates shims src tests examples bench/e2e/src | sort -u)
 if [ "$simd" != "crates/apps/src/cholesky.rs" ]; then
@@ -248,7 +248,7 @@ if [ "$in_run" -eq 0 ] || [ "$checks" -ne "$in_run" ]; then
 fi
 wrappers=$(nontest crates/apps/src/cholesky.rs | grep -cF '#[target_feature' || true)
 if [ "$wrappers" -ne 2 ]; then
-  echo "  $wrappers target_feature fns in non-test cholesky.rs (one wrapper per tier: AVX-512F, AVX2+FMA)"
+  echo "  $wrappers target_feature fns in non-test cholesky.rs (one wrapper per vector tier: AVX-512F, AVX2+FMA)"
   exit 1
 fi
 

@@ -224,104 +224,6 @@ pub fn partition_program(
 mod tests {
     use super::*;
     use crate::util::assert_close;
-    use micsim::SimDuration;
-
-    const MB: u64 = 1 << 20;
-
-    #[test]
-    fn fig5_serial_link_sums_directions() {
-        // ID case: hd + dh = 16 constant => constant time ~2.5 ms.
-        let t = |hd, dh| {
-            transfer_program(PlatformConfig::phi_31sp(), hd, dh, MB)
-                .unwrap()
-                .run_sim()
-                .unwrap()
-                .makespan()
-                .as_millis_f64()
-        };
-        let id_times: Vec<f64> = (0..=16).map(|hd| t(hd, 16 - hd)).collect();
-        let first = id_times[0];
-        for v in &id_times {
-            assert!(
-                (v - first).abs() / first < 0.02,
-                "ID should be flat: {id_times:?}"
-            );
-        }
-        assert!((first - 2.5).abs() < 0.4, "ID level ≈ 2.5 ms, got {first}");
-        // CC case: 32 blocks ≈ double.
-        let cc = t(16, 16);
-        assert!((cc / first - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn fig5_full_duplex_takes_max() {
-        let t = |hd, dh| {
-            transfer_program(PlatformConfig::phi_31sp_full_duplex(), hd, dh, MB)
-                .unwrap()
-                .run_sim()
-                .unwrap()
-                .makespan()
-                .as_millis_f64()
-        };
-        let balanced = t(8, 8);
-        let one_way = t(16, 0);
-        assert!(
-            (balanced - one_way / 2.0).abs() / balanced < 0.05,
-            "full duplex: 8+8 ({balanced}) ≈ half of 16+0 ({one_way})"
-        );
-    }
-
-    #[test]
-    fn fig6_streamed_between_ideal_and_serial() {
-        let elems = 4 << 20;
-        let iters = 40;
-        let run = |variant| {
-            overlap_program(PlatformConfig::phi_31sp(), elems, iters, 4, variant)
-                .unwrap()
-                .run_sim()
-                .unwrap()
-                .makespan()
-        };
-        let data = run(OverlapVariant::Data);
-        let kern = run(OverlapVariant::Kernel);
-        let serial = run(OverlapVariant::DataKernel);
-        let streamed = run(OverlapVariant::Streamed { tiles: 16 });
-        let ideal = data.max(kern);
-        assert!(
-            streamed > ideal,
-            "full overlap is unattainable: streamed {streamed} vs ideal {ideal}"
-        );
-        assert!(
-            streamed < serial,
-            "streaming must beat the serial flow: {streamed} vs {serial}"
-        );
-    }
-
-    #[test]
-    fn fig7_u_shape_and_ref_floor() {
-        let run = |p| {
-            partition_program(PlatformConfig::phi_31sp(), 128, 32 << 10, 100, p, true)
-                .unwrap()
-                .run_sim()
-                .unwrap()
-                .makespan()
-        };
-        let t1 = run(1);
-        let t8 = run(8);
-        let t128 = run(128);
-        let reference = partition_program(PlatformConfig::phi_31sp(), 128, 32 << 10, 100, 1, false)
-            .unwrap()
-            .run_sim()
-            .unwrap()
-            .makespan();
-        assert!(t1 > t8, "left edge of the U: {t1} > {t8}");
-        assert!(t128 > t8, "right edge of the U: {t128} > {t8}");
-        assert!(
-            reference < t8,
-            "non-tiled ref must beat every tiled config: {reference} vs {t8}"
-        );
-        assert!(reference > SimDuration::ZERO);
-    }
 
     #[test]
     fn native_kernel_matches_reference() {

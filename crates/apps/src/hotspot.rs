@@ -379,42 +379,4 @@ mod tests {
         assert!(var(&got) < var(&temp) * 0.6, "diffusion smooths the field");
         let _ = power;
     }
-
-    #[test]
-    fn streaming_gives_no_gain_in_sim() {
-        // Fig. 8(d): streamed Hotspot ≈ non-streamed.
-        let cfg = HotspotConfig {
-            rows: 4096,
-            cols: 4096,
-            iterations: 10,
-            tiles: 1,
-        };
-        let wo = simulate(&cfg, PlatformConfig::phi_31sp(), 1).unwrap();
-        let w = simulate(
-            &HotspotConfig { tiles: 16, ..cfg },
-            PlatformConfig::phi_31sp(),
-            4,
-        )
-        .unwrap();
-        let delta = (wo / w - 1.0).abs();
-        assert!(
-            delta < 0.30,
-            "hotspot gain should be near zero, got {:.1}%",
-            (wo / w - 1.0) * 100.0
-        );
-    }
-
-    #[test]
-    fn compact_partitions_win_in_sim() {
-        // Fig. 9(d): P≈33-37 beats small P thanks to cache-friendly shape.
-        let cfg = HotspotConfig {
-            rows: 8192,
-            cols: 8192,
-            iterations: 5,
-            tiles: 64,
-        };
-        let t2 = simulate(&cfg, PlatformConfig::phi_31sp(), 2).unwrap();
-        let t35 = simulate(&cfg, PlatformConfig::phi_31sp(), 35).unwrap();
-        assert!(t35 < t2, "P=35 ({t35}s) should beat P=2 ({t2}s)");
-    }
 }

@@ -488,48 +488,4 @@ mod tests {
         assert_eq!(centroid_shift(&a, &b, 2), 1.0);
         assert_eq!(centroid_shift(&a, &a, 2), 0.0);
     }
-
-    #[test]
-    fn more_partitions_cut_alloc_overhead_in_sim() {
-        // Fig. 9(c): execution time drops monotonically with partitions.
-        let cfg = KmeansConfig {
-            points: 112_000,
-            dims: 34,
-            k: 8,
-            iterations: 10,
-            tiles: 56,
-            alloc_micros: 5,
-        };
-        let t1 = simulate(&cfg, PlatformConfig::phi_31sp(), 1).unwrap();
-        let t8 = simulate(&cfg, PlatformConfig::phi_31sp(), 8).unwrap();
-        let t56 = simulate(&cfg, PlatformConfig::phi_31sp(), 56).unwrap();
-        assert!(t1 > t8 && t8 > t56, "kmeans: {t1} > {t8} > {t56}");
-        assert!(t1 / t56 > 3.0, "drop should be steep: {}", t1 / t56);
-    }
-
-    #[test]
-    fn streamed_beats_non_streamed_in_sim() {
-        // Fig. 8(c): ~24% gain at the best configuration.
-        let base = KmeansConfig {
-            points: 1_120_000,
-            dims: 34,
-            k: 8,
-            iterations: 20,
-            tiles: 1,
-            alloc_micros: 5,
-        };
-        let wo = simulate(&base, PlatformConfig::phi_31sp(), 1).unwrap();
-        let w = simulate(
-            &KmeansConfig { tiles: 4, ..base },
-            PlatformConfig::phi_31sp(),
-            4,
-        )
-        .unwrap();
-        let gain = wo / w - 1.0;
-        assert!(
-            (0.05..1.0).contains(&gain),
-            "kmeans streamed gain {:.1}% (paper: 24.1%)",
-            gain * 100.0
-        );
-    }
 }

@@ -267,57 +267,4 @@ mod tests {
         let got = select_neighbors(&ctx, &cfg, &bufs).unwrap();
         assert_eq!(got, reference(&cfg, &data));
     }
-
-    #[test]
-    fn partition_sweep_saturates_after_four() {
-        // Fig. 9(e): time falls until P≈4, then flattens (link-bound).
-        let cfg = NnConfig {
-            records: 5_242_880,
-            tiles: 512,
-            k: 10,
-            target: (40.0, 120.0),
-        };
-        let t1 = simulate(&cfg, PlatformConfig::phi_31sp(), 1).unwrap();
-        let t4 = simulate(&cfg, PlatformConfig::phi_31sp(), 4).unwrap();
-        let t16 = simulate(&cfg, PlatformConfig::phi_31sp(), 16).unwrap();
-        let t48 = simulate(&cfg, PlatformConfig::phi_31sp(), 48).unwrap();
-        assert!(t1 > t4 * 1.3, "sharp initial drop: {t1} vs {t4}");
-        let flat = (t16 - t48).abs() / t16;
-        assert!(flat < 0.15, "flat tail: t16={t16} t48={t48}");
-        assert!(t4 < t1 && t16 <= t4 * 1.05);
-    }
-
-    #[test]
-    fn streamed_gain_is_modest_in_sim() {
-        // Fig. 8(e): ~9% average gain — transfer-bound app.
-        let records = 2 << 20;
-        let wo = simulate(
-            &NnConfig {
-                records,
-                tiles: 1,
-                k: 10,
-                target: (40.0, 120.0),
-            },
-            PlatformConfig::phi_31sp(),
-            1,
-        )
-        .unwrap();
-        let w = simulate(
-            &NnConfig {
-                records,
-                tiles: 8,
-                k: 10,
-                target: (40.0, 120.0),
-            },
-            PlatformConfig::phi_31sp(),
-            4,
-        )
-        .unwrap();
-        let gain = wo / w - 1.0;
-        assert!(
-            (0.02..0.40).contains(&gain),
-            "NN gain {:.1}% should be modest",
-            gain * 100.0
-        );
-    }
 }

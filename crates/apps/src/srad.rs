@@ -560,22 +560,4 @@ mod tests {
             cv(&got)
         );
     }
-
-    #[test]
-    fn partition_curve_is_u_shaped_in_sim() {
-        // Fig. 9(f): performance first improves then degrades over P.
-        // Paper-scale geometry (Fig. 9(f) caption): 10000^2 image, 400 tiles.
-        let cfg = SradConfig {
-            rows: 10000,
-            cols: 10000,
-            lambda: 0.5,
-            iterations: 2,
-            tiles: 400,
-        };
-        let t1 = simulate(&cfg, PlatformConfig::phi_31sp(), 1).unwrap();
-        let t8 = simulate(&cfg, PlatformConfig::phi_31sp(), 8).unwrap();
-        let t50 = simulate(&cfg, PlatformConfig::phi_31sp(), 50).unwrap();
-        assert!(t8 < t1, "mid P beats P=1: {t8} vs {t1}");
-        assert!(t8 < t50, "mid P beats large misaligned P: {t8} vs {t50}");
-    }
 }

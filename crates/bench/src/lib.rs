@@ -1,27 +1,18 @@
 //! # mic-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper (see `src/bin/fig*.rs`), a few
-//! extension reports, and shared reporting helpers. Every binary prints
-//! its rows on stdout and exits 0; the figure binaries also write a CSV
-//! under `results/` (override with the `RESULTS_DIR` environment
-//! variable). No binary gates anything: every pass/fail property lives in
-//! a test.
+//! [`figures`] regenerates the paper's figures and tables on the
+//! simulator, one function per artifact; the `figures` binary prints them.
+//! Five report binaries measure the native executor, the tuner and the
+//! schedulers. Every binary prints its rows on stdout and exits 0; figures
+//! also write a CSV under `results/` (override with the `RESULTS_DIR`
+//! environment variable). No binary gates anything: every pass/fail
+//! property lives in a test.
 //!
-//! | binary | paper artifact |
+//! | binary | artifact |
 //! |---|---|
-//! | `fig05_transfer_overlap` | Fig. 5 — H2D/D2H serialization |
-//! | `fig06_compute_overlap` | Fig. 6 — transfer/kernel overlap |
-//! | `fig07_partition_micro` | Fig. 7 — resource granularity |
-//! | `fig08_overall` | Fig. 8 — w/ vs w/o for all six apps |
-//! | `fig09_partitions` | Fig. 9 — partition sweeps |
-//! | `fig10_tiles` | Fig. 10 — tile sweeps |
-//! | `fig11_multi_mic` | Fig. 11 — CF on multiple MICs |
-//! | `table_search_space` | Sec. V-C — pruning heuristics |
-//! | `table_model_vs_search` | (ext) tuning strategies head-to-head |
-//! | `ablation_platform` | (ext) mechanism-to-figure ablations |
+//! | `figures` | Figs. 5–11, Sec. V-C and the extensions of [`figures`], by id |
 //! | `native_overlap_study` | (ext) Fig. 6 regimes on the native executor |
 //! | `native_vs_sim_trace` | (ext) same program, sim vs traced-native overlap |
-//! | `ext_multi_mic_scaling` | (ext) Sec. VI on 1–4 cards |
 //! | `autotune` | (ext) closed-loop `(T, P)` tuning: exhaustive vs pruned vs model-seeded, sim + native |
 //! | `bench_sched` | (ext) FIFO vs HEFT vs work stealing, apps and synthetic rigs, sim + native |
 //! | `chaos` | (ext) cost of transfer retries and of a lost partition on streamed MM |
@@ -32,6 +23,8 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+
+pub mod figures;
 
 /// One plotted series: a name and `(x-label, value)` points.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,6 +86,17 @@ impl Figure {
     /// Add a series.
     pub fn add(&mut self, series: Series) {
         self.series.push(series);
+    }
+
+    /// The value of `series` in row `x`, if the figure has one.
+    pub fn value(&self, series: &str, x: impl std::fmt::Display) -> Option<f64> {
+        let x = x.to_string();
+        let series = self.series.iter().find(|s| s.name == series)?;
+        series
+            .points
+            .iter()
+            .find(|(px, _)| *px == x)
+            .map(|&(_, y)| y)
     }
 
     /// Render as a markdown table (series as columns, x as rows).

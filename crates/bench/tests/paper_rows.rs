@@ -1,0 +1,555 @@
+//! The paper's figure rows, pinned and checked.
+//!
+//! Every row `EXPERIMENTS.md` quotes is regenerated by the function of
+//! `mic_bench::figures` that owns its figure and compared, as text, with
+//! `tests/golden/<id>.csv`: a model change shows up as a reviewed diff of
+//! the paper's numbers. Figs. 9 and 10 are pinned on the quoted rows only
+//! (a full SRAD or Hotspot sweep costs seconds); every other function is
+//! pinned whole. The shape checks below read the same rows: the paper's
+//! findings (DESIGN.md §1) with their margins, and the five known
+//! deviations of EXPERIMENTS.md as they stand, so a model change that
+//! fixes or worsens one fails here.
+//!
+//! On a golden mismatch the test prints the regenerated text between
+//! `----- <id> -----` markers; review the diff, then copy it over the file.
+
+use std::fmt::Display;
+use std::sync::OnceLock;
+
+use mic_bench::figures::{self, App, Fig08Row};
+use mic_bench::Figure;
+use micsim::PlatformConfig;
+
+fn phi() -> PlatformConfig {
+    PlatformConfig::phi_31sp()
+}
+
+/// Fig. 9's quoted partition counts, per app in `App::ALL` order.
+const FIG09_ROWS: [&[usize]; 6] = [
+    &[1, 2, 4, 7, 8, 13, 14, 16, 28, 33, 35, 56],
+    &[1, 2, 4, 7, 8, 13, 14, 16, 28, 33, 35, 56],
+    &[1, 8, 28, 56],
+    &[1, 2, 28, 33, 34, 35, 36, 37, 56],
+    &[1, 4, 7, 11, 16, 48, 56],
+    &[1, 8, 28, 33, 50, 56],
+];
+
+/// Fig. 10's quoted tilings for Hotspot and SRAD; the other panels are
+/// pinned whole. The tails past them (Hotspot T ≥ 2048, SRAD T ≥ 625)
+/// cost seconds each.
+const FIG10_HOTSPOT: [usize; 6] = [1, 4, 16, 64, 256, 1024];
+const FIG10_SRAD: [usize; 8] = [1, 4, 9, 16, 25, 100, 169, 400];
+
+/// Each function's figures, computed once per test binary.
+macro_rules! rows {
+    ($name:ident, $build:expr) => {
+        fn $name() -> &'static [Figure] {
+            static ROWS: OnceLock<Vec<Figure>> = OnceLock::new();
+            ROWS.get_or_init(|| $build)
+        }
+    };
+}
+
+rows!(fig05, figures::fig05(&phi()));
+rows!(fig06, figures::fig06(&phi()));
+rows!(fig07, figures::fig07(&phi()));
+rows!(fig08, figures::fig08(&phi()));
+rows!(
+    fig09,
+    App::ALL
+        .iter()
+        .zip(FIG09_ROWS)
+        .map(|(&app, ps)| figures::fig09_panel(&phi(), app, ps.iter().copied()))
+        .collect()
+);
+rows!(
+    fig10,
+    App::ALL
+        .iter()
+        .map(|&app| {
+            let ts: &[usize] = match app {
+                App::Hotspot => &FIG10_HOTSPOT,
+                App::Srad => &FIG10_SRAD,
+                _ => app.fig10_tilings(),
+            };
+            figures::fig10_panel(&phi(), app, ts.iter().copied())
+        })
+        .collect()
+);
+rows!(fig11, figures::fig11(&phi()));
+rows!(sec5c, figures::sec5c(&phi()));
+rows!(ablation, figures::ablation(&phi()));
+rows!(ext, figures::ext_multi_mic_scaling(&phi()));
+
+/// The figure `id` among `figs`.
+fn figure<'a>(figs: &'a [Figure], id: &str) -> &'a Figure {
+    figs.iter()
+        .find(|f| f.id == id)
+        .unwrap_or_else(|| panic!("no figure {id}"))
+}
+
+/// The value of `series` in row `x` of figure `id`.
+fn at(figs: &[Figure], id: &str, series: &str, x: impl Display) -> f64 {
+    let x = x.to_string();
+    figure(figs, id)
+        .value(series, &x)
+        .unwrap_or_else(|| panic!("{id} has no {series} at {x}"))
+}
+
+/// The value of an app's one series in row `x` of its Fig. 9 or 10 panel.
+fn panel(figs: &[Figure], app: App, x: usize) -> f64 {
+    let fig = &figs[App::ALL.iter().position(|&a| a == app).unwrap()];
+    fig.value(&fig.series[0].name, x)
+        .unwrap_or_else(|| panic!("{} has no row {x}", fig.id))
+}
+
+/// Fig. 8's row of `dataset` in panel `id`, with the winner `fig08_best`
+/// names for it.
+fn fig08_row(id: &str, app: &str, dataset: &str) -> Fig08Row {
+    let best = |series| at(fig08(), "fig08_best", series, format!("{app} {dataset}"));
+    Fig08Row {
+        without: at(fig08(), id, "w/o", dataset),
+        with: at(fig08(), id, "w/", dataset),
+        p: best("P") as usize,
+        t: best("T") as usize,
+        gain: best("gain"),
+    }
+}
+
+fn golden(id: &str, figs: &[Figure]) {
+    let actual: String = figs
+        .iter()
+        .map(|f| format!("# {}\n{}", f.id, f.to_csv()))
+        .collect();
+    let path = format!("{}/tests/golden/{id}.csv", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    if actual != expected {
+        println!("----- {id} -----\n{actual}----- end {id} -----");
+        panic!("{path} differs from the regenerated rows printed above");
+    }
+}
+
+#[test]
+fn golden_fig05() {
+    golden("fig05", fig05());
+}
+
+#[test]
+fn golden_fig06() {
+    golden("fig06", fig06());
+}
+
+#[test]
+fn golden_fig07() {
+    golden("fig07", fig07());
+}
+
+#[test]
+fn golden_fig08() {
+    golden("fig08", fig08());
+}
+
+#[test]
+fn golden_fig09() {
+    golden("fig09", fig09());
+}
+
+#[test]
+fn golden_fig10() {
+    golden("fig10", fig10());
+}
+
+#[test]
+fn golden_fig11() {
+    golden("fig11", fig11());
+}
+
+#[test]
+fn golden_sec5c() {
+    golden("sec5c", sec5c());
+}
+
+#[test]
+fn golden_ablation() {
+    golden("ablation", ablation());
+}
+
+#[test]
+fn golden_ext_multi_mic_scaling() {
+    golden("ext_multi_mic_scaling", ext());
+}
+
+/// Fig. 5, finding 1: the ID case is flat at the one-way time (≈ 2.5 ms)
+/// and CC, both directions at once, takes twice as long.
+#[test]
+fn fig05_id_is_flat_and_cc_doubles_it() {
+    let id: Vec<f64> = (0..=16).map(|x| at(fig05(), "fig05", "ID", x)).collect();
+    let first = id[0];
+    for v in &id {
+        assert!(
+            (v - first).abs() / first < 0.02,
+            "ID should be flat: {id:?}"
+        );
+    }
+    assert!((first - 2.5).abs() < 0.4, "ID level ≈ 2.5 ms, got {first}");
+    let cc = at(fig05(), "fig05", "CC", 0);
+    assert!((cc / first - 2.0).abs() < 0.05, "CC {cc} vs ID {first}");
+}
+
+/// Fig. 5's ablation: on a full-duplex link 8 + 8 blocks take half of
+/// 16 + 0, the larger direction instead of the sum.
+#[test]
+fn fig05_full_duplex_takes_the_larger_direction() {
+    let balanced = at(fig05(), "fig05_duplex_ablation", "ID", 8);
+    let one_way = at(fig05(), "fig05_duplex_ablation", "CD", 16);
+    assert!(
+        (balanced - one_way / 2.0).abs() / balanced < 0.05,
+        "full duplex: 8+8 ({balanced}) ≈ half of 16+0 ({one_way})"
+    );
+}
+
+/// Fig. 6: the Kernel line crosses the flat Data line at 40 iterations.
+#[test]
+fn fig06_kernel_crosses_data_at_40_iterations() {
+    let at6 = |series, iters| at(fig06(), "fig06", series, iters);
+    assert!(
+        at6("Kernel", 35) < at6("Data", 35),
+        "below Data at 35 iterations"
+    );
+    assert!(
+        at6("Kernel", 40) > at6("Data", 40),
+        "above Data at 40 iterations"
+    );
+}
+
+/// Fig. 8(b): CF gains from streams by the paper's margin (+24.1 %).
+#[test]
+fn fig08_streamed_cf_gains_by_the_papers_margin() {
+    let row = fig08_row("fig08b_cf", "CF", "9600^2");
+    assert!(row.with > row.without, "{row:?}");
+    assert!(
+        (5.0..45.0).contains(&row.gain),
+        "CF gain should be large (paper: 24.1%), got {:.1}%",
+        row.gain
+    );
+}
+
+/// Fig. 8(a): MM gains, modestly (paper: +8.3 %).
+#[test]
+fn fig08_streamed_mm_gain_is_modest() {
+    let row = fig08_row("fig08a_mm", "MM", "6000^2");
+    assert!(row.with > row.without, "{row:?}");
+    assert!(
+        (2.5..25.0).contains(&row.gain),
+        "MM gain should be modest (paper: 8.3%), got {:.1}%",
+        row.gain
+    );
+}
+
+/// Fig. 8(c): non-overlappable Kmeans still gains (paper: +24.1 %).
+#[test]
+fn fig08_streamed_kmeans_gains() {
+    let row = fig08_row("fig08c_kmeans", "Kmeans", "1120K");
+    assert!(
+        (5.0..100.0).contains(&row.gain),
+        "kmeans streamed gain {:.1}% (paper: 24.1%)",
+        row.gain
+    );
+}
+
+/// Fig. 8(d): streamed Hotspot ≈ non-streamed.
+#[test]
+fn fig08_streamed_hotspot_gains_nothing() {
+    let row = fig08_row("fig08d_hotspot", "Hotspot", "4096^2");
+    assert!(
+        row.gain.abs() < 30.0,
+        "hotspot gain should be near zero, got {:.1}%",
+        row.gain
+    );
+}
+
+/// Fig. 8(e): NN is transfer-bound, its gain modest (paper: +9.2 %).
+#[test]
+fn fig08_streamed_nn_gain_is_modest() {
+    let row = fig08_row("fig08e_nn", "NN", "2048k");
+    assert!(
+        (2.0..40.0).contains(&row.gain),
+        "NN gain {:.1}% should be modest",
+        row.gain
+    );
+}
+
+/// Fig. 8 and Sec. V-A, finding 4: streams win on every dataset of the
+/// overlappable apps and of Kmeans; Hotspot averages ≈ 0; SRAD loses on
+/// the smallest image.
+#[test]
+fn fig08_streams_win_where_the_paper_says() {
+    let best = figure(fig08(), "fig08_best");
+    for app in ["MM ", "CF ", "Kmeans ", "NN "] {
+        for (label, gain) in &best.series[2].points {
+            if label.starts_with(app) {
+                assert!(*gain > 0.0, "{label}: streamed gain {gain:.2}%");
+            }
+        }
+    }
+    let hotspot = at(fig08(), "fig08_summary", "measured avg gain", "Hotspot");
+    assert!(hotspot.abs() < 3.0, "Hotspot average gain {hotspot:.2}%");
+    let srad = fig08_row("fig08f_srad", "SRAD", "1000^2");
+    assert!(srad.gain < 0.0, "SRAD loses on a small image: {srad:?}");
+}
+
+/// Fig. 9(a, b), finding 5: MM and CF spike where P divides 56. Every
+/// aligned P beats every misaligned one of the quoted rows by 30 % (CF:
+/// the aligned P up to 8, its envelope decays past them, deviation 5).
+#[test]
+fn fig09_mm_and_cf_spike_where_p_divides_56() {
+    let misaligned = [13, 16, 33, 35];
+    for (app, aligned) in [
+        (App::Mm, &[2, 4, 7, 8, 14, 28, 56][..]),
+        (App::Cf, &[2, 4, 7, 8]),
+    ] {
+        let low = aligned
+            .iter()
+            .map(|&p| panel(fig09(), app, p))
+            .fold(f64::INFINITY, f64::min);
+        let high = misaligned
+            .iter()
+            .map(|&p| panel(fig09(), app, p))
+            .fold(0.0, f64::max);
+        assert!(
+            low > high * 1.3,
+            "{app:?}: aligned ≥ {low:.1} vs misaligned ≤ {high:.1} GFLOPS"
+        );
+    }
+}
+
+/// Fig. 9(c): Kmeans' time drops steeply with the partition count.
+#[test]
+fn fig09_kmeans_falls_with_partitions() {
+    let t = |p| panel(fig09(), App::Kmeans, p);
+    assert!(
+        t(1) > t(8) && t(8) > t(56),
+        "kmeans: {} > {} > {}",
+        t(1),
+        t(8),
+        t(56)
+    );
+    assert!(t(1) / t(56) > 3.0, "drop should be steep: {}", t(1) / t(56));
+}
+
+/// Fig. 9(d): compact partitions (P = 35) beat few wide ones (P = 2).
+#[test]
+fn fig09_hotspot_compact_partitions_beat_few_wide_ones() {
+    let t = |p| panel(fig09(), App::Hotspot, p);
+    assert!(
+        t(35) < t(2),
+        "P=35 ({}s) should beat P=2 ({}s)",
+        t(35),
+        t(2)
+    );
+}
+
+/// Fig. 9(e): NN's time falls until P ≈ 4, then flattens (link-bound).
+#[test]
+fn fig09_nn_saturates_after_four() {
+    let t = |p| panel(fig09(), App::Nn, p);
+    let (t1, t4, t16, t48) = (t(1), t(4), t(16), t(48));
+    assert!(t1 > t4 * 1.3, "sharp initial drop: {t1} vs {t4}");
+    let flat = (t16 - t48).abs() / t16;
+    assert!(flat < 0.15, "flat tail: t16={t16} t48={t48}");
+    assert!(t4 < t1 && t16 <= t4 * 1.05);
+}
+
+/// Fig. 9(f): SRAD first improves, then degrades over P.
+#[test]
+fn fig09_srad_is_u_shaped() {
+    let t = |p| panel(fig09(), App::Srad, p);
+    assert!(t(8) < t(1), "mid P beats P=1: {} vs {}", t(8), t(1));
+    assert!(
+        t(8) < t(50),
+        "mid P beats large misaligned P: {} vs {}",
+        t(8),
+        t(50)
+    );
+}
+
+/// Fig. 10 at P = 4, finding 6: the optimum sits at small multiples of P
+/// (T = 4 for Kmeans and Hotspot, T = 100–144 for CF), and very large T
+/// pays per-task overhead.
+#[test]
+fn fig10_optimum_sits_at_small_multiples_of_p() {
+    let argbest = |app: App, better: fn(f64, f64) -> bool| {
+        let points = &fig10()[App::ALL.iter().position(|&a| a == app).unwrap()].series[0].points;
+        let mut best = &points[0];
+        for point in points {
+            if better(point.1, best.1) {
+                best = point;
+            }
+        }
+        best.0.clone()
+    };
+    assert_eq!(argbest(App::Kmeans, |a, b| a < b), "4");
+    assert_eq!(argbest(App::Hotspot, |a, b| a < b), "4");
+    let cf = argbest(App::Cf, |a, b| a > b);
+    assert!(cf == "100" || cf == "144", "CF peaks at T={cf}");
+    let t = |app, x| panel(fig10(), app, x);
+    assert!(
+        t(App::Cf, 400) < t(App::Cf, 144) * 0.9,
+        "CF decays past T=144"
+    );
+    assert!(
+        t(App::Nn, 2048) > t(App::Nn, 16) * 5.0,
+        "NN pays per-transfer latency"
+    );
+    assert!(
+        t(App::Hotspot, 1024) > t(App::Hotspot, 4) * 2.0,
+        "Hotspot pays launches"
+    );
+}
+
+/// Fig. 10(a, b): MM and CF at (D, T = 144, P = 4) land in the paper's
+/// GFLOPS bands.
+#[test]
+fn fig10_mm_and_cf_sit_in_the_papers_gflops_bands() {
+    let mm = panel(fig10(), App::Mm, 144);
+    assert!(
+        (250.0..700.0).contains(&mm),
+        "MM ≈ paper's hundreds of GFLOPS, got {mm}"
+    );
+    let cf = panel(fig10(), App::Cf, 144);
+    assert!(
+        (120.0..500.0).contains(&cf),
+        "CF ≈ paper's 128-512 GFLOPS band, got {cf}"
+    );
+}
+
+/// Fig. 11, finding 8: two cards beat one but stay below the 2x
+/// projection.
+#[test]
+fn fig11_two_mics_help_but_fall_short_of_projection() {
+    for dataset in ["14000^2", "16000^2"] {
+        let gf = |series| at(fig11(), "fig11", series, dataset);
+        let (one, two) = (gf("1-mic"), gf("2-mics"));
+        assert!(two > one, "{dataset}: 2 MICs ({two}) must beat 1 ({one})");
+        assert!(
+            two < gf("projected"),
+            "{dataset}: 2 MICs must fall short of 2x: {two}"
+        );
+        let speedup = two / one;
+        assert!(
+            (1.15..1.95).contains(&speedup),
+            "{dataset}: speedup {speedup} should be meaningful but sub-linear"
+        );
+    }
+}
+
+/// Sec. VI extended: MM on two cards is faster, but panel mirroring keeps
+/// it below the 2x projection.
+#[test]
+fn ext_two_card_mm_scales_sublinearly() {
+    let efficiency = at(ext(), "ext_multi_mic_scaling", "MM efficiency %", 2);
+    let speedup = 2.0 * efficiency / 100.0;
+    assert!(
+        (1.2..2.0).contains(&speedup),
+        "2-card MM speedup {speedup} should be real but sub-linear"
+    );
+}
+
+/// Sec. V-C, finding 7: the pruned candidate sets land within 1 % of the
+/// exhaustive optimum at over 200x fewer evaluations; the model's order
+/// reaches that optimum sooner, the model alone within 10 %.
+#[test]
+fn sec5c_pruning_lands_within_a_percent_at_a_fraction_of_the_cost() {
+    let get = |series, strategy| at(sec5c(), "sec5c", series, strategy);
+    let pruned = "pruned (Sec. V-C)";
+    let loss = get("vs exhaustive %", pruned);
+    assert!((0.0..1.0).contains(&loss), "pruned loss {loss:.2}%");
+    let fewer = get("evals", "exhaustive") / get("evals", pruned);
+    assert!(fewer > 200.0, "pruned needs {fewer:.0}x fewer evaluations");
+    let seeded = "model-seeded order";
+    assert_eq!(
+        get("vs exhaustive %", seeded),
+        loss,
+        "same candidates, same winner"
+    );
+    assert!(get("first hit", seeded) < get("first hit", pruned));
+    let model = get("vs exhaustive %", "analytical model");
+    assert!(
+        (0.0..10.0).contains(&model),
+        "analytical model loss {model:.2}%"
+    );
+}
+
+/// Deviation 1: Hotspot's Fig. 9(d) optimum sits at the aligned P = 28/56,
+/// 1.2–1.5x below the paper's P = 33–37, because the model's core-sharing
+/// penalty is app-independent.
+#[test]
+fn deviation1_hotspot_optimum_is_at_aligned_p_not_33_to_37() {
+    let t = |p| panel(fig09(), App::Hotspot, p);
+    let aligned = t(28).min(t(56));
+    let papers = (33..=37).map(t).fold(f64::INFINITY, f64::min);
+    let ratio = papers / aligned;
+    assert!(
+        (1.2..1.5).contains(&ratio),
+        "P=33-37 over aligned: {ratio:.3}"
+    );
+}
+
+/// Deviation 2: SRAD's best tiling is T = 4–100, not the paper's 400 (1.3–
+/// 1.8x slower here), and the paper's large-image streamed win is absent
+/// (Fig. 8(f) at 10000² is a small loss).
+#[test]
+fn deviation2_srad_best_t_is_4_to_100_and_no_large_dataset_win() {
+    let t = |x| panel(fig10(), App::Srad, x);
+    let best_mid = [4, 9, 16, 25, 100]
+        .map(t)
+        .into_iter()
+        .fold(f64::INFINITY, f64::min);
+    for x in [1, 169, 400] {
+        assert!(
+            t(x) > best_mid,
+            "T={x} ({}) beats T=4..100 ({best_mid})",
+            t(x)
+        );
+    }
+    let ratio = t(400) / best_mid;
+    assert!(
+        (1.3..1.8).contains(&ratio),
+        "T=400 over the best: {ratio:.3}"
+    );
+    let large = fig08_row("fig08f_srad", "SRAD", "10000^2");
+    assert!(
+        (-1.0..=0.0).contains(&large.gain),
+        "SRAD at 10000²: {large:?}"
+    );
+}
+
+/// Deviation 3: NN at T = 1 is 2.0–2.7x slower than at T = 4 (one tile
+/// idles three partitions), where the paper measures them equal.
+#[test]
+fn deviation3_nn_at_t1_is_slower_than_at_t4() {
+    let ratio = panel(fig10(), App::Nn, 1) / panel(fig10(), App::Nn, 4);
+    assert!((2.0..2.7).contains(&ratio), "NN T=1 over T=4: {ratio:.3}");
+}
+
+/// Deviation 4: MM's average Fig. 8 gain is 3.5–5.5 %, against the
+/// paper's 8.3 % — same order, same "modest" conclusion.
+#[test]
+fn deviation4_mm_average_gain_is_half_the_papers() {
+    let gain = at(fig08(), "fig08_summary", "measured avg gain", "MM");
+    assert!((3.5..5.5).contains(&gain), "MM average gain {gain:.2}%");
+}
+
+/// Deviation 5: CF's Fig. 9(b) envelope decays faster than the paper's:
+/// at P = 56 it holds 30–45 % of the aligned peak (P ≤ 8), because tile
+/// kernels on 4-thread partitions are latency-bound in the model.
+#[test]
+fn deviation5_cf_large_p_envelope_decays_faster() {
+    let gf = |p| panel(fig09(), App::Cf, p);
+    let peak = [2, 4, 7, 8].map(gf).into_iter().fold(0.0, f64::max);
+    let ratio = gf(56) / peak;
+    assert!(
+        (0.3..0.45).contains(&ratio),
+        "CF at P=56 over the peak: {ratio:.3}"
+    );
+}

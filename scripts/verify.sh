@@ -268,13 +268,24 @@ if [ "$surface" -gt "$surface_max" ]; then
   exit 1
 fi
 
-echo "==> every gate is a test (no mic-bench binary decides pass/fail; no JSON parser)"
-if grep -nE -- '--[q]uick|process::exit' crates/bench/src/bin/*.rs; then
-  echo "  a mic-bench binary has a gate mode or a failing exit (move the check into a test)"
+echo "==> every gate is a test (no mic-bench binary or figure function decides pass/fail; no JSON parser)"
+if grep -nE -- '--[q]uick|process::exit' crates/bench/src/*.rs crates/bench/src/bin/*.rs; then
+  echo "  mic-bench has a gate mode or a failing exit (move the check into a test)"
   exit 1
 fi
 if [ -e crates/bench/src/json.rs ]; then
   echo "  crates/bench/src/json.rs is back (check SARIF structurally, as tests/check_golden.rs does)"
+  exit 1
+fi
+
+echo "==> one sweep per figure (simulator sweeps live in mic_bench::figures; its bin/ holds the figures printer and the five report binaries)"
+bins=$(cd crates/bench/src/bin && LC_ALL=C ls)
+expected=$(printf '%s\n' autotune.rs bench_sched.rs chaos.rs figures.rs native_overlap_study.rs native_vs_sim_trace.rs)
+if [ "$bins" != "$expected" ]; then
+  echo "  crates/bench/src/bin/ holds:"
+  echo "$bins" | sed 's/^/    /'
+  echo "  expected only: $(echo $expected)"
+  echo "  (a figure or table is a function of mic_bench::figures, printed by the figures binary)"
   exit 1
 fi
 

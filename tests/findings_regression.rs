@@ -1,6 +1,7 @@
 //! Findings-regression suite: the two tuning-landscape shapes the paper's
-//! figures hinge on, locked down via the autotuner's own evaluator so a
-//! cost-model or runtime change that flattens them fails loudly.
+//! figures hinge on, read from the figures' own rows
+//! (`mic_bench::figures`) so a cost-model or runtime change that flattens
+//! them fails loudly.
 //!
 //! * Fig. 7 — for a kernels-only (non-overlappable) workload, spatial
 //!   sharing alone never beats the undivided reference, and past the sweet
@@ -12,87 +13,76 @@
 //!
 //! Shape assertions only — absolute numbers live in `EXPERIMENTS.md`.
 
-use mic_streams::apps::tunable::{TunableHbench, TunablePartitionMicro};
+use mic_bench::figures::{self, App, FIG07_PARTITIONS};
 use mic_streams::micsim::PlatformConfig;
-use mic_streams::tune::{Evaluator, SimEvaluator};
-
-/// One shared evaluator per app: buffer handles cached inside a `Tunable`
-/// belong to the context they were allocated in.
-fn secs_at(
-    eval: &mut SimEvaluator,
-    app: &mut dyn mic_streams::apps::tunable::Tunable,
-    p: usize,
-    t: usize,
-) -> f64 {
-    eval.evaluate(app, p, t)
-        .unwrap_or_else(|| panic!("({p},{t}) must be feasible"))
-        .seconds
-}
 
 #[test]
 fn fig7_partitioning_a_nonoverlappable_kernel_is_a_u_with_ref_at_the_floor() {
     // Fig. 7's setup: task granularity fixed (128 tiles), resource
     // granularity swept — including counts that do not divide the 56 usable
     // cores, whose core sharing builds the right flank. `ref` is the
-    // non-tiled single-stream run, `(P, T) = (1, 1)`.
-    let mut app = TunablePartitionMicro::new(1 << 22, 100);
-    let mut eval = SimEvaluator::new(PlatformConfig::phi_31sp()).unwrap();
-    let reference = secs_at(&mut eval, &mut app, 1, 1);
-    let t = 128;
-    let ps = [2usize, 4, 8, 16, 32, 64];
-    let curve: Vec<f64> = ps
-        .iter()
-        .map(|&p| secs_at(&mut eval, &mut app, p, t))
-        .collect();
-    for (p, s) in ps.iter().zip(&curve) {
-        println!("P={p:2}: {:.4} ms (ref {:.4})", s * 1e3, reference * 1e3);
+    // non-tiled single-stream run.
+    let fig07 = &figures::fig07(&PlatformConfig::phi_31sp())[0];
+    let reference = fig07.value("ref (non-tiled)", 1).unwrap();
+    let at = |p: usize| fig07.value("streamed+tiled", p).unwrap();
+    let curve: Vec<f64> = FIG07_PARTITIONS.iter().map(|&p| at(p)).collect();
+    for (p, s) in FIG07_PARTITIONS.iter().zip(&curve) {
+        println!("P={p:3}: {s:.4} ms (ref {reference:.4})");
         assert!(
             *s > reference,
             "spatial sharing alone must not beat ref: P={p} {s} <= {reference}"
         );
     }
     // U-shape: the minimum is interior, and both extremes sit measurably
-    // above the valley.
+    // above the valley, on the whole sweep and on its inner P = 2..64.
     let min_idx = curve
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.total_cmp(b.1))
         .unwrap()
         .0;
+    let last = curve.len() - 1;
     assert!(
-        min_idx != 0 && min_idx != ps.len() - 1,
+        min_idx != 0 && min_idx != last,
         "minimum must be interior: {curve:?}"
     );
     let valley = curve[min_idx];
+    for p in [1, 2, 64, 128] {
+        assert!(
+            at(p) > valley * 1.2,
+            "the flank at P={p} must rise well above the valley: {curve:?}"
+        );
+    }
     assert!(
-        curve[0] > valley * 1.2 && curve[ps.len() - 1] > valley * 1.2,
-        "both flanks must rise well above the valley: {curve:?}"
+        at(1) > at(8) && at(128) > at(8) && reference < at(8),
+        "P=8 sits in the valley, ref below it: {curve:?}"
     );
 }
 
 #[test]
 fn fig10_starving_partitions_raises_the_makespan_in_cliffs() {
-    let mut app = TunableHbench::new(1 << 20, 64, None);
-    let mut eval = SimEvaluator::new(PlatformConfig::phi_31sp()).unwrap();
-    let p = 8;
-    // T ≥ P keeps every partition fed; halving T below P idles half the
-    // remaining partitions each step.
-    let fed = secs_at(&mut eval, &mut app, p, p);
-    let t4 = secs_at(&mut eval, &mut app, p, 4);
-    let t2 = secs_at(&mut eval, &mut app, p, 2);
-    let t1 = secs_at(&mut eval, &mut app, p, 1);
-    println!(
-        "P={p}: T=8 {:.3} ms, T=4 {:.3} ms, T=2 {:.3} ms, T=1 {:.3} ms",
-        fed * 1e3,
-        t4 * 1e3,
-        t2 * 1e3,
-        t1 * 1e3
-    );
-    assert!(t4 > fed * 1.3, "T=P/2 must be a cliff: {t4} vs {fed}");
-    assert!(t2 > t4 * 1.3, "T=P/4 must be another cliff: {t2} vs {t4}");
-    assert!(t1 > t2 * 1.3, "T=P/8 must be another cliff: {t1} vs {t2}");
-    // Oversubscription past T = P is at worst mildly harmful, never a
-    // cliff of its own.
-    let t16 = secs_at(&mut eval, &mut app, p, 16);
-    assert!(t16 < fed * 1.3, "T=2P must not cliff: {t16} vs fed {fed}");
+    // Fig. 10 runs P = 4. T ≥ P keeps every partition fed; halving T below
+    // P idles half the remaining partitions each step. Kmeans and NN are
+    // the panels with every power of two up to 2P.
+    let platform = PlatformConfig::phi_31sp();
+    for app in [App::Kmeans, App::Nn] {
+        let at = |t| figures::fig10_point(&platform, app, t);
+        let (fed, t2, t1) = (at(4), at(2), at(1));
+        println!("{app:?} P=4: T=4 {fed:.4}, T=2 {t2:.4}, T=1 {t1:.4}");
+        assert!(
+            t2 > fed * 1.3,
+            "{app:?}: T=P/2 must be a cliff: {t2} vs {fed}"
+        );
+        assert!(
+            t1 > t2 * 1.3,
+            "{app:?}: T=P/4 must be another cliff: {t1} vs {t2}"
+        );
+        // Oversubscription past T = P is at worst mildly harmful, never a
+        // cliff of its own.
+        let t8 = at(8);
+        assert!(
+            t8 < fed * 1.3,
+            "{app:?}: T=2P must not cliff: {t8} vs fed {fed}"
+        );
+    }
 }

@@ -1,33 +1,27 @@
-//! The paper's six concluding observations, each asserted at test scale
-//! against the simulator. These are the repository's "does it reproduce the
-//! paper" gates; `EXPERIMENTS.md` records the full-scale numbers.
+//! The paper's six concluding observations, each asserted on the rows of
+//! the figure that shows it (`mic_bench::figures`, the paper's own
+//! parameters). These are the repository's "does it reproduce the paper"
+//! gates; `EXPERIMENTS.md` records the numbers and
+//! `crates/bench/tests/golden/` pins them.
 
-use mic_streams::apps::hbench::{
-    overlap_program, partition_program, transfer_program, OverlapVariant,
-};
-use mic_streams::apps::{hotspot, kmeans, mm};
-use mic_streams::micsim::{PlatformConfig, SimDuration};
+use mic_bench::figures::{self, App};
+use mic_streams::micsim::PlatformConfig;
 
-const MB: u64 = 1 << 20;
+fn phi() -> PlatformConfig {
+    PlatformConfig::phi_31sp()
+}
 
 /// Finding 1: data transfers in both directions cannot run concurrently.
 #[test]
 fn finding1_transfers_serialize() {
-    let t = |hd: usize, dh: usize| {
-        transfer_program(PlatformConfig::phi_31sp(), hd, dh, MB)
-            .unwrap()
-            .run_sim()
-            .unwrap()
-            .makespan()
-    };
+    let fig05 = &figures::fig05(&phi())[0];
+    let at = |series, x| fig05.value(series, x).unwrap();
     // ID case flat == serial link; sum == CC case.
-    let id_a = t(4, 12);
-    let id_b = t(12, 4);
-    let diff = id_a.nanos().abs_diff(id_b.nanos()) as f64 / id_a.nanos() as f64;
+    let (id_a, id_b) = (at("ID", 4), at("ID", 12));
+    let diff = (id_a - id_b).abs() / id_a;
     assert!(diff < 0.02, "ID case must be flat: {id_a} vs {id_b}");
-    let one_way = t(16, 0);
-    let both = t(16, 16);
-    let ratio = both.nanos() as f64 / one_way.nanos() as f64;
+    // CD at 16 moves 16 blocks one way and none back.
+    let ratio = at("CC", 16) / at("CD", 16);
     assert!(
         (ratio - 2.0).abs() < 0.1,
         "serial: CC ≈ 2x one-way, got {ratio}"
@@ -37,43 +31,23 @@ fn finding1_transfers_serialize() {
 /// Finding 2: transfers overlap kernels, but never fully.
 #[test]
 fn finding2_partial_overlap() {
-    let elems = 4 << 20;
-    let run = |v| {
-        overlap_program(PlatformConfig::phi_31sp(), elems, 40, 4, v)
-            .unwrap()
-            .run_sim()
-            .unwrap()
-            .makespan()
-    };
-    let data = run(OverlapVariant::Data);
-    let kernel = run(OverlapVariant::Kernel);
-    let serial = run(OverlapVariant::DataKernel);
-    let streamed = run(OverlapVariant::Streamed { tiles: 16 });
-    let ideal = data.max(kernel);
-    assert!(streamed < serial, "overlap exists");
-    assert!(streamed > ideal, "full overlap unattainable");
+    let fig06 = &figures::fig06(&phi())[0];
+    let at = |series| fig06.value(series, 40).unwrap();
+    assert!(at("Streamed") < at("Data+Kernel"), "overlap exists");
+    assert!(at("Streamed") > at("Ideal"), "full overlap unattainable");
 }
 
 /// Finding 3: spatial sharing alone does not speed up a non-overlappable
 /// kernel — the non-tiled reference beats every tiled configuration.
 #[test]
 fn finding3_spatial_sharing_alone_no_gain() {
-    let tiled_best = [1usize, 2, 4, 8, 16, 32]
+    let fig07 = &figures::fig07(&phi())[0];
+    let tiled_best = fig07.series[0]
+        .points
         .iter()
-        .map(|&p| {
-            partition_program(PlatformConfig::phi_31sp(), 64, 32 << 10, 50, p, true)
-                .unwrap()
-                .run_sim()
-                .unwrap()
-                .makespan()
-        })
-        .min()
-        .unwrap();
-    let non_tiled = partition_program(PlatformConfig::phi_31sp(), 64, 32 << 10, 50, 1, false)
-        .unwrap()
-        .run_sim()
-        .unwrap()
-        .makespan();
+        .map(|&(_, ms)| ms)
+        .fold(f64::INFINITY, f64::min);
+    let non_tiled = fig07.value("ref (non-tiled)", 1).unwrap();
     assert!(
         non_tiled < tiled_best,
         "ref {non_tiled} must beat best tiled {tiled_best}"
@@ -81,114 +55,65 @@ fn finding3_spatial_sharing_alone_no_gain() {
 }
 
 /// Finding 4: being overlappable is a must — MM (overlappable) gains,
-/// Hotspot (non-overlappable) does not.
+/// Hotspot (non-overlappable) does not. Fig. 8's smallest MM dataset and
+/// its 2048² Hotspot grid.
 #[test]
 fn finding4_overlappable_is_a_must() {
-    let (wo, _) = mm::simulate(
-        &mm::MmConfig {
-            n: 2000,
-            tiles_per_dim: 1,
-        },
-        PlatformConfig::phi_31sp(),
-        1,
-    )
-    .unwrap();
-    let (w, _) = mm::simulate(
-        &mm::MmConfig {
-            n: 2000,
-            tiles_per_dim: 8,
-        },
-        PlatformConfig::phi_31sp(),
-        8,
-    )
-    .unwrap();
-    assert!(w < wo, "overlappable MM gains from streams");
+    let mm = figures::fig08_row(&phi(), App::Mm, 2000);
+    assert!(
+        mm.with > mm.without,
+        "overlappable MM gains from streams: {mm:?}"
+    );
 
-    let hs = hotspot::HotspotConfig {
-        rows: 2048,
-        cols: 2048,
-        iterations: 10,
-        tiles: 1,
-    };
-    let hs_wo = hotspot::simulate(&hs, PlatformConfig::phi_31sp(), 1).unwrap();
-    let hs_w = hotspot::simulate(
-        &hotspot::HotspotConfig { tiles: 8, ..hs },
-        PlatformConfig::phi_31sp(),
-        4,
-    )
-    .unwrap();
-    let change = (hs_wo / hs_w - 1.0).abs();
+    let hs = figures::fig08_row(&phi(), App::Hotspot, 2048);
+    let change = (hs.without / hs.with - 1.0).abs();
     assert!(
         change < 0.35,
         "non-overlappable Hotspot stays within noise of w/o: {:.1}%",
-        (hs_wo / hs_w - 1.0) * 100.0
+        hs.gain
     );
 }
 
-/// Finding 5: both granularities matter — bad T or bad P costs real factors.
+/// Finding 5: both granularities matter — bad T or bad P costs real
+/// factors. MM at D = 6000 (GFLOPS): Fig. 10's T = 1 against T = 4 at
+/// P = 4, and Fig. 9's misaligned P = 13 against aligned P = 14.
 #[test]
 fn finding5_granularity_matters() {
-    let run = |p: usize, tpd: usize| {
-        mm::simulate(
-            &mm::MmConfig {
-                n: 2000,
-                tiles_per_dim: tpd,
-            },
-            PlatformConfig::phi_31sp(),
-            p,
-        )
-        .unwrap()
-        .0
-    };
-    let good = run(4, 4);
     // T < P: idle partitions.
-    let starved = run(8, 2);
+    let good = figures::fig10_point(&phi(), App::Mm, 2);
+    let starved = figures::fig10_point(&phi(), App::Mm, 1);
     assert!(
-        starved > good * 1.2,
-        "T<P starves partitions: {starved} vs {good}"
+        good > starved * 1.2,
+        "T<P starves partitions: {starved} vs {good} GFLOPS"
     );
     // Misaligned P: core sharing.
-    let misaligned = run(13, 4);
-    let aligned = run(14, 4);
+    let misaligned = figures::fig09_point(&phi(), App::Mm, 13);
+    let aligned = figures::fig09_point(&phi(), App::Mm, 14);
     assert!(
-        misaligned > aligned * 1.1,
-        "misaligned P pays contention: {misaligned} vs {aligned}"
+        aligned > misaligned * 1.1,
+        "misaligned P pays contention: {misaligned} vs {aligned} GFLOPS"
     );
 }
 
 /// Finding 6: a non-overlappable app (Kmeans) can still gain — from the
-/// reduced per-invocation allocation cost.
+/// reduced per-invocation allocation cost. Fig. 8's smallest dataset.
 #[test]
 fn finding6_kmeans_gains_via_alloc() {
-    let base = kmeans::KmeansConfig {
-        points: 200_000,
-        dims: 34,
-        k: 8,
-        iterations: 10,
-        tiles: 1,
-        alloc_micros: 5,
-    };
-    let wo = kmeans::simulate(&base, PlatformConfig::phi_31sp(), 1).unwrap();
-    let w = kmeans::simulate(
-        &kmeans::KmeansConfig { tiles: 4, ..base },
-        PlatformConfig::phi_31sp(),
-        4,
-    )
-    .unwrap();
+    let row = figures::fig08_row(&phi(), App::Kmeans, 140_000);
     assert!(
-        w < wo,
-        "kmeans (non-overlappable) still gains from streams: {w} vs {wo}"
+        row.with < row.without,
+        "kmeans (non-overlappable) still gains from streams: {row:?}"
     );
 }
 
-/// Sanity: every simulated makespan in this file is positive and finite.
+/// Sanity: every simulated makespan of Fig. 5 is positive and finite.
 #[test]
 fn simulated_times_are_sane() {
-    let t = transfer_program(PlatformConfig::phi_31sp(), 1, 1, MB)
-        .unwrap()
-        .run_sim()
-        .unwrap()
-        .makespan();
-    assert!(t > SimDuration::ZERO);
-    assert!(t < SimDuration::from_millis(100));
+    for fig in figures::fig05(&phi()) {
+        for series in &fig.series {
+            for &(_, ms) in &series.points {
+                assert!(ms > 0.0 && ms < 100.0, "{}: {ms} ms", fig.id);
+            }
+        }
+    }
 }

@@ -48,7 +48,6 @@ use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result, StreamId};
 use hstreams::InlineStr;
 use micsim::compute::KernelProfile;
-use micsim::PlatformConfig;
 
 use crate::profiles;
 use crate::util;
@@ -822,19 +821,11 @@ pub fn collect_result(ctx: &Context, cfg: &CfConfig, bufs: &CfBuffers) -> Result
     Ok(l)
 }
 
-/// Build + run on the simulator: returns (seconds, GFLOPS).
-pub fn simulate(cfg: &CfConfig, platform: PlatformConfig, partitions: usize) -> Result<(f64, f64)> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    let report = ctx.run_sim()?;
-    let secs = report.makespan().as_secs_f64();
-    Ok((secs, cfg.flops() / secs / 1e9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::assert_close;
+    use micsim::PlatformConfig;
 
     #[test]
     fn config_and_indexing() {

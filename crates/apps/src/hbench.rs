@@ -9,17 +9,25 @@
 //!   `Streamed`);
 //! * [`partition_program`] — Fig. 7: 128 resident blocks, kernels only,
 //!   swept over the partition count, plus the non-tiled `ref` variant.
+//!
+//! The two tiled pipelines, Fig. 6's streamed one and Fig. 7's kernels-only
+//! one, are recorded by one function, `record_tiles`, over tiles from
+//! `alloc_tiles`; the tuner's `TunableHbench` and `TunablePartitionMicro`
+//! record the same programs through them.
 
 use std::cell::RefCell;
+use std::fmt::Display;
+use std::iter;
 use std::sync::Arc;
 
 use hstreams::context::Context;
 use hstreams::kernel::{KernelDesc, KernelFn};
-use hstreams::types::Result;
+use hstreams::types::{BufId, Result};
 use hstreams::InlineStr;
 use micsim::PlatformConfig;
 
 use crate::profiles;
+use crate::util::split_ranges;
 
 /// α used by the kernel (any non-zero constant; visible in native output).
 pub const ALPHA: f32 = 2.5;
@@ -80,6 +88,68 @@ pub fn kernel(label: impl Into<InlineStr>, elems: usize, iters: usize) -> Kernel
 /// Serial reference of the kernel.
 pub fn reference(a: &[f32], iters: usize) -> Vec<f32> {
     a.iter().map(|&x| x + ALPHA * iters as f32).collect()
+}
+
+/// One tile of an hBench pipeline: its input and output buffers and length.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tile {
+    /// Input `A`.
+    pub(crate) a: BufId,
+    /// Output `B`.
+    pub(crate) b: BufId,
+    /// Elements in each.
+    pub(crate) elems: usize,
+}
+
+/// Allocate one tile `(A{tag}{i}, B{tag}{i})` per length in `lens`,
+/// writing the next `len` elements of `data` into its `A` when given.
+pub(crate) fn alloc_tiles(
+    ctx: &mut Context,
+    tag: &dyn Display,
+    lens: impl IntoIterator<Item = usize>,
+    data: Option<&[f32]>,
+) -> Result<Vec<Tile>> {
+    let lens = lens.into_iter();
+    let mut tiles = Vec::with_capacity(lens.size_hint().0);
+    let mut offset = 0;
+    for (i, elems) in lens.enumerate() {
+        let a = ctx.alloc(format_args!("A{tag}{i}"), elems);
+        let b = ctx.alloc(format_args!("B{tag}{i}"), elems);
+        if let Some(data) = data {
+            ctx.write_host(a, &data[offset..offset + elems])?;
+        }
+        offset += elems;
+        tiles.push(Tile { a, b, elems });
+    }
+    Ok(tiles)
+}
+
+/// Record the hBench pipeline over `tiles`, tile `i` on stream `i` mod the
+/// stream count. `transfers: true` is Fig. 6's streamed pipeline, H2D →
+/// kernel `hbench{i}` → D2H per tile; `false` is Fig. 7's kernels-only
+/// pipeline over resident tiles, kernel `k{i}`.
+pub(crate) fn record_tiles(
+    ctx: &mut Context,
+    tiles: &[Tile],
+    iters: usize,
+    body: &KernelFn,
+    transfers: bool,
+) -> Result<()> {
+    let streams = ctx.stream_count();
+    for (i, tile) in tiles.iter().enumerate() {
+        let s = ctx.stream(i % streams)?;
+        let kernel = if transfers {
+            ctx.h2d(s, tile.a)?;
+            kernel_with(format_args!("hbench{i}"), tile.elems, iters, body)
+        } else {
+            kernel_with(format_args!("k{i}"), tile.elems, iters, body)
+        };
+        ctx.kernel(s, kernel.reading([tile.a]).writing([tile.b]))?;
+        if transfers {
+            ctx.d2h(s, tile.b)?;
+        }
+    }
+    Ok(())
 }
 
 /// Fig. 5 program: `hd` host→device blocks on stream 0 and `dh`
@@ -162,22 +232,9 @@ pub fn overlap_program(
             ctx.d2h(s, b)?;
         }
         OverlapVariant::Streamed { tiles } => {
-            let ranges = crate::util::split_ranges(elems, tiles);
-            let body = body(iters);
-            for (t, range) in ranges.into_iter().enumerate() {
-                let n = range.len();
-                let a = ctx.alloc(format_args!("A{t}"), n);
-                let b = ctx.alloc(format_args!("B{t}"), n);
-                let s = ctx.stream(t % ctx.stream_count())?;
-                ctx.h2d(s, a)?;
-                ctx.kernel(
-                    s,
-                    kernel_with(format_args!("hbench{t}"), n, iters, &body)
-                        .reading([a])
-                        .writing([b]),
-                )?;
-                ctx.d2h(s, b)?;
-            }
+            let lens = split_ranges(elems, tiles).into_iter().map(|r| r.len());
+            let tiles = alloc_tiles(&mut ctx, &"", lens, None)?;
+            record_tiles(&mut ctx, &tiles, iters, &body(iters), true)?;
         }
     }
     Ok(ctx)
@@ -205,18 +262,8 @@ pub fn partition_program(
         return Ok(ctx);
     }
     let mut ctx = Context::builder(cfg).partitions(partitions).build()?;
-    let body = body(iters);
-    for t in 0..blocks {
-        let a = ctx.alloc(format_args!("A{t}"), block_elems);
-        let b = ctx.alloc(format_args!("B{t}"), block_elems);
-        let s = ctx.stream(t % ctx.stream_count())?;
-        ctx.kernel(
-            s,
-            kernel_with(format_args!("k{t}"), block_elems, iters, &body)
-                .reading([a])
-                .writing([b]),
-        )?;
-    }
+    let tiles = alloc_tiles(&mut ctx, &"", iter::repeat_n(block_elems, blocks), None)?;
+    record_tiles(&mut ctx, &tiles, iters, &body(iters), false)?;
     Ok(ctx)
 }
 

@@ -14,10 +14,9 @@
 use hstreams::context::Context;
 use hstreams::kernel::KernelDesc;
 use hstreams::types::{BufId, Result};
-use micsim::PlatformConfig;
 
 use crate::profiles;
-use crate::util;
+use crate::util::{self, RowTile};
 
 /// Stencil coefficients (shared by kernels and the serial reference).
 pub const K_VERT: f32 = 0.10;
@@ -70,58 +69,25 @@ pub struct HotspotBuffers {
     pub result_in_a: bool,
 }
 
-#[derive(Clone, Copy)]
-struct StencilShape {
-    cols: usize,
-    rows: usize,
-    has_above: bool,
-    has_below: bool,
-}
-
 /// One tile's stencil step. Read order: `[own, above?, below?, power]`.
-fn stencil_kernel(label: String, shape: StencilShape) -> KernelDesc {
+fn stencil_kernel(label: String, shape: RowTile) -> KernelDesc {
     let work = (shape.rows * shape.cols) as f64;
     KernelDesc::simulated(label, profiles::hotspot_stencil(), work).with_native(move |kc| {
-        let own = kc.reads[0];
-        let mut idx = 1;
-        let above = shape.has_above.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let below = shape.has_below.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let power = kc.reads[idx];
-        let (rows, cols) = (shape.rows, shape.cols);
+        let (temp, rest) = shape.halo(kc.reads);
+        let power = rest[0];
+        let cols = shape.cols;
         let threads = kc.threads;
         let out = &mut kc.writes[0];
         hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
             for (ri, row_out) in block.chunks_mut(cols).enumerate() {
                 let r = first_row + ri;
-                for c in 0..cols {
-                    let center = own[r * cols + c];
-                    let north = if r > 0 {
-                        own[(r - 1) * cols + c]
-                    } else if let Some(ab) = above {
-                        ab[(ab.len() / cols - 1) * cols + c]
-                    } else {
-                        center
-                    };
-                    let south = if r + 1 < rows {
-                        own[(r + 1) * cols + c]
-                    } else if let Some(be) = below {
-                        be[c]
-                    } else {
-                        center
-                    };
-                    let west = if c > 0 { own[r * cols + c - 1] } else { center };
-                    let east = if c + 1 < cols {
-                        own[r * cols + c + 1]
-                    } else {
-                        center
-                    };
-                    row_out[c] = center
+                for (c, out) in row_out.iter_mut().enumerate() {
+                    let center = temp.at(r, c);
+                    let north = temp.north(r, c);
+                    let south = temp.south(r, c);
+                    let west = temp.west(r, c);
+                    let east = temp.east(r, c);
+                    *out = center
                         + K_VERT * (north + south - 2.0 * center)
                         + K_HORIZ * (east + west - 2.0 * center)
                         + K_POWER * power[r * cols + c]
@@ -168,27 +134,12 @@ pub fn build(ctx: &mut Context, cfg: &HotspotConfig) -> Result<HotspotBuffers> {
     for iter in 0..cfg.iterations {
         for t in 0..nt {
             let s = ctx.stream(t % streams)?;
-            let mut reads = vec![src[t]];
-            if t > 0 {
-                reads.push(src[t - 1]);
-            }
-            if t + 1 < nt {
-                reads.push(src[t + 1]);
-            }
-            reads.push(power[t]);
+            let shape = RowTile::new(&tile_rows, t, cols);
             ctx.kernel(
                 s,
-                stencil_kernel(
-                    format!("hotspot({t},{iter})"),
-                    StencilShape {
-                        cols,
-                        rows: tile_rows[t],
-                        has_above: t > 0,
-                        has_below: t + 1 < nt,
-                    },
-                )
-                .reading(reads)
-                .writing([dst[t]]),
+                stencil_kernel(format!("hotspot({t},{iter})"), shape)
+                    .reading(shape.halo_reads(src, t).chain([power[t]]))
+                    .writing([dst[t]]),
             )?;
         }
         ctx.barrier();
@@ -291,17 +242,11 @@ pub fn collect_result(
     Ok(grid)
 }
 
-/// Build + run on the simulator: returns seconds.
-pub fn simulate(cfg: &HotspotConfig, platform: PlatformConfig, partitions: usize) -> Result<f64> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    Ok(ctx.run_sim()?.makespan().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::assert_close;
+    use micsim::PlatformConfig;
 
     fn small(iters: usize, tiles: usize) -> HotspotConfig {
         HotspotConfig {

@@ -17,7 +17,6 @@ use std::sync::Arc;
 use hstreams::context::Context;
 use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result};
-use micsim::PlatformConfig;
 
 use crate::profiles;
 use crate::util;
@@ -370,17 +369,11 @@ pub fn converge_native(
     Ok((prev.expect("at least one batch ran"), max_batches))
 }
 
-/// Build + run on the simulator: returns seconds.
-pub fn simulate(cfg: &KmeansConfig, platform: PlatformConfig, partitions: usize) -> Result<f64> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    Ok(ctx.run_sim()?.makespan().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::assert_close;
+    use micsim::PlatformConfig;
 
     fn small(iters: usize, tiles: usize) -> KmeansConfig {
         KmeansConfig {

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use hstreams::context::Context;
 use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result, StreamId};
-use micsim::PlatformConfig;
 
 use crate::profiles;
 use crate::util;
@@ -249,20 +248,11 @@ pub fn collect_result(ctx: &Context, cfg: &MmConfig, bufs: &MmBuffers) -> Result
     Ok(Mat { n, data: c })
 }
 
-/// Convenience: build + run on the simulator, returning (makespan seconds,
-/// GFLOPS) for the paper's plots.
-pub fn simulate(cfg: &MmConfig, platform: PlatformConfig, partitions: usize) -> Result<(f64, f64)> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    let report = ctx.run_sim()?;
-    let secs = report.makespan().as_secs_f64();
-    Ok((secs, cfg.flops() / secs / 1e9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::assert_close;
+    use micsim::PlatformConfig;
 
     #[test]
     fn config_validation() {

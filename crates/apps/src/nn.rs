@@ -14,7 +14,6 @@ use std::sync::Arc;
 use hstreams::context::Context;
 use hstreams::kernel::{KernelDesc, KernelFn};
 use hstreams::types::{BufId, Result};
-use micsim::PlatformConfig;
 
 use crate::profiles;
 use crate::util;
@@ -196,16 +195,10 @@ pub fn reference(cfg: &NnConfig, data: &[f32]) -> Vec<(usize, f32)> {
     all
 }
 
-/// Build + run on the simulator: returns milliseconds.
-pub fn simulate(cfg: &NnConfig, platform: PlatformConfig, partitions: usize) -> Result<f64> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    Ok(ctx.run_sim()?.makespan().as_millis_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use micsim::PlatformConfig;
 
     fn small(tiles: usize) -> NnConfig {
         NnConfig {

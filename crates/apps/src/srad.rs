@@ -20,10 +20,9 @@
 use hstreams::context::Context;
 use hstreams::kernel::KernelDesc;
 use hstreams::types::{BufId, Result};
-use micsim::PlatformConfig;
 
 use crate::profiles;
-use crate::util;
+use crate::util::{self, RowTile};
 
 /// Problem description.
 #[derive(Clone, Copy, Debug)]
@@ -114,146 +113,74 @@ fn q0_kernel(label: String, total_pixels: usize, tiles: usize) -> KernelDesc {
     })
 }
 
-#[derive(Clone, Copy)]
-struct TileShape {
-    rows: usize,
-    cols: usize,
-    has_above: bool,
-    has_below: bool,
-}
-
 /// Diffusion coefficient per pixel. Read order: `[own, above?, below?, q0]`.
-fn coeff_kernel(label: String, shape: TileShape) -> KernelDesc {
+fn coeff_kernel(label: String, shape: RowTile) -> KernelDesc {
     let work = (shape.rows * shape.cols) as f64;
     KernelDesc::simulated(label, profiles::srad_coeff(), work).with_native(move |kc| {
-        let own = kc.reads[0];
-        let mut idx = 1;
-        let above = shape.has_above.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let below = shape.has_below.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let q0 = kc.reads[idx][0];
-        let (rows, cols) = (shape.rows, shape.cols);
+        let (img, rest) = shape.halo(kc.reads);
+        let q0 = rest[0][0];
+        let cols = shape.cols;
         let threads = kc.threads;
         let out = &mut kc.writes[0];
         hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
             for (ri, row_out) in block.chunks_mut(cols).enumerate() {
                 let r = first_row + ri;
-                for c in 0..cols {
-                    let center = own[r * cols + c];
-                    let north = if r > 0 {
-                        own[(r - 1) * cols + c]
-                    } else if let Some(ab) = above {
-                        ab[(ab.len() / cols - 1) * cols + c]
-                    } else {
-                        center
-                    };
-                    let south = if r + 1 < rows {
-                        own[(r + 1) * cols + c]
-                    } else if let Some(be) = below {
-                        be[c]
-                    } else {
-                        center
-                    };
-                    let west = if c > 0 { own[r * cols + c - 1] } else { center };
-                    let east = if c + 1 < cols {
-                        own[r * cols + c + 1]
-                    } else {
-                        center
-                    };
-                    let dn = north - center;
-                    let ds = south - center;
-                    let dw = west - center;
-                    let de = east - center;
+                for (c, out) in row_out.iter_mut().enumerate() {
+                    let center = img.at(r, c);
+                    let dn = img.north(r, c) - center;
+                    let ds = img.south(r, c) - center;
+                    let dw = img.west(r, c) - center;
+                    let de = img.east(r, c) - center;
                     let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (center * center);
                     let l = (dn + ds + dw + de) / center;
                     let num = 0.5 * g2 - 0.0625 * l * l;
                     let den = 1.0 + 0.25 * l;
                     let qsq = num / (den * den);
                     let c_val = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                    row_out[c] = c_val.clamp(0.0, 1.0);
+                    *out = c_val.clamp(0.0, 1.0);
                 }
             }
         });
     })
 }
 
+/// The coefficient halo [`update_kernel`] reads: its own block and the
+/// block below (Rodinia's divergence pulls `c` from the pixel and its south
+/// and east neighbours only).
+fn coeff_halo(shape: RowTile) -> RowTile {
+    RowTile {
+        has_above: false,
+        ..shape
+    }
+}
+
 /// Diffusion update. Read order:
 /// `[own_img, above_img?, below_img?, own_c, below_c?]` — the north
 /// difference at a tile's first row needs the above tile's last image row.
-fn update_kernel(label: String, shape: TileShape, lambda: f32) -> KernelDesc {
+fn update_kernel(label: String, shape: RowTile, lambda: f32) -> KernelDesc {
     let work = (shape.rows * shape.cols) as f64;
     KernelDesc::simulated(label, profiles::srad_update(), work).with_native(move |kc| {
-        let own = kc.reads[0];
-        let mut idx = 1;
-        let above_img = shape.has_above.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let below_img = shape.has_below.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let cown = kc.reads[idx];
-        idx += 1;
-        let below_c = shape.has_below.then(|| {
-            idx += 1;
-            kc.reads[idx - 1]
-        });
-        let _ = idx;
-        let (rows, cols) = (shape.rows, shape.cols);
+        let (img, rest) = shape.halo(kc.reads);
+        let (coeff, _) = coeff_halo(shape).halo(rest);
+        let cols = shape.cols;
         let threads = kc.threads;
         let out = &mut kc.writes[0];
         hstreams::parallel::par_rows_mut(out, cols, threads, |first_row, block| {
             for (ri, row_out) in block.chunks_mut(cols).enumerate() {
                 let r = first_row + ri;
-                for c in 0..cols {
-                    let center = own[r * cols + c];
+                for (c, out) in row_out.iter_mut().enumerate() {
+                    let center = img.at(r, c);
                     // Divergence uses c at the pixel (N and W fluxes) and at
                     // the south / east neighbours (Rodinia convention).
-                    let c_here = cown[r * cols + c];
-                    let c_south = if r + 1 < rows {
-                        cown[(r + 1) * cols + c]
-                    } else if let Some(bc) = below_c {
-                        bc[c]
-                    } else {
-                        c_here
-                    };
-                    let c_east = if c + 1 < cols {
-                        cown[r * cols + c + 1]
-                    } else {
-                        c_here
-                    };
-                    let south = if r + 1 < rows {
-                        own[(r + 1) * cols + c]
-                    } else if let Some(bi) = below_img {
-                        bi[c]
-                    } else {
-                        center
-                    };
-                    let east = if c + 1 < cols {
-                        own[r * cols + c + 1]
-                    } else {
-                        center
-                    };
-                    let north = if r > 0 {
-                        own[(r - 1) * cols + c]
-                    } else if let Some(ai) = above_img {
-                        ai[(ai.len() / cols - 1) * cols + c]
-                    } else {
-                        center
-                    };
-                    let west = if c > 0 { own[r * cols + c - 1] } else { center };
-                    let dn = north - center;
-                    let ds = south - center;
-                    let dw = west - center;
-                    let de = east - center;
+                    let c_here = coeff.at(r, c);
+                    let c_south = coeff.south(r, c);
+                    let c_east = coeff.east(r, c);
+                    let dn = img.north(r, c) - center;
+                    let ds = img.south(r, c) - center;
+                    let dw = img.west(r, c) - center;
+                    let de = img.east(r, c) - center;
                     let div = c_south * ds + c_here * dn + c_east * de + c_here * dw;
-                    row_out[c] = center + 0.25 * lambda * div;
+                    *out = center + 0.25 * lambda * div;
                 }
             }
         });
@@ -317,60 +244,26 @@ pub fn build(ctx: &mut Context, cfg: &SradConfig) -> Result<SradBuffers> {
         // 3. Diffusion coefficients.
         for t in 0..nt {
             let s = ctx.stream(t % streams)?;
-            let mut reads = vec![src[t]];
-            if t > 0 {
-                reads.push(src[t - 1]);
-            }
-            if t + 1 < nt {
-                reads.push(src[t + 1]);
-            }
-            reads.push(q0);
+            let shape = RowTile::new(&tile_rows, t, cols);
             ctx.kernel(
                 s,
-                coeff_kernel(
-                    format!("coeff({t},{iter})"),
-                    TileShape {
-                        rows: tile_rows[t],
-                        cols,
-                        has_above: t > 0,
-                        has_below: t + 1 < nt,
-                    },
-                )
-                .reading(reads)
-                .writing([coeff[t]]),
+                coeff_kernel(format!("coeff({t},{iter})"), shape)
+                    .reading(shape.halo_reads(src, t).chain([q0]))
+                    .writing([coeff[t]]),
             )?;
         }
         ctx.barrier();
         // 4. Update: needs own/above/below image rows, plus own and below
-        //    coefficients (Rodinia's divergence pulls c from the pixel and
-        //    its south/east neighbours only).
+        //    coefficients.
         for t in 0..nt {
             let s = ctx.stream(t % streams)?;
-            let mut reads = vec![src[t]];
-            if t > 0 {
-                reads.push(src[t - 1]);
-            }
-            if t + 1 < nt {
-                reads.push(src[t + 1]);
-            }
-            reads.push(coeff[t]);
-            if t + 1 < nt {
-                reads.push(coeff[t + 1]);
-            }
+            let shape = RowTile::new(&tile_rows, t, cols);
+            let coeff_reads = coeff_halo(shape).halo_reads(&coeff, t);
             ctx.kernel(
                 s,
-                update_kernel(
-                    format!("update({t},{iter})"),
-                    TileShape {
-                        rows: tile_rows[t],
-                        cols,
-                        has_above: t > 0,
-                        has_below: t + 1 < nt,
-                    },
-                    cfg.lambda,
-                )
-                .reading(reads)
-                .writing([dst[t]]),
+                update_kernel(format!("update({t},{iter})"), shape, cfg.lambda)
+                    .reading(shape.halo_reads(src, t).chain(coeff_reads))
+                    .writing([dst[t]]),
             )?;
         }
         ctx.barrier();
@@ -482,17 +375,11 @@ pub fn collect_result(ctx: &Context, cfg: &SradConfig, bufs: &SradBuffers) -> Re
     Ok(img)
 }
 
-/// Build + run on the simulator: returns seconds.
-pub fn simulate(cfg: &SradConfig, platform: PlatformConfig, partitions: usize) -> Result<f64> {
-    let mut ctx = Context::builder(platform).partitions(partitions).build()?;
-    build(&mut ctx, cfg)?;
-    Ok(ctx.run_sim()?.makespan().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::assert_close;
+    use micsim::PlatformConfig;
 
     fn small(iters: usize, tiles: usize) -> SradConfig {
         SradConfig {

@@ -3,10 +3,14 @@
 //! A [`Tunable`] wraps one application at one problem size and knows how to
 //! record its streamed program for any task count `T` against a context
 //! whose partition count `P` was already set (via
-//! [`Context::replan`](hstreams::context::Context::replan)). Buffers for a
-//! given `T` are allocated — and, when a fill seed is supplied, filled —
-//! exactly once and then reused across trials, so a tuning sweep pays the
-//! allocation and input generation cost per *tiling*, not per *trial*.
+//! [`Context::replan`](hstreams::context::Context::replan)). It records
+//! nothing itself: each one calls its app module's builders (`mm::build` and
+//! `mm::record`, `hbench::record_tiles`, …), so a trial records exactly the
+//! program the figures simulate. Buffers for a given `T` are allocated —
+//! and, when a fill seed is supplied, filled — exactly once, by the one
+//! per-tiling cache every tunable records through, and then reused across
+//! trials, so a tuning sweep pays the allocation and input generation cost
+//! per *tiling*, not per *trial*.
 //!
 //! The split of responsibilities with `stream-tune` is deliberate:
 //! everything an application intrinsically knows (its transfer volume,
@@ -19,9 +23,10 @@ use std::collections::HashMap;
 
 use hstreams::context::Context;
 use hstreams::kernel::KernelFn;
-use hstreams::types::{BufId, Result};
+use hstreams::types::Result;
 
-use crate::{cholesky, hbench, kmeans, mm, nn, profiles, util};
+use crate::hbench::{self, Tile};
+use crate::{cholesky, kmeans, mm, nn, profiles, util};
 
 /// Application-intrinsic quantities of a streamed pipeline, in the units of
 /// the tuner's analytical model: bytes each way, transfers per tile, total
@@ -73,52 +78,47 @@ pub trait Tunable {
     fn pipeline_costs(&self) -> Option<PipelineCosts>;
 }
 
-/// Exact integer square root, if `t` is a perfect square.
-fn perfect_sqrt(t: usize) -> Option<usize> {
+/// Tiles per dimension of an MM or CF task count `t`: its square root, if
+/// `t` is a perfect square whose root divides `n`.
+fn tiles_per_dim(n: usize, t: usize) -> Option<usize> {
     let r = (t as f64).sqrt().round() as usize;
-    (r * r == t).then_some(r)
+    (r >= 1 && r * r == t && n.is_multiple_of(r)).then_some(r)
+}
+
+/// The per-tiling cache every tunable records through. The first record
+/// of tiling `key` calls `build`, which allocates, records and (given a
+/// seed) fills it, and keeps the buffers it returns; every later one calls
+/// `record` against them.
+fn record_cached<B>(
+    built: &mut HashMap<usize, B>,
+    key: usize,
+    ctx: &mut Context,
+    build: impl FnOnce(&mut Context) -> Result<B>,
+    record: impl FnOnce(&mut Context, &B) -> Result<()>,
+) -> Result<()> {
+    if let Some(bufs) = built.get(&key) {
+        return record(ctx, bufs);
+    }
+    built.insert(key, build(ctx)?);
+    Ok(())
+}
+
+/// [`tiles_per_dim`], or the error of an infeasible MM or CF task count.
+fn square_tiling(app: &str, n: usize, t: usize) -> Result<usize> {
+    tiles_per_dim(n, t)
+        .ok_or_else(|| hstreams::Error::Config(format!("{app} task count {t} does not tile n={n}")))
 }
 
 // ----- hBench ---------------------------------------------------------------
 
-/// One tile of an hBench tiling: its input and output buffers and length.
-#[derive(Clone, Copy, Debug)]
-struct Tile {
-    a: BufId,
-    b: BufId,
-    elems: usize,
-}
-
-/// Allocate the `(A, B)` buffers of `elems` elements split into `t` tiles,
-/// writing each tile's slice of `data` into its `A` when given.
-fn alloc_tiles(
-    ctx: &mut Context,
-    elems: usize,
-    t: usize,
-    data: Option<&[f32]>,
-) -> Result<Vec<Tile>> {
-    let mut tiles = Vec::with_capacity(t);
-    for (i, range) in util::split_ranges(elems, t).into_iter().enumerate() {
-        let a = ctx.alloc(format_args!("A{t}_{i}"), range.len());
-        let b = ctx.alloc(format_args!("B{t}_{i}"), range.len());
-        if let Some(data) = data {
-            ctx.write_host(a, &data[range.clone()])?;
-        }
-        tiles.push(Tile {
-            a,
-            b,
-            elems: range.len(),
-        });
-    }
-    Ok(tiles)
-}
-
-/// The paper's microbenchmark pipeline (`B[i] = A[i] + α`, Fig. 6
-/// `Streamed` variant): `elems` elements split into `T` tiles, each tile
-/// H2D → kernel → D2H, round-robin over the context's streams.
-pub struct TunableHbench {
+/// An hBench pipeline over `elems` elements cut into `T` tiles, recorded by
+/// `hbench::record_tiles`: the state [`TunableHbench`] and
+/// [`TunablePartitionMicro`] share.
+struct Pipeline {
     elems: usize,
     iters: usize,
+    /// H2D → kernel → D2H per tile (Fig. 6), or kernels only (Fig. 7).
+    transfers: bool,
     /// Input data, generated once; `None` skips filling (sim-only sweeps).
     data: Option<Vec<f32>>,
     /// The kernel body every launch of every tiling shares.
@@ -127,18 +127,53 @@ pub struct TunableHbench {
     tiles: HashMap<usize, Vec<Tile>>,
 }
 
+impl Pipeline {
+    fn new(elems: usize, iters: usize, transfers: bool, fill_seed: Option<u64>) -> Pipeline {
+        Pipeline {
+            elems,
+            iters,
+            transfers,
+            data: fill_seed.map(|s| util::random_vec(s, elems, -1.0, 1.0)),
+            body: hbench::body(iters),
+            tiles: HashMap::new(),
+        }
+    }
+
+    fn problem(&self) -> String {
+        format!("elems={},iters={}", self.elems, self.iters)
+    }
+
+    fn feasible(&self, t: usize) -> bool {
+        t >= 1 && t <= self.elems
+    }
+
+    /// Tiles `A{t}_{i}`/`B{t}_{i}` of `t`'s tiling, filled from `data`.
+    fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
+        let (elems, data) = (self.elems, self.data.as_deref());
+        let record = |ctx: &mut Context, tiles: &Vec<Tile>| {
+            hbench::record_tiles(ctx, tiles, self.iters, &self.body, self.transfers)
+        };
+        let build = |ctx: &mut Context| {
+            let lens = util::split_ranges(elems, t).into_iter().map(|r| r.len());
+            let tiles = hbench::alloc_tiles(ctx, &format_args!("{t}_"), lens, data)?;
+            record(ctx, &tiles)?;
+            Ok(tiles)
+        };
+        record_cached(&mut self.tiles, t, ctx, build, record)
+    }
+}
+
+/// The paper's microbenchmark pipeline (`B[i] = A[i] + α`, Fig. 6
+/// `Streamed` variant): `elems` elements split into `T` tiles, each tile
+/// H2D → kernel → D2H, round-robin over the context's streams.
+pub struct TunableHbench(Pipeline);
+
 impl TunableHbench {
     /// `fill_seed: Some(_)` generates and writes deterministic inputs (one
     /// vector shared by every tiling) — required for native trials, wasted
     /// work for sim-only sweeps.
     pub fn new(elems: usize, iters: usize, fill_seed: Option<u64>) -> TunableHbench {
-        TunableHbench {
-            elems,
-            iters,
-            data: fill_seed.map(|s| util::random_vec(s, elems, -1.0, 1.0)),
-            body: hbench::body(iters),
-            tiles: HashMap::new(),
-        }
+        TunableHbench(Pipeline::new(elems, iters, true, fill_seed))
     }
 }
 
@@ -148,7 +183,7 @@ impl Tunable for TunableHbench {
     }
 
     fn problem(&self) -> String {
-        format!("elems={},iters={}", self.elems, self.iters)
+        self.0.problem()
     }
 
     fn overlappable(&self) -> bool {
@@ -156,42 +191,62 @@ impl Tunable for TunableHbench {
     }
 
     fn feasible(&self, t: usize) -> bool {
-        t >= 1 && t <= self.elems
+        self.0.feasible(t)
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        if !self.tiles.contains_key(&t) {
-            let tiles = alloc_tiles(ctx, self.elems, t, self.data.as_deref())?;
-            self.tiles.insert(t, tiles);
-        }
-        let streams = ctx.stream_count();
-        for (i, tile) in self.tiles[&t].iter().enumerate() {
-            let s = ctx.stream(i % streams)?;
-            ctx.h2d(s, tile.a)?;
-            ctx.kernel(
-                s,
-                hbench::kernel_with(
-                    format_args!("hbench{i}"),
-                    tile.elems,
-                    self.iters,
-                    &self.body,
-                )
-                .reading([tile.a])
-                .writing([tile.b]),
-            )?;
-            ctx.d2h(s, tile.b)?;
-        }
-        Ok(())
+        self.0.record(ctx, t)
     }
 
     fn pipeline_costs(&self) -> Option<PipelineCosts> {
+        let (elems, iters) = (self.0.elems, self.0.iters);
         Some(PipelineCosts {
-            bytes_h2d: (self.elems * 4) as f64,
-            bytes_d2h: (self.elems * 4) as f64,
+            bytes_h2d: (elems * 4) as f64,
+            bytes_d2h: (elems * 4) as f64,
             transfers_per_tile: 2.0,
-            kernel_work: self.elems as f64 * self.iters as f64,
+            kernel_work: elems as f64 * iters as f64,
             thread_rate: profiles::hbench().thread_rate,
         })
+    }
+}
+
+/// The Fig. 7 kernels-only microbenchmark as a tunable: `elems` elements
+/// split into `T` resident blocks, one kernel each, **no transfers** — so
+/// nothing can overlap and the cost landscape over `P` exposes the paper's
+/// U-shape, with `(P, T) = (1, 1)` being exactly the non-tiled `ref`
+/// configuration.
+pub struct TunablePartitionMicro(Pipeline);
+
+impl TunablePartitionMicro {
+    /// Kernels-only, nothing to fill: inputs are never transferred.
+    pub fn new(elems: usize, iters: usize) -> TunablePartitionMicro {
+        TunablePartitionMicro(Pipeline::new(elems, iters, false, None))
+    }
+}
+
+impl Tunable for TunablePartitionMicro {
+    fn name(&self) -> &'static str {
+        "partition_micro"
+    }
+
+    fn problem(&self) -> String {
+        self.0.problem()
+    }
+
+    fn overlappable(&self) -> bool {
+        false
+    }
+
+    fn feasible(&self, t: usize) -> bool {
+        self.0.feasible(t)
+    }
+
+    fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
+        self.0.record(ctx, t)
+    }
+
+    fn pipeline_costs(&self) -> Option<PipelineCosts> {
+        None
     }
 }
 
@@ -230,26 +285,26 @@ impl Tunable for TunableMm {
     }
 
     fn feasible(&self, t: usize) -> bool {
-        perfect_sqrt(t).is_some_and(|tpd| tpd >= 1 && self.n.is_multiple_of(tpd))
+        tiles_per_dim(self.n, t).is_some()
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let tpd = perfect_sqrt(t).ok_or_else(|| {
-            hstreams::Error::Config(format!("MM task count {t} is not a perfect square"))
-        })?;
+        let tiles_per_dim = square_tiling("MM", self.n, t)?;
         let cfg = mm::MmConfig {
             n: self.n,
-            tiles_per_dim: tpd,
+            tiles_per_dim,
         };
-        if let Some(bufs) = self.built.get(&tpd) {
-            return mm::record(ctx, &cfg, bufs);
-        }
-        let bufs = mm::build(ctx, &cfg)?;
-        if let Some(seed) = self.fill_seed {
-            mm::fill_inputs(ctx, &cfg, &bufs, seed)?;
-        }
-        self.built.insert(tpd, bufs);
-        Ok(())
+        let seed = self.fill_seed;
+        let build = |ctx: &mut Context| {
+            let bufs = mm::build(ctx, &cfg)?;
+            if let Some(seed) = seed {
+                mm::fill_inputs(ctx, &cfg, &bufs, seed)?;
+            }
+            Ok(bufs)
+        };
+        record_cached(&mut self.built, tiles_per_dim, ctx, build, |ctx, bufs| {
+            mm::record(ctx, &cfg, bufs)
+        })
     }
 
     fn pipeline_costs(&self) -> Option<PipelineCosts> {
@@ -301,26 +356,26 @@ impl Tunable for TunableCf {
     }
 
     fn feasible(&self, t: usize) -> bool {
-        perfect_sqrt(t).is_some_and(|tpd| tpd >= 1 && self.n.is_multiple_of(tpd))
+        tiles_per_dim(self.n, t).is_some()
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let tpd = perfect_sqrt(t).ok_or_else(|| {
-            hstreams::Error::Config(format!("CF task count {t} is not a perfect square"))
-        })?;
+        let tiles_per_dim = square_tiling("CF", self.n, t)?;
         let cfg = cholesky::CfConfig {
             n: self.n,
-            tiles_per_dim: tpd,
+            tiles_per_dim,
         };
-        if let Some(bufs) = self.built.get(&tpd) {
-            return cholesky::record(ctx, &cfg, bufs);
-        }
-        let bufs = cholesky::build(ctx, &cfg)?;
-        if let Some(seed) = self.fill_seed {
-            cholesky::fill_inputs(ctx, &cfg, &bufs, seed)?;
-        }
-        self.built.insert(tpd, bufs);
-        Ok(())
+        let seed = self.fill_seed;
+        let build = |ctx: &mut Context| {
+            let bufs = cholesky::build(ctx, &cfg)?;
+            if let Some(seed) = seed {
+                cholesky::fill_inputs(ctx, &cfg, &bufs, seed)?;
+            }
+            Ok(bufs)
+        };
+        record_cached(&mut self.built, tiles_per_dim, ctx, build, |ctx, bufs| {
+            cholesky::record(ctx, &cfg, bufs)
+        })
     }
 
     fn pipeline_costs(&self) -> Option<PipelineCosts> {
@@ -338,9 +393,9 @@ impl Tunable for TunableCf {
 /// Streamed nearest-neighbor distance pass: `T` record tiles, each H2D →
 /// distance kernel → D2H (transfer-bound, Fig. 9(e)).
 pub struct TunableNn {
-    records: usize,
-    k: usize,
-    target: (f32, f32),
+    /// [`nn::NnConfig::paper_fig9`] at this problem size; `tiles` is set
+    /// per record.
+    cfg: nn::NnConfig,
     fill_seed: Option<u64>,
     built: HashMap<usize, nn::NnBuffers>,
 }
@@ -349,20 +404,12 @@ impl TunableNn {
     /// See [`TunableHbench::new`] for the `fill_seed` semantics.
     pub fn new(records: usize, fill_seed: Option<u64>) -> TunableNn {
         TunableNn {
-            records,
-            k: 10,
-            target: (40.0, 120.0),
+            cfg: nn::NnConfig {
+                records,
+                ..nn::NnConfig::paper_fig9()
+            },
             fill_seed,
             built: HashMap::new(),
-        }
-    }
-
-    fn cfg(&self, tiles: usize) -> nn::NnConfig {
-        nn::NnConfig {
-            records: self.records,
-            tiles,
-            k: self.k,
-            target: self.target,
         }
     }
 }
@@ -373,7 +420,7 @@ impl Tunable for TunableNn {
     }
 
     fn problem(&self) -> String {
-        format!("records={}", self.records)
+        format!("records={}", self.cfg.records)
     }
 
     fn overlappable(&self) -> bool {
@@ -381,28 +428,34 @@ impl Tunable for TunableNn {
     }
 
     fn feasible(&self, t: usize) -> bool {
-        t >= 1 && t <= self.records
+        t >= 1 && t <= self.cfg.records
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let cfg = self.cfg(t);
-        if let Some(bufs) = self.built.get(&t) {
-            return nn::record(ctx, &cfg, bufs);
-        }
-        let bufs = nn::build(ctx, &cfg)?;
-        if let Some(seed) = self.fill_seed {
-            nn::fill_inputs(ctx, &cfg, &bufs, seed)?;
-        }
-        self.built.insert(t, bufs);
-        Ok(())
+        let cfg = nn::NnConfig {
+            tiles: t,
+            ..self.cfg
+        };
+        let seed = self.fill_seed;
+        let build = |ctx: &mut Context| {
+            let bufs = nn::build(ctx, &cfg)?;
+            if let Some(seed) = seed {
+                nn::fill_inputs(ctx, &cfg, &bufs, seed)?;
+            }
+            Ok(bufs)
+        };
+        record_cached(&mut self.built, t, ctx, build, |ctx, bufs| {
+            nn::record(ctx, &cfg, bufs)
+        })
     }
 
     fn pipeline_costs(&self) -> Option<PipelineCosts> {
+        let records = self.cfg.records;
         Some(PipelineCosts {
-            bytes_h2d: (self.records * 2 * 4) as f64,
-            bytes_d2h: (self.records * 4) as f64,
+            bytes_h2d: (records * 2 * 4) as f64,
+            bytes_d2h: (records * 4) as f64,
             transfers_per_tile: 2.0,
-            kernel_work: self.records as f64,
+            kernel_work: records as f64,
             thread_rate: profiles::nn_distance().thread_rate,
         })
     }
@@ -414,10 +467,9 @@ impl Tunable for TunableNn {
 /// phases — the paper's non-overlappable class, so no pipeline costs; its
 /// tuning payoff is the Sec. V-B1 allocation-overhead collapse at high `P`.
 pub struct TunableKmeans {
-    points: usize,
-    dims: usize,
-    k: usize,
-    iterations: usize,
+    /// [`kmeans::KmeansConfig::paper_fig9`] at this problem size; `tiles`
+    /// is set per record.
+    cfg: kmeans::KmeansConfig,
     fill_seed: Option<u64>,
     built: HashMap<usize, kmeans::KmeansBuffers>,
 }
@@ -426,23 +478,14 @@ impl TunableKmeans {
     /// See [`TunableHbench::new`] for the `fill_seed` semantics.
     pub fn new(points: usize, dims: usize, iterations: usize, fill_seed: Option<u64>) -> Self {
         TunableKmeans {
-            points,
-            dims,
-            k: 8,
-            iterations,
+            cfg: kmeans::KmeansConfig {
+                points,
+                dims,
+                iterations,
+                ..kmeans::KmeansConfig::paper_fig9()
+            },
             fill_seed,
             built: HashMap::new(),
-        }
-    }
-
-    fn cfg(&self, tiles: usize) -> kmeans::KmeansConfig {
-        kmeans::KmeansConfig {
-            points: self.points,
-            dims: self.dims,
-            k: self.k,
-            iterations: self.iterations,
-            tiles,
-            alloc_micros: 5,
         }
     }
 }
@@ -453,9 +496,10 @@ impl Tunable for TunableKmeans {
     }
 
     fn problem(&self) -> String {
+        let cfg = &self.cfg;
         format!(
             "points={},dims={},iters={}",
-            self.points, self.dims, self.iterations
+            cfg.points, cfg.dims, cfg.iterations
         )
     }
 
@@ -464,86 +508,25 @@ impl Tunable for TunableKmeans {
     }
 
     fn feasible(&self, t: usize) -> bool {
-        t >= 1 && t <= self.points
+        t >= 1 && t <= self.cfg.points
     }
 
     fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        let cfg = self.cfg(t);
-        if let Some(bufs) = self.built.get(&t) {
-            return kmeans::record(ctx, &cfg, bufs);
-        }
-        let bufs = kmeans::build(ctx, &cfg)?;
-        if let Some(seed) = self.fill_seed {
-            kmeans::fill_inputs(ctx, &cfg, &bufs, seed)?;
-        }
-        self.built.insert(t, bufs);
-        Ok(())
-    }
-
-    fn pipeline_costs(&self) -> Option<PipelineCosts> {
-        None
-    }
-}
-
-// ----- partition microbenchmark ---------------------------------------------
-
-/// The Fig. 7 kernels-only microbenchmark as a tunable: `elems` elements
-/// split into `T` resident blocks, one kernel each, **no transfers** — so
-/// nothing can overlap and the cost landscape over `P` exposes the paper's
-/// U-shape, with `(P, T) = (1, 1)` being exactly the non-tiled `ref`
-/// configuration.
-pub struct TunablePartitionMicro {
-    elems: usize,
-    iters: usize,
-    body: KernelFn,
-    tiles: HashMap<usize, Vec<Tile>>,
-}
-
-impl TunablePartitionMicro {
-    /// Kernels-only, nothing to fill: inputs are never transferred.
-    pub fn new(elems: usize, iters: usize) -> TunablePartitionMicro {
-        TunablePartitionMicro {
-            elems,
-            iters,
-            body: hbench::body(iters),
-            tiles: HashMap::new(),
-        }
-    }
-}
-
-impl Tunable for TunablePartitionMicro {
-    fn name(&self) -> &'static str {
-        "partition_micro"
-    }
-
-    fn problem(&self) -> String {
-        format!("elems={},iters={}", self.elems, self.iters)
-    }
-
-    fn overlappable(&self) -> bool {
-        false
-    }
-
-    fn feasible(&self, t: usize) -> bool {
-        t >= 1 && t <= self.elems
-    }
-
-    fn record(&mut self, ctx: &mut Context, t: usize) -> Result<()> {
-        if !self.tiles.contains_key(&t) {
-            let tiles = alloc_tiles(ctx, self.elems, t, None)?;
-            self.tiles.insert(t, tiles);
-        }
-        let streams = ctx.stream_count();
-        for (i, tile) in self.tiles[&t].iter().enumerate() {
-            let s = ctx.stream(i % streams)?;
-            ctx.kernel(
-                s,
-                hbench::kernel_with(format_args!("k{i}"), tile.elems, self.iters, &self.body)
-                    .reading([tile.a])
-                    .writing([tile.b]),
-            )?;
-        }
-        Ok(())
+        let cfg = kmeans::KmeansConfig {
+            tiles: t,
+            ..self.cfg
+        };
+        let seed = self.fill_seed;
+        let build = |ctx: &mut Context| {
+            let bufs = kmeans::build(ctx, &cfg)?;
+            if let Some(seed) = seed {
+                kmeans::fill_inputs(ctx, &cfg, &bufs, seed)?;
+            }
+            Ok(bufs)
+        };
+        record_cached(&mut self.built, t, ctx, build, |ctx, bufs| {
+            kmeans::record(ctx, &cfg, bufs)
+        })
     }
 
     fn pipeline_costs(&self) -> Option<PipelineCosts> {
@@ -554,6 +537,7 @@ impl Tunable for TunablePartitionMicro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hstreams::testutil::{access_table, work_fingerprint};
     use micsim::PlatformConfig;
 
     fn ctx(p: usize) -> Context {
@@ -598,8 +582,8 @@ mod tests {
         assert!(c.run_sim().unwrap().makespan().nanos() > 0);
         c.run_native().unwrap();
         // Output of the last tile is input + alpha*iters.
-        let out = c.read_host(app.tiles[&4][3].b).unwrap();
-        let a_in = &app.data.as_ref().unwrap()[3 * 256..4 * 256];
+        let out = c.read_host(app.0.tiles[&4][3].b).unwrap();
+        let a_in = &app.0.data.as_ref().unwrap()[3 * 256..4 * 256];
         for (o, i) in out.iter().zip(a_in) {
             assert!((o - (i + hbench::ALPHA * 4.0)).abs() < 1e-4);
         }
@@ -617,6 +601,58 @@ mod tests {
         assert_eq!(c.buffer_count(), n_bufs, "replan must not reallocate");
         let sim_p4 = c.run_sim().unwrap().makespan();
         assert_ne!(sim_p1, sim_p4, "geometry change must reprice the program");
+    }
+
+    /// Everything a recorded program is made of: every access with its
+    /// site, the work's labels, the events table, the barrier count and
+    /// the stream placements.
+    fn recording(c: &Context) -> impl PartialEq + std::fmt::Debug {
+        let p = c.program();
+        let placements: Vec<_> = p.streams.iter().map(|s| s.placement).collect();
+        (
+            access_table(p),
+            work_fingerprint(p),
+            p.events.clone(),
+            p.barriers,
+            placements,
+        )
+    }
+
+    #[test]
+    fn a_warm_re_record_equals_the_cold_build() {
+        type App = fn() -> Box<dyn Tunable>;
+        let apps: [(App, [usize; 2]); 6] = [
+            (|| Box::new(TunableHbench::new(1 << 10, 2, Some(1))), [4, 8]),
+            (|| Box::new(TunableMm::new(24, Some(2))), [4, 9]),
+            (|| Box::new(TunableCf::new(24, Some(3))), [4, 9]),
+            (|| Box::new(TunableNn::new(256, Some(4))), [4, 8]),
+            (|| Box::new(TunableKmeans::new(128, 4, 2, Some(5))), [4, 8]),
+            (|| Box::new(TunablePartitionMicro::new(1 << 10, 2)), [4, 8]),
+        ];
+        for (make, tilings) in apps {
+            for (p, other) in [(2, 4), (4, 2)] {
+                let mut app = make();
+                let mut c = ctx(p);
+                let cold: Vec<_> = tilings
+                    .iter()
+                    .map(|&t| {
+                        c.replan(p).unwrap();
+                        app.record(&mut c, t).unwrap();
+                        recording(&c)
+                    })
+                    .collect();
+                let built = c.buffer_count();
+                for (&t, cold) in tilings.iter().zip(&cold) {
+                    c.replan(other).unwrap();
+                    app.record(&mut c, t).unwrap();
+                    c.replan(p).unwrap();
+                    app.record(&mut c, t).unwrap();
+                    let name = app.name();
+                    assert_eq!(recording(&c), *cold, "{name} T={t} P={p}: warm vs cold");
+                    assert_eq!(c.buffer_count(), built, "{name} T={t} P={p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Small shared helpers: deterministic input generation and float
-//! comparisons for validation against serial references.
+//! Small shared helpers: deterministic input generation, float
+//! comparisons for validation against serial references, and the row-tile
+//! halo the Hotspot and SRAD stencils share.
 
+use hstreams::types::BufId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,6 +71,128 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
         start += take;
     }
     out
+}
+
+/// Row block `t` of a grid cut into horizontal blocks, as a stencil kernel
+/// sees it: its size and whether blocks lie above and below it.
+#[derive(Clone, Copy)]
+pub(crate) struct RowTile {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) has_above: bool,
+    pub(crate) has_below: bool,
+}
+
+impl RowTile {
+    /// Block `t` of the blocks of `tile_rows` rows each, `cols` wide.
+    pub(crate) fn new(tile_rows: &[usize], t: usize, cols: usize) -> RowTile {
+        RowTile {
+            rows: tile_rows[t],
+            cols,
+            has_above: t > 0,
+            has_below: t + 1 < tile_rows.len(),
+        }
+    }
+
+    /// Block `t`'s reads out of the row-block buffers `grid`: its own block,
+    /// then the block above and the block below where they exist — the
+    /// order [`RowTile::halo`] takes apart.
+    pub(crate) fn halo_reads(self, grid: &[BufId], t: usize) -> impl Iterator<Item = BufId> {
+        let above = self.has_above.then(|| grid[t - 1]);
+        let below = self.has_below.then(|| grid[t + 1]);
+        std::iter::once(grid[t]).chain(above).chain(below)
+    }
+
+    /// The [`Halo`] at the front of a kernel's `reads`, laid out by
+    /// [`RowTile::halo_reads`], and the reads after it.
+    pub(crate) fn halo<'a, 'r>(self, reads: &'r [&'a [f32]]) -> (Halo<'a>, &'r [&'a [f32]]) {
+        let mut rest = &reads[1..];
+        let mut next = |present: bool| {
+            present.then(|| {
+                let read = rest[0];
+                rest = &rest[1..];
+                read
+            })
+        };
+        let (above, below) = (next(self.has_above), next(self.has_below));
+        let (rows, cols) = (self.rows, self.cols);
+        let own = reads[0];
+        (
+            Halo {
+                own,
+                above,
+                below,
+                rows,
+                cols,
+            },
+            rest,
+        )
+    }
+}
+
+/// One row block of a grid with the blocks above and below it: cell
+/// `(r, c)` of the block and its four neighbours, a neighbour past the
+/// grid's edge reading as the cell itself.
+pub(crate) struct Halo<'a> {
+    own: &'a [f32],
+    above: Option<&'a [f32]>,
+    below: Option<&'a [f32]>,
+    rows: usize,
+    cols: usize,
+}
+
+impl Halo<'_> {
+    /// Cell `(r, c)` of the block.
+    #[inline]
+    pub(crate) fn at(&self, r: usize, c: usize) -> f32 {
+        self.own[r * self.cols + c]
+    }
+
+    /// The cell above `(r, c)`: the last row of the block above at `r = 0`.
+    #[inline]
+    pub(crate) fn north(&self, r: usize, c: usize) -> f32 {
+        let cols = self.cols;
+        if r > 0 {
+            self.own[(r - 1) * cols + c]
+        } else if let Some(ab) = self.above {
+            ab[(ab.len() / cols - 1) * cols + c]
+        } else {
+            self.at(r, c)
+        }
+    }
+
+    /// The cell below `(r, c)`: the first row of the block below at the
+    /// block's last row.
+    #[inline]
+    pub(crate) fn south(&self, r: usize, c: usize) -> f32 {
+        if r + 1 < self.rows {
+            self.own[(r + 1) * self.cols + c]
+        } else if let Some(be) = self.below {
+            be[c]
+        } else {
+            self.at(r, c)
+        }
+    }
+
+    /// The cell left of `(r, c)`.
+    #[inline]
+    pub(crate) fn west(&self, r: usize, c: usize) -> f32 {
+        if c > 0 {
+            self.own[r * self.cols + c - 1]
+        } else {
+            self.at(r, c)
+        }
+    }
+
+    /// The cell right of `(r, c)`.
+    #[inline]
+    pub(crate) fn east(&self, r: usize, c: usize) -> f32 {
+        if c + 1 < self.cols {
+            self.own[r * self.cols + c + 1]
+        } else {
+            self.at(r, c)
+        }
+    }
 }
 
 #[cfg(test)]

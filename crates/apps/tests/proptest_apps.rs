@@ -171,20 +171,11 @@ proptest! {
     /// (a coarse sanity property of the cost models).
     #[test]
     fn sim_time_monotone_in_problem_size(base in 2usize..6, p in 1usize..5) {
-        let small = mm::simulate(
-            &mm::MmConfig { n: base * 100, tiles_per_dim: base },
-            PlatformConfig::phi_31sp(),
-            p,
-        )
-        .unwrap()
-        .0;
-        let large = mm::simulate(
-            &mm::MmConfig { n: base * 200, tiles_per_dim: base },
-            PlatformConfig::phi_31sp(),
-            p,
-        )
-        .unwrap()
-        .0;
-        prop_assert!(large > small);
+        let makespan = |n| {
+            let mut c = ctx(p);
+            mm::build(&mut c, &mm::MmConfig { n, tiles_per_dim: base }).unwrap();
+            c.run_sim().unwrap().makespan()
+        };
+        prop_assert!(makespan(base * 200) > makespan(base * 100));
     }
 }

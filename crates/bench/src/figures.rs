@@ -21,11 +21,12 @@
 
 use std::fmt::Display;
 
+use hstreams::Context;
 use mic_apps::hbench::{overlap_program, partition_program, transfer_program, OverlapVariant};
 use mic_apps::tunable::{Tunable, TunableHbench};
 use mic_apps::{cholesky, hotspot, kmeans, mm, nn, srad};
 use micsim::compute::SmtScaling;
-use micsim::{Duplex, PlatformConfig};
+use micsim::{Duplex, PlatformConfig, SimDuration};
 use stream_tune::candidates::{exhaustive_space, partition_candidates, pruned_space, TuneBounds};
 use stream_tune::tuner::model_from_costs;
 use stream_tune::{Evaluator, RepeatPolicy, SimEvaluator, Strategy, TuneOutcome, Tuner};
@@ -49,6 +50,22 @@ pub const ALL: [(&str, FigureFn, &str); 10] = [
     ("ablation", ablation, "Without the core-sharing penalty the non-divisor dips of Fig. 9(a) vanish; with linear SMT Fig. 7's right tail flattens; without the allocation term Fig. 9(c)'s drop is nearly flat. Fig. 5's duplex ablation is fig05_duplex_ablation."),
     ("ext_multi_mic_scaling", ext_multi_mic_scaling, "Efficiency falls with card count: every extra card adds mirror transfers on the serial links and stretches the cross-card barriers (CF) / panel broadcast (MM). MM scales better than CF — fewer synchronization points."),
 ];
+
+/// The simulated makespan of the program `build` records on a fresh
+/// context of `p` partitions of `platform`: the one build-then-simulate
+/// path of the six applications. `None` when it does not build or run.
+fn makespan<B>(
+    platform: &PlatformConfig,
+    p: usize,
+    build: impl FnOnce(&mut Context) -> hstreams::types::Result<B>,
+) -> Option<SimDuration> {
+    let mut ctx = Context::builder(platform.clone())
+        .partitions(p)
+        .build()
+        .ok()?;
+    build(&mut ctx).ok()?;
+    Some(ctx.run_sim().ok()?.makespan())
+}
 
 /// A figure with one series per name and one row per `x`: `row(x)`
 /// returns the row's label and its values, in series order.
@@ -337,37 +354,26 @@ impl App {
     /// partitions. GFLOPS for MM and CF, the makespan otherwise (ms for
     /// NN, s for the rest); `None` when the tiling does not fit.
     fn run(self, platform: &PlatformConfig, n: usize, p: usize, tiles: usize) -> Option<f64> {
-        let platform = platform.clone();
+        let gflops = |flops: f64| move |m: SimDuration| flops / m.as_secs_f64() / 1e9;
         match self {
-            App::Mm => mm::simulate(
-                &mm::MmConfig {
-                    n,
-                    tiles_per_dim: tiles,
-                },
-                platform,
-                p,
-            )
-            .map(|r| r.1),
-            App::Cf => cholesky::simulate(
-                &cholesky::CfConfig {
-                    n,
-                    tiles_per_dim: tiles,
-                },
-                platform,
-                p,
-            )
-            .map(|r| r.1),
+            App::Mm => {
+                let tiles_per_dim = tiles;
+                let cfg = mm::MmConfig { n, tiles_per_dim };
+                makespan(platform, p, |ctx| mm::build(ctx, &cfg)).map(gflops(cfg.flops()))
+            }
+            App::Cf => {
+                let tiles_per_dim = tiles;
+                let cfg = cholesky::CfConfig { n, tiles_per_dim };
+                makespan(platform, p, |ctx| cholesky::build(ctx, &cfg)).map(gflops(cfg.flops()))
+            }
             App::Kmeans => {
                 let base = kmeans::KmeansConfig::paper_fig9();
-                kmeans::simulate(
-                    &kmeans::KmeansConfig {
-                        points: n,
-                        tiles,
-                        ..base
-                    },
-                    platform,
-                    p,
-                )
+                let cfg = kmeans::KmeansConfig {
+                    points: n,
+                    tiles,
+                    ..base
+                };
+                makespan(platform, p, |ctx| kmeans::build(ctx, &cfg)).map(SimDuration::as_secs_f64)
             }
             App::Hotspot => {
                 let cfg = hotspot::HotspotConfig {
@@ -376,19 +382,16 @@ impl App {
                     iterations: 50,
                     tiles,
                 };
-                hotspot::simulate(&cfg, platform, p)
+                makespan(platform, p, |ctx| hotspot::build(ctx, &cfg)).map(SimDuration::as_secs_f64)
             }
             App::Nn => {
                 let base = nn::NnConfig::paper_fig9();
-                nn::simulate(
-                    &nn::NnConfig {
-                        records: n,
-                        tiles,
-                        ..base
-                    },
-                    platform,
-                    p,
-                )
+                let cfg = nn::NnConfig {
+                    records: n,
+                    tiles,
+                    ..base
+                };
+                makespan(platform, p, |ctx| nn::build(ctx, &cfg)).map(SimDuration::as_millis_f64)
             }
             App::Srad => {
                 let cfg = srad::SradConfig {
@@ -398,10 +401,9 @@ impl App {
                     iterations: 100,
                     tiles,
                 };
-                srad::simulate(&cfg, platform, p)
+                makespan(platform, p, |ctx| srad::build(ctx, &cfg)).map(SimDuration::as_secs_f64)
             }
         }
-        .ok()
     }
 
     /// Fig. 8's streamed tilings at `dataset` on `p` partitions (Sec. V-C:
@@ -674,7 +676,9 @@ pub fn ablation(platform: &PlatformConfig) -> Vec<Figure> {
             alloc_micros,
             ..kmeans::KmeansConfig::paper_fig9()
         };
-        kmeans::simulate(&cfg, platform.clone(), p).expect("Kmeans point")
+        makespan(platform, p, |ctx| kmeans::build(ctx, &cfg))
+            .expect("Kmeans point")
+            .as_secs_f64()
     };
     let sharing = Figure::new(
         "ablation_sharing",

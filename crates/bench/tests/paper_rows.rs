@@ -26,8 +26,8 @@ fn phi() -> PlatformConfig {
 
 /// Fig. 9's quoted partition counts, per app in `App::ALL` order.
 const FIG09_ROWS: [&[usize]; 6] = [
-    &[1, 2, 4, 7, 8, 13, 14, 16, 28, 33, 35, 56],
-    &[1, 2, 4, 7, 8, 13, 14, 16, 28, 33, 35, 56],
+    &[1, 2, 4, 7, 8, 13, 14, 16, 26, 27, 28, 33, 35, 54, 56],
+    &[1, 2, 4, 7, 8, 13, 14, 16, 26, 27, 28, 33, 35, 54, 56],
     &[1, 8, 28, 56],
     &[1, 2, 28, 33, 34, 35, 36, 37, 56],
     &[1, 4, 7, 11, 16, 48, 56],
@@ -299,8 +299,9 @@ fn fig08_streams_win_where_the_paper_says() {
 }
 
 /// Fig. 9(a, b), finding 5: MM and CF spike where P divides 56. Every
-/// aligned P beats every misaligned one of the quoted rows by 30 % (CF:
-/// the aligned P up to 8, its envelope decays past them, deviation 5).
+/// aligned P beats the misaligned P = 13, 16, 33 and 35 by 30 % (CF: the
+/// aligned P up to 8; its envelope decays past them and its spikes fade,
+/// deviation 5).
 #[test]
 fn fig09_mm_and_cf_spike_where_p_divides_56() {
     let misaligned = [13, 16, 33, 35];
@@ -551,5 +552,24 @@ fn deviation5_cf_large_p_envelope_decays_faster() {
     assert!(
         (0.3..0.45).contains(&ratio),
         "CF at P=56 over the peak: {ratio:.3}"
+    );
+}
+
+/// Deviation 5, its spikes: past P = 14 CF's divisor spikes fade. The
+/// aligned P = 28 reads 5–15 % below its misaligned neighbours P = 26 and
+/// 27, and P = 56 only 5–20 % above P = 54, where the paper's CF spikes
+/// at every divisor of 56.
+#[test]
+fn deviation5_cf_spikes_fade_past_p_14() {
+    let gf = |p| panel(fig09(), App::Cf, p);
+    let at_28 = gf(28) / gf(26).max(gf(27));
+    assert!(
+        (0.85..0.95).contains(&at_28),
+        "CF at P=28 over P=26/27: {at_28:.3}"
+    );
+    let at_56 = gf(56) / gf(54);
+    assert!(
+        (1.05..1.2).contains(&at_56),
+        "CF at P=56 over P=54: {at_56:.3}"
     );
 }

@@ -273,31 +273,27 @@ fn link_lane_serves_transfers_in_submission_order() {
 #[test]
 fn duplex_link_lanes_are_independent() {
     // Full duplex: H2D and D2H have a lane (and a lock) each, so stream 0's
-    // uploads and stream 1's downloads hold the link at the same time.
+    // uploads are served on one link lane and stream 1's downloads on the
+    // other. That an upload holding its lane does not block a download's
+    // acquire is asserted without timing, by a forced interleaving, in
+    // `executor::native`'s lib test
+    // `a_full_duplex_h2d_holder_does_not_block_a_d2h_acquire`; whether two
+    // streams' spans meet in wall time depends on the host's scheduler.
     use micsim::Direction::{DeviceToHost, HostToDevice};
     let trace = contended_link_trace(
         PlatformConfig::phi_31sp_full_duplex(),
         [HostToDevice, DeviceToHost],
         8,
     );
-    let lane = |c: usize| -> Vec<Interval> {
+    let lane = |c: usize| {
         trace
             .timeline
             .records
             .iter()
             .filter(|r| r.resource == Some(trace.kinds.links[c]))
-            .map(|r| Interval {
-                start: r.start,
-                end: r.finish,
-            })
-            .collect()
+            .count()
     };
-    let (up, down) = (lane(0), lane(1));
-    assert_eq!((up.len(), down.len()), (8, 8));
-    assert!(
-        !intersect(&merge_intervals(up), &merge_intervals(down)).is_empty(),
-        "H2D and D2H never overlapped on a full-duplex link"
-    );
+    assert_eq!((lane(0), lane(1)), (8, 8));
 }
 
 #[test]

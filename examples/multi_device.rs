@@ -2,26 +2,23 @@
 //! Fig. 11 story: the same streamed code runs unmodified on two cards and
 //! gains substantially, but stays below the projected 2× because separate
 //! memories force extra tile transfers and cross-card synchronization.
+//! The rows are `mic_bench::figures::fig11`'s.
 //!
 //! Run with: `cargo run --release --example multi_device`
 
-use mic_apps::cholesky::{simulate, CfConfig};
+use mic_bench::figures;
 use micsim::PlatformConfig;
 
 fn main() {
+    let fig = &figures::fig11(&PlatformConfig::phi_31sp())[0];
     println!("| dataset | 1-mic GFLOPS | 2-mics GFLOPS | projected | achieved/projected |");
     println!("|---|---|---|---|---|");
-    for (n, tpd) in [(14000usize, 14usize), (16000, 16)] {
-        let cfg = CfConfig {
-            n,
-            tiles_per_dim: tpd,
-        };
-        let (_, one) = simulate(&cfg, PlatformConfig::phi_31sp(), 4).expect("1-mic sim");
-        let (_, two) = simulate(&cfg, PlatformConfig::phi_31sp_multi(2), 4).expect("2-mic sim");
+    for dataset in ["14000^2", "16000^2"] {
+        let gflops = |series| fig.value(series, dataset).expect("a Fig. 11 row");
+        let (one, two, projected) = (gflops("1-mic"), gflops("2-mics"), gflops("projected"));
         println!(
-            "| {n}^2 | {one:.0} | {two:.0} | {:.0} | {:.0}% |",
-            2.0 * one,
-            two / (2.0 * one) * 100.0
+            "| {dataset} | {one:.0} | {two:.0} | {projected:.0} | {:.0}% |",
+            two / projected * 100.0
         );
     }
     println!(

@@ -289,6 +289,22 @@ if [ "$bins" != "$expected" ]; then
   exit 1
 fi
 
+echo "==> one recorder per app pipeline (tunables record through the app modules; one build-then-simulate path; one stencil halo)"
+if nontest crates/apps/src/tunable.rs | grep -nE '\.(h2d|d2h|kernel)\('; then
+  echo "  non-test crates/apps/src/tunable.rs records actions itself (call the app module's recorder: hbench::record_tiles, mm::record, ...)"
+  exit 1
+fi
+if grep -rn 'fn simulate' crates/apps/src; then
+  echo "  a per-app simulate is back under crates/apps/src (the figures build and simulate in one place, mic_bench::figures' makespan)"
+  exit 1
+fi
+halos=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? )?has_above:[[:space:]]*bool' crates/apps/src || true)
+if [ "$(printf '%s' "$halos" | grep -c . || true)" -gt 1 ]; then
+  echo "$halos" | sed 's/^/  /'
+  echo "  more than one struct declares has_above (the row-tile halo is util::RowTile)"
+  exit 1
+fi
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
